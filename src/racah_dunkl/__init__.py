@@ -78,7 +78,6 @@ from .operators import (
     racah_p,
     reflection,
     su11_triple,
-    zero_op,
 )
 from .poly import Monomial, NotDivisible, ParameterSet, Polynomial, monomial_basis, poly_to_vector
 from .racah import (

@@ -4,7 +4,8 @@ Rationals cross this boundary as "p/q" strings; there is no floating
 point anywhere.  Identical configurations produce byte-identical output
 files.  Exit codes: 0 when every verified identity holds, 1 when some
 identity fails (the report names the first violated one and carries a
-polynomial witness), 2 for configuration errors.
+polynomial witness) or when a suite checked nothing, 2 for configuration
+errors.
 """
 
 from __future__ import annotations
@@ -77,7 +78,11 @@ class RunConfig:
             raise ConfigError(str(exc)) from exc
 
     def bound(self, default: int) -> int:
-        return self.kmax if self.kmax is not None else default
+        if self.kmax is None:
+            return default
+        if self.kmax < 0:
+            raise ConfigError(f"degree bound --kmax {self.kmax} is negative")
+        return self.kmax
 
 
 def _parse_ints(text: str) -> tuple[int, ...]:
@@ -181,6 +186,9 @@ def cmd_verify(args) -> int:
     else:  # pragma: no cover - argparse restricts choices
         raise ConfigError(f"unknown suite {suite!r}")
     _emit(report.to_json_obj(), cfg)
+    if len(report) == 0:
+        print(f"no identity checked: the {suite} suite is empty", file=sys.stderr)
+        return 1
     return 0 if report.ok else 1
 
 

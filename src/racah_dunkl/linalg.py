@@ -1,119 +1,180 @@
 """Exact rational linear algebra.
 
-Two representations are used.  RationalMatrix stores an integer matrix
-plus a single positive denominator, which keeps matrix products (the hot
-path of the commutator-identity sweeps) in plain integer arithmetic with
-a single gcd normalization at the end.  The Gaussian-elimination helpers
-work directly with Fraction vectors and are used for basis solves and
-rank computations, where sizes are small.
+Two representations are used.  RationalMatrix stores each row as a sparse
+map from column to nonzero integer, over a single positive denominator.
+Products (the hot path of the commutator-identity sweeps) stay in plain
+integer arithmetic, touch only the nonzero entries, and finish with one
+gcd normalization.  The algebra generators never mix the reflection
+parity classes of the monomials, so their matrices are very sparse and
+the cross-parity entries are simply never stored.  The Gaussian-
+elimination helpers work directly with Fraction vectors and are used for
+basis solves and rank computations, where sizes are small.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 
 class InconsistentSystem(ValueError):
     """Raised when a linear system has no exact solution."""
 
 
-class RationalMatrix:
-    """Immutable matrix of rationals stored as integers over a common denominator."""
+def _common_denominator(values) -> int:
+    return lcm(1, *(x.denominator for x in values))
 
-    __slots__ = ("rows", "den", "nrows", "ncols")
+
+class RationalMatrix:
+    """Immutable matrix of rationals: sparse integer rows over one denominator.
+
+    ``sparse_rows[i]`` maps column j to the nonzero integer numerator of
+    entry (i, j); absent columns are zero.  ``rows`` is a dense read-only
+    view built on demand.
+    """
+
+    __slots__ = ("sparse_rows", "den", "nrows", "ncols")
 
     def __init__(self, rows: list[list[int]], den: int = 1):
         if den == 0:
             raise ZeroDivisionError("zero denominator")
+        sign = 1
         if den < 0:
-            rows = [[-x for x in row] for row in rows]
-            den = -den
-        self.rows = rows
+            sign, den = -1, -den
+        self.sparse_rows = [
+            {j: sign * x for j, x in enumerate(row) if x} for row in rows
+        ]
         self.den = den
         self.nrows = len(rows)
         self.ncols = len(rows[0]) if rows else 0
 
     @classmethod
+    def from_sparse(
+        cls, rows: list[dict[int, int]], den: int, ncols: int
+    ) -> "RationalMatrix":
+        """Wrap sparse rows as they are: nonzero values, den > 0, keys < ncols."""
+        m = cls.__new__(cls)
+        m.sparse_rows = rows
+        m.den = den
+        m.nrows = len(rows)
+        m.ncols = ncols
+        return m
+
+    @classmethod
     def from_fractions(cls, entries: list[list[Fraction]]) -> "RationalMatrix":
-        den = 1
-        for row in entries:
-            for x in row:
-                den = den * x.denominator // gcd(den, x.denominator)
-        rows = [[int(x * den) for x in row] for row in entries]
-        return cls(rows, den)
+        den = _common_denominator(x for row in entries for x in row)
+        rows = [
+            {j: x.numerator * (den // x.denominator) for j, x in enumerate(row) if x}
+            for row in entries
+        ]
+        return cls.from_sparse(rows, den, len(entries[0]) if entries else 0)
 
     @classmethod
     def identity(cls, m: int) -> "RationalMatrix":
-        return cls([[1 if i == j else 0 for j in range(m)] for i in range(m)])
+        return cls.from_sparse([{i: 1} for i in range(m)], 1, m)
 
     @classmethod
     def zeros(cls, nrows: int, ncols: int) -> "RationalMatrix":
-        return cls([[0] * ncols for _ in range(nrows)])
+        return cls.from_sparse([{} for _ in range(nrows)], 1, ncols)
 
     @classmethod
     def diagonal(cls, values: list[Fraction]) -> "RationalMatrix":
-        den = 1
-        for x in values:
-            den = den * x.denominator // gcd(den, x.denominator)
-        m = len(values)
-        rows = [[0] * m for _ in range(m)]
-        for i, x in enumerate(values):
-            rows[i][i] = int(x * den)
-        return cls(rows, den)
+        den = _common_denominator(values)
+        rows = [
+            {i: x.numerator * (den // x.denominator)} if x else {}
+            for i, x in enumerate(values)
+        ]
+        return cls.from_sparse(rows, den, len(values))
 
     @property
     def shape(self) -> tuple[int, int]:
         return (self.nrows, self.ncols)
 
+    @property
+    def rows(self) -> list[list[int]]:
+        """Dense integer numerators, a fresh copy on every access."""
+        width = range(self.ncols)
+        return [[row.get(j, 0) for j in width] for row in self.sparse_rows]
+
     def at(self, i: int, j: int) -> Fraction:
-        return Fraction(self.rows[i][j], self.den)
+        return Fraction(self.sparse_rows[i].get(j, 0), self.den)
 
     def to_fractions(self) -> list[list[Fraction]]:
         return [[Fraction(x, self.den) for x in row] for row in self.rows]
 
-    def normalized(self) -> "RationalMatrix":
-        g = self.den
-        for row in self.rows:
-            for x in row:
-                g = gcd(g, x)
+    def _reduced(
+        self, rows: list[dict[int, int]], den: int, ncols: int | None = None
+    ) -> "RationalMatrix":
+        """Matrix of rows / den in lowest terms; ncols defaults to self's."""
+        g = den
+        for row in rows:
+            if row:
+                g = gcd(g, *row.values())
                 if g == 1:
-                    return self
-        return RationalMatrix(
-            [[x // g for x in row] for row in self.rows], self.den // g
+                    break
+        if g != 1:
+            rows = [{j: x // g for j, x in row.items()} for row in rows]
+            den //= g
+        return RationalMatrix.from_sparse(
+            rows, den, self.ncols if ncols is None else ncols
         )
+
+    def normalized(self) -> "RationalMatrix":
+        return self._reduced(self.sparse_rows, self.den)
 
     def _require_same_shape(self, other: "RationalMatrix") -> None:
         if self.shape != other.shape:
             raise ValueError(f"shape mismatch: {self.shape} vs {other.shape}")
 
-    def __add__(self, other: "RationalMatrix") -> "RationalMatrix":
+    def _combine(self, other: "RationalMatrix", sign: int) -> "RationalMatrix":
+        """self + sign * other in one pass over both sets of nonzeros."""
         self._require_same_shape(other)
         g = gcd(self.den, other.den)
         a = other.den // g
-        b = self.den // g
-        rows = [
-            [x * a + y * b for x, y in zip(r1, r2)]
-            for r1, r2 in zip(self.rows, other.rows)
-        ]
-        return RationalMatrix(rows, self.den * a).normalized()
+        b = sign * (self.den // g)
+        rows = []
+        for r1, r2 in zip(self.sparse_rows, other.sparse_rows):
+            out = dict(r1) if a == 1 else {j: x * a for j, x in r1.items()}
+            for j, y in r2.items():
+                v = out.get(j, 0) + y * b
+                if v:
+                    out[j] = v
+                else:
+                    del out[j]
+            rows.append(out)
+        return self._reduced(rows, self.den * a)
+
+    def __add__(self, other: "RationalMatrix") -> "RationalMatrix":
+        return self._combine(other, 1)
 
     def __sub__(self, other: "RationalMatrix") -> "RationalMatrix":
-        return self + (-other)
+        return self._combine(other, -1)
 
     def __neg__(self) -> "RationalMatrix":
-        return RationalMatrix([[-x for x in row] for row in self.rows], self.den)
+        return RationalMatrix.from_sparse(
+            [{j: -x for j, x in row.items()} for row in self.sparse_rows],
+            self.den,
+            self.ncols,
+        )
 
     def __mul__(self, other):
         if isinstance(other, RationalMatrix):
             if self.ncols != other.nrows:
                 raise ValueError(f"cannot multiply {self.shape} by {other.shape}")
-            bt = list(zip(*other.rows))
-            rows = [
-                [sum(x * y for x, y in zip(row, col)) for col in bt]
-                for row in self.rows
-            ]
-            return RationalMatrix(rows, self.den * other.den).normalized()
+            b_rows = other.sparse_rows
+            rows = []
+            for row in self.sparse_rows:
+                acc: dict[int, int] = {}
+                for k, x in row.items():
+                    for j, y in b_rows[k].items():
+                        if j in acc:
+                            acc[j] += x * y
+                        else:
+                            acc[j] = x * y
+                if 0 in acc.values():  # drop entries that cancelled
+                    acc = {j: v for j, v in acc.items() if v}
+                rows.append(acc)
+            return self._reduced(rows, self.den * other.den, other.ncols)
         return self.scale(other)
 
     def __rmul__(self, other):
@@ -121,15 +182,19 @@ class RationalMatrix:
 
     def scale(self, c) -> "RationalMatrix":
         c = Fraction(c)
-        rows = [[x * c.numerator for x in row] for row in self.rows]
-        return RationalMatrix(rows, self.den * c.denominator).normalized()
+        num = c.numerator
+        rows = [
+            {j: x * num for j, x in row.items()} if num else {}
+            for row in self.sparse_rows
+        ]
+        return self._reduced(rows, self.den * c.denominator)
 
     def commutator(self, other: "RationalMatrix") -> "RationalMatrix":
         return self * other - other * self
 
     @property
     def is_zero(self) -> bool:
-        return all(x == 0 for row in self.rows for x in row)
+        return not any(self.sparse_rows)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RationalMatrix):
@@ -137,47 +202,46 @@ class RationalMatrix:
         if self.shape != other.shape:
             return False
         # cross-multiplied comparison avoids a full normalization
-        return all(
-            x * other.den == y * self.den
-            for r1, r2 in zip(self.rows, other.rows)
-            for x, y in zip(r1, r2)
-        )
+        d1, d2 = self.den, other.den
+        for r1, r2 in zip(self.sparse_rows, other.sparse_rows):
+            if r1.keys() != r2.keys():
+                return False
+            if any(x * d2 != r2[j] * d1 for j, x in r1.items()):
+                return False
+        return True
 
     def __hash__(self):
         norm = self.normalized()
-        return hash((norm.den, tuple(tuple(r) for r in norm.rows)))
-
-    def transpose(self) -> "RationalMatrix":
-        return RationalMatrix([list(col) for col in zip(*self.rows)], self.den)
+        entries = tuple(tuple(sorted(row.items())) for row in norm.sparse_rows)
+        return hash((norm.shape, norm.den, entries))
 
     def mul_diag_right(self, values: list[Fraction]) -> "RationalMatrix":
         """Product with diag(values) on the right: column j scaled by values[j]."""
         if len(values) != self.ncols:
             raise ValueError("diagonal length does not match column count")
-        den = 1
-        for v in values:
-            den = den * v.denominator // gcd(den, v.denominator)
-        nums = [int(v * den) for v in values]
-        rows = [[x * v for x, v in zip(row, nums)] for row in self.rows]
-        return RationalMatrix(rows, self.den * den).normalized()
+        den = _common_denominator(values)
+        nums = [v.numerator * (den // v.denominator) for v in values]
+        rows = [
+            {j: x * nums[j] for j, x in row.items() if nums[j]}
+            for row in self.sparse_rows
+        ]
+        return self._reduced(rows, self.den * den)
 
     def mul_diag_left(self, values: list[Fraction]) -> "RationalMatrix":
         """Product with diag(values) on the left: row i scaled by values[i]."""
         if len(values) != self.nrows:
             raise ValueError("diagonal length does not match row count")
-        den = 1
-        for v in values:
-            den = den * v.denominator // gcd(den, v.denominator)
-        nums = [int(v * den) for v in values]
-        rows = [[x * v for x in row] for row, v in zip(self.rows, nums)]
-        return RationalMatrix(rows, self.den * den).normalized()
+        den = _common_denominator(values)
+        nums = [v.numerator * (den // v.denominator) for v in values]
+        rows = [
+            {j: x * v for j, x in row.items()} if v else {}
+            for row, v in zip(self.sparse_rows, nums)
+        ]
+        return self._reduced(rows, self.den * den)
 
     def first_nonzero_column(self) -> int | None:
         """Index of the first column containing a nonzero entry, if any."""
-        for j in range(self.ncols):
-            if any(row[j] for row in self.rows):
-                return j
-        return None
+        return min((min(row) for row in self.sparse_rows if row), default=None)
 
     def __repr__(self) -> str:
         return f"RationalMatrix({self.nrows}x{self.ncols}, den={self.den})"
@@ -255,16 +319,6 @@ def matrix_rank(vectors: list[list[Fraction]]) -> int:
         rank += 1
         col += 1
     return rank
-
-
-def fraction_matmul(
-    a: list[list[Fraction]], b: list[list[Fraction]]
-) -> list[list[Fraction]]:
-    """Plain Fraction matrix product for small matrices."""
-    if a and b and len(a[0]) != len(b):
-        raise ValueError("inner dimension mismatch")
-    bt = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
 
 
 def leading_principal_minors(entries: list[list[Fraction]]) -> list[Fraction]:

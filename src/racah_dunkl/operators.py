@@ -14,6 +14,7 @@ Index conventions follow the coordinate notation: operator builders take
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Iterable
 
 from .linalg import InconsistentSystem, RationalMatrix, solve_in_span
@@ -94,22 +95,12 @@ class LinearOperator:
             f"[{self.descriptor}, {other.descriptor}]",
         )
 
-    def anticommutator(self, other: "LinearOperator") -> "LinearOperator":
-        return LinearOperator(
-            lambda p: self.fn(other.fn(p)) + other.fn(self.fn(p)),
-            f"{{{self.descriptor}, {other.descriptor}}}",
-        )
-
     def __repr__(self) -> str:
         return f"LinearOperator({self.descriptor})"
 
 
 def identity_op() -> LinearOperator:
     return LinearOperator(lambda p: p, "1")
-
-
-def zero_op() -> LinearOperator:
-    return LinearOperator(lambda p: Polynomial.zero(p.n), "0")
 
 
 def reflection(i: int) -> LinearOperator:
@@ -374,19 +365,21 @@ class OperatorMatrix:
 def materialize_on_monomials(op: LinearOperator, n: int, k: int) -> RationalMatrix:
     """Matrix of a degree-preserving operator on the monomials of degree k."""
     basis = monomial_basis(n, k)
-    cols: list[list[Fraction]] = []
+    position = {exps: i for i, exps in enumerate(basis)}
+    images = []
     for exps in basis:
         image = op(Polynomial.monomial(n, exps))
         if not image.is_zero and (not image.is_homogeneous() or image.degree() != k):
             raise ImageEscapesSpan(
                 f"{op.descriptor} does not preserve homogeneous degree {k}"
             )
-        try:
-            cols.append(poly_to_vector(image, basis))
-        except ValueError as exc:  # pragma: no cover - degree check catches first
-            raise ImageEscapesSpan(str(exc)) from exc
-    rows = [[cols[j][i] for j in range(len(cols))] for i in range(len(basis))]
-    return RationalMatrix.from_fractions(rows)
+        images.append(image.terms)
+    den = lcm(1, *(c.denominator for terms in images for c in terms.values()))
+    rows: list[dict[int, int]] = [{} for _ in basis]
+    for j, terms in enumerate(images):
+        for exps, c in terms.items():
+            rows[position[exps]][j] = c.numerator * (den // c.denominator)
+    return RationalMatrix.from_sparse(rows, den, len(basis))
 
 
 def materialize(

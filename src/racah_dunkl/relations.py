@@ -26,10 +26,10 @@ from .operators import (
     su11_triple,
 )
 from .poly import ParameterSet, Polynomial, monomial_basis
-from .report import Report, ordered_map
+from .report import Report
 
 # Degree bounds keeping full relation sweeps in seconds-to-minutes.
-_DEFAULT_BOUNDS = {3: 6, 4: 4, 5: 3, 6: 3}
+_DEFAULT_BOUNDS = {3: 6, 4: 4, 5: 4, 6: 3}
 
 
 def default_degree_bound(n: int) -> int:
@@ -116,9 +116,9 @@ def _matrix_witness(n: int, basis, diff: RationalMatrix) -> str | None:
     if col is None:
         return None
     terms = {
-        basis[i]: diff.at(i, col)
-        for i in range(len(basis))
-        if diff.rows[i][col] != 0
+        basis[i]: Fraction(row[col], diff.den)
+        for i, row in enumerate(diff.sparse_rows)
+        if col in row
     }
     return Polynomial(n, terms).to_text()
 
@@ -146,9 +146,7 @@ def verify_su11(params: ParameterSet, kmax: int, subsets=None) -> Report:
     if subsets is None:
         subsets = nonempty_subsets(n)
     report = Report()
-
-    def run(A: tuple[int, ...]) -> Report:
-        local = Report()
+    for A in subsets:
         a0, jp, jm = su11_triple(params, A)
         checks = (
             ("su11-raising", lambda p: a0(jp(p)) - jp(a0(p)) - jp(p)),
@@ -163,11 +161,7 @@ def verify_su11(params: ParameterSet, kmax: int, subsets=None) -> Report:
                     if not diff.is_zero:
                         witness = diff.to_text()
                         break
-                local.add(relation, tuple(A), k, witness is None, witness)
-        return local
-
-    for sub_report in ordered_map(run, subsets):
-        report.extend(sub_report)
+                report.add(relation, tuple(A), k, witness is None, witness)
     return report
 
 
@@ -257,70 +251,50 @@ def _check_subset_additivity(ws: RelationWorkspace, report: Report) -> None:
 
 def _check_f_from_angular(ws: RelationWorkspace, report: Report) -> None:
     params = ws.params
-    triples = [t for t in permutations(range(1, ws.n + 1), 3) if t[0] < t[2]]
+    one = RationalMatrix.identity(ws.dim)
 
-    def run(idx: tuple[int, int, int]):
+    def refl_factor(mu: Fraction, t: int) -> RationalMatrix:
+        return one + RationalMatrix.diagonal([mu * 2 * s for s in ws.reflect_sign[t]])
+
+    for idx in permutations(range(1, ws.n + 1), 3):
         i, j, m = idx
+        if i > m:
+            continue
         mu_i, mu_j, mu_m = (params.mu_of(t) for t in (i, j, m))
-        one = RationalMatrix.identity(ws.dim)
-
-        def refl_factor(mu: Fraction, t: int) -> RationalMatrix:
-            return one + RationalMatrix.diagonal(
-                [mu * 2 * s for s in ws.reflect_sign[t]]
-            )
-
         f_angular = (
             ws.l2_mat[frozenset((i, j))] * refl_factor(mu_m, m)
             - ws.l2_mat[frozenset((i, m))] * refl_factor(mu_j, j)
             - ws.l2_mat[frozenset((j, m))] * refl_factor(mu_i, i)
             + (ws.l_mat[(i, m)] * ws.l_mat[(i, j)] * ws.l_mat[(j, m)]).scale(2)
         ).scale(Fraction(1, 16))
-        diff_def = ws.f(i, j, m) - f_angular
-        diff_anti = ws.f(m, j, i) + ws.f(i, j, m)
-        return idx, diff_def, diff_anti
-
-    for idx, diff_def, diff_anti in ordered_map(run, triples):
-        ws.record(report, "f-from-angular-momentum", idx, diff_def)
-        ws.record(report, "f-antisymmetry", idx, diff_anti)
+        ws.record(report, "f-from-angular-momentum", idx, ws.f(i, j, m) - f_angular)
+        ws.record(report, "f-antisymmetry", idx, ws.f(m, j, i) + ws.f(i, j, m))
 
 
 def _check_triple_relation(ws: RelationWorkspace, report: Report) -> None:
-    triples = list(permutations(range(1, ws.n + 1), 3))
-
-    def run(idx: tuple[int, int, int]):
+    for idx in permutations(range(1, ws.n + 1), 3):
         i, j, m = idx
-        f_ijm = ws.f(i, j, m)
         p_jm = ws.p(j, m)
-        lhs = p_jm.commutator(f_ijm)
+        lhs = p_jm.commutator(ws.f(i, j, m))
         rhs = (
             ws.p(i, m) * p_jm
             - p_jm * ws.p(i, j)
             + ws.p(i, m).mul_diag_right(ws.c1(j)).scale(2)
             - ws.p(i, j).mul_diag_right(ws.c1(m)).scale(2)
         )
-        return idx, lhs - rhs
-
-    for idx, diff in ordered_map(run, triples):
-        ws.record(report, "triple-relation", idx, diff)
+        ws.record(report, "triple-relation", idx, lhs - rhs)
 
 
 def _check_quad_pf_relation(ws: RelationWorkspace, report: Report) -> None:
-    quads = list(permutations(range(1, ws.n + 1), 4))
-
-    def run(idx: tuple[int, int, int, int]):
+    for idx in permutations(range(1, ws.n + 1), 4):
         i, j, m, l = idx
         lhs = ws.p(m, l).commutator(ws.f(i, j, m))
         rhs = ws.p(i, m) * ws.p(j, l) - ws.p(i, l) * ws.p(j, m)
-        return idx, lhs - rhs
-
-    for idx, diff in ordered_map(run, quads):
-        ws.record(report, "quad-pf-relation", idx, diff)
+        ws.record(report, "quad-pf-relation", idx, lhs - rhs)
 
 
 def _check_quad_ff_relation(ws: RelationWorkspace, report: Report) -> None:
-    quads = list(permutations(range(1, ws.n + 1), 4))
-
-    def run(idx: tuple[int, int, int, int]):
+    for idx in permutations(range(1, ws.n + 1), 4):
         i, j, m, l = idx
         lhs = ws.f(i, j, m).commutator(ws.f(j, m, l))
         middle = ws.p(j, m) + RationalMatrix.diagonal(ws.c1(j)).scale(2)
@@ -329,23 +303,15 @@ def _check_quad_ff_relation(ws: RelationWorkspace, report: Report) -> None:
             - ws.f(i, m, l) * middle
             - ws.f(i, j, m) * ws.p(j, l)
         )
-        return idx, lhs - rhs
-
-    for idx, diff in ordered_map(run, quads):
-        ws.record(report, "quad-ff-relation", idx, diff)
+        ws.record(report, "quad-ff-relation", idx, lhs - rhs)
 
 
 def _check_quint_ff_relation(ws: RelationWorkspace, report: Report) -> None:
-    quints = list(permutations(range(1, ws.n + 1), 5))
-
-    def run(idx: tuple[int, int, int, int, int]):
+    for idx in permutations(range(1, ws.n + 1), 5):
         i, j, m, l, q = idx
         lhs = ws.f(i, j, m).commutator(ws.f(m, l, q))
         rhs = ws.f(i, l, q) * ws.p(j, m) - ws.p(i, m) * ws.f(j, l, q)
-        return idx, lhs - rhs
-
-    for idx, diff in ordered_map(run, quints):
-        ws.record(report, "quint-ff-relation", idx, diff)
+        ws.record(report, "quint-ff-relation", idx, lhs - rhs)
 
 
 def _drinfeld_kohno_on_workspace(ws: RelationWorkspace, report: Report) -> None:
@@ -382,9 +348,7 @@ def verify_casimir_laplacian_commute(params: ParameterSet, kmax: int) -> Report:
     n = params.n
     lap = laplace(params, range(1, n + 1))
     report = Report()
-
-    def run(A: tuple[int, ...]) -> Report:
-        local = Report()
+    for A in nonempty_subsets(n):
         ca = casimir(params, A)
         for k in range(kmax + 1):
             witness = None
@@ -394,11 +358,7 @@ def verify_casimir_laplacian_commute(params: ParameterSet, kmax: int) -> Report:
                 if not diff.is_zero:
                     witness = diff.to_text()
                     break
-            local.add("invariant-commutes-with-laplacian", tuple(A), k, witness is None, witness)
-        return local
-
-    for sub in ordered_map(run, nonempty_subsets(n)):
-        report.extend(sub)
+            report.add("invariant-commutes-with-laplacian", tuple(A), k, witness is None, witness)
     return report
 
 

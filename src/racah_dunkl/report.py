@@ -8,11 +8,7 @@ instantiated with, the polynomial degree of the test space, a status, and
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-
-THREADS_ENV_VAR = "RACAH_DUNKL_THREADS"
 
 
 @dataclass(frozen=True)
@@ -81,25 +77,3 @@ class Report:
     def to_json_obj(self) -> list[dict]:
         return [r.to_json_obj() for r in self.results]
 
-
-def thread_count() -> int:
-    """Parallelism cap from the environment; defaults to sequential."""
-    raw = os.environ.get(THREADS_ENV_VAR, "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def ordered_map(fn, items):
-    """Apply fn to items, optionally on a thread pool, preserving input order.
-
-    Used by the verification sweeps so results merge deterministically no
-    matter how many worker threads are configured.
-    """
-    items = list(items)
-    workers = thread_count()
-    if workers == 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))

@@ -165,14 +165,23 @@ def test_outputs_byte_identical(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_thread_env_does_not_change_output(tmp_path, monkeypatch):
-    a, b = tmp_path / "a.json", tmp_path / "b.json"
-    args = ["verify", "racah", "--n", "3", "--kmax", "2"]
-    monkeypatch.setenv("RACAH_DUNKL_THREADS", "1")
-    assert run(args + ["--out", str(a)]) == 0
-    monkeypatch.setenv("RACAH_DUNKL_THREADS", "4")
-    assert run(args + ["--out", str(b)]) == 0
-    assert a.read_bytes() == b.read_bytes()
+def test_verify_rejects_negative_degree_bound(capsys):
+    assert run(["verify", "racah", "--n", "3", "--kmax", "-2"]) == 2
+    assert run(["verify", "su11", "--n", "3", "--kmax", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--kmax -1 is negative" in captured.err
+
+
+def test_verify_empty_report_is_not_success(monkeypatch, capsys):
+    from racah_dunkl import cli
+    from racah_dunkl.report import Report
+
+    monkeypatch.setattr(cli, "verify_su11", lambda params, kmax: Report())
+    assert run(["verify", "su11", "--n", "3", "--kmax", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "[]\n"
+    assert "no identity checked" in captured.err
 
 
 def test_console_entry_point():

@@ -1,8 +1,11 @@
 """Exact matrix arithmetic and linear solves."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from racah_dunkl import InconsistentSystem, RationalMatrix, matrix_rank, solve_in_span
 from racah_dunkl.linalg import leading_principal_minors
@@ -52,6 +55,15 @@ def test_diag_multiplication():
     assert full == right
 
 
+def test_product_drops_cancelled_entries():
+    a = RationalMatrix([[1, 1], [1, -1]])
+    b = RationalMatrix([[1, 1], [-1, 1]])
+    assert (a * b).sparse_rows == [{1: 2}, {0: 2}]
+    cancelled = RationalMatrix([[1, 1]]) * RationalMatrix([[1], [-1]])
+    assert cancelled.sparse_rows == [{}]
+    assert cancelled.is_zero and cancelled.first_nonzero_column() is None
+
+
 def test_scale_and_equality_cross_denominator():
     a = RationalMatrix([[2, 4]], 2)
     b = RationalMatrix([[1, 2]], 1)
@@ -79,3 +91,152 @@ def test_matrix_rank():
 def test_leading_principal_minors():
     entries = [[F(2), F(1)], [F(1), F(2)]]
     assert leading_principal_minors(entries) == [F(2), F(3)]
+
+
+# -- sparse storage against a dense Fraction reference ------------------------
+
+# three entries in four are zero; the nonzeros carry mixed denominators
+entries = st.one_of(
+    st.just(Fraction(0)),
+    st.just(Fraction(0)),
+    st.just(Fraction(0)),
+    st.fractions(min_value=-9, max_value=9, max_denominator=12),
+)
+sizes = st.integers(min_value=1, max_value=5)
+scalars = st.one_of(
+    st.just(Fraction(0)),
+    st.integers(min_value=-4, max_value=4).map(Fraction),
+    st.fractions(min_value=-5, max_value=5, max_denominator=9),
+)
+
+
+def dense(nrows, ncols):
+    return st.lists(
+        st.lists(entries, min_size=ncols, max_size=ncols),
+        min_size=nrows,
+        max_size=nrows,
+    )
+
+
+def ref_mul(a, b):
+    return [[sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in zip(*b)] for row in a]
+
+
+def ref_add(a, b, sign=1):
+    return [[x + sign * y for x, y in zip(r1, r2)] for r1, r2 in zip(a, b)]
+
+
+def ref_scale(a, c):
+    return [[x * c for x in row] for row in a]
+
+
+def assert_lowest_terms(m):
+    """Only nonzero ints are stored, and den > 0 shares no factor with all of them."""
+    g = m.den
+    for row in m.sparse_rows:
+        assert all(0 <= j < m.ncols and isinstance(x, int) and x for j, x in row.items())
+        g = gcd(g, *row.values())
+    assert m.den > 0 and g == 1
+
+
+@st.composite
+def square_pairs(draw):
+    n = draw(sizes)
+    return draw(dense(n, n)), draw(dense(n, n))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_product_matches_dense_reference(data):
+    r, k, c = data.draw(sizes), data.draw(sizes), data.draw(sizes)
+    a, b = data.draw(dense(r, k)), data.draw(dense(k, c))
+    prod = RationalMatrix.from_fractions(a) * RationalMatrix.from_fractions(b)
+    assert prod.shape == (r, c)
+    assert prod.to_fractions() == ref_mul(a, b)
+    assert_lowest_terms(prod)
+
+
+@settings(max_examples=80, deadline=None)
+@given(square_pairs())
+def test_sum_difference_commutator_match_reference(pair):
+    a, b = pair
+    ma, mb = RationalMatrix.from_fractions(a), RationalMatrix.from_fractions(b)
+    for got, want in (
+        (ma + mb, ref_add(a, b)),
+        (ma - mb, ref_add(a, b, -1)),
+        (-ma, ref_scale(a, -1)),
+        (ma.commutator(mb), ref_add(ref_mul(a, b), ref_mul(b, a), -1)),
+    ):
+        assert got.to_fractions() == want
+        assert_lowest_terms(got)
+    assert (ma - ma).is_zero
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_scale_matches_reference(data):
+    a = data.draw(dense(data.draw(sizes), data.draw(sizes)))
+    c = data.draw(scalars)
+    m = RationalMatrix.from_fractions(a)
+    for got in (m.scale(c), m * c, c * m):
+        assert got.to_fractions() == ref_scale(a, c)
+        assert_lowest_terms(got)
+    assert m.scale(0).is_zero and m.scale(0).den == 1
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_diagonal_products_match_reference(data):
+    r, c = data.draw(sizes), data.draw(sizes)
+    a = data.draw(dense(r, c))
+    left = data.draw(st.lists(entries, min_size=r, max_size=r))
+    right = data.draw(st.lists(entries, min_size=c, max_size=c))
+    m = RationalMatrix.from_fractions(a)
+    got_left = m.mul_diag_left(left)
+    got_right = m.mul_diag_right(right)
+    assert got_left.to_fractions() == [[x * v for x in row] for row, v in zip(a, left)]
+    assert got_right.to_fractions() == [[x * v for x, v in zip(row, right)] for row in a]
+    assert_lowest_terms(got_left)
+    assert_lowest_terms(got_right)
+    assert got_right == m * RationalMatrix.diagonal(right)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_equality_and_hash_across_denominators(data):
+    r, c = data.draw(sizes), data.draw(sizes)
+    a = data.draw(dense(r, c))
+    t = data.draw(st.integers(min_value=2, max_value=30))
+    m = RationalMatrix.from_fractions(a)
+    # same rationals stored over a larger, and a negative, denominator
+    for den in (m.den * t, -m.den * t):
+        sign = 1 if den > 0 else -1
+        other = RationalMatrix([[sign * t * x for x in row] for row in m.rows], den)
+        assert other.den == m.den * t
+        assert other == m and m == other
+        assert hash(other) == hash(m)
+        assert other.to_fractions() == a
+    i, j = data.draw(st.integers(0, r - 1)), data.draw(st.integers(0, c - 1))
+    bumped = [list(row) for row in a]
+    bumped[i][j] += Fraction(1, t)
+    assert RationalMatrix.from_fractions(bumped) != m
+    assert RationalMatrix.from_fractions(a) != RationalMatrix.zeros(r, c + 1)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_zero_test_first_column_and_dense_views(data):
+    r, c = data.draw(sizes), data.draw(sizes)
+    a = data.draw(dense(r, c))
+    m = RationalMatrix.from_fractions(a)
+    assert_lowest_terms(m)
+    nonzero_cols = [j for j in range(c) if any(row[j] for row in a)]
+    assert m.is_zero == (not nonzero_cols)
+    assert m.first_nonzero_column() == (nonzero_cols[0] if nonzero_cols else None)
+    view = m.rows
+    assert all(isinstance(x, int) for row in view for x in row)
+    assert [[Fraction(x, m.den) for x in row] for row in view] == a
+    assert m.to_fractions() == a
+    assert [[m.at(i, j) for j in range(c)] for i in range(r)] == a
+    view[0][0] += 1  # the dense view is a copy
+    assert m.to_fractions() == a

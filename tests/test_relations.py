@@ -5,10 +5,13 @@ sweeps small enough for quick iteration while still exercising every
 relation family and the report plumbing.
 """
 
+from fractions import Fraction
+
 import pytest
 
 from racah_dunkl import (
     ParameterSet,
+    RationalMatrix,
     materialize_on_monomials,
     casimir,
     verify_casimir_laplacian_commute,
@@ -18,6 +21,9 @@ from racah_dunkl import (
     verify_racah_relations,
     verify_su11,
 )
+from racah_dunkl.poly import monomial_basis
+from racah_dunkl.relations import _record_matrix_check
+from racah_dunkl.report import Report
 
 P3 = ParameterSet.make(["1/2", "1/3", "1/4"])
 
@@ -124,3 +130,34 @@ def test_report_json_shape():
         set(row) >= {"relation", "index_tuple", "degree", "status"} for row in obj
     )
     assert all(row["status"] == "ok" for row in obj)
+
+
+def test_failure_witness_is_first_nonzero_column():
+    # degree-2 monomials of three variables: x1^2, x1x2, x1x3, x2^2, x2x3, x3^2
+    basis = monomial_basis(3, 2)
+    diff = RationalMatrix(
+        [
+            [0, 0, 0, 0, 9, 0],
+            [0, 0, 0, 84, 0, 0],
+            [0, -2, 0, 0, 0, 0],
+            [0, 30, 0, 0, 0, 0],
+            [0, 0, 0, 0, 0, 0],
+            [0, -24, 0, 0, 0, 0],
+        ],
+        12,
+    )
+    report = Report()
+    _record_matrix_check(report, "triple-relation", (1, 2, 3), 2, 3, basis, diff)
+    (result,) = report.results
+    assert result.status == "fail"
+    assert result.first_discrepancy == "-1/6 * x1 x3 + 5/2 * x2^2 + -2 * x3^2"
+    # the same discrepancy reached through sparse arithmetic gives the same witness
+    shifted = diff + RationalMatrix.identity(6).scale(Fraction(1, 5))
+    again = Report()
+    _record_matrix_check(
+        again, "triple-relation", (1, 2, 3), 2, 3, basis,
+        shifted - RationalMatrix.identity(6).scale(Fraction(1, 5)),
+    )
+    assert again.results == report.results
+    _record_matrix_check(again, "triple-relation", (1, 2, 3), 2, 3, basis, diff - diff)
+    assert again.results[-1].ok and again.results[-1].first_discrepancy is None
