@@ -1,12 +1,12 @@
 """Exact-arithmetic engine for the symmetry algebra of the deformed
 Laplacian attached to the hyperplane-reflection group on n coordinates.
 
-Everything computes over exact rationals: sparse polynomials, lazy linear
-operators with commutator algebra, harmonic bases built by one-variable
-extensions, connection matrices between the joint eigenbases of maximal
-commuting chains, the discrete three-term recurrence governing them, and
-the recoupling graph that factors any basis change into single-generator
-steps.  Verification sweeps return machine-checkable reports with
+Everything computes over exact rationals: sparse polynomials, linear
+operators built from Dunkl operators and their sparse exact matrices,
+harmonic bases built by one-variable extensions, connection matrices
+between the joint eigenbases of maximal commuting chains, the discrete
+three-term recurrence governing them, and the recoupling graph that
+factors any basis change into single-generator steps.  Verification sweeps return machine-checkable reports with
 polynomial witnesses for any failure.
 """
 
@@ -58,25 +58,17 @@ from .linalg import InconsistentSystem, RationalMatrix, matrix_rank, solve_in_sp
 from .operators import (
     ImageEscapesSpan,
     LinearOperator,
-    OperatorMatrix,
     angular,
     casimir,
-    coordinate,
-    derivative,
     dunkl,
     euler,
     gamma,
-    identity_op,
     laplace,
     materialize,
     materialize_on_monomials,
     norm_square_mul,
     norm_square_poly,
     normalize_subset,
-    racah_f,
-    racah_f_from_angular,
-    racah_p,
-    reflection,
     su11_triple,
 )
 from .poly import Monomial, NotDivisible, ParameterSet, Polynomial, monomial_basis, poly_to_vector

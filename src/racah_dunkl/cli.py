@@ -2,10 +2,11 @@
 
 Rationals cross this boundary as "p/q" strings; there is no floating
 point anywhere.  Identical configurations produce byte-identical output
-files.  Exit codes: 0 when every verified identity holds, 1 when some
+files.  Exit codes: 0 when every verified identity holds; 1 when some
 identity fails (the report names the first violated one and carries a
-polynomial witness) or when a suite checked nothing, 2 for configuration
-errors.
+polynomial witness), when a suite checked nothing, or when the engine
+raises (stderr names the exception class); 2 for configuration errors,
+which are all validated up front and raised as ConfigError.
 """
 
 from __future__ import annotations
@@ -174,6 +175,8 @@ def cmd_verify(args) -> int:
             raise ConfigError("the embedding suite needs n >= 3")
         report = verify_embedding(params, *blocks, cfg.bound(3))
     elif suite == "ck":
+        if n < 2:
+            raise ConfigError("the extension suite needs n >= 2")
         report = Report()
         report.extend(verify_tower(params, cfg.bound(4)))
         report.extend(verify_extension_restrictions(params, cfg.bound(4)))
@@ -348,16 +351,15 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "k", 0) < 0:
+            raise ConfigError(f"degree --k {args.k} is negative")
         return args.fn(args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except AssertionError as exc:
-        print(f"internal assertion failure: {exc}", file=sys.stderr)
+    except Exception as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, ZeroDivisionError) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

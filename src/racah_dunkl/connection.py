@@ -28,7 +28,7 @@ from .harmonics import (
     casimir_eigenvalue,
     realize_label,
 )
-from .linalg import InconsistentSystem, matrix_rank, solve_in_span
+from .linalg import InconsistentSystem, RationalMatrix, matrix_rank, solve_in_span
 from .operators import LinearOperator, casimir, dunkl, materialize
 from .poly import Monomial, ParameterSet, Polynomial, poly_to_vector
 from .racah import (
@@ -111,17 +111,17 @@ class ConnectionMatrix:
         return self.entries[s][k]
 
     def compose(self, other: "ConnectionMatrix") -> "ConnectionMatrix":
-        """W(A->B).compose(W(B->C)) = W(A->C)."""
+        """W(A->B).compose(W(B->C)) = W(A->C), as one sparse exact product."""
         if self.to_labels != other.from_labels:
             raise ValueError("composition requires matching intermediate bases")
-        rows = tuple(
-            tuple(
-                sum(self.entries[s][k] * other.entries[k][m] for k in range(len(self.to_labels)))
-                for m in range(len(other.to_labels))
-            )
-            for s in range(len(self.from_labels))
+        product = RationalMatrix.from_fractions(self.entries) * RationalMatrix.from_fractions(
+            other.entries
         )
-        return ConnectionMatrix(self.from_labels, other.to_labels, rows)
+        return ConnectionMatrix(
+            self.from_labels,
+            other.to_labels,
+            tuple(tuple(row) for row in product.to_fractions()),
+        )
 
     def is_identity(self) -> bool:
         m, n = self.shape
@@ -212,8 +212,7 @@ def tridiagonal_check(
     """
     n = params.n
     degree = basis[0].label.degree
-    om = materialize(op, n, degree, [el.poly for el in basis])
-    entries = om.matrix.to_fractions()
+    entries = materialize(op, n, [el.poly for el in basis]).to_fractions()
     m = len(basis)
 
     blocks: dict[tuple[int, ...], list[int]] = {}
@@ -347,7 +346,7 @@ def rank_one_overlap(
 
     w = connection_matrix(params, psi, phi)
     pair_op = casimir(params, (order[1], order[2]))
-    entries = materialize(pair_op, 3, d3, [el.poly for el in phi]).matrix.to_fractions()
+    entries = materialize(pair_op, 3, [el.poly for el in phi]).to_fractions()
     mus = [casimir_eigenvalue(params, el.label, 2) for el in psi]
 
     eff_params = ParameterSet.make([params.mu_of(o) for o in order])

@@ -1,14 +1,15 @@
 """Exact rational linear algebra.
 
-Two representations are used.  RationalMatrix stores each row as a sparse
-map from column to nonzero integer, over a single positive denominator.
-Products (the hot path of the commutator-identity sweeps) stay in plain
-integer arithmetic, touch only the nonzero entries, and finish with one
-gcd normalization.  The algebra generators never mix the reflection
-parity classes of the monomials, so their matrices are very sparse and
-the cross-parity entries are simply never stored.  The Gaussian-
-elimination helpers work directly with Fraction vectors and are used for
-basis solves and rank computations, where sizes are small.
+RationalMatrix stores each row as a sparse map from column to nonzero
+integer, over a single positive denominator.  Its product is the only
+matrix product of the package: it stays in plain integer arithmetic,
+touches only the nonzero entries, and finishes with one gcd
+normalization.  The algebra generators never mix the reflection parity
+classes of the monomials, so their matrices are very sparse and the
+cross-parity entries are simply never stored.
+
+Basis solves, ranks and minors are thin front ends over one exact
+Gauss-Jordan elimination on Fraction rows, where sizes are small.
 """
 
 from __future__ import annotations
@@ -247,6 +248,39 @@ class RationalMatrix:
         return f"RationalMatrix({self.nrows}x{self.ncols}, den={self.den})"
 
 
+def _gauss_jordan(rows: list[list[Fraction]], ncols: int) -> tuple[list[int], Fraction]:
+    """Reduce rows in place to reduced row echelon form on the first ncols columns.
+
+    A column without a pivot is skipped, and the elimination stops when the
+    rows run out.  Returns the pivot columns in order and the product of the
+    pivots, negated once per row swap: for a square matrix with a pivot in
+    every column, its determinant.
+    """
+    nrows = len(rows)
+    pivots: list[int] = []
+    det = Fraction(1)
+    for col in range(ncols):
+        row = len(pivots)
+        if row == nrows:
+            break
+        pivot = next((r for r in range(row, nrows) if rows[r][col] != 0), None)
+        if pivot is None:
+            continue
+        if pivot != row:
+            rows[row], rows[pivot] = rows[pivot], rows[row]
+            det = -det
+        value = rows[row][col]
+        det *= value
+        inv = 1 / value
+        pivot_row = rows[row] = [x * inv for x in rows[row]]
+        for r in range(nrows):
+            if r != row and rows[r][col] != 0:
+                factor = rows[r][col]
+                rows[r] = [x - factor * y for x, y in zip(rows[r], pivot_row)]
+        pivots.append(col)
+    return pivots, det
+
+
 def solve_in_span(
     columns: list[list[Fraction]], targets: list[list[Fraction]]
 ) -> list[list[Fraction]]:
@@ -258,7 +292,6 @@ def solve_in_span(
     """
     ncols = len(columns)
     nrows = len(columns[0]) if columns else len(targets[0]) if targets else 0
-    ntargets = len(targets)
     for col in columns:
         if len(col) != nrows:
             raise ValueError("ragged column lengths")
@@ -267,80 +300,25 @@ def solve_in_span(
             raise ValueError("target length does not match column length")
 
     # augmented rows: [columns | targets]
-    aug = [
-        [columns[j][i] for j in range(ncols)] + [targets[t][i] for t in range(ntargets)]
-        for i in range(nrows)
-    ]
-    pivot_rows: list[int] = []
-    row = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(row, nrows) if aug[r][col] != 0), None)
-        if pivot is None:
-            raise ValueError("columns are linearly dependent")
-        aug[row], aug[pivot] = aug[pivot], aug[row]
-        inv = 1 / aug[row][col]
-        aug[row] = [x * inv for x in aug[row]]
-        for r in range(nrows):
-            if r != row and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[row])]
-        pivot_rows.append(row)
-        row += 1
-
+    aug = [[col[i] for col in columns] + [t[i] for t in targets] for i in range(nrows)]
+    if len(_gauss_jordan(aug, ncols)[0]) < ncols:
+        raise ValueError("columns are linearly dependent")
     # rows below the pivots must have vanished entirely, else inconsistent
-    for r in range(row, nrows):
-        if any(aug[r][ncols + t] != 0 for t in range(ntargets)):
-            raise InconsistentSystem("target outside the span of the given columns")
-
-    return [
-        [aug[j][ncols + t] for j in range(ncols)]
-        for t in range(ntargets)
-    ]
+    if any(x != 0 for row in aug[ncols:] for x in row[ncols:]):
+        raise InconsistentSystem("target outside the span of the given columns")
+    return [[aug[j][ncols + t] for j in range(ncols)] for t in range(len(targets))]
 
 
 def matrix_rank(vectors: list[list[Fraction]]) -> int:
     """Rank of the matrix whose rows are the given vectors."""
     rows = [list(v) for v in vectors]
-    rank = 0
-    ncols = len(rows[0]) if rows else 0
-    col = 0
-    while rank < len(rows) and col < ncols:
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
-        if pivot is None:
-            col += 1
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = 1 / rows[rank][col]
-        rows[rank] = [x * inv for x in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col] != 0:
-                factor = rows[r][col]
-                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[rank])]
-        rank += 1
-        col += 1
-    return rank
+    return len(_gauss_jordan(rows, len(rows[0]) if rows else 0)[0])
 
 
 def leading_principal_minors(entries: list[list[Fraction]]) -> list[Fraction]:
     """Determinants of the leading principal submatrices, by exact elimination."""
-    m = len(entries)
     minors: list[Fraction] = []
-    for size in range(1, m + 1):
-        sub = [row[:size] for row in entries[:size]]
-        det = Fraction(1)
-        for col in range(size):
-            pivot = next((r for r in range(col, size) if sub[r][col] != 0), None)
-            if pivot is None:
-                det = Fraction(0)
-                break
-            if pivot != col:
-                sub[col], sub[pivot] = sub[pivot], sub[col]
-                det = -det
-            det *= sub[col][col]
-            inv = 1 / sub[col][col]
-            for r in range(col + 1, size):
-                if sub[r][col] != 0:
-                    factor = sub[r][col] * inv
-                    sub[r] = [x - factor * y for x, y in zip(sub[r], sub[col])]
-        minors.append(det)
+    for size in range(1, len(entries) + 1):
+        pivots, det = _gauss_jordan([list(row[:size]) for row in entries[:size]], size)
+        minors.append(det if len(pivots) == size else Fraction(0))
     return minors

@@ -1,11 +1,12 @@
 """Linear operators on polynomial spaces, built from Dunkl operators.
 
-Operators are lazy: a LinearOperator wraps a polynomial-to-polynomial
-function and composes under sum, scalar multiple, product (composition)
-and commutator.  Equality of operators is always decided by materializing
-their action on an explicit basis, typically the monomials of a fixed
-homogeneous degree; all the verified identities are degree-homogeneous,
-so this is sound.
+A LinearOperator is only a named polynomial-to-polynomial function; the
+builders below combine Dunkl operators inside their own closures.  Sums,
+products and commutators of operators are taken on their exact matrices
+(linalg.RationalMatrix), so equality of operators is always decided by
+materializing their action on an explicit basis, typically the monomials
+of a fixed homogeneous degree; all the verified identities are
+degree-homogeneous, so this is sound.
 
 Index conventions follow the coordinate notation: operator builders take
 1-based variable indices, and subsets are subsets of {1, .., n}.
@@ -36,7 +37,7 @@ def normalize_subset(A: Iterable[int], n: int) -> tuple[int, ...]:
 
 
 class LinearOperator:
-    """A composable linear map on polynomials."""
+    """A named linear map on polynomials."""
 
     __slots__ = ("fn", "descriptor")
 
@@ -47,78 +48,8 @@ class LinearOperator:
     def __call__(self, p: Polynomial) -> Polynomial:
         return self.fn(p)
 
-    def __add__(self, other: "LinearOperator") -> "LinearOperator":
-        return LinearOperator(
-            lambda p: self.fn(p) + other.fn(p),
-            f"({self.descriptor} + {other.descriptor})",
-        )
-
-    def __sub__(self, other: "LinearOperator") -> "LinearOperator":
-        return LinearOperator(
-            lambda p: self.fn(p) - other.fn(p),
-            f"({self.descriptor} - {other.descriptor})",
-        )
-
-    def __neg__(self) -> "LinearOperator":
-        return LinearOperator(lambda p: -self.fn(p), f"(-{self.descriptor})")
-
-    def __mul__(self, other):
-        if isinstance(other, LinearOperator):
-            # operator product = composition, rightmost acts first
-            return LinearOperator(
-                lambda p: self.fn(other.fn(p)),
-                f"{self.descriptor} {other.descriptor}",
-            )
-        return self.scale(other)
-
-    def __rmul__(self, other):
-        return self.scale(other)
-
-    def scale(self, c) -> "LinearOperator":
-        c = Fraction(c)
-        return LinearOperator(lambda p: self.fn(p).scale(c), f"{c} {self.descriptor}")
-
-    def __pow__(self, k: int) -> "LinearOperator":
-        if k < 0:
-            raise ValueError("operators have no inverse power")
-
-        def apply(p: Polynomial) -> Polynomial:
-            for _ in range(k):
-                p = self.fn(p)
-            return p
-
-        return LinearOperator(apply, f"{self.descriptor}^{k}")
-
-    def commutator(self, other: "LinearOperator") -> "LinearOperator":
-        return LinearOperator(
-            lambda p: self.fn(other.fn(p)) - other.fn(self.fn(p)),
-            f"[{self.descriptor}, {other.descriptor}]",
-        )
-
     def __repr__(self) -> str:
         return f"LinearOperator({self.descriptor})"
-
-
-def identity_op() -> LinearOperator:
-    return LinearOperator(lambda p: p, "1")
-
-
-def reflection(i: int) -> LinearOperator:
-    """Sign flip r_i: x_i -> -x_i."""
-    return LinearOperator(lambda p: p.reflect(i), f"r{i}")
-
-
-def coordinate(i: int) -> LinearOperator:
-    """Multiplication by x_i."""
-
-    def apply(p: Polynomial) -> Polynomial:
-        return Polynomial.variable(p.n, i) * p
-
-    return LinearOperator(apply, f"x{i}")
-
-
-def derivative(i: int) -> LinearOperator:
-    return LinearOperator(lambda p: p.partial_derivative(i), f"d{i}")
 
 
 def dunkl(params: ParameterSet, i: int) -> LinearOperator:
@@ -232,12 +163,10 @@ def su11_triple(
     lap = laplace(params, subset)
 
     half = Fraction(1, 2)
-    a0 = LinearOperator(
-        lambda p: (eul(p) + p.scale(gam)).scale(half),
-        f"A0{{{','.join(map(str, subset))}}}",
-    )
-    j_plus = nrm.scale(half)
-    j_minus = lap.scale(half)
+    name = ",".join(map(str, subset))
+    a0 = LinearOperator(lambda p: (eul(p) + p.scale(gam)).scale(half), f"A0{{{name}}}")
+    j_plus = LinearOperator(lambda p: nrm(p).scale(half), f"J+{{{name}}}")
+    j_minus = LinearOperator(lambda p: lap(p).scale(half), f"J-{{{name}}}")
     return a0, j_plus, j_minus
 
 
@@ -282,86 +211,6 @@ def angular(params: ParameterSet, i: int, j: int) -> LinearOperator:
     return LinearOperator(apply, f"L{i}{j}")
 
 
-def racah_p(params: ParameterSet, i: int, j: int) -> LinearOperator:
-    """Presentation generator P_ij = C_ij - C_i - C_j."""
-    if i == j:
-        raise ValueError("indices must be distinct")
-    cij = casimir(params, (i, j))
-    ci = casimir(params, (i,))
-    cj = casimir(params, (j,))
-    return LinearOperator(
-        lambda p: cij(p) - ci(p) - cj(p), f"P{{{i},{j}}}"
-    )
-
-
-def racah_f(params: ParameterSet, i: int, j: int, k: int) -> LinearOperator:
-    """Presentation generator F_ijk = [P_ij, P_jk] / 2."""
-    if len({i, j, k}) != 3:
-        raise ValueError("indices must be pairwise distinct")
-    pij = racah_p(params, i, j)
-    pjk = racah_p(params, j, k)
-    comm = pij.commutator(pjk)
-    return comm.scale(Fraction(1, 2))
-
-
-def racah_f_from_angular(
-    params: ParameterSet, i: int, j: int, k: int
-) -> LinearOperator:
-    """F_ijk expanded through angular momenta and reflections.
-
-    16 F_ijk = L_ij^2 (1 + 2 mu_k r_k) - L_ik^2 (1 + 2 mu_j r_j)
-             - L_jk^2 (1 + 2 mu_i r_i) + 2 L_ik L_ij L_jk.
-
-    This is an independent route to the same operator as racah_f and is
-    used to cross-check the commutator definition.
-    """
-    if len({i, j, k}) != 3:
-        raise ValueError("indices must be pairwise distinct")
-    lij = angular(params, i, j)
-    lik = angular(params, i, k)
-    ljk = angular(params, j, k)
-
-    def reflect_term(mu: Fraction, idx: int, p: Polynomial) -> Polynomial:
-        return p + p.reflect(idx).scale(2 * mu)
-
-    mu_i, mu_j, mu_k = (params.mu_of(t) for t in (i, j, k))
-
-    def apply(p: Polynomial) -> Polynomial:
-        total = lij(lij(reflect_term(mu_k, k, p)))
-        total = total - lik(lik(reflect_term(mu_j, j, p)))
-        total = total - ljk(ljk(reflect_term(mu_i, i, p)))
-        total = total + lik(lij(ljk(p))).scale(2)
-        return total.scale(Fraction(1, 16))
-
-    return LinearOperator(apply, f"F{{{i},{j},{k}}}(angular form)")
-
-
-class OperatorMatrix:
-    """Exact matrix of an operator on an explicit basis.
-
-    Column j holds the coordinates of the image of basis element j; the
-    basis is either the canonical monomial list of a homogeneous degree
-    or a caller-supplied list of polynomials.
-    """
-
-    __slots__ = ("matrix", "degree", "columns")
-
-    def __init__(self, matrix: RationalMatrix, degree: int | None, columns: tuple):
-        self.matrix = matrix
-        self.degree = degree
-        self.columns = columns
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.matrix.shape
-
-    def at(self, i: int, j: int) -> Fraction:
-        return self.matrix.at(i, j)
-
-    def __repr__(self) -> str:
-        return f"OperatorMatrix({self.matrix.nrows}x{self.matrix.ncols}, degree={self.degree})"
-
-
 def materialize_on_monomials(op: LinearOperator, n: int, k: int) -> RationalMatrix:
     """Matrix of a degree-preserving operator on the monomials of degree k."""
     basis = monomial_basis(n, k)
@@ -382,22 +231,13 @@ def materialize_on_monomials(op: LinearOperator, n: int, k: int) -> RationalMatr
     return RationalMatrix.from_sparse(rows, den, len(basis))
 
 
-def materialize(
-    op: LinearOperator,
-    n: int,
-    k: int,
-    basis: list[Polynomial] | None = None,
-) -> OperatorMatrix:
-    """Exact matrix of op, on monomials of degree k or on a supplied basis.
+def materialize(op: LinearOperator, n: int, basis: list[Polynomial]) -> RationalMatrix:
+    """Exact matrix of op on a basis of polynomials.
 
-    Without a basis the operator must preserve homogeneous degree k.  With
-    a basis, each image is solved exactly against the basis span; an
-    image outside the span raises ImageEscapesSpan.
+    Column j holds the coordinates of the image of basis[j]: each image is
+    solved exactly against the basis span, and an image outside the span
+    raises ImageEscapesSpan.
     """
-    if basis is None:
-        matrix = materialize_on_monomials(op, n, k)
-        return OperatorMatrix(matrix, k, tuple(monomial_basis(n, k)))
-
     if not basis:
         raise ValueError("basis must be nonempty")
     for q in basis:
@@ -415,7 +255,5 @@ def materialize(
         coeffs = solve_in_span(basis_cols, image_cols)
     except InconsistentSystem as exc:
         raise ImageEscapesSpan(str(exc)) from exc
-    rows = [
-        [coeffs[j][i] for j in range(len(basis))] for i in range(len(basis))
-    ]
-    return OperatorMatrix(RationalMatrix.from_fractions(rows), k, tuple(basis))
+    rows = [[image[i] for image in coeffs] for i in range(len(basis))]
+    return RationalMatrix.from_fractions(rows)

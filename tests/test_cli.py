@@ -184,6 +184,48 @@ def test_verify_empty_report_is_not_success(monkeypatch, capsys):
     assert "no identity checked" in captured.err
 
 
+def test_omega_zero_is_a_failure_not_a_configuration_error(capsys):
+    # mu_1 = mu_2 makes the rank-one spectrum degenerate: omega_0 = 0
+    assert run([
+        "racah", "--n", "3", "--mu", "1/2,1/2,1/3", "--epsilon", "0,0,0", "--degree", "2",
+    ]) == 1
+    assert capsys.readouterr().err == "error: OmegaZero: omega_0 vanishes for sigma = 2\n"
+    assert run([
+        "connect", "--n", "3", "--k", "2", "--mu", "1/2,1/2,1/3",
+        "--from", "1,2,3", "--to", "2,3,1",
+    ]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: OmegaZero: omega_0 vanishes for sigma = 2\n"
+
+
+def test_configuration_checked_up_front(capsys):
+    for command in ("basis", "spectrum"):
+        assert run([command, "--n", "3", "--k", "-1"]) == 2
+        assert "degree --k -1 is negative" in capsys.readouterr().err
+    assert run(["basis", "--n", "3", "--k", "-1", "--format", "csv"]) == 2
+    assert run(["connect", "--n", "3", "--k", "-1", "--from", "1,2,3", "--to", "2,3,1"]) == 2
+    assert run(["verify", "ck", "--n", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("configuration error:") == 3
+    assert "the extension suite needs n >= 2" in captured.err
+
+
+def test_engine_failure_exits_one_naming_the_exception(monkeypatch, capsys):
+    from racah_dunkl import SpanMismatch, cli
+
+    def broken(params, kmax):
+        raise SpanMismatch("source basis is linearly dependent")
+
+    monkeypatch.setattr(cli, "verify_su11", broken)
+    assert run(["verify", "su11", "--n", "3", "--kmax", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "configuration error" not in captured.err
+    assert "SpanMismatch" in captured.err
+
+
 def test_console_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "racah_dunkl.cli", "graph", "--n", "3"],

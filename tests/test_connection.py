@@ -250,7 +250,7 @@ def test_embedded_blocks_carry_rank_one_data():
             continue
         multi += 1
         els = sorted(els, key=lambda e: e.label.partial_degree(3))
-        matrix = materialize(c34, 4, k, [e.poly for e in els]).matrix.to_fractions()
+        matrix = materialize(c34, 4, [e.poly for e in els]).to_fractions()
         m = len(els)
         assert all(
             matrix[i][j] == 0 for i in range(m) for j in range(m) if abs(i - j) > 1

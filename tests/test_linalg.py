@@ -1,10 +1,11 @@
 """Exact matrix arithmetic and linear solves."""
 
 from fractions import Fraction
+from itertools import combinations
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from racah_dunkl import InconsistentSystem, RationalMatrix, matrix_rank, solve_in_span
@@ -240,3 +241,94 @@ def test_zero_test_first_column_and_dense_views(data):
     assert [[m.at(i, j) for j in range(c)] for i in range(r)] == a
     view[0][0] += 1  # the dense view is a copy
     assert m.to_fractions() == a
+
+
+# -- the one elimination behind solve_in_span, matrix_rank and minors ----------
+
+# mostly-zero draws give singular and rank-deficient matrices; dense draws are
+# mostly invertible
+sparse_entries = st.one_of(st.just(Fraction(0)), st.just(Fraction(0)), st.integers(-2, 2).map(Fraction))
+dense_entries = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+small = st.integers(min_value=1, max_value=4)
+
+
+def cofactor_det(m):
+    if not m:
+        return Fraction(1)
+    return sum(
+        (-1) ** j * x * cofactor_det([row[:j] + row[j + 1:] for row in m[1:]])
+        for j, x in enumerate(m[0])
+        if x
+    )
+
+
+def minor_rank(m):
+    """Size of the largest nonzero minor."""
+    nrows, ncols = len(m), len(m[0])
+    for size in range(min(nrows, ncols), 0, -1):
+        for rows in combinations(range(nrows), size):
+            for cols in combinations(range(ncols), size):
+                if cofactor_det([[m[i][j] for j in cols] for i in rows]):
+                    return size
+    return 0
+
+
+def combine(columns, coeffs):
+    return [sum((c * col[i] for c, col in zip(coeffs, columns)), Fraction(0))
+            for i in range(len(columns[0]))]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_elimination_matches_cofactor_oracles(data):
+    nrows, ncols = data.draw(small), data.draw(small)  # either may be the larger
+    columns = data.draw(st.lists(
+        st.lists(sparse_entries, min_size=nrows, max_size=nrows), min_size=ncols, max_size=ncols
+    ))
+    rank = minor_rank(columns)
+    assert matrix_rank(columns) == rank
+    assert matrix_rank([list(row) for row in zip(*columns)]) == rank
+    coeffs = data.draw(st.lists(dense_entries, min_size=ncols, max_size=ncols))
+    target = combine(columns, coeffs)
+    if rank < ncols:
+        with pytest.raises(ValueError, match="linearly dependent"):
+            solve_in_span(columns, [target])
+    else:
+        (sol,) = solve_in_span(columns, [target])
+        assert combine(columns, sol) == target
+        assert sol == coeffs  # independent columns: the solution is unique
+    size = data.draw(small)
+    square = data.draw(st.lists(
+        st.lists(st.one_of(st.just(Fraction(0)), dense_entries), min_size=size, max_size=size),
+        min_size=size, max_size=size,
+    ))
+    assert leading_principal_minors(square) == [
+        cofactor_det([row[:k] for row in square[:k]]) for k in range(1, size + 1)
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_target_outside_span_is_inconsistent(data):
+    size = data.draw(st.integers(min_value=2, max_value=4))
+    columns = data.draw(st.lists(
+        st.lists(dense_entries, min_size=size, max_size=size), min_size=size, max_size=size
+    ))
+    assume(cofactor_det(columns) != 0)
+    kept = data.draw(st.integers(min_value=1, max_value=size - 1))
+    coeffs = data.draw(st.lists(dense_entries, min_size=kept, max_size=kept))
+    inside = combine(columns[:kept], coeffs)
+    (sol,) = solve_in_span(columns[:kept], [inside])
+    assert sol == coeffs
+    # the next column of an invertible matrix is outside the span of the first ones
+    outside = [x + y for x, y in zip(inside, columns[kept])]
+    with pytest.raises(InconsistentSystem):
+        solve_in_span(columns[:kept], [inside, outside])
+
+
+def test_minors_track_row_swaps():
+    assert leading_principal_minors([[F(0), F(1)], [F(1), F(0)]]) == [F(0), F(-1)]
+    # the second column has no pivot in place, so the 3x3 minor needs a swap
+    entries = [[F(1), F(2), F(3)], [F(2), F(4), F(5)], [F(3), F(5), F(6)]]
+    assert leading_principal_minors(entries) == [F(1), F(0), F(-1)]
+    assert [cofactor_det([row[:k] for row in entries[:k]]) for k in (1, 2, 3)] == [1, 0, -1]

@@ -1,0 +1,87 @@
+"""The identities are claimed for every positive rational mu, so draw mu.
+
+The acceptance gate runs at ParameterSet.default(n); these properties run
+small sweeps of the relation, su(1,1), closed-form and spectral suites at
+drawn mu, including equal values, integers and numerators and denominators
+up to 10^6, and use the direct connection matrix as the oracle for the
+composed per-edge pipeline.
+"""
+
+from fractions import Fraction
+from functools import lru_cache
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from racah_dunkl import (
+    Chain,
+    ParameterSet,
+    build_basis_tower,
+    connection_matrix,
+    connection_pipeline,
+    verify_closed_form,
+    verify_racah_relations,
+    verify_spectral_action,
+    verify_su11,
+)
+
+BIG = 10**6
+mu_values = st.one_of(
+    st.builds(Fraction, st.integers(1, BIG), st.integers(1, BIG)),
+    st.integers(1, 4).map(Fraction),
+    st.builds(Fraction, st.integers(1, 9), st.integers(1, 9)),
+)
+
+
+@st.composite
+def parameters(draw, n):
+    # drawing the n values from a pool of at most n makes repeats common
+    pool = draw(st.lists(mu_values, min_size=1, max_size=n))
+    return ParameterSet(n, tuple(draw(st.sampled_from(pool)) for _ in range(n)))
+
+
+def shape(report):
+    return [(r.relation, r.index_tuple, r.degree) for r in report]
+
+
+@lru_cache(maxsize=None)
+def default_shape(n, kmax):
+    return shape(verify_racah_relations(ParameterSet.default(n), kmax))
+
+
+def assert_all_ok(report):
+    assert len(report) > 0
+    assert report.ok, [r.to_json_obj() for r in report.failures][:1]
+
+
+@settings(max_examples=10, deadline=None)
+@given(parameters(3), parameters(4))
+def test_racah_relations_hold_at_any_mu(p3, p4):
+    for params, kmax in ((p3, 3), (p4, 2)):
+        report = verify_racah_relations(params, kmax)
+        assert_all_ok(report)
+        assert shape(report) == default_shape(params.n, kmax)
+
+
+@settings(max_examples=10, deadline=None)
+@given(parameters(3), parameters(4))
+def test_su11_closed_form_and_spectral_action_at_any_mu(p3, p4):
+    assert_all_ok(verify_su11(p3, 3))
+    assert_all_ok(verify_closed_form(p3, 3))
+    assert_all_ok(verify_spectral_action(p4, 3))
+
+
+@settings(max_examples=10, deadline=None)
+@given(parameters(4))
+def test_composed_pipeline_equals_direct_matrix_at_any_mu(params):
+    start, goal = Chain.from_order((1, 2, 3, 4)), Chain.from_order((2, 4, 3, 1))
+    edges = connection_pipeline(params, 3, start, goal)
+    product = edges[0]
+    for w in edges[1:]:
+        product = product.compose(w)
+    direct = connection_matrix(
+        params,
+        build_basis_tower(params, 3, start.order),
+        build_basis_tower(params, 3, goal.order),
+    )
+    assert product.entries == direct.entries

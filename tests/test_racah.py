@@ -136,9 +136,7 @@ def test_tridiagonal_data_against_realized_matrix():
 
     eps, d3 = (0, 0, 0), 4
     basis = module_basis(P3, eps, d3)
-    matrix = materialize(
-        casimir(P3, (2, 3)), 3, d3, [el.poly for el in basis]
-    ).matrix.to_fractions()
+    matrix = materialize(casimir(P3, (2, 3)), 3, [el.poly for el in basis]).to_fractions()
     diag, offsq = module_tridiagonal_data(P3, eps, d3)
     assert [matrix[k][k] for k in range(3)] == diag
     assert [matrix[k][k - 1] * matrix[k - 1][k] for k in (1, 2)] == offsq

@@ -1,0 +1,63 @@
+"""The benchmark's trace wrappers still find every name they wrap.
+
+perfbench/spans.py wraps package functions and methods by name from
+outside the package, so renaming or deleting one of them would break
+``perfbench/run.py --trace 1`` without failing any other test.  The
+wrappers are installed in a subprocess so they cannot leak into the rest
+of the suite; perfbench/ is only read.
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+CHILD = """
+import contextlib, io, json, sys
+sys.path[:0] = [{src!r}, {perfbench!r}]
+import racah_dunkl
+from racah_dunkl import cli
+import spans
+
+tracer = spans.Tracer()
+spans.install(tracer)
+codes = []
+with contextlib.redirect_stdout(io.StringIO()):
+    codes.append(cli.main(["verify", "racah", "--n", "3", "--kmax", "1"]))
+    codes.append(cli.main(["verify", "ck", "--n", "3", "--kmax", "2"]))
+params = racah_dunkl.ParameterSet.default(4)
+start = racah_dunkl.Chain.from_order((1, 2, 3, 4))
+goal = racah_dunkl.Chain.from_order((2, 4, 3, 1))
+edges = racah_dunkl.connection_pipeline(params, 2, start, goal)
+product = edges[0]
+for w in edges[1:]:
+    product = product.compose(w)
+print(json.dumps({{"codes": codes, "metrics": spans.layer_metrics(tracer)}}))
+"""
+
+LAYERS = (
+    "linalg.matmul",
+    "linalg.solve",
+    "linalg.rank",
+    "operators.apply",
+    "operators.materialize",
+    "relations.workspace",
+    "harmonics.tower",
+    "connection.matrix",
+    "connection.compose",
+)
+
+
+def test_every_traced_layer_is_reached():
+    script = CHILD.format(src=str(ROOT / "src"), perfbench=str(ROOT / "perfbench"))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, cwd=ROOT
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["codes"] == [0, 0]
+    metrics = result["metrics"]
+    missed = [layer for layer in LAYERS if not metrics[f"{layer}.calls"] > 0]
+    assert missed == []
