@@ -159,6 +159,8 @@ def cmd_verify(args) -> int:
     elif suite == "lemma1":
         report = verify_casimir_laplacian_commute(params, cfg.bound(4))
     elif suite == "lemma2":
+        if n < 2:
+            raise ConfigError("the nested/disjoint suite needs n >= 2")
         report = verify_nested_disjoint_commute(params, cfg.bound(4))
     elif suite == "drinfeld-kohno":
         if n < 3:
@@ -184,6 +186,8 @@ def cmd_verify(args) -> int:
     elif suite == "lemma3":
         report = verify_power_action_sweep(params, 2, cfg.bound(3))
     elif suite == "eigen":
+        if n < 2:
+            raise ConfigError("the spectral suite needs n >= 2")
         order = _parse_order(args.order, n) if args.order else None
         report = verify_spectral_action(params, cfg.bound(4), order)
     else:  # pragma: no cover - argparse restricts choices

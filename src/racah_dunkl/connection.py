@@ -150,7 +150,10 @@ def connection_matrix(
 
     Both lists must be bases of the same space: equal lengths, full rank,
     and every source element inside the target span; otherwise
-    SpanMismatch is raised.
+    SpanMismatch is raised.  One elimination over the monomial support
+    solves for W and proves that the target is a basis holding every
+    source element; the source is then independent exactly when the
+    square W is nonsingular, which the rank of W's rows decides.
     """
     if len(source) != len(target):
         raise SpanMismatch(
@@ -162,12 +165,12 @@ def connection_matrix(
     support_list = sorted(support)
     target_cols = [poly_to_vector(el.poly, support_list) for el in target]
     source_cols = [poly_to_vector(el.poly, support_list) for el in source]
-    if matrix_rank(source_cols) != len(source):
-        raise SpanMismatch("source basis is linearly dependent")
     try:
         coeffs = solve_in_span(target_cols, source_cols)
     except (InconsistentSystem, ValueError) as exc:
         raise SpanMismatch(str(exc)) from exc
+    if matrix_rank(coeffs) != len(source):
+        raise SpanMismatch("source basis is linearly dependent")
     return ConnectionMatrix(
         tuple(el.label for el in source),
         tuple(el.label for el in target),

@@ -9,7 +9,10 @@ classes of the monomials, so their matrices are very sparse and the
 cross-parity entries are simply never stored.
 
 Basis solves, ranks and minors are thin front ends over one exact
-Gauss-Jordan elimination on Fraction rows, where sizes are small.
+Gauss-Jordan elimination on sparse Fraction rows.  Each pivot step
+touches only the rows with a nonzero in the pivot column, so the parity
+sectors of a basis change are eliminated independently without any
+block layout: rows from different sectors never share a column.
 """
 
 from __future__ import annotations
@@ -248,9 +251,12 @@ class RationalMatrix:
         return f"RationalMatrix({self.nrows}x{self.ncols}, den={self.den})"
 
 
-def _gauss_jordan(rows: list[list[Fraction]], ncols: int) -> tuple[list[int], Fraction]:
-    """Reduce rows in place to reduced row echelon form on the first ncols columns.
+def _gauss_jordan(rows: list[dict[int, Fraction]], ncols: int) -> tuple[list[int], Fraction]:
+    """Reduce sparse rows in place to reduced row echelon form on columns < ncols.
 
+    Each row maps a column to its nonzero entry, and an entry that cancels
+    to zero is deleted, so a pivot step touches only the rows holding a
+    nonzero in the pivot column, and in each only the pivot row's nonzeros.
     A column without a pivot is skipped, and the elimination stops when the
     rows run out.  Returns the pivot columns in order and the product of the
     pivots, negated once per row swap: for a square matrix with a pivot in
@@ -263,7 +269,7 @@ def _gauss_jordan(rows: list[list[Fraction]], ncols: int) -> tuple[list[int], Fr
         row = len(pivots)
         if row == nrows:
             break
-        pivot = next((r for r in range(row, nrows) if rows[r][col] != 0), None)
+        pivot = next((r for r in range(row, nrows) if col in rows[r]), None)
         if pivot is None:
             continue
         if pivot != row:
@@ -272,13 +278,27 @@ def _gauss_jordan(rows: list[list[Fraction]], ncols: int) -> tuple[list[int], Fr
         value = rows[row][col]
         det *= value
         inv = 1 / value
-        pivot_row = rows[row] = [x * inv for x in rows[row]]
-        for r in range(nrows):
-            if r != row and rows[r][col] != 0:
-                factor = rows[r][col]
-                rows[r] = [x - factor * y for x, y in zip(rows[r], pivot_row)]
+        pivot_row = rows[row] = {c: x * inv for c, x in rows[row].items()}
+        for r, other in enumerate(rows):
+            factor = other.get(col)
+            if factor is None or r == row:
+                continue
+            for c, y in pivot_row.items():
+                x = other.get(c)
+                if x is None:
+                    other[c] = -factor * y
+                else:
+                    x -= factor * y
+                    if x:
+                        other[c] = x
+                    else:
+                        del other[c]
         pivots.append(col)
     return pivots, det
+
+
+def _sparse_rows(entries) -> list[dict[int, Fraction]]:
+    return [{j: x for j, x in enumerate(row) if x} for row in entries]
 
 
 def solve_in_span(
@@ -299,26 +319,33 @@ def solve_in_span(
         if len(t) != nrows:
             raise ValueError("target length does not match column length")
 
-    # augmented rows: [columns | targets]
-    aug = [[col[i] for col in columns] + [t[i] for t in targets] for i in range(nrows)]
+    # augmented sparse rows: [columns | targets]
+    aug: list[dict[int, Fraction]] = [{} for _ in range(nrows)]
+    for j, col in enumerate(list(columns) + list(targets)):
+        for i, x in enumerate(col):
+            if x:
+                aug[i][j] = x
     if len(_gauss_jordan(aug, ncols)[0]) < ncols:
         raise ValueError("columns are linearly dependent")
-    # rows below the pivots must have vanished entirely, else inconsistent
-    if any(x != 0 for row in aug[ncols:] for x in row[ncols:]):
+    # rows below the pivots hold target columns only; any entry left is
+    # a target outside the span
+    if any(aug[ncols:]):
         raise InconsistentSystem("target outside the span of the given columns")
-    return [[aug[j][ncols + t] for j in range(ncols)] for t in range(len(targets))]
+    zero = Fraction(0)
+    return [[aug[j].get(ncols + t, zero) for j in range(ncols)] for t in range(len(targets))]
 
 
 def matrix_rank(vectors: list[list[Fraction]]) -> int:
     """Rank of the matrix whose rows are the given vectors."""
-    rows = [list(v) for v in vectors]
-    return len(_gauss_jordan(rows, len(rows[0]) if rows else 0)[0])
+    return len(_gauss_jordan(_sparse_rows(vectors), len(vectors[0]) if vectors else 0)[0])
 
 
 def leading_principal_minors(entries: list[list[Fraction]]) -> list[Fraction]:
     """Determinants of the leading principal submatrices, by exact elimination."""
+    rows = _sparse_rows(entries)
     minors: list[Fraction] = []
-    for size in range(1, len(entries) + 1):
-        pivots, det = _gauss_jordan([list(row[:size]) for row in entries[:size]], size)
+    for size in range(1, len(rows) + 1):
+        leading = [{j: x for j, x in row.items() if j < size} for row in rows[:size]]
+        pivots, det = _gauss_jordan(leading, size)
         minors.append(det if len(pivots) == size else Fraction(0))
     return minors

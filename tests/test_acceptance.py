@@ -177,33 +177,37 @@ def test_criterion_10_recoupling_graph():
 
 
 def test_criterion_11_pipeline_factorization():
-    params = ParameterSet.default(4)
-    k = 3
-    start = Chain.from_order((1, 2, 3, 4))
-    goal = Chain.from_order((2, 4, 3, 1))
-    assert str(start) == "(C12,C123)" and str(goal) == "(C24,C234)"
-
-    mats = connection_pipeline(params, k, start, goal)
-    product = mats[0]
-    for m in mats[1:]:
-        product = product.compose(m)
-    direct = connection_matrix(
-        params,
-        build_basis_tower(params, k, start.order),
-        build_basis_tower(params, k, goal.order),
+    cases = (
+        (3, (1, 2, 3, 4), (2, 4, 3, 1), "(C12,C123)", "(C24,C234)"),
+        (4, (1, 2, 3, 4, 5), (2, 4, 5, 3, 1), "(C12,C123,C1234)", "(C24,C245,C2345)"),
     )
-    assert product.entries == direct.entries
+    for k, start_order, goal_order, start_name, goal_name in cases:
+        params = ParameterSet.default(len(start_order))
+        start = Chain.from_order(start_order)
+        goal = Chain.from_order(goal_order)
+        assert str(start) == start_name and str(goal) == goal_name
 
-    vertices = [start] + path(start, goal)
-    for (u, v), w in zip(zip(vertices, vertices[1:]), mats):
-        shared = set(u.generators) & set(v.generators)
-        for s, from_label in enumerate(w.from_labels):
-            for t, to_label in enumerate(w.to_labels):
-                if w.at(s, t) == 0:
-                    continue
-                assert from_label.variable_parities() == to_label.variable_parities()
-                for gen in shared:
-                    assert casimir_eigenvalue(
-                        params, from_label, len(gen)
-                    ) == casimir_eigenvalue(params, to_label, len(gen))
-    _passed(11, "ordered per-edge product equals the direct connection matrix and per-edge blocks respect shared spectra, n=4, k=3")
+        mats = connection_pipeline(params, k, start, goal)
+        product = mats[0]
+        for m in mats[1:]:
+            product = product.compose(m)
+        direct = connection_matrix(
+            params,
+            build_basis_tower(params, k, start.order),
+            build_basis_tower(params, k, goal.order),
+        )
+        assert product.entries == direct.entries
+
+        vertices = [start] + path(start, goal)
+        for (u, v), w in zip(zip(vertices, vertices[1:]), mats):
+            shared = set(u.generators) & set(v.generators)
+            for s, from_label in enumerate(w.from_labels):
+                for t, to_label in enumerate(w.to_labels):
+                    if w.at(s, t) == 0:
+                        continue
+                    assert from_label.variable_parities() == to_label.variable_parities()
+                    for gen in shared:
+                        assert casimir_eigenvalue(
+                            params, from_label, len(gen)
+                        ) == casimir_eigenvalue(params, to_label, len(gen))
+    _passed(11, "ordered per-edge product equals the direct connection matrix and per-edge blocks respect shared spectra, n=4 k=3 and n=5 k=4")

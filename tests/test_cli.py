@@ -212,6 +212,27 @@ def test_configuration_checked_up_front(capsys):
     assert "the extension suite needs n >= 2" in captured.err
 
 
+def test_suite_too_small_for_n_is_a_configuration_error(capsys):
+    assert run(["verify", "lemma2", "--n", "1"]) == 2
+    assert "the nested/disjoint suite needs n >= 2" in capsys.readouterr().err
+    assert run(["verify", "eigen", "--n", "1"]) == 2
+    assert "the spectral suite needs n >= 2" in capsys.readouterr().err
+    # no suite reports an empty check list at its smallest n: it either
+    # checks something or rejects the dimension up front
+    from racah_dunkl.cli import VERIFY_SUITES
+
+    for suite in VERIFY_SUITES:
+        for n in (1, 2):
+            code = run(["verify", suite, "--n", str(n), "--kmax", "1"])
+            captured = capsys.readouterr()
+            if code == 2:
+                assert captured.out == ""
+                assert "configuration error:" in captured.err
+            else:
+                assert code == 0, (suite, n, captured.err)
+                assert json.loads(captured.out), (suite, n)
+
+
 def test_engine_failure_exits_one_naming_the_exception(monkeypatch, capsys):
     from racah_dunkl import SpanMismatch, cli
 

@@ -123,6 +123,45 @@ def test_connection_span_mismatch():
         connection_matrix(P3, b, broken)
 
 
+def test_connection_rejects_duplicated_elements():
+    target = build_basis_tower(P3, 3, (1, 2, 3))
+    source = build_basis_tower(P3, 3, (2, 3, 1))
+    # the count still matches, but one source element is listed twice
+    duplicated = list(source)
+    duplicated[1] = duplicated[0]
+    with pytest.raises(SpanMismatch, match="source basis is linearly dependent"):
+        connection_matrix(P3, duplicated, target)
+    # a duplicated target element leaves the target short of a basis
+    duplicated = list(target)
+    duplicated[1] = duplicated[0]
+    with pytest.raises(SpanMismatch, match="linearly dependent"):
+        connection_matrix(P3, source, duplicated)
+
+
+def test_connection_source_across_parity_sectors():
+    # a source element mixing two parity sectors: W has no block structure
+    # to rely on, and must still come out exact
+    target = build_basis_tower(P3, 3)
+    first = target[0].label.variable_parities()
+    other = next(
+        k for k, el in enumerate(target) if el.label.variable_parities() != first
+    )
+    source = list(target)
+    source[0] = HarmonicBasisElement(target[0].label, target[0].poly + target[other].poly)
+    w = connection_matrix(P3, source, target)
+    m = len(target)
+    expected = [
+        [Fraction(int(s == k or (s == 0 and k == other))) for k in range(m)]
+        for s in range(m)
+    ]
+    assert [list(row) for row in w.entries] == expected
+    for s, el in enumerate(source):
+        back = Polynomial.zero(3)
+        for k, t in enumerate(target):
+            back = back + t.poly.scale(w.at(s, k))
+        assert back == el.poly
+
+
 def test_connection_dense_within_parity_blocks_n3():
     # with a single shared reflection structure the blocks are the parity
     # sectors; inside a sector the change of basis is dense

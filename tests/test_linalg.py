@@ -332,3 +332,81 @@ def test_minors_track_row_swaps():
     entries = [[F(1), F(2), F(3)], [F(2), F(4), F(5)], [F(3), F(5), F(6)]]
     assert leading_principal_minors(entries) == [F(1), F(0), F(-1)]
     assert [cofactor_det([row[:k] for row in entries[:k]]) for k in (1, 2, 3)] == [1, 0, -1]
+
+
+# -- the elimination on sparse rows: blocks, permutations, exact cancellation --
+
+block_entries = st.one_of(st.just(Fraction(0)), dense_entries)
+
+
+@st.composite
+def permuted_block_diagonal(draw, max_blocks=3, max_size=3, square=False):
+    """A block-diagonal matrix with its rows and columns permuted, and its blocks.
+
+    Some blocks get a row that is a multiple of another row, so the
+    elimination cancels that row to exact zeros.
+    """
+    blocks = []
+    for _ in range(draw(st.integers(min_value=1, max_value=max_blocks))):
+        nrows = draw(st.integers(min_value=1, max_value=max_size))
+        ncols = nrows if square else draw(st.integers(min_value=1, max_value=max_size))
+        block = draw(st.lists(
+            st.lists(block_entries, min_size=ncols, max_size=ncols),
+            min_size=nrows, max_size=nrows,
+        ))
+        if nrows > 1 and draw(st.booleans()):
+            i, j = draw(st.lists(
+                st.integers(min_value=0, max_value=nrows - 1), min_size=2, max_size=2, unique=True
+            ))
+            factor = draw(dense_entries.filter(bool))
+            block[i] = [factor * x for x in block[j]]
+        blocks.append(block)
+    nrows = sum(len(b) for b in blocks)
+    ncols = sum(len(b[0]) for b in blocks)
+    full = [[Fraction(0)] * ncols for _ in range(nrows)]
+    r0 = c0 = 0
+    for block in blocks:
+        for i, row in enumerate(block):
+            full[r0 + i][c0:c0 + len(row)] = row
+        r0, c0 = r0 + len(block), c0 + len(block[0])
+    row_order = draw(st.permutations(range(nrows)))
+    col_order = draw(st.permutations(range(ncols)))
+    return [[full[i][j] for j in col_order] for i in row_order], blocks
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_sparse_elimination_on_permuted_blocks(data):
+    matrix, blocks = data.draw(permuted_block_diagonal())
+    rank = sum(minor_rank(block) for block in blocks)  # blocks add their ranks
+    assert matrix_rank(matrix) == rank
+    columns = [list(col) for col in zip(*matrix)]
+    assert matrix_rank(columns) == rank
+    coeffs = data.draw(st.lists(dense_entries, min_size=len(columns), max_size=len(columns)))
+    target = combine(columns, coeffs)
+    if rank < len(columns):
+        with pytest.raises(ValueError, match="linearly dependent"):
+            solve_in_span(columns, [target])
+    else:
+        # rows beyond the rank cancel to exact zeros in the target column
+        (sol,) = solve_in_span(columns, [target])
+        assert combine(columns, sol) == target
+        assert sol == coeffs
+
+
+@settings(max_examples=60, deadline=None)
+@given(permuted_block_diagonal(max_size=2, square=True))
+def test_sparse_minors_on_permuted_blocks(drawn):
+    matrix, _ = drawn
+    assert leading_principal_minors(matrix) == [
+        cofactor_det([row[:k] for row in matrix[:k]]) for k in range(1, len(matrix) + 1)
+    ]
+
+
+def test_cancelled_entries_leave_the_rows():
+    # the second row cancels to zero: it must neither offer a zero pivot
+    # nor count as a leftover entry below the pivots
+    assert matrix_rank([[F(1), F(2), F(3)], [F(2), F(4), F(6)], [F(0), F(0), F(1)]]) == 2
+    assert leading_principal_minors([[F(1), F(2)], [F(2), F(4)]]) == [F(1), F(0)]
+    (sol,) = solve_in_span([[F(1), F(1), F(2)]], [[F(3), F(3), F(6)]])
+    assert sol == [F(3)]
