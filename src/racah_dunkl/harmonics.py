@@ -24,7 +24,7 @@ from math import comb, factorial
 from typing import Iterable, Iterator, Sequence
 
 from .linalg import matrix_rank, solve_in_span
-from .operators import gamma, laplace, norm_square_poly
+from .operators import LinearOperator, gamma, laplace, norm_square_poly
 from .poly import Monomial, ParameterSet, Polynomial, monomial_basis, poly_to_vector
 from .report import Report
 
@@ -153,9 +153,21 @@ def ck_extend(
     outside = p.support_variables() - set(vars_done)
     if outside:
         raise ValueError(f"input involves variables outside vars_done: {sorted(outside)}")
-
-    base = params.mu_of(new_var) + Fraction(1, 2) + parity
     lap = laplace(params, vars_done) if vars_done else None
+    return _lift(params, lap, new_var, parity, p)
+
+
+def _lift(
+    params: ParameterSet,
+    lap: LinearOperator | None,
+    new_var: int,
+    parity: int,
+    p: Polynomial,
+) -> Polynomial:
+    """ck_extend without its input checks; lap is the Laplacian over
+    vars_done, or None when vars_done is empty."""
+    n = params.n
+    base = params.mu_of(new_var) + Fraction(1, 2) + parity
     pos = new_var - 1
 
     result = Polynomial.zero(n)
@@ -229,13 +241,37 @@ def realize_label(params: ParameterSet, label: HarmonicLabel) -> Polynomial:
 def build_basis_tower(
     params: ParameterSet, k: int, order: Sequence[int] | None = None
 ) -> list[HarmonicBasisElement]:
-    """The realized harmonic basis of degree k for the given variable order."""
+    """The realized harmonic basis of degree k for the given variable order.
+
+    Computes what realize_label computes for every label, but builds one
+    Laplacian per prefix of the order, shared by all labels, and realizes
+    the intermediate harmonic of each (epsilon, ell) prefix only once.
+    """
     if k < 0:
         raise ValueError("degree must be non-negative")
-    return [
-        HarmonicBasisElement(label, realize_label(params, label))
-        for label in enumerate_labels(params.n, k, order)
-    ]
+    n = params.n
+    labels = enumerate_labels(n, k, order)
+    if not labels:
+        return []
+    o = labels[0].order
+    laps = [None] + [laplace(params, o[:m]) for m in range(1, n)]
+    # (epsilon[:m], ell[:m-1]) -> harmonic after the m-th extension step
+    steps: dict[tuple[tuple[int, ...], tuple[int, ...]], Polynomial] = {}
+    elements = []
+    for label in labels:
+        eps, ell = label.epsilon, label.ell
+        h = Polynomial.one(n)
+        for m in range(1, n + 1):
+            key = (eps[:m], ell[: m - 1])
+            known = steps.get(key)
+            if known is not None:
+                h = known
+                continue
+            if m > 1 and ell[m - 2]:
+                h = norm_square_poly(o[: m - 1], n) ** ell[m - 2] * h
+            h = steps[key] = _lift(params, laps[m - 1], o[m - 1], eps[m - 1], h)
+        elements.append(HarmonicBasisElement(label, h))
+    return elements
 
 
 def jacobi_closed_form(params: ParameterSet, label: HarmonicLabel) -> Polynomial:

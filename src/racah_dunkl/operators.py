@@ -1,11 +1,19 @@
 """Linear operators on polynomial spaces, built from Dunkl operators.
 
-A LinearOperator is only a named polynomial-to-polynomial function; the
-builders below combine Dunkl operators inside their own closures.  Sums,
-products and commutators of operators are taken on their exact matrices
-(linalg.RationalMatrix), so equality of operators is always decided by
-materializing their action on an explicit basis, typically the monomials
-of a fixed homogeneous degree; all the verified identities are
+Every operator here sends a monomial to a short sparse combination of
+monomials: the Dunkl operator T_i, multiplication by x_i and by squared
+norms, and the reflections r_i each send it to a single monomial.  So a
+LinearOperator is defined by its rule on one monomial, and its action on
+a polynomial is the linear extension of that rule.  Each operator keeps
+the image of every monomial it has met, so the Laplacian, the invariants
+C_A, the angular momenta and the su(1,1) triple build their images from
+the kept images of their parts, and the images of the degree-k monomials
+are exactly the columns of the operator's matrix on that degree.
+
+Sums, products and commutators of operators are taken on their exact
+matrices (linalg.RationalMatrix), so equality of operators is always
+decided by materializing their action on an explicit basis, typically the
+monomials of a fixed homogeneous degree; all the verified identities are
 degree-homogeneous, so this is sound.
 
 Index conventions follow the coordinate notation: operator builders take
@@ -20,6 +28,10 @@ from typing import Callable, Iterable
 
 from .linalg import InconsistentSystem, RationalMatrix, solve_in_span
 from .poly import Monomial, ParameterSet, Polynomial, monomial_basis, poly_to_vector
+
+Terms = dict[Monomial, Fraction]
+
+_ONE = Fraction(1)
 
 
 class ImageEscapesSpan(ValueError):
@@ -37,19 +49,70 @@ def normalize_subset(A: Iterable[int], n: int) -> tuple[int, ...]:
 
 
 class LinearOperator:
-    """A named linear map on polynomials."""
+    """A named linear map on polynomials, given by its rule on one monomial.
 
-    __slots__ = ("fn", "descriptor")
+    rule(exps) returns the image of the monomial with exponent tuple exps
+    as a fresh dict of nonzero Fraction coefficients keyed by exponent
+    tuples.  Calling the operator on a polynomial applies the linear
+    extension of the rule.  The image of each monomial is computed once
+    per operator and kept for its lifetime; kept images are never handed
+    out, every call returns a polynomial with its own terms.
+    """
 
-    def __init__(self, fn: Callable[[Polynomial], Polynomial], descriptor: str = "?"):
-        self.fn = fn
+    __slots__ = ("rule", "descriptor", "_images")
+
+    def __init__(self, rule: Callable[[Monomial], Terms], descriptor: str = "?"):
+        self.rule = rule
         self.descriptor = descriptor
+        self._images: dict[Monomial, Terms] = {}
+
+    def _image(self, exps: Monomial) -> Terms:
+        """The kept image of one monomial; callers must not modify it."""
+        image = self._images.get(exps)
+        if image is None:
+            image = self._images[exps] = self.rule(exps)
+        return image
 
     def __call__(self, p: Polynomial) -> Polynomial:
-        return self.fn(p)
+        return Polynomial._trusted(p.n, _add_image({}, self, p.terms))
 
     def __repr__(self) -> str:
         return f"LinearOperator({self.descriptor})"
+
+
+def _add_image(
+    out: Terms, op: LinearOperator, terms: Terms, scale: Fraction | None = None
+) -> Terms:
+    """Add scale * op(terms) into out in place, dropping cancelled terms.
+
+    scale None stands for 1; a coefficient of 1, as on every monomial
+    input, costs no multiplication.
+    """
+    image = op._image
+    get = out.get
+    for exps, coeff in terms.items():
+        c = coeff if scale is None else coeff * scale
+        unit = c == 1
+        for e, v in image(exps).items():
+            cv = v if unit else c * v
+            old = get(e)
+            if old is None:
+                out[e] = cv
+            else:
+                new = old + cv
+                if new:
+                    out[e] = new
+                else:
+                    del out[e]
+    return out
+
+
+def _name(subset: tuple[int, ...]) -> str:
+    return ",".join(map(str, subset))
+
+
+def _shift(exps: Monomial, pos: int, by: int) -> Monomial:
+    return exps[:pos] + (exps[pos] + by,) + exps[pos + 1:]
 
 
 def dunkl(params: ParameterSet, i: int) -> LinearOperator:
@@ -60,26 +123,22 @@ def dunkl(params: ParameterSet, i: int) -> LinearOperator:
     coordinate division is always exact and the whole map lowers degree
     by one.
     """
-    mu = params.mu_of(i)
     pos = i - 1
-    two_mu = 2 * mu
+    two_mu = 2 * params.mu_of(i)
 
-    def apply(p: Polynomial) -> Polynomial:
-        out: dict[Monomial, Fraction] = {}
-        for exps, coeff in p.terms.items():
-            e = exps[pos]
-            if e == 0:
-                continue
-            factor = e + two_mu if e % 2 else Fraction(e)
-            lowered = exps[:pos] + (e - 1,) + exps[pos + 1:]
-            new = out.get(lowered, Fraction(0)) + coeff * factor
-            if new:
-                out[lowered] = new
-            else:
-                out.pop(lowered, None)
-        return Polynomial(p.n, out)
+    def rule(exps: Monomial) -> Terms:
+        e = exps[pos]
+        if e == 0:
+            return {}
+        return {_shift(exps, pos, -1): e + two_mu if e % 2 else Fraction(e)}
 
-    return LinearOperator(apply, f"T{i}")
+    return LinearOperator(rule, f"T{i}")
+
+
+def _coordinate_mul(i: int) -> LinearOperator:
+    """Multiplication by the coordinate x_i."""
+    pos = i - 1
+    return LinearOperator(lambda exps: {_shift(exps, pos, 1): _ONE}, f"x{i}")
 
 
 def laplace(params: ParameterSet, A: Iterable[int]) -> LinearOperator:
@@ -87,33 +146,23 @@ def laplace(params: ParameterSet, A: Iterable[int]) -> LinearOperator:
     subset = normalize_subset(A, params.n)
     ops = [dunkl(params, i) for i in subset]
 
-    def apply(p: Polynomial) -> Polynomial:
-        total = Polynomial.zero(p.n)
+    def rule(exps: Monomial) -> Terms:
+        out: Terms = {}
         for op in ops:
-            total = total + op(op(p))
-        return total
+            _add_image(out, op, op._image(exps))
+        return out
 
-    return LinearOperator(apply, f"Lap{{{','.join(map(str, subset))}}}")
+    return LinearOperator(rule, f"Lap{{{_name(subset)}}}")
 
 
 def norm_square_mul(A: Iterable[int], n: int) -> LinearOperator:
     """Multiplication by the squared norm over A, sum of x_i^2 for i in A."""
     subset = normalize_subset(A, n)
     positions = [i - 1 for i in subset]
-
-    def apply(p: Polynomial) -> Polynomial:
-        out: dict[Monomial, Fraction] = {}
-        for exps, coeff in p.terms.items():
-            for pos in positions:
-                raised = exps[:pos] + (exps[pos] + 2,) + exps[pos + 1:]
-                new = out.get(raised, Fraction(0)) + coeff
-                if new:
-                    out[raised] = new
-                else:
-                    out.pop(raised, None)
-        return Polynomial(p.n, out)
-
-    return LinearOperator(apply, f"|x{{{','.join(map(str, subset))}}}|^2")
+    return LinearOperator(
+        lambda exps: {_shift(exps, pos, 2): _ONE for pos in positions},
+        f"|x{{{_name(subset)}}}|^2",
+    )
 
 
 def norm_square_poly(A: Iterable[int], n: int) -> Polynomial:
@@ -126,26 +175,30 @@ def norm_square_poly(A: Iterable[int], n: int) -> Polynomial:
     return Polynomial(n, terms)
 
 
+def _degree_over(positions: list[int]) -> Callable[[Monomial], int]:
+    return lambda exps: sum(exps[pos] for pos in positions)
+
+
 def euler(A: Iterable[int], n: int) -> LinearOperator:
     """Degree-counting operator over A: each monomial is scaled by its A-degree."""
     subset = normalize_subset(A, n)
-    positions = [i - 1 for i in subset]
+    degree = _degree_over([i - 1 for i in subset])
 
-    def apply(p: Polynomial) -> Polynomial:
-        out: dict[Monomial, Fraction] = {}
-        for exps, coeff in p.terms.items():
-            d = sum(exps[pos] for pos in positions)
-            if d:
-                out[exps] = coeff * d
-        return Polynomial(p.n, out)
+    def rule(exps: Monomial) -> Terms:
+        d = degree(exps)
+        return {exps: Fraction(d)} if d else {}
 
-    return LinearOperator(apply, f"E{{{','.join(map(str, subset))}}}")
+    return LinearOperator(rule, f"E{{{_name(subset)}}}")
 
 
 def gamma(params: ParameterSet, A: Iterable[int]) -> Fraction:
     """|A|/2 plus the sum of the deformation parameters over A."""
     subset = normalize_subset(A, params.n)
     return Fraction(len(subset), 2) + sum(params.mu_of(i) for i in subset)
+
+
+def _scaled(op: LinearOperator, c: Fraction) -> Callable[[Monomial], Terms]:
+    return lambda exps: {e: v * c for e, v in op._image(exps).items()}
 
 
 def su11_triple(
@@ -158,15 +211,12 @@ def su11_triple(
     """
     subset = normalize_subset(A, params.n)
     gam = gamma(params, subset)
-    eul = euler(subset, params.n)
-    nrm = norm_square_mul(subset, params.n)
-    lap = laplace(params, subset)
-
+    degree = _degree_over([i - 1 for i in subset])
     half = Fraction(1, 2)
-    name = ",".join(map(str, subset))
-    a0 = LinearOperator(lambda p: (eul(p) + p.scale(gam)).scale(half), f"A0{{{name}}}")
-    j_plus = LinearOperator(lambda p: nrm(p).scale(half), f"J+{{{name}}}")
-    j_minus = LinearOperator(lambda p: lap(p).scale(half), f"J-{{{name}}}")
+    name = _name(subset)
+    a0 = LinearOperator(lambda exps: {exps: (degree(exps) + gam) * half}, f"A0{{{name}}}")
+    j_plus = LinearOperator(_scaled(norm_square_mul(subset, params.n), half), f"J+{{{name}}}")
+    j_minus = LinearOperator(_scaled(laplace(params, subset), half), f"J-{{{name}}}")
     return a0, j_plus, j_minus
 
 
@@ -178,56 +228,53 @@ def casimir(params: ParameterSet, A: Iterable[int]) -> LinearOperator:
     """
     subset = normalize_subset(A, params.n)
     gam = gamma(params, subset)
-    eul = euler(subset, params.n)
+    degree = _degree_over([i - 1 for i in subset])
     nrm = norm_square_mul(subset, params.n)
     lap = laplace(params, subset)
-    quarter = Fraction(1, 4)
+    minus_quarter = Fraction(-1, 4)
 
-    def apply(p: Polynomial) -> Polynomial:
-        shifted = eul(p) + p.scale(gam)
-        shifted2 = eul(shifted) + shifted.scale(gam)
-        return (shifted2 - shifted.scale(2) - nrm(lap(p))).scale(quarter)
+    def rule(exps: Monomial) -> Terms:
+        shifted = degree(exps) + gam
+        diagonal = shifted * (shifted - 2) / 4
+        out: Terms = {exps: diagonal} if diagonal else {}
+        return _add_image(out, nrm, lap._image(exps), minus_quarter)
 
-    return LinearOperator(apply, f"C{{{','.join(map(str, subset))}}}")
+    return LinearOperator(rule, f"C{{{_name(subset)}}}")
 
 
 def angular(params: ParameterSet, i: int, j: int) -> LinearOperator:
     """Deformed angular momentum x_i T_j - x_j T_i; requires i != j."""
     if i == j:
         raise ValueError("angular momentum needs two distinct indices")
-    ti = dunkl(params, i)
-    tj = dunkl(params, j)
-    pos_i, pos_j = i - 1, j - 1
+    ti, tj = dunkl(params, i), dunkl(params, j)
+    xi, xj = _coordinate_mul(i), _coordinate_mul(j)
+    minus_one = Fraction(-1)
 
-    def mul_var(p: Polynomial, pos: int) -> Polynomial:
-        return Polynomial(
-            p.n,
-            {e[:pos] + (e[pos] + 1,) + e[pos + 1:]: c for e, c in p.terms.items()},
-        )
+    def rule(exps: Monomial) -> Terms:
+        out = _add_image({}, xi, tj._image(exps))
+        return _add_image(out, xj, ti._image(exps), minus_one)
 
-    def apply(p: Polynomial) -> Polynomial:
-        return mul_var(tj(p), pos_i) - mul_var(ti(p), pos_j)
-
-    return LinearOperator(apply, f"L{i}{j}")
+    return LinearOperator(rule, f"L{i}{j}")
 
 
 def materialize_on_monomials(op: LinearOperator, n: int, k: int) -> RationalMatrix:
-    """Matrix of a degree-preserving operator on the monomials of degree k."""
+    """Matrix of a degree-preserving operator on the monomials of degree k.
+
+    Column j is the kept image of the j-th basis monomial.
+    """
     basis = monomial_basis(n, k)
     position = {exps: i for i, exps in enumerate(basis)}
-    images = []
-    for exps in basis:
-        image = op(Polynomial.monomial(n, exps))
-        if not image.is_zero and (not image.is_homogeneous() or image.degree() != k):
-            raise ImageEscapesSpan(
-                f"{op.descriptor} does not preserve homogeneous degree {k}"
-            )
-        images.append(image.terms)
+    images = [op._image(exps) for exps in basis]
     den = lcm(1, *(c.denominator for terms in images for c in terms.values()))
     rows: list[dict[int, int]] = [{} for _ in basis]
     for j, terms in enumerate(images):
         for exps, c in terms.items():
-            rows[position[exps]][j] = c.numerator * (den // c.denominator)
+            i = position.get(exps)
+            if i is None:
+                raise ImageEscapesSpan(
+                    f"{op.descriptor} does not preserve homogeneous degree {k}"
+                )
+            rows[i][j] = c.numerator * (den // c.denominator)
     return RationalMatrix.from_sparse(rows, den, len(basis))
 
 

@@ -88,6 +88,19 @@ class Polynomial:
         object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "_hash", None)
 
+    @classmethod
+    def _trusted(cls, n: int, terms: dict[Monomial, Fraction]) -> "Polynomial":
+        """Wrap terms that are already clean, without copying or checking.
+
+        The caller guarantees a dict that nothing else holds, mapping
+        length-n exponent tuples to nonzero Fractions.
+        """
+        self = object.__new__(cls)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "_hash", None)
+        return self
+
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial instances are immutable")
 
@@ -139,7 +152,7 @@ class Polynomial:
         parts: dict[int, dict[Monomial, Fraction]] = {}
         for exps, coeff in self.terms.items():
             parts.setdefault(sum(exps), {})[exps] = coeff
-        return {d: Polynomial(self.n, parts[d]) for d in sorted(parts)}
+        return {d: Polynomial._trusted(self.n, parts[d]) for d in sorted(parts)}
 
     def coefficient(self, exps: Iterable[int]) -> Fraction:
         return self.terms.get(tuple(exps), Fraction(0))
@@ -170,18 +183,22 @@ class Polynomial:
         self._require_same_dim(other)
         out = dict(self.terms)
         for exps, coeff in other.terms.items():
-            new = out.get(exps, Fraction(0)) + coeff
+            old = out.get(exps)
+            if old is None:
+                out[exps] = coeff
+                continue
+            new = old + coeff
             if new:
                 out[exps] = new
             else:
-                out.pop(exps, None)
-        return Polynomial(self.n, out)
+                del out[exps]
+        return Polynomial._trusted(self.n, out)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(self.n, {e: -c for e, c in self.terms.items()})
+        return Polynomial._trusted(self.n, {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, Polynomial):
@@ -195,7 +212,7 @@ class Polynomial:
                         out[exps] = new
                     else:
                         out.pop(exps, None)
-            return Polynomial(self.n, out)
+            return Polynomial._trusted(self.n, out)
         return self.scale(other)
 
     def __rmul__(self, other):
@@ -205,7 +222,7 @@ class Polynomial:
         c = Fraction(c)
         if c == 0:
             return Polynomial.zero(self.n)
-        return Polynomial(self.n, {e: coeff * c for e, coeff in self.terms.items()})
+        return Polynomial._trusted(self.n, {e: coeff * c for e, coeff in self.terms.items()})
 
     def __pow__(self, k: int) -> "Polynomial":
         if k < 0:
@@ -242,12 +259,12 @@ class Polynomial:
                 out[lowered] = new
             else:
                 out.pop(lowered, None)
-        return Polynomial(self.n, out)
+        return Polynomial._trusted(self.n, out)
 
     def reflect(self, i: int) -> "Polynomial":
         """Sign flip x_i -> -x_i; negates terms odd in x_i."""
         pos = self._check_index(i)
-        return Polynomial(
+        return Polynomial._trusted(
             self.n,
             {e: (-c if e[pos] % 2 else c) for e, c in self.terms.items()},
         )
@@ -263,12 +280,12 @@ class Polynomial:
                     f"term with exponents {exps} has no factor x{i}"
                 )
             out[exps[:pos] + (e - 1,) + exps[pos + 1:]] = coeff
-        return Polynomial(self.n, out)
+        return Polynomial._trusted(self.n, out)
 
     def restrict_to_zero(self, i: int) -> "Polynomial":
         """Set x_i = 0: keep only terms with exponent 0 in x_i."""
         pos = self._check_index(i)
-        return Polynomial(
+        return Polynomial._trusted(
             self.n, {e: c for e, c in self.terms.items() if e[pos] == 0}
         )
 

@@ -57,7 +57,10 @@ def test_criterion_01_su11_brackets():
     report = verify_su11(params, 6)
     _require(report, 1)
     assert len(report) == 7 * 3 * 7  # subsets x relations x degrees 0..6
-    _passed(1, "su(1,1) bracket identities, n=3, all subsets, degrees <= 6")
+    report = verify_su11(ParameterSet.default(4), 4)
+    _require(report, 1)
+    assert len(report) == 15 * 3 * 5
+    _passed(1, "su(1,1) bracket identities, all subsets, n=3 (k<=6), n=4 (k<=4)")
 
 
 def test_criterion_02_racah_relations_all_ranks():
@@ -73,7 +76,13 @@ def test_criterion_03_central_commutation():
         params = ParameterSet.default(n)
         _require(verify_casimir_laplacian_commute(params, 4), 3)
         _require(verify_nested_disjoint_commute(params, 4), 3)
-    _passed(3, "invariants commute with the full Laplacian and with nested/disjoint invariants, n<=4, k<=4")
+    report = verify_casimir_laplacian_commute(ParameterSet.default(5), 4)
+    _require(report, 3)
+    assert len(report) == 31 * 5  # subsets x degrees 0..4
+    _passed(
+        3,
+        "invariants commute with the full Laplacian (n<=5) and with nested/disjoint invariants (n<=4), k<=4",
+    )
 
 
 def test_criterion_04_pairwise_commutation_pattern():

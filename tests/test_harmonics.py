@@ -116,6 +116,19 @@ def test_tower_elements_harmonic_and_parity():
                     assert reflected == -el.poly
 
 
+def test_tower_equals_per_label_realization():
+    # the tower shares Laplacians and prefix harmonics across labels;
+    # realize_label lifts every label from scratch and is the reference
+    p4 = ParameterSet.make(["2/3", "5", "1/7", "3/2"])
+    for params, orders in ((P3, (None, (3, 1, 2))), (p4, ((1, 2, 3, 4), (2, 4, 3, 1)))):
+        for order in orders:
+            for k in range(5):
+                labels = enumerate_labels(params.n, k, order)
+                tower = build_basis_tower(params, k, order)
+                assert [el.label for el in tower] == labels
+                assert [el.poly for el in tower] == [realize_label(params, l) for l in labels]
+
+
 def test_tower_linear_independence():
     for k in range(5):
         elements = build_basis_tower(P3, k)

@@ -202,7 +202,7 @@ def test_subset_additivity_on_triple():
 
 
 def test_materialize_identity():
-    identity = LinearOperator(lambda p: p, "1")
+    identity = LinearOperator(lambda exps: {exps: Fraction(1)}, "1")
     assert materialize_on_monomials(identity, 2, 2) == RationalMatrix.identity(3)
     basis = [P(2, "1 * x1^2 + 1 * x2^2"), P(2, "1 * x1 x2")]
     assert materialize(identity, 2, basis) == RationalMatrix.identity(2)
@@ -221,6 +221,6 @@ def test_materialize_on_basis_and_escape():
     basis = [el.poly for el in build_basis_tower(PARAMS, 3)]
     assert materialize(c12, 3, basis).shape == (len(basis), len(basis))
     # multiplication by x1 leaves the harmonic span
-    x1 = LinearOperator(lambda p: Polynomial.variable(3, 1) * p, "x1")
+    x1 = LinearOperator(lambda exps: {(exps[0] + 1,) + exps[1:]: Fraction(1)}, "x1")
     with pytest.raises(ImageEscapesSpan):
         materialize(x1, 3, basis)
