@@ -117,15 +117,6 @@ def _parse_blocks(text: str, n: int) -> tuple[tuple[int, ...], ...]:
     return blocks
 
 
-def _emit(obj, cfg: RunConfig) -> None:
-    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
-    if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 def _emit_text(text: str, cfg: RunConfig) -> None:
     if cfg.out:
         with open(cfg.out, "w", encoding="utf-8") as fh:
@@ -192,7 +183,7 @@ def cmd_verify(args) -> int:
         report = verify_spectral_action(params, cfg.bound(4), order)
     else:  # pragma: no cover - argparse restricts choices
         raise ConfigError(f"unknown suite {suite!r}")
-    _emit(report.to_json_obj(), cfg)
+    _emit_text(json.dumps(report.to_json_obj(), indent=2, sort_keys=True) + "\n", cfg)
     if len(report) == 0:
         print(f"no identity checked: the {suite} suite is empty", file=sys.stderr)
         return 1
@@ -209,7 +200,7 @@ def cmd_basis(args) -> int:
         _emit_text(text, cfg)
         return 0
     elements = build_basis_tower(params, args.k, order)
-    _emit(basis_to_json_obj(elements), cfg)
+    _emit_text(json.dumps(basis_to_json_obj(elements), indent=2, sort_keys=True) + "\n", cfg)
     return 0
 
 
@@ -247,7 +238,7 @@ def cmd_connect(args) -> int:
             data = tridiagonal_check(params, casimir(params, pair), source, expected)
             report.extend(data.report)
             payload["tridiagonal"] = report.to_json_obj()
-    _emit(payload, cfg)
+    _emit_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", cfg)
     return 0 if report.ok else 1
 
 
@@ -259,7 +250,7 @@ def cmd_graph(args) -> int:
     if cfg.fmt == "dot":
         _emit_text(graph.to_dot(), cfg)
     else:
-        _emit(graph.to_json_obj(), cfg)
+        _emit_text(json.dumps(graph.to_json_obj(), indent=2, sort_keys=True) + "\n", cfg)
     return 0
 
 
@@ -275,7 +266,8 @@ def cmd_racah(args) -> int:
         raise ConfigError(
             f"no module with parities {epsilon} at total degree {args.degree}"
         )
-    _emit(recurrence_table_json(params, epsilon, args.degree), cfg)
+    table = recurrence_table_json(params, epsilon, args.degree)
+    _emit_text(json.dumps(table, indent=2, sort_keys=True) + "\n", cfg)
     return 0
 
 
@@ -292,7 +284,7 @@ def cmd_spectrum(args) -> int:
         rows.append(
             {"label": el.label.to_json_obj(), "degree": args.k, "eigenvalues": values}
         )
-    _emit(rows, cfg)
+    _emit_text(json.dumps(rows, indent=2, sort_keys=True) + "\n", cfg)
     return 0
 
 

@@ -52,7 +52,11 @@ def fischer_pairing(params: ParameterSet, p: Polynomial, q: Polynomial) -> Fract
     n = params.n
     if p.n != n or q.n != n:
         raise ValueError("dimension mismatch")
-    ops = [dunkl(params, i) for i in range(1, n + 1)]
+    return _pairing([dunkl(params, i) for i in range(1, n + 1)], p, q)
+
+
+def _pairing(ops: Sequence[LinearOperator], p: Polynomial, q: Polynomial) -> Fraction:
+    """fischer_pairing with the Dunkl operators, and their kept images, supplied."""
     total = Fraction(0)
     for exps, coeff in p.terms.items():
         work = q
@@ -91,9 +95,10 @@ def gram_matrix(
     params: ParameterSet, elements: Sequence[HarmonicBasisElement]
 ) -> PairingMatrix:
     polys = [el.poly for el in elements]
-    entries = tuple(
-        tuple(fischer_pairing(params, p, q) for q in polys) for p in polys
-    )
+    if any(p.n != params.n for p in polys):
+        raise ValueError("dimension mismatch")
+    ops = [dunkl(params, i) for i in range(1, params.n + 1)]
+    entries = tuple(tuple(_pairing(ops, p, q) for q in polys) for p in polys)
     return PairingMatrix(tuple(el.label for el in elements), entries)
 
 
@@ -229,58 +234,37 @@ def tridiagonal_check(
 
     report = Report()
     position_block = {pos: key for key, idx in blocks.items() for pos in idx}
-    cross = None
-    for i in range(m):
-        for j in range(m):
-            if entries[i][j] != 0 and position_block[i] != position_block[j]:
-                cross = (i, j)
-                break
-        if cross:
-            break
-    report.add(
-        "parity-block-structure",
-        (),
-        degree,
-        cross is None,
-        None if cross is None else f"entry {cross} crosses parity blocks",
+    cross = next(
+        (
+            f"entry {(i, j)} crosses parity blocks"
+            for i in range(m)
+            for j in range(m)
+            if entries[i][j] != 0 and position_block[i] != position_block[j]
+        ),
+        None,
     )
+    report.add("parity-block-structure", (), degree, cross)
 
     for key, idx in sorted(blocks.items()):
-        bad = None
-        for a, i in enumerate(idx):
-            for b, j in enumerate(idx):
-                if abs(a - b) > 1 and entries[i][j] != 0:
-                    bad = (i, j)
-                    break
-            if bad:
-                break
-        report.add(
-            "tridiagonal-within-block",
-            key,
-            degree,
-            bad is None,
-            None if bad is None else f"entry {bad} is outside the band",
+        outside = next(
+            (
+                f"entry {(i, j)} is outside the band"
+                for a, i in enumerate(idx)
+                for b, j in enumerate(idx)
+                if abs(a - b) > 1 and entries[i][j] != 0
+            ),
+            None,
         )
+        report.add("tridiagonal-within-block", key, degree, outside)
 
     data = TridiagonalData(entries, blocks, report)
     if expected is not None:
         for key, (diag, offsq) in sorted(expected.items()):
-            got_diag = data.block_diagonal(key)
-            got_off = data.block_offdiagonal_products(key)
-            report.add(
-                "diagonal-matches",
-                key,
-                degree,
-                got_diag == list(diag),
-                None if got_diag == list(diag) else f"{got_diag} != {list(diag)}",
-            )
-            report.add(
-                "offdiagonal-products-match",
-                key,
-                degree,
-                got_off == list(offsq),
-                None if got_off == list(offsq) else f"{got_off} != {list(offsq)}",
-            )
+            for relation, got, want in (
+                ("diagonal-matches", data.block_diagonal(key), list(diag)),
+                ("offdiagonal-products-match", data.block_offdiagonal_products(key), list(offsq)),
+            ):
+                report.add(relation, key, degree, None if got == want else f"{got} != {want}")
     return data
 
 
@@ -359,24 +343,14 @@ def rank_one_overlap(
     polys = racah_recurrence_polys(rp, sd, m)
 
     report = Report()
-    distinct = len(set(mus)) == len(mus)
-    report.add(
-        "distinct-spectrum",
-        tuple(order),
-        d3,
-        distinct,
-        None if distinct else f"repeated eigenvalues in {mus}",
-    )
-    if distinct:
+    repeated = None if len(set(mus)) == len(mus) else f"repeated eigenvalues in {mus}"
+    report.add("distinct-spectrum", order, d3, repeated)
+    if repeated is None:
         uppers = [entries[t - 1][t] for t in range(1, m)]
         for s in range(m):
             w0 = w.at(s, 0)
-            report.add(
-                "leading-connection-coefficient-nonzero",
-                (s,),
-                d3,
-                w0 != 0,
-            )
+            vanishing = f"W[{s}][0] = 0" if w0 == 0 else None
+            report.add("leading-connection-coefficient-nonzero", (s,), d3, vanishing)
             if w0 == 0:
                 continue
             shifted = mus[s] + rp.tau
@@ -390,13 +364,8 @@ def rank_one_overlap(
                 if v_k != expected:
                     mismatch = f"k={k}: {v_k} != {expected}"
                     break
-            report.add("monic-ratios-match-recurrence", (s,), d3, mismatch is None, mismatch)
+            report.add("monic-ratios-match-recurrence", (s,), d3, mismatch)
             boundary = polys[m].evaluate([shifted])
-            report.add(
-                "recurrence-boundary-root",
-                (s,),
-                d3,
-                boundary == 0,
-                None if boundary == 0 else f"H_{m}({shifted}) = {boundary}",
-            )
+            root = None if boundary == 0 else f"H_{m}({shifted}) = {boundary}"
+            report.add("recurrence-boundary-root", (s,), d3, root)
     return RankOneOverlap(w, entries, mus, sd, rp, report)

@@ -26,7 +26,7 @@ from typing import Iterable, Iterator, Sequence
 from .linalg import matrix_rank, solve_in_span
 from .operators import LinearOperator, gamma, laplace, norm_square_poly
 from .poly import Monomial, ParameterSet, Polynomial, monomial_basis, poly_to_vector
-from .report import Report
+from .report import Report, first_witness
 
 
 def raising_factorial(x: Fraction, j: int) -> Fraction:
@@ -98,10 +98,6 @@ class HarmonicLabel:
     def prefix(self, m: int) -> tuple[int, ...]:
         """The first m variables of the order, as a sorted subset."""
         return tuple(sorted(self.order[:m]))
-
-    def parity_of_variable(self, i: int) -> int:
-        """Reflection parity of the realized polynomial in variable i."""
-        return self.epsilon[self.order.index(i)]
 
     def variable_parities(self) -> tuple[int, ...]:
         """Parities keyed by variable (index i-1 holds the parity in x_i)."""
@@ -411,15 +407,8 @@ def verify_power_action(
         * falling_factorial(ell + k - 1 + gam, j)
     )
     rhs = (nrm ** (k - j) * h).scale(factor)
-    diff = lhs - rhs
     report = Report()
-    report.add(
-        "laplacian-power-action",
-        (ell, j, k),
-        ell + 2 * k,
-        diff.is_zero,
-        None if diff.is_zero else diff.to_text(),
-    )
+    report.add("laplacian-power-action", (ell, j, k), ell + 2 * k, first_witness([lhs - rhs]))
     return report
 
 
@@ -431,23 +420,11 @@ def verify_tower(params: ParameterSet, kmax: int) -> Report:
     report = Report()
     for k in range(kmax + 1):
         elements = build_basis_tower(params, k)
-
-        witness = None
-        for el in elements:
-            image = lap(el.poly)
-            if not image.is_zero:
-                witness = image.to_text()
-                break
-        report.add("tower-element-harmonic", (), k, witness is None, witness)
+        report.add("tower-element-harmonic", (), k, first_witness(lap(el.poly) for el in elements))
 
         expected = harmonic_space_dim(n, k)
-        report.add(
-            "tower-count",
-            (),
-            k,
-            len(elements) == expected,
-            None if len(elements) == expected else f"{len(elements)} != {expected}",
-        )
+        count = len(elements)
+        report.add("tower-count", (), k, None if count == expected else f"{count} != {expected}")
 
         support: set[Monomial] = set()
         for el in elements:
@@ -455,13 +432,8 @@ def verify_tower(params: ParameterSet, kmax: int) -> Report:
         support_list = sorted(support)
         vectors = [poly_to_vector(el.poly, support_list) for el in elements]
         rank = matrix_rank(vectors) if vectors else 0
-        report.add(
-            "tower-linear-independence",
-            (),
-            k,
-            rank == len(elements),
-            None if rank == len(elements) else f"rank {rank} < {len(elements)}",
-        )
+        witness = None if rank == count else f"rank {rank} < {count}"
+        report.add("tower-linear-independence", (), k, witness)
     return report
 
 
@@ -491,9 +463,9 @@ def verify_extension_restrictions(params: ParameterSet, kmax: int) -> Report:
                 odd_bad = p.to_text()
             if harm_bad is None and not (lap(ext0).is_zero and lap(ext1).is_zero):
                 harm_bad = p.to_text()
-        report.add("extension-restriction-even", (), k, even_bad is None, even_bad)
-        report.add("extension-derivative-restriction-odd", (), k, odd_bad is None, odd_bad)
-        report.add("extension-harmonic", (), k, harm_bad is None, harm_bad)
+        report.add("extension-restriction-even", (), k, even_bad)
+        report.add("extension-derivative-restriction-odd", (), k, odd_bad)
+        report.add("extension-harmonic", (), k, harm_bad)
     return report
 
 
@@ -510,7 +482,7 @@ def verify_closed_form(params: ParameterSet, kmax: int) -> Report:
                 witness = (closed - tower).to_text()
                 bad_label = (label.epsilon, label.ell)
                 break
-        report.add("closed-form-matches-tower", bad_label, k, witness is None, witness)
+        report.add("closed-form-matches-tower", bad_label, k, witness)
     return report
 
 
@@ -528,14 +500,8 @@ def verify_spectral_action(
         for el in build_basis_tower(params, k, order):
             for m in range(2, n + 1):
                 value = casimir_eigenvalue(params, el.label, m)
-                diff = ops[m](el.poly) - el.poly.scale(value)
-                report.add(
-                    "spectral-action",
-                    (m, el.label.epsilon, el.label.ell),
-                    k,
-                    diff.is_zero,
-                    None if diff.is_zero else diff.to_text(),
-                )
+                witness = first_witness([ops[m](el.poly) - el.poly.scale(value)])
+                report.add("spectral-action", (m, el.label.epsilon, el.label.ell), k, witness)
     return report
 
 
@@ -550,13 +516,7 @@ def verify_power_action_sweep(
                 for j in range(k + 1):
                     sub = verify_power_action(params, el.poly, ell, j, k)
                     for res in sub:
-                        report.add(
-                            res.relation,
-                            (ell, j, k, t),
-                            res.degree,
-                            res.ok,
-                            res.first_discrepancy,
-                        )
+                        report.add(res.relation, (ell, j, k, t), res.degree, res.first_discrepancy)
     return report
 
 

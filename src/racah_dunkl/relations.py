@@ -1,10 +1,12 @@
 """Exhaustive verification of the symmetry-algebra identities.
 
 Every check here materializes both sides of an operator identity on the
-monomial basis of a homogeneous degree and compares the resulting exact
-matrices (or, for operators that change degree, compares images of every
-basis monomial directly).  A sweep returns a Report; a failing entry
-carries the first discrepancy as a serialized polynomial witness.
+monomial basis of a homogeneous degree and forms their exact difference
+(or, for operators that change degree, the difference of the images of
+every basis monomial).  Each relation family is a generator of
+(relation, index tuple, discrepancy) triples; one loop turns each
+discrepancy into a witness, the first nonzero column as a polynomial, and
+records it.  A check fails exactly when it has a witness.
 
 The quadratic-algebra sweeps cache the pair invariants and their
 commutators as integer-scaled matrices, since the same generators appear
@@ -26,7 +28,7 @@ from .operators import (
     su11_triple,
 )
 from .poly import ParameterSet, Polynomial, monomial_basis
-from .report import Report
+from .report import Report, first_witness
 
 # Degree bounds keeping full relation sweeps in seconds-to-minutes.
 _DEFAULT_BOUNDS = {3: 6, 4: 4, 5: 4, 6: 3}
@@ -104,11 +106,6 @@ class RelationWorkspace:
     def f(self, i: int, j: int, m: int) -> RationalMatrix:
         return self.f_mat[(i, j, m)]
 
-    def record(
-        self, report: Report, relation: str, idx: tuple, diff: RationalMatrix
-    ) -> None:
-        _record_matrix_check(report, relation, idx, self.k, self.n, self.basis, diff)
-
 
 def _matrix_witness(n: int, basis, diff: RationalMatrix) -> str | None:
     """First nonzero column of a discrepancy matrix, as a polynomial."""
@@ -123,30 +120,21 @@ def _matrix_witness(n: int, basis, diff: RationalMatrix) -> str | None:
     return Polynomial(n, terms).to_text()
 
 
-def _record_matrix_check(
-    report: Report,
-    relation: str,
-    idx: tuple,
-    k: int,
-    n: int,
-    basis,
-    diff: RationalMatrix,
-) -> None:
-    ok = diff.is_zero
-    report.add(relation, idx, k, ok, None if ok else _matrix_witness(n, basis, diff))
+def _record(report: Report, k: int, n: int, basis, discrepancies) -> None:
+    """Record each (relation, index tuple, discrepancy matrix) on degree k."""
+    for relation, idx, diff in discrepancies:
+        report.add(relation, idx, k, _matrix_witness(n, basis, diff))
 
 
-def verify_su11(params: ParameterSet, kmax: int, subsets=None) -> Report:
+def verify_su11(params: ParameterSet, kmax: int) -> Report:
     """Bracket identities of the raising/lowering triple, on all degrees <= kmax.
 
     For each subset A the three identities [A0, J+] = J+, [A0, J-] = -J-
     and [J-, J+] = 2 A0 are applied to every monomial of every degree.
     """
     n = params.n
-    if subsets is None:
-        subsets = nonempty_subsets(n)
     report = Report()
-    for A in subsets:
+    for A in nonempty_subsets(n):
         a0, jp, jm = su11_triple(params, A)
         checks = (
             ("su11-raising", lambda p: a0(jp(p)) - jp(a0(p)) - jp(p)),
@@ -155,21 +143,12 @@ def verify_su11(params: ParameterSet, kmax: int, subsets=None) -> Report:
         )
         for k in range(kmax + 1):
             for relation, diff_fn in checks:
-                witness = None
-                for exps in monomial_basis(n, k):
-                    diff = diff_fn(Polynomial.monomial(n, exps))
-                    if not diff.is_zero:
-                        witness = diff.to_text()
-                        break
-                report.add(relation, tuple(A), k, witness is None, witness)
+                diffs = (diff_fn(Polynomial.monomial(n, e)) for e in monomial_basis(n, k))
+                report.add(relation, tuple(A), k, first_witness(diffs))
     return report
 
 
-def verify_racah_relations(
-    params: ParameterSet,
-    kmax: int | None = None,
-    include_drinfeld_kohno: bool = True,
-) -> Report:
+def verify_racah_relations(params: ParameterSet, kmax: int | None = None) -> Report:
     """Full sweep of the quadratic-algebra relations on degrees <= kmax.
 
     Covers, for every admissible tuple of distinct indices:
@@ -182,8 +161,9 @@ def verify_racah_relations(
     * [F_ijk, F_klm] = F_ilm P_jk - P_ik F_jlm         (needs n >= 5);
 
     together with the closed forms of the one- and two-index invariants,
-    the subset additivity of the invariants, and (optionally) the
-    commutativity pattern of the two-index invariants.
+    the subset additivity of the invariants, and the commutativity pattern
+    of the two-index invariants.  A family whose index tuples need more
+    coordinates than n has no instances and records nothing.
     """
     n = params.n
     if n < 3:
@@ -193,30 +173,30 @@ def verify_racah_relations(
     report = Report()
     for k in range(kmax + 1):
         ws = RelationWorkspace(params, k)
-        _check_single_invariant_form(ws, report)
-        _check_pair_invariant_form(ws, report)
-        _check_subset_additivity(ws, report)
-        _check_f_from_angular(ws, report)
-        _check_triple_relation(ws, report)
-        if n >= 4:
-            _check_quad_pf_relation(ws, report)
-            _check_quad_ff_relation(ws, report)
-        if n >= 5:
-            _check_quint_ff_relation(ws, report)
-        if include_drinfeld_kohno:
-            _drinfeld_kohno_on_workspace(ws, report)
+        for family in (
+            _single_invariant_form,
+            _pair_invariant_form,
+            _subset_additivity,
+            _f_from_angular,
+            _triple_relation,
+            _quad_pf_relation,
+            _quad_ff_relation,
+            _quint_ff_relation,
+            _drinfeld_kohno,
+        ):
+            _record(report, k, n, ws.basis, family(ws))
     return report
 
 
-def _check_single_invariant_form(ws: RelationWorkspace, report: Report) -> None:
+def _single_invariant_form(ws: RelationWorkspace):
     # generic quadratic invariant of one index vs its reflection closed form
     for i in range(1, ws.n + 1):
         ci = materialize_on_monomials(casimir(ws.params, (i,)), ws.n, ws.k)
         diff = ci - RationalMatrix.diagonal(ws.c1(i))
-        ws.record(report, "single-invariant-closed-form", (i,), diff)
+        yield "single-invariant-closed-form", (i,), diff
 
 
-def _check_pair_invariant_form(ws: RelationWorkspace, report: Report) -> None:
+def _pair_invariant_form(ws: RelationWorkspace):
     # 4 C_ij + L_ij^2 - (mu_i r_i + mu_j r_j)^2 + 1 = 0
     params = ws.params
     for i, j in combinations(range(1, ws.n + 1), 2):
@@ -231,10 +211,10 @@ def _check_pair_invariant_form(ws: RelationWorkspace, report: Report) -> None:
             - RationalMatrix.diagonal(square_diag)
             + RationalMatrix.identity(ws.dim)
         )
-        ws.record(report, "pair-invariant-angular-form", (i, j), diff)
+        yield "pair-invariant-angular-form", (i, j), diff
 
 
-def _check_subset_additivity(ws: RelationWorkspace, report: Report) -> None:
+def _subset_additivity(ws: RelationWorkspace):
     # C_A = sum of pair invariants minus (|A| - 2) * sum of single invariants
     for size in range(3, ws.n + 1):
         for A in combinations(range(1, ws.n + 1), size):
@@ -246,10 +226,10 @@ def _check_subset_additivity(ws: RelationWorkspace, report: Report) -> None:
             for i in A:
                 singles = [a + b for a, b in zip(singles, ws.c1(i))]
             total = total - RationalMatrix.diagonal(singles).scale(size - 2)
-            ws.record(report, "subset-additivity", A, ca - total)
+            yield "subset-additivity", A, ca - total
 
 
-def _check_f_from_angular(ws: RelationWorkspace, report: Report) -> None:
+def _f_from_angular(ws: RelationWorkspace):
     params = ws.params
     one = RationalMatrix.identity(ws.dim)
 
@@ -267,11 +247,11 @@ def _check_f_from_angular(ws: RelationWorkspace, report: Report) -> None:
             - ws.l2_mat[frozenset((j, m))] * refl_factor(mu_i, i)
             + (ws.l_mat[(i, m)] * ws.l_mat[(i, j)] * ws.l_mat[(j, m)]).scale(2)
         ).scale(Fraction(1, 16))
-        ws.record(report, "f-from-angular-momentum", idx, ws.f(i, j, m) - f_angular)
-        ws.record(report, "f-antisymmetry", idx, ws.f(m, j, i) + ws.f(i, j, m))
+        yield "f-from-angular-momentum", idx, ws.f(i, j, m) - f_angular
+        yield "f-antisymmetry", idx, ws.f(m, j, i) + ws.f(i, j, m)
 
 
-def _check_triple_relation(ws: RelationWorkspace, report: Report) -> None:
+def _triple_relation(ws: RelationWorkspace):
     for idx in permutations(range(1, ws.n + 1), 3):
         i, j, m = idx
         p_jm = ws.p(j, m)
@@ -282,18 +262,18 @@ def _check_triple_relation(ws: RelationWorkspace, report: Report) -> None:
             + ws.p(i, m).mul_diag_right(ws.c1(j)).scale(2)
             - ws.p(i, j).mul_diag_right(ws.c1(m)).scale(2)
         )
-        ws.record(report, "triple-relation", idx, lhs - rhs)
+        yield "triple-relation", idx, lhs - rhs
 
 
-def _check_quad_pf_relation(ws: RelationWorkspace, report: Report) -> None:
+def _quad_pf_relation(ws: RelationWorkspace):
     for idx in permutations(range(1, ws.n + 1), 4):
         i, j, m, l = idx
         lhs = ws.p(m, l).commutator(ws.f(i, j, m))
         rhs = ws.p(i, m) * ws.p(j, l) - ws.p(i, l) * ws.p(j, m)
-        ws.record(report, "quad-pf-relation", idx, lhs - rhs)
+        yield "quad-pf-relation", idx, lhs - rhs
 
 
-def _check_quad_ff_relation(ws: RelationWorkspace, report: Report) -> None:
+def _quad_ff_relation(ws: RelationWorkspace):
     for idx in permutations(range(1, ws.n + 1), 4):
         i, j, m, l = idx
         lhs = ws.f(i, j, m).commutator(ws.f(j, m, l))
@@ -303,31 +283,30 @@ def _check_quad_ff_relation(ws: RelationWorkspace, report: Report) -> None:
             - ws.f(i, m, l) * middle
             - ws.f(i, j, m) * ws.p(j, l)
         )
-        ws.record(report, "quad-ff-relation", idx, lhs - rhs)
+        yield "quad-ff-relation", idx, lhs - rhs
 
 
-def _check_quint_ff_relation(ws: RelationWorkspace, report: Report) -> None:
+def _quint_ff_relation(ws: RelationWorkspace):
     for idx in permutations(range(1, ws.n + 1), 5):
         i, j, m, l, q = idx
         lhs = ws.f(i, j, m).commutator(ws.f(m, l, q))
         rhs = ws.f(i, l, q) * ws.p(j, m) - ws.p(i, m) * ws.f(j, l, q)
-        ws.record(report, "quint-ff-relation", idx, lhs - rhs)
+        yield "quint-ff-relation", idx, lhs - rhs
 
 
-def _drinfeld_kohno_on_workspace(ws: RelationWorkspace, report: Report) -> None:
+def _drinfeld_kohno(ws: RelationWorkspace):
     n = ws.n
-    if n >= 4:
-        for i, j in combinations(range(1, n + 1), 2):
-            for m, l in combinations(range(1, n + 1), 2):
-                if (i, j) < (m, l) and not {i, j} & {m, l}:
-                    diff = ws.cp(i, j).commutator(ws.cp(m, l))
-                    ws.record(report, "disjoint-pairs-commute", (i, j, m, l), diff)
+    for i, j in combinations(range(1, n + 1), 2):
+        for m, l in combinations(range(1, n + 1), 2):
+            if (i, j) < (m, l) and not {i, j} & {m, l}:
+                diff = ws.cp(i, j).commutator(ws.cp(m, l))
+                yield "disjoint-pairs-commute", (i, j, m, l), diff
     for i, j in combinations(range(1, n + 1), 2):
         for m in range(1, n + 1):
             if m in (i, j):
                 continue
             diff = ws.cp(i, j).commutator(ws.cp(i, m) + ws.cp(j, m))
-            ws.record(report, "adjacent-pair-sum-commutes", (i, j, m), diff)
+            yield "adjacent-pair-sum-commutes", (i, j, m), diff
 
 
 def verify_drinfeld_kohno(params: ParameterSet, kmax: int) -> Report:
@@ -335,7 +314,7 @@ def verify_drinfeld_kohno(params: ParameterSet, kmax: int) -> Report:
     report = Report()
     for k in range(kmax + 1):
         ws = RelationWorkspace(params, k)
-        _drinfeld_kohno_on_workspace(ws, report)
+        _record(report, k, params.n, ws.basis, _drinfeld_kohno(ws))
     return report
 
 
@@ -351,39 +330,37 @@ def verify_casimir_laplacian_commute(params: ParameterSet, kmax: int) -> Report:
     for A in nonempty_subsets(n):
         ca = casimir(params, A)
         for k in range(kmax + 1):
-            witness = None
-            for exps in monomial_basis(n, k):
-                p = Polynomial.monomial(n, exps)
-                diff = ca(lap(p)) - lap(ca(p))
-                if not diff.is_zero:
-                    witness = diff.to_text()
-                    break
-            report.add("invariant-commutes-with-laplacian", tuple(A), k, witness is None, witness)
+            monomials = (Polynomial.monomial(n, e) for e in monomial_basis(n, k))
+            diffs = (ca(lap(p)) - lap(ca(p)) for p in monomials)
+            report.add("invariant-commutes-with-laplacian", tuple(A), k, first_witness(diffs))
     return report
 
 
 def verify_nested_disjoint_commute(params: ParameterSet, kmax: int) -> Report:
     """[C_A, C_B] = 0 whenever A and B are nested or disjoint."""
     n = params.n
-    subsets = nonempty_subsets(n)
     report = Report()
     for k in range(kmax + 1):
-        basis = monomial_basis(n, k)
         mats = {
-            A: materialize_on_monomials(casimir(params, A), n, k) for A in subsets
+            A: materialize_on_monomials(casimir(params, A), n, k)
+            for A in nonempty_subsets(n)
         }
-        for a_idx, A in enumerate(subsets):
-            for B in subsets[a_idx + 1:]:
-                sa, sb = set(A), set(B)
-                if sa <= sb or sb <= sa:
-                    relation = "nested-invariants-commute"
-                elif not (sa & sb):
-                    relation = "disjoint-invariants-commute"
-                else:
-                    continue
-                diff = mats[A].commutator(mats[B])
-                _record_matrix_check(report, relation, (A, B), k, n, basis, diff)
+        _record(report, k, n, monomial_basis(n, k), _nested_disjoint_commutators(mats))
     return report
+
+
+def _nested_disjoint_commutators(mats: dict[tuple[int, ...], RationalMatrix]):
+    subsets = list(mats)
+    for a_idx, A in enumerate(subsets):
+        for B in subsets[a_idx + 1:]:
+            sa, sb = set(A), set(B)
+            if sa <= sb or sb <= sa:
+                relation = "nested-invariants-commute"
+            elif not (sa & sb):
+                relation = "disjoint-invariants-commute"
+            else:
+                continue
+            yield relation, (A, B), mats[A].commutator(mats[B])
 
 
 def verify_embedding(
@@ -408,12 +385,8 @@ def verify_embedding(
         raise ValueError("blocks K, L, M must be pairwise disjoint")
 
     report = Report()
-    idx = (K, L, M)
     for k in range(kmax + 1):
         basis = monomial_basis(n, k)
-
-        def check(relation: str, diff: RationalMatrix) -> None:
-            _record_matrix_check(report, relation, idx, k, n, basis, diff)
 
         def mat(subset: tuple[int, ...]) -> RationalMatrix:
             return materialize_on_monomials(casimir(params, subset), n, k)
@@ -423,30 +396,25 @@ def verify_embedding(
         c_km = mat(tuple(sorted(K + M)))
         c_lm = mat(tuple(sorted(L + M)))
         c_klm = mat(tuple(sorted(K + L + M)))
-
-        check(
-            "embedding-additivity",
-            c_klm - (c_kl + c_km + c_lm - c_k - c_l - c_m),
-        )
-
         two_f = c_kl.commutator(c_lm)
-        check("embedding-f-consistency-1", two_f - c_km.commutator(c_kl))
-        check("embedding-f-consistency-2", two_f - c_lm.commutator(c_km))
-
         f = two_f.scale(Fraction(1, 2))
-        check(
-            "embedding-equitable-1",
-            c_kl.commutator(f)
-            - (c_lm * c_kl - c_kl * c_km + (c_l - c_k) * (c_m - c_klm)),
+        discrepancies = (
+            ("embedding-additivity", c_klm - (c_kl + c_km + c_lm - c_k - c_l - c_m)),
+            ("embedding-f-consistency-1", two_f - c_km.commutator(c_kl)),
+            ("embedding-f-consistency-2", two_f - c_lm.commutator(c_km)),
+            (
+                "embedding-equitable-1",
+                c_kl.commutator(f) - (c_lm * c_kl - c_kl * c_km + (c_l - c_k) * (c_m - c_klm)),
+            ),
+            (
+                "embedding-equitable-2",
+                c_lm.commutator(f) - (c_km * c_lm - c_lm * c_kl + (c_m - c_l) * (c_k - c_klm)),
+            ),
+            (
+                "embedding-equitable-3",
+                c_km.commutator(f) - (c_kl * c_km - c_km * c_lm + (c_k - c_m) * (c_l - c_klm)),
+            ),
         )
-        check(
-            "embedding-equitable-2",
-            c_lm.commutator(f)
-            - (c_km * c_lm - c_lm * c_kl + (c_m - c_l) * (c_k - c_klm)),
-        )
-        check(
-            "embedding-equitable-3",
-            c_km.commutator(f)
-            - (c_kl * c_km - c_km * c_lm + (c_k - c_m) * (c_l - c_klm)),
-        )
+        for relation, diff in discrepancies:
+            report.add(relation, (K, L, M), k, _matrix_witness(n, basis, diff))
     return report

@@ -2,13 +2,25 @@
 
 Every verification suite produces a Report: a flat list of per-identity
 check results.  A result names the relation, the index tuple it was
-instantiated with, the polynomial degree of the test space, a status, and
-(on failure) the first witnessing discrepancy as a serialized polynomial.
+instantiated with, the polynomial degree of the test space, and the first
+witnessing discrepancy, serialized as text.  A check fails exactly when it
+has a witness: Report.add takes only the witness, and the status follows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable
+
+from .poly import Polynomial
+
+
+def first_witness(discrepancies: Iterable[Polynomial]) -> str | None:
+    """Text of the first nonzero polynomial of a lazy stream, else None.
+
+    The stream is consumed only up to its first nonzero member.
+    """
+    return next((d.to_text() for d in discrepancies if not d.is_zero), None)
 
 
 @dataclass(frozen=True)
@@ -40,21 +52,12 @@ class Report:
     results: list[CheckResult] = field(default_factory=list)
 
     def add(
-        self,
-        relation: str,
-        index_tuple: tuple,
-        degree: int,
-        ok: bool,
-        discrepancy: str | None = None,
+        self, relation: str, index_tuple: tuple, degree: int, witness: str | None
     ) -> None:
+        """Record one check: it fails exactly when witness is not None."""
+        status = "ok" if witness is None else "fail"
         self.results.append(
-            CheckResult(
-                relation=relation,
-                index_tuple=tuple(index_tuple),
-                degree=degree,
-                status="ok" if ok else "fail",
-                first_discrepancy=None if ok else discrepancy,
-            )
+            CheckResult(relation, tuple(index_tuple), degree, status, witness)
         )
 
     def extend(self, other: "Report") -> None:
@@ -76,4 +79,3 @@ class Report:
 
     def to_json_obj(self) -> list[dict]:
         return [r.to_json_obj() for r in self.results]
-

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from racah_dunkl import (
+    LinearOperator,
     ParameterSet,
     Polynomial,
     SpanMismatch,
@@ -21,10 +22,12 @@ from racah_dunkl import (
     rank_one_overlap,
     tridiagonal_check,
 )
-from racah_dunkl.connection import module_basis
+from racah_dunkl import connection
+from racah_dunkl.connection import ConnectionMatrix, module_basis
 from racah_dunkl.harmonics import HarmonicBasisElement
 from racah_dunkl.linalg import leading_principal_minors
 from racah_dunkl.racah import SpectralData
+from racah_dunkl.report import CheckResult
 
 P3 = ParameterSet.make(["1/2", "1/3", "1/4"])
 
@@ -70,6 +73,25 @@ def test_pairing_positive_definite_on_monomials():
         assert pm.is_symmetric()
         minors = leading_principal_minors([list(row) for row in pm.entries])
         assert all(m > 0 for m in minors)
+
+
+def test_gram_matrix_builds_the_dunkl_operators_once(monkeypatch):
+    elements = build_basis_tower(P3, 6)
+    assert len(elements) == 13
+    per_pair = tuple(
+        tuple(fischer_pairing(P3, a.poly, b.poly) for b in elements) for a in elements
+    )
+    built = []
+    real = connection.dunkl
+
+    def counting(params, i):
+        built.append(i)
+        return real(params, i)
+
+    monkeypatch.setattr(connection, "dunkl", counting)
+    pm = gram_matrix(P3, elements)
+    assert built == [1, 2, 3]
+    assert pm.entries == per_pair
 
 
 def test_invariants_self_adjoint():
@@ -226,6 +248,17 @@ def test_tridiagonal_check_flags_wrong_expectation():
     assert any(r.relation == "diagonal-matches" and not r.ok for r in data.report)
 
 
+def test_band_witness_names_the_first_entry_outside_the_band():
+    # the square of C13 is pentadiagonal on the (C12, C123) module basis
+    c13 = casimir(P3, (1, 3))
+    square = LinearOperator(lambda e: dict(c13(c13(Polynomial.monomial(3, e))).terms), "C13^2")
+    data = tridiagonal_check(P3, square, module_basis(P3, (0, 0, 0), 4))
+    assert [(r.relation, r.first_discrepancy) for r in data.report] == [
+        ("parity-block-structure", None),
+        ("tridiagonal-within-block", "entry (0, 2) is outside the band"),
+    ]
+
+
 def test_tridiagonal_full_degree_basis_blocks():
     # a full tower basis mixes parity sectors; the second-pair invariant
     # must stay inside each sector and be tridiagonal there
@@ -253,6 +286,26 @@ def test_rank_one_overlap_main_example():
         "monic-ratios-match-recurrence",
         "recurrence-boundary-root",
     } <= checks
+
+
+def test_vanishing_leading_coefficient_has_a_witness(monkeypatch):
+    real = connection.connection_matrix
+
+    def zero_leading(params, source, target):
+        w = real(params, source, target)
+        rows = [list(row) for row in w.entries]
+        rows[1][0] = Fraction(0)
+        return ConnectionMatrix(w.from_labels, w.to_labels, tuple(map(tuple, rows)))
+
+    monkeypatch.setattr(connection, "connection_matrix", zero_leading)
+    report = rank_one_overlap(P3, (0, 0, 0), 4).report
+    assert report.failures == [
+        CheckResult("leading-connection-coefficient-nonzero", (1,), 4, "fail", "W[1][0] = 0")
+    ]
+    # the ratio checks of the vanishing row are skipped, the other rows still run
+    assert [r.index_tuple for r in report if r.relation == "recurrence-boundary-root"] == [
+        (0,), (2,)
+    ]
 
 
 def test_rank_one_overlap_all_parities_degree_five():

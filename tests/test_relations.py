@@ -21,9 +21,10 @@ from racah_dunkl import (
     verify_racah_relations,
     verify_su11,
 )
+from racah_dunkl import relations
 from racah_dunkl.poly import monomial_basis
-from racah_dunkl.relations import _record_matrix_check
-from racah_dunkl.report import Report
+from racah_dunkl.relations import _matrix_witness, _record
+from racah_dunkl.report import CheckResult, Report
 
 P3 = ParameterSet.make(["1/2", "1/3", "1/4"])
 
@@ -124,8 +125,9 @@ def test_union_invariant_independent_of_unused_parameters():
 
 
 def test_report_json_shape():
-    report = verify_su11(P3, 1, subsets=[(1,)])
+    report = verify_su11(P3, 1)
     obj = report.to_json_obj()
+    assert len(obj) == 7 * 3 * 2
     assert all(
         set(row) >= {"relation", "index_tuple", "degree", "status"} for row in obj
     )
@@ -146,18 +148,37 @@ def test_failure_witness_is_first_nonzero_column():
         ],
         12,
     )
-    report = Report()
-    _record_matrix_check(report, "triple-relation", (1, 2, 3), 2, 3, basis, diff)
-    (result,) = report.results
-    assert result.status == "fail"
-    assert result.first_discrepancy == "-1/6 * x1 x3 + 5/2 * x2^2 + -2 * x3^2"
+    witness = "-1/6 * x1 x3 + 5/2 * x2^2 + -2 * x3^2"
+    assert _matrix_witness(3, basis, diff) == witness
     # the same discrepancy reached through sparse arithmetic gives the same witness
     shifted = diff + RationalMatrix.identity(6).scale(Fraction(1, 5))
-    again = Report()
-    _record_matrix_check(
-        again, "triple-relation", (1, 2, 3), 2, 3, basis,
-        shifted - RationalMatrix.identity(6).scale(Fraction(1, 5)),
-    )
-    assert again.results == report.results
-    _record_matrix_check(again, "triple-relation", (1, 2, 3), 2, 3, basis, diff - diff)
-    assert again.results[-1].ok and again.results[-1].first_discrepancy is None
+    back = shifted - RationalMatrix.identity(6).scale(Fraction(1, 5))
+    assert _matrix_witness(3, basis, back) == witness
+    # the recording loop keeps the witness and derives the status from it
+    report = Report()
+    _record(report, 2, 3, basis, [
+        ("triple-relation", (1, 2, 3), back),
+        ("triple-relation", (1, 2, 3), diff - diff),
+    ])
+    assert report.results == [
+        CheckResult("triple-relation", (1, 2, 3), 2, "fail", witness),
+        CheckResult("triple-relation", (1, 2, 3), 2, "ok", None),
+    ]
+
+
+def test_su11_witness_is_first_nonzero_monomial_image(monkeypatch):
+    # doubling J- breaks only the bracket [J-, J+] = 2 A0, on every subset
+    triple = relations.su11_triple
+
+    def doubled_lowering(params, A):
+        a0, jp, jm = triple(params, A)
+        return a0, jp, lambda p: jm(p).scale(2)
+
+    monkeypatch.setattr(relations, "su11_triple", doubled_lowering)
+    failures = verify_su11(P3, 1).failures
+    assert {r.relation for r in failures} == {"su11-bracket"}
+    assert len(failures) == 7 * 2
+    assert failures[:2] == [
+        CheckResult("su11-bracket", (1,), 0, "fail", "1"),
+        CheckResult("su11-bracket", (1,), 1, "fail", "2 * x1"),
+    ]
