@@ -71,7 +71,7 @@ from .operators import (
     normalize_subset,
     su11_triple,
 )
-from .poly import Monomial, NotDivisible, ParameterSet, Polynomial, monomial_basis, poly_to_vector
+from .poly import Monomial, NotDivisible, ParameterSet, Polynomial, monomial_basis
 from .racah import (
     OmegaZero,
     RacahParameters,

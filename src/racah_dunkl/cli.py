@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .connection import connection_matrix, tridiagonal_check
@@ -61,29 +60,21 @@ class ConfigError(ValueError):
     pass
 
 
-@dataclass
-class RunConfig:
-    n: int
-    mu: tuple[str, ...] | None
-    kmax: int | None
-    order: tuple[int, ...] | None
-    out: str | None
-    fmt: str
+def _parameters(args) -> ParameterSet:
+    try:
+        if not args.mu:
+            return ParameterSet.default(args.n)
+        return ParameterSet(args.n, tuple(Fraction(m) for m in args.mu.split(",")))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ConfigError(str(exc)) from exc
 
-    def parameters(self) -> ParameterSet:
-        try:
-            if self.mu is None:
-                return ParameterSet.default(self.n)
-            return ParameterSet(self.n, tuple(Fraction(m) for m in self.mu))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ConfigError(str(exc)) from exc
 
-    def bound(self, default: int) -> int:
-        if self.kmax is None:
-            return default
-        if self.kmax < 0:
-            raise ConfigError(f"degree bound --kmax {self.kmax} is negative")
-        return self.kmax
+def _bound(args, default: int) -> int:
+    if args.kmax is None:
+        return default
+    if args.kmax < 0:
+        raise ConfigError(f"degree bound --kmax {args.kmax} is negative")
+    return args.kmax
 
 
 def _parse_ints(text: str) -> tuple[int, ...]:
@@ -117,46 +108,34 @@ def _parse_blocks(text: str, n: int) -> tuple[tuple[int, ...], ...]:
     return blocks
 
 
-def _emit_text(text: str, cfg: RunConfig) -> None:
-    if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
+def _emit_text(text: str, args) -> None:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
 
 
-def _config_from_args(args) -> RunConfig:
-    return RunConfig(
-        n=args.n,
-        mu=tuple(args.mu.split(",")) if args.mu else None,
-        kmax=args.kmax,
-        order=getattr(args, "order", None),
-        out=args.out,
-        fmt=getattr(args, "format", "json"),
-    )
-
-
 def cmd_verify(args) -> int:
-    cfg = _config_from_args(args)
-    params = cfg.parameters()
+    params = _parameters(args)
     suite = args.suite
     n = params.n
     if suite == "su11":
-        report = verify_su11(params, cfg.bound(6))
+        report = verify_su11(params, _bound(args, 6))
     elif suite == "racah":
         if n < 3:
             raise ConfigError("the relation suite needs n >= 3")
-        report = verify_racah_relations(params, cfg.bound(default_degree_bound(n)))
+        report = verify_racah_relations(params, _bound(args, default_degree_bound(n)))
     elif suite == "lemma1":
-        report = verify_casimir_laplacian_commute(params, cfg.bound(4))
+        report = verify_casimir_laplacian_commute(params, _bound(args, 4))
     elif suite == "lemma2":
         if n < 2:
             raise ConfigError("the nested/disjoint suite needs n >= 2")
-        report = verify_nested_disjoint_commute(params, cfg.bound(4))
+        report = verify_nested_disjoint_commute(params, _bound(args, 4))
     elif suite == "drinfeld-kohno":
         if n < 3:
             raise ConfigError("the commutativity suite needs n >= 3")
-        report = verify_drinfeld_kohno(params, cfg.bound(4))
+        report = verify_drinfeld_kohno(params, _bound(args, 4))
     elif suite == "embedding":
         if args.blocks:
             blocks = _parse_blocks(args.blocks, n)
@@ -166,24 +145,24 @@ def cmd_verify(args) -> int:
             blocks = ((1,), (2,), (3,))
         else:
             raise ConfigError("the embedding suite needs n >= 3")
-        report = verify_embedding(params, *blocks, cfg.bound(3))
+        report = verify_embedding(params, *blocks, _bound(args, 3))
     elif suite == "ck":
         if n < 2:
             raise ConfigError("the extension suite needs n >= 2")
         report = Report()
-        report.extend(verify_tower(params, cfg.bound(4)))
-        report.extend(verify_extension_restrictions(params, cfg.bound(4)))
-        report.extend(verify_closed_form(params, cfg.bound(4)))
+        report.extend(verify_tower(params, _bound(args, 4)))
+        report.extend(verify_extension_restrictions(params, _bound(args, 4)))
+        report.extend(verify_closed_form(params, _bound(args, 4)))
     elif suite == "lemma3":
-        report = verify_power_action_sweep(params, 2, cfg.bound(3))
+        report = verify_power_action_sweep(params, 2, _bound(args, 3))
     elif suite == "eigen":
         if n < 2:
             raise ConfigError("the spectral suite needs n >= 2")
         order = _parse_order(args.order, n) if args.order else None
-        report = verify_spectral_action(params, cfg.bound(4), order)
+        report = verify_spectral_action(params, _bound(args, 4), order)
     else:  # pragma: no cover - argparse restricts choices
         raise ConfigError(f"unknown suite {suite!r}")
-    _emit_text(json.dumps(report.to_json_obj(), indent=2, sort_keys=True) + "\n", cfg)
+    _emit_text(json.dumps(report.to_json_obj(), indent=2, sort_keys=True) + "\n", args)
     if len(report) == 0:
         print(f"no identity checked: the {suite} suite is empty", file=sys.stderr)
         return 1
@@ -191,22 +170,20 @@ def cmd_verify(args) -> int:
 
 
 def cmd_basis(args) -> int:
-    cfg = _config_from_args(args)
-    params = cfg.parameters()
+    params = _parameters(args)
     order = _parse_order(args.order, params.n)
-    if cfg.fmt == "csv":
+    if args.format == "csv":
         rows = dimension_table(params.n, args.k)
         text = "n,k,dim\n" + "".join(f"{a},{b},{c}\n" for a, b, c in rows)
-        _emit_text(text, cfg)
+        _emit_text(text, args)
         return 0
     elements = build_basis_tower(params, args.k, order)
-    _emit_text(json.dumps(basis_to_json_obj(elements), indent=2, sort_keys=True) + "\n", cfg)
+    _emit_text(json.dumps(basis_to_json_obj(elements), indent=2, sort_keys=True) + "\n", args)
     return 0
 
 
 def cmd_connect(args) -> int:
-    cfg = _config_from_args(args)
-    params = cfg.parameters()
+    params = _parameters(args)
     n = params.n
     from_order = _parse_order(args.from_order, n)
     to_order = _parse_order(args.to_order, n)
@@ -215,9 +192,9 @@ def cmd_connect(args) -> int:
     source = build_basis_tower(params, args.k, from_order)
     target = build_basis_tower(params, args.k, to_order)
     w = connection_matrix(params, source, target)
-    if cfg.fmt == "csv":
+    if args.format == "csv":
         text = "".join(",".join(str(x) for x in row) + "\n" for row in w.entries)
-        _emit_text(text, cfg)
+        _emit_text(text, args)
         return 0
     payload = {"connection": w.to_json_obj()}
     report = Report()
@@ -238,25 +215,23 @@ def cmd_connect(args) -> int:
             data = tridiagonal_check(params, casimir(params, pair), source, expected)
             report.extend(data.report)
             payload["tridiagonal"] = report.to_json_obj()
-    _emit_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", cfg)
+    _emit_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", args)
     return 0 if report.ok else 1
 
 
 def cmd_graph(args) -> int:
-    cfg = _config_from_args(args)
     if args.n < 3:
         raise ConfigError("the recoupling graph needs n >= 3")
     graph = build_graph(args.n)
-    if cfg.fmt == "dot":
-        _emit_text(graph.to_dot(), cfg)
+    if args.format == "dot":
+        _emit_text(graph.to_dot(), args)
     else:
-        _emit_text(json.dumps(graph.to_json_obj(), indent=2, sort_keys=True) + "\n", cfg)
+        _emit_text(json.dumps(graph.to_json_obj(), indent=2, sort_keys=True) + "\n", args)
     return 0
 
 
 def cmd_racah(args) -> int:
-    cfg = _config_from_args(args)
-    params = cfg.parameters()
+    params = _parameters(args)
     if params.n != 3:
         raise ConfigError("recurrence tables are three-variable objects")
     epsilon = _parse_ints(args.epsilon)
@@ -267,13 +242,12 @@ def cmd_racah(args) -> int:
             f"no module with parities {epsilon} at total degree {args.degree}"
         )
     table = recurrence_table_json(params, epsilon, args.degree)
-    _emit_text(json.dumps(table, indent=2, sort_keys=True) + "\n", cfg)
+    _emit_text(json.dumps(table, indent=2, sort_keys=True) + "\n", args)
     return 0
 
 
 def cmd_spectrum(args) -> int:
-    cfg = _config_from_args(args)
-    params = cfg.parameters()
+    params = _parameters(args)
     order = _parse_order(args.order, params.n) or tuple(range(1, params.n + 1))
     rows = []
     for el in build_basis_tower(params, args.k, order):
@@ -284,20 +258,27 @@ def cmd_spectrum(args) -> int:
         rows.append(
             {"label": el.label.to_json_obj(), "degree": args.k, "eigenvalues": values}
         )
-    _emit_text(json.dumps(rows, indent=2, sort_keys=True) + "\n", cfg)
+    _emit_text(json.dumps(rows, indent=2, sort_keys=True) + "\n", args)
     return 0
 
 
-def _add_common(parser: argparse.ArgumentParser, need_k: bool = False) -> None:
-    parser.add_argument("--n", type=int, default=3, help="ambient dimension")
-    parser.add_argument(
-        "--mu", help="comma-separated positive rationals, e.g. 1/2,1/3,1/4"
-    )
-    parser.add_argument("--kmax", type=int, default=None, help="degree bound")
-    parser.add_argument("--out", help="output path (default: stdout)")
-    parser.add_argument("--format", default="json", choices=("json", "csv", "dot"))
-    if need_k:
-        parser.add_argument("--k", type=int, required=True, help="homogeneous degree")
+_OPTIONS = {
+    "n": dict(type=int, default=3, help="ambient dimension"),
+    "mu": dict(help="comma-separated positive rationals, e.g. 1/2,1/3,1/4"),
+    "kmax": dict(type=int, default=None, help="degree bound"),
+    "k": dict(type=int, required=True, help="homogeneous degree"),
+    "out": dict(help="output path (default: stdout)"),
+}
+
+
+def _add_options(
+    parser: argparse.ArgumentParser, names: tuple[str, ...], formats: tuple[str, ...] = ()
+) -> None:
+    """Declare the named shared options, and --format when formats are given."""
+    for name in names:
+        parser.add_argument("--" + name, **_OPTIONS[name])
+    if formats:
+        parser.add_argument("--format", default=formats[0], choices=formats)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -309,34 +290,34 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run an identity-verification suite")
     p.add_argument("suite", choices=VERIFY_SUITES)
-    _add_common(p)
+    _add_options(p, ("n", "mu", "kmax", "out"))
     p.add_argument("--order", help="variable order for the eigen suite")
     p.add_argument("--blocks", help="embedding blocks, e.g. 1,2;3;4")
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("basis", help="export a harmonic basis (json) or dimension table (csv)")
-    _add_common(p, need_k=True)
+    _add_options(p, ("n", "mu", "k", "out"), ("json", "csv"))
     p.add_argument("--order", help="variable order, e.g. 1,2,3")
     p.set_defaults(fn=cmd_basis)
 
     p = sub.add_parser("connect", help="connection matrix between two chain bases")
-    _add_common(p, need_k=True)
+    _add_options(p, ("n", "mu", "k", "out"), ("json", "csv"))
     p.add_argument("--from", dest="from_order", required=True, help="source variable order")
     p.add_argument("--to", dest="to_order", required=True, help="target variable order")
     p.set_defaults(fn=cmd_connect)
 
     p = sub.add_parser("graph", help="export the recoupling graph")
-    _add_common(p)
+    _add_options(p, ("n", "out"), ("json", "dot"))
     p.set_defaults(fn=cmd_graph)
 
     p = sub.add_parser("racah", help="export recurrence data of a fixed-parity module")
-    _add_common(p)
+    _add_options(p, ("n", "mu", "out"))
     p.add_argument("--epsilon", required=True, help="three parity bits, e.g. 0,0,0")
     p.add_argument("--degree", type=int, required=True, help="total degree of the module")
     p.set_defaults(fn=cmd_racah)
 
     p = sub.add_parser("spectrum", help="eigenvalue table of the chain invariants")
-    _add_common(p, need_k=True)
+    _add_options(p, ("n", "mu", "k", "out"))
     p.add_argument("--order", help="variable order, e.g. 1,2,3")
     p.set_defaults(fn=cmd_spectrum)
 

@@ -28,9 +28,9 @@ from .harmonics import (
     casimir_eigenvalue,
     realize_label,
 )
-from .linalg import InconsistentSystem, RationalMatrix, matrix_rank, solve_in_span
+from .linalg import RationalMatrix, matrix_rank, solve_in_span
 from .operators import LinearOperator, casimir, dunkl, materialize
-from .poly import Monomial, ParameterSet, Polynomial, poly_to_vector
+from .poly import ParameterSet, Polynomial
 from .racah import (
     RacahParameters,
     SpectralData,
@@ -155,26 +155,22 @@ def connection_matrix(
 
     Both lists must be bases of the same space: equal lengths, full rank,
     and every source element inside the target span; otherwise
-    SpanMismatch is raised.  One elimination over the monomial support
-    solves for W and proves that the target is a basis holding every
-    source element; the source is then independent exactly when the
-    square W is nonsingular, which the rank of W's rows decides.
+    SpanMismatch is raised.  One elimination solves for W and proves that
+    the target is a basis holding every source element; the source is then
+    independent exactly when the square W is nonsingular, which the rank
+    of W's rows decides.
     """
     if len(source) != len(target):
         raise SpanMismatch(
             f"basis sizes differ: {len(source)} vs {len(target)}"
         )
-    support: set[Monomial] = set()
-    for el in list(source) + list(target):
-        support.update(el.poly.terms)
-    support_list = sorted(support)
-    target_cols = [poly_to_vector(el.poly, support_list) for el in target]
-    source_cols = [poly_to_vector(el.poly, support_list) for el in source]
     try:
-        coeffs = solve_in_span(target_cols, source_cols)
-    except (InconsistentSystem, ValueError) as exc:
+        coeffs = solve_in_span(
+            [el.poly.terms for el in target], [el.poly.terms for el in source]
+        )
+    except ValueError as exc:
         raise SpanMismatch(str(exc)) from exc
-    if matrix_rank(coeffs) != len(source):
+    if matrix_rank([dict(enumerate(row)) for row in coeffs]) != len(source):
         raise SpanMismatch("source basis is linearly dependent")
     return ConnectionMatrix(
         tuple(el.label for el in source),

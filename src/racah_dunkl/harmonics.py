@@ -25,7 +25,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .linalg import matrix_rank, solve_in_span
 from .operators import LinearOperator, gamma, laplace, norm_square_poly
-from .poly import Monomial, ParameterSet, Polynomial, monomial_basis, poly_to_vector
+from .poly import ParameterSet, Polynomial, monomial_basis
 from .report import Report, first_witness
 
 
@@ -361,14 +361,7 @@ def fischer_decompose(
             span.append(nrm_pow * element.poly)
             tags.append((j, element.poly))
 
-    support: set[Monomial] = set()
-    for q in span:
-        support.update(q.terms)
-    support.update(p.terms)
-    support_list = sorted(support)
-    columns = [poly_to_vector(q, support_list) for q in span]
-    target = poly_to_vector(p, support_list)
-    coeffs = solve_in_span(columns, [target])[0]
+    coeffs = solve_in_span([q.terms for q in span], [p.terms])[0]
 
     components: dict[int, Polynomial] = {}
     for (j, harmonic), c in zip(tags, coeffs):
@@ -395,21 +388,30 @@ def verify_power_action(
         raise ValueError(f"h is not homogeneous of degree {ell}")
     if not lap(h).is_zero:
         raise ValueError("h is not harmonic")
+    report = Report()
+    _add_power_action(report, (ell, j, k), lap, norm_square_poly(full, n), gamma(params, full), h)
+    return report
 
-    nrm = norm_square_poly(full, n)
+
+def _add_power_action(
+    report: Report, index: tuple, lap: LinearOperator, nrm: Polynomial, gam: Fraction,
+    h: Polynomial,
+) -> None:
+    """Record the power action at index (ell, j, k, ...) on |x|^(2k) h.
+
+    A non-harmonic h fails with its Laplacian as the witness.
+    """
+    ell, j, k = index[:3]
     lhs = nrm**k * h
     for _ in range(j):
         lhs = lap(lhs)
-    gam = gamma(params, full)
     factor = (
         Fraction(4) ** j
         * falling_factorial(k, j)
         * falling_factorial(ell + k - 1 + gam, j)
     )
     rhs = (nrm ** (k - j) * h).scale(factor)
-    report = Report()
-    report.add("laplacian-power-action", (ell, j, k), ell + 2 * k, first_witness([lhs - rhs]))
-    return report
+    report.add("laplacian-power-action", index, ell + 2 * k, first_witness([lap(h), lhs - rhs]))
 
 
 def verify_tower(params: ParameterSet, kmax: int) -> Report:
@@ -426,12 +428,7 @@ def verify_tower(params: ParameterSet, kmax: int) -> Report:
         count = len(elements)
         report.add("tower-count", (), k, None if count == expected else f"{count} != {expected}")
 
-        support: set[Monomial] = set()
-        for el in elements:
-            support.update(el.poly.terms)
-        support_list = sorted(support)
-        vectors = [poly_to_vector(el.poly, support_list) for el in elements]
-        rank = matrix_rank(vectors) if vectors else 0
+        rank = matrix_rank([el.poly.terms for el in elements])
         witness = None if rank == count else f"rank {rank} < {count}"
         report.add("tower-linear-independence", (), k, witness)
     return report
@@ -508,15 +505,21 @@ def verify_spectral_action(
 def verify_power_action_sweep(
     params: ParameterSet, ell_max: int, k_max: int
 ) -> Report:
-    """Laplacian-power identity over all tower harmonics and admissible j, k."""
+    """Laplacian-power identity over all tower harmonics and admissible j, k.
+
+    A tower element that is not harmonic fails every check it enters, with
+    its Laplacian as the witness.
+    """
+    full = tuple(range(1, params.n + 1))
+    lap = laplace(params, full)
+    nrm = norm_square_poly(full, params.n)
+    gam = gamma(params, full)
     report = Report()
     for ell in range(ell_max + 1):
         for t, el in enumerate(build_basis_tower(params, ell)):
             for k in range(k_max + 1):
                 for j in range(k + 1):
-                    sub = verify_power_action(params, el.poly, ell, j, k)
-                    for res in sub:
-                        report.add(res.relation, (ell, j, k, t), res.degree, res.first_discrepancy)
+                    _add_power_action(report, (ell, j, k, t), lap, nrm, gam, el.poly)
     return report
 
 

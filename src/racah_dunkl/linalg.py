@@ -9,16 +9,22 @@ classes of the monomials, so their matrices are very sparse and the
 cross-parity entries are simply never stored.
 
 Basis solves, ranks and minors are thin front ends over one exact
-Gauss-Jordan elimination on sparse Fraction rows.  Each pivot step
-touches only the rows with a nonzero in the pivot column, so the parity
-sectors of a basis change are eliminated independently without any
-block layout: rows from different sectors never share a column.
+Gauss-Jordan elimination on sparse Fraction rows.  Solves and ranks read
+sparse vectors: mappings from a coordinate key to its entry, such as a
+polynomial's terms, so callers never choose a coordinate order or build
+a dense vector.  Each pivot step touches only the rows with a nonzero in
+the pivot column, so the parity sectors of a basis change are eliminated
+independently without any block layout: rows from different sectors
+never share a column.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from typing import Hashable, Mapping, Sequence
+
+SparseVector = Mapping[Hashable, Fraction]
 
 
 class InconsistentSystem(ValueError):
@@ -297,12 +303,22 @@ def _gauss_jordan(rows: list[dict[int, Fraction]], ncols: int) -> tuple[list[int
     return pivots, det
 
 
-def _sparse_rows(entries) -> list[dict[int, Fraction]]:
-    return [{j: x for j, x in enumerate(row) if x} for row in entries]
+def _elimination_rows(vectors: Sequence[SparseVector]) -> list[dict[int, Fraction]]:
+    """Sparse rows of the matrix whose j-th column is vectors[j].
+
+    Row r holds the nonzero entries of the r-th key met, keyed by vector
+    position; zero entries are skipped.
+    """
+    row_of: dict[Hashable, dict[int, Fraction]] = {}
+    for j, vector in enumerate(vectors):
+        for key, x in vector.items():
+            if x:
+                row_of.setdefault(key, {})[j] = x
+    return list(row_of.values())
 
 
 def solve_in_span(
-    columns: list[list[Fraction]], targets: list[list[Fraction]]
+    columns: Sequence[SparseVector], targets: Sequence[SparseVector]
 ) -> list[list[Fraction]]:
     """Solve sum_j c_j * columns[j] = target for each target, exactly.
 
@@ -311,20 +327,8 @@ def solve_in_span(
     linearly dependent (the solves here always expect a basis).
     """
     ncols = len(columns)
-    nrows = len(columns[0]) if columns else len(targets[0]) if targets else 0
-    for col in columns:
-        if len(col) != nrows:
-            raise ValueError("ragged column lengths")
-    for t in targets:
-        if len(t) != nrows:
-            raise ValueError("target length does not match column length")
-
     # augmented sparse rows: [columns | targets]
-    aug: list[dict[int, Fraction]] = [{} for _ in range(nrows)]
-    for j, col in enumerate(list(columns) + list(targets)):
-        for i, x in enumerate(col):
-            if x:
-                aug[i][j] = x
+    aug = _elimination_rows(list(columns) + list(targets))
     if len(_gauss_jordan(aug, ncols)[0]) < ncols:
         raise ValueError("columns are linearly dependent")
     # rows below the pivots hold target columns only; any entry left is
@@ -335,17 +339,16 @@ def solve_in_span(
     return [[aug[j].get(ncols + t, zero) for j in range(ncols)] for t in range(len(targets))]
 
 
-def matrix_rank(vectors: list[list[Fraction]]) -> int:
+def matrix_rank(vectors: Sequence[SparseVector]) -> int:
     """Rank of the matrix whose rows are the given vectors."""
-    return len(_gauss_jordan(_sparse_rows(vectors), len(vectors[0]) if vectors else 0)[0])
+    return len(_gauss_jordan(_elimination_rows(vectors), len(vectors))[0])
 
 
 def leading_principal_minors(entries: list[list[Fraction]]) -> list[Fraction]:
     """Determinants of the leading principal submatrices, by exact elimination."""
-    rows = _sparse_rows(entries)
     minors: list[Fraction] = []
-    for size in range(1, len(rows) + 1):
-        leading = [{j: x for j, x in row.items() if j < size} for row in rows[:size]]
+    for size in range(1, len(entries) + 1):
+        leading = [{j: x for j, x in enumerate(row[:size]) if x} for row in entries[:size]]
         pivots, det = _gauss_jordan(leading, size)
         minors.append(det if len(pivots) == size else Fraction(0))
     return minors

@@ -27,7 +27,7 @@ from math import lcm
 from typing import Callable, Iterable
 
 from .linalg import InconsistentSystem, RationalMatrix, solve_in_span
-from .poly import Monomial, ParameterSet, Polynomial, monomial_basis, poly_to_vector
+from .poly import Monomial, ParameterSet, Polynomial, monomial_basis
 
 Terms = dict[Monomial, Fraction]
 
@@ -291,15 +291,9 @@ def materialize(op: LinearOperator, n: int, basis: list[Polynomial]) -> Rational
         if q.n != n:
             raise ValueError("basis polynomial has wrong dimension")
 
-    images = [op(q) for q in basis]
-    support: set[Monomial] = set()
-    for q in list(basis) + images:
-        support.update(q.terms)
-    support_list = sorted(support)
-    basis_cols = [poly_to_vector(q, support_list) for q in basis]
-    image_cols = [poly_to_vector(q, support_list) for q in images]
+    images = [op(q).terms for q in basis]
     try:
-        coeffs = solve_in_span(basis_cols, image_cols)
+        coeffs = solve_in_span([q.terms for q in basis], images)
     except InconsistentSystem as exc:
         raise ImageEscapesSpan(str(exc)) from exc
     rows = [[image[i] for image in coeffs] for i in range(len(basis))]

@@ -399,17 +399,3 @@ def monomial_basis(n: int, k: int) -> list[Monomial]:
 
     return list(gen(n, k))
 
-
-def poly_to_vector(p: Polynomial, basis: list[Monomial]) -> list[Fraction]:
-    """Coefficient vector of p with respect to an explicit monomial list.
-
-    Raises if p has support outside the list (the caller is claiming p lies
-    in the span of those monomials).
-    """
-    index = {exps: i for i, exps in enumerate(basis)}
-    vec = [Fraction(0)] * len(basis)
-    for exps, coeff in p.terms.items():
-        if exps not in index:
-            raise ValueError(f"monomial {exps} outside the given basis")
-        vec[index[exps]] = coeff
-    return vec

@@ -45,6 +45,14 @@ def nonempty_subsets(n: int) -> list[tuple[int, ...]]:
     return out
 
 
+def _pair_invariants(params: ParameterSet, k: int) -> dict[frozenset, RationalMatrix]:
+    """The two-index invariants C_ij on the monomials of degree k."""
+    return {
+        frozenset(pair): materialize_on_monomials(casimir(params, pair), params.n, k)
+        for pair in combinations(range(1, params.n + 1), 2)
+    }
+
+
 class RelationWorkspace:
     """Cached exact matrices of the algebra generators on one degree."""
 
@@ -70,7 +78,7 @@ class RelationWorkspace:
                 even if s == 1 else odd for s in self.reflect_sign[i]
             ]
 
-        self.c_pair: dict[frozenset, RationalMatrix] = {}
+        self.c_pair = _pair_invariants(params, k)
         self.p_mat: dict[frozenset, RationalMatrix] = {}
         self.l_mat: dict[tuple[int, int], RationalMatrix] = {}
         self.l2_mat: dict[frozenset, RationalMatrix] = {}
@@ -78,8 +86,7 @@ class RelationWorkspace:
 
         for i, j in combinations(range(1, n + 1), 2):
             key = frozenset((i, j))
-            cij = materialize_on_monomials(casimir(params, (i, j)), n, k)
-            self.c_pair[key] = cij
+            cij = self.c_pair[key]
             diag = [
                 a + b for a, b in zip(self.c1_diag[i], self.c1_diag[j])
             ]
@@ -182,9 +189,9 @@ def verify_racah_relations(params: ParameterSet, kmax: int | None = None) -> Rep
             _quad_pf_relation,
             _quad_ff_relation,
             _quint_ff_relation,
-            _drinfeld_kohno,
         ):
             _record(report, k, n, ws.basis, family(ws))
+        _record(report, k, n, ws.basis, _drinfeld_kohno(n, ws.c_pair))
     return report
 
 
@@ -294,27 +301,30 @@ def _quint_ff_relation(ws: RelationWorkspace):
         yield "quint-ff-relation", idx, lhs - rhs
 
 
-def _drinfeld_kohno(ws: RelationWorkspace):
-    n = ws.n
+def _drinfeld_kohno(n: int, c_pair: dict[frozenset, RationalMatrix]):
+    def cp(i: int, j: int) -> RationalMatrix:
+        return c_pair[frozenset((i, j))]
+
     for i, j in combinations(range(1, n + 1), 2):
         for m, l in combinations(range(1, n + 1), 2):
             if (i, j) < (m, l) and not {i, j} & {m, l}:
-                diff = ws.cp(i, j).commutator(ws.cp(m, l))
+                diff = cp(i, j).commutator(cp(m, l))
                 yield "disjoint-pairs-commute", (i, j, m, l), diff
     for i, j in combinations(range(1, n + 1), 2):
         for m in range(1, n + 1):
             if m in (i, j):
                 continue
-            diff = ws.cp(i, j).commutator(ws.cp(i, m) + ws.cp(j, m))
+            diff = cp(i, j).commutator(cp(i, m) + cp(j, m))
             yield "adjacent-pair-sum-commutes", (i, j, m), diff
 
 
 def verify_drinfeld_kohno(params: ParameterSet, kmax: int) -> Report:
     """Commutativity pattern of the two-index invariants, as a standalone sweep."""
+    n = params.n
     report = Report()
     for k in range(kmax + 1):
-        ws = RelationWorkspace(params, k)
-        _record(report, k, params.n, ws.basis, _drinfeld_kohno(ws))
+        c_pair = _pair_invariants(params, k)
+        _record(report, k, n, monomial_basis(n, k), _drinfeld_kohno(n, c_pair))
     return report
 
 
@@ -386,35 +396,30 @@ def verify_embedding(
 
     report = Report()
     for k in range(kmax + 1):
-        basis = monomial_basis(n, k)
 
         def mat(subset: tuple[int, ...]) -> RationalMatrix:
-            return materialize_on_monomials(casimir(params, subset), n, k)
+            return materialize_on_monomials(casimir(params, tuple(sorted(subset))), n, k)
 
-        c_k, c_l, c_m = mat(K), mat(L), mat(M)
-        c_kl = mat(tuple(sorted(K + L)))
-        c_km = mat(tuple(sorted(K + M)))
-        c_lm = mat(tuple(sorted(L + M)))
-        c_klm = mat(tuple(sorted(K + L + M)))
-        two_f = c_kl.commutator(c_lm)
-        f = two_f.scale(Fraction(1, 2))
-        discrepancies = (
-            ("embedding-additivity", c_klm - (c_kl + c_km + c_lm - c_k - c_l - c_m)),
-            ("embedding-f-consistency-1", two_f - c_km.commutator(c_kl)),
-            ("embedding-f-consistency-2", two_f - c_lm.commutator(c_km)),
-            (
-                "embedding-equitable-1",
-                c_kl.commutator(f) - (c_lm * c_kl - c_kl * c_km + (c_l - c_k) * (c_m - c_klm)),
-            ),
-            (
-                "embedding-equitable-2",
-                c_lm.commutator(f) - (c_km * c_lm - c_lm * c_kl + (c_m - c_l) * (c_k - c_klm)),
-            ),
-            (
-                "embedding-equitable-3",
-                c_km.commutator(f) - (c_kl * c_km - c_km * c_lm + (c_k - c_m) * (c_l - c_klm)),
-            ),
-        )
-        for relation, diff in discrepancies:
-            report.add(relation, (K, L, M), k, _matrix_witness(n, basis, diff))
+        _record(report, k, n, monomial_basis(n, k), _embedding_relations((K, L, M), mat))
     return report
+
+
+def _embedding_relations(blocks, mat):
+    K, L, M = blocks
+    c_k, c_l, c_m = mat(K), mat(L), mat(M)
+    c_kl, c_km, c_lm = mat(K + L), mat(K + M), mat(L + M)
+    c_klm = mat(K + L + M)
+    two_f = c_kl.commutator(c_lm)
+    f = two_f.scale(Fraction(1, 2))
+    yield "embedding-additivity", blocks, c_klm - (c_kl + c_km + c_lm - c_k - c_l - c_m)
+    yield "embedding-f-consistency-1", blocks, two_f - c_km.commutator(c_kl)
+    yield "embedding-f-consistency-2", blocks, two_f - c_lm.commutator(c_km)
+    yield "embedding-equitable-1", blocks, c_kl.commutator(f) - (
+        c_lm * c_kl - c_kl * c_km + (c_l - c_k) * (c_m - c_klm)
+    )
+    yield "embedding-equitable-2", blocks, c_lm.commutator(f) - (
+        c_km * c_lm - c_lm * c_kl + (c_m - c_l) * (c_k - c_klm)
+    )
+    yield "embedding-equitable-3", blocks, c_km.commutator(f) - (
+        c_kl * c_km - c_km * c_lm + (c_k - c_m) * (c_l - c_klm)
+    )

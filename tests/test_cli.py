@@ -4,6 +4,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from racah_dunkl.cli import main
 
 
@@ -210,6 +212,30 @@ def test_configuration_checked_up_front(capsys):
     assert captured.out == ""
     assert captured.err.count("configuration error:") == 3
     assert "the extension suite needs n >= 2" in captured.err
+
+
+UNREAD_OPTIONS = (
+    "graph --n 4 --format csv",
+    "basis --k 2 --format dot",
+    "connect --k 2 --from 1,2,3 --to 2,3,1 --format dot",
+    "verify su11 --format json",
+    "racah --epsilon 0,0,0 --degree 2 --format json",
+    "spectrum --k 2 --format json",
+    "basis --k 2 --kmax 2",
+    "connect --k 2 --from 1,2,3 --to 2,3,1 --kmax 2",
+    "graph --n 4 --kmax 2",
+    "racah --epsilon 0,0,0 --degree 2 --kmax 2",
+    "spectrum --k 2 --kmax 2",
+    "graph --n 4 --mu 1,2,3,4",
+)
+
+
+@pytest.mark.parametrize("argv", UNREAD_OPTIONS)
+def test_options_a_subcommand_does_not_read_are_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(argv.split())
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_suite_too_small_for_n_is_a_configuration_error(capsys):

@@ -384,7 +384,7 @@ def test_column_ratio_polynomials_have_degree_k():
             for s in range(m)
         ]
         # solve for polynomial coefficients through the m spectrum points
-        columns = [[mu**d for mu in overlap.eigenvalues] for d in range(m)]
-        (coeffs,) = solve_in_span(columns, [values])
+        columns = [dict(enumerate(mu**d for mu in overlap.eigenvalues)) for d in range(m)]
+        (coeffs,) = solve_in_span(columns, [dict(enumerate(values))])
         assert all(c == 0 for c in coeffs[k + 1:])
         assert coeffs[k] != 0

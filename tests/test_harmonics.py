@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from racah_dunkl import (
+    HarmonicBasisElement,
     HarmonicLabel,
     ParameterSet,
     Polynomial,
@@ -22,9 +23,9 @@ from racah_dunkl import (
     monomial_basis,
     norm_square_poly,
     parity_project,
-    poly_to_vector,
     realize_label,
     verify_power_action,
+    verify_power_action_sweep,
 )
 
 P3 = ParameterSet.make(["1/2", "1/3", "1/4"])
@@ -96,7 +97,7 @@ def test_dimension_against_kernel_rank():
             cols = []
             for exps in basis:
                 image = lap(Polynomial.monomial(n, exps))
-                cols.append(poly_to_vector(image, lower))
+                cols.append(image.terms)
             rank = matrix_rank(cols)
         else:
             rank = 0
@@ -132,8 +133,7 @@ def test_tower_equals_per_label_realization():
 def test_tower_linear_independence():
     for k in range(5):
         elements = build_basis_tower(P3, k)
-        support = sorted({e for el in elements for e in el.poly.terms})
-        vectors = [poly_to_vector(el.poly, support) for el in elements]
+        vectors = [el.poly.terms for el in elements]
         assert matrix_rank(vectors) == len(elements)
 
 
@@ -270,6 +270,29 @@ def test_power_action_identity_cases():
 def test_power_action_rejects_non_harmonic():
     with pytest.raises(ValueError):
         verify_power_action(P2, Polynomial.variable(2, 1) ** 2, 2, 1, 1)
+
+
+def test_power_action_sweep_reports_a_non_harmonic_tower_element(monkeypatch, capsys):
+    from racah_dunkl import cli, harmonics
+
+    real = harmonics.build_basis_tower
+    square = Polynomial.variable(2, 1) ** 2
+
+    def defective(params, k, order=None):
+        elements = real(params, k, order)
+        if k == 2:
+            elements[0] = HarmonicBasisElement(elements[0].label, square)
+        return elements
+
+    monkeypatch.setattr(harmonics, "build_basis_tower", defective)
+    report = verify_power_action_sweep(P2, 2, 1)
+    # every (j, k) entry of the first degree-2 element fails, witnessed by
+    # the element's Laplacian
+    assert [r.index_tuple for r in report.failures] == [(2, 0, 0, 0), (2, 0, 1, 0), (2, 1, 1, 0)]
+    witness = laplace(P2, (1, 2))(square).to_text()
+    assert all(r.first_discrepancy == witness for r in report.failures)
+    assert cli.main(["verify", "lemma3", "--n", "2", "--kmax", "1"]) == 1
+    assert '"status": "fail"' in capsys.readouterr().out
 
 
 def test_permuted_tower_diagonalizes_permuted_invariants():

@@ -8,12 +8,17 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from racah_dunkl import InconsistentSystem, RationalMatrix, matrix_rank, solve_in_span
+from racah_dunkl import InconsistentSystem, Polynomial, RationalMatrix, matrix_rank, solve_in_span
 from racah_dunkl.linalg import leading_principal_minors
 
 
 def F(a, b=1):
     return Fraction(a, b)
+
+
+def sparse(vectors):
+    """Dense vectors as the sparse vectors solves and ranks read."""
+    return [dict(enumerate(v)) for v in vectors]
 
 
 def test_from_fractions_and_back():
@@ -75,18 +80,35 @@ def test_scale_and_equality_cross_denominator():
 def test_solve_in_span():
     cols = [[F(1), F(0), F(1)], [F(0), F(1), F(1)]]
     target = [F(2), F(3), F(5)]
-    (sol,) = solve_in_span(cols, [target])
+    (sol,) = solve_in_span(sparse(cols), sparse([target]))
     assert sol == [F(2), F(3)]
     with pytest.raises(InconsistentSystem):
-        solve_in_span(cols, [[F(1), F(0), F(0)]])
+        solve_in_span(sparse(cols), sparse([[F(1), F(0), F(0)]]))
     with pytest.raises(ValueError):
-        solve_in_span([[F(1), F(2)], [F(2), F(4)]], [[F(1), F(2)]])
+        solve_in_span(sparse([[F(1), F(2)], [F(2), F(4)]]), sparse([[F(1), F(2)]]))
 
 
 def test_matrix_rank():
-    assert matrix_rank([[F(1), F(2)], [F(2), F(4)]]) == 1
-    assert matrix_rank([[F(1), F(0)], [F(0), F(1)]]) == 2
-    assert matrix_rank([[F(0), F(0)]]) == 0
+    assert matrix_rank(sparse([[F(1), F(2)], [F(2), F(4)]])) == 1
+    assert matrix_rank(sparse([[F(1), F(0)], [F(0), F(1)]])) == 2
+    assert matrix_rank(sparse([[F(0), F(0)]])) == 0
+
+
+def test_polynomial_terms_are_sparse_vectors():
+    x, y = Polynomial.variable(2, 1), Polynomial.variable(2, 2)
+    columns = [(x + y).terms, (x - y).terms]
+    (sol,) = solve_in_span(columns, [(x.scale(3) + y).terms])
+    assert sol == [F(2), F(1)]
+    # x1 x2 is a monomial that no column has
+    with pytest.raises(InconsistentSystem):
+        solve_in_span(columns, [(x * y).terms])
+    # an explicit zero entry is no entry, even under a key no column has
+    (sol,) = solve_in_span([{(1, 0): F(1), (0, 1): F(0)}], [{(1, 0): F(2), (1, 1): F(0)}])
+    assert sol == [F(2)]
+    assert matrix_rank([{(1, 0): F(0)}, x.terms]) == 1
+    # an empty column is the zero vector
+    with pytest.raises(ValueError, match="linearly dependent"):
+        solve_in_span([x.terms, Polynomial.zero(2).terms], [x.terms])
 
 
 def test_leading_principal_minors():
@@ -286,15 +308,15 @@ def test_elimination_matches_cofactor_oracles(data):
         st.lists(sparse_entries, min_size=nrows, max_size=nrows), min_size=ncols, max_size=ncols
     ))
     rank = minor_rank(columns)
-    assert matrix_rank(columns) == rank
-    assert matrix_rank([list(row) for row in zip(*columns)]) == rank
+    assert matrix_rank(sparse(columns)) == rank
+    assert matrix_rank(sparse(zip(*columns))) == rank
     coeffs = data.draw(st.lists(dense_entries, min_size=ncols, max_size=ncols))
     target = combine(columns, coeffs)
     if rank < ncols:
         with pytest.raises(ValueError, match="linearly dependent"):
-            solve_in_span(columns, [target])
+            solve_in_span(sparse(columns), sparse([target]))
     else:
-        (sol,) = solve_in_span(columns, [target])
+        (sol,) = solve_in_span(sparse(columns), sparse([target]))
         assert combine(columns, sol) == target
         assert sol == coeffs  # independent columns: the solution is unique
     size = data.draw(small)
@@ -318,12 +340,12 @@ def test_target_outside_span_is_inconsistent(data):
     kept = data.draw(st.integers(min_value=1, max_value=size - 1))
     coeffs = data.draw(st.lists(dense_entries, min_size=kept, max_size=kept))
     inside = combine(columns[:kept], coeffs)
-    (sol,) = solve_in_span(columns[:kept], [inside])
+    (sol,) = solve_in_span(sparse(columns[:kept]), sparse([inside]))
     assert sol == coeffs
     # the next column of an invertible matrix is outside the span of the first ones
     outside = [x + y for x, y in zip(inside, columns[kept])]
     with pytest.raises(InconsistentSystem):
-        solve_in_span(columns[:kept], [inside, outside])
+        solve_in_span(sparse(columns[:kept]), sparse([inside, outside]))
 
 
 def test_minors_track_row_swaps():
@@ -379,17 +401,17 @@ def permuted_block_diagonal(draw, max_blocks=3, max_size=3, square=False):
 def test_sparse_elimination_on_permuted_blocks(data):
     matrix, blocks = data.draw(permuted_block_diagonal())
     rank = sum(minor_rank(block) for block in blocks)  # blocks add their ranks
-    assert matrix_rank(matrix) == rank
+    assert matrix_rank(sparse(matrix)) == rank
     columns = [list(col) for col in zip(*matrix)]
-    assert matrix_rank(columns) == rank
+    assert matrix_rank(sparse(columns)) == rank
     coeffs = data.draw(st.lists(dense_entries, min_size=len(columns), max_size=len(columns)))
     target = combine(columns, coeffs)
     if rank < len(columns):
         with pytest.raises(ValueError, match="linearly dependent"):
-            solve_in_span(columns, [target])
+            solve_in_span(sparse(columns), sparse([target]))
     else:
         # rows beyond the rank cancel to exact zeros in the target column
-        (sol,) = solve_in_span(columns, [target])
+        (sol,) = solve_in_span(sparse(columns), sparse([target]))
         assert combine(columns, sol) == target
         assert sol == coeffs
 
@@ -406,7 +428,7 @@ def test_sparse_minors_on_permuted_blocks(drawn):
 def test_cancelled_entries_leave_the_rows():
     # the second row cancels to zero: it must neither offer a zero pivot
     # nor count as a leftover entry below the pivots
-    assert matrix_rank([[F(1), F(2), F(3)], [F(2), F(4), F(6)], [F(0), F(0), F(1)]]) == 2
+    assert matrix_rank(sparse([[F(1), F(2), F(3)], [F(2), F(4), F(6)], [F(0), F(0), F(1)]])) == 2
     assert leading_principal_minors([[F(1), F(2)], [F(2), F(4)]]) == [F(1), F(0)]
-    (sol,) = solve_in_span([[F(1), F(1), F(2)]], [[F(3), F(3), F(6)]])
+    (sol,) = solve_in_span(sparse([[F(1), F(1), F(2)]]), sparse([[F(3), F(3), F(6)]]))
     assert sol == [F(3)]
