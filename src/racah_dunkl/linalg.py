@@ -1,12 +1,17 @@
 """Exact rational linear algebra.
 
 RationalMatrix stores each row as a sparse map from column to nonzero
-integer, over a single positive denominator.  Its product is the only
-matrix product of the package: it stays in plain integer arithmetic,
-touches only the nonzero entries, and finishes with one gcd
-normalization.  The algebra generators never mix the reflection parity
-classes of the monomials, so their matrices are very sparse and the
-cross-parity entries are simply never stored.
+integer, over a single positive denominator.  The one product loop of the
+package is ``product_sum``: an exact signed sum of products
+sum_t c_t * A_t1 * A_t2 (* A_t3 ...) over the least common multiple of the
+term denominators.  It accumulates each output row in one integer dict,
+touches only nonzero entries, drops entries that cancel, and does no gcd
+reduction, so an identity checked as one such sum costs its products and
+nothing else.  ``RationalMatrix.__mul__`` and ``commutator`` are its
+one-term and two-term cases, reduced to lowest terms.  The algebra
+generators never mix the reflection parity classes of the monomials, so
+their matrices are very sparse and the cross-parity entries are simply
+never stored.
 
 Basis solves, ranks and minors are thin front ends over one exact
 Gauss-Jordan elimination on sparse Fraction rows.  Solves and ranks read
@@ -25,6 +30,8 @@ from math import gcd, lcm
 from typing import Hashable, Mapping, Sequence
 
 SparseVector = Mapping[Hashable, Fraction]
+# one term c * A_1 * A_2 * ... of a product sum; c is an int or a Fraction
+Term = tuple[int | Fraction, Sequence["RationalMatrix"]]
 
 
 class InconsistentSystem(ValueError):
@@ -169,22 +176,7 @@ class RationalMatrix:
 
     def __mul__(self, other):
         if isinstance(other, RationalMatrix):
-            if self.ncols != other.nrows:
-                raise ValueError(f"cannot multiply {self.shape} by {other.shape}")
-            b_rows = other.sparse_rows
-            rows = []
-            for row in self.sparse_rows:
-                acc: dict[int, int] = {}
-                for k, x in row.items():
-                    for j, y in b_rows[k].items():
-                        if j in acc:
-                            acc[j] += x * y
-                        else:
-                            acc[j] = x * y
-                if 0 in acc.values():  # drop entries that cancelled
-                    acc = {j: v for j, v in acc.items() if v}
-                rows.append(acc)
-            return self._reduced(rows, self.den * other.den, other.ncols)
+            return product_sum([(1, (self, other))]).normalized()
         return self.scale(other)
 
     def __rmul__(self, other):
@@ -200,7 +192,7 @@ class RationalMatrix:
         return self._reduced(rows, self.den * c.denominator)
 
     def commutator(self, other: "RationalMatrix") -> "RationalMatrix":
-        return self * other - other * self
+        return product_sum([(1, (self, other)), (-1, (other, self))]).normalized()
 
     @property
     def is_zero(self) -> bool:
@@ -255,6 +247,75 @@ class RationalMatrix:
 
     def __repr__(self) -> str:
         return f"RationalMatrix({self.nrows}x{self.ncols}, den={self.den})"
+
+
+def product_sum(terms: Sequence[Term]) -> RationalMatrix:
+    """The exact sum of c * A_1 * A_2 * ... over the terms, not reduced.
+
+    Each term is (c, factors) with at least one factor; every term's
+    product must have the same shape.  The result's denominator is the
+    least common multiple of the term denominators (c's times its
+    factors'), so each term contributes integers only.  Each output row is
+    accumulated in one dict over all terms, entries that cancel are
+    dropped, and no gcd is taken: ``is_zero`` and ``first_nonzero_column``
+    need none, and ``normalized`` reduces when lowest terms are wanted.
+    """
+    if not terms:
+        raise ValueError("a product sum needs at least one term")
+    shape = None
+    dens = []
+    for c, factors in terms:
+        den = c.denominator
+        for left, right in zip(factors, factors[1:]):
+            if left.ncols != right.nrows:
+                raise ValueError(f"cannot multiply {left.shape} by {right.shape}")
+        for factor in factors:
+            den *= factor.den
+        term_shape = (factors[0].nrows, factors[-1].ncols)
+        if shape is None:
+            shape = term_shape
+        elif term_shape != shape:
+            raise ValueError(f"shape mismatch: {shape} vs {term_shape}")
+        dens.append(den)
+    den = lcm(*dens)
+    plan = []  # each term as (integer scale, first, middle and last factor rows)
+    for (c, factors), term_den in zip(terms, dens):
+        if c:
+            rows = [f.sparse_rows for f in factors]
+            scale = c.numerator * (den // term_den)
+            plan.append((scale, rows[0], rows[1:-1], rows[-1] if len(rows) > 1 else None))
+    out: list[dict[int, int]] = [{} for _ in range(shape[0])]
+    for scale, first, middle, last in plan:
+        for acc, row in zip(out, first):
+            if not row:
+                continue
+            if last is None:
+                for j, x in row.items():
+                    if j in acc:
+                        acc[j] += scale * x
+                    else:
+                        acc[j] = scale * x
+                continue
+            for b_rows in middle:
+                tmp: dict[int, int] = {}
+                for k, x in row.items():
+                    for j, y in b_rows[k].items():
+                        if j in tmp:
+                            tmp[j] += x * y
+                        else:
+                            tmp[j] = x * y
+                row = tmp
+            for k, x in row.items():
+                x *= scale
+                for j, y in last[k].items():
+                    if j in acc:
+                        acc[j] += x * y
+                    else:
+                        acc[j] = x * y
+    for i, acc in enumerate(out):
+        if not all(acc.values()):  # drop entries that cancelled
+            out[i] = {j: v for j, v in acc.items() if v} if any(acc.values()) else {}
+    return RationalMatrix.from_sparse(out, den, shape[1])
 
 
 def _gauss_jordan(rows: list[dict[int, Fraction]], ncols: int) -> tuple[list[int], Fraction]:

@@ -1,16 +1,18 @@
 """Exhaustive verification of the symmetry-algebra identities.
 
-Every check here materializes both sides of an operator identity on the
-monomial basis of a homogeneous degree and forms their exact difference
-(or, for operators that change degree, the difference of the images of
-every basis monomial).  Each relation family is a generator of
-(relation, index tuple, discrepancy) triples; one loop turns each
-discrepancy into a witness, the first nonzero column as a polynomial, and
-records it.  A check fails exactly when it has a witness.
+Every check here materializes the operators of an identity on the
+monomial basis of a homogeneous degree and forms the exact difference of
+its two sides (or, for operators that change degree, the difference of
+the images of every basis monomial).  Each relation family is a generator
+of (relation, index tuple, discrepancy) triples, the discrepancy written
+as one signed sum of products of generator matrices; ``linalg.product_sum``
+evaluates each sum once, over one denominator and without reduction.  One
+loop turns each discrepancy into a witness, the first nonzero column as a
+polynomial, and records it.  A check fails exactly when it has a witness.
 
-The quadratic-algebra sweeps cache the pair invariants and their
-commutators as integer-scaled matrices, since the same generators appear
-in many instantiated relations.
+The generator matrices of one degree (pair invariants, P_ij, L_ij, L_ij^2,
+F_ijm and the diagonal factors) are built once in a RelationWorkspace,
+since the same generators appear in many instantiated relations.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations, permutations
 
-from .linalg import RationalMatrix
+from .linalg import RationalMatrix, Term, product_sum
 from .operators import (
     angular,
     casimir,
@@ -31,7 +33,7 @@ from .poly import ParameterSet, Polynomial, monomial_basis
 from .report import Report, first_witness
 
 # Degree bounds keeping full relation sweeps in seconds-to-minutes.
-_DEFAULT_BOUNDS = {3: 6, 4: 4, 5: 4, 6: 3}
+_DEFAULT_BOUNDS = {3: 6, 4: 4, 5: 5, 6: 4}
 
 
 def default_degree_bound(n: int) -> int:
@@ -54,7 +56,7 @@ def _pair_invariants(params: ParameterSet, k: int) -> dict[frozenset, RationalMa
 
 
 class RelationWorkspace:
-    """Cached exact matrices of the algebra generators on one degree."""
+    """Exact matrices of the algebra generators on one degree, built once."""
 
     def __init__(self, params: ParameterSet, k: int):
         self.params = params
@@ -68,15 +70,17 @@ class RelationWorkspace:
             i: [1 if exps[i - 1] % 2 == 0 else -1 for exps in self.basis]
             for i in range(1, n + 1)
         }
-        # closed form of the one-index invariant: 1/4 (mu^2 - mu r - 3/4)
-        self.c1_diag = {}
+        # diagonal factors: the closed form 1/4 (mu^2 - mu r - 3/4) of the
+        # one-index invariant, and 1 + 2 mu r from the angular form of F
+        self.c1_mat: dict[int, RationalMatrix] = {}
+        self.refl_mat: dict[int, RationalMatrix] = {}
         for i in range(1, n + 1):
             mu = params.mu_of(i)
             even = (mu * mu - mu - Fraction(3, 4)) / 4
             odd = (mu * mu + mu - Fraction(3, 4)) / 4
-            self.c1_diag[i] = [
-                even if s == 1 else odd for s in self.reflect_sign[i]
-            ]
+            signs = self.reflect_sign[i]
+            self.c1_mat[i] = RationalMatrix.diagonal([even if s == 1 else odd for s in signs])
+            self.refl_mat[i] = RationalMatrix.diagonal([1 + 2 * mu * s for s in signs])
 
         self.c_pair = _pair_invariants(params, k)
         self.p_mat: dict[frozenset, RationalMatrix] = {}
@@ -86,23 +90,26 @@ class RelationWorkspace:
 
         for i, j in combinations(range(1, n + 1), 2):
             key = frozenset((i, j))
-            cij = self.c_pair[key]
-            diag = [
-                a + b for a, b in zip(self.c1_diag[i], self.c1_diag[j])
-            ]
-            self.p_mat[key] = cij - RationalMatrix.diagonal(diag)
+            self.p_mat[key] = product_sum(
+                [(1, (self.c_pair[key],)), (-1, (self.c1_mat[i],)), (-1, (self.c1_mat[j],))]
+            ).normalized()
             lij = materialize_on_monomials(angular(params, i, j), n, k)
             self.l_mat[(i, j)] = lij
             self.l_mat[(j, i)] = -lij
             self.l2_mat[key] = lij * lij
 
+        half = Fraction(1, 2)
         for i, j, m in permutations(range(1, n + 1), 3):
-            pij = self.p_mat[frozenset((i, j))]
-            pjm = self.p_mat[frozenset((j, m))]
-            self.f_mat[(i, j, m)] = (pij.commutator(pjm)).scale(Fraction(1, 2))
+            # F_ijm = 1/2 [P_ij, P_jm]
+            self.f_mat[(i, j, m)] = product_sum(
+                _commutator(self.p(i, j), self.p(j, m), half)
+            ).normalized()
 
-    def c1(self, i: int) -> list[Fraction]:
-        return self.c1_diag[i]
+    def c1(self, i: int) -> RationalMatrix:
+        return self.c1_mat[i]
+
+    def refl(self, i: int) -> RationalMatrix:
+        return self.refl_mat[i]
 
     def cp(self, i: int, j: int) -> RationalMatrix:
         return self.c_pair[frozenset((i, j))]
@@ -110,12 +117,24 @@ class RelationWorkspace:
     def p(self, i: int, j: int) -> RationalMatrix:
         return self.p_mat[frozenset((i, j))]
 
+    def l2(self, i: int, j: int) -> RationalMatrix:
+        return self.l2_mat[frozenset((i, j))]
+
     def f(self, i: int, j: int, m: int) -> RationalMatrix:
         return self.f_mat[(i, j, m)]
 
 
+def _commutator(a: RationalMatrix, b: RationalMatrix, c=1) -> list[Term]:
+    """The terms of c [a, b]."""
+    return [(c, (a, b)), (-c, (b, a))]
+
+
 def _matrix_witness(n: int, basis, diff: RationalMatrix) -> str | None:
-    """First nonzero column of a discrepancy matrix, as a polynomial."""
+    """First nonzero column of a discrepancy matrix, as a polynomial.
+
+    Each entry is reduced on its own, so a discrepancy that is not in
+    lowest terms gives the same text as its normalized form.
+    """
     col = diff.first_nonzero_column()
     if col is None:
         return None
@@ -125,6 +144,12 @@ def _matrix_witness(n: int, basis, diff: RationalMatrix) -> str | None:
         if col in row
     }
     return Polynomial(n, terms).to_text()
+
+
+def _summed(discrepancies):
+    """Each (relation, index tuple, term list) with its terms summed once."""
+    for relation, idx, terms in discrepancies:
+        yield relation, idx, product_sum(terms)
 
 
 def _record(report: Report, k: int, n: int, basis, discrepancies) -> None:
@@ -190,8 +215,8 @@ def verify_racah_relations(params: ParameterSet, kmax: int | None = None) -> Rep
             _quad_ff_relation,
             _quint_ff_relation,
         ):
-            _record(report, k, n, ws.basis, family(ws))
-        _record(report, k, n, ws.basis, _drinfeld_kohno(n, ws.c_pair))
+            _record(report, k, n, ws.basis, _summed(family(ws)))
+        _record(report, k, n, ws.basis, _summed(_drinfeld_kohno(n, ws.c_pair)))
     return report
 
 
@@ -199,26 +224,22 @@ def _single_invariant_form(ws: RelationWorkspace):
     # generic quadratic invariant of one index vs its reflection closed form
     for i in range(1, ws.n + 1):
         ci = materialize_on_monomials(casimir(ws.params, (i,)), ws.n, ws.k)
-        diff = ci - RationalMatrix.diagonal(ws.c1(i))
-        yield "single-invariant-closed-form", (i,), diff
+        yield "single-invariant-closed-form", (i,), [(1, (ci,)), (-1, (ws.c1(i),))]
 
 
 def _pair_invariant_form(ws: RelationWorkspace):
     # 4 C_ij + L_ij^2 - (mu_i r_i + mu_j r_j)^2 + 1 = 0
     params = ws.params
+    one = RationalMatrix.identity(ws.dim)
     for i, j in combinations(range(1, ws.n + 1), 2):
         mu_i, mu_j = params.mu_of(i), params.mu_of(j)
-        square_diag = [
+        square = RationalMatrix.diagonal([
             mu_i * mu_i + mu_j * mu_j + 2 * mu_i * mu_j * si * sj
             for si, sj in zip(ws.reflect_sign[i], ws.reflect_sign[j])
+        ])
+        yield "pair-invariant-angular-form", (i, j), [
+            (4, (ws.cp(i, j),)), (1, (ws.l2(i, j),)), (-1, (square,)), (1, (one,)),
         ]
-        diff = (
-            ws.cp(i, j).scale(4)
-            + ws.l2_mat[frozenset((i, j))]
-            - RationalMatrix.diagonal(square_diag)
-            + RationalMatrix.identity(ws.dim)
-        )
-        yield "pair-invariant-angular-form", (i, j), diff
 
 
 def _subset_additivity(ws: RelationWorkspace):
@@ -226,79 +247,74 @@ def _subset_additivity(ws: RelationWorkspace):
     for size in range(3, ws.n + 1):
         for A in combinations(range(1, ws.n + 1), size):
             ca = materialize_on_monomials(casimir(ws.params, A), ws.n, ws.k)
-            total = RationalMatrix.zeros(ws.dim, ws.dim)
-            for i, j in combinations(A, 2):
-                total = total + ws.cp(i, j)
-            singles = [Fraction(0)] * ws.dim
-            for i in A:
-                singles = [a + b for a, b in zip(singles, ws.c1(i))]
-            total = total - RationalMatrix.diagonal(singles).scale(size - 2)
-            yield "subset-additivity", A, ca - total
+            terms = [(1, (ca,))]
+            terms += [(-1, (ws.cp(i, j),)) for i, j in combinations(A, 2)]
+            terms += [(size - 2, (ws.c1(i),)) for i in A]
+            yield "subset-additivity", A, terms
 
 
 def _f_from_angular(ws: RelationWorkspace):
-    params = ws.params
-    one = RationalMatrix.identity(ws.dim)
-
-    def refl_factor(mu: Fraction, t: int) -> RationalMatrix:
-        return one + RationalMatrix.diagonal([mu * 2 * s for s in ws.reflect_sign[t]])
-
+    # 16 F_ijm = L_ij^2 R_m - L_im^2 R_j - L_jm^2 R_i + 2 L_im L_ij L_jm,
+    # with the reflection factor R_t = 1 + 2 mu_t r_t
+    sixteenth = Fraction(1, 16)
     for idx in permutations(range(1, ws.n + 1), 3):
         i, j, m = idx
         if i > m:
             continue
-        mu_i, mu_j, mu_m = (params.mu_of(t) for t in (i, j, m))
-        f_angular = (
-            ws.l2_mat[frozenset((i, j))] * refl_factor(mu_m, m)
-            - ws.l2_mat[frozenset((i, m))] * refl_factor(mu_j, j)
-            - ws.l2_mat[frozenset((j, m))] * refl_factor(mu_i, i)
-            + (ws.l_mat[(i, m)] * ws.l_mat[(i, j)] * ws.l_mat[(j, m)]).scale(2)
-        ).scale(Fraction(1, 16))
-        yield "f-from-angular-momentum", idx, ws.f(i, j, m) - f_angular
-        yield "f-antisymmetry", idx, ws.f(m, j, i) + ws.f(i, j, m)
+        yield "f-from-angular-momentum", idx, [
+            (1, (ws.f(i, j, m),)),
+            (-sixteenth, (ws.l2(i, j), ws.refl(m))),
+            (sixteenth, (ws.l2(i, m), ws.refl(j))),
+            (sixteenth, (ws.l2(j, m), ws.refl(i))),
+            (-2 * sixteenth, (ws.l_mat[(i, m)], ws.l_mat[(i, j)], ws.l_mat[(j, m)])),
+        ]
+        yield "f-antisymmetry", idx, [(1, (ws.f(m, j, i),)), (1, (ws.f(i, j, m),))]
 
 
 def _triple_relation(ws: RelationWorkspace):
+    # [P_jm, F_ijm] = P_im P_jm - P_jm P_ij + 2 P_im C_j - 2 P_ij C_m
     for idx in permutations(range(1, ws.n + 1), 3):
         i, j, m = idx
-        p_jm = ws.p(j, m)
-        lhs = p_jm.commutator(ws.f(i, j, m))
-        rhs = (
-            ws.p(i, m) * p_jm
-            - p_jm * ws.p(i, j)
-            + ws.p(i, m).mul_diag_right(ws.c1(j)).scale(2)
-            - ws.p(i, j).mul_diag_right(ws.c1(m)).scale(2)
-        )
-        yield "triple-relation", idx, lhs - rhs
+        p_ij, p_im, p_jm = ws.p(i, j), ws.p(i, m), ws.p(j, m)
+        yield "triple-relation", idx, _commutator(p_jm, ws.f(i, j, m)) + [
+            (-1, (p_im, p_jm)),
+            (1, (p_jm, p_ij)),
+            (-2, (p_im, ws.c1(j))),
+            (2, (p_ij, ws.c1(m))),
+        ]
 
 
 def _quad_pf_relation(ws: RelationWorkspace):
+    # [P_ml, F_ijm] = P_im P_jl - P_il P_jm
     for idx in permutations(range(1, ws.n + 1), 4):
         i, j, m, l = idx
-        lhs = ws.p(m, l).commutator(ws.f(i, j, m))
-        rhs = ws.p(i, m) * ws.p(j, l) - ws.p(i, l) * ws.p(j, m)
-        yield "quad-pf-relation", idx, lhs - rhs
+        yield "quad-pf-relation", idx, _commutator(ws.p(m, l), ws.f(i, j, m)) + [
+            (-1, (ws.p(i, m), ws.p(j, l))),
+            (1, (ws.p(i, l), ws.p(j, m))),
+        ]
 
 
 def _quad_ff_relation(ws: RelationWorkspace):
+    # [F_ijm, F_jml] = F_jml P_ij - F_iml (P_jm + 2 C_j) - F_ijm P_jl
     for idx in permutations(range(1, ws.n + 1), 4):
         i, j, m, l = idx
-        lhs = ws.f(i, j, m).commutator(ws.f(j, m, l))
-        middle = ws.p(j, m) + RationalMatrix.diagonal(ws.c1(j)).scale(2)
-        rhs = (
-            ws.f(j, m, l) * ws.p(i, j)
-            - ws.f(i, m, l) * middle
-            - ws.f(i, j, m) * ws.p(j, l)
-        )
-        yield "quad-ff-relation", idx, lhs - rhs
+        f_ijm, f_jml, f_iml = ws.f(i, j, m), ws.f(j, m, l), ws.f(i, m, l)
+        yield "quad-ff-relation", idx, _commutator(f_ijm, f_jml) + [
+            (-1, (f_jml, ws.p(i, j))),
+            (1, (f_iml, ws.p(j, m))),
+            (2, (f_iml, ws.c1(j))),
+            (1, (f_ijm, ws.p(j, l))),
+        ]
 
 
 def _quint_ff_relation(ws: RelationWorkspace):
+    # [F_ijm, F_mlq] = F_ilq P_jm - P_im F_jlq
     for idx in permutations(range(1, ws.n + 1), 5):
         i, j, m, l, q = idx
-        lhs = ws.f(i, j, m).commutator(ws.f(m, l, q))
-        rhs = ws.f(i, l, q) * ws.p(j, m) - ws.p(i, m) * ws.f(j, l, q)
-        yield "quint-ff-relation", idx, lhs - rhs
+        yield "quint-ff-relation", idx, _commutator(ws.f(i, j, m), ws.f(m, l, q)) + [
+            (-1, (ws.f(i, l, q), ws.p(j, m))),
+            (1, (ws.p(i, m), ws.f(j, l, q))),
+        ]
 
 
 def _drinfeld_kohno(n: int, c_pair: dict[frozenset, RationalMatrix]):
@@ -308,14 +324,14 @@ def _drinfeld_kohno(n: int, c_pair: dict[frozenset, RationalMatrix]):
     for i, j in combinations(range(1, n + 1), 2):
         for m, l in combinations(range(1, n + 1), 2):
             if (i, j) < (m, l) and not {i, j} & {m, l}:
-                diff = cp(i, j).commutator(cp(m, l))
-                yield "disjoint-pairs-commute", (i, j, m, l), diff
+                yield "disjoint-pairs-commute", (i, j, m, l), _commutator(cp(i, j), cp(m, l))
     for i, j in combinations(range(1, n + 1), 2):
         for m in range(1, n + 1):
             if m in (i, j):
                 continue
-            diff = cp(i, j).commutator(cp(i, m) + cp(j, m))
-            yield "adjacent-pair-sum-commutes", (i, j, m), diff
+            # [C_ij, C_im + C_jm]
+            terms = _commutator(cp(i, j), cp(i, m)) + _commutator(cp(i, j), cp(j, m))
+            yield "adjacent-pair-sum-commutes", (i, j, m), terms
 
 
 def verify_drinfeld_kohno(params: ParameterSet, kmax: int) -> Report:
@@ -324,7 +340,7 @@ def verify_drinfeld_kohno(params: ParameterSet, kmax: int) -> Report:
     report = Report()
     for k in range(kmax + 1):
         c_pair = _pair_invariants(params, k)
-        _record(report, k, n, monomial_basis(n, k), _drinfeld_kohno(n, c_pair))
+        _record(report, k, n, monomial_basis(n, k), _summed(_drinfeld_kohno(n, c_pair)))
     return report
 
 
@@ -355,7 +371,9 @@ def verify_nested_disjoint_commute(params: ParameterSet, kmax: int) -> Report:
             A: materialize_on_monomials(casimir(params, A), n, k)
             for A in nonempty_subsets(n)
         }
-        _record(report, k, n, monomial_basis(n, k), _nested_disjoint_commutators(mats))
+        _record(
+            report, k, n, monomial_basis(n, k), _summed(_nested_disjoint_commutators(mats))
+        )
     return report
 
 
@@ -370,7 +388,7 @@ def _nested_disjoint_commutators(mats: dict[tuple[int, ...], RationalMatrix]):
                 relation = "disjoint-invariants-commute"
             else:
                 continue
-            yield relation, (A, B), mats[A].commutator(mats[B])
+            yield relation, (A, B), _commutator(mats[A], mats[B])
 
 
 def verify_embedding(
@@ -400,7 +418,9 @@ def verify_embedding(
         def mat(subset: tuple[int, ...]) -> RationalMatrix:
             return materialize_on_monomials(casimir(params, tuple(sorted(subset))), n, k)
 
-        _record(report, k, n, monomial_basis(n, k), _embedding_relations((K, L, M), mat))
+        _record(
+            report, k, n, monomial_basis(n, k), _summed(_embedding_relations((K, L, M), mat))
+        )
     return report
 
 
@@ -409,17 +429,27 @@ def _embedding_relations(blocks, mat):
     c_k, c_l, c_m = mat(K), mat(L), mat(M)
     c_kl, c_km, c_lm = mat(K + L), mat(K + M), mat(L + M)
     c_klm = mat(K + L + M)
-    two_f = c_kl.commutator(c_lm)
-    f = two_f.scale(Fraction(1, 2))
-    yield "embedding-additivity", blocks, c_klm - (c_kl + c_km + c_lm - c_k - c_l - c_m)
-    yield "embedding-f-consistency-1", blocks, two_f - c_km.commutator(c_kl)
-    yield "embedding-f-consistency-2", blocks, two_f - c_lm.commutator(c_km)
-    yield "embedding-equitable-1", blocks, c_kl.commutator(f) - (
-        c_lm * c_kl - c_kl * c_km + (c_l - c_k) * (c_m - c_klm)
+    # F = 1/2 [C_KL, C_LM]
+    f = product_sum(_commutator(c_kl, c_lm, Fraction(1, 2))).normalized()
+
+    def equitable(x, y, z, a, b, c):
+        # [x, F] - (y x - x z + (b - a)(c - C_KLM))
+        return _commutator(x, f) + [
+            (-1, (y, x)), (1, (x, z)),
+            (-1, (b, c)), (1, (b, c_klm)), (1, (a, c)), (-1, (a, c_klm)),
+        ]
+
+    yield "embedding-additivity", blocks, [
+        (1, (c_klm,)), (-1, (c_kl,)), (-1, (c_km,)), (-1, (c_lm,)),
+        (1, (c_k,)), (1, (c_l,)), (1, (c_m,)),
+    ]
+    # 2F - [C_KM, C_KL] and 2F - [C_LM, C_KM]
+    yield "embedding-f-consistency-1", blocks, (
+        _commutator(c_kl, c_lm) + _commutator(c_km, c_kl, -1)
     )
-    yield "embedding-equitable-2", blocks, c_lm.commutator(f) - (
-        c_km * c_lm - c_lm * c_kl + (c_m - c_l) * (c_k - c_klm)
+    yield "embedding-f-consistency-2", blocks, (
+        _commutator(c_kl, c_lm) + _commutator(c_lm, c_km, -1)
     )
-    yield "embedding-equitable-3", blocks, c_km.commutator(f) - (
-        c_kl * c_km - c_km * c_lm + (c_k - c_m) * (c_l - c_klm)
-    )
+    yield "embedding-equitable-1", blocks, equitable(c_kl, c_lm, c_km, c_k, c_l, c_m)
+    yield "embedding-equitable-2", blocks, equitable(c_lm, c_km, c_kl, c_l, c_m, c_k)
+    yield "embedding-equitable-3", blocks, equitable(c_km, c_kl, c_lm, c_m, c_k, c_l)

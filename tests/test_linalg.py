@@ -2,14 +2,16 @@
 
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import gcd, lcm, prod
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from racah_dunkl import InconsistentSystem, Polynomial, RationalMatrix, matrix_rank, solve_in_span
-from racah_dunkl.linalg import leading_principal_minors
+from racah_dunkl.linalg import leading_principal_minors, product_sum
+from racah_dunkl.poly import monomial_basis
+from racah_dunkl.relations import _matrix_witness
 
 
 def F(a, b=1):
@@ -263,6 +265,91 @@ def test_zero_test_first_column_and_dense_views(data):
     assert [[m.at(i, j) for j in range(c)] for i in range(r)] == a
     view[0][0] += 1  # the dense view is a copy
     assert m.to_fractions() == a
+
+
+# -- the product-sum kernel behind every product ---------------------------------
+
+
+@st.composite
+def factors(draw, nrows, ncols):
+    """A factor and its dense entries: diagonal (when square) or general.
+
+    A general factor may be stored over a multiple of its lowest
+    denominator, so the terms of one sum carry unequal denominators.
+    """
+    if nrows == ncols and draw(st.booleans()):
+        values = draw(st.lists(entries, min_size=nrows, max_size=nrows))
+        dense_values = [[values[i] if i == j else Fraction(0) for j in range(nrows)]
+                        for i in range(nrows)]
+        return RationalMatrix.diagonal(values), dense_values
+    a = draw(dense(nrows, ncols))
+    m = RationalMatrix.from_fractions(a)
+    t = draw(st.integers(min_value=1, max_value=6))
+    rows = [{j: x * t for j, x in row.items()} for row in m.sparse_rows]
+    return RationalMatrix.from_sparse(rows, m.den * t, ncols), a
+
+
+@st.composite
+def product_terms(draw):
+    """Terms c * A_1 (* A_2 (* A_3)) of one shape, with their dense values."""
+    r, c = draw(sizes), draw(sizes)
+    terms, values = [], []
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        dims = [r] + [draw(sizes) for _ in range(draw(st.integers(0, 2)))] + [c]
+        drawn = [draw(factors(a, b)) for a, b in zip(dims, dims[1:])]
+        coeff = draw(scalars)
+        product = drawn[0][1]
+        for _, dense_factor in drawn[1:]:
+            product = ref_mul(product, dense_factor)
+        terms.append((coeff, tuple(m for m, _ in drawn)))
+        values.append(ref_scale(product, coeff))
+    return (r, c), terms, values
+
+
+def _first_nonzero_column(dense_matrix):
+    return next((j for j in range(len(dense_matrix[0])) if any(row[j] for row in dense_matrix)),
+                None)
+
+
+@settings(max_examples=100, deadline=None)
+@given(product_terms())
+def test_product_sum_matches_dense_reference(drawn):
+    (r, c), terms, values = drawn
+    want = values[0]
+    for value in values[1:]:
+        want = ref_add(want, value)
+    got = product_sum(terms)
+    assert got.shape == (r, c)
+    assert got.to_fractions() == want
+    # one denominator: the lcm of the term denominators, with no reduction
+    assert got.den == lcm(*(
+        Fraction(coeff).denominator * prod(m.den for m in fs) for coeff, fs in terms
+    ))
+    # only nonzero entries are stored, so the zero test and the first column are exact
+    assert all(isinstance(x, int) and x for row in got.sparse_rows for x in row.values())
+    assert got.is_zero == (_first_nonzero_column(want) is None)
+    assert got.first_nonzero_column() == _first_nonzero_column(want)
+    norm = got.normalized()
+    assert norm == got
+    assert_lowest_terms(norm)
+    # a witness reads the same whether or not the discrepancy is reduced
+    basis = monomial_basis(2, r - 1)  # r monomials
+    assert _matrix_witness(2, basis, got) == _matrix_witness(2, basis, norm)
+    # adding every term again with the opposite sign cancels exactly
+    cancelled = product_sum(terms + [(-coeff, fs) for coeff, fs in terms])
+    assert cancelled.sparse_rows == [{} for _ in range(r)]
+    assert cancelled.is_zero and cancelled.first_nonzero_column() is None
+    assert _matrix_witness(2, basis, cancelled) is None
+
+
+def test_product_sum_rejects_mismatched_shapes():
+    a, b = RationalMatrix.identity(2), RationalMatrix.identity(3)
+    with pytest.raises(ValueError, match="cannot multiply"):
+        product_sum([(1, (a, b))])
+    with pytest.raises(ValueError, match="shape mismatch"):
+        product_sum([(1, (a,)), (1, (b,))])
+    with pytest.raises(ValueError, match="at least one term"):
+        product_sum([])
 
 
 # -- the one elimination behind solve_in_span, matrix_rank and minors ----------

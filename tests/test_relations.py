@@ -5,6 +5,8 @@ sweeps small enough for quick iteration while still exercising every
 relation family and the report plumbing.
 """
 
+import hashlib
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -182,3 +184,49 @@ def test_su11_witness_is_first_nonzero_monomial_image(monkeypatch):
         CheckResult("su11-bracket", (1,), 0, "fail", "1"),
         CheckResult("su11-bracket", (1,), 1, "fail", "2 * x1"),
     ]
+
+
+def test_one_wrong_generator_entry_at_n6_fails_exactly_its_relations(monkeypatch):
+    # bump the (x1 x2 -> x1 x3) entry of C_12, hence of P_12, on degree 2 only;
+    # the failing list and the witnesses were recorded on the unfused sweep
+    pair_invariants = relations._pair_invariants
+
+    def bumped(params, k):
+        c_pair = pair_invariants(params, k)
+        if k == 2:
+            key = frozenset((1, 2))
+            entries = c_pair[key].to_fractions()
+            entries[1][2] += 1
+            c_pair[key] = RationalMatrix.from_fractions(entries)
+        return c_pair
+
+    monkeypatch.setattr(relations, "_pair_invariants", bumped)
+    report = verify_racah_relations(ParameterSet.default(6), 2)
+    failures = report.failures
+    assert len(report) == 5544
+    assert {r.degree for r in failures} == {2}
+    assert Counter(r.relation for r in failures) == {
+        "pair-invariant-angular-form": 1,
+        "subset-additivity": 15,
+        "f-from-angular-momentum": 5,
+        "triple-relation": 24,
+        "quad-pf-relation": 105,
+        "quad-ff-relation": 72,
+        "quint-ff-relation": 90,
+        "disjoint-pairs-commute": 3,
+        "adjacent-pair-sum-commutes": 8,
+    }
+    by_relation = {
+        relation: [r.index_tuple for r in failures if r.relation == relation]
+        for relation in ("disjoint-pairs-commute", "f-from-angular-momentum")
+    }
+    assert by_relation == {
+        "disjoint-pairs-commute": [(1, 2, 3, 4), (1, 2, 3, 5), (1, 2, 3, 6)],
+        "f-from-angular-momentum": [(1, 2, 3), (1, 2, 4), (1, 2, 5), (1, 2, 6), (2, 1, 3)],
+    }
+    # the whole list of (relation, index tuple, degree), in report order
+    listed = [(r.relation, r.index_tuple, r.degree) for r in failures]
+    digest = hashlib.sha256(repr(listed).encode()).hexdigest()
+    assert digest == "e3b3ad50f2484855b5b40f8f744f2e90a836cda0c5f8d8d71709ae82fab8e674"
+    triple = next(r for r in failures if r.relation == "triple-relation")
+    assert triple == CheckResult("triple-relation", (1, 2, 3), 2, "fail", "539/1152 * x1 x2")
