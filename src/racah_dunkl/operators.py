@@ -13,8 +13,12 @@ are exactly the columns of the operator's matrix on that degree.
 Sums, products and commutators of operators are taken on their exact
 matrices (linalg.RationalMatrix), so equality of operators is always
 decided by materializing their action on an explicit basis, typically the
-monomials of a fixed homogeneous degree; all the verified identities are
-degree-homogeneous, so this is sound.
+monomials of a fixed homogeneous degree.  Every operator here shifts the
+degree by a fixed amount (T_i by -1, the Laplacians and J- by -2, J+ by
++2, the invariants, angular momenta and A0 by 0), so its matrix from the
+monomials of degree k to those of degree k + shift holds its whole
+action on degree k; all the verified identities are degree-homogeneous,
+so this is sound.
 
 Index conventions follow the coordinate notation: operator builders take
 1-based variable indices, and subsets are subsets of {1, .., n}.
@@ -257,22 +261,29 @@ def angular(params: ParameterSet, i: int, j: int) -> LinearOperator:
     return LinearOperator(rule, f"L{i}{j}")
 
 
-def materialize_on_monomials(op: LinearOperator, n: int, k: int) -> RationalMatrix:
-    """Matrix of a degree-preserving operator on the monomials of degree k.
+def materialize_on_monomials(
+    op: LinearOperator, n: int, k: int, shift: int = 0
+) -> RationalMatrix:
+    """Matrix of an operator from the degree-k to the degree-(k + shift) monomials.
 
-    Column j is the kept image of the j-th basis monomial.
+    Column j is the kept image of the j-th monomial of monomial_basis(n, k),
+    and row i is the i-th monomial of monomial_basis(n, k + shift); a basis
+    of negative degree is empty, so the matrix has no columns when k < 0
+    and no rows when k + shift < 0.  An image with a term outside degree
+    k + shift raises ImageEscapesSpan.
     """
     basis = monomial_basis(n, k)
-    position = {exps: i for i, exps in enumerate(basis)}
+    targets = basis if shift == 0 else monomial_basis(n, k + shift)
+    position = {exps: i for i, exps in enumerate(targets)}
     images = [op._image(exps) for exps in basis]
     den = lcm(1, *(c.denominator for terms in images for c in terms.values()))
-    rows: list[dict[int, int]] = [{} for _ in basis]
+    rows: list[dict[int, int]] = [{} for _ in targets]
     for j, terms in enumerate(images):
         for exps, c in terms.items():
             i = position.get(exps)
             if i is None:
                 raise ImageEscapesSpan(
-                    f"{op.descriptor} does not preserve homogeneous degree {k}"
+                    f"{op.descriptor} does not map homogeneous degree {k} to degree {k + shift}"
                 )
             rows[i][j] = c.numerator * (den // c.denominator)
     return RationalMatrix.from_sparse(rows, den, len(basis))

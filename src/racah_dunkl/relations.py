@@ -1,14 +1,17 @@
 """Exhaustive verification of the symmetry-algebra identities.
 
 Every check here materializes the operators of an identity on the
-monomial basis of a homogeneous degree and forms the exact difference of
-its two sides (or, for operators that change degree, the difference of
-the images of every basis monomial).  Each relation family is a generator
-of (relation, index tuple, discrepancy) triples, the discrepancy written
-as one signed sum of products of generator matrices; ``linalg.product_sum``
-evaluates each sum once, over one denominator and without reduction.  One
-loop turns each discrepancy into a witness, the first nonzero column as a
-polynomial, and records it.  A check fails exactly when it has a witness.
+monomial bases of homogeneous degrees and forms the exact difference of
+its two sides on degree k.  An operator that changes the degree (J+, J-
+and the full Laplacian) is a rectangular matrix from the degree-k
+monomials to those of degree k + 2 or k - 2, so such a difference maps
+degree k to the degree its terms land in.  Each relation family is a
+generator of (relation, index tuple, discrepancy) triples, the
+discrepancy written as one signed sum of products of generator matrices;
+``linalg.product_sum`` evaluates each sum once, over one denominator and
+without reduction.  One loop turns each discrepancy into a witness, the
+first nonzero column as a polynomial on the discrepancy's target degree,
+and records it.  A check fails exactly when it has a witness.
 
 The generator matrices of one degree (pair invariants, P_ij, L_ij, L_ij^2,
 F_ijm and the diagonal factors) are built once in a RelationWorkspace,
@@ -30,7 +33,7 @@ from .operators import (
     su11_triple,
 )
 from .poly import ParameterSet, Polynomial, monomial_basis
-from .report import Report, first_witness
+from .report import Report
 
 # Degree bounds keeping full relation sweeps in seconds-to-minutes.
 _DEFAULT_BOUNDS = {3: 6, 4: 4, 5: 5, 6: 4}
@@ -162,22 +165,33 @@ def verify_su11(params: ParameterSet, kmax: int) -> Report:
     """Bracket identities of the raising/lowering triple, on all degrees <= kmax.
 
     For each subset A the three identities [A0, J+] = J+, [A0, J-] = -J-
-    and [J-, J+] = 2 A0 are applied to every monomial of every degree.
+    and [J-, J+] = 2 A0 are checked on every degree k as one product sum
+    of the triple's matrices between monomial degrees.  J+ raises the
+    degree by two and J- lowers it by two, so the discrepancies map degree
+    k to degree k + 2, k - 2 and k, and each witness is written there.
     """
     n = params.n
+    bases = {d: monomial_basis(n, d) for d in range(-2, kmax + 3)}
     report = Report()
     for A in nonempty_subsets(n):
         a0, jp, jm = su11_triple(params, A)
-        checks = (
-            ("su11-raising", lambda p: a0(jp(p)) - jp(a0(p)) - jp(p)),
-            ("su11-lowering", lambda p: a0(jm(p)) - jm(a0(p)) + jm(p)),
-            ("su11-bracket", lambda p: jm(jp(p)) - jp(jm(p)) - a0(p).scale(2)),
+        mats = (
+            {d: materialize_on_monomials(a0, n, d) for d in range(-2, kmax + 3)},
+            {d: materialize_on_monomials(jp, n, d, 2) for d in range(-2, kmax + 1)},
+            {d: materialize_on_monomials(jm, n, d, -2) for d in range(kmax + 3)},
         )
         for k in range(kmax + 1):
-            for relation, diff_fn in checks:
-                diffs = (diff_fn(Polynomial.monomial(n, e)) for e in monomial_basis(n, k))
-                report.add(relation, tuple(A), k, first_witness(diffs))
+            for relation, shift, terms in _su11_brackets(*mats, k):
+                _record(report, k, n, bases[k + shift], _summed([(relation, A, terms)]))
     return report
+
+
+def _su11_brackets(a0, jp, jm, k: int):
+    # (relation, degree shift, terms) on degree k, where a0[d], jp[d] and
+    # jm[d] map degree d to degrees d, d + 2 and d - 2
+    yield "su11-raising", 2, [(1, (a0[k + 2], jp[k])), (-1, (jp[k], a0[k])), (-1, (jp[k],))]
+    yield "su11-lowering", -2, [(1, (a0[k - 2], jm[k])), (-1, (jm[k], a0[k])), (1, (jm[k],))]
+    yield "su11-bracket", 0, [(1, (jm[k + 2], jp[k])), (-1, (jp[k - 2], jm[k])), (-2, (a0[k],))]
 
 
 def verify_racah_relations(params: ParameterSet, kmax: int | None = None) -> Report:
@@ -345,21 +359,30 @@ def verify_drinfeld_kohno(params: ParameterSet, kmax: int) -> Report:
 
 
 def verify_casimir_laplacian_commute(params: ParameterSet, kmax: int) -> Report:
-    """[C_A, Lap] = 0 for every nonempty A, checked on every monomial.
+    """[C_A, Lap] = 0 for every nonempty A, on all degrees <= kmax.
 
-    The full Laplacian lowers degree by two, so this check applies both
-    orders of composition to each monomial instead of using matrices.
+    The full Laplacian lowers the degree by two, so on degree k the
+    commutator is a matrix from the degree-k monomials to the degree-(k - 2)
+    ones, and each witness is written on degree k - 2.  The Laplacian is
+    materialized once per degree and each C_A once per degree.
     """
     n = params.n
     lap = laplace(params, range(1, n + 1))
+    laps = [materialize_on_monomials(lap, n, k, -2) for k in range(kmax + 1)]
+    targets = [monomial_basis(n, k - 2) for k in range(kmax + 1)]
     report = Report()
     for A in nonempty_subsets(n):
         ca = casimir(params, A)
+        mats = {d: materialize_on_monomials(ca, n, d) for d in range(-2, kmax + 1)}
         for k in range(kmax + 1):
-            monomials = (Polynomial.monomial(n, e) for e in monomial_basis(n, k))
-            diffs = (ca(lap(p)) - lap(ca(p)) for p in monomials)
-            report.add("invariant-commutes-with-laplacian", tuple(A), k, first_witness(diffs))
+            _record(report, k, n, targets[k], _summed(_laplacian_commutator(A, mats, laps[k], k)))
     return report
+
+
+def _laplacian_commutator(A, ca, lap: RationalMatrix, k: int):
+    # C_A Lap - Lap C_A on degree k, where ca[d] is C_A on degree d and lap
+    # maps degree k to degree k - 2
+    yield "invariant-commutes-with-laplacian", A, [(1, (ca[k - 2], lap)), (-1, (lap, ca[k]))]
 
 
 def verify_nested_disjoint_commute(params: ParameterSet, kmax: int) -> Report:

@@ -57,10 +57,11 @@ def test_criterion_01_su11_brackets():
     report = verify_su11(params, 6)
     _require(report, 1)
     assert len(report) == 7 * 3 * 7  # subsets x relations x degrees 0..6
-    report = verify_su11(ParameterSet.default(4), 4)
-    _require(report, 1)
-    assert len(report) == 15 * 3 * 5
-    _passed(1, "su(1,1) bracket identities, all subsets, n=3 (k<=6), n=4 (k<=4)")
+    for n, subsets in ((4, 15), (5, 31)):
+        report = verify_su11(ParameterSet.default(n), 4)
+        _require(report, 1)
+        assert len(report) == subsets * 3 * 5
+    _passed(1, "su(1,1) bracket identities, all subsets, n=3 (k<=6), n=4 and n=5 (k<=4)")
 
 
 def test_criterion_02_racah_relations_all_ranks():
@@ -76,12 +77,14 @@ def test_criterion_03_central_commutation():
         params = ParameterSet.default(n)
         _require(verify_casimir_laplacian_commute(params, 4), 3)
         _require(verify_nested_disjoint_commute(params, 4), 3)
-    report = verify_casimir_laplacian_commute(ParameterSet.default(5), 4)
-    _require(report, 3)
-    assert len(report) == 31 * 5  # subsets x degrees 0..4
+    for n, kmax, subsets in ((5, 5, 31), (6, 3, 63)):
+        report = verify_casimir_laplacian_commute(ParameterSet.default(n), kmax)
+        _require(report, 3)
+        assert len(report) == subsets * (kmax + 1)
     _passed(
         3,
-        "invariants commute with the full Laplacian (n<=5) and with nested/disjoint invariants (n<=4), k<=4",
+        "invariants commute with the full Laplacian (n<=4 k<=4, n=5 k<=5, n=6 k<=3)"
+        " and with nested/disjoint invariants (n<=4, k<=4)",
     )
 
 

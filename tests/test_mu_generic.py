@@ -1,7 +1,7 @@
 """The identities are claimed for every positive rational mu, so draw mu.
 
 The acceptance gate runs at ParameterSet.default(n); these properties run
-small sweeps of the relation, su(1,1), closed-form and spectral suites at
+small sweeps of the relation, su(1,1), lemma1, closed-form and spectral suites at
 drawn mu, including equal values, integers and numerators and denominators
 up to 10^6, and use the direct connection matrix as the oracle for the
 composed per-edge pipeline.
@@ -19,6 +19,7 @@ from racah_dunkl import (
     build_basis_tower,
     connection_matrix,
     connection_pipeline,
+    verify_casimir_laplacian_commute,
     verify_closed_form,
     verify_racah_relations,
     verify_spectral_action,
@@ -61,6 +62,20 @@ def test_racah_relations_hold_at_any_mu(p3, p4):
         report = verify_racah_relations(params, kmax)
         assert_all_ok(report)
         assert shape(report) == default_shape(params.n, kmax)
+
+
+@lru_cache(maxsize=None)
+def default_lemma1_shape(n, kmax):
+    return shape(verify_casimir_laplacian_commute(ParameterSet.default(n), kmax))
+
+
+@settings(max_examples=10, deadline=None)
+@given(parameters(3), parameters(4))
+def test_invariants_commute_with_laplacian_at_any_mu(p3, p4):
+    for params, kmax in ((p3, 4), (p4, 2)):
+        report = verify_casimir_laplacian_commute(params, kmax)
+        assert_all_ok(report)
+        assert shape(report) == default_lemma1_shape(params.n, kmax)
 
 
 @settings(max_examples=10, deadline=None)

@@ -22,6 +22,7 @@ from racah_dunkl import (
     norm_square_mul,
     su11_triple,
 )
+from racah_dunkl.linalg import product_sum
 
 PARAMS = ParameterSet.make(["1/2", "1/3", "1/4"])
 
@@ -212,6 +213,43 @@ def test_materialize_rejects_degree_changing_without_basis():
     lap = laplace(PARAMS, (1, 2, 3))
     with pytest.raises(ImageEscapesSpan):
         materialize_on_monomials(lap, 3, 2)
+
+
+def test_materialize_between_degrees_matches_monomial_images():
+    # column j is op(j-th degree-k monomial) written on the degree-(k + shift) monomials
+    _, jp, jm = su11_triple(PARAMS, (1, 3))
+    lap = laplace(PARAMS, (1, 2, 3))
+    for op, shift in ((jp, 2), (jm, -2), (lap, -2)):
+        for k in range(5):
+            mat = materialize_on_monomials(op, 3, k, shift)
+            columns, rows = monomial_basis(3, k), monomial_basis(3, k + shift)
+            assert mat.shape == (len(rows), len(columns))
+            for j, exps in enumerate(columns):
+                image = Polynomial(3, {row: mat.at(i, j) for i, row in enumerate(rows)})
+                assert image == op(Polynomial.monomial(3, exps))
+
+
+def test_materialize_below_degree_zero_is_empty():
+    a0, jp, jm = su11_triple(PARAMS, (1, 2))
+    lowered = materialize_on_monomials(jm, 3, 1, -2)
+    assert lowered.shape == (0, 3)
+    # A0 on degree -1 has no rows or columns, J+ from degree -1 no columns
+    a0_below = materialize_on_monomials(a0, 3, -1)
+    raised = materialize_on_monomials(jp, 3, -1, 2)
+    assert a0_below.shape == (0, 0) and raised.shape == (3, 0)
+    diff = product_sum([(1, (a0_below, lowered)), (-1, (lowered,))])
+    assert diff.shape == (0, 3) and diff.is_zero
+    assert diff.first_nonzero_column() is None
+    square = product_sum([(1, (raised, lowered))])
+    assert square.shape == (3, 3) and square.is_zero
+
+
+def test_materialize_with_wrong_shift_raises():
+    _, jp, jm = su11_triple(PARAMS, (1, 3))
+    lap = laplace(PARAMS, (1, 2, 3))
+    for op, k, shift in ((jp, 2, 0), (jm, 2, 2), (lap, 3, -1), (lap, 2, 0)):
+        with pytest.raises(ImageEscapesSpan):
+            materialize_on_monomials(op, 3, k, shift)
 
 
 def test_materialize_on_basis_and_escape():

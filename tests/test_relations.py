@@ -12,6 +12,7 @@ from fractions import Fraction
 import pytest
 
 from racah_dunkl import (
+    LinearOperator,
     ParameterSet,
     RationalMatrix,
     materialize_on_monomials,
@@ -174,7 +175,8 @@ def test_su11_witness_is_first_nonzero_monomial_image(monkeypatch):
 
     def doubled_lowering(params, A):
         a0, jp, jm = triple(params, A)
-        return a0, jp, lambda p: jm(p).scale(2)
+        doubled = LinearOperator(lambda e: {m: 2 * c for m, c in jm._image(e).items()}, "2J-")
+        return a0, jp, doubled
 
     monkeypatch.setattr(relations, "su11_triple", doubled_lowering)
     failures = verify_su11(P3, 1).failures
@@ -183,6 +185,24 @@ def test_su11_witness_is_first_nonzero_monomial_image(monkeypatch):
     assert failures[:2] == [
         CheckResult("su11-bracket", (1,), 0, "fail", "1"),
         CheckResult("su11-bracket", (1,), 1, "fail", "2 * x1"),
+    ]
+
+
+def test_lemma1_witness_is_first_nonzero_monomial_image(monkeypatch):
+    # a Laplacian without x3 still commutes with C_1, C_2, C_3 and C_12;
+    # the failing list and the witnesses were recorded monomial by monomial
+    laplace = relations.laplace
+    monkeypatch.setattr(relations, "laplace", lambda params, A: laplace(params, (1, 2)))
+    report = verify_casimir_laplacian_commute(P3, 3)
+    assert len(report) == 7 * 4
+    relation = "invariant-commutes-with-laplacian"
+    assert report.failures == [
+        CheckResult(relation, (1, 3), 2, "fail", "-3"),
+        CheckResult(relation, (1, 3), 3, "fail", "-6 * x1"),
+        CheckResult(relation, (2, 3), 2, "fail", "-5/2"),
+        CheckResult(relation, (2, 3), 3, "fail", "-5/2 * x1"),
+        CheckResult(relation, (1, 2, 3), 2, "fail", "-3"),
+        CheckResult(relation, (1, 2, 3), 3, "fail", "-6 * x1"),
     ]
 
 
