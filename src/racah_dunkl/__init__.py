@@ -6,8 +6,9 @@ operators built from Dunkl operators and their sparse exact matrices,
 harmonic bases built by one-variable extensions, connection matrices
 between the joint eigenbases of maximal commuting chains, the discrete
 three-term recurrence governing them, and the recoupling graph that
-factors any basis change into single-generator steps.  Verification sweeps return machine-checkable reports with
-polynomial witnesses for any failure.
+factors any basis change into single-generator steps.  Verification
+sweeps return machine-checkable reports with polynomial witnesses for any
+failure.
 """
 
 from .connection import (

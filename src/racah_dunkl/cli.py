@@ -284,7 +284,8 @@ def _add_options(
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="racah-dunkl",
-        description="exact verification and export tool for the deformed-Laplacian symmetry algebra",
+        description="exact verification and export tool for the deformed-Laplacian "
+        "symmetry algebra",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

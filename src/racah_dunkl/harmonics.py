@@ -24,7 +24,7 @@ from math import comb, factorial
 from typing import Iterable, Iterator, Sequence
 
 from .linalg import matrix_rank, solve_in_span
-from .operators import LinearOperator, gamma, laplace, norm_square_poly
+from .operators import LinearOperator, casimir, gamma, laplace, norm_square_poly
 from .poly import ParameterSet, Polynomial, monomial_basis
 from .report import Report, first_witness
 
@@ -467,17 +467,16 @@ def verify_extension_restrictions(params: ParameterSet, kmax: int) -> Report:
 
 
 def verify_closed_form(params: ParameterSet, kmax: int) -> Report:
-    """The product closed form equals the tower realization, label by label."""
+    """The product closed form equals the tower element, label by label."""
     report = Report()
     for k in range(kmax + 1):
         witness = None
         bad_label: tuple = ()
-        for label in enumerate_labels(params.n, k):
-            tower = realize_label(params, label)
-            closed = jacobi_closed_form(params, label)
-            if tower != closed:
-                witness = (closed - tower).to_text()
-                bad_label = (label.epsilon, label.ell)
+        for el in build_basis_tower(params, k):
+            closed = jacobi_closed_form(params, el.label)
+            if el.poly != closed:
+                witness = (closed - el.poly).to_text()
+                bad_label = (el.label.epsilon, el.label.ell)
                 break
         report.add("closed-form-matches-tower", bad_label, k, witness)
     return report
@@ -487,8 +486,6 @@ def verify_spectral_action(
     params: ParameterSet, kmax: int, order: Sequence[int] | None = None
 ) -> Report:
     """Prefix invariants act on every tower element by the closed eigenvalue."""
-    from .operators import casimir
-
     n = params.n
     order = tuple(order) if order is not None else tuple(range(1, n + 1))
     ops = {m: casimir(params, tuple(sorted(order[:m]))) for m in range(2, n + 1)}

@@ -1,17 +1,19 @@
 """Exact rational linear algebra.
 
 RationalMatrix stores each row as a sparse map from column to nonzero
-integer, over a single positive denominator.  The one product loop of the
-package is ``product_sum``: an exact signed sum of products
+integer, over a single positive denominator.  The one arithmetic loop on
+these matrices is ``product_sum``: an exact signed sum of products
 sum_t c_t * A_t1 * A_t2 (* A_t3 ...) over the least common multiple of the
 term denominators.  It accumulates each output row in one integer dict,
 touches only nonzero entries, drops entries that cancel, and does no gcd
 reduction, so an identity checked as one such sum costs its products and
-nothing else.  ``RationalMatrix.__mul__`` and ``commutator`` are its
-one-term and two-term cases, reduced to lowest terms.  The algebra
-generators never mix the reflection parity classes of the monomials, so
-their matrices are very sparse and the cross-parity entries are simply
-never stored.
+nothing else.  Every arithmetic method of RationalMatrix is one of its
+cases: a product, sum or difference is a one- or two-term sum, negation
+and ``scale`` are one one-factor term, and the diagonal products are one
+product with ``RationalMatrix.diagonal``; all but negation are reduced to
+lowest terms.  The algebra generators never mix the reflection parity
+classes of the monomials, so their matrices are very sparse and the
+cross-parity entries are simply never stored.
 
 Basis solves, ranks and minors are thin front ends over one exact
 Gauss-Jordan elimination on sparse Fraction rows.  Solves and ranks read
@@ -42,6 +44,15 @@ def _common_denominator(values) -> int:
     return lcm(1, *(x.denominator for x in values))
 
 
+def _width(rows: Sequence[Sequence]) -> int:
+    """The common length of the rows; raises ValueError on a ragged row."""
+    ncols = len(rows[0]) if rows else 0
+    for i, row in enumerate(rows):
+        if len(row) != ncols:
+            raise ValueError(f"ragged rows: row {i} has {len(row)} entries, row 0 has {ncols}")
+    return ncols
+
+
 class RationalMatrix:
     """Immutable matrix of rationals: sparse integer rows over one denominator.
 
@@ -63,7 +74,7 @@ class RationalMatrix:
         ]
         self.den = den
         self.nrows = len(rows)
-        self.ncols = len(rows[0]) if rows else 0
+        self.ncols = _width(rows)
 
     @classmethod
     def from_sparse(
@@ -84,7 +95,7 @@ class RationalMatrix:
             {j: x.numerator * (den // x.denominator) for j, x in enumerate(row) if x}
             for row in entries
         ]
-        return cls.from_sparse(rows, den, len(entries[0]) if entries else 0)
+        return cls.from_sparse(rows, den, _width(entries))
 
     @classmethod
     def identity(cls, m: int) -> "RationalMatrix":
@@ -119,80 +130,34 @@ class RationalMatrix:
     def to_fractions(self) -> list[list[Fraction]]:
         return [[Fraction(x, self.den) for x in row] for row in self.rows]
 
-    def _reduced(
-        self, rows: list[dict[int, int]], den: int, ncols: int | None = None
-    ) -> "RationalMatrix":
-        """Matrix of rows / den in lowest terms; ncols defaults to self's."""
-        g = den
-        for row in rows:
+    def normalized(self) -> "RationalMatrix":
+        """The same matrix in lowest terms."""
+        g = self.den
+        for row in self.sparse_rows:
             if row:
                 g = gcd(g, *row.values())
                 if g == 1:
-                    break
-        if g != 1:
-            rows = [{j: x // g for j, x in row.items()} for row in rows]
-            den //= g
-        return RationalMatrix.from_sparse(
-            rows, den, self.ncols if ncols is None else ncols
-        )
-
-    def normalized(self) -> "RationalMatrix":
-        return self._reduced(self.sparse_rows, self.den)
-
-    def _require_same_shape(self, other: "RationalMatrix") -> None:
-        if self.shape != other.shape:
-            raise ValueError(f"shape mismatch: {self.shape} vs {other.shape}")
-
-    def _combine(self, other: "RationalMatrix", sign: int) -> "RationalMatrix":
-        """self + sign * other in one pass over both sets of nonzeros."""
-        self._require_same_shape(other)
-        g = gcd(self.den, other.den)
-        a = other.den // g
-        b = sign * (self.den // g)
-        rows = []
-        for r1, r2 in zip(self.sparse_rows, other.sparse_rows):
-            out = dict(r1) if a == 1 else {j: x * a for j, x in r1.items()}
-            for j, y in r2.items():
-                v = out.get(j, 0) + y * b
-                if v:
-                    out[j] = v
-                else:
-                    del out[j]
-            rows.append(out)
-        return self._reduced(rows, self.den * a)
+                    return self
+        rows = [{j: x // g for j, x in row.items()} for row in self.sparse_rows]
+        return RationalMatrix.from_sparse(rows, self.den // g, self.ncols)
 
     def __add__(self, other: "RationalMatrix") -> "RationalMatrix":
-        return self._combine(other, 1)
+        return product_sum([(1, (self,)), (1, (other,))]).normalized()
 
     def __sub__(self, other: "RationalMatrix") -> "RationalMatrix":
-        return self._combine(other, -1)
+        return product_sum([(1, (self,)), (-1, (other,))]).normalized()
 
     def __neg__(self) -> "RationalMatrix":
-        return RationalMatrix.from_sparse(
-            [{j: -x for j, x in row.items()} for row in self.sparse_rows],
-            self.den,
-            self.ncols,
-        )
+        """-self over self's denominator, not reduced."""
+        return product_sum([(-1, (self,))])
 
     def __mul__(self, other):
-        if isinstance(other, RationalMatrix):
-            return product_sum([(1, (self, other))]).normalized()
-        return self.scale(other)
-
-    def __rmul__(self, other):
-        return self.scale(other)
+        if not isinstance(other, RationalMatrix):
+            return NotImplemented
+        return product_sum([(1, (self, other))]).normalized()
 
     def scale(self, c) -> "RationalMatrix":
-        c = Fraction(c)
-        num = c.numerator
-        rows = [
-            {j: x * num for j, x in row.items()} if num else {}
-            for row in self.sparse_rows
-        ]
-        return self._reduced(rows, self.den * c.denominator)
-
-    def commutator(self, other: "RationalMatrix") -> "RationalMatrix":
-        return product_sum([(1, (self, other)), (-1, (other, self))]).normalized()
+        return product_sum([(Fraction(c), (self,))]).normalized()
 
     @property
     def is_zero(self) -> bool:
@@ -221,25 +186,13 @@ class RationalMatrix:
         """Product with diag(values) on the right: column j scaled by values[j]."""
         if len(values) != self.ncols:
             raise ValueError("diagonal length does not match column count")
-        den = _common_denominator(values)
-        nums = [v.numerator * (den // v.denominator) for v in values]
-        rows = [
-            {j: x * nums[j] for j, x in row.items() if nums[j]}
-            for row in self.sparse_rows
-        ]
-        return self._reduced(rows, self.den * den)
+        return product_sum([(1, (self, RationalMatrix.diagonal(values)))]).normalized()
 
     def mul_diag_left(self, values: list[Fraction]) -> "RationalMatrix":
         """Product with diag(values) on the left: row i scaled by values[i]."""
         if len(values) != self.nrows:
             raise ValueError("diagonal length does not match row count")
-        den = _common_denominator(values)
-        nums = [v.numerator * (den // v.denominator) for v in values]
-        rows = [
-            {j: x * v for j, x in row.items()} if v else {}
-            for row, v in zip(self.sparse_rows, nums)
-        ]
-        return self._reduced(rows, self.den * den)
+        return product_sum([(1, (RationalMatrix.diagonal(values), self))]).normalized()
 
     def first_nonzero_column(self) -> int | None:
         """Index of the first column containing a nonzero entry, if any."""

@@ -46,6 +46,12 @@ class ParameterSet:
             raise ValueError(f"dimension must be positive, got {self.n}")
         if len(self.mu) != self.n:
             raise ValueError(f"expected {self.n} deformation parameters, got {len(self.mu)}")
+        for i, m in enumerate(self.mu, start=1):
+            if not isinstance(m, (int, Fraction, str)):
+                raise ValueError(
+                    f"mu_{i} = {m!r} is a {type(m).__name__}; "
+                    "pass an int, a Fraction or a 'p/q' string"
+                )
         object.__setattr__(self, "mu", tuple(Fraction(m) for m in self.mu))
         for i, m in enumerate(self.mu, start=1):
             if m <= 0:
@@ -53,7 +59,7 @@ class ParameterSet:
 
     @classmethod
     def make(cls, mu: Iterable[RationalLike]) -> "ParameterSet":
-        values = tuple(Fraction(m) for m in mu)
+        values = tuple(mu)
         return cls(len(values), values)
 
     @classmethod

@@ -29,6 +29,17 @@ def test_from_fractions_and_back():
     assert m.to_fractions() == [[F(1, 2), F(1, 3)], [F(0), F(-2)]]
 
 
+def test_ragged_rows_are_rejected():
+    with pytest.raises(ValueError, match="ragged rows: row 1 has 2 entries, row 0 has 1"):
+        RationalMatrix.from_fractions([[F(1)], [F(1), F(2)]])
+    with pytest.raises(ValueError, match="ragged rows: row 1 has 1 entries, row 0 has 2"):
+        RationalMatrix([[1, 2], [3]])
+    with pytest.raises(ValueError, match="ragged rows: row 2 has 0 entries"):
+        RationalMatrix([[1], [2], []], 3)
+    assert RationalMatrix([]).shape == RationalMatrix.from_fractions([]).shape == (0, 0)
+    assert RationalMatrix([[], []]).shape == (2, 0)
+
+
 def test_add_mul_against_reference():
     a = RationalMatrix.from_fractions([[F(1, 2), F(2)], [F(-1), F(1, 3)]])
     b = RationalMatrix.from_fractions([[F(3), F(0)], [F(1, 5), F(1)]])
@@ -45,7 +56,7 @@ def test_add_mul_against_reference():
 def test_commutator_and_identity():
     a = RationalMatrix.from_fractions([[F(0), F(1)], [F(0), F(0)]])
     b = RationalMatrix.from_fractions([[F(0), F(0)], [F(1), F(0)]])
-    comm = a.commutator(b)
+    comm = a * b - b * a
     assert comm.to_fractions() == [[F(1), F(0)], [F(0), F(-1)]]
     assert (a * RationalMatrix.identity(2)) == a
     assert not comm.is_zero
@@ -190,7 +201,7 @@ def test_sum_difference_commutator_match_reference(pair):
         (ma + mb, ref_add(a, b)),
         (ma - mb, ref_add(a, b, -1)),
         (-ma, ref_scale(a, -1)),
-        (ma.commutator(mb), ref_add(ref_mul(a, b), ref_mul(b, a), -1)),
+        (ma * mb - mb * ma, ref_add(ref_mul(a, b), ref_mul(b, a), -1)),
     ):
         assert got.to_fractions() == want
         assert_lowest_terms(got)
@@ -203,9 +214,9 @@ def test_scale_matches_reference(data):
     a = data.draw(dense(data.draw(sizes), data.draw(sizes)))
     c = data.draw(scalars)
     m = RationalMatrix.from_fractions(a)
-    for got in (m.scale(c), m * c, c * m):
-        assert got.to_fractions() == ref_scale(a, c)
-        assert_lowest_terms(got)
+    got = m.scale(c)
+    assert got.to_fractions() == ref_scale(a, c)
+    assert_lowest_terms(got)
     assert m.scale(0).is_zero and m.scale(0).den == 1
 
 
@@ -350,6 +361,78 @@ def test_product_sum_rejects_mismatched_shapes():
         product_sum([(1, (a,)), (1, (b,))])
     with pytest.raises(ValueError, match="at least one term"):
         product_sum([])
+
+
+# -- the arithmetic methods as cases of product_sum ------------------------------
+
+
+@st.composite
+def operands(draw, nrows, ncols):
+    """A matrix and its dense entries, in lowest terms or not.
+
+    Besides reduced ``from_fractions`` matrices it draws ``from_sparse``
+    rows over a multiple of their lowest denominator and unreduced
+    ``product_sum`` outputs.
+    """
+    kind = draw(st.sampled_from(("reduced", "multiple", "product_sum")))
+    if kind == "product_sum":
+        inner = draw(sizes)
+        (a, dense_a), (b, dense_b) = draw(factors(nrows, inner)), draw(factors(inner, ncols))
+        return product_sum([(1, (a, b))]), ref_mul(dense_a, dense_b)
+    a = draw(dense(nrows, ncols))
+    m = RationalMatrix.from_fractions(a)
+    if kind == "multiple":
+        t = draw(st.integers(min_value=2, max_value=6))
+        rows = [{j: x * t for j, x in row.items()} for row in m.sparse_rows]
+        m = RationalMatrix.from_sparse(rows, m.den * t, ncols)
+    return m, a
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_arithmetic_methods_on_unreduced_operands(data):
+    r, c = data.draw(sizes), data.draw(sizes)
+    (ma, a), (mb, b) = data.draw(operands(r, c)), data.draw(operands(r, c))
+    coeff = data.draw(scalars)
+    left = data.draw(st.lists(entries, min_size=r, max_size=r))
+    right = data.draw(st.lists(entries, min_size=c, max_size=c))
+    for got, want in (
+        (ma + mb, ref_add(a, b)),
+        (ma - mb, ref_add(a, b, -1)),
+        (ma.scale(coeff), ref_scale(a, coeff)),
+        (ma.scale(0), ref_scale(a, 0)),
+        (ma.scale(F(-3, 2)), ref_scale(a, F(-3, 2))),
+        (ma.mul_diag_left(left), [[x * v for x in row] for row, v in zip(a, left)]),
+        (ma.mul_diag_right(right), [[x * v for x, v in zip(row, right)] for row in a]),
+    ):
+        assert got.shape == (r, c)
+        assert got.to_fractions() == want
+        assert_lowest_terms(got)
+    assert ma.scale(0).den == 1
+    # unary minus keeps its operand's denominator and negates each stored entry
+    neg = -ma
+    assert neg.to_fractions() == ref_scale(a, -1)
+    assert neg.den == ma.den
+    assert neg.sparse_rows == [{j: -x for j, x in row.items()} for row in ma.sparse_rows]
+
+
+def test_arithmetic_methods_error_paths():
+    a, b = RationalMatrix.identity(2), RationalMatrix.identity(3)
+    with pytest.raises(ValueError, match=r"shape mismatch: \(2, 2\) vs \(3, 3\)"):
+        a + b
+    with pytest.raises(ValueError, match=r"shape mismatch: \(2, 2\) vs \(3, 3\)"):
+        a - b
+    with pytest.raises(ValueError, match="diagonal length does not match column count"):
+        a.mul_diag_right([F(1)] * 3)
+    with pytest.raises(ValueError, match="diagonal length does not match row count"):
+        a.mul_diag_left([F(1)])
+    # scale is the one way to scale a matrix
+    with pytest.raises(TypeError):
+        a * 2
+    with pytest.raises(TypeError):
+        2 * a
+    with pytest.raises(TypeError):
+        a * F(1, 2)
 
 
 # -- the one elimination behind solve_in_span, matrix_rank and minors ----------

@@ -173,6 +173,9 @@ def test_parameter_set_validation():
         ParameterSet.make(["1/2", "0"])
     with pytest.raises(ValueError):
         ParameterSet(3, (Fraction(1, 2),))
+    with pytest.raises(ValueError, match="is a float; pass an int, a Fraction or a 'p/q' string"):
+        ParameterSet.make([0.1, 0.2, 0.3])
+    assert ParameterSet.make([1, Fraction(1, 3), "2/7"]).mu == (1, Fraction(1, 3), Fraction(2, 7))
 
 
 def test_parameter_set_default_distinct():
