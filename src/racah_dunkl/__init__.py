@@ -57,6 +57,7 @@ from .harmonics import (
 )
 from .linalg import InconsistentSystem, RationalMatrix, matrix_rank, solve_in_span
 from .operators import (
+    DunklOperators,
     ImageEscapesSpan,
     LinearOperator,
     angular,

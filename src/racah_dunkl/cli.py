@@ -29,7 +29,7 @@ from .harmonics import (
     verify_spectral_action,
     verify_tower,
 )
-from .operators import casimir
+from .operators import DunklOperators, casimir
 from .poly import ParameterSet
 from .racah import module_dimension, module_tridiagonal_data, recurrence_table_json
 from .relations import (
@@ -212,7 +212,8 @@ def cmd_connect(args) -> int:
             for parities in {el.label.variable_parities() for el in source}:
                 eff_eps = [parities[o - 1] for o in frame]
                 expected[parities] = module_tridiagonal_data(eff_params, eff_eps, args.k)
-            data = tridiagonal_check(params, casimir(params, pair), source, expected)
+            invariant = casimir(DunklOperators(params), pair)
+            data = tridiagonal_check(params, invariant, source, expected)
             report.extend(data.report)
             payload["tridiagonal"] = report.to_json_obj()
     _emit_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", args)

@@ -29,7 +29,7 @@ from .harmonics import (
     realize_label,
 )
 from .linalg import RationalMatrix, matrix_rank, solve_in_span
-from .operators import LinearOperator, casimir, dunkl, materialize
+from .operators import DunklOperators, LinearOperator, casimir, dunkl, materialize
 from .poly import ParameterSet, Polynomial
 from .racah import (
     RacahParameters,
@@ -328,7 +328,7 @@ def rank_one_overlap(
     m = len(phi)
 
     w = connection_matrix(params, psi, phi)
-    pair_op = casimir(params, (order[1], order[2]))
+    pair_op = casimir(DunklOperators(params), (order[1], order[2]))
     entries = materialize(pair_op, 3, [el.poly for el in phi]).to_fractions()
     mus = [casimir_eigenvalue(params, el.label, 2) for el in psi]
 

@@ -24,7 +24,7 @@ from math import comb, factorial
 from typing import Iterable, Iterator, Sequence
 
 from .linalg import matrix_rank, solve_in_span
-from .operators import LinearOperator, casimir, gamma, laplace, norm_square_poly
+from .operators import DunklOperators, LinearOperator, casimir, gamma, laplace, norm_square_poly
 from .poly import ParameterSet, Polynomial, monomial_basis
 from .report import Report, first_witness
 
@@ -149,7 +149,7 @@ def ck_extend(
     outside = p.support_variables() - set(vars_done)
     if outside:
         raise ValueError(f"input involves variables outside vars_done: {sorted(outside)}")
-    lap = laplace(params, vars_done) if vars_done else None
+    lap = laplace(DunklOperators(params), vars_done) if vars_done else None
     return _lift(params, lap, new_var, parity, p)
 
 
@@ -250,7 +250,8 @@ def build_basis_tower(
     if not labels:
         return []
     o = labels[0].order
-    laps = [None] + [laplace(params, o[:m]) for m in range(1, n)]
+    ops = DunklOperators(params)
+    laps = [None] + [laplace(ops, o[:m]) for m in range(1, n)]
     # (epsilon[:m], ell[:m-1]) -> harmonic after the m-th extension step
     steps: dict[tuple[tuple[int, ...], tuple[int, ...]], Polynomial] = {}
     elements = []
@@ -383,7 +384,7 @@ def verify_power_action(
     if j > k or j < 0:
         raise ValueError("need 0 <= j <= k")
     full = tuple(range(1, n + 1))
-    lap = laplace(params, full)
+    lap = laplace(DunklOperators(params), full)
     if not h.is_homogeneous() or (not h.is_zero and h.degree() != ell):
         raise ValueError(f"h is not homogeneous of degree {ell}")
     if not lap(h).is_zero:
@@ -418,7 +419,7 @@ def verify_tower(params: ParameterSet, kmax: int) -> Report:
     """Tower bases are harmonic, correctly sized, and linearly independent."""
     n = params.n
     full = tuple(range(1, n + 1))
-    lap = laplace(params, full)
+    lap = laplace(DunklOperators(params), full)
     report = Report()
     for k in range(kmax + 1):
         elements = build_basis_tower(params, k)
@@ -446,7 +447,7 @@ def verify_extension_restrictions(params: ParameterSet, kmax: int) -> Report:
         raise ValueError("extensions need at least two variables")
     done = tuple(range(1, n))
     new = n
-    lap = laplace(params, tuple(range(1, n + 1)))
+    lap = laplace(DunklOperators(params), range(1, n + 1))
     report = Report()
     for k in range(kmax + 1):
         even_bad = odd_bad = harm_bad = None
@@ -488,13 +489,14 @@ def verify_spectral_action(
     """Prefix invariants act on every tower element by the closed eigenvalue."""
     n = params.n
     order = tuple(order) if order is not None else tuple(range(1, n + 1))
-    ops = {m: casimir(params, tuple(sorted(order[:m]))) for m in range(2, n + 1)}
+    ops = DunklOperators(params)
+    invariants = {m: casimir(ops, order[:m]) for m in range(2, n + 1)}
     report = Report()
     for k in range(kmax + 1):
         for el in build_basis_tower(params, k, order):
             for m in range(2, n + 1):
                 value = casimir_eigenvalue(params, el.label, m)
-                witness = first_witness([ops[m](el.poly) - el.poly.scale(value)])
+                witness = first_witness([invariants[m](el.poly) - el.poly.scale(value)])
                 report.add("spectral-action", (m, el.label.epsilon, el.label.ell), k, witness)
     return report
 
@@ -508,7 +510,7 @@ def verify_power_action_sweep(
     its Laplacian as the witness.
     """
     full = tuple(range(1, params.n + 1))
-    lap = laplace(params, full)
+    lap = laplace(DunklOperators(params), full)
     nrm = norm_square_poly(full, params.n)
     gam = gamma(params, full)
     report = Report()

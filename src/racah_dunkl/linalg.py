@@ -15,7 +15,7 @@ lowest terms.  The algebra generators never mix the reflection parity
 classes of the monomials, so their matrices are very sparse and the
 cross-parity entries are simply never stored.
 
-Basis solves, ranks and minors are thin front ends over one exact
+Basis solves and ranks are thin front ends over one exact
 Gauss-Jordan elimination on sparse Fraction rows.  Solves and ranks read
 sparse vectors: mappings from a coordinate key to its entry, such as a
 polynomial's terms, so callers never choose a coordinate order or build
@@ -100,10 +100,6 @@ class RationalMatrix:
     @classmethod
     def identity(cls, m: int) -> "RationalMatrix":
         return cls.from_sparse([{i: 1} for i in range(m)], 1, m)
-
-    @classmethod
-    def zeros(cls, nrows: int, ncols: int) -> "RationalMatrix":
-        return cls.from_sparse([{} for _ in range(nrows)], 1, ncols)
 
     @classmethod
     def diagonal(cls, values: list[Fraction]) -> "RationalMatrix":
@@ -271,20 +267,17 @@ def product_sum(terms: Sequence[Term]) -> RationalMatrix:
     return RationalMatrix.from_sparse(out, den, shape[1])
 
 
-def _gauss_jordan(rows: list[dict[int, Fraction]], ncols: int) -> tuple[list[int], Fraction]:
+def _gauss_jordan(rows: list[dict[int, Fraction]], ncols: int) -> list[int]:
     """Reduce sparse rows in place to reduced row echelon form on columns < ncols.
 
     Each row maps a column to its nonzero entry, and an entry that cancels
     to zero is deleted, so a pivot step touches only the rows holding a
     nonzero in the pivot column, and in each only the pivot row's nonzeros.
     A column without a pivot is skipped, and the elimination stops when the
-    rows run out.  Returns the pivot columns in order and the product of the
-    pivots, negated once per row swap: for a square matrix with a pivot in
-    every column, its determinant.
+    rows run out.  Returns the pivot columns in order.
     """
     nrows = len(rows)
     pivots: list[int] = []
-    det = Fraction(1)
     for col in range(ncols):
         row = len(pivots)
         if row == nrows:
@@ -294,10 +287,7 @@ def _gauss_jordan(rows: list[dict[int, Fraction]], ncols: int) -> tuple[list[int
             continue
         if pivot != row:
             rows[row], rows[pivot] = rows[pivot], rows[row]
-            det = -det
-        value = rows[row][col]
-        det *= value
-        inv = 1 / value
+        inv = 1 / rows[row][col]
         pivot_row = rows[row] = {c: x * inv for c, x in rows[row].items()}
         for r, other in enumerate(rows):
             factor = other.get(col)
@@ -314,7 +304,7 @@ def _gauss_jordan(rows: list[dict[int, Fraction]], ncols: int) -> tuple[list[int
                     else:
                         del other[c]
         pivots.append(col)
-    return pivots, det
+    return pivots
 
 
 def _elimination_rows(vectors: Sequence[SparseVector]) -> list[dict[int, Fraction]]:
@@ -343,7 +333,7 @@ def solve_in_span(
     ncols = len(columns)
     # augmented sparse rows: [columns | targets]
     aug = _elimination_rows(list(columns) + list(targets))
-    if len(_gauss_jordan(aug, ncols)[0]) < ncols:
+    if len(_gauss_jordan(aug, ncols)) < ncols:
         raise ValueError("columns are linearly dependent")
     # rows below the pivots hold target columns only; any entry left is
     # a target outside the span
@@ -355,14 +345,5 @@ def solve_in_span(
 
 def matrix_rank(vectors: Sequence[SparseVector]) -> int:
     """Rank of the matrix whose rows are the given vectors."""
-    return len(_gauss_jordan(_elimination_rows(vectors), len(vectors))[0])
+    return len(_gauss_jordan(_elimination_rows(vectors), len(vectors)))
 
-
-def leading_principal_minors(entries: list[list[Fraction]]) -> list[Fraction]:
-    """Determinants of the leading principal submatrices, by exact elimination."""
-    minors: list[Fraction] = []
-    for size in range(1, len(entries) + 1):
-        leading = [{j: x for j, x in enumerate(row[:size]) if x} for row in entries[:size]]
-        pivots, det = _gauss_jordan(leading, size)
-        minors.append(det if len(pivots) == size else Fraction(0))
-    return minors

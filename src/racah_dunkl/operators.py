@@ -1,24 +1,26 @@
 """Linear operators on polynomial spaces, built from Dunkl operators.
 
-Every operator here sends a monomial to a short sparse combination of
-monomials: the Dunkl operator T_i, multiplication by x_i and by squared
-norms, and the reflections r_i each send it to a single monomial.  So a
-LinearOperator is defined by its rule on one monomial, and its action on
-a polynomial is the linear extension of that rule.  Each operator keeps
-the image of every monomial it has met, so the Laplacian, the invariants
-C_A, the angular momenta and the su(1,1) triple build their images from
-the kept images of their parts, and the images of the degree-k monomials
-are exactly the columns of the operator's matrix on that degree.
+Every operator shifts the homogeneous degree by a fixed amount, so its
+matrix from the degree-k monomials to the degree-(k + shift) ones holds
+its whole action on degree k; all the verified identities are
+degree-homogeneous, so equality of operators is decided on these exact
+matrices (linalg.RationalMatrix), or on an explicit polynomial basis.
 
-Sums, products and commutators of operators are taken on their exact
-matrices (linalg.RationalMatrix), so equality of operators is always
-decided by materializing their action on an explicit basis, typically the
-monomials of a fixed homogeneous degree.  Every operator here shifts the
-degree by a fixed amount (T_i by -1, the Laplacians and J- by -2, J+ by
-+2, the invariants, angular momenta and A0 by 0), so its matrix from the
-monomials of degree k to those of degree k + shift holds its whole
-action on degree k; all the verified identities are degree-homogeneous,
-so this is sound.
+A primitive operator is given by its rule on one monomial: T_i,
+multiplication by x_i or by |x_A|^2, and the diagonals scaling a monomial
+by a function of its degree over A (E_A, A0, the diagonal part of C_A).
+A composite operator is a list of terms (c, (op_1, op_2, ...)) standing
+for the sum of c * op_1 op_2 ..., the linalg.Term shape with operators in
+place of matrices: Lap_A, C_A, L_ij, J+ and J-.  Every operator keeps the
+image of each monomial it meets and its matrix on each degree.  A
+primitive's matrix is read from its images; a composite's is one
+linalg.product_sum over its parts' kept matrices, and its image of a
+monomial is its terms evaluated on its parts' kept images.
+
+The composite builders take a DunklOperators object, the n Dunkl
+operators of one parameter set built once, in place of the parameters, so
+all operators built from one object share the T_i with their kept images
+and matrices: a sweep computes each of them once.
 
 Index conventions follow the coordinate notation: operator builders take
 1-based variable indices, and subsets are subsets of {1, .., n}.
@@ -28,12 +30,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
-from .linalg import InconsistentSystem, RationalMatrix, solve_in_span
+from .linalg import InconsistentSystem, RationalMatrix, product_sum, solve_in_span
 from .poly import Monomial, ParameterSet, Polynomial, monomial_basis
 
 Terms = dict[Monomial, Fraction]
+# one term c * op_1 op_2 ... of a composite operator; op_1 acts last
+OperatorTerm = tuple[int | Fraction, Sequence["LinearOperator"]]
 
 _ONE = Fraction(1)
 
@@ -53,22 +57,34 @@ def normalize_subset(A: Iterable[int], n: int) -> tuple[int, ...]:
 
 
 class LinearOperator:
-    """A named linear map on polynomials, given by its rule on one monomial.
+    """A named linear map on polynomials that shifts the degree by ``shift``.
 
     rule(exps) returns the image of the monomial with exponent tuple exps
     as a fresh dict of nonzero Fraction coefficients keyed by exponent
-    tuples.  Calling the operator on a polynomial applies the linear
-    extension of the rule.  The image of each monomial is computed once
-    per operator and kept for its lifetime; kept images are never handed
-    out, every call returns a polynomial with its own terms.
+    tuples; a composite (``composite``) has ``terms``, which its rule
+    evaluates.  Calling the operator on a polynomial applies the linear
+    extension of the rule.  Each monomial's image and each degree's matrix
+    are computed once and kept for the operator's lifetime; kept images are
+    never handed out, every call returns a polynomial with its own terms.
     """
 
-    __slots__ = ("rule", "descriptor", "_images")
+    __slots__ = ("rule", "descriptor", "shift", "terms", "_images", "_matrices")
 
-    def __init__(self, rule: Callable[[Monomial], Terms], descriptor: str = "?"):
+    def __init__(self, rule: Callable[[Monomial], Terms], descriptor: str = "?", shift: int = 0):
         self.rule = rule
         self.descriptor = descriptor
+        self.shift = shift
+        self.terms: list[OperatorTerm] | None = None
         self._images: dict[Monomial, Terms] = {}
+        self._matrices: dict[tuple[int, int], RationalMatrix] = {}
+
+    @classmethod
+    def composite(cls, terms: list[OperatorTerm], descriptor: str) -> "LinearOperator":
+        """The sum of c * op_1 op_2 ... over terms (c, (op_1, op_2, ...)) of one shift."""
+        shift = sum(op.shift for op in terms[0][1])
+        op = cls(lambda exps: _terms_image(terms, exps), descriptor, shift)
+        op.terms = terms
+        return op
 
     def _image(self, exps: Monomial) -> Terms:
         """The kept image of one monomial; callers must not modify it."""
@@ -85,7 +101,7 @@ class LinearOperator:
 
 
 def _add_image(
-    out: Terms, op: LinearOperator, terms: Terms, scale: Fraction | None = None
+    out: Terms, op: LinearOperator, terms: Terms, scale: int | Fraction | None = None
 ) -> Terms:
     """Add scale * op(terms) into out in place, dropping cancelled terms.
 
@@ -108,6 +124,18 @@ def _add_image(
                     out[e] = new
                 else:
                     del out[e]
+    return out
+
+
+def _terms_image(terms: list[OperatorTerm], exps: Monomial) -> Terms:
+    """The image of one monomial under a composite, from its parts' kept images."""
+    out: Terms = {}
+    for c, factors in terms:
+        # the innermost factor's kept image, then each outer factor in turn
+        image = factors[-1]._image(exps) if len(factors) > 1 else {exps: _ONE}
+        for op in reversed(factors[1:-1]):
+            image = _add_image({}, op, image)
+        _add_image(out, factors[0], image, None if c == 1 else c)
     return out
 
 
@@ -136,27 +164,37 @@ def dunkl(params: ParameterSet, i: int) -> LinearOperator:
             return {}
         return {_shift(exps, pos, -1): e + two_mu if e % 2 else Fraction(e)}
 
-    return LinearOperator(rule, f"T{i}")
+    return LinearOperator(rule, f"T{i}", -1)
+
+
+class DunklOperators:
+    """The n Dunkl operators of one parameter set, built once: ``dunkl[i]`` is T_i.
+
+    The composite builders take this object in place of the parameters, so
+    every operator built from one object shares the T_i, with their kept
+    images and matrices.
+    """
+
+    __slots__ = ("params", "n", "dunkl")
+
+    def __init__(self, params: ParameterSet):
+        self.params = params
+        self.n = params.n
+        self.dunkl = {i: dunkl(params, i) for i in range(1, params.n + 1)}
 
 
 def _coordinate_mul(i: int) -> LinearOperator:
     """Multiplication by the coordinate x_i."""
     pos = i - 1
-    return LinearOperator(lambda exps: {_shift(exps, pos, 1): _ONE}, f"x{i}")
+    return LinearOperator(lambda exps: {_shift(exps, pos, 1): _ONE}, f"x{i}", 1)
 
 
-def laplace(params: ParameterSet, A: Iterable[int]) -> LinearOperator:
+def laplace(ops: DunklOperators, A: Iterable[int]) -> LinearOperator:
     """Sum of squared Dunkl operators over the index set A."""
-    subset = normalize_subset(A, params.n)
-    ops = [dunkl(params, i) for i in subset]
-
-    def rule(exps: Monomial) -> Terms:
-        out: Terms = {}
-        for op in ops:
-            _add_image(out, op, op._image(exps))
-        return out
-
-    return LinearOperator(rule, f"Lap{{{_name(subset)}}}")
+    subset = normalize_subset(A, ops.n)
+    return LinearOperator.composite(
+        [(1, (ops.dunkl[i], ops.dunkl[i])) for i in subset], f"Lap{{{_name(subset)}}}"
+    )
 
 
 def norm_square_mul(A: Iterable[int], n: int) -> LinearOperator:
@@ -166,33 +204,35 @@ def norm_square_mul(A: Iterable[int], n: int) -> LinearOperator:
     return LinearOperator(
         lambda exps: {_shift(exps, pos, 2): _ONE for pos in positions},
         f"|x{{{_name(subset)}}}|^2",
+        2,
     )
 
 
 def norm_square_poly(A: Iterable[int], n: int) -> Polynomial:
-    subset = normalize_subset(A, n)
-    terms: dict[Monomial, Fraction] = {}
-    for i in subset:
-        exps = [0] * n
-        exps[i - 1] = 2
-        terms[tuple(exps)] = Fraction(1)
-    return Polynomial(n, terms)
+    return norm_square_mul(A, n)(Polynomial.one(n))
 
 
-def _degree_over(positions: list[int]) -> Callable[[Monomial], int]:
-    return lambda exps: sum(exps[pos] for pos in positions)
+def _degree_diagonal(
+    subset: tuple[int, ...], value: Callable[[int], Fraction], descriptor: str
+) -> LinearOperator:
+    """The operator scaling each monomial by value(its degree over subset)."""
+    positions = [i - 1 for i in subset]
+    values: dict[int, Fraction] = {}  # value of each degree met, computed once
+
+    def rule(exps: Monomial) -> Terms:
+        d = sum([exps[pos] for pos in positions])
+        v = values.get(d)
+        if v is None:
+            v = values[d] = value(d)
+        return {exps: v} if v else {}
+
+    return LinearOperator(rule, descriptor)
 
 
 def euler(A: Iterable[int], n: int) -> LinearOperator:
     """Degree-counting operator over A: each monomial is scaled by its A-degree."""
     subset = normalize_subset(A, n)
-    degree = _degree_over([i - 1 for i in subset])
-
-    def rule(exps: Monomial) -> Terms:
-        d = degree(exps)
-        return {exps: Fraction(d)} if d else {}
-
-    return LinearOperator(rule, f"E{{{_name(subset)}}}")
+    return _degree_diagonal(subset, Fraction, f"E{{{_name(subset)}}}")
 
 
 def gamma(params: ParameterSet, A: Iterable[int]) -> Fraction:
@@ -201,77 +241,76 @@ def gamma(params: ParameterSet, A: Iterable[int]) -> Fraction:
     return Fraction(len(subset), 2) + sum(params.mu_of(i) for i in subset)
 
 
-def _scaled(op: LinearOperator, c: Fraction) -> Callable[[Monomial], Terms]:
-    return lambda exps: {e: v * c for e, v in op._image(exps).items()}
-
-
 def su11_triple(
-    params: ParameterSet, A: Iterable[int]
+    ops: DunklOperators, A: Iterable[int]
 ) -> tuple[LinearOperator, LinearOperator, LinearOperator]:
     """The raising/lowering realization (A0, J+, J-) attached to the set A.
 
     A0 is half the shifted degree operator, J+ multiplies by the squared
     norm over A (times 1/2), and J- is half the deformed Laplacian over A.
     """
-    subset = normalize_subset(A, params.n)
-    gam = gamma(params, subset)
-    degree = _degree_over([i - 1 for i in subset])
+    subset = normalize_subset(A, ops.n)
+    gam = gamma(ops.params, subset)
     half = Fraction(1, 2)
     name = _name(subset)
-    a0 = LinearOperator(lambda exps: {exps: (degree(exps) + gam) * half}, f"A0{{{name}}}")
-    j_plus = LinearOperator(_scaled(norm_square_mul(subset, params.n), half), f"J+{{{name}}}")
-    j_minus = LinearOperator(_scaled(laplace(params, subset), half), f"J-{{{name}}}")
+    a0 = _degree_diagonal(subset, lambda d: (d + gam) * half, f"A0{{{name}}}")
+    j_plus = LinearOperator.composite([(half, (norm_square_mul(subset, ops.n),))], f"J+{{{name}}}")
+    j_minus = LinearOperator.composite([(half, (laplace(ops, subset),))], f"J-{{{name}}}")
     return a0, j_plus, j_minus
 
 
-def casimir(params: ParameterSet, A: Iterable[int]) -> LinearOperator:
+def casimir(ops: DunklOperators, A: Iterable[int]) -> LinearOperator:
     """Quadratic invariant of the su(1,1) realization on the set A.
 
     C_A = 1/4 * ((E_A + gamma_A)^2 - 2(E_A + gamma_A) - |x_A|^2 Lap_A);
     degree preserving, and a symmetry of the full deformed Laplacian.
     """
-    subset = normalize_subset(A, params.n)
-    gam = gamma(params, subset)
-    degree = _degree_over([i - 1 for i in subset])
-    nrm = norm_square_mul(subset, params.n)
-    lap = laplace(params, subset)
-    minus_quarter = Fraction(-1, 4)
-
-    def rule(exps: Monomial) -> Terms:
-        shifted = degree(exps) + gam
-        diagonal = shifted * (shifted - 2) / 4
-        out: Terms = {exps: diagonal} if diagonal else {}
-        return _add_image(out, nrm, lap._image(exps), minus_quarter)
-
-    return LinearOperator(rule, f"C{{{_name(subset)}}}")
+    subset = normalize_subset(A, ops.n)
+    gam = gamma(ops.params, subset)
+    name = _name(subset)
+    diagonal = _degree_diagonal(subset, lambda d: (d + gam) * (d + gam - 2) / 4, f"D{{{name}}}")
+    nrm_lap = (norm_square_mul(subset, ops.n), laplace(ops, subset))
+    return LinearOperator.composite([(1, (diagonal,)), (Fraction(-1, 4), nrm_lap)], f"C{{{name}}}")
 
 
-def angular(params: ParameterSet, i: int, j: int) -> LinearOperator:
+def angular(ops: DunklOperators, i: int, j: int) -> LinearOperator:
     """Deformed angular momentum x_i T_j - x_j T_i; requires i != j."""
     if i == j:
         raise ValueError("angular momentum needs two distinct indices")
-    ti, tj = dunkl(params, i), dunkl(params, j)
-    xi, xj = _coordinate_mul(i), _coordinate_mul(j)
-    minus_one = Fraction(-1)
-
-    def rule(exps: Monomial) -> Terms:
-        out = _add_image({}, xi, tj._image(exps))
-        return _add_image(out, xj, ti._image(exps), minus_one)
-
-    return LinearOperator(rule, f"L{i}{j}")
+    return LinearOperator.composite(
+        [(1, (_coordinate_mul(i), ops.dunkl[j])), (-1, (_coordinate_mul(j), ops.dunkl[i]))],
+        f"L{i}{j}",
+    )
 
 
 def materialize_on_monomials(
     op: LinearOperator, n: int, k: int, shift: int = 0
 ) -> RationalMatrix:
-    """Matrix of an operator from the degree-k to the degree-(k + shift) monomials.
+    """Kept matrix of an operator from the degree-k to the degree-(k + shift) monomials.
 
-    Column j is the kept image of the j-th monomial of monomial_basis(n, k),
-    and row i is the i-th monomial of monomial_basis(n, k + shift); a basis
-    of negative degree is empty, so the matrix has no columns when k < 0
-    and no rows when k + shift < 0.  An image with a term outside degree
-    k + shift raises ImageEscapesSpan.
+    Column j is the image of the j-th monomial of monomial_basis(n, k), row
+    i the i-th monomial of monomial_basis(n, k + shift); a basis of negative
+    degree is empty.  A composite's matrix is the product sum of its terms
+    over its parts' matrices, each on the degree it acts on.  A shift other
+    than the operator's own, or a primitive image with a term outside degree
+    k + shift, raises ImageEscapesSpan.
     """
+    escapes = f"{op.descriptor} does not map homogeneous degree {k} to degree {k + shift}"
+    if shift != op.shift:
+        raise ImageEscapesSpan(escapes)
+    matrix = op._matrices.get((n, k))
+    if matrix is not None:
+        return matrix
+    if op.terms is not None:
+        products = []
+        for c, factors in op.terms:
+            matrices, d = [], k
+            for factor in reversed(factors):
+                matrices.append(materialize_on_monomials(factor, n, d, factor.shift))
+                d += factor.shift
+            products.append((c, matrices[::-1]))
+        matrix = op._matrices[(n, k)] = product_sum(products).normalized()
+        return matrix
     basis = monomial_basis(n, k)
     targets = basis if shift == 0 else monomial_basis(n, k + shift)
     position = {exps: i for i, exps in enumerate(targets)}
@@ -282,11 +321,10 @@ def materialize_on_monomials(
         for exps, c in terms.items():
             i = position.get(exps)
             if i is None:
-                raise ImageEscapesSpan(
-                    f"{op.descriptor} does not map homogeneous degree {k} to degree {k + shift}"
-                )
+                raise ImageEscapesSpan(escapes)
             rows[i][j] = c.numerator * (den // c.denominator)
-    return RationalMatrix.from_sparse(rows, den, len(basis))
+    matrix = op._matrices[(n, k)] = RationalMatrix.from_sparse(rows, den, len(basis))
+    return matrix
 
 
 def materialize(op: LinearOperator, n: int, basis: list[Polynomial]) -> RationalMatrix:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterable
 
 Monomial = tuple[int, ...]
 
@@ -394,14 +394,12 @@ def monomial_basis(n: int, k: int) -> list[Monomial]:
     """
     if k < 0:
         return []
-
-    def gen(m: int, total: int) -> Iterator[tuple[int, ...]]:
-        if m == 1:
-            yield (total,)
-            return
-        for e in range(total, -1, -1):
-            for rest in gen(m - 1, total - e):
-                yield (e,) + rest
-
-    return list(gen(n, k))
+    # tails[t]: the exponent tuples of degree t in the last m variables
+    tails = [[(t,)] for t in range(k + 1)]
+    for _ in range(n - 1):
+        tails = [
+            [(e,) + rest for e in range(t, -1, -1) for rest in tails[t - e]]
+            for t in range(k + 1)
+        ]
+    return tails[k]
 

@@ -25,6 +25,7 @@ from itertools import combinations, permutations
 
 from .linalg import RationalMatrix, Term, product_sum
 from .operators import (
+    DunklOperators,
     angular,
     casimir,
     laplace,
@@ -50,21 +51,21 @@ def nonempty_subsets(n: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _pair_invariants(params: ParameterSet, k: int) -> dict[frozenset, RationalMatrix]:
+def _pair_invariants(ops: DunklOperators, k: int) -> dict[frozenset, RationalMatrix]:
     """The two-index invariants C_ij on the monomials of degree k."""
     return {
-        frozenset(pair): materialize_on_monomials(casimir(params, pair), params.n, k)
-        for pair in combinations(range(1, params.n + 1), 2)
+        frozenset(pair): materialize_on_monomials(casimir(ops, pair), ops.n, k)
+        for pair in combinations(range(1, ops.n + 1), 2)
     }
 
 
 class RelationWorkspace:
     """Exact matrices of the algebra generators on one degree, built once."""
 
-    def __init__(self, params: ParameterSet, k: int):
-        self.params = params
+    def __init__(self, ops: DunklOperators, k: int):
+        self.ops = ops
         self.k = k
-        self.n = params.n
+        self.n = ops.n
         self.basis = monomial_basis(self.n, k)
         self.dim = len(self.basis)
 
@@ -78,14 +79,14 @@ class RelationWorkspace:
         self.c1_mat: dict[int, RationalMatrix] = {}
         self.refl_mat: dict[int, RationalMatrix] = {}
         for i in range(1, n + 1):
-            mu = params.mu_of(i)
+            mu = ops.params.mu_of(i)
             even = (mu * mu - mu - Fraction(3, 4)) / 4
             odd = (mu * mu + mu - Fraction(3, 4)) / 4
             signs = self.reflect_sign[i]
             self.c1_mat[i] = RationalMatrix.diagonal([even if s == 1 else odd for s in signs])
             self.refl_mat[i] = RationalMatrix.diagonal([1 + 2 * mu * s for s in signs])
 
-        self.c_pair = _pair_invariants(params, k)
+        self.c_pair = _pair_invariants(ops, k)
         self.p_mat: dict[frozenset, RationalMatrix] = {}
         self.l_mat: dict[tuple[int, int], RationalMatrix] = {}
         self.l2_mat: dict[frozenset, RationalMatrix] = {}
@@ -96,7 +97,7 @@ class RelationWorkspace:
             self.p_mat[key] = product_sum(
                 [(1, (self.c_pair[key],)), (-1, (self.c1_mat[i],)), (-1, (self.c1_mat[j],))]
             ).normalized()
-            lij = materialize_on_monomials(angular(params, i, j), n, k)
+            lij = materialize_on_monomials(angular(ops, i, j), n, k)
             self.l_mat[(i, j)] = lij
             self.l_mat[(j, i)] = -lij
             self.l2_mat[key] = lij * lij
@@ -171,10 +172,11 @@ def verify_su11(params: ParameterSet, kmax: int) -> Report:
     k to degree k + 2, k - 2 and k, and each witness is written there.
     """
     n = params.n
+    ops = DunklOperators(params)
     bases = {d: monomial_basis(n, d) for d in range(-2, kmax + 3)}
     report = Report()
     for A in nonempty_subsets(n):
-        a0, jp, jm = su11_triple(params, A)
+        a0, jp, jm = su11_triple(ops, A)
         mats = (
             {d: materialize_on_monomials(a0, n, d) for d in range(-2, kmax + 3)},
             {d: materialize_on_monomials(jp, n, d, 2) for d in range(-2, kmax + 1)},
@@ -216,9 +218,10 @@ def verify_racah_relations(params: ParameterSet, kmax: int | None = None) -> Rep
         raise ValueError("the relation sweep needs at least three coordinates")
     if kmax is None:
         kmax = default_degree_bound(n)
+    ops = DunklOperators(params)
     report = Report()
     for k in range(kmax + 1):
-        ws = RelationWorkspace(params, k)
+        ws = RelationWorkspace(ops, k)
         for family in (
             _single_invariant_form,
             _pair_invariant_form,
@@ -237,13 +240,13 @@ def verify_racah_relations(params: ParameterSet, kmax: int | None = None) -> Rep
 def _single_invariant_form(ws: RelationWorkspace):
     # generic quadratic invariant of one index vs its reflection closed form
     for i in range(1, ws.n + 1):
-        ci = materialize_on_monomials(casimir(ws.params, (i,)), ws.n, ws.k)
+        ci = materialize_on_monomials(casimir(ws.ops, (i,)), ws.n, ws.k)
         yield "single-invariant-closed-form", (i,), [(1, (ci,)), (-1, (ws.c1(i),))]
 
 
 def _pair_invariant_form(ws: RelationWorkspace):
     # 4 C_ij + L_ij^2 - (mu_i r_i + mu_j r_j)^2 + 1 = 0
-    params = ws.params
+    params = ws.ops.params
     one = RationalMatrix.identity(ws.dim)
     for i, j in combinations(range(1, ws.n + 1), 2):
         mu_i, mu_j = params.mu_of(i), params.mu_of(j)
@@ -260,7 +263,7 @@ def _subset_additivity(ws: RelationWorkspace):
     # C_A = sum of pair invariants minus (|A| - 2) * sum of single invariants
     for size in range(3, ws.n + 1):
         for A in combinations(range(1, ws.n + 1), size):
-            ca = materialize_on_monomials(casimir(ws.params, A), ws.n, ws.k)
+            ca = materialize_on_monomials(casimir(ws.ops, A), ws.n, ws.k)
             terms = [(1, (ca,))]
             terms += [(-1, (ws.cp(i, j),)) for i, j in combinations(A, 2)]
             terms += [(size - 2, (ws.c1(i),)) for i in A]
@@ -351,9 +354,10 @@ def _drinfeld_kohno(n: int, c_pair: dict[frozenset, RationalMatrix]):
 def verify_drinfeld_kohno(params: ParameterSet, kmax: int) -> Report:
     """Commutativity pattern of the two-index invariants, as a standalone sweep."""
     n = params.n
+    ops = DunklOperators(params)
     report = Report()
     for k in range(kmax + 1):
-        c_pair = _pair_invariants(params, k)
+        c_pair = _pair_invariants(ops, k)
         _record(report, k, n, monomial_basis(n, k), _summed(_drinfeld_kohno(n, c_pair)))
     return report
 
@@ -367,12 +371,13 @@ def verify_casimir_laplacian_commute(params: ParameterSet, kmax: int) -> Report:
     materialized once per degree and each C_A once per degree.
     """
     n = params.n
-    lap = laplace(params, range(1, n + 1))
+    ops = DunklOperators(params)
+    lap = laplace(ops, range(1, n + 1))
     laps = [materialize_on_monomials(lap, n, k, -2) for k in range(kmax + 1)]
     targets = [monomial_basis(n, k - 2) for k in range(kmax + 1)]
     report = Report()
     for A in nonempty_subsets(n):
-        ca = casimir(params, A)
+        ca = casimir(ops, A)
         mats = {d: materialize_on_monomials(ca, n, d) for d in range(-2, kmax + 1)}
         for k in range(kmax + 1):
             _record(report, k, n, targets[k], _summed(_laplacian_commutator(A, mats, laps[k], k)))
@@ -388,12 +393,11 @@ def _laplacian_commutator(A, ca, lap: RationalMatrix, k: int):
 def verify_nested_disjoint_commute(params: ParameterSet, kmax: int) -> Report:
     """[C_A, C_B] = 0 whenever A and B are nested or disjoint."""
     n = params.n
+    ops = DunklOperators(params)
+    invariants = {A: casimir(ops, A) for A in nonempty_subsets(n)}
     report = Report()
     for k in range(kmax + 1):
-        mats = {
-            A: materialize_on_monomials(casimir(params, A), n, k)
-            for A in nonempty_subsets(n)
-        }
+        mats = {A: materialize_on_monomials(c, n, k) for A, c in invariants.items()}
         _record(
             report, k, n, monomial_basis(n, k), _summed(_nested_disjoint_commutators(mats))
         )
@@ -435,11 +439,12 @@ def verify_embedding(
     if set(K) & set(L) or set(K) & set(M) or set(L) & set(M):
         raise ValueError("blocks K, L, M must be pairwise disjoint")
 
+    ops = DunklOperators(params)
     report = Report()
     for k in range(kmax + 1):
 
         def mat(subset: tuple[int, ...]) -> RationalMatrix:
-            return materialize_on_monomials(casimir(params, tuple(sorted(subset))), n, k)
+            return materialize_on_monomials(casimir(ops, subset), n, k)
 
         _record(
             report, k, n, monomial_basis(n, k), _summed(_embedding_relations((K, L, M), mat))

@@ -10,6 +10,7 @@ import random
 
 from racah_dunkl import (
     Chain,
+    DunklOperators,
     ParameterSet,
     build_basis_tower,
     build_graph,
@@ -57,11 +58,11 @@ def test_criterion_01_su11_brackets():
     report = verify_su11(params, 6)
     _require(report, 1)
     assert len(report) == 7 * 3 * 7  # subsets x relations x degrees 0..6
-    for n, subsets in ((4, 15), (5, 31)):
+    for n, subsets in ((4, 15), (5, 31), (6, 63)):
         report = verify_su11(ParameterSet.default(n), 4)
         _require(report, 1)
         assert len(report) == subsets * 3 * 5
-    _passed(1, "su(1,1) bracket identities, all subsets, n=3 (k<=6), n=4 and n=5 (k<=4)")
+    _passed(1, "su(1,1) bracket identities, all subsets, n=3 (k<=6), n=4, 5 and 6 (k<=4)")
 
 
 def test_criterion_02_racah_relations_all_ranks():
@@ -77,13 +78,13 @@ def test_criterion_03_central_commutation():
         params = ParameterSet.default(n)
         _require(verify_casimir_laplacian_commute(params, 4), 3)
         _require(verify_nested_disjoint_commute(params, 4), 3)
-    for n, kmax, subsets in ((5, 5, 31), (6, 3, 63)):
+    for n, kmax, subsets in ((5, 5, 31), (6, 4, 63)):
         report = verify_casimir_laplacian_commute(ParameterSet.default(n), kmax)
         _require(report, 3)
         assert len(report) == subsets * (kmax + 1)
     _passed(
         3,
-        "invariants commute with the full Laplacian (n<=4 k<=4, n=5 k<=5, n=6 k<=3)"
+        "invariants commute with the full Laplacian (n<=4 k<=4, n=5 k<=5, n=6 k<=4)"
         " and with nested/disjoint invariants (n<=4, k<=4)",
     )
 
@@ -128,7 +129,8 @@ def test_criterion_08_tridiagonal_data():
                         continue
                     basis = module_basis(params, eps, d3)
                     expected = {eps: module_tridiagonal_data(params, eps, d3)}
-                    data = tridiagonal_check(params, casimir(params, (2, 3)), basis, expected)
+                    c23 = casimir(DunklOperators(params), (2, 3))
+                    data = tridiagonal_check(params, c23, basis, expected)
                     _require(data.report, 8)
                     modules += 1
     assert modules == 32
@@ -150,7 +152,7 @@ def test_criterion_09_recurrence_annihilates_spectrum():
                     rp = racah_parameters(params, eps, d3)
                     top = racah_recurrence_polys(rp, sd, m)[m]
                     psi = module_basis(params, eps, d3, order=(2, 3, 1))
-                    pair_op = casimir(params, (2, 3))
+                    pair_op = casimir(DunklOperators(params), (2, 3))
                     for el in psi:
                         mu_s = casimir_eigenvalue(params, el.label, 2)
                         # mu_s really is a realized eigenvalue of the operator

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from racah_dunkl import (
+    DunklOperators,
     LinearOperator,
     ParameterSet,
     Polynomial,
@@ -25,7 +26,6 @@ from racah_dunkl import (
 from racah_dunkl import connection
 from racah_dunkl.connection import ConnectionMatrix, module_basis
 from racah_dunkl.harmonics import HarmonicBasisElement
-from racah_dunkl.linalg import leading_principal_minors
 from racah_dunkl.racah import SpectralData
 from racah_dunkl.report import CheckResult
 
@@ -60,9 +60,36 @@ def test_pairing_degrees_orthogonal():
     assert fischer_pairing(P3, q, p) == 0
 
 
+def elimination_pivots(entries):
+    """The pivots of Gaussian elimination without row exchanges, exactly.
+
+    All of them are positive exactly when every leading principal minor is,
+    that is, when the symmetric matrix is positive definite; a zero pivot
+    ends the elimination and is returned last.
+    """
+    rows = [list(row) for row in entries]
+    pivots = []
+    for col in range(len(rows)):
+        pivot = rows[col][col]
+        pivots.append(pivot)
+        if pivot == 0:
+            break
+        for row in rows[col + 1:]:
+            factor = row[col] / pivot
+            row[col:] = [x - factor * y for x, y in zip(row[col:], rows[col][col:])]
+    return pivots
+
+
+def test_elimination_pivots_detect_indefinite_matrices():
+    one, two = Fraction(1), Fraction(2)
+    assert elimination_pivots([[two, one], [one, two]]) == [2, Fraction(3, 2)]
+    assert elimination_pivots([[one, two], [two, one]]) == [1, -3]
+    assert elimination_pivots([[Fraction(0), one], [one, Fraction(0)]]) == [0]
+
+
 def test_pairing_positive_definite_on_monomials():
-    # Gram matrices of the monomials of each small degree have positive
-    # leading principal minors
+    # Gram matrices of the monomials of each small degree are positive
+    # definite: every pivot of an elimination without row exchanges is > 0
     placeholder = build_basis_tower(P3, 0)[0].label
     for k in (1, 2, 3):
         elements = [
@@ -71,8 +98,7 @@ def test_pairing_positive_definite_on_monomials():
         ]
         pm = gram_matrix(P3, elements)
         assert pm.is_symmetric()
-        minors = leading_principal_minors([list(row) for row in pm.entries])
-        assert all(m > 0 for m in minors)
+        assert all(pivot > 0 for pivot in elimination_pivots(pm.entries))
 
 
 def test_gram_matrix_builds_the_dunkl_operators_once(monkeypatch):
@@ -96,7 +122,7 @@ def test_gram_matrix_builds_the_dunkl_operators_once(monkeypatch):
 
 def test_invariants_self_adjoint():
     for A in ((1, 2), (2, 3), (1, 2, 3)):
-        op = casimir(P3, A)
+        op = casimir(DunklOperators(P3), A)
         for k in (2, 3):
             polys = [Polynomial.monomial(3, e) for e in monomial_basis(3, k)]
             for p in polys[:5]:
@@ -220,7 +246,7 @@ def test_connection_block_diagonal_over_shared_generator_n4():
 def test_tridiagonal_identity_operator_diagonal():
     # the chain's own generator is diagonal with the closed eigenvalues
     basis = module_basis(P3, (0, 0, 0), 6)
-    data = tridiagonal_check(P3, casimir(P3, (1, 2)), basis)
+    data = tridiagonal_check(P3, casimir(DunklOperators(P3), (1, 2)), basis)
     assert data.report.ok
     idx = data.blocks[(0, 0, 0)]
     for t, i in enumerate(idx):
@@ -234,7 +260,7 @@ def test_tridiagonal_check_with_expected_data():
     eps, d3 = (0, 0, 0), 6
     basis = module_basis(P3, eps, d3)
     expected = {(0, 0, 0): module_tridiagonal_data(P3, eps, d3)}
-    data = tridiagonal_check(P3, casimir(P3, (2, 3)), basis, expected)
+    data = tridiagonal_check(P3, casimir(DunklOperators(P3), (2, 3)), basis, expected)
     assert data.report.ok
 
 
@@ -243,14 +269,14 @@ def test_tridiagonal_check_flags_wrong_expectation():
     basis = module_basis(P3, eps, d3)
     diag, offsq = module_tridiagonal_data(P3, eps, d3)
     tampered = {(0, 0, 0): ([d + 1 for d in diag], offsq)}
-    data = tridiagonal_check(P3, casimir(P3, (2, 3)), basis, tampered)
+    data = tridiagonal_check(P3, casimir(DunklOperators(P3), (2, 3)), basis, tampered)
     assert not data.report.ok
     assert any(r.relation == "diagonal-matches" and not r.ok for r in data.report)
 
 
 def test_band_witness_names_the_first_entry_outside_the_band():
     # the square of C13 is pentadiagonal on the (C12, C123) module basis
-    c13 = casimir(P3, (1, 3))
+    c13 = casimir(DunklOperators(P3), (1, 3))
     square = LinearOperator(lambda e: dict(c13(c13(Polynomial.monomial(3, e))).terms), "C13^2")
     data = tridiagonal_check(P3, square, module_basis(P3, (0, 0, 0), 4))
     assert [(r.relation, r.first_discrepancy) for r in data.report] == [
@@ -263,7 +289,7 @@ def test_tridiagonal_full_degree_basis_blocks():
     # a full tower basis mixes parity sectors; the second-pair invariant
     # must stay inside each sector and be tridiagonal there
     basis = build_basis_tower(P3, 5)
-    data = tridiagonal_check(P3, casimir(P3, (2, 3)), basis)
+    data = tridiagonal_check(P3, casimir(DunklOperators(P3), (2, 3)), basis)
     assert data.report.ok
 
 
@@ -334,7 +360,7 @@ def test_embedded_blocks_carry_rank_one_data():
     gam12 = gamma(params, (1, 2))
     gam123 = gamma(params, (1, 2, 3))
     gam1234 = gamma(params, (1, 2, 3, 4))
-    c34 = casimir(params, (3, 4))
+    c34 = casimir(DunklOperators(params), (3, 4))
     half = Fraction(1, 2)
     multi = 0
     for (parities, d2), els in sorted(blocks.items()):

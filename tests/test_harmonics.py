@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from racah_dunkl import (
+    DunklOperators,
     HarmonicBasisElement,
     HarmonicLabel,
     ParameterSet,
@@ -46,7 +47,7 @@ def test_ck_extend_square():
     ext = ck_extend(P2, (1,), 2, 0, p)
     expected = p - (Polynomial.variable(2, 2) ** 2).scale(Fraction(6, 5))
     assert ext == expected
-    assert laplace(P2, (1, 2))(ext).is_zero
+    assert laplace(DunklOperators(P2), (1, 2))(ext).is_zero
 
 
 def test_ck_extend_validation():
@@ -89,7 +90,7 @@ def test_dimension_against_kernel_rank():
     # independent oracle: dim of the kernel of the deformed Laplacian on
     # degree-k polynomials equals dim - rank of its matrix
     n = 3
-    lap = laplace(P3, (1, 2, 3))
+    lap = laplace(DunklOperators(P3), (1, 2, 3))
     for k in range(7):
         basis = monomial_basis(n, k)
         lower = monomial_basis(n, k - 2)
@@ -105,7 +106,7 @@ def test_dimension_against_kernel_rank():
 
 
 def test_tower_elements_harmonic_and_parity():
-    lap = laplace(P3, (1, 2, 3))
+    lap = laplace(DunklOperators(P3), (1, 2, 3))
     for k in range(5):
         for el in build_basis_tower(P3, k):
             assert lap(el.poly).is_zero
@@ -196,7 +197,7 @@ def test_casimir_eigenvalue_examples():
 
 
 def test_spectral_action_oracle_n3():
-    ops = {m: casimir(P3, tuple(range(1, m + 1))) for m in (2, 3)}
+    ops = {m: casimir(DunklOperators(P3), tuple(range(1, m + 1))) for m in (2, 3)}
     for k in range(6):
         for el in build_basis_tower(P3, k):
             for m in (2, 3):
@@ -233,7 +234,7 @@ def test_fischer_decompose_reconstruction():
     nrm = norm_square_poly((1, 2), 2)
     p = Polynomial.variable(2, 1) ** 2
     comps = fischer_decompose(P2, p)
-    lap = laplace(P2, (1, 2))
+    lap = laplace(DunklOperators(P2), (1, 2))
     total = Polynomial.zero(2)
     for j, h in comps:
         assert lap(h).is_zero
@@ -258,11 +259,11 @@ def test_power_action_identity_cases():
     # Lap |x|^2 = 4 gamma, via the identity with j = k = 1, h = 1
     nrm = norm_square_poly((1, 2), 2)
     gam = gamma(P2, (1, 2))
-    assert laplace(P2, (1, 2))(nrm) == Polynomial.constant(2, 4 * gam)
+    assert laplace(DunklOperators(P2), (1, 2))(nrm) == Polynomial.constant(2, 4 * gam)
     assert verify_power_action(P2, Polynomial.one(2), 0, 1, 1).ok
     # j=1, k=2, h=x1: factor 4 * 2 * (2 + gamma) = 16 + 8 gamma
     x1 = Polynomial.variable(2, 1)
-    lhs = laplace(P2, (1, 2))(nrm * nrm * x1)
+    lhs = laplace(DunklOperators(P2), (1, 2))(nrm * nrm * x1)
     assert lhs == (nrm * x1).scale(16 + 8 * gam)
     assert verify_power_action(P2, x1, 1, 1, 2).ok
 
@@ -289,7 +290,7 @@ def test_power_action_sweep_reports_a_non_harmonic_tower_element(monkeypatch, ca
     # every (j, k) entry of the first degree-2 element fails, witnessed by
     # the element's Laplacian
     assert [r.index_tuple for r in report.failures] == [(2, 0, 0, 0), (2, 0, 1, 0), (2, 1, 1, 0)]
-    witness = laplace(P2, (1, 2))(square).to_text()
+    witness = laplace(DunklOperators(P2), (1, 2))(square).to_text()
     assert all(r.first_discrepancy == witness for r in report.failures)
     assert cli.main(["verify", "lemma3", "--n", "2", "--kmax", "1"]) == 1
     assert '"status": "fail"' in capsys.readouterr().out
@@ -298,8 +299,8 @@ def test_power_action_sweep_reports_a_non_harmonic_tower_element(monkeypatch, ca
 def test_permuted_tower_diagonalizes_permuted_invariants():
     params = ParameterSet.default(4)
     order = (4, 2, 3, 1)
-    c24 = casimir(params, (2, 4))
-    c234 = casimir(params, (2, 3, 4))
+    c24 = casimir(DunklOperators(params), (2, 4))
+    c234 = casimir(DunklOperators(params), (2, 3, 4))
     for el in build_basis_tower(params, 3, order):
         assert c24(el.poly) == el.poly.scale(casimir_eigenvalue(params, el.label, 2))
         assert c234(el.poly) == el.poly.scale(casimir_eigenvalue(params, el.label, 3))

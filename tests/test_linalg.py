@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from racah_dunkl import InconsistentSystem, Polynomial, RationalMatrix, matrix_rank, solve_in_span
-from racah_dunkl.linalg import leading_principal_minors, product_sum
+from racah_dunkl.linalg import product_sum
 from racah_dunkl.poly import monomial_basis
 from racah_dunkl.relations import _matrix_witness
 
@@ -122,11 +122,6 @@ def test_polynomial_terms_are_sparse_vectors():
     # an empty column is the zero vector
     with pytest.raises(ValueError, match="linearly dependent"):
         solve_in_span([x.terms, Polynomial.zero(2).terms], [x.terms])
-
-
-def test_leading_principal_minors():
-    entries = [[F(2), F(1)], [F(1), F(2)]]
-    assert leading_principal_minors(entries) == [F(2), F(3)]
 
 
 # -- sparse storage against a dense Fraction reference ------------------------
@@ -256,7 +251,7 @@ def test_equality_and_hash_across_denominators(data):
     bumped = [list(row) for row in a]
     bumped[i][j] += Fraction(1, t)
     assert RationalMatrix.from_fractions(bumped) != m
-    assert RationalMatrix.from_fractions(a) != RationalMatrix.zeros(r, c + 1)
+    assert RationalMatrix.from_fractions(a) != RationalMatrix([[0] * (c + 1)] * r)
 
 
 @settings(max_examples=80, deadline=None)
@@ -435,7 +430,7 @@ def test_arithmetic_methods_error_paths():
         a * F(1, 2)
 
 
-# -- the one elimination behind solve_in_span, matrix_rank and minors ----------
+# -- the one elimination behind solve_in_span and matrix_rank ------------------
 
 # mostly-zero draws give singular and rank-deficient matrices; dense draws are
 # mostly invertible
@@ -489,14 +484,6 @@ def test_elimination_matches_cofactor_oracles(data):
         (sol,) = solve_in_span(sparse(columns), sparse([target]))
         assert combine(columns, sol) == target
         assert sol == coeffs  # independent columns: the solution is unique
-    size = data.draw(small)
-    square = data.draw(st.lists(
-        st.lists(st.one_of(st.just(Fraction(0)), dense_entries), min_size=size, max_size=size),
-        min_size=size, max_size=size,
-    ))
-    assert leading_principal_minors(square) == [
-        cofactor_det([row[:k] for row in square[:k]]) for k in range(1, size + 1)
-    ]
 
 
 @settings(max_examples=60, deadline=None)
@@ -518,21 +505,13 @@ def test_target_outside_span_is_inconsistent(data):
         solve_in_span(sparse(columns[:kept]), sparse([inside, outside]))
 
 
-def test_minors_track_row_swaps():
-    assert leading_principal_minors([[F(0), F(1)], [F(1), F(0)]]) == [F(0), F(-1)]
-    # the second column has no pivot in place, so the 3x3 minor needs a swap
-    entries = [[F(1), F(2), F(3)], [F(2), F(4), F(5)], [F(3), F(5), F(6)]]
-    assert leading_principal_minors(entries) == [F(1), F(0), F(-1)]
-    assert [cofactor_det([row[:k] for row in entries[:k]]) for k in (1, 2, 3)] == [1, 0, -1]
-
-
 # -- the elimination on sparse rows: blocks, permutations, exact cancellation --
 
 block_entries = st.one_of(st.just(Fraction(0)), dense_entries)
 
 
 @st.composite
-def permuted_block_diagonal(draw, max_blocks=3, max_size=3, square=False):
+def permuted_block_diagonal(draw, max_blocks=3, max_size=3):
     """A block-diagonal matrix with its rows and columns permuted, and its blocks.
 
     Some blocks get a row that is a multiple of another row, so the
@@ -541,7 +520,7 @@ def permuted_block_diagonal(draw, max_blocks=3, max_size=3, square=False):
     blocks = []
     for _ in range(draw(st.integers(min_value=1, max_value=max_blocks))):
         nrows = draw(st.integers(min_value=1, max_value=max_size))
-        ncols = nrows if square else draw(st.integers(min_value=1, max_value=max_size))
+        ncols = draw(st.integers(min_value=1, max_value=max_size))
         block = draw(st.lists(
             st.lists(block_entries, min_size=ncols, max_size=ncols),
             min_size=nrows, max_size=nrows,
@@ -586,19 +565,9 @@ def test_sparse_elimination_on_permuted_blocks(data):
         assert sol == coeffs
 
 
-@settings(max_examples=60, deadline=None)
-@given(permuted_block_diagonal(max_size=2, square=True))
-def test_sparse_minors_on_permuted_blocks(drawn):
-    matrix, _ = drawn
-    assert leading_principal_minors(matrix) == [
-        cofactor_det([row[:k] for row in matrix[:k]]) for k in range(1, len(matrix) + 1)
-    ]
-
-
 def test_cancelled_entries_leave_the_rows():
     # the second row cancels to zero: it must neither offer a zero pivot
     # nor count as a leftover entry below the pivots
     assert matrix_rank(sparse([[F(1), F(2), F(3)], [F(2), F(4), F(6)], [F(0), F(0), F(1)]])) == 2
-    assert leading_principal_minors([[F(1), F(2)], [F(2), F(4)]]) == [F(1), F(0)]
     (sol,) = solve_in_span(sparse([[F(1), F(1), F(2)]]), sparse([[F(3), F(3), F(6)]]))
     assert sol == [F(3)]

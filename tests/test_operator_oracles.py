@@ -1,6 +1,7 @@
 """Operator builders against their textbook definitions, at drawn mu.
 
-The builders are monomial rules whose images each operator keeps.  The
+The primitive builders are monomial rules, and the composites are product
+sums over them; each operator keeps its images and matrices.  The
 oracles below are written with Polynomial methods only (derivative,
 reflection, coordinate division, products), so they share no code with
 the rules.  Also checked: kept images never leak into or out of a call,
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from racah_dunkl import (
+    DunklOperators,
     ParameterSet,
     Polynomial,
     angular,
@@ -105,15 +107,17 @@ def su11_oracles(params, A):
 def builders_with_oracles(params, A, i, j):
     """(operator, textbook function) pairs for every builder."""
     n = params.n
+    ops = DunklOperators(params)
     pairs = [
+        (ops.dunkl[i], lambda p: t_oracle(params, i, p)),
         (dunkl(params, i), lambda p: t_oracle(params, i, p)),
-        (laplace(params, A), lambda p: lap_oracle(params, A, p)),
-        (casimir(params, A), lambda p: casimir_oracle(params, A, p)),
-        (angular(params, i, j), lambda p: angular_oracle(params, i, j, p)),
+        (laplace(ops, A), lambda p: lap_oracle(params, A, p)),
+        (casimir(ops, A), lambda p: casimir_oracle(params, A, p)),
+        (angular(ops, i, j), lambda p: angular_oracle(params, i, j, p)),
         (norm_square_mul(A, n), lambda p: norm_square_poly(A, n) * p),
         (euler(A, n), lambda p: euler_oracle(A, p)),
     ]
-    return pairs + list(zip(su11_triple(params, A), su11_oracles(params, A)))
+    return pairs + list(zip(su11_triple(ops, A), su11_oracles(params, A)))
 
 
 # -- properties ---------------------------------------------------------------
@@ -151,16 +155,22 @@ def test_kept_images_never_leak(case):
 @settings(max_examples=20, deadline=None)
 @given(cases(), st.integers(0, 3))
 def test_matrix_columns_are_monomial_images(case, k):
-    params, _, _, A, _, _ = case
-    basis = monomial_basis(params.n, k)
-    for op in (casimir(params, A), *su11_triple(params, A)[:1], euler(A, params.n)):
-        images = [op(Polynomial.monomial(params.n, exps)) for exps in basis]
-        matrix = materialize_on_monomials(op, params.n, k).to_fractions()
-        for col, image in enumerate(images):
-            column = {exps: row[col] for exps, row in zip(basis, matrix) if row[col]}
-            assert column == image.terms, op.descriptor
+    # every matrix on degree k, a product sum over the parts' matrices for
+    # the composites, holds the operator's own images and the textbook ones;
+    # the matrix is built first, before any image of the operator exists
+    params, _, _, A, i, j = case
+    n = params.n
+    basis = monomial_basis(n, k)
+    for op, oracle in builders_with_oracles(params, A, i, j):
+        targets = monomial_basis(n, k + op.shift)
+        matrix = materialize_on_monomials(op, n, k, op.shift)
+        assert matrix.shape == (len(targets), len(basis)), op.descriptor
+        images = [op(Polynomial.monomial(n, exps)) for exps in basis]
+        for col, (exps, image) in enumerate(zip(basis, images)):
+            column = Polynomial(n, {t: matrix.at(row, col) for row, t in enumerate(targets)})
+            assert column == image == oracle(Polynomial.monomial(n, exps)), op.descriptor
         # materializing keeps the images intact for later calls
-        assert [op(Polynomial.monomial(params.n, e)) for e in basis] == images
+        assert [op(Polynomial.monomial(n, e)) for e in basis] == images
 
 
 def permute(sigma, p):
@@ -187,12 +197,13 @@ def test_permuting_variables_with_mu_permutes_every_operator(case, data):
     moved = ParameterSet(n, tuple(moved_mu))
     sA = tuple(sigma[a - 1] for a in A)
     si, sj = sigma[i - 1], sigma[j - 1]
+    ops, moved_ops = DunklOperators(params), DunklOperators(moved)
     pairs = [
         (dunkl(params, i), dunkl(moved, si)),
-        (laplace(params, A), laplace(moved, sA)),
-        (casimir(params, A), casimir(moved, sA)),
-        (angular(params, i, j), angular(moved, si, sj)),
-        *zip(su11_triple(params, A), su11_triple(moved, sA)),
+        (laplace(ops, A), laplace(moved_ops, sA)),
+        (casimir(ops, A), casimir(moved_ops, sA)),
+        (angular(ops, i, j), angular(moved_ops, si, sj)),
+        *zip(su11_triple(ops, A), su11_triple(moved_ops, sA)),
     ]
     sp = permute(sigma, p)
     for op, moved_op in pairs:

@@ -1,10 +1,15 @@
 """The operator layer: deformed derivatives, su(1,1) triples, invariants."""
 
+import ast
+import contextlib
+import io
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from racah_dunkl import (
+    DunklOperators,
     ImageEscapesSpan,
     LinearOperator,
     ParameterSet,
@@ -22,9 +27,11 @@ from racah_dunkl import (
     norm_square_mul,
     su11_triple,
 )
+from racah_dunkl import cli, operators
 from racah_dunkl.linalg import product_sum
 
 PARAMS = ParameterSet.make(["1/2", "1/3", "1/4"])
+OPS = DunklOperators(PARAMS)
 
 
 def P(n, text):
@@ -62,10 +69,10 @@ def test_dunkl_operators_commute():
 
 
 def test_laplace_examples():
-    lap1 = laplace(PARAMS, (1,))
+    lap1 = laplace(OPS, (1,))
     x1 = Polynomial.variable(3, 1)
     assert lap1(x1 * x1) == Polynomial.constant(3, 4)  # 2(1 + 2 mu_1)
-    lap = laplace(PARAMS, (1, 2, 3))
+    lap = laplace(OPS, (1, 2, 3))
     assert lap(x1).is_zero
     assert lap(Polynomial.one(3)).is_zero
 
@@ -93,13 +100,13 @@ def test_gamma_examples():
 
 
 def test_su11_constant_action():
-    a0, _, _ = su11_triple(PARAMS, (1, 2))
+    a0, _, _ = su11_triple(OPS, (1, 2))
     gam = gamma(PARAMS, (1, 2))
     assert a0(Polynomial.one(3)) == Polynomial.constant(3, gam / 2)
 
 
 def test_su11_brackets_small():
-    a0, jp, jm = su11_triple(PARAMS, (1, 3))
+    a0, jp, jm = su11_triple(OPS, (1, 3))
     for k in range(4):
         for exps in monomial_basis(3, k):
             p = Polynomial.monomial(3, exps)
@@ -110,7 +117,7 @@ def test_su11_brackets_small():
 
 def test_casimir_single_index_closed_form():
     for i in (1, 2, 3):
-        ci = casimir(PARAMS, (i,))
+        ci = casimir(OPS, (i,))
         mu = PARAMS.mu_of(i)
         for exps in monomial_basis(3, 3):
             p = Polynomial.monomial(3, exps)
@@ -121,14 +128,14 @@ def test_casimir_single_index_closed_form():
 
 
 def test_casimir_constant():
-    ca = casimir(PARAMS, (1, 2))
+    ca = casimir(OPS, (1, 2))
     gam = gamma(PARAMS, (1, 2))
     assert ca(Polynomial.one(3)) == Polynomial.constant(3, (gam * gam - 2 * gam) / 4)
 
 
 def test_casimir_commutes_with_full_laplacian():
-    ca = casimir(PARAMS, (1, 3))
-    lap = laplace(PARAMS, (1, 2, 3))
+    ca = casimir(OPS, (1, 3))
+    lap = laplace(OPS, (1, 2, 3))
     for exps in monomial_basis(3, 4):
         p = Polynomial.monomial(3, exps)
         assert ca(lap(p)) == lap(ca(p))
@@ -137,8 +144,8 @@ def test_casimir_commutes_with_full_laplacian():
 def test_casimir_central_for_its_own_set():
     # [C_A, Lap_A] = 0 and [C_A, |x_A|^2] = 0
     A = (1, 3)
-    ca = casimir(PARAMS, A)
-    lap_a = laplace(PARAMS, A)
+    ca = casimir(OPS, A)
+    lap_a = laplace(OPS, A)
     nrm_a = norm_square_mul(A, 3)
     for k in range(5):
         for exps in monomial_basis(3, k):
@@ -148,22 +155,22 @@ def test_casimir_central_for_its_own_set():
 
 
 def test_angular_examples():
-    l12 = angular(PARAMS, 1, 2)
+    l12 = angular(OPS, 1, 2)
     x1 = Polynomial.variable(3, 1)
     assert l12(x1) == P(3, "-2 * x2")  # -x2 (1 + 2 mu_1)
-    l21 = angular(PARAMS, 2, 1)
+    l21 = angular(OPS, 2, 1)
     for exps in monomial_basis(3, 3):
         p = Polynomial.monomial(3, exps)
         assert l12(p) == -l21(p)
     with pytest.raises(ValueError):
-        angular(PARAMS, 2, 2)
+        angular(OPS, 2, 2)
 
 
 def test_angular_commutator_identity():
     # [L_ij, L_jk] = L_ik (1 + 2 mu_j r_j)
-    l12 = angular(PARAMS, 1, 2)
-    l23 = angular(PARAMS, 2, 3)
-    l13 = angular(PARAMS, 1, 3)
+    l12 = angular(OPS, 1, 2)
+    l23 = angular(OPS, 2, 3)
+    l13 = angular(OPS, 1, 3)
     mu2 = PARAMS.mu_of(2)
     for k in range(4):
         for exps in monomial_basis(3, k):
@@ -175,8 +182,8 @@ def test_angular_commutator_identity():
 
 def test_pair_invariant_angular_expression():
     # 4 C_ij + L_ij^2 - (mu_i r_i + mu_j r_j)^2 + 1 = 0
-    c12 = casimir(PARAMS, (1, 2))
-    l12 = angular(PARAMS, 1, 2)
+    c12 = casimir(OPS, (1, 2))
+    l12 = angular(OPS, 1, 2)
     mu1, mu2 = PARAMS.mu_of(1), PARAMS.mu_of(2)
     for exps in monomial_basis(3, 4):
         p = Polynomial.monomial(3, exps)
@@ -189,9 +196,9 @@ def test_pair_invariant_angular_expression():
 
 def test_subset_additivity_on_triple():
     # C_{123} = C_12 + C_13 + C_23 - C_1 - C_2 - C_3 on degree 4
-    c123 = casimir(PARAMS, (1, 2, 3))
-    parts = [casimir(PARAMS, s) for s in ((1, 2), (1, 3), (2, 3))]
-    singles = [casimir(PARAMS, (i,)) for i in (1, 2, 3)]
+    c123 = casimir(OPS, (1, 2, 3))
+    parts = [casimir(OPS, s) for s in ((1, 2), (1, 3), (2, 3))]
+    singles = [casimir(OPS, (i,)) for i in (1, 2, 3)]
     for exps in monomial_basis(3, 4):
         p = Polynomial.monomial(3, exps)
         total = Polynomial.zero(3)
@@ -210,15 +217,15 @@ def test_materialize_identity():
 
 
 def test_materialize_rejects_degree_changing_without_basis():
-    lap = laplace(PARAMS, (1, 2, 3))
+    lap = laplace(OPS, (1, 2, 3))
     with pytest.raises(ImageEscapesSpan):
         materialize_on_monomials(lap, 3, 2)
 
 
 def test_materialize_between_degrees_matches_monomial_images():
     # column j is op(j-th degree-k monomial) written on the degree-(k + shift) monomials
-    _, jp, jm = su11_triple(PARAMS, (1, 3))
-    lap = laplace(PARAMS, (1, 2, 3))
+    _, jp, jm = su11_triple(OPS, (1, 3))
+    lap = laplace(OPS, (1, 2, 3))
     for op, shift in ((jp, 2), (jm, -2), (lap, -2)):
         for k in range(5):
             mat = materialize_on_monomials(op, 3, k, shift)
@@ -230,7 +237,7 @@ def test_materialize_between_degrees_matches_monomial_images():
 
 
 def test_materialize_below_degree_zero_is_empty():
-    a0, jp, jm = su11_triple(PARAMS, (1, 2))
+    a0, jp, jm = su11_triple(OPS, (1, 2))
     lowered = materialize_on_monomials(jm, 3, 1, -2)
     assert lowered.shape == (0, 3)
     # A0 on degree -1 has no rows or columns, J+ from degree -1 no columns
@@ -245,15 +252,15 @@ def test_materialize_below_degree_zero_is_empty():
 
 
 def test_materialize_with_wrong_shift_raises():
-    _, jp, jm = su11_triple(PARAMS, (1, 3))
-    lap = laplace(PARAMS, (1, 2, 3))
+    _, jp, jm = su11_triple(OPS, (1, 3))
+    lap = laplace(OPS, (1, 2, 3))
     for op, k, shift in ((jp, 2, 0), (jm, 2, 2), (lap, 3, -1), (lap, 2, 0)):
         with pytest.raises(ImageEscapesSpan):
             materialize_on_monomials(op, 3, k, shift)
 
 
 def test_materialize_on_basis_and_escape():
-    c12 = casimir(PARAMS, (1, 2))
+    c12 = casimir(OPS, (1, 2))
     from racah_dunkl import build_basis_tower
 
     basis = [el.poly for el in build_basis_tower(PARAMS, 3)]
@@ -262,3 +269,43 @@ def test_materialize_on_basis_and_escape():
     x1 = LinearOperator(lambda exps: {(exps[0] + 1,) + exps[1:]: Fraction(1)}, "x1")
     with pytest.raises(ImageEscapesSpan):
         materialize(x1, 3, basis)
+
+
+@pytest.mark.parametrize("command, evaluations", [
+    # T_1..T_5 on every monomial of degrees 0..4 in five variables: 5 * 126
+    ("verify lemma1 --n 5 --kmax 4", 630),
+    # J- reaches degree 6: T_1..T_4 on every monomial of degrees 0..6, 4 * 210
+    ("verify su11 --n 4 --kmax 4", 840),
+])
+def test_a_sweep_evaluates_each_dunkl_image_once(monkeypatch, command, evaluations):
+    # every subset's invariant, Laplacian and J- share the sweep's T_i
+    evaluated = []
+    real = operators.dunkl
+
+    def counting(params, i):
+        op = real(params, i)
+        rule = op.rule
+        op.rule = lambda exps: evaluated.append((i, exps)) or rule(exps)
+        return op
+
+    monkeypatch.setattr(operators, "dunkl", counting)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(command.split()) == 0
+    assert len(evaluated) == len(set(evaluated)) == evaluations
+
+
+def test_operators_module_keeps_no_store():
+    # kept images and matrices belong to the operators that computed them:
+    # no memoizing decorator, and no module-level container to fill
+    tree = ast.parse(Path(operators.__file__).read_text(encoding="utf-8"))
+    names = {getattr(node, "id", None) or getattr(node, "attr", None) for node in ast.walk(tree)}
+    names |= {node.name for node in ast.walk(tree) if isinstance(node, ast.alias)}
+    assert not names & {"functools", "lru_cache", "cache", "cached_property"}
+    assert not any(isinstance(node, ast.Global) for node in ast.walk(tree))
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            value = node.value
+            # type aliases and the constant Fraction(1) only
+            assert isinstance(value, ast.Subscript) or (
+                isinstance(value, ast.Call) and value.func.id == "Fraction"
+            ), ast.unparse(node)

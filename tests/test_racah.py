@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from racah_dunkl import (
+    DunklOperators,
     OmegaZero,
     ParameterSet,
     Polynomial,
@@ -136,7 +137,8 @@ def test_tridiagonal_data_against_realized_matrix():
 
     eps, d3 = (0, 0, 0), 4
     basis = module_basis(P3, eps, d3)
-    matrix = materialize(casimir(P3, (2, 3)), 3, [el.poly for el in basis]).to_fractions()
+    c23 = casimir(DunklOperators(P3), (2, 3))
+    matrix = materialize(c23, 3, [el.poly for el in basis]).to_fractions()
     diag, offsq = module_tridiagonal_data(P3, eps, d3)
     assert [matrix[k][k] for k in range(3)] == diag
     assert [matrix[k][k - 1] * matrix[k - 1][k] for k in (1, 2)] == offsq

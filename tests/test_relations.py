@@ -12,6 +12,7 @@ from fractions import Fraction
 import pytest
 
 from racah_dunkl import (
+    DunklOperators,
     LinearOperator,
     ParameterSet,
     RationalMatrix,
@@ -122,8 +123,8 @@ def test_union_invariant_independent_of_unused_parameters():
     base = ParameterSet.make(["1/2", "1/3", "1/4", "1/5", "1/6"])
     other = ParameterSet.make(["1/2", "1/3", "1/4", "7/2", "9/4"])
     for k in range(3):
-        a = materialize_on_monomials(casimir(base, (1, 2, 3)), 5, k)
-        b = materialize_on_monomials(casimir(other, (1, 2, 3)), 5, k)
+        a = materialize_on_monomials(casimir(DunklOperators(base), (1, 2, 3)), 5, k)
+        b = materialize_on_monomials(casimir(DunklOperators(other), (1, 2, 3)), 5, k)
         assert a == b
 
 
@@ -173,9 +174,9 @@ def test_su11_witness_is_first_nonzero_monomial_image(monkeypatch):
     # doubling J- breaks only the bracket [J-, J+] = 2 A0, on every subset
     triple = relations.su11_triple
 
-    def doubled_lowering(params, A):
-        a0, jp, jm = triple(params, A)
-        doubled = LinearOperator(lambda e: {m: 2 * c for m, c in jm._image(e).items()}, "2J-")
+    def doubled_lowering(ops, A):
+        a0, jp, jm = triple(ops, A)
+        doubled = LinearOperator(lambda e: {m: 2 * c for m, c in jm._image(e).items()}, "2J-", -2)
         return a0, jp, doubled
 
     monkeypatch.setattr(relations, "su11_triple", doubled_lowering)
@@ -192,7 +193,7 @@ def test_lemma1_witness_is_first_nonzero_monomial_image(monkeypatch):
     # a Laplacian without x3 still commutes with C_1, C_2, C_3 and C_12;
     # the failing list and the witnesses were recorded monomial by monomial
     laplace = relations.laplace
-    monkeypatch.setattr(relations, "laplace", lambda params, A: laplace(params, (1, 2)))
+    monkeypatch.setattr(relations, "laplace", lambda ops, A: laplace(ops, (1, 2)))
     report = verify_casimir_laplacian_commute(P3, 3)
     assert len(report) == 7 * 4
     relation = "invariant-commutes-with-laplacian"
