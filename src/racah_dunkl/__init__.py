@@ -13,7 +13,6 @@ failure.
 
 from .connection import (
     ConnectionMatrix,
-    PairingMatrix,
     RankOneOverlap,
     SpanMismatch,
     TridiagonalData,

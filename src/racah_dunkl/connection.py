@@ -13,7 +13,9 @@ Gram-matrix statements.
 Connection matrices follow the expansion convention: W[s][k] is the
 coefficient of the k-th target element in the s-th source element, so
 composition along a chain of bases multiplies in path order,
-W(A->C) = W(A->B) W(B->C).
+W(A->C) = W(A->B) W(B->C).  The solve returns W as a sparse
+RationalMatrix, and W, the Gram matrix and the tridiagonal data stay in
+that form; only text exports read the dense ``entries`` view.
 """
 
 from __future__ import annotations
@@ -70,73 +72,39 @@ def _pairing(ops: Sequence[LinearOperator], p: Polynomial, q: Polynomial) -> Fra
     return total
 
 
-@dataclass(frozen=True)
-class PairingMatrix:
-    labels: tuple
-    entries: tuple[tuple[Fraction, ...], ...]
-
-    @property
-    def size(self) -> int:
-        return len(self.labels)
-
-    def at(self, i: int, j: int) -> Fraction:
-        return self.entries[i][j]
-
-    def is_symmetric(self) -> bool:
-        m = self.size
-        return all(
-            self.entries[i][j] == self.entries[j][i]
-            for i in range(m)
-            for j in range(i)
-        )
-
-
 def gram_matrix(
     params: ParameterSet, elements: Sequence[HarmonicBasisElement]
-) -> PairingMatrix:
+) -> RationalMatrix:
+    """The matrix of pairings (elements[i].poly, elements[j].poly)."""
     polys = [el.poly for el in elements]
     if any(p.n != params.n for p in polys):
         raise ValueError("dimension mismatch")
     ops = [dunkl(params, i) for i in range(1, params.n + 1)]
-    entries = tuple(tuple(_pairing(ops, p, q) for q in polys) for p in polys)
-    return PairingMatrix(tuple(el.label for el in elements), entries)
+    return RationalMatrix.from_fractions([[_pairing(ops, p, q) for q in polys] for p in polys])
 
 
 @dataclass(frozen=True)
 class ConnectionMatrix:
     from_labels: tuple[HarmonicLabel, ...]
     to_labels: tuple[HarmonicLabel, ...]
-    entries: tuple[tuple[Fraction, ...], ...]
+    matrix: RationalMatrix
 
     @property
-    def shape(self) -> tuple[int, int]:
-        return (len(self.from_labels), len(self.to_labels))
+    def entries(self) -> tuple[tuple[Fraction, ...], ...]:
+        """Dense rows of Fraction entries, the view that text exports write."""
+        return tuple(tuple(row) for row in self.matrix.to_fractions())
 
     def at(self, s: int, k: int) -> Fraction:
-        return self.entries[s][k]
+        return self.matrix.at(s, k)
 
     def compose(self, other: "ConnectionMatrix") -> "ConnectionMatrix":
         """W(A->B).compose(W(B->C)) = W(A->C), as one sparse exact product."""
         if self.to_labels != other.from_labels:
             raise ValueError("composition requires matching intermediate bases")
-        product = RationalMatrix.from_fractions(self.entries) * RationalMatrix.from_fractions(
-            other.entries
-        )
-        return ConnectionMatrix(
-            self.from_labels,
-            other.to_labels,
-            tuple(tuple(row) for row in product.to_fractions()),
-        )
+        return ConnectionMatrix(self.from_labels, other.to_labels, self.matrix * other.matrix)
 
     def is_identity(self) -> bool:
-        m, n = self.shape
-        if m != n:
-            return False
-        return all(
-            self.entries[i][j] == (1 if i == j else 0)
-            for i in range(m)
-            for j in range(m)
-        )
+        return self.matrix == RationalMatrix.identity(self.matrix.nrows)
 
     def to_json_obj(self) -> dict:
         return {
@@ -165,17 +133,13 @@ def connection_matrix(
             f"basis sizes differ: {len(source)} vs {len(target)}"
         )
     try:
-        coeffs = solve_in_span(
-            [el.poly.terms for el in target], [el.poly.terms for el in source]
-        )
+        w = solve_in_span([el.poly.terms for el in target], [el.poly.terms for el in source])
     except ValueError as exc:
         raise SpanMismatch(str(exc)) from exc
-    if matrix_rank([dict(enumerate(row)) for row in coeffs]) != len(source):
+    if matrix_rank(w.sparse_rows) != len(source):
         raise SpanMismatch("source basis is linearly dependent")
     return ConnectionMatrix(
-        tuple(el.label for el in source),
-        tuple(el.label for el in target),
-        tuple(tuple(row) for row in coeffs),
+        tuple(el.label for el in source), tuple(el.label for el in target), w
     )
 
 
@@ -183,18 +147,18 @@ def connection_matrix(
 class TridiagonalData:
     """Result of materializing an operator on a labeled harmonic basis."""
 
-    entries: list[list[Fraction]]
+    matrix: RationalMatrix
     blocks: dict[tuple[int, ...], list[int]]  # parity vector -> basis positions
     report: Report
 
     def block_diagonal(self, parities: tuple[int, ...]) -> list[Fraction]:
         idx = self.blocks[parities]
-        return [self.entries[i][i] for i in idx]
+        return [self.matrix.at(i, i) for i in idx]
 
     def block_offdiagonal_products(self, parities: tuple[int, ...]) -> list[Fraction]:
         idx = self.blocks[parities]
         return [
-            self.entries[idx[t]][idx[t - 1]] * self.entries[idx[t - 1]][idx[t]]
+            self.matrix.at(idx[t], idx[t - 1]) * self.matrix.at(idx[t - 1], idx[t])
             for t in range(1, len(idx))
         ]
 
@@ -216,8 +180,8 @@ def tridiagonal_check(
     """
     n = params.n
     degree = basis[0].label.degree
-    entries = materialize(op, n, [el.poly for el in basis]).to_fractions()
-    m = len(basis)
+    matrix = materialize(op, n, [el.poly for el in basis])
+    rows = matrix.sparse_rows
 
     blocks: dict[tuple[int, ...], list[int]] = {}
     for pos, el in enumerate(basis):
@@ -233,9 +197,9 @@ def tridiagonal_check(
     cross = next(
         (
             f"entry {(i, j)} crosses parity blocks"
-            for i in range(m)
-            for j in range(m)
-            if entries[i][j] != 0 and position_block[i] != position_block[j]
+            for i, row in enumerate(rows)
+            for j in sorted(row)
+            if position_block[i] != position_block[j]
         ),
         None,
     )
@@ -247,13 +211,13 @@ def tridiagonal_check(
                 f"entry {(i, j)} is outside the band"
                 for a, i in enumerate(idx)
                 for b, j in enumerate(idx)
-                if abs(a - b) > 1 and entries[i][j] != 0
+                if abs(a - b) > 1 and j in rows[i]
             ),
             None,
         )
         report.add("tridiagonal-within-block", key, degree, outside)
 
-    data = TridiagonalData(entries, blocks, report)
+    data = TridiagonalData(matrix, blocks, report)
     if expected is not None:
         for key, (diag, offsq) in sorted(expected.items()):
             for relation, got, want in (
@@ -295,7 +259,7 @@ class RankOneOverlap:
     """Connection data of a fixed-parity module between two chain orders."""
 
     connection: ConnectionMatrix
-    tridiagonal: list[list[Fraction]]
+    tridiagonal: RationalMatrix
     eigenvalues: list[Fraction]
     spectral: SpectralData
     parameters: RacahParameters
@@ -329,7 +293,7 @@ def rank_one_overlap(
 
     w = connection_matrix(params, psi, phi)
     pair_op = casimir(DunklOperators(params), (order[1], order[2]))
-    entries = materialize(pair_op, 3, [el.poly for el in phi]).to_fractions()
+    tridiagonal = materialize(pair_op, 3, [el.poly for el in phi])
     mus = [casimir_eigenvalue(params, el.label, 2) for el in psi]
 
     eff_params = ParameterSet.make([params.mu_of(o) for o in order])
@@ -342,7 +306,7 @@ def rank_one_overlap(
     repeated = None if len(set(mus)) == len(mus) else f"repeated eigenvalues in {mus}"
     report.add("distinct-spectrum", order, d3, repeated)
     if repeated is None:
-        uppers = [entries[t - 1][t] for t in range(1, m)]
+        uppers = [tridiagonal.at(t - 1, t) for t in range(1, m)]
         for s in range(m):
             w0 = w.at(s, 0)
             vanishing = f"W[{s}][0] = 0" if w0 == 0 else None
@@ -364,4 +328,4 @@ def rank_one_overlap(
             boundary = polys[m].evaluate([shifted])
             root = None if boundary == 0 else f"H_{m}({shifted}) = {boundary}"
             report.add("recurrence-boundary-root", (s,), d3, root)
-    return RankOneOverlap(w, entries, mus, sd, rp, report)
+    return RankOneOverlap(w, tridiagonal, mus, sd, rp, report)

@@ -362,12 +362,12 @@ def fischer_decompose(
             span.append(nrm_pow * element.poly)
             tags.append((j, element.poly))
 
-    coeffs = solve_in_span([q.terms for q in span], [p.terms])[0]
+    coeffs = solve_in_span([q.terms for q in span], [p.terms])
 
     components: dict[int, Polynomial] = {}
-    for (j, harmonic), c in zip(tags, coeffs):
-        if c:
-            components[j] = components.get(j, Polynomial.zero(n)) + harmonic.scale(c)
+    for t in coeffs.sparse_rows[0]:
+        j, harmonic = tags[t]
+        components[j] = components.get(j, Polynomial.zero(n)) + harmonic.scale(coeffs.at(0, t))
     return [(j, components[j]) for j in sorted(components) if not components[j].is_zero]
 
 

@@ -16,13 +16,15 @@ classes of the monomials, so their matrices are very sparse and the
 cross-parity entries are simply never stored.
 
 Basis solves and ranks are thin front ends over one exact
-Gauss-Jordan elimination on sparse Fraction rows.  Solves and ranks read
-sparse vectors: mappings from a coordinate key to its entry, such as a
-polynomial's terms, so callers never choose a coordinate order or build
-a dense vector.  Each pivot step touches only the rows with a nonzero in
-the pivot column, so the parity sectors of a basis change are eliminated
-independently without any block layout: rows from different sectors
-never share a column.
+Gauss-Jordan elimination on sparse rational rows.  Solves and ranks read
+sparse vectors: mappings from a coordinate key to its entry (an int or a
+Fraction), such as a polynomial's terms or a RationalMatrix's sparse
+rows, so callers never choose a coordinate order or build a dense
+vector.  A solve returns its coefficients as a RationalMatrix, one row
+per target, read off the nonzeros of the reduced rows.  Each pivot step
+touches only the rows with a nonzero in the pivot column, so the parity
+sectors of a basis change are eliminated independently without any
+block layout: rows from different sectors never share a column.
 """
 
 from __future__ import annotations
@@ -31,17 +33,13 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Hashable, Mapping, Sequence
 
-SparseVector = Mapping[Hashable, Fraction]
+SparseVector = Mapping[Hashable, int | Fraction]
 # one term c * A_1 * A_2 * ... of a product sum; c is an int or a Fraction
 Term = tuple[int | Fraction, Sequence["RationalMatrix"]]
 
 
 class InconsistentSystem(ValueError):
     """Raised when a linear system has no exact solution."""
-
-
-def _common_denominator(values) -> int:
-    return lcm(1, *(x.denominator for x in values))
 
 
 def _width(rows: Sequence[Sequence]) -> int:
@@ -89,13 +87,16 @@ class RationalMatrix:
         return m
 
     @classmethod
+    def _from_rational_rows(cls, rows: list[dict[int, Fraction]], ncols: int) -> "RationalMatrix":
+        """Sparse rational rows (column -> nonzero entry) over the lcm of their denominators."""
+        den = lcm(1, *(x.denominator for row in rows for x in row.values()))
+        ints = [{j: x.numerator * (den // x.denominator) for j, x in row.items()} for row in rows]
+        return cls.from_sparse(ints, den, ncols)
+
+    @classmethod
     def from_fractions(cls, entries: list[list[Fraction]]) -> "RationalMatrix":
-        den = _common_denominator(x for row in entries for x in row)
-        rows = [
-            {j: x.numerator * (den // x.denominator) for j, x in enumerate(row) if x}
-            for row in entries
-        ]
-        return cls.from_sparse(rows, den, _width(entries))
+        rows = [{j: x for j, x in enumerate(row) if x} for row in entries]
+        return cls._from_rational_rows(rows, _width(entries))
 
     @classmethod
     def identity(cls, m: int) -> "RationalMatrix":
@@ -103,12 +104,8 @@ class RationalMatrix:
 
     @classmethod
     def diagonal(cls, values: list[Fraction]) -> "RationalMatrix":
-        den = _common_denominator(values)
-        rows = [
-            {i: x.numerator * (den // x.denominator)} if x else {}
-            for i, x in enumerate(values)
-        ]
-        return cls.from_sparse(rows, den, len(values))
+        rows = [{i: x} if x else {} for i, x in enumerate(values)]
+        return cls._from_rational_rows(rows, len(values))
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -267,7 +264,7 @@ def product_sum(terms: Sequence[Term]) -> RationalMatrix:
     return RationalMatrix.from_sparse(out, den, shape[1])
 
 
-def _gauss_jordan(rows: list[dict[int, Fraction]], ncols: int) -> list[int]:
+def _gauss_jordan(rows: list[dict[int, int | Fraction]], ncols: int) -> list[int]:
     """Reduce sparse rows in place to reduced row echelon form on columns < ncols.
 
     Each row maps a column to its nonzero entry, and an entry that cancels
@@ -287,7 +284,7 @@ def _gauss_jordan(rows: list[dict[int, Fraction]], ncols: int) -> list[int]:
             continue
         if pivot != row:
             rows[row], rows[pivot] = rows[pivot], rows[row]
-        inv = 1 / rows[row][col]
+        inv = Fraction(1) / rows[row][col]  # exact on int entries too
         pivot_row = rows[row] = {c: x * inv for c, x in rows[row].items()}
         for r, other in enumerate(rows):
             factor = other.get(col)
@@ -307,13 +304,13 @@ def _gauss_jordan(rows: list[dict[int, Fraction]], ncols: int) -> list[int]:
     return pivots
 
 
-def _elimination_rows(vectors: Sequence[SparseVector]) -> list[dict[int, Fraction]]:
+def _elimination_rows(vectors: Sequence[SparseVector]) -> list[dict[int, int | Fraction]]:
     """Sparse rows of the matrix whose j-th column is vectors[j].
 
     Row r holds the nonzero entries of the r-th key met, keyed by vector
     position; zero entries are skipped.
     """
-    row_of: dict[Hashable, dict[int, Fraction]] = {}
+    row_of: dict[Hashable, dict[int, int | Fraction]] = {}
     for j, vector in enumerate(vectors):
         for key, x in vector.items():
             if x:
@@ -323,12 +320,13 @@ def _elimination_rows(vectors: Sequence[SparseVector]) -> list[dict[int, Fractio
 
 def solve_in_span(
     columns: Sequence[SparseVector], targets: Sequence[SparseVector]
-) -> list[list[Fraction]]:
+) -> RationalMatrix:
     """Solve sum_j c_j * columns[j] = target for each target, exactly.
 
-    Returns one coefficient list per target.  Raises InconsistentSystem if
-    some target is outside the span, and ValueError if the columns are
-    linearly dependent (the solves here always expect a basis).
+    Returns the coefficients as a matrix whose row t holds those of
+    targets[t].  Raises InconsistentSystem if some target is outside the
+    span, and ValueError if the columns are linearly dependent (the solves
+    here always expect a basis).
     """
     ncols = len(columns)
     # augmented sparse rows: [columns | targets]
@@ -339,8 +337,14 @@ def solve_in_span(
     # a target outside the span
     if any(aug[ncols:]):
         raise InconsistentSystem("target outside the span of the given columns")
-    zero = Fraction(0)
-    return [[aug[j].get(ncols + t, zero) for j in range(ncols)] for t in range(len(targets))]
+    # pivot row j is e_j on the columns, so its target entries are the
+    # j-th coefficients
+    coeffs: list[dict[int, Fraction]] = [{} for _ in targets]
+    for j, row in enumerate(aug[:ncols]):
+        for c, x in row.items():
+            if c >= ncols:
+                coeffs[c - ncols][j] = x
+    return RationalMatrix._from_rational_rows(coeffs, ncols)
 
 
 def matrix_rank(vectors: Sequence[SparseVector]) -> int:

@@ -331,8 +331,9 @@ def materialize(op: LinearOperator, n: int, basis: list[Polynomial]) -> Rational
     """Exact matrix of op on a basis of polynomials.
 
     Column j holds the coordinates of the image of basis[j]: each image is
-    solved exactly against the basis span, and an image outside the span
-    raises ImageEscapesSpan.
+    solved exactly against the basis span, the matrix is the transpose of
+    the solve's coefficient rows, and an image outside the span raises
+    ImageEscapesSpan.
     """
     if not basis:
         raise ValueError("basis must be nonempty")
@@ -345,5 +346,8 @@ def materialize(op: LinearOperator, n: int, basis: list[Polynomial]) -> Rational
         coeffs = solve_in_span([q.terms for q in basis], images)
     except InconsistentSystem as exc:
         raise ImageEscapesSpan(str(exc)) from exc
-    rows = [[image[i] for image in coeffs] for i in range(len(basis))]
-    return RationalMatrix.from_fractions(rows)
+    rows: list[dict[int, int]] = [{} for _ in basis]
+    for j, image in enumerate(coeffs.sparse_rows):
+        for i, x in image.items():
+            rows[i][j] = x
+    return RationalMatrix.from_sparse(rows, coeffs.den, len(basis))

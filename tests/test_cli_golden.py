@@ -4,8 +4,9 @@ Each command's stdout (or ``--out`` file) is pinned by its sha256 together
 with its exit code, so a refactor that changes one byte of a report, a
 witness or a connection matrix fails here.  The commands cover every
 verify suite at small n and k (most at a drawn mu with a large integer and
-a repeated value), ``connect`` at n=3 (which runs the tridiagonal check)
-and n=4, ``racah``, and the engine failure that exits 1 with no output.
+a repeated value), ``connect`` at n=3 (which runs the tridiagonal check),
+at n=4 (JSON and CSV) and on the empty bases of n=1, ``racah``, and the
+engine failure that exits 1 with no output.
 
 After a deliberate output change, recompute the digest of the command's
 output (``python -m racah_dunkl.cli <command> | sha256sum``) and say in
@@ -49,6 +50,11 @@ STDOUT_GOLDEN = (
      "bdc39d8deb835b7b34c3843282aa7c7c4e2c2105d7b747e84ed1b98166874659"),
     ("connect --n 4 --k 2 --from 1,2,3,4 --to 3,4,2,1", 0,
      "dcc368713600789da12d13891e218f07e9fc9444bdfe0e92bf56433fa87ce89e"),
+    ("connect --n 4 --k 2 --from 1,2,3,4 --to 3,4,2,1 --format csv", 0,
+     "037d403a1797ade13632b2d4dccbe031df0e0ef3193f4914fcff3b6946e800a7"),
+    # empty bases: "entries": [] and exit 0
+    ("connect --n 1 --k 2 --from 1 --to 1", 0,
+     "55ead004b6a64056c10c7fa64e38234b0d271ec79c97f783f433ade0c156f203"),
     ("racah --n 3 --epsilon 0,1,0 --degree 5", 0,
      "4a6455f68c4089558025d4c82be543c6ea793596082375423fa90991f8388348"),
     # degenerate spectrum: OmegaZero, exit 1 and nothing on stdout

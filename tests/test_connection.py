@@ -9,7 +9,9 @@ from racah_dunkl import (
     LinearOperator,
     ParameterSet,
     Polynomial,
+    RationalMatrix,
     SpanMismatch,
+    angular,
     build_basis_tower,
     casimir,
     casimir_eigenvalue,
@@ -96,17 +98,15 @@ def test_pairing_positive_definite_on_monomials():
             HarmonicBasisElement(placeholder, Polynomial.monomial(3, e))
             for e in monomial_basis(3, k)
         ]
-        pm = gram_matrix(P3, elements)
-        assert pm.is_symmetric()
-        assert all(pivot > 0 for pivot in elimination_pivots(pm.entries))
+        entries = gram_matrix(P3, elements).to_fractions()
+        assert entries == [list(col) for col in zip(*entries)]  # symmetric
+        assert all(pivot > 0 for pivot in elimination_pivots(entries))
 
 
 def test_gram_matrix_builds_the_dunkl_operators_once(monkeypatch):
     elements = build_basis_tower(P3, 6)
     assert len(elements) == 13
-    per_pair = tuple(
-        tuple(fischer_pairing(P3, a.poly, b.poly) for b in elements) for a in elements
-    )
+    per_pair = [[fischer_pairing(P3, a.poly, b.poly) for b in elements] for a in elements]
     built = []
     real = connection.dunkl
 
@@ -115,9 +115,9 @@ def test_gram_matrix_builds_the_dunkl_operators_once(monkeypatch):
         return real(params, i)
 
     monkeypatch.setattr(connection, "dunkl", counting)
-    pm = gram_matrix(P3, elements)
+    gram = gram_matrix(P3, elements)
     assert built == [1, 2, 3]
-    assert pm.entries == per_pair
+    assert gram.to_fractions() == per_pair
 
 
 def test_invariants_self_adjoint():
@@ -155,6 +155,15 @@ def test_connection_inverse_and_composition():
     w_bc = connection_matrix(P3, b, c)
     w_ac = connection_matrix(P3, a, c)
     assert w_ab.compose(w_bc).entries == w_ac.entries
+
+
+def test_compose_and_identity_on_mismatched_and_non_identity_matrices():
+    a = build_basis_tower(P3, 3, (1, 2, 3))
+    b = build_basis_tower(P3, 3, (2, 3, 1))
+    w_ab = connection_matrix(P3, a, b)
+    assert not w_ab.is_identity()
+    with pytest.raises(ValueError, match="^composition requires matching intermediate bases$"):
+        w_ab.compose(w_ab)
 
 
 def test_connection_span_mismatch():
@@ -250,10 +259,10 @@ def test_tridiagonal_identity_operator_diagonal():
     assert data.report.ok
     idx = data.blocks[(0, 0, 0)]
     for t, i in enumerate(idx):
-        assert data.entries[i][i] == casimir_eigenvalue(P3, basis[i].label, 2)
+        assert data.matrix.at(i, i) == casimir_eigenvalue(P3, basis[i].label, 2)
         for j in idx:
             if i != j:
-                assert data.entries[i][j] == 0
+                assert data.matrix.at(i, j) == 0
 
 
 def test_tridiagonal_check_with_expected_data():
@@ -282,6 +291,18 @@ def test_band_witness_names_the_first_entry_outside_the_band():
     assert [(r.relation, r.first_discrepancy) for r in data.report] == [
         ("parity-block-structure", None),
         ("tridiagonal-within-block", "entry (0, 2) is outside the band"),
+    ]
+
+
+def test_parity_witness_names_the_first_entry_across_blocks():
+    # the angular momentum L12 flips the parities of x1 and x2, so it leaves every block
+    data = tridiagonal_check(P3, angular(DunklOperators(P3), 1, 2), build_basis_tower(P3, 2))
+    assert [(r.relation, r.index_tuple, r.first_discrepancy) for r in data.report] == [
+        ("parity-block-structure", (), "entry (0, 2) crosses parity blocks"),
+        ("tridiagonal-within-block", (0, 0, 0), None),
+        ("tridiagonal-within-block", (0, 1, 1), None),
+        ("tridiagonal-within-block", (1, 0, 1), None),
+        ("tridiagonal-within-block", (1, 1, 0), None),
     ]
 
 
@@ -321,7 +342,7 @@ def test_vanishing_leading_coefficient_has_a_witness(monkeypatch):
         w = real(params, source, target)
         rows = [list(row) for row in w.entries]
         rows[1][0] = Fraction(0)
-        return ConnectionMatrix(w.from_labels, w.to_labels, tuple(map(tuple, rows)))
+        return ConnectionMatrix(w.from_labels, w.to_labels, RationalMatrix.from_fractions(rows))
 
     monkeypatch.setattr(connection, "connection_matrix", zero_leading)
     report = rank_one_overlap(P3, (0, 0, 0), 4).report
@@ -398,7 +419,7 @@ def test_column_ratio_polynomials_have_degree_k():
     # is a degree-k polynomial in the eigenvalue
     overlap = rank_one_overlap(P3, (0, 0, 0), 6)
     m = len(overlap.eigenvalues)
-    uppers = [overlap.tridiagonal[t - 1][t] for t in range(1, m)]
+    uppers = [overlap.tridiagonal.at(t - 1, t) for t in range(1, m)]
     from racah_dunkl.linalg import solve_in_span
 
     for k in range(m):
@@ -411,6 +432,6 @@ def test_column_ratio_polynomials_have_degree_k():
         ]
         # solve for polynomial coefficients through the m spectrum points
         columns = [dict(enumerate(mu**d for mu in overlap.eigenvalues)) for d in range(m)]
-        (coeffs,) = solve_in_span(columns, [dict(enumerate(values))])
+        (coeffs,) = solve_in_span(columns, [dict(enumerate(values))]).to_fractions()
         assert all(c == 0 for c in coeffs[k + 1:])
         assert coeffs[k] != 0

@@ -23,6 +23,18 @@ def sparse(vectors):
     return [dict(enumerate(v)) for v in vectors]
 
 
+def solve(columns, targets):
+    """solve_in_span's coefficient rows as dense Fraction lists.
+
+    The returned matrix must have one row per target and one column per
+    basis column, and store ints (never floats) in lowest terms.
+    """
+    got = solve_in_span(columns, targets)
+    assert got.shape == (len(targets), len(columns))
+    assert_lowest_terms(got)
+    return got.to_fractions()
+
+
 def test_from_fractions_and_back():
     m = RationalMatrix.from_fractions([[F(1, 2), F(1, 3)], [F(0), F(-2)]])
     assert m.at(0, 0) == F(1, 2)
@@ -93,7 +105,7 @@ def test_scale_and_equality_cross_denominator():
 def test_solve_in_span():
     cols = [[F(1), F(0), F(1)], [F(0), F(1), F(1)]]
     target = [F(2), F(3), F(5)]
-    (sol,) = solve_in_span(sparse(cols), sparse([target]))
+    (sol,) = solve(sparse(cols), sparse([target]))
     assert sol == [F(2), F(3)]
     with pytest.raises(InconsistentSystem):
         solve_in_span(sparse(cols), sparse([[F(1), F(0), F(0)]]))
@@ -110,13 +122,13 @@ def test_matrix_rank():
 def test_polynomial_terms_are_sparse_vectors():
     x, y = Polynomial.variable(2, 1), Polynomial.variable(2, 2)
     columns = [(x + y).terms, (x - y).terms]
-    (sol,) = solve_in_span(columns, [(x.scale(3) + y).terms])
+    (sol,) = solve(columns, [(x.scale(3) + y).terms])
     assert sol == [F(2), F(1)]
     # x1 x2 is a monomial that no column has
     with pytest.raises(InconsistentSystem):
         solve_in_span(columns, [(x * y).terms])
     # an explicit zero entry is no entry, even under a key no column has
-    (sol,) = solve_in_span([{(1, 0): F(1), (0, 1): F(0)}], [{(1, 0): F(2), (1, 1): F(0)}])
+    (sol,) = solve([{(1, 0): F(1), (0, 1): F(0)}], [{(1, 0): F(2), (1, 1): F(0)}])
     assert sol == [F(2)]
     assert matrix_rank([{(1, 0): F(0)}, x.terms]) == 1
     # an empty column is the zero vector
@@ -433,9 +445,14 @@ def test_arithmetic_methods_error_paths():
 # -- the one elimination behind solve_in_span and matrix_rank ------------------
 
 # mostly-zero draws give singular and rank-deficient matrices; dense draws are
-# mostly invertible
-sparse_entries = st.one_of(st.just(Fraction(0)), st.just(Fraction(0)), st.integers(-2, 2).map(Fraction))
-dense_entries = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+# mostly invertible.  Both also draw plain ints, as the integer numerators of
+# a RationalMatrix's sparse rows are solved and ranked as they are.
+sparse_entries = st.one_of(
+    st.just(Fraction(0)), st.just(0), st.integers(-2, 2).map(Fraction), st.integers(-7, 7)
+)
+dense_entries = st.one_of(
+    st.fractions(min_value=-3, max_value=3, max_denominator=4), st.integers(-7, 7)
+)
 small = st.integers(min_value=1, max_value=4)
 
 
@@ -481,7 +498,7 @@ def test_elimination_matches_cofactor_oracles(data):
         with pytest.raises(ValueError, match="linearly dependent"):
             solve_in_span(sparse(columns), sparse([target]))
     else:
-        (sol,) = solve_in_span(sparse(columns), sparse([target]))
+        (sol,) = solve(sparse(columns), sparse([target]))
         assert combine(columns, sol) == target
         assert sol == coeffs  # independent columns: the solution is unique
 
@@ -497,7 +514,7 @@ def test_target_outside_span_is_inconsistent(data):
     kept = data.draw(st.integers(min_value=1, max_value=size - 1))
     coeffs = data.draw(st.lists(dense_entries, min_size=kept, max_size=kept))
     inside = combine(columns[:kept], coeffs)
-    (sol,) = solve_in_span(sparse(columns[:kept]), sparse([inside]))
+    (sol,) = solve(sparse(columns[:kept]), sparse([inside]))
     assert sol == coeffs
     # the next column of an invertible matrix is outside the span of the first ones
     outside = [x + y for x, y in zip(inside, columns[kept])]
@@ -560,14 +577,21 @@ def test_sparse_elimination_on_permuted_blocks(data):
             solve_in_span(sparse(columns), sparse([target]))
     else:
         # rows beyond the rank cancel to exact zeros in the target column
-        (sol,) = solve_in_span(sparse(columns), sparse([target]))
+        (sol,) = solve(sparse(columns), sparse([target]))
         assert combine(columns, sol) == target
         assert sol == coeffs
+
+
+def test_elimination_is_exact_on_integer_input():
+    # a pivot inverse taken as 1 / int would be a float: 1/3 inexact, and
+    # 98 * (1/49) != 2, which leaves a spurious second pivot
+    assert solve([{0: 3}], [{0: 1}]) == [[F(1, 3)]]
+    assert matrix_rank([{0: 49, 1: 1}, {0: 98, 1: 2}]) == 1
 
 
 def test_cancelled_entries_leave_the_rows():
     # the second row cancels to zero: it must neither offer a zero pivot
     # nor count as a leftover entry below the pivots
     assert matrix_rank(sparse([[F(1), F(2), F(3)], [F(2), F(4), F(6)], [F(0), F(0), F(1)]])) == 2
-    (sol,) = solve_in_span(sparse([[F(1), F(1), F(2)]]), sparse([[F(3), F(3), F(6)]]))
+    (sol,) = solve(sparse([[F(1), F(1), F(2)]]), sparse([[F(3), F(3), F(6)]]))
     assert sol == [F(3)]
