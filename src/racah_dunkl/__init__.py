@@ -20,6 +20,7 @@ from .connection import (
     fischer_pairing,
     gram_matrix,
     module_basis,
+    parity_blocks,
     rank_one_overlap,
     tridiagonal_check,
 )
@@ -46,7 +47,6 @@ from .harmonics import (
     jacobi_closed_form,
     parity_project,
     poly_space_dim,
-    realize_label,
     verify_closed_form,
     verify_extension_restrictions,
     verify_power_action,

@@ -16,7 +16,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .connection import connection_matrix, tridiagonal_check
+from .connection import connection_matrix, parity_blocks, tridiagonal_check
 from .graph import build_graph
 from .harmonics import (
     basis_to_json_obj,
@@ -209,7 +209,7 @@ def cmd_connect(args) -> int:
             )
             eff_params = ParameterSet(3, tuple(params.mu_of(o) for o in frame))
             expected = {}
-            for parities in {el.label.variable_parities() for el in source}:
+            for parities in parity_blocks(source):
                 eff_eps = [parities[o - 1] for o in frame]
                 expected[parities] = module_tridiagonal_data(eff_params, eff_eps, args.k)
             invariant = casimir(DunklOperators(params), pair)

@@ -27,8 +27,8 @@ from typing import Sequence
 from .harmonics import (
     HarmonicBasisElement,
     HarmonicLabel,
+    build_basis_tower,
     casimir_eigenvalue,
-    realize_label,
 )
 from .linalg import RationalMatrix, matrix_rank, solve_in_span
 from .operators import DunklOperators, LinearOperator, casimir, dunkl, materialize
@@ -36,7 +36,6 @@ from .poly import ParameterSet, Polynomial
 from .racah import (
     RacahParameters,
     SpectralData,
-    module_dimension,
     racah_parameters,
     racah_recurrence_polys,
     spectral_data,
@@ -143,6 +142,22 @@ def connection_matrix(
     )
 
 
+def parity_blocks(basis: Sequence[HarmonicBasisElement]) -> dict[tuple[int, ...], list[int]]:
+    """The modules of a harmonic basis: per-variable parity vector -> positions.
+
+    Each module holds the positions of the basis elements with one parity
+    vector, ordered by the partial-degree tuple of their labels, which
+    tells the elements of one module apart.
+    """
+    labels = [el.label for el in basis]
+    blocks: dict[tuple[int, ...], list[int]] = {}
+    for pos, label in enumerate(labels):
+        blocks.setdefault(label.variable_parities(), []).append(pos)
+    for idx in blocks.values():
+        idx.sort(key=lambda pos: [labels[pos].partial_degree(m) for m in range(2, labels[pos].n)])
+    return blocks
+
+
 @dataclass
 class TridiagonalData:
     """Result of materializing an operator on a labeled harmonic basis."""
@@ -171,26 +186,18 @@ def tridiagonal_check(
 ) -> TridiagonalData:
     """Materialize op on the basis and verify its banded block structure.
 
-    Basis elements are grouped into blocks by their per-variable parity
-    vector and ordered inside each block by the partial-degree tuple of
-    their labels.  The checks assert that op never mixes blocks and acts
-    tridiagonally inside each block; when expected values are supplied
+    Basis elements are grouped into the modules of parity_blocks.  The
+    checks assert that op never mixes blocks and acts tridiagonally inside
+    each block; when expected values are supplied
     (parity vector -> (diagonal, off-diagonal pair products)) the
     extracted data is compared entry by entry.
     """
-    n = params.n
+    if not basis:
+        raise ValueError("basis must be nonempty")
     degree = basis[0].label.degree
-    matrix = materialize(op, n, [el.poly for el in basis])
+    matrix = materialize(op, params.n, [el.poly for el in basis])
     rows = matrix.sparse_rows
-
-    blocks: dict[tuple[int, ...], list[int]] = {}
-    for pos, el in enumerate(basis):
-        blocks.setdefault(el.label.variable_parities(), []).append(pos)
-    d_tuple = lambda el: tuple(
-        el.label.partial_degree(t) for t in range(2, n)
-    )
-    for key in blocks:
-        blocks[key].sort(key=lambda pos: d_tuple(basis[pos]))
+    blocks = parity_blocks(basis)
 
     report = Report()
     position_block = {pos: key for key, idx in blocks.items() for pos in idx}
@@ -236,22 +243,17 @@ def module_basis(
 ) -> list[HarmonicBasisElement]:
     """Fixed-parity three-variable module basis, ordered by the first norm power.
 
-    epsilon is indexed by variable; the labels carry the positional
-    parities induced by the requested order.
+    epsilon is indexed by variable.  The module is the parity_blocks
+    module of epsilon in the degree-d3 tower of the order, so its labels
+    carry the positional parities induced by that order.
     """
     if params.n != 3:
         raise ValueError("module bases are three-variable objects")
-    order = tuple(order)
-    eps_pos = tuple(epsilon[o - 1] for o in order)
-    m = module_dimension(epsilon, d3)
-    if m == 0:
+    tower = build_basis_tower(params, d3, order)
+    idx = parity_blocks(tower).get(tuple(epsilon))
+    if idx is None:
         raise ValueError(f"no module for parities {tuple(epsilon)} at degree {d3}")
-    top = m - 1
-    elements = []
-    for l1 in range(m):
-        label = HarmonicLabel(order, eps_pos, (l1, top - l1))
-        elements.append(HarmonicBasisElement(label, realize_label(params, label)))
-    return elements
+    return [tower[p] for p in idx]
 
 
 @dataclass

@@ -218,30 +218,15 @@ def enumerate_labels(
     return labels
 
 
-def realize_label(params: ParameterSet, label: HarmonicLabel) -> Polynomial:
-    """Evaluate the alternating tower of extensions and norm multiplications."""
-    n = params.n
-    if label.n != n:
-        raise ValueError("label dimension does not match parameters")
-    o = label.order
-    h = ck_extend(params, (), o[0], label.epsilon[0], Polynomial.one(n))
-    for m in range(2, n + 1):
-        done = o[: m - 1]
-        power = label.ell[m - 2]
-        if power:
-            h = norm_square_poly(done, n) ** power * h
-        h = ck_extend(params, done, o[m - 1], label.epsilon[m - 1], h)
-    return h
-
-
 def build_basis_tower(
     params: ParameterSet, k: int, order: Sequence[int] | None = None
 ) -> list[HarmonicBasisElement]:
     """The realized harmonic basis of degree k for the given variable order.
 
-    Computes what realize_label computes for every label, but builds one
-    Laplacian per prefix of the order, shared by all labels, and realizes
-    the intermediate harmonic of each (epsilon, ell) prefix only once.
+    Each label is realized by the alternating tower of extensions and
+    norm multiplications, in the order of enumerate_labels.  One Laplacian
+    per prefix of the order is shared by all labels, and the intermediate
+    harmonic of each (epsilon, ell) prefix is realized only once.
     """
     if k < 0:
         raise ValueError("degree must be non-negative")
@@ -277,8 +262,8 @@ def jacobi_closed_form(params: ParameterSet, label: HarmonicLabel) -> Polynomial
     Each extension step contributes a terminating hypergeometric factor in
     the ratio -x^2 / |x_prefix|^2; expanding it with the powers of the
     prefix norm clears every denominator, so the result is an exact
-    polynomial.  It must coincide with realize_label on the same label,
-    which is the correctness oracle relating the two constructions.
+    polynomial.  It must coincide with the tower element of the same
+    label, which is the correctness oracle relating the two constructions.
     """
     n = params.n
     if label.n != n:
@@ -445,16 +430,17 @@ def verify_extension_restrictions(params: ParameterSet, kmax: int) -> Report:
     n = params.n
     if n < 2:
         raise ValueError("extensions need at least two variables")
-    done = tuple(range(1, n))
     new = n
-    lap = laplace(DunklOperators(params), range(1, n + 1))
+    ops = DunklOperators(params)
+    lap_done = laplace(ops, range(1, n))
+    lap = laplace(ops, range(1, n + 1))
     report = Report()
     for k in range(kmax + 1):
         even_bad = odd_bad = harm_bad = None
         for exps in monomial_basis(n - 1, k):
-            p = Polynomial.monomial(n, tuple(exps) + (0,))
-            ext0 = ck_extend(params, done, new, 0, p)
-            ext1 = ck_extend(params, done, new, 1, p)
+            p = Polynomial.monomial(n, exps + (0,))
+            ext0 = _lift(params, lap_done, new, 0, p)
+            ext1 = _lift(params, lap_done, new, 1, p)
             if even_bad is None and ext0.restrict_to_zero(new) != p:
                 even_bad = p.to_text()
             if odd_bad is None and ext1.partial_derivative(new).restrict_to_zero(new) != p:

@@ -33,7 +33,7 @@ from math import lcm
 from typing import Callable, Iterable, Sequence
 
 from .linalg import InconsistentSystem, RationalMatrix, product_sum, solve_in_span
-from .poly import Monomial, ParameterSet, Polynomial, monomial_basis
+from .poly import Monomial, ParameterSet, Polynomial, monomial_basis, monomial_positions
 
 Terms = dict[Monomial, Fraction]
 # one term c * op_1 op_2 ... of a composite operator; op_1 acts last
@@ -283,21 +283,16 @@ def angular(ops: DunklOperators, i: int, j: int) -> LinearOperator:
     )
 
 
-def materialize_on_monomials(
-    op: LinearOperator, n: int, k: int, shift: int = 0
-) -> RationalMatrix:
-    """Kept matrix of an operator from the degree-k to the degree-(k + shift) monomials.
+def materialize_on_monomials(op: LinearOperator, n: int, k: int) -> RationalMatrix:
+    """Kept matrix of an operator from the degree-k to the degree-(k + op.shift) monomials.
 
     Column j is the image of the j-th monomial of monomial_basis(n, k), row
-    i the i-th monomial of monomial_basis(n, k + shift); a basis of negative
-    degree is empty.  A composite's matrix is the product sum of its terms
-    over its parts' matrices, each on the degree it acts on.  A shift other
-    than the operator's own, or a primitive image with a term outside degree
-    k + shift, raises ImageEscapesSpan.
+    i the i-th monomial of monomial_basis(n, k + op.shift); a basis of
+    negative degree is empty.  A composite's matrix is the product sum of
+    its terms over its parts' matrices, each on the degree it acts on.  A
+    primitive image with a term outside degree k + op.shift raises
+    ImageEscapesSpan.
     """
-    escapes = f"{op.descriptor} does not map homogeneous degree {k} to degree {k + shift}"
-    if shift != op.shift:
-        raise ImageEscapesSpan(escapes)
     matrix = op._matrices.get((n, k))
     if matrix is not None:
         return matrix
@@ -306,22 +301,24 @@ def materialize_on_monomials(
         for c, factors in op.terms:
             matrices, d = [], k
             for factor in reversed(factors):
-                matrices.append(materialize_on_monomials(factor, n, d, factor.shift))
+                matrices.append(materialize_on_monomials(factor, n, d))
                 d += factor.shift
             products.append((c, matrices[::-1]))
         matrix = op._matrices[(n, k)] = product_sum(products).normalized()
         return matrix
     basis = monomial_basis(n, k)
-    targets = basis if shift == 0 else monomial_basis(n, k + shift)
-    position = {exps: i for i, exps in enumerate(targets)}
+    position = monomial_positions(n, k + op.shift)
     images = [op._image(exps) for exps in basis]
     den = lcm(1, *(c.denominator for terms in images for c in terms.values()))
-    rows: list[dict[int, int]] = [{} for _ in targets]
+    rows: list[dict[int, int]] = [{} for _ in position]
     for j, terms in enumerate(images):
         for exps, c in terms.items():
             i = position.get(exps)
             if i is None:
-                raise ImageEscapesSpan(escapes)
+                raise ImageEscapesSpan(
+                    f"{op.descriptor} maps homogeneous degree {k} to degree {sum(exps)},"
+                    f" not to its declared degree {k + op.shift}"
+                )
             rows[i][j] = c.numerator * (den // c.denominator)
     matrix = op._matrices[(n, k)] = RationalMatrix.from_sparse(rows, den, len(basis))
     return matrix

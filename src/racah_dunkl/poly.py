@@ -15,7 +15,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from functools import cache
+from types import MappingProxyType
+from typing import Iterable, Mapping
 
 Monomial = tuple[int, ...]
 
@@ -386,14 +388,16 @@ class Polynomial:
         return f"Polynomial({self.n}, {self.to_text()!r})"
 
 
-def monomial_basis(n: int, k: int) -> list[Monomial]:
+@cache
+def monomial_basis(n: int, k: int) -> tuple[Monomial, ...]:
     """All exponent tuples of total degree k, in descending lex order.
 
     This is the canonical row/column indexing for operator matrices on the
     space of homogeneous degree-k polynomials; its length is C(n+k-1, k).
+    Each (n, k) is enumerated once per process.
     """
     if k < 0:
-        return []
+        return ()
     # tails[t]: the exponent tuples of degree t in the last m variables
     tails = [[(t,)] for t in range(k + 1)]
     for _ in range(n - 1):
@@ -401,5 +405,10 @@ def monomial_basis(n: int, k: int) -> list[Monomial]:
             [(e,) + rest for e in range(t, -1, -1) for rest in tails[t - e]]
             for t in range(k + 1)
         ]
-    return tails[k]
+    return tuple(tails[k])
 
+
+@cache
+def monomial_positions(n: int, k: int) -> Mapping[Monomial, int]:
+    """Read-only map from each exponent tuple of monomial_basis(n, k) to its index."""
+    return MappingProxyType({exps: i for i, exps in enumerate(monomial_basis(n, k))})

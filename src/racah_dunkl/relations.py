@@ -179,8 +179,8 @@ def verify_su11(params: ParameterSet, kmax: int) -> Report:
         a0, jp, jm = su11_triple(ops, A)
         mats = (
             {d: materialize_on_monomials(a0, n, d) for d in range(-2, kmax + 3)},
-            {d: materialize_on_monomials(jp, n, d, 2) for d in range(-2, kmax + 1)},
-            {d: materialize_on_monomials(jm, n, d, -2) for d in range(kmax + 3)},
+            {d: materialize_on_monomials(jp, n, d) for d in range(-2, kmax + 1)},
+            {d: materialize_on_monomials(jm, n, d) for d in range(kmax + 3)},
         )
         for k in range(kmax + 1):
             for relation, shift, terms in _su11_brackets(*mats, k):
@@ -196,7 +196,7 @@ def _su11_brackets(a0, jp, jm, k: int):
     yield "su11-bracket", 0, [(1, (jm[k + 2], jp[k])), (-1, (jp[k - 2], jm[k])), (-2, (a0[k],))]
 
 
-def verify_racah_relations(params: ParameterSet, kmax: int | None = None) -> Report:
+def verify_racah_relations(params: ParameterSet, kmax: int) -> Report:
     """Full sweep of the quadratic-algebra relations on degrees <= kmax.
 
     Covers, for every admissible tuple of distinct indices:
@@ -216,8 +216,6 @@ def verify_racah_relations(params: ParameterSet, kmax: int | None = None) -> Rep
     n = params.n
     if n < 3:
         raise ValueError("the relation sweep needs at least three coordinates")
-    if kmax is None:
-        kmax = default_degree_bound(n)
     ops = DunklOperators(params)
     report = Report()
     for k in range(kmax + 1):
@@ -373,7 +371,7 @@ def verify_casimir_laplacian_commute(params: ParameterSet, kmax: int) -> Report:
     n = params.n
     ops = DunklOperators(params)
     lap = laplace(ops, range(1, n + 1))
-    laps = [materialize_on_monomials(lap, n, k, -2) for k in range(kmax + 1)]
+    laps = [materialize_on_monomials(lap, n, k) for k in range(kmax + 1)]
     targets = [monomial_basis(n, k - 2) for k in range(kmax + 1)]
     report = Report()
     for A in nonempty_subsets(n):

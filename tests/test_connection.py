@@ -22,6 +22,7 @@ from racah_dunkl import (
     materialize,
     module_tridiagonal_data,
     monomial_basis,
+    parity_blocks,
     rank_one_overlap,
     tridiagonal_check,
 )
@@ -250,6 +251,33 @@ def test_connection_block_diagonal_over_shared_generator_n4():
             )
             nonzero_cross += 1
     assert nonzero_cross > 0
+
+
+def test_parity_blocks_of_an_n4_tower():
+    # keys are parities by variable, positions are sorted by (d2, d3)
+    tower = build_basis_tower(ParameterSet.default(4), 4, (2, 4, 3, 1))
+    blocks = parity_blocks(tower)
+    assert {key: len(idx) for key, idx in blocks.items()} == {
+        (0, 0, 0, 0): 6, (0, 1, 0, 1): 3, (0, 1, 1, 0): 3, (0, 0, 1, 1): 3,
+        (1, 1, 0, 0): 3, (1, 0, 0, 1): 3, (1, 0, 1, 0): 3, (1, 1, 1, 1): 1,
+    }
+    assert sorted(pos for idx in blocks.values() for pos in idx) == list(range(len(tower)))
+    assert blocks[(0, 0, 0, 0)] == [5, 4, 2, 3, 1, 0]
+    assert [tower[pos].label.ell for pos in blocks[(0, 0, 0, 0)]] == [
+        (0, 0, 2), (0, 1, 1), (0, 2, 0), (1, 0, 1), (1, 1, 0), (2, 0, 0),
+    ]
+    partial = [
+        [(tower[pos].label.partial_degree(2), tower[pos].label.partial_degree(3)) for pos in idx]
+        for idx in blocks.values()
+    ]
+    assert partial[0] == [(0, 0), (0, 2), (0, 4), (2, 2), (2, 4), (4, 4)]
+    assert partial[-1] == [(2, 3)]
+    assert all(degrees == sorted(degrees) for degrees in partial)
+
+
+def test_tridiagonal_check_rejects_an_empty_basis():
+    with pytest.raises(ValueError, match="basis must be nonempty"):
+        tridiagonal_check(P3, casimir(DunklOperators(P3), (1, 2)), [])
 
 
 def test_tridiagonal_identity_operator_diagonal():

@@ -1,8 +1,11 @@
 """Extension maps, tower bases, closed forms, and spectral actions."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from racah_dunkl import (
     DunklOperators,
@@ -21,16 +24,34 @@ from racah_dunkl import (
     jacobi_closed_form,
     laplace,
     matrix_rank,
+    module_basis,
     monomial_basis,
     norm_square_poly,
     parity_project,
-    realize_label,
+    verify_extension_restrictions,
     verify_power_action,
     verify_power_action_sweep,
 )
+from racah_dunkl import harmonics
 
 P3 = ParameterSet.make(["1/2", "1/3", "1/4"])
 P2 = ParameterSet.make(["1/2", "1/3"])
+
+
+def realize_label(params: ParameterSet, label: HarmonicLabel) -> Polynomial:
+    """Evaluate the alternating tower of extensions and norm multiplications."""
+    n = params.n
+    if label.n != n:
+        raise ValueError("label dimension does not match parameters")
+    o = label.order
+    h = ck_extend(params, (), o[0], label.epsilon[0], Polynomial.one(n))
+    for m in range(2, n + 1):
+        done = o[: m - 1]
+        power = label.ell[m - 2]
+        if power:
+            h = norm_square_poly(done, n) ** power * h
+        h = ck_extend(params, done, o[m - 1], label.epsilon[m - 1], h)
+    return h
 
 
 def test_ck_extend_constant_even():
@@ -60,6 +81,20 @@ def test_ck_extend_validation():
         ck_extend(P2, (1,), 2, 0, p + Polynomial.one(2))  # not homogeneous
     with pytest.raises(ValueError):
         ck_extend(P2, (1,), 2, 0, Polynomial.variable(2, 2))  # support outside
+
+
+def test_extension_restrictions_build_the_dunkl_operators_once(monkeypatch):
+    built = []
+    real = harmonics.DunklOperators
+
+    def counting(params):
+        built.append(params)
+        return real(params)
+
+    monkeypatch.setattr(harmonics, "DunklOperators", counting)
+    report = verify_extension_restrictions(P3, 4)
+    assert built == [P3]
+    assert len(report) == 15 and report.ok
 
 
 def test_label_validation_and_degree():
@@ -129,6 +164,33 @@ def test_tower_equals_per_label_realization():
                 tower = build_basis_tower(params, k, order)
                 assert [el.label for el in tower] == labels
                 assert [el.poly for el in tower] == [realize_label(params, l) for l in labels]
+
+
+mu_values = st.one_of(
+    st.builds(Fraction, st.integers(1, 10**6), st.integers(1, 10**6)),
+    st.builds(Fraction, st.integers(1, 9), st.integers(1, 9)),
+)
+
+
+@settings(max_examples=5, deadline=None)
+@given(st.lists(mu_values, min_size=3, max_size=3))
+def test_module_basis_equals_per_label_realization_at_any_mu(mu):
+    # a module holds the labels (l1, top - l1) in ascending l1
+    params = ParameterSet(3, tuple(mu))
+    for order in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
+        for d3 in range(9):
+            for epsilon in itertools.product((0, 1), repeat=3):
+                rem = d3 - sum(epsilon)
+                if rem < 0 or rem % 2:
+                    with pytest.raises(ValueError):
+                        module_basis(params, epsilon, d3, order)
+                    continue
+                eps_pos = tuple(epsilon[o - 1] for o in order)
+                top = rem // 2
+                labels = [HarmonicLabel(order, eps_pos, (l1, top - l1)) for l1 in range(top + 1)]
+                basis = module_basis(params, epsilon, d3, order)
+                assert [el.label for el in basis] == labels
+                assert [el.poly for el in basis] == [realize_label(params, l) for l in labels]
 
 
 def test_tower_linear_independence():

@@ -163,7 +163,7 @@ def test_matrix_columns_are_monomial_images(case, k):
     basis = monomial_basis(n, k)
     for op, oracle in builders_with_oracles(params, A, i, j):
         targets = monomial_basis(n, k + op.shift)
-        matrix = materialize_on_monomials(op, n, k, op.shift)
+        matrix = materialize_on_monomials(op, n, k)
         assert matrix.shape == (len(targets), len(basis)), op.descriptor
         images = [op(Polynomial.monomial(n, exps)) for exps in basis]
         for col, (exps, image) in enumerate(zip(basis, images)):

@@ -216,20 +216,14 @@ def test_materialize_identity():
     assert materialize(identity, 2, basis) == RationalMatrix.identity(2)
 
 
-def test_materialize_rejects_degree_changing_without_basis():
-    lap = laplace(OPS, (1, 2, 3))
-    with pytest.raises(ImageEscapesSpan):
-        materialize_on_monomials(lap, 3, 2)
-
-
 def test_materialize_between_degrees_matches_monomial_images():
     # column j is op(j-th degree-k monomial) written on the degree-(k + shift) monomials
     _, jp, jm = su11_triple(OPS, (1, 3))
     lap = laplace(OPS, (1, 2, 3))
-    for op, shift in ((jp, 2), (jm, -2), (lap, -2)):
+    for op in (jp, jm, lap):
         for k in range(5):
-            mat = materialize_on_monomials(op, 3, k, shift)
-            columns, rows = monomial_basis(3, k), monomial_basis(3, k + shift)
+            mat = materialize_on_monomials(op, 3, k)
+            columns, rows = monomial_basis(3, k), monomial_basis(3, k + op.shift)
             assert mat.shape == (len(rows), len(columns))
             for j, exps in enumerate(columns):
                 image = Polynomial(3, {row: mat.at(i, j) for i, row in enumerate(rows)})
@@ -238,11 +232,11 @@ def test_materialize_between_degrees_matches_monomial_images():
 
 def test_materialize_below_degree_zero_is_empty():
     a0, jp, jm = su11_triple(OPS, (1, 2))
-    lowered = materialize_on_monomials(jm, 3, 1, -2)
+    lowered = materialize_on_monomials(jm, 3, 1)
     assert lowered.shape == (0, 3)
     # A0 on degree -1 has no rows or columns, J+ from degree -1 no columns
     a0_below = materialize_on_monomials(a0, 3, -1)
-    raised = materialize_on_monomials(jp, 3, -1, 2)
+    raised = materialize_on_monomials(jp, 3, -1)
     assert a0_below.shape == (0, 0) and raised.shape == (3, 0)
     diff = product_sum([(1, (a0_below, lowered)), (-1, (lowered,))])
     assert diff.shape == (0, 3) and diff.is_zero
@@ -251,12 +245,12 @@ def test_materialize_below_degree_zero_is_empty():
     assert square.shape == (3, 3) and square.is_zero
 
 
-def test_materialize_with_wrong_shift_raises():
-    _, jp, jm = su11_triple(OPS, (1, 3))
-    lap = laplace(OPS, (1, 2, 3))
-    for op, k, shift in ((jp, 2, 0), (jm, 2, 2), (lap, 3, -1), (lap, 2, 0)):
-        with pytest.raises(ImageEscapesSpan):
-            materialize_on_monomials(op, 3, k, shift)
+def test_primitive_image_leaving_its_declared_degree_raises():
+    # x1 raises the degree by one but is declared degree preserving
+    x1 = LinearOperator(lambda exps: {(exps[0] + 1,) + exps[1:]: Fraction(1)}, "x1")
+    with pytest.raises(ImageEscapesSpan, match="x1 maps homogeneous degree 2 to degree 3,"
+                       " not to its declared degree 2"):
+        materialize_on_monomials(x1, 3, 2)
 
 
 def test_materialize_on_basis_and_escape():

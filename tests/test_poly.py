@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from racah_dunkl import NotDivisible, ParameterSet, Polynomial, monomial_basis
+from racah_dunkl.poly import monomial_positions
 
 
 def P(n, text):
@@ -146,15 +147,26 @@ def test_evaluate():
 
 def test_monomial_basis_counts():
     assert len(monomial_basis(3, 4)) == 15  # C(6,4)
-    assert monomial_basis(2, 0) == [(0, 0)]
-    assert monomial_basis(1, 5) == [(5,)]
+    assert monomial_basis(2, 0) == ((0, 0),)
+    assert monomial_basis(1, 5) == ((5,),)
 
 
 def test_monomial_basis_graded_lex_descending():
     basis = monomial_basis(3, 2)
     assert basis[0] == (2, 0, 0)
     assert basis[-1] == (0, 0, 2)
-    assert basis == sorted(basis, reverse=True)
+    assert list(basis) == sorted(basis, reverse=True)
+
+
+def test_monomial_basis_and_positions_are_enumerated_once():
+    basis = monomial_basis(3, 4)
+    assert monomial_basis(3, 4) is basis
+    positions = monomial_positions(3, 4)
+    assert monomial_positions(3, 4) is positions
+    assert [positions[exps] for exps in basis] == list(range(len(basis)))
+    with pytest.raises(TypeError):
+        positions[(9, 9, 9)] = 0
+    assert monomial_positions(3, -1) == {}
 
 
 def test_canonical_text_is_sorted():
