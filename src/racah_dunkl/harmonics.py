@@ -24,7 +24,15 @@ from math import comb, factorial
 from typing import Iterable, Iterator, Sequence
 
 from .linalg import matrix_rank, solve_in_span
-from .operators import DunklOperators, LinearOperator, casimir, gamma, laplace, norm_square_poly
+from .operators import (
+    DunklOperators,
+    LinearOperator,
+    casimir,
+    gamma,
+    laplace,
+    norm_square_mul,
+    norm_square_poly,
+)
 from .poly import ParameterSet, Polynomial, monomial_basis
 from .report import Report, first_witness
 
@@ -161,25 +169,32 @@ def _lift(
     p: Polynomial,
 ) -> Polynomial:
     """ck_extend without its input checks; lap is the Laplacian over
-    vars_done, or None when vars_done is empty."""
-    n = params.n
-    base = params.mu_of(new_var) + Fraction(1, 2) + parity
+    vars_done, or None when vars_done is empty.
+
+    p must not involve x_new, as ck_extend requires, and neither does any
+    Laplacian power of p.  So each term x_new^(2j+parity) Lap^j p is
+    written by placing the exponent of x_new in the monomials of Lap^j p,
+    and the terms of different j, holding different powers of x_new,
+    never overlap.  The coefficient of the j-th term is the (j-1)-th one
+    times -1 / (4 j (c + j - 1)), c = mu_new + 1/2 + parity.
+    """
+    c = params.mu_of(new_var) + Fraction(1, 2) + parity
     pos = new_var - 1
 
-    result = Polynomial.zero(n)
+    out: dict[tuple[int, ...], Fraction] = {}
     q = p
+    coeff = Fraction(1)
     j = 0
     while not q.is_zero:
-        denom = Fraction(4) ** j * factorial(j) * raising_factorial(base, j)
-        coeff = Fraction((-1) ** j) / denom
-        exps = [0] * n
-        exps[pos] = 2 * j + parity
-        result = result + Polynomial.monomial(n, exps, coeff) * q
+        power = (2 * j + parity,)
+        for exps, x in q.terms.items():
+            out[exps[:pos] + power + exps[pos + 1:]] = coeff * x
         if lap is None:
             break
         q = lap(q)
         j += 1
-    return result
+        coeff = -coeff / (4 * j * (c + j - 1))
+    return Polynomial._trusted(params.n, out)
 
 
 def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
@@ -225,8 +240,10 @@ def build_basis_tower(
 
     Each label is realized by the alternating tower of extensions and
     norm multiplications, in the order of enumerate_labels.  One Laplacian
-    per prefix of the order is shared by all labels, and the intermediate
-    harmonic of each (epsilon, ell) prefix is realized only once.
+    and one multiplication by the squared norm per prefix of the order are
+    shared by all labels, with their kept monomial images, and the
+    intermediate harmonic of each (epsilon, ell) prefix is realized only
+    once.
     """
     if k < 0:
         raise ValueError("degree must be non-negative")
@@ -237,6 +254,7 @@ def build_basis_tower(
     o = labels[0].order
     ops = DunklOperators(params)
     laps = [None] + [laplace(ops, o[:m]) for m in range(1, n)]
+    norms = [None] + [norm_square_mul(o[:m], n) for m in range(1, n)]
     # (epsilon[:m], ell[:m-1]) -> harmonic after the m-th extension step
     steps: dict[tuple[tuple[int, ...], tuple[int, ...]], Polynomial] = {}
     elements = []
@@ -249,8 +267,9 @@ def build_basis_tower(
             if known is not None:
                 h = known
                 continue
-            if m > 1 and ell[m - 2]:
-                h = norm_square_poly(o[: m - 1], n) ** ell[m - 2] * h
+            if m > 1:
+                for _ in range(ell[m - 2]):
+                    h = norms[m - 1](h)
             h = steps[key] = _lift(params, laps[m - 1], o[m - 1], eps[m - 1], h)
         elements.append(HarmonicBasisElement(label, h))
     return elements

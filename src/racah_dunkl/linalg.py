@@ -16,15 +16,19 @@ classes of the monomials, so their matrices are very sparse and the
 cross-parity entries are simply never stored.
 
 Basis solves and ranks are thin front ends over one exact
-Gauss-Jordan elimination on sparse rational rows.  Solves and ranks read
+Gauss-Jordan elimination on sparse integer rows.  Solves and ranks read
 sparse vectors: mappings from a coordinate key to its entry (an int or a
 Fraction), such as a polynomial's terms or a RationalMatrix's sparse
 rows, so callers never choose a coordinate order or build a dense
-vector.  A solve returns its coefficients as a RationalMatrix, one row
-per target, read off the nonzeros of the reduced rows.  Each pivot step
-touches only the rows with a nonzero in the pivot column, so the parity
-sectors of a basis change are eliminated independently without any
-block layout: rows from different sectors never share a column.
+vector.  Each equation (one coordinate key) is scaled to integers by the
+lcm of its denominators, and the elimination is fraction-free: a row is
+combined with a pivot row by integer multiples and then divided by the
+gcd of its entries (its content), so no Fraction is formed until a solve
+reads its coefficients, each as a reduced-row entry over its pivot.  A
+solve returns them as a RationalMatrix, one row per target.  Each pivot
+step touches only the rows with a nonzero in the pivot column, so the
+parity sectors of a basis change are eliminated independently without
+any block layout: rows from different sectors never share a column.
 """
 
 from __future__ import annotations
@@ -264,14 +268,20 @@ def product_sum(terms: Sequence[Term]) -> RationalMatrix:
     return RationalMatrix.from_sparse(out, den, shape[1])
 
 
-def _gauss_jordan(rows: list[dict[int, int | Fraction]], ncols: int) -> list[int]:
-    """Reduce sparse rows in place to reduced row echelon form on columns < ncols.
+def _gauss_jordan(rows: list[dict[int, int]], ncols: int) -> list[int]:
+    """Reduce sparse integer rows in place to reduced echelon form on columns < ncols.
 
-    Each row maps a column to its nonzero entry, and an entry that cancels
-    to zero is deleted, so a pivot step touches only the rows holding a
-    nonzero in the pivot column, and in each only the pivot row's nonzeros.
-    A column without a pivot is skipped, and the elimination stops when the
-    rows run out.  Returns the pivot columns in order.
+    The elimination is fraction-free.  Each row maps a column to its
+    nonzero integer entry, and an entry that cancels to zero is deleted.
+    To clear the pivot column from another row holding f there, with p
+    the pivot, that row becomes (p/g) * row - (f/g) * pivot_row for
+    g = gcd(p, f), and is then divided by the gcd of its entries, so the
+    integers stay small.  A pivot step touches only the rows holding a
+    nonzero in the pivot column; it rescales each of them and visits only
+    the pivot row's nonzeros.  A column without a pivot is skipped,
+    and the elimination stops when the rows run out.  The pivots are not
+    scaled to 1: pivot row i is zero on every pivot column but its own,
+    where it holds the pivot.  Returns the pivot columns in order.
     """
     nrows = len(rows)
     pivots: list[int] = []
@@ -284,38 +294,53 @@ def _gauss_jordan(rows: list[dict[int, int | Fraction]], ncols: int) -> list[int
             continue
         if pivot != row:
             rows[row], rows[pivot] = rows[pivot], rows[row]
-        inv = Fraction(1) / rows[row][col]  # exact on int entries too
-        pivot_row = rows[row] = {c: x * inv for c, x in rows[row].items()}
+        pivot_row = rows[row]
+        p = pivot_row[col]
         for r, other in enumerate(rows):
-            factor = other.get(col)
-            if factor is None or r == row:
+            f = other.get(col)
+            if f is None or r == row:
                 continue
+            g = gcd(p, f)
+            a, b = p // g, f // g
+            if a != 1:
+                for c in other:
+                    other[c] *= a
             for c, y in pivot_row.items():
                 x = other.get(c)
                 if x is None:
-                    other[c] = -factor * y
+                    other[c] = -b * y
                 else:
-                    x -= factor * y
+                    x -= b * y
                     if x:
                         other[c] = x
                     else:
                         del other[c]
+            g = gcd(*other.values())
+            if g > 1:
+                for c in other:
+                    other[c] //= g
         pivots.append(col)
     return pivots
 
 
-def _elimination_rows(vectors: Sequence[SparseVector]) -> list[dict[int, int | Fraction]]:
-    """Sparse rows of the matrix whose j-th column is vectors[j].
+def _elimination_rows(vectors: Sequence[SparseVector]) -> list[dict[int, int]]:
+    """Sparse integer rows of the matrix whose j-th column is vectors[j].
 
     Row r holds the nonzero entries of the r-th key met, keyed by vector
-    position; zero entries are skipped.
+    position; zero entries are skipped.  Each row is one equation, scaled
+    to integers by the lcm of its denominators, which leaves the solutions
+    unchanged.
     """
     row_of: dict[Hashable, dict[int, int | Fraction]] = {}
     for j, vector in enumerate(vectors):
         for key, x in vector.items():
             if x:
                 row_of.setdefault(key, {})[j] = x
-    return list(row_of.values())
+    rows = []
+    for row in row_of.values():
+        m = lcm(*(x.denominator for x in row.values()))
+        rows.append({j: x.numerator * (m // x.denominator) for j, x in row.items()})
+    return rows
 
 
 def solve_in_span(
@@ -326,7 +351,8 @@ def solve_in_span(
     Returns the coefficients as a matrix whose row t holds those of
     targets[t].  Raises InconsistentSystem if some target is outside the
     span, and ValueError if the columns are linearly dependent (the solves
-    here always expect a basis).
+    here always expect a basis).  The elimination runs on integer rows;
+    the coefficients are read as fractions only at the end.
     """
     ncols = len(columns)
     # augmented sparse rows: [columns | targets]
@@ -337,13 +363,14 @@ def solve_in_span(
     # a target outside the span
     if any(aug[ncols:]):
         raise InconsistentSystem("target outside the span of the given columns")
-    # pivot row j is e_j on the columns, so its target entries are the
-    # j-th coefficients
+    # pivot row j is p_j e_j on the columns, so its target entries over
+    # p_j are the j-th coefficients
     coeffs: list[dict[int, Fraction]] = [{} for _ in targets]
     for j, row in enumerate(aug[:ncols]):
+        p = row[j]
         for c, x in row.items():
             if c >= ncols:
-                coeffs[c - ncols][j] = x
+                coeffs[c - ncols][j] = Fraction(x, p)
     return RationalMatrix._from_rational_rows(coeffs, ncols)
 
 

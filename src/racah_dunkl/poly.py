@@ -215,11 +215,15 @@ class Polynomial:
             for ea, ca in self.terms.items():
                 for eb, cb in other.terms.items():
                     exps = tuple(x + y for x, y in zip(ea, eb))
-                    new = out.get(exps, Fraction(0)) + ca * cb
+                    old = out.get(exps)
+                    if old is None:
+                        out[exps] = ca * cb
+                        continue
+                    new = old + ca * cb
                     if new:
                         out[exps] = new
                     else:
-                        out.pop(exps, None)
+                        del out[exps]
             return Polynomial._trusted(self.n, out)
         return self.scale(other)
 

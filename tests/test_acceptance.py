@@ -12,6 +12,7 @@ from racah_dunkl import (
     Chain,
     DunklOperators,
     ParameterSet,
+    Polynomial,
     build_basis_tower,
     build_graph,
     casimir,
@@ -190,30 +191,46 @@ def test_criterion_10_recoupling_graph():
     _passed(10, "n=4 graph matches the 12-vertex 3-regular 18-edge picture; n=5 has 60 connected vertices; paths are valid walks")
 
 
+def _expands_in_target(w, source, target) -> bool:
+    """source_s == sum_k W[s][k] target_k for every s, by Polynomial arithmetic.
+
+    An oracle for a connection matrix that does not go through the
+    elimination that solved for it.
+    """
+    for s, row in enumerate(w.matrix.sparse_rows):
+        total = Polynomial.zero(source[s].poly.n)
+        for k in row:
+            total = total + target[k].poly.scale(w.at(s, k))
+        if total != source[s].poly:
+            return False
+    return True
+
+
 def test_criterion_11_pipeline_factorization():
     cases = (
-        (3, (1, 2, 3, 4), (2, 4, 3, 1), "(C12,C123)", "(C24,C234)"),
-        (4, (1, 2, 3, 4, 5), (2, 4, 5, 3, 1), "(C12,C123,C1234)", "(C24,C245,C2345)"),
+        (3, (1, 2, 3, 4), (2, 4, 3, 1), "(C12,C123)", "(C24,C234)", 3),
+        (4, (1, 2, 3, 4, 5), (2, 4, 5, 3, 1), "(C12,C123,C1234)", "(C24,C245,C2345)", 7),
+        (6, (1, 2, 3, 4, 5), (4, 5, 3, 2, 1), "(C12,C123,C1234)", "(C45,C345,C2345)", 10),
     )
-    for k, start_order, goal_order, start_name, goal_name in cases:
+    for k, start_order, goal_order, start_name, goal_name, edges in cases:
         params = ParameterSet.default(len(start_order))
         start = Chain.from_order(start_order)
         goal = Chain.from_order(goal_order)
         assert str(start) == start_name and str(goal) == goal_name
 
         mats = connection_pipeline(params, k, start, goal)
+        assert len(mats) == edges
         product = mats[0]
         for m in mats[1:]:
             product = product.compose(m)
-        direct = connection_matrix(
-            params,
-            build_basis_tower(params, k, start.order),
-            build_basis_tower(params, k, goal.order),
-        )
-        assert product.entries == direct.entries
-
         vertices = [start] + path(start, goal)
+        bases = {chain: build_basis_tower(params, k, chain.order) for chain in vertices}
+        direct = connection_matrix(params, bases[start], bases[goal])
+        assert product.entries == direct.entries
+        assert _expands_in_target(direct, bases[start], bases[goal])
+
         for (u, v), w in zip(zip(vertices, vertices[1:]), mats):
+            assert _expands_in_target(w, bases[u], bases[v])
             shared = set(u.generators) & set(v.generators)
             for s, from_label in enumerate(w.from_labels):
                 for t, to_label in enumerate(w.to_labels):
@@ -224,4 +241,4 @@ def test_criterion_11_pipeline_factorization():
                         assert casimir_eigenvalue(
                             params, from_label, len(gen)
                         ) == casimir_eigenvalue(params, to_label, len(gen))
-    _passed(11, "ordered per-edge product equals the direct connection matrix and per-edge blocks respect shared spectra, n=4 k=3 and n=5 k=4")
+    _passed(11, "ordered per-edge product equals the direct connection matrix, every per-edge and direct matrix expands its source in its target by polynomial arithmetic, and per-edge blocks respect shared spectra, n=4 k=3, n=5 k=4 and n=5 k=6 (10 edges of 140x140)")

@@ -2,6 +2,7 @@
 
 import itertools
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from racah_dunkl import (
     DunklOperators,
     HarmonicBasisElement,
     HarmonicLabel,
+    LinearOperator,
     ParameterSet,
     Polynomial,
     build_basis_tower,
@@ -81,6 +83,15 @@ def test_ck_extend_validation():
         ck_extend(P2, (1,), 2, 0, p + Polynomial.one(2))  # not homogeneous
     with pytest.raises(ValueError):
         ck_extend(P2, (1,), 2, 0, Polynomial.variable(2, 2))  # support outside
+
+
+def test_ck_extend_rejects_an_input_holding_the_new_variable():
+    # the lift writes x_new^(2j+parity) by placing the exponent, which would
+    # overwrite an exponent of x_new already in the input
+    with pytest.raises(ValueError, match=r"outside vars_done: \[3\]"):
+        ck_extend(P3, (1, 2), 3, 0, Polynomial.monomial(3, (1, 0, 1)))
+    with pytest.raises(ValueError, match=r"outside vars_done: \[3\]"):
+        ck_extend(P3, (), 3, 1, Polynomial.variable(3, 3))
 
 
 def test_extension_restrictions_build_the_dunkl_operators_once(monkeypatch):
@@ -191,6 +202,88 @@ def test_module_basis_equals_per_label_realization_at_any_mu(mu):
                 basis = module_basis(params, epsilon, d3, order)
                 assert [el.label for el in basis] == labels
                 assert [el.poly for el in basis] == [realize_label(params, l) for l in labels]
+
+
+def reference_lift(
+    params: ParameterSet,
+    lap: LinearOperator | None,
+    new_var: int,
+    parity: int,
+    p: Polynomial,
+) -> Polynomial:
+    """The extension multiplied out: generic monomial products, closed coefficients.
+
+    The j-th term is the monomial (-1)^j x_new^(2j+parity) / (4^j j! (c)_j)
+    times Lap^j p, formed by Polynomial.__mul__ and summed by __add__.
+    """
+    n = params.n
+    base = params.mu_of(new_var) + Fraction(1, 2) + parity
+    pos = new_var - 1
+
+    result = Polynomial.zero(n)
+    q = p
+    j = 0
+    while not q.is_zero:
+        denom = Fraction(4) ** j * factorial(j) * harmonics.raising_factorial(base, j)
+        coeff = Fraction((-1) ** j) / denom
+        exps = [0] * n
+        exps[pos] = 2 * j + parity
+        result = result + Polynomial.monomial(n, exps, coeff) * q
+        if lap is None:
+            break
+        q = lap(q)
+        j += 1
+    return result
+
+
+lift_mu = st.one_of(st.sampled_from([Fraction(10**6), Fraction(1, 9)]), mu_values)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.sampled_from([3, 4]), st.data())
+def test_lift_matches_the_monomial_product_reference(n, data):
+    # ck_extend places the exponent of x_new and takes each coefficient from
+    # the one before; the reference multiplies monomials out and evaluates
+    # the closed coefficients
+    mu = data.draw(st.lists(lift_mu, min_size=n, max_size=n), label="mu")
+    order = tuple(data.draw(st.permutations(range(1, n + 1)), label="order"))
+    params = ParameterSet(n, tuple(mu))
+    ops = DunklOperators(params)
+    laps = [None] + [laplace(ops, order[:m]) for m in range(1, n)]
+
+    def lift(m, parity, p):
+        """Lift p, supported on order[:m], into order[m]; both ways must agree."""
+        got = ck_extend(params, order[:m], order[m], parity, p)
+        assert got == reference_lift(params, laps[m], order[m], parity, p)
+        return got
+
+    # every monomial of degree <= 6 over each prefix, both parities
+    for parity in (0, 1):
+        lift(0, parity, Polynomial.one(n))
+        for m in range(1, n):
+            for k in range(7):
+                for prefix_exps in monomial_basis(m, k):
+                    exps = [0] * n
+                    for var, e in zip(order, prefix_exps):
+                        exps[var - 1] = e
+                    lift(m, parity, Polynomial.monomial(n, exps))
+
+    # every tower intermediate of degree <= 6: the input of each lift step,
+    # from the labels' norm powers and the reference's own lifts
+    steps: dict[tuple, Polynomial] = {}
+    for k in range(7):
+        labels = enumerate_labels(n, k, order)
+        for label in labels:
+            h = Polynomial.one(n)
+            for m in range(n):
+                key = (label.epsilon[: m + 1], label.ell[:m])
+                if key not in steps:
+                    if m:
+                        h = norm_square_poly(order[:m], n) ** label.ell[m - 1] * h
+                    steps[key] = lift(m, label.epsilon[m], h)
+                h = steps[key]
+        tower = build_basis_tower(params, k, order)
+        assert [el.poly for el in tower] == [steps[(l.epsilon, l.ell)] for l in labels]
 
 
 def test_tower_linear_independence():

@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from racah_dunkl import InconsistentSystem, Polynomial, RationalMatrix, matrix_rank, solve_in_span
-from racah_dunkl.linalg import product_sum
+from racah_dunkl.linalg import _elimination_rows, _gauss_jordan, product_sum
 from racah_dunkl.poly import monomial_basis
 from racah_dunkl.relations import _matrix_witness
 
@@ -595,3 +595,163 @@ def test_cancelled_entries_leave_the_rows():
     assert matrix_rank(sparse([[F(1), F(2), F(3)], [F(2), F(4), F(6)], [F(0), F(0), F(1)]])) == 2
     (sol,) = solve(sparse([[F(1), F(1), F(2)]]), sparse([[F(3), F(3), F(6)]]))
     assert sol == [F(3)]
+
+
+# -- the integer elimination against the Fraction elimination it replaced -----
+
+
+def reference_rows(vectors):
+    """Sparse rows of the matrix whose j-th column is vectors[j], entries as given."""
+    row_of = {}
+    for j, vector in enumerate(vectors):
+        for key, x in vector.items():
+            if x:
+                row_of.setdefault(key, {})[j] = x
+    return list(row_of.values())
+
+
+def reference_gauss_jordan(rows, ncols):
+    """Gauss-Jordan elimination in Fractions: each pivot row scaled to a pivot of 1."""
+    nrows = len(rows)
+    pivots = []
+    for col in range(ncols):
+        row = len(pivots)
+        if row == nrows:
+            break
+        pivot = next((r for r in range(row, nrows) if col in rows[r]), None)
+        if pivot is None:
+            continue
+        if pivot != row:
+            rows[row], rows[pivot] = rows[pivot], rows[row]
+        inv = Fraction(1) / rows[row][col]  # exact on int entries too
+        pivot_row = rows[row] = {c: x * inv for c, x in rows[row].items()}
+        for r, other in enumerate(rows):
+            factor = other.get(col)
+            if factor is None or r == row:
+                continue
+            for c, y in pivot_row.items():
+                x = other.get(c)
+                if x is None:
+                    other[c] = -factor * y
+                else:
+                    x -= factor * y
+                    if x:
+                        other[c] = x
+                    else:
+                        del other[c]
+        pivots.append(col)
+    return pivots
+
+
+def reference_solve(columns, targets):
+    """solve_in_span over reference_gauss_jordan: pivot rows hold the coefficients."""
+    ncols = len(columns)
+    aug = reference_rows(list(columns) + list(targets))
+    if len(reference_gauss_jordan(aug, ncols)) < ncols:
+        raise ValueError("columns are linearly dependent")
+    if any(aug[ncols:]):
+        raise InconsistentSystem("target outside the span of the given columns")
+    coeffs = [{} for _ in targets]
+    for j, row in enumerate(aug[:ncols]):
+        for c, x in row.items():
+            if c >= ncols:
+                coeffs[c - ncols][j] = x
+    return RationalMatrix._from_rational_rows(coeffs, ncols)
+
+
+# ints, small fractions and fractions with 30-digit denominators
+mixed_entries = st.one_of(
+    st.integers(-9, 9),
+    st.fractions(min_value=-9, max_value=9, max_denominator=9),
+    st.builds(Fraction, st.integers(-10**30, 10**30), st.integers(1, 10**30)),
+)
+
+
+def sparse_combine(vectors, coeffs):
+    out = {}
+    for c, vector in zip(coeffs, vectors):
+        for key, x in vector.items():
+            out[key] = out.get(key, 0) + c * x
+    return out
+
+
+@st.composite
+def linear_systems(draw):
+    """Sparse columns and targets over nine keys, mixing ints and Fractions.
+
+    The drawn columns are independent; sometimes one more is inserted, a
+    combination of the others.  Targets are combinations of the columns or free vectors,
+    which mostly lie outside the span.  Sometimes one equation (key) is a
+    multiple of another, so its row cancels during the elimination.
+    """
+    keys = st.tuples(st.integers(0, 2), st.integers(0, 2))
+    vector = st.dictionaries(keys, mixed_entries.filter(bool), min_size=1, max_size=6)
+    columns = draw(st.lists(vector, min_size=1, max_size=4))
+    # column j holds a nonzero at diagonal[j], which the later columns lack:
+    # a triangular minor makes the columns independent
+    diagonal = draw(st.lists(keys, min_size=len(columns), max_size=len(columns), unique=True))
+    for j, key in enumerate(diagonal):
+        columns[j][key] = draw(mixed_entries.filter(bool))
+        for later in columns[j + 1:]:
+            later.pop(key, None)
+    if draw(st.integers(0, 2)) == 2:
+        coeffs = draw(st.lists(mixed_entries, min_size=len(columns), max_size=len(columns)))
+        columns.insert(draw(st.integers(0, len(columns))), sparse_combine(columns, coeffs))
+    targets = []
+    for _ in range(draw(st.integers(0, 3))):
+        if draw(st.booleans()):
+            coeffs = draw(st.lists(mixed_entries, min_size=len(columns), max_size=len(columns)))
+            targets.append(sparse_combine(columns, coeffs))
+        else:
+            targets.append(draw(vector))
+    if draw(st.booleans()):
+        src, dst = draw(st.lists(keys, min_size=2, max_size=2, unique=True))
+        factor = draw(mixed_entries.filter(bool))
+        for vector in columns + targets:
+            if src in vector:
+                vector[dst] = factor * vector[src]
+            else:
+                vector.pop(dst, None)
+    return columns, targets
+
+
+def solve_outcome(solver, columns, targets):
+    """The solved matrix's shape, den and sparse rows, or the error's type and message."""
+    try:
+        w = solver(columns, targets)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return w.shape, w.den, w.sparse_rows
+
+
+@settings(max_examples=80, deadline=None)
+@given(linear_systems())
+def test_integer_elimination_matches_the_fraction_reference(system):
+    columns, targets = system
+    got = solve_outcome(solve_in_span, columns, targets)
+    assert got == solve_outcome(reference_solve, columns, targets)
+    for vectors in (columns, targets, columns + targets):
+        assert matrix_rank(vectors) == len(reference_gauss_jordan(reference_rows(vectors), len(vectors)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(linear_systems())
+def test_integer_rows_are_multiples_of_the_fraction_rows(system):
+    # the integer elimination makes the same swaps and pivots as the Fraction
+    # one, and each of its rows is a nonzero multiple of the Fraction row;
+    # a row it combined is divided by the gcd of its entries
+    columns, targets = system
+    vectors = columns + targets
+    rows = _elimination_rows(vectors)
+    given_rows = {id(row): dict(row) for row in rows}
+    ref = reference_rows(vectors)
+    assert _gauss_jordan(rows, len(columns)) == reference_gauss_jordan(ref, len(columns))
+    for row, ref_row in zip(rows, ref):
+        assert all(type(x) is int for x in row.values())
+        assert row.keys() == ref_row.keys()
+        if row:
+            first = next(iter(ref_row))
+            ratio = row[first] / Fraction(ref_row[first])
+            assert all(x == ratio * ref_row[c] for c, x in row.items())
+            if row != given_rows[id(row)]:
+                assert gcd(*row.values()) == 1
