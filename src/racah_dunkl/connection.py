@@ -90,7 +90,11 @@ class ConnectionMatrix:
 
     @property
     def entries(self) -> tuple[tuple[Fraction, ...], ...]:
-        """Dense rows of Fraction entries, the view that text exports write."""
+        """Dense rows of Fraction entries, the view that the CSV export writes.
+
+        Built by RationalMatrix.to_fractions: a Fraction per stored
+        nonzero, one shared zero for the absent entries.
+        """
         return tuple(tuple(row) for row in self.matrix.to_fractions())
 
     def at(self, s: int, k: int) -> Fraction:
@@ -106,10 +110,18 @@ class ConnectionMatrix:
         return self.matrix == RationalMatrix.identity(self.matrix.nrows)
 
     def to_json_obj(self) -> dict:
+        """Labels and entries as strings: str() of each stored nonzero, "0" elsewhere."""
+        den, ncols = self.matrix.den, self.matrix.ncols
+        entries = []
+        for row in self.matrix.sparse_rows:
+            text = ["0"] * ncols
+            for j, x in row.items():
+                text[j] = str(Fraction(x, den))
+            entries.append(text)
         return {
             "from": [lab.to_json_obj() for lab in self.from_labels],
             "to": [lab.to_json_obj() for lab in self.to_labels],
-            "entries": [[str(x) for x in row] for row in self.entries],
+            "entries": entries,
         }
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import comb, factorial
+from math import comb, factorial, gcd, lcm
 from typing import Iterable, Iterator, Sequence
 
 from .linalg import matrix_rank, solve_in_span
@@ -33,7 +33,7 @@ from .operators import (
     norm_square_mul,
     norm_square_poly,
 )
-from .poly import ParameterSet, Polynomial, monomial_basis
+from .poly import Monomial, ParameterSet, Polynomial, monomial_basis
 from .report import Report, first_witness
 
 
@@ -140,7 +140,9 @@ def ck_extend(
     The lift is sum_j (-1)^j x_new^(2j+parity) Lap^j p / (4^j j! c^(j))
     with c = mu_new + 1/2 + parity and c^(j) the raising factorial; the
     sum is finite because the Laplacian over vars_done kills p eventually.
-    Requires p homogeneous and supported on vars_done.
+    Requires p homogeneous and supported on vars_done.  p is read as
+    integer numerators over the lcm of its denominators and handed to
+    _lift, whose result becomes a Polynomial again.
     """
     n = params.n
     vars_done = tuple(dict.fromkeys(vars_done))
@@ -157,44 +159,120 @@ def ck_extend(
     outside = p.support_variables() - set(vars_done)
     if outside:
         raise ValueError(f"input involves variables outside vars_done: {sorted(outside)}")
-    lap = laplace(DunklOperators(params), vars_done) if vars_done else None
-    return _lift(params, lap, new_var, parity, p)
+    lap = _integer_laplacian(DunklOperators(params), vars_done) if vars_done else None
+    den = lcm(1, *(c.denominator for c in p.terms.values()))
+    terms = {exps: c.numerator * (den // c.denominator) for exps, c in p.terms.items()}
+    return _polynomial(n, *_lift(params, lap, new_var, parity, terms, den))
+
+
+IntegerTerms = dict[Monomial, int]
+
+
+class _IntegerOperator:
+    """den times a linear operator, applied to integer numerators.
+
+    den must clear the denominator of every coefficient of the operator's
+    monomial images.  Each image is read from the operator once per
+    monomial, as integers over den, and kept for this object's lifetime.
+    """
+
+    __slots__ = ("op", "den", "_images")
+
+    def __init__(self, op: LinearOperator, den: int):
+        self.op = op
+        self.den = den
+        self._images: dict[Monomial, IntegerTerms] = {}
+
+    def __call__(self, terms: IntegerTerms) -> IntegerTerms:
+        """den * op(terms) as integers, without the terms that cancel."""
+        images, den = self._images, self.den
+        out: IntegerTerms = {}
+        get = out.get
+        for exps, x in terms.items():
+            image = images.get(exps)
+            if image is None:
+                image = images[exps] = {
+                    e: v.numerator * (den // v.denominator) for e, v in self.op._image(exps).items()
+                }
+            for e, y in image.items():
+                old = get(e)
+                out[e] = x * y if old is None else old + x * y
+        if not all(out.values()):
+            out = {e: v for e, v in out.items() if v}
+        return out
+
+
+def _integer_laplacian(ops: DunklOperators, variables: Sequence[int]) -> _IntegerOperator:
+    """The Laplacian over the variables, over the lcm of the denominators of their 2 mu_i.
+
+    The coefficient of T_i^2 on a monomial is an integer over the
+    denominator of 2 mu_i, and the T_i^2 of different i lower different
+    exponents, so that lcm clears every monomial image.
+    """
+    den = lcm(*((2 * ops.params.mu_of(i)).denominator for i in variables))
+    return _IntegerOperator(laplace(ops, variables), den)
+
+
+def _polynomial(n: int, terms: IntegerTerms, den: int) -> Polynomial:
+    """The Polynomial with the given nonzero numerators over den > 0."""
+    return Polynomial._trusted(n, {exps: Fraction(x, den) for exps, x in terms.items()})
 
 
 def _lift(
     params: ParameterSet,
-    lap: LinearOperator | None,
+    lap: _IntegerOperator | None,
     new_var: int,
     parity: int,
-    p: Polynomial,
-) -> Polynomial:
-    """ck_extend without its input checks; lap is the Laplacian over
-    vars_done, or None when vars_done is empty.
+    terms: IntegerTerms,
+    den: int,
+) -> tuple[IntegerTerms, int]:
+    """ck_extend of terms / den, without the input checks, in lowest terms.
+
+    lap is the Laplacian over vars_done, or None when vars_done is empty.
+    The input is p = terms / den with nonzero integer numerators and
+    den > 0; the result is returned the same way, with its content (the
+    gcd of the numerators and the denominator) divided out.
 
     p must not involve x_new, as ck_extend requires, and neither does any
     Laplacian power of p.  So each term x_new^(2j+parity) Lap^j p is
     written by placing the exponent of x_new in the monomials of Lap^j p,
     and the terms of different j, holding different powers of x_new,
-    never overlap.  The coefficient of the j-th term is the (j-1)-th one
-    times -1 / (4 j (c + j - 1)), c = mu_new + 1/2 + parity.
+    never overlap.  With L = lap.den, Lap^j p = Q_j / (den L^j) for the
+    integer Q_j = (L Lap)^j terms.  With 2c = a / b in lowest terms, the
+    coefficient of the j-th term is (-b)^j / prod_{i <= j} f_i with
+    f_i = 2i (a + (2i - 2) b), so all terms share the denominator
+    den * N_J, N_j = prod_{i <= j} f_i L, J the last nonzero power, and the
+    j-th term's numerators are (-b)^j (N_J / N_j) Q_j.
     """
-    c = params.mu_of(new_var) + Fraction(1, 2) + parity
+    two_c = 2 * params.mu_of(new_var) + 1 + 2 * parity
+    a, b = two_c.numerator, two_c.denominator
     pos = new_var - 1
 
-    out: dict[tuple[int, ...], Fraction] = {}
-    q = p
-    coeff = Fraction(1)
-    j = 0
-    while not q.is_zero:
+    powers = [terms]
+    if lap is not None:
+        q = lap(terms)
+        while q:
+            powers.append(q)
+            q = lap(q)
+    # scales[j] = (-b)^j N_J / N_j, built from j = J down
+    scales = [0] * len(powers)
+    ratio = 1
+    for j in range(len(powers) - 1, -1, -1):
+        scales[j] = (-b) ** j * ratio
+        if j:
+            ratio *= 2 * j * (a + (2 * j - 2) * b) * lap.den
+
+    out: IntegerTerms = {}
+    for j, (q, scale) in enumerate(zip(powers, scales)):
         power = (2 * j + parity,)
-        for exps, x in q.terms.items():
-            out[exps[:pos] + power + exps[pos + 1:]] = coeff * x
-        if lap is None:
-            break
-        q = lap(q)
-        j += 1
-        coeff = -coeff / (4 * j * (c + j - 1))
-    return Polynomial._trusted(params.n, out)
+        for exps, x in q.items():
+            out[exps[:pos] + power + exps[pos + 1:]] = scale * x
+    den *= ratio
+    g = gcd(den, *out.values())
+    if g > 1:
+        out = {exps: x // g for exps, x in out.items()}
+        den //= g
+    return out, den
 
 
 def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
@@ -239,39 +317,45 @@ def build_basis_tower(
     """The realized harmonic basis of degree k for the given variable order.
 
     Each label is realized by the alternating tower of extensions and
-    norm multiplications, in the order of enumerate_labels.  One Laplacian
-    and one multiplication by the squared norm per prefix of the order are
-    shared by all labels, with their kept monomial images, and the
-    intermediate harmonic of each (epsilon, ell) prefix is realized only
-    once.
+    norm multiplications, in the order of enumerate_labels.  The order
+    must be a permutation of 1..n.  One Laplacian and one multiplication
+    by the squared norm per prefix of the order are shared by all labels,
+    with their kept monomial images as integers, and the intermediate
+    harmonic of each (epsilon, ell) prefix is realized only once.  The
+    intermediates are integer numerators over one positive denominator:
+    a norm multiplication keeps the denominator and adds integers, and
+    each _lift divides out its content.  A Fraction is formed once per
+    term of each returned element.
     """
     if k < 0:
         raise ValueError("degree must be non-negative")
     n = params.n
+    if order is not None and sorted(order) != list(range(1, n + 1)):
+        raise ValueError(f"order {tuple(order)} is not a permutation of 1..{n}")
     labels = enumerate_labels(n, k, order)
     if not labels:
         return []
     o = labels[0].order
     ops = DunklOperators(params)
-    laps = [None] + [laplace(ops, o[:m]) for m in range(1, n)]
-    norms = [None] + [norm_square_mul(o[:m], n) for m in range(1, n)]
+    laps = [None] + [_integer_laplacian(ops, o[:m]) for m in range(1, n)]
+    norms = [None] + [_IntegerOperator(norm_square_mul(o[:m], n), 1) for m in range(1, n)]
     # (epsilon[:m], ell[:m-1]) -> harmonic after the m-th extension step
-    steps: dict[tuple[tuple[int, ...], tuple[int, ...]], Polynomial] = {}
+    steps: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple[IntegerTerms, int]] = {}
     elements = []
     for label in labels:
         eps, ell = label.epsilon, label.ell
-        h = Polynomial.one(n)
+        h, den = {(0,) * n: 1}, 1
         for m in range(1, n + 1):
             key = (eps[:m], ell[: m - 1])
             known = steps.get(key)
             if known is not None:
-                h = known
+                h, den = known
                 continue
             if m > 1:
                 for _ in range(ell[m - 2]):
                     h = norms[m - 1](h)
-            h = steps[key] = _lift(params, laps[m - 1], o[m - 1], eps[m - 1], h)
-        elements.append(HarmonicBasisElement(label, h))
+            h, den = steps[key] = _lift(params, laps[m - 1], o[m - 1], eps[m - 1], h, den)
+        elements.append(HarmonicBasisElement(label, _polynomial(n, h, den)))
     return elements
 
 
@@ -451,15 +535,16 @@ def verify_extension_restrictions(params: ParameterSet, kmax: int) -> Report:
         raise ValueError("extensions need at least two variables")
     new = n
     ops = DunklOperators(params)
-    lap_done = laplace(ops, range(1, n))
+    lap_done = _integer_laplacian(ops, range(1, n))
     lap = laplace(ops, range(1, n + 1))
     report = Report()
     for k in range(kmax + 1):
         even_bad = odd_bad = harm_bad = None
         for exps in monomial_basis(n - 1, k):
+            terms = {exps + (0,): 1}
             p = Polynomial.monomial(n, exps + (0,))
-            ext0 = _lift(params, lap_done, new, 0, p)
-            ext1 = _lift(params, lap_done, new, 1, p)
+            ext0 = _polynomial(n, *_lift(params, lap_done, new, 0, terms, 1))
+            ext1 = _polynomial(n, *_lift(params, lap_done, new, 1, terms, 1))
             if even_bad is None and ext0.restrict_to_zero(new) != p:
                 even_bad = p.to_text()
             if odd_bad is None and ext1.partial_derivative(new).restrict_to_zero(new) != p:

@@ -125,7 +125,19 @@ class RationalMatrix:
         return Fraction(self.sparse_rows[i].get(j, 0), self.den)
 
     def to_fractions(self) -> list[list[Fraction]]:
-        return [[Fraction(x, self.den) for x in row] for row in self.rows]
+        """Dense rows of Fraction entries, a fresh copy on every access.
+
+        A Fraction is formed only for the stored nonzeros; every absent
+        entry is one shared Fraction(0).
+        """
+        zero, den = Fraction(0), self.den
+        out = []
+        for row in self.sparse_rows:
+            dense = [zero] * self.ncols
+            for j, x in row.items():
+                dense[j] = Fraction(x, den)
+            out.append(dense)
+        return out
 
     def normalized(self) -> "RationalMatrix":
         """The same matrix in lowest terms."""

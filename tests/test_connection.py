@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from racah_dunkl import (
     DunklOperators,
@@ -165,6 +167,44 @@ def test_compose_and_identity_on_mismatched_and_non_identity_matrices():
     assert not w_ab.is_identity()
     with pytest.raises(ValueError, match="^composition requires matching intermediate bases$"):
         w_ab.compose(w_ab)
+
+
+@st.composite
+def sparse_matrices(draw):
+    """A RationalMatrix straight from sparse rows, as solves and products return them.
+
+    Entries may be negative, rows empty and columns all zero, and the
+    denominator shares a drawn factor with every entry, so it is not in
+    lowest terms.
+    """
+    nrows, ncols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    t = draw(st.integers(1, 6))
+    rows = []
+    for _ in range(nrows):
+        cols = draw(st.sets(st.integers(0, ncols - 1), max_size=ncols)) if ncols else set()
+        rows.append({j: t * draw(st.integers(-99, 99).filter(bool)) for j in sorted(cols)})
+    den = t * draw(st.integers(1, 60))
+    return RationalMatrix.from_sparse(rows, den, ncols)
+
+
+@settings(max_examples=100, deadline=None)
+@given(sparse_matrices())
+def test_dense_views_match_the_per_entry_reference(m):
+    # the views build a Fraction only for stored nonzeros; each entry must
+    # still be the reduced value of its numerator over den
+    reference = [
+        [Fraction(row.get(j, 0), m.den) for j in range(m.ncols)] for row in m.sparse_rows
+    ]
+    dense = m.to_fractions()
+    assert dense == reference
+    assert all(type(x) is Fraction for row in dense for x in row)
+    for row in dense:  # a fresh copy on every access
+        row[:] = [Fraction(7)] * len(row)
+    assert m.to_fractions() == reference
+    # the labels play no part in the entries
+    w = ConnectionMatrix((), (), m)
+    assert w.entries == tuple(tuple(row) for row in reference)
+    assert w.to_json_obj()["entries"] == [[str(x) for x in row] for row in reference]
 
 
 def test_connection_span_mismatch():

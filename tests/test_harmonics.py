@@ -1,8 +1,9 @@
 """Extension maps, tower bases, closed forms, and spectral actions."""
 
 import itertools
+import re
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd
 
 import pytest
 from hypothesis import given, settings
@@ -118,6 +119,17 @@ def test_label_validation_and_degree():
         HarmonicLabel((1, 2, 3), (0, 2, 0), (0, 0))
     with pytest.raises(ValueError):
         HarmonicLabel((1, 2, 3), (0, 0, 0), (-1, 0))
+
+
+def test_tower_rejects_an_order_that_is_not_a_permutation_of_1_to_n():
+    # an order of the wrong length is named as such, not as a bad epsilon of a label
+    params = ParameterSet.default(4)
+    for order in ((1, 2, 3), (1, 2, 3, 4, 5), (1, 2, 2, 4), (0, 1, 2, 3)):
+        message = f"^order {re.escape(str(order))} is not a permutation of 1\\.\\.4$"
+        with pytest.raises(ValueError, match=message):
+            build_basis_tower(params, 2, order)
+        with pytest.raises(ValueError, match=message):
+            build_basis_tower(params, 2, list(order))
 
 
 def test_basis_n2_k1():
@@ -284,6 +296,55 @@ def test_lift_matches_the_monomial_product_reference(n, data):
                 h = steps[key]
         tower = build_basis_tower(params, k, order)
         assert [el.poly for el in tower] == [steps[(l.epsilon, l.ell)] for l in labels]
+
+
+def assert_reduced_fractions(p: Polynomial) -> None:
+    """Every coefficient is a nonzero Fraction in lowest terms, never an int."""
+    for c in p.terms.values():
+        assert type(c) is Fraction
+        assert c and c.denominator > 0 and gcd(c.numerator, c.denominator) == 1
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.sampled_from([3, 4, 5]), st.data())
+def test_tower_is_the_reference_chain_in_reduced_fractions(n, data):
+    # the tower and ck_extend run on integer numerators over one denominator;
+    # what they return must be reduced Fractions equal to the chain of
+    # reference_lift steps and Polynomial norm multiplications
+    mu = data.draw(st.lists(lift_mu, min_size=n, max_size=n), label="mu")
+    order = tuple(data.draw(st.permutations(range(1, n + 1)), label="order"))
+    params = ParameterSet(n, tuple(mu))
+    ops = DunklOperators(params)
+    laps = [None] + [laplace(ops, order[:m]) for m in range(1, n)]
+
+    for k in range({3: 7, 4: 6, 5: 4}[n]):
+        tower = build_basis_tower(params, k, order)
+        assert [el.label for el in tower] == enumerate_labels(n, k, order)
+        for el in tower:
+            assert_reduced_fractions(el.poly)
+            h = Polynomial.one(n)
+            for m in range(n):
+                if m:
+                    h = norm_square_poly(order[:m], n) ** el.label.ell[m - 1] * h
+                lifted = ck_extend(params, order[:m], order[m], el.label.epsilon[m], h)
+                h = reference_lift(params, laps[m], order[m], el.label.epsilon[m], h)
+                assert_reduced_fractions(lifted)
+                assert lifted == h
+            assert el.poly == h
+
+
+def test_lift_divides_out_its_content():
+    # the tower keeps each intermediate as integers over one denominator;
+    # _lift returns them in lowest terms so that they do not grow per step
+    lap = harmonics._integer_laplacian(DunklOperators(P3), (1, 2))
+    inputs = (({(2, 0, 0): 4, (0, 2, 0): -6}, 6), ({(1, 1, 0): 10}, 1), ({(0, 0, 0): 3}, 9))
+    for terms, den in inputs:
+        p = Polynomial(3, {exps: Fraction(x, den) for exps, x in terms.items()})
+        for parity in (0, 1):
+            out, out_den = harmonics._lift(P3, lap, 3, parity, terms, den)
+            assert out_den > 0 and gcd(out_den, *out.values()) == 1
+            lifted = Polynomial(3, {exps: Fraction(x, out_den) for exps, x in out.items()})
+            assert lifted == ck_extend(P3, (1, 2), 3, parity, p)
 
 
 def test_tower_linear_independence():
