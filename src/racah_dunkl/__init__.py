@@ -18,7 +18,6 @@ from .connection import (
     TridiagonalData,
     connection_matrix,
     fischer_pairing,
-    gram_matrix,
     module_basis,
     parity_blocks,
     rank_one_overlap,
@@ -45,7 +44,6 @@ from .harmonics import (
     fischer_decompose,
     harmonic_space_dim,
     jacobi_closed_form,
-    parity_project,
     poly_space_dim,
     verify_closed_form,
     verify_extension_restrictions,

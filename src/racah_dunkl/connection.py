@@ -7,15 +7,16 @@ positive definite for positive deformation parameters, and turns
 coordinate multiplication and the deformed derivative into adjoints of
 each other, which makes every quadratic invariant self-adjoint.  Basis
 changes themselves are computed by direct exact linear solves in
-monomial coordinates; the pairing is used only for orthogonality and
-Gram-matrix statements.
+monomial coordinates; the pairing is used only for orthogonality
+statements.
 
 Connection matrices follow the expansion convention: W[s][k] is the
 coefficient of the k-th target element in the s-th source element, so
 composition along a chain of bases multiplies in path order,
-W(A->C) = W(A->B) W(B->C).  The solve returns W as a sparse
-RationalMatrix, and W, the Gram matrix and the tridiagonal data stay in
-that form; only text exports read the dense ``entries`` view.
+W(A->C) = W(A->B) W(B->C).  The solve runs on the tower elements'
+integer numerators and returns W as a sparse RationalMatrix; W and the
+tridiagonal data stay in that form, and only text exports read the dense
+``entries`` view.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .harmonics import (
     build_basis_tower,
     casimir_eigenvalue,
 )
-from .linalg import RationalMatrix, matrix_rank, solve_in_span
+from .linalg import RationalMatrix, matrix_rank, product_sum, solve_in_span
 from .operators import DunklOperators, LinearOperator, casimir, dunkl, materialize
 from .poly import ParameterSet, Polynomial
 from .racah import (
@@ -71,17 +72,6 @@ def _pairing(ops: Sequence[LinearOperator], p: Polynomial, q: Polynomial) -> Fra
     return total
 
 
-def gram_matrix(
-    params: ParameterSet, elements: Sequence[HarmonicBasisElement]
-) -> RationalMatrix:
-    """The matrix of pairings (elements[i].poly, elements[j].poly)."""
-    polys = [el.poly for el in elements]
-    if any(p.n != params.n for p in polys):
-        raise ValueError("dimension mismatch")
-    ops = [dunkl(params, i) for i in range(1, params.n + 1)]
-    return RationalMatrix.from_fractions([[_pairing(ops, p, q) for q in polys] for p in polys])
-
-
 @dataclass(frozen=True)
 class ConnectionMatrix:
     from_labels: tuple[HarmonicLabel, ...]
@@ -105,9 +95,6 @@ class ConnectionMatrix:
         if self.to_labels != other.from_labels:
             raise ValueError("composition requires matching intermediate bases")
         return ConnectionMatrix(self.from_labels, other.to_labels, self.matrix * other.matrix)
-
-    def is_identity(self) -> bool:
-        return self.matrix == RationalMatrix.identity(self.matrix.nrows)
 
     def to_json_obj(self) -> dict:
         """Labels and entries as strings: str() of each stored nonzero, "0" elsewhere."""
@@ -138,17 +125,25 @@ def connection_matrix(
     the target is a basis holding every source element; the source is then
     independent exactly when the square W is nonsingular, which the rank
     of W's rows decides.
+
+    The elimination reads each element's integer numerators as they are:
+    with source_s = a_s / e_s and target_k = b_k / d_k it solves
+    a_s = sum_k W'[s][k] b_k, and W = diag(1 / e_s) W' diag(d_k) is one
+    product sum, in lowest terms.  No element's ``poly`` is built.
     """
     if len(source) != len(target):
         raise SpanMismatch(
             f"basis sizes differ: {len(source)} vs {len(target)}"
         )
     try:
-        w = solve_in_span([el.poly.terms for el in target], [el.poly.terms for el in source])
+        w = solve_in_span([el.terms for el in target], [el.terms for el in source])
     except ValueError as exc:
         raise SpanMismatch(str(exc)) from exc
     if matrix_rank(w.sparse_rows) != len(source):
         raise SpanMismatch("source basis is linearly dependent")
+    inverse_e = RationalMatrix.diagonal([Fraction(1, el.den) for el in source])
+    d = RationalMatrix.diagonal([el.den for el in target])
+    w = product_sum([(1, (inverse_e, w, d))]).normalized()
     return ConnectionMatrix(
         tuple(el.label for el in source), tuple(el.label for el in target), w
     )

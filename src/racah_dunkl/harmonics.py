@@ -17,11 +17,11 @@ ell[m] is the squared-norm power inserted after that step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 from math import comb, factorial, gcd, lcm
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .linalg import matrix_rank, solve_in_span
 from .operators import (
@@ -30,7 +30,6 @@ from .operators import (
     casimir,
     gamma,
     laplace,
-    norm_square_mul,
     norm_square_poly,
 )
 from .poly import Monomial, ParameterSet, Polynomial, monomial_basis
@@ -122,10 +121,31 @@ class HarmonicLabel:
         }
 
 
+IntegerTerms = dict[Monomial, int]
+
+
 @dataclass(frozen=True)
 class HarmonicBasisElement:
+    """One realized tower element: the polynomial terms / den, labelled.
+
+    terms maps each monomial to its nonzero integer numerator over the
+    positive denominator den, as the tower computed them, in lowest terms;
+    solves read them as they are, and callers must not modify them.  The
+    Polynomial ``poly`` is built on its first read and kept.
+    """
+
     label: HarmonicLabel
-    poly: Polynomial
+    terms: IntegerTerms
+    den: int
+    _poly: Polynomial | None = field(default=None, init=False, repr=False, compare=False)
+
+    @property
+    def poly(self) -> Polynomial:
+        p = self._poly
+        if p is None:
+            p = _polynomial(self.label.n, self.terms, self.den)
+            object.__setattr__(self, "_poly", p)
+        return p
 
 
 def ck_extend(
@@ -159,41 +179,36 @@ def ck_extend(
     outside = p.support_variables() - set(vars_done)
     if outside:
         raise ValueError(f"input involves variables outside vars_done: {sorted(outside)}")
-    lap = _integer_laplacian(DunklOperators(params), vars_done) if vars_done else None
+    lap = _integer_laplacian(params, vars_done) if vars_done else None
     den = lcm(1, *(c.denominator for c in p.terms.values()))
     terms = {exps: c.numerator * (den // c.denominator) for exps, c in p.terms.items()}
     return _polynomial(n, *_lift(params, lap, new_var, parity, terms, den))
 
 
-IntegerTerms = dict[Monomial, int]
-
-
 class _IntegerOperator:
     """den times a linear operator, applied to integer numerators.
 
-    den must clear the denominator of every coefficient of the operator's
-    monomial images.  Each image is read from the operator once per
-    monomial, as integers over den, and kept for this object's lifetime.
+    rule(exps) returns den times the image of one monomial, as nonzero
+    integers keyed by exponent tuples.  Each image is computed once per
+    monomial and kept for this object's lifetime.
     """
 
-    __slots__ = ("op", "den", "_images")
+    __slots__ = ("rule", "den", "_images")
 
-    def __init__(self, op: LinearOperator, den: int):
-        self.op = op
+    def __init__(self, rule: Callable[[Monomial], IntegerTerms], den: int):
+        self.rule = rule
         self.den = den
         self._images: dict[Monomial, IntegerTerms] = {}
 
     def __call__(self, terms: IntegerTerms) -> IntegerTerms:
         """den * op(terms) as integers, without the terms that cancel."""
-        images, den = self._images, self.den
+        images = self._images
         out: IntegerTerms = {}
         get = out.get
         for exps, x in terms.items():
             image = images.get(exps)
             if image is None:
-                image = images[exps] = {
-                    e: v.numerator * (den // v.denominator) for e, v in self.op._image(exps).items()
-                }
+                image = images[exps] = self.rule(exps)
             for e, y in image.items():
                 old = get(e)
                 out[e] = x * y if old is None else old + x * y
@@ -202,15 +217,38 @@ class _IntegerOperator:
         return out
 
 
-def _integer_laplacian(ops: DunklOperators, variables: Sequence[int]) -> _IntegerOperator:
-    """The Laplacian over the variables, over the lcm of the denominators of their 2 mu_i.
+def _integer_laplacian(params: ParameterSet, variables: Sequence[int]) -> _IntegerOperator:
+    """The Laplacian over the variables, over L = the lcm of the denominators of their 2 mu_i.
 
-    The coefficient of T_i^2 on a monomial is an integer over the
-    denominator of 2 mu_i, and the T_i^2 of different i lower different
-    exponents, so that lcm clears every monomial image.
+    T_i x^e = c(e_i) x^(e - e_i), with c(e) = e for even e and e + 2 mu_i
+    for odd e, so T_i^2 maps x^e to the one monomial x^(e - 2 e_i) with
+    coefficient c(e_i) c(e_i - 1), zero for e_i < 2.  One of e_i and
+    e_i - 1 is odd; with 2 mu_i = a / b, L times that coefficient is the
+    integer (odd * b + a) * even * (L / b).  The T_i^2 of different i
+    lower different exponents, so their images never overlap.
     """
-    den = lcm(*((2 * ops.params.mu_of(i)).denominator for i in variables))
-    return _IntegerOperator(laplace(ops, variables), den)
+    two_mu = [(i - 1, 2 * params.mu_of(i)) for i in variables]
+    den = lcm(*(t.denominator for _, t in two_mu))
+    factors = [(pos, t.numerator, t.denominator, den // t.denominator) for pos, t in two_mu]
+
+    def rule(exps: Monomial) -> IntegerTerms:
+        image = {}
+        for pos, a, b, s in factors:
+            e = exps[pos]
+            if e >= 2:
+                odd, even = (e, e - 1) if e % 2 else (e - 1, e)
+                image[exps[:pos] + (e - 2,) + exps[pos + 1:]] = (odd * b + a) * even * s
+        return image
+
+    return _IntegerOperator(rule, den)
+
+
+def _integer_norm_square(variables: Sequence[int]) -> _IntegerOperator:
+    """Multiplication by the squared norm over the variables, over denominator 1."""
+    positions = [i - 1 for i in variables]
+    return _IntegerOperator(
+        lambda exps: {exps[:pos] + (exps[pos] + 2,) + exps[pos + 1:]: 1 for pos in positions}, 1
+    )
 
 
 def _polynomial(n: int, terms: IntegerTerms, den: int) -> Polynomial:
@@ -238,14 +276,17 @@ def _lift(
     written by placing the exponent of x_new in the monomials of Lap^j p,
     and the terms of different j, holding different powers of x_new,
     never overlap.  With L = lap.den, Lap^j p = Q_j / (den L^j) for the
-    integer Q_j = (L Lap)^j terms.  With 2c = a / b in lowest terms, the
+    integer Q_j = (L Lap)^j terms.  With 2c = 2 mu_new + 1 + 2 parity =
+    a / b in lowest terms, formed from the integers of mu_new, the
     coefficient of the j-th term is (-b)^j / prod_{i <= j} f_i with
     f_i = 2i (a + (2i - 2) b), so all terms share the denominator
     den * N_J, N_j = prod_{i <= j} f_i L, J the last nonzero power, and the
     j-th term's numerators are (-b)^j (N_J / N_j) Q_j.
     """
-    two_c = 2 * params.mu_of(new_var) + 1 + 2 * parity
-    a, b = two_c.numerator, two_c.denominator
+    mu = params.mu_of(new_var)
+    a, b = 2 * mu.numerator + (1 + 2 * parity) * mu.denominator, mu.denominator
+    g = gcd(a, b)
+    a, b = a // g, b // g
     pos = new_var - 1
 
     powers = [terms]
@@ -320,12 +361,13 @@ def build_basis_tower(
     norm multiplications, in the order of enumerate_labels.  The order
     must be a permutation of 1..n.  One Laplacian and one multiplication
     by the squared norm per prefix of the order are shared by all labels,
-    with their kept monomial images as integers, and the intermediate
-    harmonic of each (epsilon, ell) prefix is realized only once.  The
-    intermediates are integer numerators over one positive denominator:
-    a norm multiplication keeps the denominator and adds integers, and
-    each _lift divides out its content.  A Fraction is formed once per
-    term of each returned element.
+    each an integer monomial rule in closed form (no Dunkl operator is
+    built) with its kept images, and the intermediate harmonic of each
+    (epsilon, ell) prefix is realized only once.  The intermediates are
+    integer numerators over one positive denominator: a norm
+    multiplication keeps the denominator and adds integers, and each
+    _lift divides out its content.  Each element keeps its numerators
+    and denominator; no Fraction is formed until its ``poly`` is read.
     """
     if k < 0:
         raise ValueError("degree must be non-negative")
@@ -336,9 +378,8 @@ def build_basis_tower(
     if not labels:
         return []
     o = labels[0].order
-    ops = DunklOperators(params)
-    laps = [None] + [_integer_laplacian(ops, o[:m]) for m in range(1, n)]
-    norms = [None] + [_IntegerOperator(norm_square_mul(o[:m], n), 1) for m in range(1, n)]
+    laps = [None] + [_integer_laplacian(params, o[:m]) for m in range(1, n)]
+    norms = [None] + [_integer_norm_square(o[:m]) for m in range(1, n)]
     # (epsilon[:m], ell[:m-1]) -> harmonic after the m-th extension step
     steps: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple[IntegerTerms, int]] = {}
     elements = []
@@ -355,7 +396,7 @@ def build_basis_tower(
                 for _ in range(ell[m - 2]):
                     h = norms[m - 1](h)
             h, den = steps[key] = _lift(params, laps[m - 1], o[m - 1], eps[m - 1], h, den)
-        elements.append(HarmonicBasisElement(label, _polynomial(n, h, den)))
+        elements.append(HarmonicBasisElement(label, h, den))
     return elements
 
 
@@ -412,13 +453,6 @@ def casimir_eigenvalue(params: ParameterSet, label: HarmonicLabel, m: int) -> Fr
     d = label.partial_degree(m)
     gam = gamma(params, label.prefix(m))
     return (d + gam) * (d + gam - 2) / 4
-
-
-def parity_project(p: Polynomial, i: int, sign: int) -> Polynomial:
-    """Projection onto the even (+1) or odd (-1) part in x_i."""
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    return (p + p.reflect(i).scale(sign)).scale(Fraction(1, 2))
 
 
 def fischer_decompose(
@@ -534,9 +568,8 @@ def verify_extension_restrictions(params: ParameterSet, kmax: int) -> Report:
     if n < 2:
         raise ValueError("extensions need at least two variables")
     new = n
-    ops = DunklOperators(params)
-    lap_done = _integer_laplacian(ops, range(1, n))
-    lap = laplace(ops, range(1, n + 1))
+    lap_done = _integer_laplacian(params, range(1, n))
+    lap = laplace(DunklOperators(params), range(1, n + 1))
     report = Report()
     for k in range(kmax + 1):
         even_bad = odd_bad = harm_bad = None

@@ -18,17 +18,19 @@ cross-parity entries are simply never stored.
 Basis solves and ranks are thin front ends over one exact
 Gauss-Jordan elimination on sparse integer rows.  Solves and ranks read
 sparse vectors: mappings from a coordinate key to its entry (an int or a
-Fraction), such as a polynomial's terms or a RationalMatrix's sparse
-rows, so callers never choose a coordinate order or build a dense
-vector.  Each equation (one coordinate key) is scaled to integers by the
-lcm of its denominators, and the elimination is fraction-free: a row is
-combined with a pivot row by integer multiples and then divided by the
-gcd of its entries (its content), so no Fraction is formed until a solve
-reads its coefficients, each as a reduced-row entry over its pivot.  A
-solve returns them as a RationalMatrix, one row per target.  Each pivot
-step touches only the rows with a nonzero in the pivot column, so the
-parity sectors of a basis change are eliminated independently without
-any block layout: rows from different sectors never share a column.
+Fraction), such as a polynomial's terms, a tower element's integer
+numerators or a RationalMatrix's sparse rows, so callers never choose a
+coordinate order or build a dense vector.  An equation (one coordinate
+key) whose entries are all ints enters the elimination as it is; any
+other is scaled to integers by the lcm of its denominators.  The
+elimination is fraction-free: a row is combined with a pivot row by
+integer multiples and then divided by the gcd of its entries (its
+content), so no Fraction is formed until a solve reads its coefficients,
+each as a reduced-row entry over its pivot.  A solve returns them as a
+RationalMatrix, one row per target.  Each pivot step touches only the
+rows with a nonzero in the pivot column, so the parity sectors of a
+basis change are eliminated independently without any block layout:
+rows from different sectors never share a column.
 """
 
 from __future__ import annotations
@@ -339,19 +341,20 @@ def _elimination_rows(vectors: Sequence[SparseVector]) -> list[dict[int, int]]:
     """Sparse integer rows of the matrix whose j-th column is vectors[j].
 
     Row r holds the nonzero entries of the r-th key met, keyed by vector
-    position; zero entries are skipped.  Each row is one equation, scaled
-    to integers by the lcm of its denominators, which leaves the solutions
-    unchanged.
+    position; zero entries are skipped.  Each row is one equation.  An
+    equation of ints is kept as it is; any other is scaled to integers by
+    the lcm of its denominators, which leaves the solutions unchanged.
     """
     row_of: dict[Hashable, dict[int, int | Fraction]] = {}
     for j, vector in enumerate(vectors):
         for key, x in vector.items():
             if x:
                 row_of.setdefault(key, {})[j] = x
-    rows = []
-    for row in row_of.values():
-        m = lcm(*(x.denominator for x in row.values()))
-        rows.append({j: x.numerator * (m // x.denominator) for j, x in row.items()})
+    rows = list(row_of.values())
+    for r, row in enumerate(rows):
+        if not all(type(x) is int for x in row.values()):
+            m = lcm(*(x.denominator for x in row.values()))
+            rows[r] = {j: x.numerator * (m // x.denominator) for j, x in row.items()}
     return rows
 
 
@@ -363,8 +366,11 @@ def solve_in_span(
     Returns the coefficients as a matrix whose row t holds those of
     targets[t].  Raises InconsistentSystem if some target is outside the
     span, and ValueError if the columns are linearly dependent (the solves
-    here always expect a basis).  The elimination runs on integer rows;
-    the coefficients are read as fractions only at the end.
+    here always expect a basis).  Integer columns and targets, such as
+    numerators over a per-vector denominator, enter the elimination
+    unscaled; the caller then rescales the coefficients.  The elimination
+    runs on integer rows; the coefficients are read as fractions only at
+    the end.
     """
     ncols = len(columns)
     # augmented sparse rows: [columns | targets]

@@ -1,6 +1,7 @@
 """Pairing, Gram data, connection matrices, and tridiagonal actions."""
 
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +21,6 @@ from racah_dunkl import (
     connection_matrix,
     fischer_pairing,
     gamma,
-    gram_matrix,
     materialize,
     module_tridiagonal_data,
     monomial_basis,
@@ -28,13 +28,35 @@ from racah_dunkl import (
     rank_one_overlap,
     tridiagonal_check,
 )
-from racah_dunkl import connection
+from racah_dunkl import connection, graph, harmonics, operators
 from racah_dunkl.connection import ConnectionMatrix, module_basis
 from racah_dunkl.harmonics import HarmonicBasisElement
 from racah_dunkl.racah import SpectralData
 from racah_dunkl.report import CheckResult
 
 P3 = ParameterSet.make(["1/2", "1/3", "1/4"])
+
+
+def gram_matrix(params, elements):
+    """Reference: the matrix of pairings (elements[i].poly, elements[j].poly)."""
+    polys = [el.poly for el in elements]
+    if any(p.n != params.n for p in polys):
+        raise ValueError("dimension mismatch")
+    ops = [connection.dunkl(params, i) for i in range(1, params.n + 1)]
+    return RationalMatrix.from_fractions(
+        [[connection._pairing(ops, p, q) for q in polys] for p in polys]
+    )
+
+
+def is_identity(w):
+    return w.matrix == RationalMatrix.identity(w.matrix.nrows)
+
+
+def element(label, p):
+    """A basis element holding p as integer numerators over the lcm of its denominators."""
+    den = lcm(1, *(c.denominator for c in p.terms.values()))
+    terms = {e: c.numerator * (den // c.denominator) for e, c in p.terms.items()}
+    return HarmonicBasisElement(label, terms, den)
 
 
 def test_pairing_examples():
@@ -98,8 +120,7 @@ def test_pairing_positive_definite_on_monomials():
     placeholder = build_basis_tower(P3, 0)[0].label
     for k in (1, 2, 3):
         elements = [
-            HarmonicBasisElement(placeholder, Polynomial.monomial(3, e))
-            for e in monomial_basis(3, k)
+            HarmonicBasisElement(placeholder, {e: 1}, 1) for e in monomial_basis(3, k)
         ]
         entries = gram_matrix(P3, elements).to_fractions()
         assert entries == [list(col) for col in zip(*entries)]  # symmetric
@@ -145,7 +166,7 @@ def test_tower_basis_pairing_orthogonal():
 def test_connection_identity():
     basis = build_basis_tower(P3, 3)
     w = connection_matrix(P3, basis, basis)
-    assert w.is_identity()
+    assert is_identity(w)
 
 
 def test_connection_inverse_and_composition():
@@ -154,7 +175,7 @@ def test_connection_inverse_and_composition():
     c = build_basis_tower(P3, 3, (3, 1, 2))
     w_ab = connection_matrix(P3, a, b)
     w_ba = connection_matrix(P3, b, a)
-    assert w_ab.compose(w_ba).is_identity()
+    assert is_identity(w_ab.compose(w_ba))
     w_bc = connection_matrix(P3, b, c)
     w_ac = connection_matrix(P3, a, c)
     assert w_ab.compose(w_bc).entries == w_ac.entries
@@ -164,7 +185,7 @@ def test_compose_and_identity_on_mismatched_and_non_identity_matrices():
     a = build_basis_tower(P3, 3, (1, 2, 3))
     b = build_basis_tower(P3, 3, (2, 3, 1))
     w_ab = connection_matrix(P3, a, b)
-    assert not w_ab.is_identity()
+    assert not is_identity(w_ab)
     with pytest.raises(ValueError, match="^composition requires matching intermediate bases$"):
         w_ab.compose(w_ab)
 
@@ -214,11 +235,73 @@ def test_connection_span_mismatch():
         connection_matrix(P3, a, b)
     # same count, different span: swap one harmonic for a non-harmonic
     broken = list(b)
-    broken[0] = HarmonicBasisElement(
-        broken[0].label, Polynomial.variable(3, 1) ** 2
-    )
+    broken[0] = element(broken[0].label, Polynomial.variable(3, 1) ** 2)
     with pytest.raises(SpanMismatch):
         connection_matrix(P3, b, broken)
+
+
+def test_the_connection_route_evaluates_no_dunkl_rule_and_builds_no_polynomial(monkeypatch):
+    # the towers and the solve run on integers from the closed-form T_i^2
+    # rule to W: no T_i rule is evaluated and no element's Polynomial is
+    # built, in the towers, in connection_matrix or in the pipeline
+    evaluated, built = [], []
+    real_dunkl, real_polynomial = operators.dunkl, harmonics._polynomial
+
+    def counting(params, i):
+        op = real_dunkl(params, i)
+        rule = op.rule
+        op.rule = lambda exps: evaluated.append((i, exps)) or rule(exps)
+        return op
+
+    def polynomial(*args):
+        built.append(args)
+        return real_polynomial(*args)
+
+    monkeypatch.setattr(operators, "dunkl", counting)
+    monkeypatch.setattr(harmonics, "_polynomial", polynomial)
+    params = ParameterSet.make(["3/7", "5/2", "1/9", "8/3"])
+    start, goal = (1, 2, 3, 4), (3, 4, 2, 1)
+    source = build_basis_tower(params, 6, start)
+    target = build_basis_tower(params, 6, goal)
+    assert len(source) == 49 and evaluated == [] and built == []
+    w = connection_matrix(params, source, target)
+    assert evaluated == [] and built == []
+    edges = graph.connection_pipeline(
+        params, 6, graph.Chain.from_order(start), graph.Chain.from_order(goal)
+    )
+    assert len(edges) == 6 and evaluated == [] and built == []
+    product = edges[0]
+    for edge in edges[1:]:
+        product = product.compose(edge)
+    assert product.matrix == w.matrix
+    # a read polynomial is built once and kept
+    assert source[0].poly is source[0].poly and len(built) == 1
+
+
+@pytest.mark.parametrize("side", ["source", "target"])
+def test_a_doubled_denominator_rescales_its_row_or_column_of_w(side):
+    # W is read off the numerators and rescaled by the denominators, so
+    # halving one element (its numerators over twice its denominator)
+    # halves its row of W as a source and doubles its column as a target
+    params = ParameterSet.make(["3/7", "1000000", "2", "1/9"])
+    source = build_basis_tower(params, 4, (1, 2, 3, 4))
+    target = build_basis_tower(params, 4, (3, 4, 2, 1))
+    w = connection_matrix(params, source, target).matrix.to_fractions()
+    for pos in range(len(source)):
+        bases = {"source": list(source), "target": list(target)}
+        el = bases[side][pos]
+        bases[side][pos] = HarmonicBasisElement(el.label, el.terms, 2 * el.den)
+        try:
+            got = connection_matrix(params, bases["source"], bases["target"])
+        except SpanMismatch:
+            continue
+        expected = [list(row) for row in w]
+        if side == "source":
+            expected[pos] = [x / 2 for x in expected[pos]]
+        else:
+            for row in expected:
+                row[pos] *= 2
+        assert got.matrix.to_fractions() == expected != w
 
 
 def test_connection_rejects_duplicated_elements():
@@ -245,7 +328,7 @@ def test_connection_source_across_parity_sectors():
         k for k, el in enumerate(target) if el.label.variable_parities() != first
     )
     source = list(target)
-    source[0] = HarmonicBasisElement(target[0].label, target[0].poly + target[other].poly)
+    source[0] = element(target[0].label, target[0].poly + target[other].poly)
     w = connection_matrix(P3, source, target)
     m = len(target)
     expected = [

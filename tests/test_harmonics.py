@@ -30,7 +30,6 @@ from racah_dunkl import (
     module_basis,
     monomial_basis,
     norm_square_poly,
-    parity_project,
     verify_extension_restrictions,
     verify_power_action,
     verify_power_action_sweep,
@@ -333,10 +332,30 @@ def test_tower_is_the_reference_chain_in_reduced_fractions(n, data):
             assert el.poly == h
 
 
+@settings(max_examples=25, deadline=None)
+@given(st.integers(2, 5), st.data())
+def test_integer_laplacian_is_den_times_the_composite_laplacian(n, data):
+    # the tower's Laplacian is the closed-form integer T_i^2 rule over den;
+    # the Fraction composite of the verify suites is its oracle
+    mu = data.draw(st.lists(lift_mu, min_size=n, max_size=n), label="mu")
+    subset = data.draw(
+        st.lists(st.integers(1, n), min_size=1, max_size=n, unique=True), label="subset"
+    )
+    params = ParameterSet(n, tuple(mu))
+    lap = harmonics._integer_laplacian(params, subset)
+    composite = laplace(DunklOperators(params), subset)
+    for k in range(7):
+        for exps in monomial_basis(n, k):
+            expected = composite(Polynomial.monomial(n, exps)).terms
+            got = lap({exps: 1})
+            assert all(type(x) is int for x in got.values())
+            assert got == {e: c * lap.den for e, c in expected.items()}
+
+
 def test_lift_divides_out_its_content():
     # the tower keeps each intermediate as integers over one denominator;
     # _lift returns them in lowest terms so that they do not grow per step
-    lap = harmonics._integer_laplacian(DunklOperators(P3), (1, 2))
+    lap = harmonics._integer_laplacian(P3, (1, 2))
     inputs = (({(2, 0, 0): 4, (0, 2, 0): -6}, 6), ({(1, 1, 0): 10}, 1), ({(0, 0, 0): 3}, 9))
     for terms, den in inputs:
         p = Polynomial(3, {exps: Fraction(x, den) for exps, x in terms.items()})
@@ -421,6 +440,13 @@ def test_spectral_action_oracle_n3():
                 assert ops[m](el.poly) == el.poly.scale(value)
 
 
+def parity_project(p: Polynomial, i: int, sign: int) -> Polynomial:
+    """Reference: projection onto the even (+1) or odd (-1) part in x_i."""
+    if sign not in (1, -1):
+        raise ValueError("sign must be +1 or -1")
+    return (p + p.reflect(i).scale(sign)).scale(Fraction(1, 2))
+
+
 def test_parity_project():
     x1 = Polynomial.variable(2, 1)
     assert parity_project(x1, 1, +1).is_zero
@@ -498,7 +524,7 @@ def test_power_action_sweep_reports_a_non_harmonic_tower_element(monkeypatch, ca
     def defective(params, k, order=None):
         elements = real(params, k, order)
         if k == 2:
-            elements[0] = HarmonicBasisElement(elements[0].label, square)
+            elements[0] = HarmonicBasisElement(elements[0].label, {(2, 0): 1}, 1)
         return elements
 
     monkeypatch.setattr(harmonics, "build_basis_tower", defective)

@@ -1,5 +1,6 @@
 """Exact matrix arithmetic and linear solves."""
 
+import json
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm, prod
@@ -8,7 +9,19 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from racah_dunkl import InconsistentSystem, Polynomial, RationalMatrix, matrix_rank, solve_in_span
+from racah_dunkl import (
+    Chain,
+    ConnectionMatrix,
+    InconsistentSystem,
+    ParameterSet,
+    Polynomial,
+    RationalMatrix,
+    build_basis_tower,
+    connection_matrix,
+    matrix_rank,
+    path,
+    solve_in_span,
+)
 from racah_dunkl.linalg import _elimination_rows, _gauss_jordan, product_sum
 from racah_dunkl.poly import monomial_basis
 from racah_dunkl.relations import _matrix_witness
@@ -755,3 +768,42 @@ def test_integer_rows_are_multiples_of_the_fraction_rows(system):
             assert all(x == ratio * ref_row[c] for c, x in row.items())
             if row != given_rows[id(row)]:
                 assert gcd(*row.values()) == 1
+
+
+# -- connection matrices on integer numerators against the Fraction reference --
+
+
+def reference_connection(source, target):
+    """connection_matrix's W by reference_solve on the elements' Polynomial terms."""
+    return reference_solve([el.poly.terms for el in target], [el.poly.terms for el in source])
+
+
+connection_mu = st.one_of(
+    st.sampled_from([Fraction(10**6), Fraction(1, 9)]),
+    st.builds(Fraction, st.integers(1, 9), st.integers(1, 9)),
+    st.builds(Fraction, st.integers(1, 10**6), st.integers(1, 10**6)),
+)
+
+
+@settings(max_examples=3, deadline=None)
+@given(st.data())
+def test_integer_connection_matches_the_fraction_reference(data):
+    # connection_matrix solves on the towers' integer numerators and
+    # rescales by their denominators; on every edge of both walks, at every
+    # degree, W must be the Fraction solve on the polynomials, in the same
+    # lowest-terms rows and the same exported text
+    for n, kmax, start, goal in ((4, 6, (1, 2, 3, 4), (3, 4, 2, 1)),
+                                 (5, 4, (1, 2, 3, 4, 5), (4, 5, 3, 2, 1))):
+        mu = data.draw(st.lists(connection_mu, min_size=n, max_size=n), label=f"mu{n}")
+        params = ParameterSet(n, tuple(mu))
+        vertices = [Chain.from_order(start)] + path(Chain.from_order(start), Chain.from_order(goal))
+        for k in range(kmax + 1):
+            bases = {chain: build_basis_tower(params, k, chain.order) for chain in vertices}
+            for a, b in zip(vertices, vertices[1:]):
+                w = connection_matrix(params, bases[a], bases[b])
+                ref = reference_connection(bases[a], bases[b])
+                assert (w.matrix.den, w.matrix.sparse_rows) == (ref.den, ref.sparse_rows)
+                assert w.matrix == ref
+                text = json.dumps(w.to_json_obj(), sort_keys=True)
+                expected = ConnectionMatrix(w.from_labels, w.to_labels, ref).to_json_obj()
+                assert text == json.dumps(expected, sort_keys=True)
