@@ -60,7 +60,6 @@ from .operators import (
     angular,
     casimir,
     dunkl,
-    euler,
     gamma,
     laplace,
     materialize,

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 from math import comb, factorial, gcd, lcm
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .linalg import matrix_rank, solve_in_span
 from .operators import (
@@ -30,6 +30,7 @@ from .operators import (
     casimir,
     gamma,
     laplace,
+    norm_square_mul,
     norm_square_poly,
 )
 from .poly import Monomial, ParameterSet, Polynomial, monomial_basis
@@ -162,7 +163,7 @@ def ck_extend(
     sum is finite because the Laplacian over vars_done kills p eventually.
     Requires p homogeneous and supported on vars_done.  p is read as
     integer numerators over the lcm of its denominators and handed to
-    _lift, whose result becomes a Polynomial again.
+    _lift with operators.laplace, and the result becomes a Polynomial.
     """
     n = params.n
     vars_done = tuple(dict.fromkeys(vars_done))
@@ -179,76 +180,10 @@ def ck_extend(
     outside = p.support_variables() - set(vars_done)
     if outside:
         raise ValueError(f"input involves variables outside vars_done: {sorted(outside)}")
-    lap = _integer_laplacian(params, vars_done) if vars_done else None
+    lap = laplace(DunklOperators(params), vars_done) if vars_done else None
     den = lcm(1, *(c.denominator for c in p.terms.values()))
     terms = {exps: c.numerator * (den // c.denominator) for exps, c in p.terms.items()}
     return _polynomial(n, *_lift(params, lap, new_var, parity, terms, den))
-
-
-class _IntegerOperator:
-    """den times a linear operator, applied to integer numerators.
-
-    rule(exps) returns den times the image of one monomial, as nonzero
-    integers keyed by exponent tuples.  Each image is computed once per
-    monomial and kept for this object's lifetime.
-    """
-
-    __slots__ = ("rule", "den", "_images")
-
-    def __init__(self, rule: Callable[[Monomial], IntegerTerms], den: int):
-        self.rule = rule
-        self.den = den
-        self._images: dict[Monomial, IntegerTerms] = {}
-
-    def __call__(self, terms: IntegerTerms) -> IntegerTerms:
-        """den * op(terms) as integers, without the terms that cancel."""
-        images = self._images
-        out: IntegerTerms = {}
-        get = out.get
-        for exps, x in terms.items():
-            image = images.get(exps)
-            if image is None:
-                image = images[exps] = self.rule(exps)
-            for e, y in image.items():
-                old = get(e)
-                out[e] = x * y if old is None else old + x * y
-        if not all(out.values()):
-            out = {e: v for e, v in out.items() if v}
-        return out
-
-
-def _integer_laplacian(params: ParameterSet, variables: Sequence[int]) -> _IntegerOperator:
-    """The Laplacian over the variables, over L = the lcm of the denominators of their 2 mu_i.
-
-    T_i x^e = c(e_i) x^(e - e_i), with c(e) = e for even e and e + 2 mu_i
-    for odd e, so T_i^2 maps x^e to the one monomial x^(e - 2 e_i) with
-    coefficient c(e_i) c(e_i - 1), zero for e_i < 2.  One of e_i and
-    e_i - 1 is odd; with 2 mu_i = a / b, L times that coefficient is the
-    integer (odd * b + a) * even * (L / b).  The T_i^2 of different i
-    lower different exponents, so their images never overlap.
-    """
-    two_mu = [(i - 1, 2 * params.mu_of(i)) for i in variables]
-    den = lcm(*(t.denominator for _, t in two_mu))
-    factors = [(pos, t.numerator, t.denominator, den // t.denominator) for pos, t in two_mu]
-
-    def rule(exps: Monomial) -> IntegerTerms:
-        image = {}
-        for pos, a, b, s in factors:
-            e = exps[pos]
-            if e >= 2:
-                odd, even = (e, e - 1) if e % 2 else (e - 1, e)
-                image[exps[:pos] + (e - 2,) + exps[pos + 1:]] = (odd * b + a) * even * s
-        return image
-
-    return _IntegerOperator(rule, den)
-
-
-def _integer_norm_square(variables: Sequence[int]) -> _IntegerOperator:
-    """Multiplication by the squared norm over the variables, over denominator 1."""
-    positions = [i - 1 for i in variables]
-    return _IntegerOperator(
-        lambda exps: {exps[:pos] + (exps[pos] + 2,) + exps[pos + 1:]: 1 for pos in positions}, 1
-    )
 
 
 def _polynomial(n: int, terms: IntegerTerms, den: int) -> Polynomial:
@@ -258,7 +193,7 @@ def _polynomial(n: int, terms: IntegerTerms, den: int) -> Polynomial:
 
 def _lift(
     params: ParameterSet,
-    lap: _IntegerOperator | None,
+    lap: LinearOperator | None,
     new_var: int,
     parity: int,
     terms: IntegerTerms,
@@ -266,7 +201,7 @@ def _lift(
 ) -> tuple[IntegerTerms, int]:
     """ck_extend of terms / den, without the input checks, in lowest terms.
 
-    lap is the Laplacian over vars_done, or None when vars_done is empty.
+    lap is operators.laplace over vars_done, or None when vars_done is empty.
     The input is p = terms / den with nonzero integer numerators and
     den > 0; the result is returned the same way, with its content (the
     gcd of the numerators and the denominator) divided out.
@@ -291,10 +226,10 @@ def _lift(
 
     powers = [terms]
     if lap is not None:
-        q = lap(terms)
+        q = lap.apply(terms)
         while q:
             powers.append(q)
-            q = lap(q)
+            q = lap.apply(q)
     # scales[j] = (-b)^j N_J / N_j, built from j = J down
     scales = [0] * len(powers)
     ratio = 1
@@ -359,14 +294,14 @@ def build_basis_tower(
 
     Each label is realized by the alternating tower of extensions and
     norm multiplications, in the order of enumerate_labels.  The order
-    must be a permutation of 1..n.  One Laplacian and one multiplication
-    by the squared norm per prefix of the order are shared by all labels,
-    each an integer monomial rule in closed form (no Dunkl operator is
-    built) with its kept images, and the intermediate harmonic of each
+    must be a permutation of 1..n.  One operators.laplace and one
+    operators.norm_square_mul per prefix of the order are shared by all
+    labels, each an integer monomial rule in closed form (no T_i rule is
+    evaluated) with its kept images, and the intermediate harmonic of each
     (epsilon, ell) prefix is realized only once.  The intermediates are
     integer numerators over one positive denominator: a norm
-    multiplication keeps the denominator and adds integers, and each
-    _lift divides out its content.  Each element keeps its numerators
+    multiplication (den 1) keeps the denominator and adds integers, and
+    each _lift divides out its content.  Each element keeps its numerators
     and denominator; no Fraction is formed until its ``poly`` is read.
     """
     if k < 0:
@@ -378,8 +313,9 @@ def build_basis_tower(
     if not labels:
         return []
     o = labels[0].order
-    laps = [None] + [_integer_laplacian(params, o[:m]) for m in range(1, n)]
-    norms = [None] + [_integer_norm_square(o[:m]) for m in range(1, n)]
+    ops = DunklOperators(params)
+    laps = [None] + [laplace(ops, o[:m]) for m in range(1, n)]
+    norms = [None] + [norm_square_mul(o[:m], n) for m in range(1, n)]
     # (epsilon[:m], ell[:m-1]) -> harmonic after the m-th extension step
     steps: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple[IntegerTerms, int]] = {}
     elements = []
@@ -394,7 +330,7 @@ def build_basis_tower(
                 continue
             if m > 1:
                 for _ in range(ell[m - 2]):
-                    h = norms[m - 1](h)
+                    h = norms[m - 1].apply(h)
             h, den = steps[key] = _lift(params, laps[m - 1], o[m - 1], eps[m - 1], h, den)
         elements.append(HarmonicBasisElement(label, h, den))
     return elements
@@ -537,15 +473,24 @@ def _add_power_action(
     report.add("laplacian-power-action", index, ell + 2 * k, first_witness([lap(h), lhs - rhs]))
 
 
+def _dunkl_laplacian(ops: DunklOperators, h: Polynomial) -> Polynomial:
+    """The sum of T_i(T_i(h)) over all i: the harmonicity oracle of verify ck,
+    which shares no code with the closed-form rule of operators.laplace."""
+    total = Polynomial.zero(ops.n)
+    for t in ops.dunkl.values():
+        total = total + t(t(h))
+    return total
+
+
 def verify_tower(params: ParameterSet, kmax: int) -> Report:
     """Tower bases are harmonic, correctly sized, and linearly independent."""
     n = params.n
-    full = tuple(range(1, n + 1))
-    lap = laplace(DunklOperators(params), full)
+    ops = DunklOperators(params)
     report = Report()
     for k in range(kmax + 1):
         elements = build_basis_tower(params, k)
-        report.add("tower-element-harmonic", (), k, first_witness(lap(el.poly) for el in elements))
+        witness = first_witness(_dunkl_laplacian(ops, el.poly) for el in elements)
+        report.add("tower-element-harmonic", (), k, witness)
 
         expected = harmonic_space_dim(n, k)
         count = len(elements)
@@ -562,14 +507,14 @@ def verify_extension_restrictions(params: ParameterSet, kmax: int) -> Report:
 
     The even extension restricts back to its input at x_new = 0; the odd
     extension does so after one derivative in the new variable; both
-    extensions land in the kernel of the full Laplacian.
+    extensions land in the kernel of the full Laplacian, sum_i T_i T_i.
     """
     n = params.n
     if n < 2:
         raise ValueError("extensions need at least two variables")
     new = n
-    lap_done = _integer_laplacian(params, range(1, n))
-    lap = laplace(DunklOperators(params), range(1, n + 1))
+    ops = DunklOperators(params)
+    lap_done = laplace(ops, range(1, n))
     report = Report()
     for k in range(kmax + 1):
         even_bad = odd_bad = harm_bad = None
@@ -582,7 +527,9 @@ def verify_extension_restrictions(params: ParameterSet, kmax: int) -> Report:
                 even_bad = p.to_text()
             if odd_bad is None and ext1.partial_derivative(new).restrict_to_zero(new) != p:
                 odd_bad = p.to_text()
-            if harm_bad is None and not (lap(ext0).is_zero and lap(ext1).is_zero):
+            if harm_bad is None and not (
+                _dunkl_laplacian(ops, ext0).is_zero and _dunkl_laplacian(ops, ext1).is_zero
+            ):
                 harm_bad = p.to_text()
         report.add("extension-restriction-even", (), k, even_bad)
         report.add("extension-derivative-restriction-odd", (), k, odd_bad)

@@ -32,6 +32,16 @@ def _term_sort_key(exps: Monomial) -> tuple[int, Monomial]:
     return (sum(exps), exps)
 
 
+def _rational(value: RationalLike, name: str) -> Fraction:
+    """value as an exact Fraction; a float or any other type is refused."""
+    if not isinstance(value, (int, Fraction, str)):
+        raise ValueError(
+            f"{name} = {value!r} is a {type(value).__name__}; "
+            "pass an int, a Fraction or a 'p/q' string"
+        )
+    return Fraction(value)
+
+
 @dataclass(frozen=True)
 class ParameterSet:
     """Ambient dimension n together with the deformation parameters mu.
@@ -48,13 +58,8 @@ class ParameterSet:
             raise ValueError(f"dimension must be positive, got {self.n}")
         if len(self.mu) != self.n:
             raise ValueError(f"expected {self.n} deformation parameters, got {len(self.mu)}")
-        for i, m in enumerate(self.mu, start=1):
-            if not isinstance(m, (int, Fraction, str)):
-                raise ValueError(
-                    f"mu_{i} = {m!r} is a {type(m).__name__}; "
-                    "pass an int, a Fraction or a 'p/q' string"
-                )
-        object.__setattr__(self, "mu", tuple(Fraction(m) for m in self.mu))
+        mu = tuple(_rational(m, f"mu_{i}") for i, m in enumerate(self.mu, start=1))
+        object.__setattr__(self, "mu", mu)
         for i, m in enumerate(self.mu, start=1):
             if m <= 0:
                 raise ValueError(f"mu_{i} = {m} violates the requirement mu_i > 0")
@@ -89,7 +94,7 @@ class Polynomial:
             for exps, coeff in terms.items():
                 if len(exps) != n:
                     raise ValueError(f"exponent tuple {exps} does not have length {n}")
-                c = Fraction(coeff)
+                c = _rational(coeff, "coefficient")
                 if c != 0:
                     clean[tuple(exps)] = c
         object.__setattr__(self, "n", n)
@@ -124,7 +129,7 @@ class Polynomial:
 
     @classmethod
     def constant(cls, n: int, value: RationalLike) -> "Polynomial":
-        return cls(n, {(0,) * n: Fraction(value)})
+        return cls(n, {(0,) * n: value})
 
     @classmethod
     def variable(cls, n: int, i: int) -> "Polynomial":
@@ -137,7 +142,7 @@ class Polynomial:
 
     @classmethod
     def monomial(cls, n: int, exps: Iterable[int], coeff: RationalLike = 1) -> "Polynomial":
-        return cls(n, {tuple(exps): Fraction(coeff)})
+        return cls(n, {tuple(exps): coeff})
 
     # -- basic queries -----------------------------------------------------
 
@@ -231,7 +236,7 @@ class Polynomial:
         return self.scale(other)
 
     def scale(self, c: RationalLike) -> "Polynomial":
-        c = Fraction(c)
+        c = _rational(c, "scale")
         if c == 0:
             return Polynomial.zero(self.n)
         return Polynomial._trusted(self.n, {e: coeff * c for e, coeff in self.terms.items()})
@@ -302,7 +307,7 @@ class Polynomial:
         )
 
     def evaluate(self, values: Iterable[RationalLike]) -> Fraction:
-        vals = [Fraction(v) for v in values]
+        vals = [_rational(v, "value") for v in values]
         if len(vals) != self.n:
             raise ValueError(f"expected {self.n} values, got {len(vals)}")
         total = Fraction(0)

@@ -3,7 +3,7 @@
 import itertools
 import re
 from fractions import Fraction
-from math import factorial, gcd
+from math import factorial, gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -33,6 +33,7 @@ from racah_dunkl import (
     verify_extension_restrictions,
     verify_power_action,
     verify_power_action_sweep,
+    verify_tower,
 )
 from racah_dunkl import harmonics
 
@@ -54,6 +55,16 @@ def realize_label(params: ParameterSet, label: HarmonicLabel) -> Polynomial:
             h = norm_square_poly(done, n) ** power * h
         h = ck_extend(params, done, o[m - 1], label.epsilon[m - 1], h)
     return h
+
+
+def dunkl_laplacian(params: ParameterSet, A) -> LinearOperator:
+    """The sum of T_i o T_i over A as a composite of the Dunkl operators.
+
+    The oracle for the closed-form T_i^2 rule of laplace, which the tower
+    and ck_extend use.
+    """
+    ops = DunklOperators(params)
+    return LinearOperator.composite([(1, (ops.dunkl[i], ops.dunkl[i])) for i in A], "sum T_i T_i")
 
 
 def test_ck_extend_constant_even():
@@ -163,7 +174,7 @@ def test_dimension_against_kernel_rank():
 
 
 def test_tower_elements_harmonic_and_parity():
-    lap = laplace(DunklOperators(P3), (1, 2, 3))
+    lap = dunkl_laplacian(P3, (1, 2, 3))
     for k in range(5):
         for el in build_basis_tower(P3, k):
             assert lap(el.poly).is_zero
@@ -259,8 +270,7 @@ def test_lift_matches_the_monomial_product_reference(n, data):
     mu = data.draw(st.lists(lift_mu, min_size=n, max_size=n), label="mu")
     order = tuple(data.draw(st.permutations(range(1, n + 1)), label="order"))
     params = ParameterSet(n, tuple(mu))
-    ops = DunklOperators(params)
-    laps = [None] + [laplace(ops, order[:m]) for m in range(1, n)]
+    laps = [None] + [dunkl_laplacian(params, order[:m]) for m in range(1, n)]
 
     def lift(m, parity, p):
         """Lift p, supported on order[:m], into order[m]; both ways must agree."""
@@ -313,8 +323,7 @@ def test_tower_is_the_reference_chain_in_reduced_fractions(n, data):
     mu = data.draw(st.lists(lift_mu, min_size=n, max_size=n), label="mu")
     order = tuple(data.draw(st.permutations(range(1, n + 1)), label="order"))
     params = ParameterSet(n, tuple(mu))
-    ops = DunklOperators(params)
-    laps = [None] + [laplace(ops, order[:m]) for m in range(1, n)]
+    laps = [None] + [dunkl_laplacian(params, order[:m]) for m in range(1, n)]
 
     for k in range({3: 7, 4: 6, 5: 4}[n]):
         tower = build_basis_tower(params, k, order)
@@ -335,35 +344,76 @@ def test_tower_is_the_reference_chain_in_reduced_fractions(n, data):
 @settings(max_examples=25, deadline=None)
 @given(st.integers(2, 5), st.data())
 def test_integer_laplacian_is_den_times_the_composite_laplacian(n, data):
-    # the tower's Laplacian is the closed-form integer T_i^2 rule over den;
-    # the Fraction composite of the verify suites is its oracle
+    # laplace is the closed-form integer T_i^2 rule over den; the test-local
+    # composite of T_i o T_i is its oracle
     mu = data.draw(st.lists(lift_mu, min_size=n, max_size=n), label="mu")
     subset = data.draw(
         st.lists(st.integers(1, n), min_size=1, max_size=n, unique=True), label="subset"
     )
     params = ParameterSet(n, tuple(mu))
-    lap = harmonics._integer_laplacian(params, subset)
-    composite = laplace(DunklOperators(params), subset)
+    lap = laplace(DunklOperators(params), subset)
+    composite = dunkl_laplacian(params, subset)
     for k in range(7):
         for exps in monomial_basis(n, k):
             expected = composite(Polynomial.monomial(n, exps)).terms
-            got = lap({exps: 1})
+            got = lap.apply({exps: 1})
             assert all(type(x) is int for x in got.values())
             assert got == {e: c * lap.den for e, c in expected.items()}
+            assert lap(Polynomial.monomial(n, exps)).terms == expected
 
 
 def test_lift_divides_out_its_content():
     # the tower keeps each intermediate as integers over one denominator;
     # _lift returns them in lowest terms so that they do not grow per step
-    lap = harmonics._integer_laplacian(P3, (1, 2))
     inputs = (({(2, 0, 0): 4, (0, 2, 0): -6}, 6), ({(1, 1, 0): 10}, 1), ({(0, 0, 0): 3}, 9))
-    for terms, den in inputs:
-        p = Polynomial(3, {exps: Fraction(x, den) for exps, x in terms.items()})
-        for parity in (0, 1):
-            out, out_den = harmonics._lift(P3, lap, 3, parity, terms, den)
-            assert out_den > 0 and gcd(out_den, *out.values()) == 1
-            lifted = Polynomial(3, {exps: Fraction(x, out_den) for exps, x in out.items()})
-            assert lifted == ck_extend(P3, (1, 2), 3, parity, p)
+    for params in (P3, ParameterSet.make([10**6, "1/9", "1/4"])):
+        lap = laplace(DunklOperators(params), (1, 2))
+        oracle = dunkl_laplacian(params, (1, 2))
+        for terms, den in inputs:
+            p = Polynomial(3, {exps: Fraction(x, den) for exps, x in terms.items()})
+            for parity in (0, 1):
+                out, out_den = harmonics._lift(params, lap, 3, parity, terms, den)
+                assert out_den > 0 and gcd(out_den, *out.values()) == 1
+                lifted = Polynomial(3, {exps: Fraction(x, out_den) for exps, x in out.items()})
+                assert lifted == reference_lift(params, oracle, 3, parity, p)
+                assert lifted == ck_extend(params, (1, 2), 3, parity, p)
+
+
+def swapped_laplace(ops, A):
+    """laplace with the odd and even factors of each T_i^2 coefficient swapped."""
+    subset = tuple(sorted(set(A)))
+    two_mu = [(i - 1, 2 * ops.params.mu_of(i)) for i in subset]
+    den = lcm(*(t.denominator for _, t in two_mu))
+
+    def rule(exps):
+        image = {}
+        for pos, t in two_mu:
+            e = exps[pos]
+            if e >= 2:
+                odd, even = (e, e - 1) if e % 2 else (e - 1, e)
+                b = t.denominator
+                coeff = (even * b + t.numerator) * odd * (den // b)
+                image[exps[:pos] + (e - 2,) + exps[pos + 1:]] = coeff
+        return image
+
+    return LinearOperator(rule, "swapped", -2, den)
+
+
+def test_verify_tower_catches_a_wrong_laplacian_rule(monkeypatch):
+    # the tower lifts with laplace's closed-form rule; verify ck checks
+    # harmonicity through T_i(T_i(h)), so a wrong rule is caught, with a witness
+    assert verify_tower(P3, 3).ok
+    monkeypatch.setattr(harmonics, "laplace", swapped_laplace)
+    report = verify_tower(P3, 3)
+    failures = [r for r in report.failures if r.relation == "tower-element-harmonic"]
+    assert [r.degree for r in failures] == [2, 3]
+    # the witness is the first nonzero sum of T_i T_i over the broken tower
+    lap = dunkl_laplacian(P3, (1, 2, 3))
+    for r in failures:
+        images = [lap(el.poly) for el in build_basis_tower(P3, r.degree)]
+        assert r.first_discrepancy == next(q for q in images if not q.is_zero).to_text()
+    extensions = verify_extension_restrictions(P3, 3)
+    assert "extension-harmonic" in {r.relation for r in extensions.failures}
 
 
 def test_tower_linear_independence():

@@ -1,14 +1,17 @@
 """Operator builders against their textbook definitions, at drawn mu.
 
-The primitive builders are monomial rules, and the composites are product
-sums over them; each operator keeps its images and matrices.  The
-oracles below are written with Polynomial methods only (derivative,
-reflection, coordinate division, products), so they share no code with
-the rules.  Also checked: kept images never leak into or out of a call,
-and permuting the variables together with mu permutes every operator.
+The primitive builders are monomial rules with integer images over one
+denominator, and the composites are product sums over them; each
+operator keeps its matrices and the images it applies.  The oracles
+below are written with Polynomial methods only (derivative, reflection,
+coordinate division, products), so they share no code with the rules.
+Also checked: kept images never leak into or out of a call, every matrix
+is the one read from the oracles' Fraction images, and permuting the
+variables together with mu permutes every operator.
 """
 
 from fractions import Fraction
+from math import lcm
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,7 +23,6 @@ from racah_dunkl import (
     angular,
     casimir,
     dunkl,
-    euler,
     laplace,
     materialize_on_monomials,
     monomial_basis,
@@ -115,7 +117,6 @@ def builders_with_oracles(params, A, i, j):
         (casimir(ops, A), lambda p: casimir_oracle(params, A, p)),
         (angular(ops, i, j), lambda p: angular_oracle(params, i, j, p)),
         (norm_square_mul(A, n), lambda p: norm_square_poly(A, n) * p),
-        (euler(A, n), lambda p: euler_oracle(A, p)),
     ]
     return pairs + list(zip(su11_triple(ops, A), su11_oracles(params, A)))
 
@@ -171,6 +172,33 @@ def test_matrix_columns_are_monomial_images(case, k):
             assert column == image == oracle(Polynomial.monomial(n, exps)), op.descriptor
         # materializing keeps the images intact for later calls
         assert [op(Polynomial.monomial(n, e)) for e in basis] == images
+
+
+def reference_matrix(oracle, n, k, shift):
+    """(den, sparse rows) of the oracle's Fraction images on degree k, over their lcm."""
+    targets = {exps: row for row, exps in enumerate(monomial_basis(n, k + shift))}
+    images = [oracle(Polynomial.monomial(n, exps)).terms for exps in monomial_basis(n, k)]
+    den = lcm(1, *(c.denominator for image in images for c in image.values()))
+    rows = [{} for _ in targets]
+    for col, image in enumerate(images):
+        for exps, c in image.items():
+            rows[targets[exps]][col] = c.numerator * (den // c.denominator)
+    return den, rows
+
+
+@settings(max_examples=20, deadline=None)
+@given(cases())
+def test_matrices_are_the_oracle_images_over_their_lcm(case):
+    # a primitive's integer images over its den, normalized, and a composite's
+    # product sum are stored exactly as the Fraction images of the textbook
+    # oracles, put over the lcm of their denominators
+    params, _, _, A, i, j = case
+    n = params.n
+    for op, oracle in builders_with_oracles(params, A, i, j):
+        for k in range(5):
+            matrix = materialize_on_monomials(op, n, k)
+            den, rows = reference_matrix(oracle, n, k, op.shift)
+            assert (matrix.den, matrix.sparse_rows) == (den, rows), (op.descriptor, k)
 
 
 def permute(sigma, p):

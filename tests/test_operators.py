@@ -18,7 +18,6 @@ from racah_dunkl import (
     angular,
     casimir,
     dunkl,
-    euler,
     gamma,
     laplace,
     materialize,
@@ -27,7 +26,7 @@ from racah_dunkl import (
     norm_square_mul,
     su11_triple,
 )
-from racah_dunkl import cli, operators
+from racah_dunkl import cli, operators, relations
 from racah_dunkl.linalg import product_sum
 
 PARAMS = ParameterSet.make(["1/2", "1/3", "1/4"])
@@ -83,11 +82,6 @@ def test_norm_square_and_euler():
     assert norm_square_mul((1,), 2)(Polynomial.variable(2, 1)) == P(2, "1 * x1^3")
     twice = nrm(nrm(Polynomial.one(2)))
     assert twice == P(2, "1 * x1^2 + 1 * x2^2") * P(2, "1 * x1^2 + 1 * x2^2")
-
-    e12 = euler((1, 2), 3)
-    assert e12(P(3, "1 * x1 x2^2")) == P(3, "3 * x1 x2^2")
-    assert euler((2,), 3)(P(3, "1 * x1^3")).is_zero
-    assert e12(Polynomial.one(3)).is_zero
 
 
 def test_gamma_examples():
@@ -210,7 +204,7 @@ def test_subset_additivity_on_triple():
 
 
 def test_materialize_identity():
-    identity = LinearOperator(lambda exps: {exps: Fraction(1)}, "1")
+    identity = LinearOperator(lambda exps: {exps: 1}, "1")
     assert materialize_on_monomials(identity, 2, 2) == RationalMatrix.identity(3)
     basis = [P(2, "1 * x1^2 + 1 * x2^2"), P(2, "1 * x1 x2")]
     assert materialize(identity, 2, basis) == RationalMatrix.identity(2)
@@ -247,7 +241,7 @@ def test_materialize_below_degree_zero_is_empty():
 
 def test_primitive_image_leaving_its_declared_degree_raises():
     # x1 raises the degree by one but is declared degree preserving
-    x1 = LinearOperator(lambda exps: {(exps[0] + 1,) + exps[1:]: Fraction(1)}, "x1")
+    x1 = LinearOperator(lambda exps: {(exps[0] + 1,) + exps[1:]: 1}, "x1")
     with pytest.raises(ImageEscapesSpan, match="x1 maps homogeneous degree 2 to degree 3,"
                        " not to its declared degree 2"):
         materialize_on_monomials(x1, 3, 2)
@@ -260,32 +254,50 @@ def test_materialize_on_basis_and_escape():
     basis = [el.poly for el in build_basis_tower(PARAMS, 3)]
     assert materialize(c12, 3, basis).shape == (len(basis), len(basis))
     # multiplication by x1 leaves the harmonic span
-    x1 = LinearOperator(lambda exps: {(exps[0] + 1,) + exps[1:]: Fraction(1)}, "x1")
+    x1 = LinearOperator(lambda exps: {(exps[0] + 1,) + exps[1:]: 1}, "x1")
     with pytest.raises(ImageEscapesSpan):
         materialize(x1, 3, basis)
 
 
-@pytest.mark.parametrize("command, evaluations", [
-    # T_1..T_5 on every monomial of degrees 0..4 in five variables: 5 * 126
-    ("verify lemma1 --n 5 --kmax 4", 630),
-    # J- reaches degree 6: T_1..T_4 on every monomial of degrees 0..6, 4 * 210
-    ("verify su11 --n 4 --kmax 4", 840),
+@pytest.mark.parametrize("command, laplacian_images, dunkl_images", [
+    # Lap_A of all 31 subsets on every monomial of degrees 0..4 in five
+    # variables, 31 * 126; the commutator's full Laplacian is C_{12345}'s
+    ("verify lemma1 --n 5 --kmax 4", 3906, 0),
+    # J- reaches degree 6: Lap_A of all 15 subsets on degrees 0..6, 15 * 210
+    ("verify su11 --n 4 --kmax 4", 3150, 0),
+    # every C_A on degrees 0..2, 15 * 15; T_1..T_4 through L_ij, 4 * 15
+    ("verify racah --n 4 --kmax 2", 225, 60),
 ])
-def test_a_sweep_evaluates_each_dunkl_image_once(monkeypatch, command, evaluations):
-    # every subset's invariant, Laplacian and J- share the sweep's T_i
-    evaluated = []
-    real = operators.dunkl
+def test_a_sweep_evaluates_each_dunkl_image_once(
+    monkeypatch, command, laplacian_images, dunkl_images
+):
+    # every subset's invariant, Laplacian and J- share the sweep's Lap_A and
+    # T_i: no image of either is evaluated twice
+    laplacian, dunkl_evaluated = [], []
+    real_dunkl, real_laplace = operators.dunkl, operators.laplace
+    counted = set()
 
-    def counting(params, i):
-        op = real(params, i)
+    def counting_dunkl(params, i):
+        op = real_dunkl(params, i)
         rule = op.rule
-        op.rule = lambda exps: evaluated.append((i, exps)) or rule(exps)
+        op.rule = lambda exps: dunkl_evaluated.append((i, exps)) or rule(exps)
         return op
 
-    monkeypatch.setattr(operators, "dunkl", counting)
+    def counting_laplace(ops, A):
+        op = real_laplace(ops, A)
+        if op not in counted:
+            counted.add(op)
+            rule, name = op.rule, op.descriptor
+            op.rule = lambda exps: laplacian.append((name, exps)) or rule(exps)
+        return op
+
+    monkeypatch.setattr(operators, "dunkl", counting_dunkl)
+    monkeypatch.setattr(operators, "laplace", counting_laplace)
+    monkeypatch.setattr(relations, "laplace", counting_laplace)
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(command.split()) == 0
-    assert len(evaluated) == len(set(evaluated)) == evaluations
+    assert len(laplacian) == len(set(laplacian)) == laplacian_images
+    assert len(dunkl_evaluated) == len(set(dunkl_evaluated)) == dunkl_images
 
 
 def test_operators_module_keeps_no_store():

@@ -190,6 +190,29 @@ def test_parameter_set_validation():
     assert ParameterSet.make([1, Fraction(1, 3), "2/7"]).mu == (1, Fraction(1, 3), Fraction(2, 7))
 
 
+def test_polynomial_refuses_inexact_coefficients():
+    # 0.1 would be stored as 3602879701896397/36028797018963968: refuse it as mu is
+    message = "is a float; pass an int, a Fraction or a 'p/q' string"
+    one = Polynomial.one(2)
+    for build in (
+        lambda: Polynomial(2, {(1, 0): 0.1}),
+        lambda: Polynomial.monomial(2, (1, 0), 0.1),
+        lambda: Polynomial.constant(2, 0.5),
+        lambda: one.scale(0.3),
+        lambda: one * 0.3,
+        lambda: 0.3 * one,
+        lambda: one.evaluate([0.5, 1]),
+    ):
+        with pytest.raises(ValueError, match=message):
+            build()
+    with pytest.raises(ValueError, match="is a complex"):
+        Polynomial.constant(2, 1j)
+    exact = Polynomial(2, {(1, 0): 1, (0, 1): Fraction(1, 3), (0, 0): "2/7"})
+    assert exact.terms == {(1, 0): 1, (0, 1): Fraction(1, 3), (0, 0): Fraction(2, 7)}
+    assert Polynomial.monomial(2, (1, 0), "1/10") == exact.scale(0) + P(2, "1/10 * x1")
+    assert one.scale("1/3") == Polynomial.constant(2, Fraction(1, 3))
+
+
 def test_parameter_set_default_distinct():
     ps = ParameterSet.default(4)
     assert ps.mu == (Fraction(1, 2), Fraction(1, 3), Fraction(1, 4), Fraction(1, 5))

@@ -176,7 +176,9 @@ def test_su11_witness_is_first_nonzero_monomial_image(monkeypatch):
 
     def doubled_lowering(ops, A):
         a0, jp, jm = triple(ops, A)
-        doubled = LinearOperator(lambda e: {m: 2 * c for m, c in jm._image(e).items()}, "2J-", -2)
+        doubled = LinearOperator(
+            lambda e: {m: 2 * c for m, c in jm.apply({e: 1}).items()}, "2J-", -2, jm.den
+        )
         return a0, jp, doubled
 
     monkeypatch.setattr(relations, "su11_triple", doubled_lowering)
