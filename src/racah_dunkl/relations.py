@@ -2,30 +2,40 @@
 
 Every check here materializes the operators of an identity on the
 monomial bases of homogeneous degrees and forms the exact difference of
-its two sides on degree k.  An operator that changes the degree (J+, J-
-and the full Laplacian) is a rectangular matrix from the degree-k
-monomials to those of degree k + 2 or k - 2, so such a difference maps
-degree k to the degree its terms land in.  Each relation family is a
-generator of (relation, index tuple, discrepancy) triples, the
-discrepancy written as one signed sum of products of generator matrices;
-``linalg.product_sum`` evaluates each sum once, over one denominator and
-without reduction.  One loop turns each discrepancy into a witness, the
-first nonzero column as a polynomial on the discrepancy's target degree,
-and records it.  A check fails exactly when it has a witness.
+its two sides.  Each relation family is a generator of (relation, index
+tuple, discrepancy) triples, the discrepancy written as one signed sum of
+products of generator matrices; ``linalg.product_sum`` evaluates each sum
+once, over one denominator and without reduction.  A check fails exactly
+when it has a witness: the first nonzero column of its discrepancy, as a
+polynomial on the degree the discrepancy maps to, each entry reduced on
+its own.
 
-The generator matrices of one degree (pair invariants, P_ij, L_ij, L_ij^2,
-F_ijm and the diagonal factors) are built once in a RelationWorkspace,
-since the same generators appear in many instantiated relations.
+The invariants, P_ij, F_ijm and L_ij all preserve the degree, so an
+identity among them holds on the direct sum of degrees 0..kmax exactly
+when it holds on each degree.  A DegreeSum holds that direct sum: each
+generator is one block-diagonal matrix, its block k the generator's
+matrix on the degree-k monomials, and each discrepancy is summed once
+over all degrees.  One witness routine reads the first nonzero column
+inside each diagonal block, so the report still holds one check per
+degree, in degree-major order.  J+, J- and the full Laplacian change the
+degree; their identities are checked degree by degree on rectangular
+matrices, and their witnesses come from the same routine with a single
+block.  A RelationWorkspace is the DegreeSum of the racah sweep with its
+generators (pair invariants, P_ij, L_ij, L_ij^2, F_ijm and the diagonal
+factors) built once, since the same generators appear in many
+instantiated relations.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import accumulate, chain, combinations, permutations
+from math import lcm
 
 from .linalg import RationalMatrix, Term, product_sum
 from .operators import (
     DunklOperators,
+    LinearOperator,
     angular,
     casimir,
     laplace,
@@ -59,15 +69,118 @@ def _pair_invariants(ops: DunklOperators, k: int) -> dict[frozenset, RationalMat
     }
 
 
-class RelationWorkspace:
-    """Exact matrices of the algebra generators on one degree, built once."""
+def _witnesses(n: int, blocks, diff: RationalMatrix) -> list[str | None]:
+    """Per diagonal block of a discrepancy, its first nonzero column as a polynomial.
 
-    def __init__(self, ops: DunklOperators, k: int):
-        self.ops = ops
-        self.k = k
-        self.n = ops.n
-        self.basis = monomial_basis(self.n, k)
+    ``blocks`` gives each block's first row and the monomial basis of its
+    rows.  A block-diagonal discrepancy has no entry outside its blocks, so
+    the first nonzero column met in a block's rows lies inside the block.
+    Each entry is reduced on its own, so a discrepancy that is not in
+    lowest terms gives the same text as its normalized form.
+    """
+    rows = diff.sparse_rows
+    if not any(rows):
+        return [None] * len(blocks)
+    out = []
+    for start, basis in blocks:
+        block = rows[start:start + len(basis)]
+        col = min((min(row) for row in block if row), default=None)
+        if col is None:
+            out.append(None)
+            continue
+        terms = {
+            basis[i]: Fraction(row[col], diff.den) for i, row in enumerate(block) if col in row
+        }
+        out.append(Polynomial(n, terms).to_text())
+    return out
+
+
+def _matrix_witness(n: int, basis, diff: RationalMatrix) -> str | None:
+    """First nonzero column of a discrepancy matrix on one basis, as a polynomial."""
+    return _witnesses(n, [(0, basis)], diff)[0]
+
+
+def _summed(discrepancies):
+    """Each (relation, index tuple, term list) with its terms summed once."""
+    for relation, idx, terms in discrepancies:
+        yield relation, idx, product_sum(terms)
+
+
+def _record(report: Report, k: int, n: int, basis, discrepancies) -> None:
+    """Record each (relation, index tuple, discrepancy matrix) on degree k."""
+    for relation, idx, diff in discrepancies:
+        report.add(relation, idx, k, _matrix_witness(n, basis, diff))
+
+
+class DegreeSum:
+    """The monomials of degrees 0..kmax in n variables, as one direct sum.
+
+    ``basis`` lists the degree-0 monomials, then the degree-1 ones, and so
+    on; block k starts at ``starts[k]``.  A kmax below 0 gives no degree.
+    """
+
+    def __init__(self, n: int, kmax: int):
+        self.n = n
+        self.degrees = range(max(kmax + 1, 0))
+        self.bases = [monomial_basis(n, k) for k in self.degrees]
+        self.starts = list(accumulate((len(b) for b in self.bases), initial=0))
+        self.basis = [exps for b in self.bases for exps in b]
         self.dim = len(self.basis)
+
+    def direct_sum(self, blocks: list[RationalMatrix]) -> RationalMatrix:
+        """The block-diagonal matrix whose block k is blocks[k], over the lcm of their dens."""
+        den = lcm(1, *(b.den for b in blocks))
+        rows: list[dict[int, int]] = []
+        for start, block in zip(self.starts, blocks):
+            scale = den // block.den
+            for row in block.sparse_rows:
+                rows.append({start + j: scale * x for j, x in row.items()})
+        return RationalMatrix.from_sparse(rows, den, self.dim)
+
+    def materialize(self, op: LinearOperator) -> RationalMatrix:
+        """A degree-preserving operator on the direct sum."""
+        return self.direct_sum([materialize_on_monomials(op, self.n, k) for k in self.degrees])
+
+    def report(self, checks) -> Report:
+        """Each (relation, index tuple, term list) summed once, recorded once per degree.
+
+        The report is degree-major: all checks on degree 0, then on degree
+        1, and so on, each degree in the order of ``checks``.
+        """
+        blocks = list(zip(self.starts, self.bases))
+        witnessed = [
+            (relation, idx, _witnesses(self.n, blocks, diff))
+            for relation, idx, diff in _summed(checks)
+        ]
+        report = Report()
+        for k in self.degrees:
+            for relation, idx, witnesses in witnessed:
+                report.add(relation, idx, k, witnesses[k])
+        return report
+
+
+def _pair_invariant_sum(ops: DunklOperators, space: DegreeSum) -> dict[frozenset, RationalMatrix]:
+    """The C_ij on the direct sum, each block read from _pair_invariants."""
+    per_degree = [_pair_invariants(ops, k) for k in space.degrees]
+    return {
+        key: space.direct_sum([c_pair[key] for c_pair in per_degree])
+        for key in map(frozenset, combinations(range(1, ops.n + 1), 2))
+    }
+
+
+class RelationWorkspace(DegreeSum):
+    """Exact matrices of the algebra generators on degrees 0..kmax, built once.
+
+    Each generator is one block-diagonal matrix on the direct sum: its
+    block k is the generator on the degree-k monomials.  The pair
+    invariants are assembled from ``_pair_invariants`` degree by degree,
+    the other operators from their kept per-degree matrices, and the
+    diagonal factors are read off the direct sum's monomials directly.
+    """
+
+    def __init__(self, ops: DunklOperators, kmax: int):
+        super().__init__(ops.n, kmax)
+        self.ops = ops
 
         n = self.n
         self.reflect_sign = {
@@ -86,7 +199,7 @@ class RelationWorkspace:
             self.c1_mat[i] = RationalMatrix.diagonal([even if s == 1 else odd for s in signs])
             self.refl_mat[i] = RationalMatrix.diagonal([1 + 2 * mu * s for s in signs])
 
-        self.c_pair = _pair_invariants(ops, k)
+        self.c_pair = _pair_invariant_sum(ops, self)
         self.p_mat: dict[frozenset, RationalMatrix] = {}
         self.l_mat: dict[tuple[int, int], RationalMatrix] = {}
         self.l2_mat: dict[frozenset, RationalMatrix] = {}
@@ -97,7 +210,7 @@ class RelationWorkspace:
             self.p_mat[key] = product_sum(
                 [(1, (self.c_pair[key],)), (-1, (self.c1_mat[i],)), (-1, (self.c1_mat[j],))]
             ).normalized()
-            lij = materialize_on_monomials(angular(ops, i, j), n, k)
+            lij = self.materialize(angular(ops, i, j))
             self.l_mat[(i, j)] = lij
             self.l_mat[(j, i)] = -lij
             self.l2_mat[key] = lij * lij
@@ -131,35 +244,6 @@ class RelationWorkspace:
 def _commutator(a: RationalMatrix, b: RationalMatrix, c=1) -> list[Term]:
     """The terms of c [a, b]."""
     return [(c, (a, b)), (-c, (b, a))]
-
-
-def _matrix_witness(n: int, basis, diff: RationalMatrix) -> str | None:
-    """First nonzero column of a discrepancy matrix, as a polynomial.
-
-    Each entry is reduced on its own, so a discrepancy that is not in
-    lowest terms gives the same text as its normalized form.
-    """
-    col = diff.first_nonzero_column()
-    if col is None:
-        return None
-    terms = {
-        basis[i]: Fraction(row[col], diff.den)
-        for i, row in enumerate(diff.sparse_rows)
-        if col in row
-    }
-    return Polynomial(n, terms).to_text()
-
-
-def _summed(discrepancies):
-    """Each (relation, index tuple, term list) with its terms summed once."""
-    for relation, idx, terms in discrepancies:
-        yield relation, idx, product_sum(terms)
-
-
-def _record(report: Report, k: int, n: int, basis, discrepancies) -> None:
-    """Record each (relation, index tuple, discrepancy matrix) on degree k."""
-    for relation, idx, diff in discrepancies:
-        report.add(relation, idx, k, _matrix_witness(n, basis, diff))
 
 
 def verify_su11(params: ParameterSet, kmax: int) -> Report:
@@ -211,34 +295,31 @@ def verify_racah_relations(params: ParameterSet, kmax: int) -> Report:
     together with the closed forms of the one- and two-index invariants,
     the subset additivity of the invariants, and the commutativity pattern
     of the two-index invariants.  A family whose index tuples need more
-    coordinates than n has no instances and records nothing.
+    coordinates than n has no instances and records nothing.  Each check
+    is summed once on the direct sum of degrees 0..kmax and recorded once
+    per degree; a kmax below 0 checks nothing.
     """
     n = params.n
     if n < 3:
         raise ValueError("the relation sweep needs at least three coordinates")
-    ops = DunklOperators(params)
-    report = Report()
-    for k in range(kmax + 1):
-        ws = RelationWorkspace(ops, k)
-        for family in (
-            _single_invariant_form,
-            _pair_invariant_form,
-            _subset_additivity,
-            _f_from_angular,
-            _triple_relation,
-            _quad_pf_relation,
-            _quad_ff_relation,
-            _quint_ff_relation,
-        ):
-            _record(report, k, n, ws.basis, _summed(family(ws)))
-        _record(report, k, n, ws.basis, _summed(_drinfeld_kohno(n, ws.c_pair)))
-    return report
+    ws = RelationWorkspace(DunklOperators(params), kmax)
+    families = (
+        _single_invariant_form,
+        _pair_invariant_form,
+        _subset_additivity,
+        _f_from_angular,
+        _triple_relation,
+        _quad_pf_relation,
+        _quad_ff_relation,
+        _quint_ff_relation,
+    )
+    return ws.report(chain(*(family(ws) for family in families), _drinfeld_kohno(n, ws.c_pair)))
 
 
 def _single_invariant_form(ws: RelationWorkspace):
     # generic quadratic invariant of one index vs its reflection closed form
     for i in range(1, ws.n + 1):
-        ci = materialize_on_monomials(casimir(ws.ops, (i,)), ws.n, ws.k)
+        ci = ws.materialize(casimir(ws.ops, (i,)))
         yield "single-invariant-closed-form", (i,), [(1, (ci,)), (-1, (ws.c1(i),))]
 
 
@@ -261,7 +342,7 @@ def _subset_additivity(ws: RelationWorkspace):
     # C_A = sum of pair invariants minus (|A| - 2) * sum of single invariants
     for size in range(3, ws.n + 1):
         for A in combinations(range(1, ws.n + 1), size):
-            ca = materialize_on_monomials(casimir(ws.ops, A), ws.n, ws.k)
+            ca = ws.materialize(casimir(ws.ops, A))
             terms = [(1, (ca,))]
             terms += [(-1, (ws.cp(i, j),)) for i, j in combinations(A, 2)]
             terms += [(size - 2, (ws.c1(i),)) for i in A]
@@ -352,12 +433,9 @@ def _drinfeld_kohno(n: int, c_pair: dict[frozenset, RationalMatrix]):
 def verify_drinfeld_kohno(params: ParameterSet, kmax: int) -> Report:
     """Commutativity pattern of the two-index invariants, as a standalone sweep."""
     n = params.n
-    ops = DunklOperators(params)
-    report = Report()
-    for k in range(kmax + 1):
-        c_pair = _pair_invariants(ops, k)
-        _record(report, k, n, monomial_basis(n, k), _summed(_drinfeld_kohno(n, c_pair)))
-    return report
+    space = DegreeSum(n, kmax)
+    c_pair = _pair_invariant_sum(DunklOperators(params), space)
+    return space.report(_drinfeld_kohno(n, c_pair))
 
 
 def verify_casimir_laplacian_commute(params: ParameterSet, kmax: int) -> Report:
@@ -392,14 +470,9 @@ def verify_nested_disjoint_commute(params: ParameterSet, kmax: int) -> Report:
     """[C_A, C_B] = 0 whenever A and B are nested or disjoint."""
     n = params.n
     ops = DunklOperators(params)
-    invariants = {A: casimir(ops, A) for A in nonempty_subsets(n)}
-    report = Report()
-    for k in range(kmax + 1):
-        mats = {A: materialize_on_monomials(c, n, k) for A, c in invariants.items()}
-        _record(
-            report, k, n, monomial_basis(n, k), _summed(_nested_disjoint_commutators(mats))
-        )
-    return report
+    space = DegreeSum(n, kmax)
+    mats = {A: space.materialize(casimir(ops, A)) for A in nonempty_subsets(n)}
+    return space.report(_nested_disjoint_commutators(mats))
 
 
 def _nested_disjoint_commutators(mats: dict[tuple[int, ...], RationalMatrix]):
@@ -438,16 +511,12 @@ def verify_embedding(
         raise ValueError("blocks K, L, M must be pairwise disjoint")
 
     ops = DunklOperators(params)
-    report = Report()
-    for k in range(kmax + 1):
+    space = DegreeSum(n, kmax)
 
-        def mat(subset: tuple[int, ...]) -> RationalMatrix:
-            return materialize_on_monomials(casimir(ops, subset), n, k)
+    def mat(subset: tuple[int, ...]) -> RationalMatrix:
+        return space.materialize(casimir(ops, subset))
 
-        _record(
-            report, k, n, monomial_basis(n, k), _summed(_embedding_relations((K, L, M), mat))
-        )
-    return report
+    return space.report(_embedding_relations((K, L, M), mat))
 
 
 def _embedding_relations(blocks, mat):

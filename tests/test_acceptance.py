@@ -23,6 +23,7 @@ from racah_dunkl import (
     module_dimension,
     module_tridiagonal_data,
     neighbors,
+    parity_blocks,
     path,
     racah_parameters,
     racah_recurrence_polys,
@@ -37,7 +38,6 @@ from racah_dunkl import (
     verify_su11,
     verify_tower,
 )
-from racah_dunkl.connection import module_basis
 
 
 def _passed(num: int, text: str) -> None:
@@ -120,46 +120,39 @@ def test_criterion_07_spectral_action():
 
 def test_criterion_08_tridiagonal_data():
     params = ParameterSet.make(["1/2", "1/3", "1/4"])
+    c23 = casimir(DunklOperators(params), (2, 3))
     modules = 0
-    for e1 in (0, 1):
-        for e2 in (0, 1):
-            for e3 in (0, 1):
-                eps = (e1, e2, e3)
-                for d3 in range(sum(eps), 9, 2):
-                    if module_dimension(eps, d3) == 0:
-                        continue
-                    basis = module_basis(params, eps, d3)
-                    expected = {eps: module_tridiagonal_data(params, eps, d3)}
-                    c23 = casimir(DunklOperators(params), (2, 3))
-                    data = tridiagonal_check(params, c23, basis, expected)
-                    _require(data.report, 8)
-                    modules += 1
+    for d3 in range(9):
+        tower = build_basis_tower(params, d3)
+        for eps, idx in parity_blocks(tower).items():
+            assert len(idx) == module_dimension(eps, d3)
+            basis = [tower[p] for p in idx]
+            expected = {eps: module_tridiagonal_data(params, eps, d3)}
+            data = tridiagonal_check(params, c23, basis, expected)
+            _require(data.report, 8)
+            modules += 1
     assert modules == 32
     _passed(8, f"second-pair invariant tridiagonal with exact B_k and U_k^2 on {modules} modules (all parities, degree <= 8)")
 
 
 def test_criterion_09_recurrence_annihilates_spectrum():
     params = ParameterSet.make(["1/2", "1/3", "1/4"])
+    pair_op = casimir(DunklOperators(params), (2, 3))
     checked = 0
-    for e1 in (0, 1):
-        for e2 in (0, 1):
-            for e3 in (0, 1):
-                eps = (e1, e2, e3)
-                for d3 in range(sum(eps), 9, 2):
-                    m = module_dimension(eps, d3)
-                    if m == 0:
-                        continue
-                    sd = spectral_data(params, eps, d3)
-                    rp = racah_parameters(params, eps, d3)
-                    top = racah_recurrence_polys(rp, sd, m)[m]
-                    psi = module_basis(params, eps, d3, order=(2, 3, 1))
-                    pair_op = casimir(DunklOperators(params), (2, 3))
-                    for el in psi:
-                        mu_s = casimir_eigenvalue(params, el.label, 2)
-                        # mu_s really is a realized eigenvalue of the operator
-                        assert pair_op(el.poly) == el.poly.scale(mu_s)
-                        assert top.evaluate([mu_s + rp.tau]) == 0
-                        checked += 1
+    for d3 in range(9):
+        tower = build_basis_tower(params, d3, order=(2, 3, 1))
+        for eps, idx in parity_blocks(tower).items():
+            m = module_dimension(eps, d3)
+            assert len(idx) == m
+            sd = spectral_data(params, eps, d3)
+            rp = racah_parameters(params, eps, d3)
+            top = racah_recurrence_polys(rp, sd, m)[m]
+            for el in (tower[p] for p in idx):
+                mu_s = casimir_eigenvalue(params, el.label, 2)
+                # mu_s really is a realized eigenvalue of the operator
+                assert pair_op(el.poly) == el.poly.scale(mu_s)
+                assert top.evaluate([mu_s + rp.tau]) == 0
+                checked += 1
     _passed(9, f"top recurrence polynomial annihilates the shifted spectrum at {checked} eigenvalues")
 
 

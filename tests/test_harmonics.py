@@ -30,6 +30,7 @@ from racah_dunkl import (
     module_basis,
     monomial_basis,
     norm_square_poly,
+    parity_blocks,
     verify_extension_restrictions,
     verify_power_action,
     verify_power_action_sweep,
@@ -209,21 +210,30 @@ mu_values = st.one_of(
 @given(st.lists(mu_values, min_size=3, max_size=3))
 def test_module_basis_equals_per_label_realization_at_any_mu(mu):
     # a module holds the labels (l1, top - l1) in ascending l1
+    # each (d3, order) tower is built once and its modules read by parity_blocks
     params = ParameterSet(3, tuple(mu))
     for order in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
         for d3 in range(9):
+            tower = build_basis_tower(params, d3, order)
+            blocks = parity_blocks(tower)
             for epsilon in itertools.product((0, 1), repeat=3):
                 rem = d3 - sum(epsilon)
                 if rem < 0 or rem % 2:
-                    with pytest.raises(ValueError):
-                        module_basis(params, epsilon, d3, order)
+                    assert epsilon not in blocks
                     continue
                 eps_pos = tuple(epsilon[o - 1] for o in order)
                 top = rem // 2
                 labels = [HarmonicLabel(order, eps_pos, (l1, top - l1)) for l1 in range(top + 1)]
-                basis = module_basis(params, epsilon, d3, order)
+                basis = [tower[p] for p in blocks[epsilon]]
                 assert [el.label for el in basis] == labels
                 assert [el.poly for el in basis] == [realize_label(params, l) for l in labels]
+    # module_basis reads one module of the tower and refuses an absent one
+    order, epsilon, d3 = (2, 3, 1), (1, 0, 1), 6
+    tower = build_basis_tower(params, d3, order)
+    basis = module_basis(params, epsilon, d3, order)
+    assert [el.poly for el in basis] == [tower[p].poly for p in parity_blocks(tower)[epsilon]]
+    with pytest.raises(ValueError):
+        module_basis(params, (1, 0, 0), d3, order)
 
 
 def reference_lift(

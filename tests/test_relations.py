@@ -8,14 +8,18 @@ relation family and the report plumbing.
 import hashlib
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations, permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from racah_dunkl import (
     DunklOperators,
     LinearOperator,
     ParameterSet,
     RationalMatrix,
+    angular,
     materialize_on_monomials,
     casimir,
     verify_casimir_laplacian_commute,
@@ -25,9 +29,10 @@ from racah_dunkl import (
     verify_racah_relations,
     verify_su11,
 )
-from racah_dunkl import relations
-from racah_dunkl.poly import monomial_basis
-from racah_dunkl.relations import _matrix_witness, _record
+from racah_dunkl import cli, relations
+from racah_dunkl.linalg import product_sum
+from racah_dunkl.poly import Polynomial, monomial_basis
+from racah_dunkl.relations import RelationWorkspace, _matrix_witness, _record
 from racah_dunkl.report import CheckResult, Report
 
 P3 = ParameterSet.make(["1/2", "1/3", "1/4"])
@@ -253,3 +258,175 @@ def test_one_wrong_generator_entry_at_n6_fails_exactly_its_relations(monkeypatch
     assert digest == "e3b3ad50f2484855b5b40f8f744f2e90a836cda0c5f8d8d71709ae82fab8e674"
     triple = next(r for r in failures if r.relation == "triple-relation")
     assert triple == CheckResult("triple-relation", (1, 2, 3), 2, "fail", "539/1152 * x1 x2")
+
+
+def test_empty_degree_range_checks_nothing(monkeypatch, capsys):
+    # a negative degree bound leaves no degree to check: each direct-sum
+    # sweep returns an empty report, and the command reports it as a failure
+    assert len(verify_racah_relations(P3, -1)) == 0
+    assert len(verify_drinfeld_kohno(P3, -1)) == 0
+    assert len(verify_nested_disjoint_commute(P3, -1)) == 0
+    assert len(verify_embedding(P3, (1,), (2,), (3,), -1)) == 0
+    monkeypatch.setattr(cli, "_bound", lambda args, default: -1)
+    for suite in ("racah", "drinfeld-kohno", "lemma2", "embedding"):
+        assert cli.main(["verify", suite, "--n", "3"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "[]\n"
+        assert f"no identity checked: the {suite} suite is empty" in captured.err
+
+
+class ReferenceWorkspace:
+    """The generators on the degree-k monomials alone, one workspace per degree.
+
+    It is the reference for the direct-sum RelationWorkspace: the relation
+    families run on it unchanged, and every matrix is that of one degree.
+    """
+
+    c1 = RelationWorkspace.c1
+    refl = RelationWorkspace.refl
+    cp = RelationWorkspace.cp
+    p = RelationWorkspace.p
+    l2 = RelationWorkspace.l2
+    f = RelationWorkspace.f
+
+    def __init__(self, ops: DunklOperators, k: int):
+        self.ops, self.n, self.k = ops, ops.n, k
+        self.basis = monomial_basis(self.n, k)
+        self.dim = len(self.basis)
+        n = self.n
+        self.reflect_sign = {
+            i: [1 if exps[i - 1] % 2 == 0 else -1 for exps in self.basis]
+            for i in range(1, n + 1)
+        }
+        self.c1_mat, self.refl_mat = {}, {}
+        for i in range(1, n + 1):
+            mu = ops.params.mu_of(i)
+            values = {s: (mu * mu - s * mu - Fraction(3, 4)) / 4 for s in (1, -1)}
+            signs = self.reflect_sign[i]
+            self.c1_mat[i] = RationalMatrix.diagonal([values[s] for s in signs])
+            self.refl_mat[i] = RationalMatrix.diagonal([1 + 2 * mu * s for s in signs])
+        self.c_pair = relations._pair_invariants(ops, k)
+        self.p_mat, self.l_mat, self.l2_mat, self.f_mat = {}, {}, {}, {}
+        for i, j in combinations(range(1, n + 1), 2):
+            key = frozenset((i, j))
+            self.p_mat[key] = self.c_pair[key] - self.c1_mat[i] - self.c1_mat[j]
+            lij = self.materialize(angular(ops, i, j))
+            self.l_mat[(i, j)], self.l_mat[(j, i)] = lij, -lij
+            self.l2_mat[key] = lij * lij
+        for i, j, m in permutations(range(1, n + 1), 3):
+            pij, pjm = self.p(i, j), self.p(j, m)
+            self.f_mat[(i, j, m)] = (pij * pjm - pjm * pij).scale(Fraction(1, 2))
+
+    def materialize(self, op: LinearOperator) -> RationalMatrix:
+        return materialize_on_monomials(op, self.n, self.k)
+
+
+def reference_witness(n: int, basis, diff: RationalMatrix) -> str | None:
+    """First nonzero column of a discrepancy, read from its dense Fraction entries."""
+    entries = diff.to_fractions()
+    for col in range(diff.ncols):
+        terms = {basis[i]: row[col] for i, row in enumerate(entries) if row[col]}
+        if terms:
+            return Polynomial(n, terms).to_text()
+    return None
+
+
+def reference_racah_relations(params: ParameterSet, kmax: int) -> Report:
+    """The relation sweep degree by degree: one workspace and one sum per check and degree."""
+    n = params.n
+    ops = DunklOperators(params)
+    families = (
+        relations._single_invariant_form,
+        relations._pair_invariant_form,
+        relations._subset_additivity,
+        relations._f_from_angular,
+        relations._triple_relation,
+        relations._quad_pf_relation,
+        relations._quad_ff_relation,
+        relations._quint_ff_relation,
+    )
+    report = Report()
+    for k in range(kmax + 1):
+        ws = ReferenceWorkspace(ops, k)
+        checks = [check for family in families for check in family(ws)]
+        checks += relations._drinfeld_kohno(n, ws.c_pair)
+        for relation, idx, terms in checks:
+            report.add(relation, idx, k, reference_witness(n, ws.basis, product_sum(terms)))
+    return report
+
+
+def bumped_pair_invariant(degree: int, row: int, col: int):
+    """A _pair_invariants whose C_12 has entry (row, col) raised by one on one degree."""
+    pair_invariants = relations._pair_invariants
+
+    def bumped(ops, k):
+        c_pair = pair_invariants(ops, k)
+        if k == degree:
+            key = frozenset((1, 2))
+            entries = c_pair[key].to_fractions()
+            entries[row][col] += 1
+            c_pair[key] = RationalMatrix.from_fractions(entries)
+        return c_pair
+
+    return bumped
+
+
+racah_mu = st.one_of(
+    st.sampled_from([Fraction(10**6), Fraction(1, 9)]),
+    st.builds(Fraction, st.integers(1, 10**6), st.integers(1, 10**6)),
+    st.builds(Fraction, st.integers(1, 9), st.integers(1, 9)),
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.sampled_from([3, 4]),
+    st.integers(0, 3),
+    st.lists(racah_mu, min_size=4, max_size=4),
+    st.data(),
+)
+def test_direct_sum_sweep_matches_the_per_degree_reference(n, kmax, mu, data):
+    # the same (relation, index tuple, degree, status, witness) list, in the
+    # same order, with and without one wrong C_12 entry on a drawn degree
+    params = ParameterSet(n, tuple(mu[:n]))
+    report = verify_racah_relations(params, kmax)
+    assert report.ok
+    assert report.results == reference_racah_relations(params, kmax).results
+    degree = data.draw(st.one_of(st.just(0), st.just(kmax), st.integers(0, kmax)))
+    dim = len(monomial_basis(n, degree))
+    row, col = data.draw(st.integers(0, dim - 1)), data.draw(st.integers(0, dim - 1))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(relations, "_pair_invariants", bumped_pair_invariant(degree, row, col))
+        report = verify_racah_relations(params, kmax)
+        reference = reference_racah_relations(params, kmax)
+    assert report.results == reference.results
+    assert {r.degree for r in report.failures} == {degree}
+    assert ("pair-invariant-angular-form", (1, 2)) in {
+        (r.relation, r.index_tuple) for r in report.failures
+    }
+
+
+def test_lemma2_with_one_wrong_invariant_entry_fails_only_on_its_degree(monkeypatch):
+    # raise the (x1 x2 -> x1 x3) entry of C_12 on degree 2 only; only the
+    # commutators with C_12 can fail, and only on degree 2
+    materialize = relations.materialize_on_monomials
+
+    def bumped(op, n, k):
+        matrix = materialize(op, n, k)
+        if k == 2 and op.descriptor == "C{1,2}":
+            entries = matrix.to_fractions()
+            entries[1][2] += Fraction(1, 3)
+            matrix = RationalMatrix.from_fractions(entries)
+        return matrix
+
+    monkeypatch.setattr(relations, "materialize_on_monomials", bumped)
+    report = verify_nested_disjoint_commute(ParameterSet.default(4), 3)
+    assert len(report) == 4 * 75
+    assert report.failures == [
+        CheckResult("nested-invariants-commute", ((2,), (1, 2)), 2, "fail", "1/18 * x1 x2"),
+        CheckResult("disjoint-invariants-commute", ((3,), (1, 2)), 2, "fail", "-1/24 * x1 x2"),
+        CheckResult("disjoint-invariants-commute", ((1, 2), (3, 4)), 2, "fail", "19/120 * x1 x2"),
+        CheckResult(
+            "nested-invariants-commute", ((1, 2), (1, 2, 4)), 2, "fail", "-91/180 * x1 x2"
+        ),
+    ]
