@@ -5,18 +5,19 @@ The pairing substitutes deformed derivatives for the coordinates of the
 left argument and evaluates at the origin.  It is bilinear, symmetric,
 positive definite for positive deformation parameters, and turns
 coordinate multiplication and the deformed derivative into adjoints of
-each other, which makes every quadratic invariant self-adjoint.  Basis
-changes themselves are computed by direct exact linear solves in
-monomial coordinates; the pairing is used only for orthogonality
-statements.
+each other, which makes every quadratic invariant self-adjoint.  It is
+diagonal on monomials, so it is computed in closed form as a weighted
+dot product of the numerators, with no Dunkl operator.  Basis changes
+themselves are computed by direct exact linear solves in monomial
+coordinates; the pairing is used only for orthogonality statements.
 
 Connection matrices follow the expansion convention: W[s][k] is the
 coefficient of the k-th target element in the s-th source element, so
 composition along a chain of bases multiplies in path order,
-W(A->C) = W(A->B) W(B->C).  The solve runs on the tower elements'
-integer numerators and returns W as a sparse RationalMatrix; W and the
-tridiagonal data stay in that form, and only text exports read the dense
-``entries`` view.
+W(A->C) = W(A->B) W(B->C).  The solve runs on the tower polynomials'
+integer numerators and returns W itself as a sparse RationalMatrix, with
+no rescale; W and the tridiagonal data stay in that form, and only text
+exports read the dense ``entries`` view.
 """
 
 from __future__ import annotations
@@ -31,8 +32,8 @@ from .harmonics import (
     build_basis_tower,
     casimir_eigenvalue,
 )
-from .linalg import RationalMatrix, matrix_rank, product_sum, solve_in_span
-from .operators import DunklOperators, LinearOperator, casimir, dunkl, materialize
+from .linalg import RationalMatrix, matrix_rank, solve_in_span
+from .operators import DunklOperators, LinearOperator, casimir, materialize
 from .poly import ParameterSet, Polynomial
 from .racah import (
     RacahParameters,
@@ -50,26 +51,28 @@ class SpanMismatch(ValueError):
 
 def fischer_pairing(params: ParameterSet, p: Polynomial, q: Polynomial) -> Fraction:
     """Pairing (p, q) -> constant term of p with coordinates replaced by
-    deformed derivatives, applied to q."""
+    deformed derivatives, applied to q, in closed form.
+
+    T_i x^e = [e_i] x^(e - e_i) with [j] = j for even j and j + 2 mu_i for
+    odd j, so the pairing is diagonal on monomials: (x^a, x^b) is zero
+    unless a = b, and (x^a, x^a) = w(a), the product over i of
+    [1] [2] ... [a_i].  The pairing is the sum of p_a q_a w(a) over the
+    integer numerators, divided once by p.den * q.den.
+    """
     n = params.n
     if p.n != n or q.n != n:
         raise ValueError("dimension mismatch")
-    return _pairing([dunkl(params, i) for i in range(1, n + 1)], p, q)
-
-
-def _pairing(ops: Sequence[LinearOperator], p: Polynomial, q: Polynomial) -> Fraction:
-    """fischer_pairing with the Dunkl operators, and their kept images, supplied."""
+    two_mu = [2 * m for m in params.mu]
     total = Fraction(0)
-    for exps, coeff in p.terms.items():
-        work = q
-        for pos, e in enumerate(exps):
-            for _ in range(e):
-                if work.is_zero:
-                    break
-                work = ops[pos](work)
-        if not work.is_zero:
-            total += coeff * work.constant_term()
-    return total
+    for exps, x in p.terms.items():
+        y = q.terms.get(exps)
+        if y is not None:
+            w = Fraction(x * y)
+            for e, t in zip(exps, two_mu):
+                for j in range(1, e + 1):
+                    w *= j + t if j % 2 else j
+            total += w
+    return total / (p.den * q.den)
 
 
 @dataclass(frozen=True)
@@ -126,24 +129,19 @@ def connection_matrix(
     independent exactly when the square W is nonsingular, which the rank
     of W's rows decides.
 
-    The elimination reads each element's integer numerators as they are:
-    with source_s = a_s / e_s and target_k = b_k / d_k it solves
-    a_s = sum_k W'[s][k] b_k, and W = diag(1 / e_s) W' diag(d_k) is one
-    product sum, in lowest terms.  No element's ``poly`` is built.
+    The elimination reads each element's integer numerators as they are,
+    and the solve returns W itself, in lowest terms.
     """
     if len(source) != len(target):
         raise SpanMismatch(
             f"basis sizes differ: {len(source)} vs {len(target)}"
         )
     try:
-        w = solve_in_span([el.terms for el in target], [el.terms for el in source])
+        w = solve_in_span([el.poly for el in target], [el.poly for el in source])
     except ValueError as exc:
         raise SpanMismatch(str(exc)) from exc
     if matrix_rank(w.sparse_rows) != len(source):
         raise SpanMismatch("source basis is linearly dependent")
-    inverse_e = RationalMatrix.diagonal([Fraction(1, el.den) for el in source])
-    d = RationalMatrix.diagonal([el.den for el in target])
-    w = product_sum([(1, (inverse_e, w, d))]).normalized()
     return ConnectionMatrix(
         tuple(el.label for el in source), tuple(el.label for el in target), w
     )

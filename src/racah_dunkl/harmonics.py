@@ -8,7 +8,10 @@ constants, interleaved with multiplications by squared norms, produces a
 basis of the degree-k harmonics in all n variables.  Each basis element
 is a joint eigenfunction of the tower of quadratic invariants attached to
 the prefixes of the variable order, with eigenvalues given in closed form
-by casimir_eigenvalue.
+by casimir_eigenvalue.  The lifts run on integer numerators over one
+denominator, the form a Polynomial holds, so each realized element,
+a HarmonicBasisElement, is its label and the Polynomial that wraps the
+last lift's numerators and denominator as they are.
 
 Labels are positional: for a label with variable order (o_1, .., o_n),
 epsilon[m] is the parity used when variable o_{m+1} is adjoined and
@@ -17,10 +20,10 @@ ell[m] is the squared-norm power inserted after that step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import comb, factorial, gcd, lcm
+from math import comb, factorial, gcd
 from typing import Iterable, Iterator, Sequence
 
 from .linalg import matrix_rank, solve_in_span
@@ -127,26 +130,10 @@ IntegerTerms = dict[Monomial, int]
 
 @dataclass(frozen=True)
 class HarmonicBasisElement:
-    """One realized tower element: the polynomial terms / den, labelled.
-
-    terms maps each monomial to its nonzero integer numerator over the
-    positive denominator den, as the tower computed them, in lowest terms;
-    solves read them as they are, and callers must not modify them.  The
-    Polynomial ``poly`` is built on its first read and kept.
-    """
+    """One realized tower element: its label and its polynomial."""
 
     label: HarmonicLabel
-    terms: IntegerTerms
-    den: int
-    _poly: Polynomial | None = field(default=None, init=False, repr=False, compare=False)
-
-    @property
-    def poly(self) -> Polynomial:
-        p = self._poly
-        if p is None:
-            p = _polynomial(self.label.n, self.terms, self.den)
-            object.__setattr__(self, "_poly", p)
-        return p
+    poly: Polynomial
 
 
 def ck_extend(
@@ -161,9 +148,9 @@ def ck_extend(
     The lift is sum_j (-1)^j x_new^(2j+parity) Lap^j p / (4^j j! c^(j))
     with c = mu_new + 1/2 + parity and c^(j) the raising factorial; the
     sum is finite because the Laplacian over vars_done kills p eventually.
-    Requires p homogeneous and supported on vars_done.  p is read as
-    integer numerators over the lcm of its denominators and handed to
-    _lift with operators.laplace, and the result becomes a Polynomial.
+    Requires p homogeneous and supported on vars_done.  p's numerators
+    and denominator go to _lift with operators.laplace as they are, and
+    so does the result.
     """
     n = params.n
     vars_done = tuple(dict.fromkeys(vars_done))
@@ -181,14 +168,7 @@ def ck_extend(
     if outside:
         raise ValueError(f"input involves variables outside vars_done: {sorted(outside)}")
     lap = laplace(DunklOperators(params), vars_done) if vars_done else None
-    den = lcm(1, *(c.denominator for c in p.terms.values()))
-    terms = {exps: c.numerator * (den // c.denominator) for exps, c in p.terms.items()}
-    return _polynomial(n, *_lift(params, lap, new_var, parity, terms, den))
-
-
-def _polynomial(n: int, terms: IntegerTerms, den: int) -> Polynomial:
-    """The Polynomial with the given nonzero numerators over den > 0."""
-    return Polynomial._trusted(n, {exps: Fraction(x, den) for exps, x in terms.items()})
+    return Polynomial._trusted(n, *_lift(params, lap, new_var, parity, p.terms, p.den))
 
 
 def _lift(
@@ -301,8 +281,8 @@ def build_basis_tower(
     (epsilon, ell) prefix is realized only once.  The intermediates are
     integer numerators over one positive denominator: a norm
     multiplication (den 1) keeps the denominator and adds integers, and
-    each _lift divides out its content.  Each element keeps its numerators
-    and denominator; no Fraction is formed until its ``poly`` is read.
+    each _lift divides out its content.  Each element's polynomial wraps
+    the last lift's numerators and denominator as they are.
     """
     if k < 0:
         raise ValueError("degree must be non-negative")
@@ -332,7 +312,7 @@ def build_basis_tower(
                 for _ in range(ell[m - 2]):
                     h = norms[m - 1].apply(h)
             h, den = steps[key] = _lift(params, laps[m - 1], o[m - 1], eps[m - 1], h, den)
-        elements.append(HarmonicBasisElement(label, h, den))
+        elements.append(HarmonicBasisElement(label, Polynomial._trusted(n, h, den)))
     return elements
 
 
@@ -420,7 +400,7 @@ def fischer_decompose(
             span.append(nrm_pow * element.poly)
             tags.append((j, element.poly))
 
-    coeffs = solve_in_span([q.terms for q in span], [p.terms])
+    coeffs = solve_in_span(span, [p])
 
     components: dict[int, Polynomial] = {}
     for t in coeffs.sparse_rows[0]:
@@ -519,10 +499,9 @@ def verify_extension_restrictions(params: ParameterSet, kmax: int) -> Report:
     for k in range(kmax + 1):
         even_bad = odd_bad = harm_bad = None
         for exps in monomial_basis(n - 1, k):
-            terms = {exps + (0,): 1}
             p = Polynomial.monomial(n, exps + (0,))
-            ext0 = _polynomial(n, *_lift(params, lap_done, new, 0, terms, 1))
-            ext1 = _polynomial(n, *_lift(params, lap_done, new, 1, terms, 1))
+            ext0 = Polynomial._trusted(n, *_lift(params, lap_done, new, 0, p.terms, p.den))
+            ext1 = Polynomial._trusted(n, *_lift(params, lap_done, new, 1, p.terms, p.den))
             if even_bad is None and ext0.restrict_to_zero(new) != p:
                 even_bad = p.to_text()
             if odd_bad is None and ext1.partial_derivative(new).restrict_to_zero(new) != p:

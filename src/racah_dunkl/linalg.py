@@ -16,20 +16,19 @@ classes of the monomials, so their matrices are very sparse and the
 cross-parity entries are simply never stored.
 
 Basis solves and ranks are thin front ends over one exact
-Gauss-Jordan elimination on sparse integer rows.  Solves and ranks read
-sparse vectors: mappings from a coordinate key to its entry (an int or a
-Fraction), such as a polynomial's terms, a tower element's integer
-numerators or a RationalMatrix's sparse rows, so callers never choose a
-coordinate order or build a dense vector.  An equation (one coordinate
-key) whose entries are all ints enters the elimination as it is; any
-other is scaled to integers by the lcm of its denominators.  The
+Gauss-Jordan elimination on sparse integer rows.  A rank reads sparse
+integer vectors, mappings from a coordinate key to a nonzero int such as
+a RationalMatrix's sparse rows; a solve reads polynomials, integer
+numerators over one denominator each, so callers never choose a
+coordinate order or build a dense vector.  Each coordinate key is one
+equation, and its integers enter the elimination as they are.  The
 elimination is fraction-free: a row is combined with a pivot row by
 integer multiples and then divided by the gcd of its entries (its
-content), so no Fraction is formed until a solve reads its coefficients,
-each as a reduced-row entry over its pivot.  A solve returns them as a
-RationalMatrix, one row per target.  Each pivot step touches only the
-rows with a nonzero in the pivot column, so the parity sectors of a
-basis change are eliminated independently without any block layout:
+content), so no Fraction is formed at all; a solve reads each
+coefficient off its pivot row as an integer over an integer and returns
+them as a RationalMatrix, one row per target.  Each pivot step touches
+only the rows with a nonzero in the pivot column, so the parity sectors
+of a basis change are eliminated independently without any block layout:
 rows from different sectors never share a column.
 """
 
@@ -39,7 +38,10 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Hashable, Mapping, Sequence
 
-SparseVector = Mapping[Hashable, int | Fraction]
+from .poly import Polynomial
+
+# a sparse integer vector: coordinate key -> nonzero integer
+SparseVector = Mapping[Hashable, int]
 # one term c * A_1 * A_2 * ... of a product sum; c is an int or a Fraction
 Term = tuple[int | Fraction, Sequence["RationalMatrix"]]
 
@@ -340,59 +342,56 @@ def _gauss_jordan(rows: list[dict[int, int]], ncols: int) -> list[int]:
 def _elimination_rows(vectors: Sequence[SparseVector]) -> list[dict[int, int]]:
     """Sparse integer rows of the matrix whose j-th column is vectors[j].
 
-    Row r holds the nonzero entries of the r-th key met, keyed by vector
-    position; zero entries are skipped.  Each row is one equation.  An
-    equation of ints is kept as it is; any other is scaled to integers by
-    the lcm of its denominators, which leaves the solutions unchanged.
+    Row r holds the entries of the r-th key met, keyed by vector position;
+    each row is one equation.
     """
-    row_of: dict[Hashable, dict[int, int | Fraction]] = {}
+    row_of: dict[Hashable, dict[int, int]] = {}
     for j, vector in enumerate(vectors):
         for key, x in vector.items():
-            if x:
-                row_of.setdefault(key, {})[j] = x
-    rows = list(row_of.values())
-    for r, row in enumerate(rows):
-        if not all(type(x) is int for x in row.values()):
-            m = lcm(*(x.denominator for x in row.values()))
-            rows[r] = {j: x.numerator * (m // x.denominator) for j, x in row.items()}
-    return rows
+            row_of.setdefault(key, {})[j] = x
+    return list(row_of.values())
 
 
 def solve_in_span(
-    columns: Sequence[SparseVector], targets: Sequence[SparseVector]
+    columns: Sequence[Polynomial], targets: Sequence[Polynomial]
 ) -> RationalMatrix:
     """Solve sum_j c_j * columns[j] = target for each target, exactly.
 
     Returns the coefficients as a matrix whose row t holds those of
     targets[t].  Raises InconsistentSystem if some target is outside the
     span, and ValueError if the columns are linearly dependent (the solves
-    here always expect a basis).  Integer columns and targets, such as
-    numerators over a per-vector denominator, enter the elimination
-    unscaled; the caller then rescales the coefficients.  The elimination
-    runs on integer rows; the coefficients are read as fractions only at
-    the end.
+    here always expect a basis).  With columns[j] = b_j / e_j and
+    targets[t] = a_t / d_t, the elimination runs on the numerators: it
+    solves a_t = sum_j c'_j b_j, so c_j = c'_j e_j / d_t, and c'_j is a
+    reduced-row entry over its pivot.  Each coefficient is read off as an
+    integer over an integer, reduced, and the matrix is the numerators
+    over the lcm of those denominators, which is lowest terms.
     """
     ncols = len(columns)
     # augmented sparse rows: [columns | targets]
-    aug = _elimination_rows(list(columns) + list(targets))
+    aug = _elimination_rows([v.terms for v in columns] + [v.terms for v in targets])
     if len(_gauss_jordan(aug, ncols)) < ncols:
         raise ValueError("columns are linearly dependent")
     # rows below the pivots hold target columns only; any entry left is
     # a target outside the span
     if any(aug[ncols:]):
         raise InconsistentSystem("target outside the span of the given columns")
-    # pivot row j is p_j e_j on the columns, so its target entries over
-    # p_j are the j-th coefficients
-    coeffs: list[dict[int, Fraction]] = [{} for _ in targets]
+    # pivot row j holds only its pivot p_j among the columns, so its
+    # entry x in target column ncols + t gives c_j = x e_j / (p_j d_t)
+    coeffs: list[dict[int, tuple[int, int]]] = [{} for _ in targets]
     for j, row in enumerate(aug[:ncols]):
-        p = row[j]
+        p, e = row[j], columns[j].den
         for c, x in row.items():
             if c >= ncols:
-                coeffs[c - ncols][j] = Fraction(x, p)
-    return RationalMatrix._from_rational_rows(coeffs, ncols)
+                num, d = x * e, p * targets[c - ncols].den
+                g = gcd(num, d) if d > 0 else -gcd(num, d)  # d // g > 0
+                coeffs[c - ncols][j] = (num // g, d // g)
+    den = lcm(1, *(d for row in coeffs for _, d in row.values()))
+    rows = [{j: x * (den // d) for j, (x, d) in row.items()} for row in coeffs]
+    return RationalMatrix.from_sparse(rows, den, ncols)
 
 
 def matrix_rank(vectors: Sequence[SparseVector]) -> int:
-    """Rank of the matrix whose rows are the given vectors."""
+    """Rank of the matrix whose rows are the given sparse integer vectors."""
     return len(_gauss_jordan(_elimination_rows(vectors), len(vectors)))
 

@@ -17,9 +17,10 @@ the sum of c * op_1 op_2 ..., the linalg.Term shape with operators in
 place of matrices: C_A, L_ij, J+ and J-.  Its den is the lcm of the
 terms' denominators, so each term adds an integer multiple of its parts'
 integer images.  One loop, ``apply``, takes den times an operator on a
-sparse vector of coefficients: ints in the tower lifts, a polynomial's
-Fractions when the operator is called; it keeps the image of each
-monomial it meets.  Every operator keeps its matrix on each degree.  A
+sparse vector of integer coefficients, a tower lift's or a polynomial's
+numerators, and keeps the image of each monomial it meets; calling the
+operator on a polynomial puts that over the polynomial's den times the
+operator's.  Every operator keeps its matrix on each degree.  A
 primitive's matrix is the images of its rule as they are, over its den,
 in lowest terms, and keeps no image; a composite's is one
 linalg.product_sum over its parts' kept matrices.
@@ -68,11 +69,12 @@ class LinearOperator:
     rule(exps) returns den times the image of the monomial with exponent
     tuple exps, as a fresh dict of nonzero integers keyed by exponent
     tuples; a composite (``composite``) has ``terms``, which its rule
-    evaluates.  ``apply`` is the linear extension of the rule, and calling
-    the operator on a polynomial divides that by den.  ``apply`` keeps each
-    monomial's image, and materialize_on_monomials each degree's matrix,
-    for the operator's lifetime; kept images are never handed out, every
-    call returns its own terms.
+    evaluates.  ``apply`` is the linear extension of the rule on integer
+    coefficients, and calling the operator on a polynomial p is apply on
+    p's numerators over p.den * den.  ``apply`` keeps each monomial's
+    image, and materialize_on_monomials each degree's matrix, for the
+    operator's lifetime; kept images are never handed out, every call
+    returns its own terms.
     """
 
     __slots__ = ("rule", "descriptor", "shift", "den", "terms", "_images", "_matrices")
@@ -103,11 +105,11 @@ class LinearOperator:
         op.terms = terms
         return op
 
-    def apply(self, terms: Mapping[Monomial, int | Fraction], out: dict | None = None) -> dict:
+    def apply(self, terms: Mapping[Monomial, int], out: Image | None = None) -> Image:
         """den * self(terms) added into out (a fresh dict by default), without cancelled terms.
 
-        terms maps exponent tuples to coefficients, ints or Fractions; the
-        result holds the same kind.  The returned dict may be a new one.
+        terms maps exponent tuples to integer coefficients, and so does
+        the result.  The returned dict may be a new one.
         """
         images, rule = self._images, self.rule
         if out is None:
@@ -125,10 +127,7 @@ class LinearOperator:
         return out
 
     def __call__(self, p: Polynomial) -> Polynomial:
-        terms, den = self.apply(p.terms), self.den
-        if den != 1:
-            terms = {e: v / den for e, v in terms.items()}
-        return Polynomial._trusted(p.n, terms)
+        return Polynomial._reduced(p.n, self.apply(p.terms), p.den * self.den)
 
     def __repr__(self) -> str:
         return f"LinearOperator({self.descriptor})"
@@ -374,9 +373,8 @@ def materialize(op: LinearOperator, n: int, basis: list[Polynomial]) -> Rational
         if q.n != n:
             raise ValueError("basis polynomial has wrong dimension")
 
-    images = [op(q).terms for q in basis]
     try:
-        coeffs = solve_in_span([q.terms for q in basis], images)
+        coeffs = solve_in_span(basis, [op(q) for q in basis])
     except InconsistentSystem as exc:
         raise ImageEscapesSpan(str(exc)) from exc
     rows: list[dict[int, int]] = [{} for _ in basis]

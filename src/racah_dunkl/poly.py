@@ -1,7 +1,11 @@
 """Exact sparse multivariate polynomial arithmetic over the rationals.
 
 A polynomial in x_1..x_n is stored as a dict mapping exponent tuples to
-nonzero Fraction coefficients.  All arithmetic is exact; there is no
+nonzero integer numerators over one positive denominator, in lowest
+terms: the form of a RationalMatrix row and of an operator image, so
+operators, solves and tower lifts read a polynomial as it is.  Every
+operation returns that form, and the queries and serializations read the
+coefficients as Fractions.  All arithmetic is exact; there is no
 floating point anywhere in this package.  Variable indices in the public
 API are 1-based (x_1 is the first coordinate), matching the usual
 mathematical notation; exponent tuples are 0-based internally.
@@ -16,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from math import gcd, lcm
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
@@ -82,11 +87,18 @@ class ParameterSet:
 
 
 class Polynomial:
-    """Immutable sparse polynomial with exact rational coefficients."""
+    """Immutable sparse polynomial with exact rational coefficients.
 
-    __slots__ = ("n", "terms", "_hash")
+    ``terms`` maps each exponent tuple to a nonzero integer numerator over
+    the one positive denominator ``den``, in lowest terms: the gcd of den
+    and every numerator is 1, and the zero polynomial is {} over 1.  So
+    equal polynomials have equal terms and den.  Read ``coefficient`` or
+    ``sorted_terms`` for the coefficients as Fractions.
+    """
 
-    def __init__(self, n: int, terms: dict[Monomial, Fraction] | None = None):
+    __slots__ = ("n", "terms", "den", "_hash")
+
+    def __init__(self, n: int, terms: dict[Monomial, RationalLike] | None = None):
         if n < 1:
             raise ValueError(f"dimension must be positive, got {n}")
         clean: dict[Monomial, Fraction] = {}
@@ -97,22 +109,36 @@ class Polynomial:
                 c = _rational(coeff, "coefficient")
                 if c != 0:
                     clean[tuple(exps)] = c
+        den = lcm(1, *(c.denominator for c in clean.values()))
+        ints = {exps: c.numerator * (den // c.denominator) for exps, c in clean.items()}
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "terms", ints)
+        object.__setattr__(self, "den", den)
         object.__setattr__(self, "_hash", None)
 
     @classmethod
-    def _trusted(cls, n: int, terms: dict[Monomial, Fraction]) -> "Polynomial":
-        """Wrap terms that are already clean, without copying or checking.
+    def _trusted(cls, n: int, terms: dict[Monomial, int], den: int) -> "Polynomial":
+        """Wrap terms / den as they are, without copying or checking.
 
-        The caller guarantees a dict that nothing else holds, mapping
-        length-n exponent tuples to nonzero Fractions.
+        The caller guarantees a dict that nothing will modify, mapping
+        length-n exponent tuples to nonzero integers, and den > 0, in
+        lowest terms.
         """
         self = object.__new__(cls)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "den", den)
         object.__setattr__(self, "_hash", None)
         return self
+
+    @classmethod
+    def _reduced(cls, n: int, terms: dict[Monomial, int], den: int) -> "Polynomial":
+        """terms / den in lowest terms: nonzero integer numerators, den > 0."""
+        g = gcd(den, *terms.values())
+        if g > 1:
+            terms = {exps: x // g for exps, x in terms.items()}
+            den //= g
+        return cls._trusted(n, terms, den)
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial instances are immutable")
@@ -125,7 +151,7 @@ class Polynomial:
 
     @classmethod
     def one(cls, n: int) -> "Polynomial":
-        return cls(n, {(0,) * n: Fraction(1)})
+        return cls(n, {(0,) * n: 1})
 
     @classmethod
     def constant(cls, n: int, value: RationalLike) -> "Polynomial":
@@ -138,7 +164,7 @@ class Polynomial:
             raise IndexError(f"variable index {i} out of range 1..{n}")
         exps = [0] * n
         exps[i - 1] = 1
-        return cls(n, {tuple(exps): Fraction(1)})
+        return cls(n, {tuple(exps): 1})
 
     @classmethod
     def monomial(cls, n: int, exps: Iterable[int], coeff: RationalLike = 1) -> "Polynomial":
@@ -160,18 +186,11 @@ class Polynomial:
         degrees = {sum(e) for e in self.terms}
         return len(degrees) <= 1
 
-    def homogeneous_components(self) -> dict[int, "Polynomial"]:
-        """Split into homogeneous parts, keyed by total degree (ascending)."""
-        parts: dict[int, dict[Monomial, Fraction]] = {}
-        for exps, coeff in self.terms.items():
-            parts.setdefault(sum(exps), {})[exps] = coeff
-        return {d: Polynomial._trusted(self.n, parts[d]) for d in sorted(parts)}
-
     def coefficient(self, exps: Iterable[int]) -> Fraction:
-        return self.terms.get(tuple(exps), Fraction(0))
+        return Fraction(self.terms.get(tuple(exps), 0), self.den)
 
     def constant_term(self) -> Fraction:
-        return self.terms.get((0,) * self.n, Fraction(0))
+        return self.coefficient((0,) * self.n)
 
     def support_variables(self) -> set[int]:
         """1-based indices of variables that actually occur."""
@@ -183,8 +202,12 @@ class Polynomial:
         return used
 
     def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
-        """Terms in canonical order (graded lex, leading term first)."""
-        return [(e, self.terms[e]) for e in sorted(self.terms, key=_term_sort_key, reverse=True)]
+        """Terms in canonical order (graded lex, leading term first), as Fractions."""
+        terms, den = self.terms, self.den
+        return [
+            (e, Fraction(terms[e], den))
+            for e in sorted(terms, key=_term_sort_key, reverse=True)
+        ]
 
     # -- arithmetic --------------------------------------------------------
 
@@ -194,42 +217,45 @@ class Polynomial:
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         self._require_same_dim(other)
-        out = dict(self.terms)
-        for exps, coeff in other.terms.items():
+        den = lcm(self.den, other.den)
+        a, b = den // self.den, den // other.den
+        out = {e: a * x for e, x in self.terms.items()} if a != 1 else dict(self.terms)
+        for exps, y in other.terms.items():
+            y *= b
             old = out.get(exps)
             if old is None:
-                out[exps] = coeff
+                out[exps] = y
                 continue
-            new = old + coeff
+            new = old + y
             if new:
                 out[exps] = new
             else:
                 del out[exps]
-        return Polynomial._trusted(self.n, out)
+        return Polynomial._reduced(self.n, out, den)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial._trusted(self.n, {e: -c for e, c in self.terms.items()})
+        return Polynomial._trusted(self.n, {e: -x for e, x in self.terms.items()}, self.den)
 
     def __mul__(self, other):
         if isinstance(other, Polynomial):
             self._require_same_dim(other)
-            out: dict[Monomial, Fraction] = {}
-            for ea, ca in self.terms.items():
-                for eb, cb in other.terms.items():
+            out: dict[Monomial, int] = {}
+            for ea, xa in self.terms.items():
+                for eb, xb in other.terms.items():
                     exps = tuple(x + y for x, y in zip(ea, eb))
                     old = out.get(exps)
                     if old is None:
-                        out[exps] = ca * cb
+                        out[exps] = xa * xb
                         continue
-                    new = old + ca * cb
+                    new = old + xa * xb
                     if new:
                         out[exps] = new
                     else:
                         del out[exps]
-            return Polynomial._trusted(self.n, out)
+            return Polynomial._reduced(self.n, out, self.den * other.den)
         return self.scale(other)
 
     def __rmul__(self, other):
@@ -239,7 +265,10 @@ class Polynomial:
         c = _rational(c, "scale")
         if c == 0:
             return Polynomial.zero(self.n)
-        return Polynomial._trusted(self.n, {e: coeff * c for e, coeff in self.terms.items()})
+        a = c.numerator
+        return Polynomial._reduced(
+            self.n, {e: x * a for e, x in self.terms.items()}, self.den * c.denominator
+        )
 
     def __pow__(self, k: int) -> "Polynomial":
         if k < 0:
@@ -265,45 +294,40 @@ class Polynomial:
     def partial_derivative(self, i: int) -> "Polynomial":
         """Formal partial derivative with respect to x_i."""
         pos = self._check_index(i)
-        out: dict[Monomial, Fraction] = {}
-        for exps, coeff in self.terms.items():
-            e = exps[pos]
-            if e == 0:
-                continue
-            lowered = exps[:pos] + (e - 1,) + exps[pos + 1:]
-            new = out.get(lowered, Fraction(0)) + coeff * e
-            if new:
-                out[lowered] = new
-            else:
-                out.pop(lowered, None)
-        return Polynomial._trusted(self.n, out)
+        out = {
+            exps[:pos] + (exps[pos] - 1,) + exps[pos + 1:]: x * exps[pos]
+            for exps, x in self.terms.items()
+            if exps[pos]
+        }
+        return Polynomial._reduced(self.n, out, self.den)
 
     def reflect(self, i: int) -> "Polynomial":
         """Sign flip x_i -> -x_i; negates terms odd in x_i."""
         pos = self._check_index(i)
         return Polynomial._trusted(
             self.n,
-            {e: (-c if e[pos] % 2 else c) for e, c in self.terms.items()},
+            {e: (-x if e[pos] % 2 else x) for e, x in self.terms.items()},
+            self.den,
         )
 
     def divide_by_coordinate(self, i: int) -> "Polynomial":
         """Exact quotient by x_i; every term must have positive exponent in x_i."""
         pos = self._check_index(i)
-        out: dict[Monomial, Fraction] = {}
-        for exps, coeff in self.terms.items():
+        out: dict[Monomial, int] = {}
+        for exps, x in self.terms.items():
             e = exps[pos]
             if e == 0:
                 raise NotDivisible(
                     f"term with exponents {exps} has no factor x{i}"
                 )
-            out[exps[:pos] + (e - 1,) + exps[pos + 1:]] = coeff
-        return Polynomial._trusted(self.n, out)
+            out[exps[:pos] + (e - 1,) + exps[pos + 1:]] = x
+        return Polynomial._trusted(self.n, out, self.den)
 
     def restrict_to_zero(self, i: int) -> "Polynomial":
         """Set x_i = 0: keep only terms with exponent 0 in x_i."""
         pos = self._check_index(i)
-        return Polynomial._trusted(
-            self.n, {e: c for e, c in self.terms.items() if e[pos] == 0}
+        return Polynomial._reduced(
+            self.n, {e: x for e, x in self.terms.items() if e[pos] == 0}, self.den
         )
 
     def evaluate(self, values: Iterable[RationalLike]) -> Fraction:
@@ -311,25 +335,25 @@ class Polynomial:
         if len(vals) != self.n:
             raise ValueError(f"expected {self.n} values, got {len(vals)}")
         total = Fraction(0)
-        for exps, coeff in self.terms.items():
-            term = coeff
+        for exps, x in self.terms.items():
+            term = Fraction(x)
             for e, v in zip(exps, vals):
                 if e:
                     term *= v**e
             total += term
-        return total
+        return total / self.den
 
     # -- equality / hashing -------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.n == other.n and self.terms == other.terms
+        return self.n == other.n and self.den == other.den and self.terms == other.terms
 
     def __hash__(self) -> int:
         h = self._hash
         if h is None:
-            h = hash((self.n, frozenset(self.terms.items())))
+            h = hash((self.n, self.den, frozenset(self.terms.items())))
             object.__setattr__(self, "_hash", h)
         return h
 
@@ -383,15 +407,6 @@ class Polynomial:
             {"exponents": list(exps), "num": str(coeff.numerator), "den": str(coeff.denominator)}
             for exps, coeff in self.sorted_terms()
         ]
-
-    @classmethod
-    def from_json_obj(cls, n: int, data: list[dict]) -> "Polynomial":
-        terms: dict[Monomial, Fraction] = {}
-        for item in data:
-            exps = tuple(int(e) for e in item["exponents"])
-            coeff = Fraction(int(item["num"]), int(item["den"]))
-            terms[exps] = terms.get(exps, Fraction(0)) + coeff
-        return cls(n, terms)
 
     def __repr__(self) -> str:
         return f"Polynomial({self.n}, {self.to_text()!r})"

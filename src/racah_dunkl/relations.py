@@ -47,7 +47,7 @@ from .poly import ParameterSet, Polynomial, monomial_basis
 from .report import Report
 
 # Degree bounds keeping full relation sweeps in seconds-to-minutes.
-_DEFAULT_BOUNDS = {3: 6, 4: 4, 5: 5, 6: 4}
+_DEFAULT_BOUNDS = {3: 6, 4: 4, 5: 5, 6: 4, 7: 3}
 
 
 def default_degree_bound(n: int) -> int:
@@ -75,8 +75,9 @@ def _witnesses(n: int, blocks, diff: RationalMatrix) -> list[str | None]:
     ``blocks`` gives each block's first row and the monomial basis of its
     rows.  A block-diagonal discrepancy has no entry outside its blocks, so
     the first nonzero column met in a block's rows lies inside the block.
-    Each entry is reduced on its own, so a discrepancy that is not in
-    lowest terms gives the same text as its normalized form.
+    The column's integers are read over diff.den and reduced, so a
+    discrepancy that is not in lowest terms gives the same text as its
+    normalized form.
     """
     rows = diff.sparse_rows
     if not any(rows):
@@ -88,10 +89,8 @@ def _witnesses(n: int, blocks, diff: RationalMatrix) -> list[str | None]:
         if col is None:
             out.append(None)
             continue
-        terms = {
-            basis[i]: Fraction(row[col], diff.den) for i, row in enumerate(block) if col in row
-        }
-        out.append(Polynomial(n, terms).to_text())
+        terms = {basis[i]: row[col] for i, row in enumerate(block) if col in row}
+        out.append(Polynomial._reduced(n, terms, diff.den).to_text())
     return out
 
 

@@ -67,11 +67,17 @@ def test_criterion_01_su11_brackets():
 
 
 def test_criterion_02_racah_relations_all_ranks():
-    for n, kmax in ((3, 6), (4, 4), (5, 5), (6, 4)):
+    for n, kmax in ((3, 6), (4, 4), (5, 5), (6, 4), (7, 3)):
         params = ParameterSet.default(n)
         report = verify_racah_relations(params, kmax)
         _require(report, 2)
-    _passed(2, "all five relation families, n=3 (k<=6), n=4 (k<=4), n=5 (k<=5), n=6 (k<=4)")
+        if n == 7:
+            assert len(report) == 19828
+    _passed(
+        2,
+        "all five relation families, n=3 (k<=6), n=4 (k<=4), n=5 (k<=5), n=6 (k<=4),"
+        " n=7 (k<=3)",
+    )
 
 
 def test_criterion_03_central_commutation():

@@ -5,8 +5,9 @@ with its exit code, so a refactor that changes one byte of a report, a
 witness or a connection matrix fails here.  The commands cover every
 verify suite at small n and k (most at a drawn mu with a large integer and
 a repeated value), ``connect`` at n=3 (which runs the tridiagonal check),
-at n=4 (JSON and CSV) and on the empty bases of n=1, ``racah``, and the
-engine failure that exits 1 with no output.
+at n=4 (JSON and CSV) and on the empty bases of n=1, the polynomial JSON
+of ``basis`` at n=3 and n=4, ``racah``, and the engine failure that exits
+1 with no output.
 
 After a deliberate output change, recompute the digest of the command's
 output (``python -m racah_dunkl.cli <command> | sha256sum``) and say in
@@ -55,6 +56,10 @@ STDOUT_GOLDEN = (
     # empty bases: "entries": [] and exit 0
     ("connect --n 1 --k 2 --from 1 --to 1", 0,
      "55ead004b6a64056c10c7fa64e38234b0d271ec79c97f783f433ade0c156f203"),
+    ("basis --n 4 --k 4 --mu 3/7,1000000,3/7,2 --order 2,4,1,3", 0,
+     "770501f1d2adb5188f2034829d0a2d1b07ed8765aedb79d01674ab7935e0a351"),
+    ("basis --n 3 --k 5 --mu 7,1/9,1000000", 0,
+     "b64d6194c7c5c324b34279069f4ab44a4f6c27ff7d399f102ace84fbd02d2a1b"),
     ("racah --n 3 --epsilon 0,1,0 --degree 5", 0,
      "4a6455f68c4089558025d4c82be543c6ea793596082375423fa90991f8388348"),
     # degenerate spectrum: OmegaZero, exit 1 and nothing on stdout

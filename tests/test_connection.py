@@ -1,7 +1,6 @@
 """Pairing, Gram data, connection matrices, and tridiagonal actions."""
 
 from fractions import Fraction
-from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -28,7 +27,7 @@ from racah_dunkl import (
     rank_one_overlap,
     tridiagonal_check,
 )
-from racah_dunkl import connection, graph, harmonics, operators
+from racah_dunkl import connection, graph, linalg, operators
 from racah_dunkl.connection import ConnectionMatrix, module_basis
 from racah_dunkl.harmonics import HarmonicBasisElement
 from racah_dunkl.racah import SpectralData
@@ -37,26 +36,36 @@ from racah_dunkl.report import CheckResult
 P3 = ParameterSet.make(["1/2", "1/3", "1/4"])
 
 
+def dunkl_pairing(ops, p, q):
+    """Reference: the pairing by its definition, with the Dunkl operators ops.
+
+    Each monomial x^a of p becomes the product of the T_i^(a_i), applied
+    to q; the pairing is the sum of p_a times the constant term of that.
+    """
+    total = Fraction(0)
+    for exps, coeff in p.sorted_terms():
+        work = q
+        for pos, e in enumerate(exps):
+            for _ in range(e):
+                if work.is_zero:
+                    break
+                work = ops[pos](work)
+        if not work.is_zero:
+            total += coeff * work.constant_term()
+    return total
+
+
 def gram_matrix(params, elements):
     """Reference: the matrix of pairings (elements[i].poly, elements[j].poly)."""
     polys = [el.poly for el in elements]
     if any(p.n != params.n for p in polys):
         raise ValueError("dimension mismatch")
-    ops = [connection.dunkl(params, i) for i in range(1, params.n + 1)]
-    return RationalMatrix.from_fractions(
-        [[connection._pairing(ops, p, q) for q in polys] for p in polys]
-    )
+    ops = [operators.dunkl(params, i) for i in range(1, params.n + 1)]
+    return RationalMatrix.from_fractions([[dunkl_pairing(ops, p, q) for q in polys] for p in polys])
 
 
 def is_identity(w):
     return w.matrix == RationalMatrix.identity(w.matrix.nrows)
-
-
-def element(label, p):
-    """A basis element holding p as integer numerators over the lcm of its denominators."""
-    den = lcm(1, *(c.denominator for c in p.terms.values()))
-    terms = {e: c.numerator * (den // c.denominator) for e, c in p.terms.items()}
-    return HarmonicBasisElement(label, terms, den)
 
 
 def test_pairing_examples():
@@ -120,7 +129,7 @@ def test_pairing_positive_definite_on_monomials():
     placeholder = build_basis_tower(P3, 0)[0].label
     for k in (1, 2, 3):
         elements = [
-            HarmonicBasisElement(placeholder, {e: 1}, 1) for e in monomial_basis(3, k)
+            HarmonicBasisElement(placeholder, Polynomial.monomial(3, e)) for e in monomial_basis(3, k)
         ]
         entries = gram_matrix(P3, elements).to_fractions()
         assert entries == [list(col) for col in zip(*entries)]  # symmetric
@@ -132,16 +141,47 @@ def test_gram_matrix_builds_the_dunkl_operators_once(monkeypatch):
     assert len(elements) == 13
     per_pair = [[fischer_pairing(P3, a.poly, b.poly) for b in elements] for a in elements]
     built = []
-    real = connection.dunkl
+    real = operators.dunkl
 
     def counting(params, i):
         built.append(i)
         return real(params, i)
 
-    monkeypatch.setattr(connection, "dunkl", counting)
+    monkeypatch.setattr(operators, "dunkl", counting)
     gram = gram_matrix(P3, elements)
     assert built == [1, 2, 3]
     assert gram.to_fractions() == per_pair
+
+
+pairing_mu = st.one_of(
+    st.sampled_from([Fraction(10**6), Fraction(1, 9)]),
+    st.builds(Fraction, st.integers(1, 9), st.integers(1, 9)),
+    st.builds(Fraction, st.integers(1, 10**6), st.integers(1, 10**6)),
+)
+
+
+@st.composite
+def pairing_cases(draw):
+    """Parameters with n <= 4 and two polynomials of degree <= 4."""
+    n = draw(st.integers(1, 4))
+    params = ParameterSet(n, tuple(draw(st.lists(pairing_mu, min_size=n, max_size=n))))
+    exps = st.lists(st.integers(0, 4), min_size=n, max_size=n).map(tuple).filter(
+        lambda e: sum(e) <= 4
+    )
+    coeffs = st.fractions(min_value=-10, max_value=10, max_denominator=12).filter(bool)
+    p, q = (Polynomial(n, draw(st.dictionaries(exps, coeffs, max_size=5))) for _ in range(2))
+    return params, p, q
+
+
+@settings(max_examples=60, deadline=None)
+@given(pairing_cases())
+def test_closed_form_pairing_is_the_dunkl_operator_pairing(case):
+    # the weighted dot product over the monomials is the pairing by its
+    # definition, on drawn polynomials and on each with itself
+    params, p, q = case
+    ops = [operators.dunkl(params, i) for i in range(1, params.n + 1)]
+    for a, b in ((p, q), (q, p), (p, p), (q, q)):
+        assert fischer_pairing(params, a, b) == dunkl_pairing(ops, a, b)
 
 
 def test_invariants_self_adjoint():
@@ -235,17 +275,17 @@ def test_connection_span_mismatch():
         connection_matrix(P3, a, b)
     # same count, different span: swap one harmonic for a non-harmonic
     broken = list(b)
-    broken[0] = element(broken[0].label, Polynomial.variable(3, 1) ** 2)
+    broken[0] = HarmonicBasisElement(broken[0].label, Polynomial.variable(3, 1) ** 2)
     with pytest.raises(SpanMismatch):
         connection_matrix(P3, b, broken)
 
 
-def test_the_connection_route_evaluates_no_dunkl_rule_and_builds_no_polynomial(monkeypatch):
+def test_the_connection_route_evaluates_no_dunkl_rule_and_forms_no_fraction_in_linalg(monkeypatch):
     # the towers and the solve run on integers from the closed-form T_i^2
-    # rule to W: no T_i rule is evaluated and no element's Polynomial is
-    # built, in the towers, in connection_matrix or in the pipeline
-    evaluated, built = [], []
-    real_dunkl, real_polynomial = operators.dunkl, harmonics._polynomial
+    # rule to W: no T_i rule is evaluated, and linalg forms no Fraction, in
+    # the towers, in connection_matrix, in the pipeline or in the products
+    evaluated, formed = [], []
+    real_dunkl, real_fraction = operators.dunkl, linalg.Fraction
 
     def counting(params, i):
         op = real_dunkl(params, i)
@@ -253,36 +293,40 @@ def test_the_connection_route_evaluates_no_dunkl_rule_and_builds_no_polynomial(m
         op.rule = lambda exps: evaluated.append((i, exps)) or rule(exps)
         return op
 
-    def polynomial(*args):
-        built.append(args)
-        return real_polynomial(*args)
+    def fraction(*args):
+        formed.append(args)
+        return real_fraction(*args)
 
     monkeypatch.setattr(operators, "dunkl", counting)
-    monkeypatch.setattr(harmonics, "_polynomial", polynomial)
+    monkeypatch.setattr(linalg, "Fraction", fraction)
     params = ParameterSet.make(["3/7", "5/2", "1/9", "8/3"])
     start, goal = (1, 2, 3, 4), (3, 4, 2, 1)
     source = build_basis_tower(params, 6, start)
     target = build_basis_tower(params, 6, goal)
-    assert len(source) == 49 and evaluated == [] and built == []
+    assert len(source) == 49 and evaluated == [] and formed == []
     w = connection_matrix(params, source, target)
-    assert evaluated == [] and built == []
+    assert evaluated == [] and formed == []
     edges = graph.connection_pipeline(
         params, 6, graph.Chain.from_order(start), graph.Chain.from_order(goal)
     )
-    assert len(edges) == 6 and evaluated == [] and built == []
+    assert len(edges) == 6 and evaluated == [] and formed == []
     product = edges[0]
     for edge in edges[1:]:
         product = product.compose(edge)
     assert product.matrix == w.matrix
-    # a read polynomial is built once and kept
-    assert source[0].poly is source[0].poly and len(built) == 1
+    assert evaluated == [] and formed == []
+    assert all(type(x) is int for el in source for x in el.poly.terms.values())
+    # the counter sees the Fractions that linalg does form: a dense view
+    # forms one per stored entry and one shared zero
+    w.matrix.to_fractions()
+    assert len(formed) == 1 + sum(len(row) for row in w.matrix.sparse_rows)
 
 
 @pytest.mark.parametrize("side", ["source", "target"])
 def test_a_doubled_denominator_rescales_its_row_or_column_of_w(side):
-    # W is read off the numerators and rescaled by the denominators, so
-    # halving one element (its numerators over twice its denominator)
-    # halves its row of W as a source and doubles its column as a target
+    # W is read off the numerators over the denominators, so halving one
+    # element halves its row of W as a source and doubles its column as a
+    # target
     params = ParameterSet.make(["3/7", "1000000", "2", "1/9"])
     source = build_basis_tower(params, 4, (1, 2, 3, 4))
     target = build_basis_tower(params, 4, (3, 4, 2, 1))
@@ -290,7 +334,7 @@ def test_a_doubled_denominator_rescales_its_row_or_column_of_w(side):
     for pos in range(len(source)):
         bases = {"source": list(source), "target": list(target)}
         el = bases[side][pos]
-        bases[side][pos] = HarmonicBasisElement(el.label, el.terms, 2 * el.den)
+        bases[side][pos] = HarmonicBasisElement(el.label, el.poly.scale(Fraction(1, 2)))
         try:
             got = connection_matrix(params, bases["source"], bases["target"])
         except SpanMismatch:
@@ -328,7 +372,7 @@ def test_connection_source_across_parity_sectors():
         k for k, el in enumerate(target) if el.label.variable_parities() != first
     )
     source = list(target)
-    source[0] = element(target[0].label, target[0].poly + target[other].poly)
+    source[0] = HarmonicBasisElement(target[0].label, target[0].poly + target[other].poly)
     w = connection_matrix(P3, source, target)
     m = len(target)
     expected = [
@@ -437,7 +481,7 @@ def test_tridiagonal_check_flags_wrong_expectation():
 def test_band_witness_names_the_first_entry_outside_the_band():
     # the square of C13 is pentadiagonal on the (C12, C123) module basis
     c13 = casimir(DunklOperators(P3), (1, 3))
-    square = LinearOperator(lambda e: dict(c13(c13(Polynomial.monomial(3, e))).terms), "C13^2")
+    square = LinearOperator(lambda e: c13.apply(c13.apply({e: 1})), "C13^2", 0, c13.den**2)
     data = tridiagonal_check(P3, square, module_basis(P3, (0, 0, 0), 4))
     assert [(r.relation, r.first_discrepancy) for r in data.report] == [
         ("parity-block-structure", None),
@@ -582,7 +626,12 @@ def test_column_ratio_polynomials_have_degree_k():
             for s in range(m)
         ]
         # solve for polynomial coefficients through the m spectrum points
-        columns = [dict(enumerate(mu**d for mu in overlap.eigenvalues)) for d in range(m)]
-        (coeffs,) = solve_in_span(columns, [dict(enumerate(values))]).to_fractions()
+        # (entry s of a vector is the coefficient of x1^s)
+        columns = [
+            Polynomial(1, {(s,): mu**d for s, mu in enumerate(overlap.eigenvalues)})
+            for d in range(m)
+        ]
+        target = Polynomial(1, {(s,): v for s, v in enumerate(values)})
+        (coeffs,) = solve_in_span(columns, [target]).to_fractions()
         assert all(c == 0 for c in coeffs[k + 1:])
         assert coeffs[k] != 0

@@ -318,9 +318,12 @@ def test_lift_matches_the_monomial_product_reference(n, data):
 
 
 def assert_reduced_fractions(p: Polynomial) -> None:
-    """Every coefficient is a nonzero Fraction in lowest terms, never an int."""
-    for c in p.terms.values():
-        assert type(c) is Fraction
+    """p is nonzero int numerators over one den > 0 in lowest terms, read as reduced Fractions."""
+    assert type(p.den) is int and p.den > 0
+    assert all(type(x) is int and x for x in p.terms.values())
+    assert gcd(p.den, *p.terms.values()) == 1
+    for exps, c in p.sorted_terms():
+        assert type(c) is Fraction and c == Fraction(p.terms[exps], p.den)
         assert c and c.denominator > 0 and gcd(c.numerator, c.denominator) == 1
 
 
@@ -328,8 +331,9 @@ def assert_reduced_fractions(p: Polynomial) -> None:
 @given(st.sampled_from([3, 4, 5]), st.data())
 def test_tower_is_the_reference_chain_in_reduced_fractions(n, data):
     # the tower and ck_extend run on integer numerators over one denominator;
-    # what they return must be reduced Fractions equal to the chain of
-    # reference_lift steps and Polynomial norm multiplications
+    # what they return must be in lowest terms, with the reduced Fraction
+    # coefficients of the chain of reference_lift steps and Polynomial norm
+    # multiplications
     mu = data.draw(st.lists(lift_mu, min_size=n, max_size=n), label="mu")
     order = tuple(data.draw(st.permutations(range(1, n + 1)), label="order"))
     params = ParameterSet(n, tuple(mu))
@@ -347,7 +351,9 @@ def test_tower_is_the_reference_chain_in_reduced_fractions(n, data):
                 lifted = ck_extend(params, order[:m], order[m], el.label.epsilon[m], h)
                 h = reference_lift(params, laps[m], order[m], el.label.epsilon[m], h)
                 assert_reduced_fractions(lifted)
+                assert lifted.sorted_terms() == h.sorted_terms()
                 assert lifted == h
+            assert el.poly.sorted_terms() == h.sorted_terms()
             assert el.poly == h
 
 
@@ -365,11 +371,11 @@ def test_integer_laplacian_is_den_times_the_composite_laplacian(n, data):
     composite = dunkl_laplacian(params, subset)
     for k in range(7):
         for exps in monomial_basis(n, k):
-            expected = composite(Polynomial.monomial(n, exps)).terms
+            expected = composite(Polynomial.monomial(n, exps))
             got = lap.apply({exps: 1})
             assert all(type(x) is int for x in got.values())
-            assert got == {e: c * lap.den for e, c in expected.items()}
-            assert lap(Polynomial.monomial(n, exps)).terms == expected
+            assert got == {e: c * lap.den for e, c in expected.sorted_terms()}
+            assert lap(Polynomial.monomial(n, exps)) == expected
 
 
 def test_lift_divides_out_its_content():
@@ -584,7 +590,7 @@ def test_power_action_sweep_reports_a_non_harmonic_tower_element(monkeypatch, ca
     def defective(params, k, order=None):
         elements = real(params, k, order)
         if k == 2:
-            elements[0] = HarmonicBasisElement(elements[0].label, {(2, 0): 1}, 1)
+            elements[0] = HarmonicBasisElement(elements[0].label, square)
         return elements
 
     monkeypatch.setattr(harmonics, "build_basis_tower", defective)

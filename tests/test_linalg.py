@@ -31,9 +31,14 @@ def F(a, b=1):
     return Fraction(a, b)
 
 
-def sparse(vectors):
-    """Dense vectors as the sparse vectors solves and ranks read."""
-    return [dict(enumerate(v)) for v in vectors]
+def vectors(dense):
+    """Dense vectors as the polynomials a solve reads: entry i is the coefficient of x1^i."""
+    return [Polynomial(1, {(i,): x for i, x in enumerate(v)}) for v in dense]
+
+
+def rank(dense):
+    """matrix_rank of dense vectors, read as the integer numerators of vectors(dense)."""
+    return matrix_rank([p.terms for p in vectors(dense)])
 
 
 def solve(columns, targets):
@@ -118,35 +123,38 @@ def test_scale_and_equality_cross_denominator():
 def test_solve_in_span():
     cols = [[F(1), F(0), F(1)], [F(0), F(1), F(1)]]
     target = [F(2), F(3), F(5)]
-    (sol,) = solve(sparse(cols), sparse([target]))
+    (sol,) = solve(vectors(cols), vectors([target]))
     assert sol == [F(2), F(3)]
     with pytest.raises(InconsistentSystem):
-        solve_in_span(sparse(cols), sparse([[F(1), F(0), F(0)]]))
+        solve_in_span(vectors(cols), vectors([[F(1), F(0), F(0)]]))
     with pytest.raises(ValueError):
-        solve_in_span(sparse([[F(1), F(2)], [F(2), F(4)]]), sparse([[F(1), F(2)]]))
+        solve_in_span(vectors([[F(1), F(2)], [F(2), F(4)]]), vectors([[F(1), F(2)]]))
 
 
 def test_matrix_rank():
-    assert matrix_rank(sparse([[F(1), F(2)], [F(2), F(4)]])) == 1
-    assert matrix_rank(sparse([[F(1), F(0)], [F(0), F(1)]])) == 2
-    assert matrix_rank(sparse([[F(0), F(0)]])) == 0
+    assert rank([[F(1), F(2)], [F(2), F(4)]]) == 1
+    assert rank([[F(1), F(0)], [F(0), F(1)]]) == 2
+    assert rank([[F(0), F(0)]]) == 0
+    assert matrix_rank([{0: 2, 1: -4}, {0: -1, 1: 2}, {}]) == 1
 
 
 def test_polynomial_terms_are_sparse_vectors():
     x, y = Polynomial.variable(2, 1), Polynomial.variable(2, 2)
-    columns = [(x + y).terms, (x - y).terms]
-    (sol,) = solve(columns, [(x.scale(3) + y).terms])
+    columns = [x + y, x - y]
+    (sol,) = solve(columns, [x.scale(3) + y])
     assert sol == [F(2), F(1)]
     # x1 x2 is a monomial that no column has
     with pytest.raises(InconsistentSystem):
-        solve_in_span(columns, [(x * y).terms])
-    # an explicit zero entry is no entry, even under a key no column has
-    (sol,) = solve([{(1, 0): F(1), (0, 1): F(0)}], [{(1, 0): F(2), (1, 1): F(0)}])
-    assert sol == [F(2)]
-    assert matrix_rank([{(1, 0): F(0)}, x.terms]) == 1
-    # an empty column is the zero vector
+        solve_in_span(columns, [x * y])
+    # each vector is read over its own den: (3x + y)/5 is
+    # 4/5 (x + y)/2 + 3/5 (x - y)/3
+    halves = [(x + y).scale(F(1, 2)), (x - y).scale(F(1, 3))]
+    (sol,) = solve(halves, [(x.scale(3) + y).scale(F(1, 5))])
+    assert sol == [F(4, 5), F(3, 5)]
+    assert matrix_rank([p.terms for p in halves + columns]) == 2
+    # the zero polynomial has no terms: it is the zero vector
     with pytest.raises(ValueError, match="linearly dependent"):
-        solve_in_span([x.terms, Polynomial.zero(2).terms], [x.terms])
+        solve_in_span([x, Polynomial.zero(2)], [x])
 
 
 # -- sparse storage against a dense Fraction reference ------------------------
@@ -458,8 +466,8 @@ def test_arithmetic_methods_error_paths():
 # -- the one elimination behind solve_in_span and matrix_rank ------------------
 
 # mostly-zero draws give singular and rank-deficient matrices; dense draws are
-# mostly invertible.  Both also draw plain ints, as the integer numerators of
-# a RationalMatrix's sparse rows are solved and ranked as they are.
+# mostly invertible.  Both also draw plain ints, which vectors() keeps as
+# numerators over 1.
 sparse_entries = st.one_of(
     st.just(Fraction(0)), st.just(0), st.integers(-2, 2).map(Fraction), st.integers(-7, 7)
 )
@@ -502,16 +510,16 @@ def test_elimination_matches_cofactor_oracles(data):
     columns = data.draw(st.lists(
         st.lists(sparse_entries, min_size=nrows, max_size=nrows), min_size=ncols, max_size=ncols
     ))
-    rank = minor_rank(columns)
-    assert matrix_rank(sparse(columns)) == rank
-    assert matrix_rank(sparse(zip(*columns))) == rank
+    minor = minor_rank(columns)
+    assert rank(columns) == minor
+    assert rank(zip(*columns)) == minor
     coeffs = data.draw(st.lists(dense_entries, min_size=ncols, max_size=ncols))
     target = combine(columns, coeffs)
-    if rank < ncols:
+    if minor < ncols:
         with pytest.raises(ValueError, match="linearly dependent"):
-            solve_in_span(sparse(columns), sparse([target]))
+            solve_in_span(vectors(columns), vectors([target]))
     else:
-        (sol,) = solve(sparse(columns), sparse([target]))
+        (sol,) = solve(vectors(columns), vectors([target]))
         assert combine(columns, sol) == target
         assert sol == coeffs  # independent columns: the solution is unique
 
@@ -527,12 +535,12 @@ def test_target_outside_span_is_inconsistent(data):
     kept = data.draw(st.integers(min_value=1, max_value=size - 1))
     coeffs = data.draw(st.lists(dense_entries, min_size=kept, max_size=kept))
     inside = combine(columns[:kept], coeffs)
-    (sol,) = solve(sparse(columns[:kept]), sparse([inside]))
+    (sol,) = solve(vectors(columns[:kept]), vectors([inside]))
     assert sol == coeffs
     # the next column of an invertible matrix is outside the span of the first ones
     outside = [x + y for x, y in zip(inside, columns[kept])]
     with pytest.raises(InconsistentSystem):
-        solve_in_span(sparse(columns[:kept]), sparse([inside, outside]))
+        solve_in_span(vectors(columns[:kept]), vectors([inside, outside]))
 
 
 # -- the elimination on sparse rows: blocks, permutations, exact cancellation --
@@ -579,18 +587,18 @@ def permuted_block_diagonal(draw, max_blocks=3, max_size=3):
 @given(st.data())
 def test_sparse_elimination_on_permuted_blocks(data):
     matrix, blocks = data.draw(permuted_block_diagonal())
-    rank = sum(minor_rank(block) for block in blocks)  # blocks add their ranks
-    assert matrix_rank(sparse(matrix)) == rank
+    minor = sum(minor_rank(block) for block in blocks)  # blocks add their ranks
+    assert rank(matrix) == minor
     columns = [list(col) for col in zip(*matrix)]
-    assert matrix_rank(sparse(columns)) == rank
+    assert rank(columns) == minor
     coeffs = data.draw(st.lists(dense_entries, min_size=len(columns), max_size=len(columns)))
     target = combine(columns, coeffs)
-    if rank < len(columns):
+    if minor < len(columns):
         with pytest.raises(ValueError, match="linearly dependent"):
-            solve_in_span(sparse(columns), sparse([target]))
+            solve_in_span(vectors(columns), vectors([target]))
     else:
         # rows beyond the rank cancel to exact zeros in the target column
-        (sol,) = solve(sparse(columns), sparse([target]))
+        (sol,) = solve(vectors(columns), vectors([target]))
         assert combine(columns, sol) == target
         assert sol == coeffs
 
@@ -598,15 +606,15 @@ def test_sparse_elimination_on_permuted_blocks(data):
 def test_elimination_is_exact_on_integer_input():
     # a pivot inverse taken as 1 / int would be a float: 1/3 inexact, and
     # 98 * (1/49) != 2, which leaves a spurious second pivot
-    assert solve([{0: 3}], [{0: 1}]) == [[F(1, 3)]]
+    assert solve(vectors([[3]]), vectors([[1]])) == [[F(1, 3)]]
     assert matrix_rank([{0: 49, 1: 1}, {0: 98, 1: 2}]) == 1
 
 
 def test_cancelled_entries_leave_the_rows():
     # the second row cancels to zero: it must neither offer a zero pivot
     # nor count as a leftover entry below the pivots
-    assert matrix_rank(sparse([[F(1), F(2), F(3)], [F(2), F(4), F(6)], [F(0), F(0), F(1)]])) == 2
-    (sol,) = solve(sparse([[F(1), F(1), F(2)]]), sparse([[F(3), F(3), F(6)]]))
+    assert rank([[F(1), F(2), F(3)], [F(2), F(4), F(6)], [F(0), F(0), F(1)]]) == 2
+    (sol,) = solve(vectors([[F(1), F(1), F(2)]]), vectors([[F(3), F(3), F(6)]]))
     assert sol == [F(3)]
 
 
@@ -737,28 +745,40 @@ def solve_outcome(solver, columns, targets):
     return w.shape, w.den, w.sparse_rows
 
 
+def polynomials(system):
+    """The drawn sparse vectors (keys are exponent tuples in two variables) as polynomials."""
+    return [Polynomial(2, vector) for vector in system]
+
+
 @settings(max_examples=80, deadline=None)
 @given(linear_systems())
 def test_integer_elimination_matches_the_fraction_reference(system):
+    # solve_in_span eliminates each polynomial's numerators and reads the
+    # coefficients over the dens; the reference eliminates the drawn
+    # Fractions as they are
     columns, targets = system
-    got = solve_outcome(solve_in_span, columns, targets)
+    got = solve_outcome(solve_in_span, polynomials(columns), polynomials(targets))
     assert got == solve_outcome(reference_solve, columns, targets)
-    for vectors in (columns, targets, columns + targets):
-        assert matrix_rank(vectors) == len(reference_gauss_jordan(reference_rows(vectors), len(vectors)))
+    for drawn in (columns, targets, columns + targets):
+        numerators = [p.terms for p in polynomials(drawn)]
+        assert matrix_rank(numerators) == len(reference_gauss_jordan(reference_rows(drawn), len(drawn)))
 
 
 @settings(max_examples=80, deadline=None)
 @given(linear_systems())
 def test_integer_rows_are_multiples_of_the_fraction_rows(system):
-    # the integer elimination makes the same swaps and pivots as the Fraction
-    # one, and each of its rows is a nonzero multiple of the Fraction row;
-    # a row it combined is divided by the gcd of its entries
+    # on the same numerators, the integer elimination makes the same swaps
+    # and pivots as the Fraction one, and each of its rows is a nonzero
+    # multiple of the Fraction row; a row it combined is divided by the gcd
+    # of its entries.  The pivot columns are those of the drawn Fractions
+    # too, since each vector's den scales one column.
     columns, targets = system
-    vectors = columns + targets
-    rows = _elimination_rows(vectors)
+    numerators = [p.terms for p in polynomials(columns + targets)]
+    rows = _elimination_rows(numerators)
     given_rows = {id(row): dict(row) for row in rows}
-    ref = reference_rows(vectors)
-    assert _gauss_jordan(rows, len(columns)) == reference_gauss_jordan(ref, len(columns))
+    ref = reference_rows(numerators)
+    pivots = reference_gauss_jordan(reference_rows(columns + targets), len(columns))
+    assert _gauss_jordan(rows, len(columns)) == reference_gauss_jordan(ref, len(columns)) == pivots
     for row, ref_row in zip(rows, ref):
         assert all(type(x) is int for x in row.values())
         assert row.keys() == ref_row.keys()
@@ -774,8 +794,11 @@ def test_integer_rows_are_multiples_of_the_fraction_rows(system):
 
 
 def reference_connection(source, target):
-    """connection_matrix's W by reference_solve on the elements' Polynomial terms."""
-    return reference_solve([el.poly.terms for el in target], [el.poly.terms for el in source])
+    """connection_matrix's W by reference_solve on the elements' Fraction coefficients."""
+    def coefficients(elements):
+        return [dict(el.poly.sorted_terms()) for el in elements]
+
+    return reference_solve(coefficients(target), coefficients(source))
 
 
 connection_mu = st.one_of(
@@ -788,8 +811,8 @@ connection_mu = st.one_of(
 @settings(max_examples=3, deadline=None)
 @given(st.data())
 def test_integer_connection_matches_the_fraction_reference(data):
-    # connection_matrix solves on the towers' integer numerators and
-    # rescales by their denominators; on every edge of both walks, at every
+    # connection_matrix solves on the towers' integer numerators and reads
+    # W over their denominators; on every edge of both walks, at every
     # degree, W must be the Fraction solve on the polynomials, in the same
     # lowest-terms rows and the same exported text
     for n, kmax, start, goal in ((4, 6, (1, 2, 3, 4), (3, 4, 2, 1)),

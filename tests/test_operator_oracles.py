@@ -6,12 +6,15 @@ operator keeps its matrices and the images it applies.  The oracles
 below are written with Polynomial methods only (derivative, reflection,
 coordinate division, products), so they share no code with the rules.
 Also checked: kept images never leak into or out of a call, every matrix
-is the one read from the oracles' Fraction images, and permuting the
-variables together with mu permutes every operator.
+is the one read from the oracles' Fraction images, permuting the
+variables together with mu permutes every operator, and every Polynomial
+operation and operator call returns integer numerators over one
+denominator in lowest terms, with the coefficients of a one-Fraction-per-
+term reference.
 """
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -177,7 +180,9 @@ def test_matrix_columns_are_monomial_images(case, k):
 def reference_matrix(oracle, n, k, shift):
     """(den, sparse rows) of the oracle's Fraction images on degree k, over their lcm."""
     targets = {exps: row for row, exps in enumerate(monomial_basis(n, k + shift))}
-    images = [oracle(Polynomial.monomial(n, exps)).terms for exps in monomial_basis(n, k)]
+    images = [
+        dict(oracle(Polynomial.monomial(n, exps)).sorted_terms()) for exps in monomial_basis(n, k)
+    ]
     den = lcm(1, *(c.denominator for image in images for c in image.values()))
     rows = [{} for _ in targets]
     for col, image in enumerate(images):
@@ -204,7 +209,7 @@ def test_matrices_are_the_oracle_images_over_their_lcm(case):
 def permute(sigma, p):
     """sigma . p: the variable x_i of p becomes x_sigma(i)."""
     out = {}
-    for exps, c in p.terms.items():
+    for exps, c in p.sorted_terms():
         moved = [0] * p.n
         for pos, e in enumerate(exps):
             moved[sigma[pos] - 1] = e
@@ -236,3 +241,74 @@ def test_permuting_variables_with_mu_permutes_every_operator(case, data):
     sp = permute(sigma, p)
     for op, moved_op in pairs:
         assert moved_op(sp) == permute(sigma, op(p)), op.descriptor
+
+
+# -- canonical form of every result --------------------------------------------
+
+
+def fractions(p):
+    """p's coefficients, one Fraction per term."""
+    return dict(p.sorted_terms())
+
+
+def reference_sum(*parts):
+    """The sum of (exponents, Fraction) pairs, one Fraction per term, zeros dropped."""
+    out = {}
+    for part in parts:
+        for exps, c in part:
+            out[exps] = out.get(exps, 0) + c
+    return {exps: c for exps, c in out.items() if c}
+
+
+def reference_product(a, b):
+    return reference_sum(
+        (tuple(x + y for x, y in zip(ea, eb)), ca * cb) for ea, ca in a.items() for eb, cb in b.items()
+    )
+
+
+def lowered(exps, pos):
+    return exps[:pos] + (exps[pos] - 1,) + exps[pos + 1:]
+
+
+def assert_canonical(result, expected, what):
+    """result is ints over a positive den in lowest terms, with the expected coefficients."""
+    assert type(result.den) is int and result.den > 0, what
+    assert all(type(x) is int and x for x in result.terms.values()), what
+    assert gcd(result.den, *result.terms.values()) == 1, what
+    assert {e: result.coefficient(e) for e in result.terms} == expected, what
+
+
+@settings(max_examples=60, deadline=None)
+@given(cases(), coeffs, st.integers(0, 3), st.integers(0, 8))
+def test_every_result_is_in_lowest_terms(case, c, k, which):
+    # equal polynomials compare by their terms and den, so a result that is
+    # not in lowest terms would make == silently false
+    params, p, q, A, i, j = case
+    n, pos = params.n, i - 1
+    a, b = fractions(p), fractions(q)
+    power = {(0,) * n: Fraction(1)}
+    for _ in range(k):
+        power = reference_product(power, a)
+    divisible = p - p.restrict_to_zero(i)
+    op, _ = builders_with_oracles(params, A, i, j)[which]  # one of the nine builders
+    image = {}
+    for exps, x in a.items():
+        for e, y in op.apply({exps: 1}).items():
+            image[e] = image.get(e, 0) + x * Fraction(y, op.den)
+    checks = [
+        ("p + q", p + q, reference_sum(a.items(), b.items())),
+        ("p - q", p - q, reference_sum(a.items(), ((e, -x) for e, x in b.items()))),
+        ("p - p", p - p, {}),
+        ("p * q", p * q, reference_product(a, b)),
+        ("c p", p.scale(c), reference_sum((e, x * c) for e, x in a.items())),
+        ("p ** k", p**k, power),
+        ("d_i p", p.partial_derivative(i),
+         reference_sum((lowered(e, pos), x * e[pos]) for e, x in a.items() if e[pos])),
+        ("r_i p", p.reflect(i), reference_sum((e, -x if e[pos] % 2 else x) for e, x in a.items())),
+        ("p at x_i = 0", p.restrict_to_zero(i), reference_sum((e, x) for e, x in a.items() if not e[pos])),
+        ("p / x_i", divisible.divide_by_coordinate(i),
+         reference_sum((lowered(e, pos), x) for e, x in a.items() if e[pos])),
+        (op.descriptor, op(p), reference_sum(image.items())),
+    ]
+    for what, result, expected in checks:
+        assert_canonical(result, expected, what)

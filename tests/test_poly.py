@@ -1,6 +1,7 @@
 """Polynomial arithmetic, coordinate operations, and serialization."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -92,17 +93,6 @@ def test_restrict_to_zero_examples():
     assert Polynomial.one(3).restrict_to_zero(2) == Polynomial.one(3)
 
 
-def test_homogeneous_components():
-    p = P(2, "1 * x1^2 + 2 * x1 x2 + 3 * x1 + 4")
-    comps = p.homogeneous_components()
-    assert sorted(comps) == [0, 1, 2]
-    total = Polynomial.zero(2)
-    for d, q in comps.items():
-        assert q.is_homogeneous() and q.degree() == d
-        total = total + q
-    assert total == p
-
-
 # -- properties -------------------------------------------------------------
 
 @given(polynomials(n=3), polynomials(n=3), st.integers(min_value=1, max_value=3))
@@ -128,7 +118,14 @@ def test_text_round_trip(p):
 @given(polynomials())
 @settings(max_examples=80, deadline=None)
 def test_json_round_trip(p):
-    assert Polynomial.from_json_obj(p.n, p.to_json_obj()) == p
+    # one entry per term of sorted_terms: exponents, then the coefficient's
+    # numerator and positive denominator in lowest terms, as decimal strings
+    obj = p.to_json_obj()
+    read = [(tuple(t["exponents"]), int(t["num"]), int(t["den"])) for t in obj]
+    assert [(e, Fraction(num, den)) for e, num, den in read] == p.sorted_terms()
+    assert all(den > 0 and gcd(num, den) == 1 for _, num, den in read)
+    assert all(t["num"] == str(int(t["num"])) and t["den"] == str(int(t["den"])) for t in obj)
+    assert Polynomial(p.n, {e: Fraction(num, den) for e, num, den in read}) == p
 
 
 @given(polynomials(n=2), polynomials(n=2), polynomials(n=2))
@@ -208,7 +205,8 @@ def test_polynomial_refuses_inexact_coefficients():
     with pytest.raises(ValueError, match="is a complex"):
         Polynomial.constant(2, 1j)
     exact = Polynomial(2, {(1, 0): 1, (0, 1): Fraction(1, 3), (0, 0): "2/7"})
-    assert exact.terms == {(1, 0): 1, (0, 1): Fraction(1, 3), (0, 0): Fraction(2, 7)}
+    assert (exact.terms, exact.den) == ({(1, 0): 21, (0, 1): 7, (0, 0): 6}, 21)
+    assert exact.sorted_terms() == [((1, 0), 1), ((0, 1), Fraction(1, 3)), ((0, 0), Fraction(2, 7))]
     assert Polynomial.monomial(2, (1, 0), "1/10") == exact.scale(0) + P(2, "1/10 * x1")
     assert one.scale("1/3") == Polynomial.constant(2, Fraction(1, 3))
 
