@@ -2,11 +2,14 @@
 
 Rationals cross this boundary as "p/q" strings; there is no floating
 point anywhere.  Identical configurations produce byte-identical output
-files.  Exit codes: 0 when every verified identity holds; 1 when some
-identity fails (the report names the first violated one and carries a
-polynomial witness), when a suite checked nothing, or when the engine
-raises (stderr names the exception class); 2 for configuration errors,
-which are all validated up front and raised as ConfigError.
+files.  ``verify`` writes its report through Report.to_json_text, the
+indented, key-sorted JSON of the report; the other exports, ``connect``
+included, encode their objects with ``json.dumps``.  Exit codes: 0 when
+every verified identity holds; 1 when some identity fails (the report
+names the first violated one and carries a polynomial witness), when a
+suite checked nothing, or when the engine raises (stderr names the
+exception class); 2 for configuration errors, which are all validated up
+front and raised as ConfigError.
 """
 
 from __future__ import annotations
@@ -162,7 +165,7 @@ def cmd_verify(args) -> int:
         report = verify_spectral_action(params, _bound(args, 4), order)
     else:  # pragma: no cover - argparse restricts choices
         raise ConfigError(f"unknown suite {suite!r}")
-    _emit_text(json.dumps(report.to_json_obj(), indent=2, sort_keys=True) + "\n", args)
+    _emit_text(report.to_json_text(), args)
     if len(report) == 0:
         print(f"no identity checked: the {suite} suite is empty", file=sys.stderr)
         return 1

@@ -136,6 +136,21 @@ class DegreeSum:
                 rows.append({start + j: scale * x for j, x in row.items()})
         return RationalMatrix.from_sparse(rows, den, self.dim)
 
+    def parity_diagonal(self, indices, value) -> RationalMatrix:
+        """The diagonal matrix of value(r_i, r_j, ...) on the direct sum.
+
+        r_i = (-1)^e_i is the reflection sign of x_i on the monomial x^e, for
+        each i in ``indices``.  ``value`` is evaluated once per sign pattern
+        that occurs, the values are put over their lcm, and a zero value
+        stores no entry.
+        """
+        patterns = [tuple(-1 if exps[i - 1] & 1 else 1 for i in indices) for exps in self.basis]
+        values = {r: Fraction(value(*r)) for r in set(patterns)}
+        den = lcm(1, *(v.denominator for v in values.values()))
+        nums = {r: v.numerator * (den // v.denominator) for r, v in values.items()}
+        rows = [{row: nums[r]} if nums[r] else {} for row, r in enumerate(patterns)]
+        return RationalMatrix.from_sparse(rows, den, self.dim)
+
     def materialize(self, op: LinearOperator) -> RationalMatrix:
         """A degree-preserving operator on the direct sum."""
         return self.direct_sum([materialize_on_monomials(op, self.n, k) for k in self.degrees])
@@ -174,7 +189,8 @@ class RelationWorkspace(DegreeSum):
     block k is the generator on the degree-k monomials.  The pair
     invariants are assembled from ``_pair_invariants`` degree by degree,
     the other operators from their kept per-degree matrices, and the
-    diagonal factors are read off the direct sum's monomials directly.
+    diagonal factors, which depend only on reflection signs, are built by
+    ``parity_diagonal`` from one value per sign pattern.
     """
 
     def __init__(self, ops: DunklOperators, kmax: int):
@@ -182,21 +198,16 @@ class RelationWorkspace(DegreeSum):
         self.ops = ops
 
         n = self.n
-        self.reflect_sign = {
-            i: [1 if exps[i - 1] % 2 == 0 else -1 for exps in self.basis]
-            for i in range(1, n + 1)
-        }
         # diagonal factors: the closed form 1/4 (mu^2 - mu r - 3/4) of the
         # one-index invariant, and 1 + 2 mu r from the angular form of F
         self.c1_mat: dict[int, RationalMatrix] = {}
         self.refl_mat: dict[int, RationalMatrix] = {}
         for i in range(1, n + 1):
             mu = ops.params.mu_of(i)
-            even = (mu * mu - mu - Fraction(3, 4)) / 4
-            odd = (mu * mu + mu - Fraction(3, 4)) / 4
-            signs = self.reflect_sign[i]
-            self.c1_mat[i] = RationalMatrix.diagonal([even if s == 1 else odd for s in signs])
-            self.refl_mat[i] = RationalMatrix.diagonal([1 + 2 * mu * s for s in signs])
+            self.c1_mat[i] = self.parity_diagonal(
+                (i,), lambda r: (mu * mu - mu * r - Fraction(3, 4)) / 4
+            )
+            self.refl_mat[i] = self.parity_diagonal((i,), lambda r: 1 + 2 * mu * r)
 
         self.c_pair = _pair_invariant_sum(ops, self)
         self.p_mat: dict[frozenset, RationalMatrix] = {}
@@ -328,10 +339,9 @@ def _pair_invariant_form(ws: RelationWorkspace):
     one = RationalMatrix.identity(ws.dim)
     for i, j in combinations(range(1, ws.n + 1), 2):
         mu_i, mu_j = params.mu_of(i), params.mu_of(j)
-        square = RationalMatrix.diagonal([
-            mu_i * mu_i + mu_j * mu_j + 2 * mu_i * mu_j * si * sj
-            for si, sj in zip(ws.reflect_sign[i], ws.reflect_sign[j])
-        ])
+        square = ws.parity_diagonal(
+            (i, j), lambda ri, rj: mu_i * mu_i + mu_j * mu_j + 2 * mu_i * mu_j * ri * rj
+        )
         yield "pair-invariant-angular-form", (i, j), [
             (4, (ws.cp(i, j),)), (1, (ws.l2(i, j),)), (-1, (square,)), (1, (one,)),
         ]

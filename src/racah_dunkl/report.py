@@ -5,11 +5,19 @@ check results.  A result names the relation, the index tuple it was
 instantiated with, the polynomial degree of the test space, and the first
 witnessing discrepancy, serialized as text.  A check fails exactly when it
 has a witness: Report.add takes only the witness, and the status follows.
+
+Report.to_json_text writes the bytes of every ``verify`` report: the text
+of ``json.dumps(report.to_json_obj(), indent=2, sort_keys=True)`` plus a
+newline, built from one template per entry with its keys in sorted order
+and its strings quoted by json's C routine, so the pure-Python encoder
+that ``indent`` selects never runs.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Iterable
 
 from .poly import Polynomial
@@ -67,10 +75,6 @@ class Report:
     def ok(self) -> bool:
         return all(r.ok for r in self.results)
 
-    @property
-    def failures(self) -> list[CheckResult]:
-        return [r for r in self.results if not r.ok]
-
     def __len__(self) -> int:
         return len(self.results)
 
@@ -79,3 +83,44 @@ class Report:
 
     def to_json_obj(self) -> list[dict]:
         return [r.to_json_obj() for r in self.results]
+
+    def to_json_text(self) -> str:
+        """json.dumps(self.to_json_obj(), indent=2, sort_keys=True) + "\n", byte for byte.
+
+        Each distinct index tuple is written once: a sweep records it once
+        per degree.  Index tuples hold ints and tuples of them, so equal
+        tuples have equal text.
+        """
+        if not self.results:
+            return "[]\n"
+        index_text: dict[tuple, str] = {}
+        entries = []
+        for r in self.results:
+            index = index_text.get(r.index_tuple)
+            if index is None:
+                index = index_text[r.index_tuple] = _json_value(r.index_tuple, "    ")
+            witness = (
+                ""
+                if r.first_discrepancy is None
+                else f'\n    "first_discrepancy_polynomial": {_quote(r.first_discrepancy)},'
+            )
+            entries.append(
+                f'  {{\n    "degree": {_json_value(r.degree, "")},{witness}'
+                f'\n    "index_tuple": {index},'
+                f'\n    "relation": {_quote(r.relation)},'
+                f'\n    "status": {_quote(r.status)}\n  }}'
+            )
+        return "[\n" + ",\n".join(entries) + "\n]\n"
+
+
+def _json_value(x, indent: str) -> str:
+    """json's indent-2 text of x, a scalar or a nested list, at the given indent."""
+    if isinstance(x, (list, tuple)):
+        if not x:
+            return "[]"
+        inner = indent + "  "
+        items = (",\n" + inner).join(_json_value(y, inner) for y in x)
+        return f"[\n{inner}{items}\n{indent}]"
+    if type(x) is int:
+        return repr(x)
+    return json.dumps(x)

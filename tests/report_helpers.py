@@ -1,0 +1,8 @@
+"""Helpers the tests share for reading verification reports."""
+
+from racah_dunkl.report import CheckResult, Report
+
+
+def failures(report: Report) -> list[CheckResult]:
+    """The failed checks of a report, in report order."""
+    return [r for r in report if not r.ok]

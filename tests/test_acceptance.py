@@ -39,6 +39,8 @@ from racah_dunkl import (
     verify_tower,
 )
 
+from report_helpers import failures
+
 
 def _passed(num: int, text: str) -> None:
     print(f"[ACCEPTANCE] criterion {num:2d}: PASS - {text}")
@@ -46,7 +48,7 @@ def _passed(num: int, text: str) -> None:
 
 def _require(report, num: int):
     if not report.ok:
-        first = report.failures[0]
+        first = failures(report)[0]
         print(
             f"[ACCEPTANCE] criterion {num:2d}: FAIL - {first.relation} "
             f"{first.index_tuple} degree {first.degree}: {first.first_discrepancy}"

@@ -186,6 +186,29 @@ def test_verify_empty_report_is_not_success(monkeypatch, capsys):
     assert "no identity checked" in captured.err
 
 
+def test_verify_writes_its_report_without_the_python_json_encoder(monkeypatch, capsys):
+    # json.dumps with indent runs json.encoder._make_iterencode, the
+    # pure-Python encoder; a verify report is written by Report.to_json_text
+    import json.encoder
+
+    calls = []
+    make_iterencode = json.encoder._make_iterencode
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return make_iterencode(*args, **kwargs)
+
+    monkeypatch.setattr(json.encoder, "_make_iterencode", counted)
+    for suite in ("racah", "lemma1", "su11"):
+        assert run(["verify", suite, "--n", "3", "--kmax", "2"]) == 0
+        rows = json.loads(capsys.readouterr().out)
+        assert rows and all(row["status"] == "ok" for row in rows)
+    assert calls == []
+    # the counter sees the encoder that indent selects
+    json.dumps([{"degree": 0}], indent=2, sort_keys=True)
+    assert calls == [1]
+
+
 def test_omega_zero_is_a_failure_not_a_configuration_error(capsys):
     # mu_1 = mu_2 makes the rank-one spectrum degenerate: omega_0 = 0
     assert run([

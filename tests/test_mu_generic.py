@@ -26,6 +26,8 @@ from racah_dunkl import (
     verify_su11,
 )
 
+from report_helpers import failures
+
 BIG = 10**6
 mu_values = st.one_of(
     st.builds(Fraction, st.integers(1, BIG), st.integers(1, BIG)),
@@ -52,7 +54,7 @@ def default_shape(n, kmax):
 
 def assert_all_ok(report):
     assert len(report) > 0
-    assert report.ok, [r.to_json_obj() for r in report.failures][:1]
+    assert report.ok, [r.to_json_obj() for r in failures(report)][:1]
 
 
 @settings(max_examples=10, deadline=None)

@@ -11,7 +11,7 @@ from fractions import Fraction
 from itertools import combinations, permutations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from racah_dunkl import (
@@ -34,6 +34,8 @@ from racah_dunkl.linalg import product_sum
 from racah_dunkl.poly import Polynomial, monomial_basis
 from racah_dunkl.relations import RelationWorkspace, _matrix_witness, _record
 from racah_dunkl.report import CheckResult, Report
+
+from report_helpers import failures
 
 P3 = ParameterSet.make(["1/2", "1/3", "1/4"])
 
@@ -187,10 +189,10 @@ def test_su11_witness_is_first_nonzero_monomial_image(monkeypatch):
         return a0, jp, doubled
 
     monkeypatch.setattr(relations, "su11_triple", doubled_lowering)
-    failures = verify_su11(P3, 1).failures
-    assert {r.relation for r in failures} == {"su11-bracket"}
-    assert len(failures) == 7 * 2
-    assert failures[:2] == [
+    failed = failures(verify_su11(P3, 1))
+    assert {r.relation for r in failed} == {"su11-bracket"}
+    assert len(failed) == 7 * 2
+    assert failed[:2] == [
         CheckResult("su11-bracket", (1,), 0, "fail", "1"),
         CheckResult("su11-bracket", (1,), 1, "fail", "2 * x1"),
     ]
@@ -204,7 +206,7 @@ def test_lemma1_witness_is_first_nonzero_monomial_image(monkeypatch):
     report = verify_casimir_laplacian_commute(P3, 3)
     assert len(report) == 7 * 4
     relation = "invariant-commutes-with-laplacian"
-    assert report.failures == [
+    assert failures(report) == [
         CheckResult(relation, (1, 3), 2, "fail", "-3"),
         CheckResult(relation, (1, 3), 3, "fail", "-6 * x1"),
         CheckResult(relation, (2, 3), 2, "fail", "-5/2"),
@@ -230,10 +232,10 @@ def test_one_wrong_generator_entry_at_n6_fails_exactly_its_relations(monkeypatch
 
     monkeypatch.setattr(relations, "_pair_invariants", bumped)
     report = verify_racah_relations(ParameterSet.default(6), 2)
-    failures = report.failures
+    failed = failures(report)
     assert len(report) == 5544
-    assert {r.degree for r in failures} == {2}
-    assert Counter(r.relation for r in failures) == {
+    assert {r.degree for r in failed} == {2}
+    assert Counter(r.relation for r in failed) == {
         "pair-invariant-angular-form": 1,
         "subset-additivity": 15,
         "f-from-angular-momentum": 5,
@@ -245,7 +247,7 @@ def test_one_wrong_generator_entry_at_n6_fails_exactly_its_relations(monkeypatch
         "adjacent-pair-sum-commutes": 8,
     }
     by_relation = {
-        relation: [r.index_tuple for r in failures if r.relation == relation]
+        relation: [r.index_tuple for r in failed if r.relation == relation]
         for relation in ("disjoint-pairs-commute", "f-from-angular-momentum")
     }
     assert by_relation == {
@@ -253,10 +255,10 @@ def test_one_wrong_generator_entry_at_n6_fails_exactly_its_relations(monkeypatch
         "f-from-angular-momentum": [(1, 2, 3), (1, 2, 4), (1, 2, 5), (1, 2, 6), (2, 1, 3)],
     }
     # the whole list of (relation, index tuple, degree), in report order
-    listed = [(r.relation, r.index_tuple, r.degree) for r in failures]
+    listed = [(r.relation, r.index_tuple, r.degree) for r in failed]
     digest = hashlib.sha256(repr(listed).encode()).hexdigest()
     assert digest == "e3b3ad50f2484855b5b40f8f744f2e90a836cda0c5f8d8d71709ae82fab8e674"
-    triple = next(r for r in failures if r.relation == "triple-relation")
+    triple = next(r for r in failed if r.relation == "triple-relation")
     assert triple == CheckResult("triple-relation", (1, 2, 3), 2, "fail", "539/1152 * x1 x2")
 
 
@@ -273,6 +275,13 @@ def test_empty_degree_range_checks_nothing(monkeypatch, capsys):
         captured = capsys.readouterr()
         assert captured.out == "[]\n"
         assert f"no identity checked: the {suite} suite is empty" in captured.err
+
+
+def per_entry_diagonal(basis, indices, value) -> RationalMatrix:
+    """diag(value(r_i, r_j, ...)) with one Fraction per monomial, r_i = (-1)^e_i."""
+    return RationalMatrix.diagonal([
+        Fraction(value(*(-1 if exps[i - 1] % 2 else 1 for i in indices))) for exps in basis
+    ])
 
 
 class ReferenceWorkspace:
@@ -319,6 +328,9 @@ class ReferenceWorkspace:
 
     def materialize(self, op: LinearOperator) -> RationalMatrix:
         return materialize_on_monomials(op, self.n, self.k)
+
+    def parity_diagonal(self, indices, value) -> RationalMatrix:
+        return per_entry_diagonal(self.basis, indices, value)
 
 
 def reference_witness(n: int, basis, diff: RationalMatrix) -> str | None:
@@ -400,10 +412,50 @@ def test_direct_sum_sweep_matches_the_per_degree_reference(n, kmax, mu, data):
         report = verify_racah_relations(params, kmax)
         reference = reference_racah_relations(params, kmax)
     assert report.results == reference.results
-    assert {r.degree for r in report.failures} == {degree}
+    assert {r.degree for r in failures(report)} == {degree}
     assert ("pair-invariant-angular-form", (1, 2)) in {
-        (r.relation, r.index_tuple) for r in report.failures
+        (r.relation, r.index_tuple) for r in failures(report)
     }
+
+
+@settings(max_examples=30, deadline=None)
+@example(3, 2, [Fraction(1, 2)] * 5)
+@given(
+    st.integers(3, 5),
+    st.integers(0, 3),
+    st.lists(
+        st.one_of(st.sampled_from([Fraction(10**6), Fraction(1, 9), Fraction(1, 2)]), racah_mu),
+        min_size=5,
+        max_size=5,
+    ),
+)
+def test_parity_diagonals_are_the_per_entry_fraction_diagonals(n, kmax, mu):
+    # c1, refl and the square of the pair form: same den and same sparse rows
+    params = ParameterSet(n, tuple(mu[:n]))
+    ws = RelationWorkspace(DunklOperators(params), kmax)
+
+    def assert_same(matrix, reference):
+        assert matrix.shape == reference.shape == (ws.dim, ws.dim)
+        assert (matrix.den, matrix.sparse_rows) == (reference.den, reference.sparse_rows)
+
+    for i in range(1, n + 1):
+        m = params.mu_of(i)
+        even, odd = (m * m - m - Fraction(3, 4)) / 4, (m * m + m - Fraction(3, 4)) / 4
+        c1 = per_entry_diagonal(ws.basis, (i,), lambda r: even if r == 1 else odd)
+        assert_same(ws.c1(i), c1)
+        assert_same(ws.refl(i), per_entry_diagonal(ws.basis, (i,), lambda r: 1 + 2 * m * r))
+        if m == Fraction(1, 2):
+            # refl_i = 1 - 2 * 1/2 = 0 on every monomial odd in x_i: no entry is stored
+            empty = [row for row, entries in enumerate(ws.refl(i).sparse_rows) if not entries]
+            assert empty == [row for row, exps in enumerate(ws.basis) if exps[i - 1] % 2]
+    for i, j in combinations(range(1, n + 1), 2):
+        mi, mj = params.mu_of(i), params.mu_of(j)
+
+        def square(ri, rj):
+            return mi * mi + mj * mj + 2 * mi * mj * ri * rj
+
+        reference = per_entry_diagonal(ws.basis, (i, j), square)
+        assert_same(ws.parity_diagonal((i, j), square), reference)
 
 
 def test_lemma2_with_one_wrong_invariant_entry_fails_only_on_its_degree(monkeypatch):
@@ -422,7 +474,7 @@ def test_lemma2_with_one_wrong_invariant_entry_fails_only_on_its_degree(monkeypa
     monkeypatch.setattr(relations, "materialize_on_monomials", bumped)
     report = verify_nested_disjoint_commute(ParameterSet.default(4), 3)
     assert len(report) == 4 * 75
-    assert report.failures == [
+    assert failures(report) == [
         CheckResult("nested-invariants-commute", ((2,), (1, 2)), 2, "fail", "1/18 * x1 x2"),
         CheckResult("disjoint-invariants-commute", ((3,), (1, 2)), 2, "fail", "-1/24 * x1 x2"),
         CheckResult("disjoint-invariants-commute", ((1, 2), (3, 4)), 2, "fail", "19/120 * x1 x2"),

@@ -1,9 +1,15 @@
 """Report records: a check fails exactly when it carries a witness."""
 
+import json
 from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from racah_dunkl import Polynomial
 from racah_dunkl.report import CheckResult, Report, first_witness
+
+from report_helpers import failures
 
 
 def test_status_follows_the_witness():
@@ -13,7 +19,7 @@ def test_status_follows_the_witness():
     ok, fail = report.results
     assert ok == CheckResult("r", (1, 2), 3, "ok", None)
     assert fail == CheckResult("r", (1,), 0, "fail", "x1")
-    assert not report.ok and report.failures == [fail]
+    assert not report.ok and failures(report) == [fail]
     assert all(r.ok == (r.first_discrepancy is None) for r in report)
 
 
@@ -42,3 +48,45 @@ def test_first_witness_stops_at_the_first_nonzero_polynomial():
     assert first_witness(stream()) == "-3/2 * x1"
     assert first_witness([Polynomial.zero(2)]) is None
     assert first_witness([]) is None
+
+
+def oracle_text(report: Report) -> str:
+    """The bytes the verify command wrote before Report.to_json_text."""
+    return json.dumps(report.to_json_obj(), indent=2, sort_keys=True) + "\n"
+
+
+# quotes, backslashes, control characters, non-ASCII and lone surrogates
+texts = st.text(st.one_of(
+    st.sampled_from(['"', "\\", "\x00", "\x1f", "\x7f", "\n", "\t", "é", "☃", "\U0001f600"]),
+    st.characters(exclude_categories=()),
+))
+index_items = st.recursive(
+    st.integers(), lambda items: st.lists(items, max_size=3).map(tuple), max_leaves=8
+)
+checks = st.tuples(
+    texts,
+    st.lists(index_items, max_size=4).map(tuple),
+    st.one_of(st.integers(-3, 12), st.integers(-10**40, 10**40)),
+    st.none() | texts,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(checks, max_size=6))
+def test_report_text_is_the_indented_sorted_json(drawn):
+    report = Report()
+    for relation, index_tuple, degree, witness in drawn:
+        report.add(relation, index_tuple, degree, witness)
+    assert report.to_json_text() == oracle_text(report)
+
+
+def test_report_text_of_the_sweep_shapes():
+    # flat, nested (lemma2) and three-block (embedding) index tuples, an
+    # empty one, a witness, and the empty report
+    report = Report()
+    assert report.to_json_text() == oracle_text(report) == "[]\n"
+    report.add("triple-relation", (1, 2, 3), 2, "539/1152 * x1 x2")
+    report.add("nested-invariants-commute", ((2,), (1, 2)), 0, None)
+    report.add("embedding-additivity", ((1, 2), (3,), (4,)), 1, None)
+    report.add("tower-count", (), 3, "2 != 3")
+    assert report.to_json_text() == oracle_text(report)
