@@ -13,14 +13,11 @@ failure.
 
 from .connection import (
     ConnectionMatrix,
-    RankOneOverlap,
     SpanMismatch,
     TridiagonalData,
     connection_matrix,
     fischer_pairing,
-    module_basis,
     parity_blocks,
-    rank_one_overlap,
     tridiagonal_check,
 )
 from .graph import (
@@ -41,13 +38,11 @@ from .harmonics import (
     ck_extend,
     dimension_table,
     enumerate_labels,
-    fischer_decompose,
     harmonic_space_dim,
     jacobi_closed_form,
     poly_space_dim,
     verify_closed_form,
     verify_extension_restrictions,
-    verify_power_action,
     verify_power_action_sweep,
     verify_spectral_action,
     verify_tower,
@@ -69,7 +64,7 @@ from .operators import (
     normalize_subset,
     su11_triple,
 )
-from .poly import Monomial, NotDivisible, ParameterSet, Polynomial, monomial_basis
+from .poly import Monomial, ParameterSet, Polynomial, monomial_basis
 from .racah import (
     OmegaZero,
     RacahParameters,

@@ -26,22 +26,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .harmonics import (
-    HarmonicBasisElement,
-    HarmonicLabel,
-    build_basis_tower,
-    casimir_eigenvalue,
-)
+from .harmonics import HarmonicBasisElement, HarmonicLabel
 from .linalg import RationalMatrix, matrix_rank, solve_in_span
-from .operators import DunklOperators, LinearOperator, casimir, materialize
+from .operators import LinearOperator, materialize
 from .poly import ParameterSet, Polynomial
-from .racah import (
-    RacahParameters,
-    SpectralData,
-    racah_parameters,
-    racah_recurrence_polys,
-    spectral_data,
-)
 from .report import Report
 
 
@@ -238,101 +226,3 @@ def tridiagonal_check(
             ):
                 report.add(relation, key, degree, None if got == want else f"{got} != {want}")
     return data
-
-
-def module_basis(
-    params: ParameterSet,
-    epsilon: Sequence[int],
-    d3: int,
-    order: Sequence[int] = (1, 2, 3),
-) -> list[HarmonicBasisElement]:
-    """Fixed-parity three-variable module basis, ordered by the first norm power.
-
-    epsilon is indexed by variable.  The module is the parity_blocks
-    module of epsilon in the degree-d3 tower of the order, so its labels
-    carry the positional parities induced by that order.
-    """
-    if params.n != 3:
-        raise ValueError("module bases are three-variable objects")
-    tower = build_basis_tower(params, d3, order)
-    idx = parity_blocks(tower).get(tuple(epsilon))
-    if idx is None:
-        raise ValueError(f"no module for parities {tuple(epsilon)} at degree {d3}")
-    return [tower[p] for p in idx]
-
-
-@dataclass
-class RankOneOverlap:
-    """Connection data of a fixed-parity module between two chain orders."""
-
-    connection: ConnectionMatrix
-    tridiagonal: RationalMatrix
-    eigenvalues: list[Fraction]
-    spectral: SpectralData
-    parameters: RacahParameters
-    report: Report
-
-
-def rank_one_overlap(
-    params: ParameterSet,
-    epsilon: Sequence[int],
-    d3: int,
-    order: Sequence[int] = (1, 2, 3),
-) -> RankOneOverlap:
-    """Expand the rotated-order eigenbasis in the base-order one and verify
-    that the expansion is governed by the discrete recurrence.
-
-    With phi the base-order module basis and psi the basis for the order
-    rotated one step left, the rows of W solve psi_s = sum_k W[s][k] phi_k.
-    The normalization-free recurrence statement is checked exactly: the
-    monic ratios v_k(s) = (prod_{t<=k} M[t-1][t]) W[s][k] / W[s][0] with M
-    the realized tridiagonal matrix satisfy v_k(s) = H_k(mu_s + tau), and
-    the top polynomial H_m annihilates the whole shifted spectrum.
-
-    A degenerate spectrum is reported as a failed distinct-spectrum check
-    and the ratio checks are skipped, never silently resolved.
-    """
-    order = tuple(order)
-    rotated = (order[1], order[2], order[0])
-    phi = module_basis(params, epsilon, d3, order)
-    psi = module_basis(params, epsilon, d3, rotated)
-    m = len(phi)
-
-    w = connection_matrix(params, psi, phi)
-    pair_op = casimir(DunklOperators(params), (order[1], order[2]))
-    tridiagonal = materialize(pair_op, 3, [el.poly for el in phi])
-    mus = [casimir_eigenvalue(params, el.label, 2) for el in psi]
-
-    eff_params = ParameterSet.make([params.mu_of(o) for o in order])
-    eff_eps = [epsilon[o - 1] for o in order]
-    sd = spectral_data(eff_params, eff_eps, d3)
-    rp = racah_parameters(eff_params, eff_eps, d3)
-    polys = racah_recurrence_polys(rp, sd, m)
-
-    report = Report()
-    repeated = None if len(set(mus)) == len(mus) else f"repeated eigenvalues in {mus}"
-    report.add("distinct-spectrum", order, d3, repeated)
-    if repeated is None:
-        uppers = [tridiagonal.at(t - 1, t) for t in range(1, m)]
-        for s in range(m):
-            w0 = w.at(s, 0)
-            vanishing = f"W[{s}][0] = 0" if w0 == 0 else None
-            report.add("leading-connection-coefficient-nonzero", (s,), d3, vanishing)
-            if w0 == 0:
-                continue
-            shifted = mus[s] + rp.tau
-            scale = Fraction(1)
-            mismatch = None
-            for k in range(m):
-                if k:
-                    scale *= uppers[k - 1]
-                v_k = scale * w.at(s, k) / w0
-                expected = polys[k].evaluate([shifted])
-                if v_k != expected:
-                    mismatch = f"k={k}: {v_k} != {expected}"
-                    break
-            report.add("monic-ratios-match-recurrence", (s,), d3, mismatch)
-            boundary = polys[m].evaluate([shifted])
-            root = None if boundary == 0 else f"H_{m}({shifted}) = {boundary}"
-            report.add("recurrence-boundary-root", (s,), d3, root)
-    return RankOneOverlap(w, tridiagonal, mus, sd, rp, report)

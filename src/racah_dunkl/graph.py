@@ -12,7 +12,6 @@ the chain.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from itertools import permutations
 from typing import Sequence
@@ -150,23 +149,6 @@ class RecouplingGraph:
 
     def degree(self, index: int) -> int:
         return sum(1 for e in self.edges if index in e)
-
-    def is_connected(self) -> bool:
-        if not self.vertices:
-            return True
-        adjacency: dict[int, list[int]] = {i: [] for i in range(len(self.vertices))}
-        for i, j in self.edges:
-            adjacency[i].append(j)
-            adjacency[j].append(i)
-        seen = {0}
-        queue = deque([0])
-        while queue:
-            v = queue.popleft()
-            for w in adjacency[v]:
-                if w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-        return len(seen) == len(self.vertices)
 
     def to_json_obj(self) -> dict:
         return {

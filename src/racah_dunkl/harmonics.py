@@ -26,7 +26,7 @@ from itertools import product
 from math import comb, factorial, gcd
 from typing import Iterable, Iterator, Sequence
 
-from .linalg import matrix_rank, solve_in_span
+from .linalg import matrix_rank
 from .operators import (
     DunklOperators,
     LinearOperator,
@@ -369,67 +369,6 @@ def casimir_eigenvalue(params: ParameterSet, label: HarmonicLabel, m: int) -> Fr
     d = label.partial_degree(m)
     gam = gamma(params, label.prefix(m))
     return (d + gam) * (d + gam - 2) / 4
-
-
-def fischer_decompose(
-    params: ParameterSet, p: Polynomial
-) -> list[tuple[int, Polynomial]]:
-    """Split a homogeneous p into norm-power times harmonic components.
-
-    Returns the pairs (j, h) with p equal to the sum of |x|^(2j) h over
-    the returned entries, each h harmonic of degree deg(p) - 2j; zero
-    components are omitted.  The splitting is found by one exact linear
-    solve against the realized harmonic bases of the admissible degrees.
-    """
-    n = params.n
-    if p.n != n:
-        raise ValueError("dimension mismatch")
-    if not p.is_homogeneous():
-        raise ValueError("only homogeneous polynomials decompose")
-    if p.is_zero:
-        return []
-    k = p.degree()
-    full = tuple(range(1, n + 1))
-    nrm = norm_square_poly(full, n)
-
-    span: list[Polynomial] = []
-    tags: list[tuple[int, Polynomial]] = []
-    for j in range(k // 2 + 1):
-        nrm_pow = nrm**j
-        for element in build_basis_tower(params, k - 2 * j):
-            span.append(nrm_pow * element.poly)
-            tags.append((j, element.poly))
-
-    coeffs = solve_in_span(span, [p])
-
-    components: dict[int, Polynomial] = {}
-    for t in coeffs.sparse_rows[0]:
-        j, harmonic = tags[t]
-        components[j] = components.get(j, Polynomial.zero(n)) + harmonic.scale(coeffs.at(0, t))
-    return [(j, components[j]) for j in sorted(components) if not components[j].is_zero]
-
-
-def verify_power_action(
-    params: ParameterSet, h: Polynomial, ell: int, j: int, k: int
-) -> Report:
-    """Check the Laplacian-power action on norm multiples of a harmonic.
-
-    For h harmonic of degree ell and j <= k, the j-th Laplacian power of
-    |x|^(2k) h equals 4^j (k)_j (ell+k-1+g)_j |x|^(2(k-j)) h with falling
-    factorials and g the gamma constant of the full variable set.
-    """
-    n = params.n
-    if j > k or j < 0:
-        raise ValueError("need 0 <= j <= k")
-    full = tuple(range(1, n + 1))
-    lap = laplace(DunklOperators(params), full)
-    if not h.is_homogeneous() or (not h.is_zero and h.degree() != ell):
-        raise ValueError(f"h is not homogeneous of degree {ell}")
-    if not lap(h).is_zero:
-        raise ValueError("h is not harmonic")
-    report = Report()
-    _add_power_action(report, (ell, j, k), lap, norm_square_poly(full, n), gamma(params, full), h)
-    return report
 
 
 def _add_power_action(

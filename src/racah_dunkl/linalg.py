@@ -207,10 +207,6 @@ class RationalMatrix:
             raise ValueError("diagonal length does not match row count")
         return product_sum([(1, (RationalMatrix.diagonal(values), self))]).normalized()
 
-    def first_nonzero_column(self) -> int | None:
-        """Index of the first column containing a nonzero entry, if any."""
-        return min((min(row) for row in self.sparse_rows if row), default=None)
-
     def __repr__(self) -> str:
         return f"RationalMatrix({self.nrows}x{self.ncols}, den={self.den})"
 
@@ -223,8 +219,8 @@ def product_sum(terms: Sequence[Term]) -> RationalMatrix:
     least common multiple of the term denominators (c's times its
     factors'), so each term contributes integers only.  Each output row is
     accumulated in one dict over all terms, entries that cancel are
-    dropped, and no gcd is taken: ``is_zero`` and ``first_nonzero_column``
-    need none, and ``normalized`` reduces when lowest terms are wanted.
+    dropped, and no gcd is taken: ``is_zero`` needs none, and
+    ``normalized`` reduces when lowest terms are wanted.
     """
     if not terms:
         raise ValueError("a product sum needs at least one term")

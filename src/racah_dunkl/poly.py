@@ -29,10 +29,6 @@ Monomial = tuple[int, ...]
 RationalLike = Fraction | int | str
 
 
-class NotDivisible(ValueError):
-    """Raised when a coordinate division would leave the polynomial ring."""
-
-
 def _term_sort_key(exps: Monomial) -> tuple[int, Monomial]:
     return (sum(exps), exps)
 
@@ -189,9 +185,6 @@ class Polynomial:
     def coefficient(self, exps: Iterable[int]) -> Fraction:
         return Fraction(self.terms.get(tuple(exps), 0), self.den)
 
-    def constant_term(self) -> Fraction:
-        return self.coefficient((0,) * self.n)
-
     def support_variables(self) -> set[int]:
         """1-based indices of variables that actually occur."""
         used: set[int] = set()
@@ -301,28 +294,6 @@ class Polynomial:
         }
         return Polynomial._reduced(self.n, out, self.den)
 
-    def reflect(self, i: int) -> "Polynomial":
-        """Sign flip x_i -> -x_i; negates terms odd in x_i."""
-        pos = self._check_index(i)
-        return Polynomial._trusted(
-            self.n,
-            {e: (-x if e[pos] % 2 else x) for e, x in self.terms.items()},
-            self.den,
-        )
-
-    def divide_by_coordinate(self, i: int) -> "Polynomial":
-        """Exact quotient by x_i; every term must have positive exponent in x_i."""
-        pos = self._check_index(i)
-        out: dict[Monomial, int] = {}
-        for exps, x in self.terms.items():
-            e = exps[pos]
-            if e == 0:
-                raise NotDivisible(
-                    f"term with exponents {exps} has no factor x{i}"
-                )
-            out[exps[:pos] + (e - 1,) + exps[pos + 1:]] = x
-        return Polynomial._trusted(self.n, out, self.den)
-
     def restrict_to_zero(self, i: int) -> "Polynomial":
         """Set x_i = 0: keep only terms with exponent 0 in x_i."""
         pos = self._check_index(i)
@@ -372,35 +343,6 @@ class Polynomial:
             )
             parts.append(f"{coeff} * {vars_part}" if vars_part else str(coeff))
         return " + ".join(parts)
-
-    @classmethod
-    def from_text(cls, n: int, text: str) -> "Polynomial":
-        text = text.strip()
-        if text == "0":
-            return cls.zero(n)
-        terms: dict[Monomial, Fraction] = {}
-        for raw in text.split("+"):
-            token = raw.strip()
-            if not token:
-                raise ValueError(f"empty term in {text!r}")
-            if "*" in token:
-                coeff_part, vars_part = token.split("*", 1)
-                coeff = Fraction(coeff_part.strip())
-                exps = [0] * n
-                for factor in vars_part.split():
-                    name, _, power = factor.partition("^")
-                    if not name.startswith("x"):
-                        raise ValueError(f"bad variable token {factor!r}")
-                    idx = int(name[1:])
-                    if not 1 <= idx <= n:
-                        raise ValueError(f"variable index {idx} out of range 1..{n}")
-                    exps[idx - 1] += int(power) if power else 1
-            else:
-                coeff = Fraction(token)
-                exps = [0] * n
-            key = tuple(exps)
-            terms[key] = terms.get(key, Fraction(0)) + coeff
-        return cls(n, terms)
 
     def to_json_obj(self) -> list[dict]:
         return [

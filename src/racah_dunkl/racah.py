@@ -60,9 +60,6 @@ class SpectralData:
         """Eigenvalue of the first-pair invariant at the k-th module vector."""
         return Fraction(2 * k + self.sigma) * (2 * k + self.sigma - 2) / 4
 
-    def lambda_of(self, i: int) -> Fraction:
-        return (self.lambda1, self.lambda2, self.lambda3)[i - 1]
-
 
 def _require_rank_one_frame(params: ParameterSet, epsilon: Sequence[int]) -> None:
     if params.n != 3:

@@ -61,14 +61,6 @@ def nonempty_subsets(n: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _pair_invariants(ops: DunklOperators, k: int) -> dict[frozenset, RationalMatrix]:
-    """The two-index invariants C_ij on the monomials of degree k."""
-    return {
-        frozenset(pair): materialize_on_monomials(casimir(ops, pair), ops.n, k)
-        for pair in combinations(range(1, ops.n + 1), 2)
-    }
-
-
 def _witnesses(n: int, blocks, diff: RationalMatrix) -> list[str | None]:
     """Per diagonal block of a discrepancy, its first nonzero column as a polynomial.
 
@@ -173,23 +165,13 @@ class DegreeSum:
         return report
 
 
-def _pair_invariant_sum(ops: DunklOperators, space: DegreeSum) -> dict[frozenset, RationalMatrix]:
-    """The C_ij on the direct sum, each block read from _pair_invariants."""
-    per_degree = [_pair_invariants(ops, k) for k in space.degrees]
-    return {
-        key: space.direct_sum([c_pair[key] for c_pair in per_degree])
-        for key in map(frozenset, combinations(range(1, ops.n + 1), 2))
-    }
-
-
 class RelationWorkspace(DegreeSum):
     """Exact matrices of the algebra generators on degrees 0..kmax, built once.
 
     Each generator is one block-diagonal matrix on the direct sum: its
-    block k is the generator on the degree-k monomials.  The pair
-    invariants are assembled from ``_pair_invariants`` degree by degree,
-    the other operators from their kept per-degree matrices, and the
-    diagonal factors, which depend only on reflection signs, are built by
+    block k is the generator on the degree-k monomials.  The operators are
+    assembled from their kept per-degree matrices, and the diagonal
+    factors, which depend only on reflection signs, are built by
     ``parity_diagonal`` from one value per sign pattern.
     """
 
@@ -209,7 +191,10 @@ class RelationWorkspace(DegreeSum):
             )
             self.refl_mat[i] = self.parity_diagonal((i,), lambda r: 1 + 2 * mu * r)
 
-        self.c_pair = _pair_invariant_sum(ops, self)
+        self.c_pair = {
+            frozenset(pair): self.materialize(casimir(ops, pair))
+            for pair in combinations(range(1, n + 1), 2)
+        }
         self.p_mat: dict[frozenset, RationalMatrix] = {}
         self.l_mat: dict[tuple[int, int], RationalMatrix] = {}
         self.l2_mat: dict[frozenset, RationalMatrix] = {}
@@ -442,8 +427,12 @@ def _drinfeld_kohno(n: int, c_pair: dict[frozenset, RationalMatrix]):
 def verify_drinfeld_kohno(params: ParameterSet, kmax: int) -> Report:
     """Commutativity pattern of the two-index invariants, as a standalone sweep."""
     n = params.n
+    ops = DunklOperators(params)
     space = DegreeSum(n, kmax)
-    c_pair = _pair_invariant_sum(DunklOperators(params), space)
+    c_pair = {
+        frozenset(pair): space.materialize(casimir(ops, pair))
+        for pair in combinations(range(1, n + 1), 2)
+    }
     return space.report(_drinfeld_kohno(n, c_pair))
 
 

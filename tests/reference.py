@@ -1,0 +1,268 @@
+"""Reference routines that the tests check the package against.
+
+No command or sweep of the package runs these; each is either an
+independent second route to something the package computes, or a piece
+of one:
+
+* ``from_text`` parses the text that ``Polynomial.to_text`` writes, so a
+  test can state a witness or an expected polynomial as text;
+* ``reflect`` and ``divide_by_coordinate`` build the textbook Dunkl
+  operator T_i p = d_i p + mu_i (p - r_i p) / x_i;
+* ``fischer_decompose`` splits a polynomial into norm powers times
+  harmonics by one solve against the tower bases;
+* ``module_basis`` and ``rank_one_overlap`` check, at n = 3, that the
+  connection coefficients between two chain orders follow the discrete
+  three-term recurrence;
+* ``connected_by_paths`` checks that the recoupling graph is connected by
+  walking ``path`` from one chain to every other.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+from typing import Sequence
+
+from racah_dunkl import (
+    ConnectionMatrix,
+    DunklOperators,
+    HarmonicBasisElement,
+    ParameterSet,
+    Polynomial,
+    RacahParameters,
+    RationalMatrix,
+    SpectralData,
+    build_basis_tower,
+    casimir,
+    casimir_eigenvalue,
+    materialize,
+    norm_square_poly,
+    parity_blocks,
+    path,
+    racah_parameters,
+    racah_recurrence_polys,
+    solve_in_span,
+    spectral_data,
+)
+from racah_dunkl import connection
+from racah_dunkl.report import Report
+
+
+# -- polynomials --------------------------------------------------------------
+
+
+def from_text(n: int, text: str) -> Polynomial:
+    """The polynomial written as ``to_text`` writes it, e.g. ``1/2 * x1^2 x2 + -3``."""
+    text = text.strip()
+    if text == "0":
+        return Polynomial.zero(n)
+    terms: dict[tuple[int, ...], Fraction] = {}
+    for raw in text.split("+"):
+        token = raw.strip()
+        if not token:
+            raise ValueError(f"empty term in {text!r}")
+        exps = [0] * n
+        if "*" in token:
+            coeff_part, vars_part = token.split("*", 1)
+            coeff = Fraction(coeff_part.strip())
+            for factor in vars_part.split():
+                name, _, power = factor.partition("^")
+                if not name.startswith("x"):
+                    raise ValueError(f"bad variable token {factor!r}")
+                idx = int(name[1:])
+                if not 1 <= idx <= n:
+                    raise ValueError(f"variable index {idx} out of range 1..{n}")
+                exps[idx - 1] += int(power) if power else 1
+        else:
+            coeff = Fraction(token)
+        key = tuple(exps)
+        terms[key] = terms.get(key, Fraction(0)) + coeff
+    return Polynomial(n, terms)
+
+
+class NotDivisible(ValueError):
+    """Raised when a coordinate division would leave the polynomial ring."""
+
+
+def _position(p: Polynomial, i: int) -> int:
+    if not 1 <= i <= p.n:
+        raise IndexError(f"variable index {i} out of range 1..{p.n}")
+    return i - 1
+
+
+def reflect(p: Polynomial, i: int) -> Polynomial:
+    """The sign flip x_i -> -x_i: negates the terms odd in x_i."""
+    pos = _position(p, i)
+    return Polynomial(
+        p.n, {e: Fraction(-x if e[pos] % 2 else x, p.den) for e, x in p.terms.items()}
+    )
+
+
+def divide_by_coordinate(p: Polynomial, i: int) -> Polynomial:
+    """The exact quotient by x_i; every term must have a positive exponent in x_i."""
+    pos = _position(p, i)
+    out = {}
+    for exps, x in p.terms.items():
+        e = exps[pos]
+        if e == 0:
+            raise NotDivisible(f"term with exponents {exps} has no factor x{i}")
+        out[exps[:pos] + (e - 1,) + exps[pos + 1:]] = Fraction(x, p.den)
+    return Polynomial(p.n, out)
+
+
+# -- harmonic decomposition -----------------------------------------------------
+
+
+def fischer_decompose(params: ParameterSet, p: Polynomial) -> list[tuple[int, Polynomial]]:
+    """Split a homogeneous p into norm-power times harmonic components.
+
+    Returns the pairs (j, h) with p equal to the sum of |x|^(2j) h over
+    the returned entries, each h harmonic of degree deg(p) - 2j; zero
+    components are omitted.  The splitting is found by one exact linear
+    solve against the realized harmonic bases of the admissible degrees.
+    """
+    n = params.n
+    if p.n != n:
+        raise ValueError("dimension mismatch")
+    if not p.is_homogeneous():
+        raise ValueError("only homogeneous polynomials decompose")
+    if p.is_zero:
+        return []
+    k = p.degree()
+    nrm = norm_square_poly(tuple(range(1, n + 1)), n)
+
+    span: list[Polynomial] = []
+    tags: list[tuple[int, Polynomial]] = []
+    for j in range(k // 2 + 1):
+        nrm_pow = nrm**j
+        for element in build_basis_tower(params, k - 2 * j):
+            span.append(nrm_pow * element.poly)
+            tags.append((j, element.poly))
+
+    coeffs = solve_in_span(span, [p])
+
+    components: dict[int, Polynomial] = {}
+    for t in coeffs.sparse_rows[0]:
+        j, harmonic = tags[t]
+        components[j] = components.get(j, Polynomial.zero(n)) + harmonic.scale(coeffs.at(0, t))
+    return [(j, components[j]) for j in sorted(components) if not components[j].is_zero]
+
+
+# -- the rank-one connection coefficients -----------------------------------------
+
+
+def module_basis(
+    params: ParameterSet,
+    epsilon: Sequence[int],
+    d3: int,
+    order: Sequence[int] = (1, 2, 3),
+) -> list[HarmonicBasisElement]:
+    """Fixed-parity three-variable module basis, ordered by the first norm power.
+
+    epsilon is indexed by variable.  The module is the parity_blocks
+    module of epsilon in the degree-d3 tower of the order, so its labels
+    carry the positional parities induced by that order.
+    """
+    if params.n != 3:
+        raise ValueError("module bases are three-variable objects")
+    tower = build_basis_tower(params, d3, order)
+    idx = parity_blocks(tower).get(tuple(epsilon))
+    if idx is None:
+        raise ValueError(f"no module for parities {tuple(epsilon)} at degree {d3}")
+    return [tower[p] for p in idx]
+
+
+@dataclass
+class RankOneOverlap:
+    """Connection data of a fixed-parity module between two chain orders."""
+
+    connection: ConnectionMatrix
+    tridiagonal: RationalMatrix
+    eigenvalues: list[Fraction]
+    spectral: SpectralData
+    parameters: RacahParameters
+    report: Report
+
+
+def rank_one_overlap(
+    params: ParameterSet,
+    epsilon: Sequence[int],
+    d3: int,
+    order: Sequence[int] = (1, 2, 3),
+) -> RankOneOverlap:
+    """Expand the rotated-order eigenbasis in the base-order one and verify
+    that the expansion is governed by the discrete recurrence.
+
+    With phi the base-order module basis and psi the basis for the order
+    rotated one step left, the rows of W solve psi_s = sum_k W[s][k] phi_k.
+    The normalization-free recurrence statement is checked exactly: the
+    monic ratios v_k(s) = (prod_{t<=k} M[t-1][t]) W[s][k] / W[s][0] with M
+    the realized tridiagonal matrix satisfy v_k(s) = H_k(mu_s + tau), and
+    the top polynomial H_m annihilates the whole shifted spectrum.
+
+    A degenerate spectrum is reported as a failed distinct-spectrum check
+    and the ratio checks are skipped, never silently resolved.  W is
+    solved by ``connection.connection_matrix``, looked up at call time.
+    """
+    order = tuple(order)
+    rotated = (order[1], order[2], order[0])
+    phi = module_basis(params, epsilon, d3, order)
+    psi = module_basis(params, epsilon, d3, rotated)
+    m = len(phi)
+
+    w = connection.connection_matrix(params, psi, phi)
+    pair_op = casimir(DunklOperators(params), (order[1], order[2]))
+    tridiagonal = materialize(pair_op, 3, [el.poly for el in phi])
+    mus = [casimir_eigenvalue(params, el.label, 2) for el in psi]
+
+    eff_params = ParameterSet.make([params.mu_of(o) for o in order])
+    eff_eps = [epsilon[o - 1] for o in order]
+    sd = spectral_data(eff_params, eff_eps, d3)
+    rp = racah_parameters(eff_params, eff_eps, d3)
+    polys = racah_recurrence_polys(rp, sd, m)
+
+    report = Report()
+    repeated = None if len(set(mus)) == len(mus) else f"repeated eigenvalues in {mus}"
+    report.add("distinct-spectrum", order, d3, repeated)
+    if repeated is None:
+        uppers = [tridiagonal.at(t - 1, t) for t in range(1, m)]
+        for s in range(m):
+            w0 = w.at(s, 0)
+            vanishing = f"W[{s}][0] = 0" if w0 == 0 else None
+            report.add("leading-connection-coefficient-nonzero", (s,), d3, vanishing)
+            if w0 == 0:
+                continue
+            shifted = mus[s] + rp.tau
+            scale = Fraction(1)
+            mismatch = None
+            for k in range(m):
+                if k:
+                    scale *= uppers[k - 1]
+                v_k = scale * w.at(s, k) / w0
+                expected = polys[k].evaluate([shifted])
+                if v_k != expected:
+                    mismatch = f"k={k}: {v_k} != {expected}"
+                    break
+            report.add("monic-ratios-match-recurrence", (s,), d3, mismatch)
+            boundary = polys[m].evaluate([shifted])
+            root = None if boundary == 0 else f"H_{m}({shifted}) = {boundary}"
+            report.add("recurrence-boundary-root", (s,), d3, root)
+    return RankOneOverlap(w, tridiagonal, mus, sd, rp, report)
+
+
+# -- the recoupling graph -----------------------------------------------------------
+
+
+def connected_by_paths(graph) -> bool:
+    """Whether path() walks from the first vertex to every other along graph edges."""
+    index = {v: i for i, v in enumerate(graph.vertices)}
+    edges = set(graph.edges)
+    start = graph.vertices[0]
+    for goal in graph.vertices[1:]:
+        walk = [start] + path(start, goal)
+        if walk[-1] != goal:
+            return False
+        for u, v in zip(walk, walk[1:]):
+            if tuple(sorted((index[u], index[v]))) not in edges:
+                return False
+    return True

@@ -39,6 +39,7 @@ from racah_dunkl import (
     verify_tower,
 )
 
+from reference import connected_by_paths
 from report_helpers import failures
 
 
@@ -175,11 +176,11 @@ def test_criterion_10_recoupling_graph():
     assert len(g4.vertices) == 12
     assert len(g4.edges) == 18
     assert all(g4.degree(i) == 3 for i in range(12))
-    assert g4.is_connected()
+    assert connected_by_paths(g4)
 
     g5 = build_graph(5)
     assert len(g5.vertices) == 60
-    assert g5.is_connected()
+    assert connected_by_paths(g5)
 
     rng = random.Random(3)
     chains = enumerate_chains(5)

@@ -24,15 +24,15 @@ from racah_dunkl import (
     module_tridiagonal_data,
     monomial_basis,
     parity_blocks,
-    rank_one_overlap,
     tridiagonal_check,
 )
 from racah_dunkl import connection, graph, linalg, operators
-from racah_dunkl.connection import ConnectionMatrix, module_basis
+from racah_dunkl.connection import ConnectionMatrix
 from racah_dunkl.harmonics import HarmonicBasisElement
 from racah_dunkl.racah import SpectralData
 from racah_dunkl.report import CheckResult
 
+from reference import module_basis, rank_one_overlap
 from report_helpers import failures
 
 P3 = ParameterSet.make(["1/2", "1/3", "1/4"])
@@ -53,7 +53,7 @@ def dunkl_pairing(ops, p, q):
                     break
                 work = ops[pos](work)
         if not work.is_zero:
-            total += coeff * work.constant_term()
+            total += coeff * work.coefficient((0,) * work.n)
     return total
 
 

@@ -21,23 +21,22 @@ from racah_dunkl import (
     casimir_eigenvalue,
     ck_extend,
     enumerate_labels,
-    fischer_decompose,
     gamma,
     harmonic_space_dim,
     jacobi_closed_form,
     laplace,
     matrix_rank,
-    module_basis,
     monomial_basis,
     norm_square_poly,
     parity_blocks,
     verify_extension_restrictions,
-    verify_power_action,
     verify_power_action_sweep,
     verify_tower,
 )
 from racah_dunkl import harmonics
+from racah_dunkl.report import Report
 
+from reference import fischer_decompose, from_text, module_basis, reflect
 from report_helpers import failures
 
 P3 = ParameterSet.make(["1/2", "1/3", "1/4"])
@@ -182,7 +181,7 @@ def test_tower_elements_harmonic_and_parity():
         for el in build_basis_tower(P3, k):
             assert lap(el.poly).is_zero
             for pos, var in enumerate(el.label.order):
-                reflected = el.poly.reflect(var)
+                reflected = reflect(el.poly, var)
                 if el.label.epsilon[pos] == 0:
                     assert reflected == el.poly
                 else:
@@ -468,7 +467,7 @@ def test_parity_sectors_partition_basis():
 
 def test_closed_form_trivial_label():
     label = HarmonicLabel((1, 2, 3), (1, 1, 0), (0, 0))
-    assert jacobi_closed_form(P3, label) == Polynomial.from_text(3, "1 * x1 x2")
+    assert jacobi_closed_form(P3, label) == from_text(3, "1 * x1 x2")
 
 
 def test_closed_form_matches_tower_n2():
@@ -512,14 +511,14 @@ def parity_project(p: Polynomial, i: int, sign: int) -> Polynomial:
     """Reference: projection onto the even (+1) or odd (-1) part in x_i."""
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    return (p + p.reflect(i).scale(sign)).scale(Fraction(1, 2))
+    return (p + reflect(p, i).scale(sign)).scale(Fraction(1, 2))
 
 
 def test_parity_project():
     x1 = Polynomial.variable(2, 1)
     assert parity_project(x1, 1, +1).is_zero
     assert parity_project(x1 * x1, 1, +1) == x1 * x1
-    p = Polynomial.from_text(2, "1 * x1^2 + 2 * x1 + 3")
+    p = from_text(2, "1 * x1^2 + 2 * x1 + 3")
     assert parity_project(p, 1, +1) + parity_project(p, 1, -1) == p
     assert parity_project(parity_project(p, 1, +1), 1, -1).is_zero
     # summing projections over all sign vectors reproduces p
@@ -552,35 +551,45 @@ def test_fischer_decompose_reconstruction():
     assert total == p
     # frozen values for this input, cross-checked by applying the Laplacian
     assert comps == [
-        (0, Polynomial.from_text(2, "5/11 * x1^2 + -6/11 * x2^2")),
-        (1, Polynomial.from_text(2, "6/11")),
+        (0, from_text(2, "5/11 * x1^2 + -6/11 * x2^2")),
+        (1, from_text(2, "6/11")),
     ]
 
 
 def test_fischer_decompose_requires_homogeneous():
     with pytest.raises(ValueError):
-        fischer_decompose(P2, Polynomial.from_text(2, "1 * x1 + 1"))
+        fischer_decompose(P2, from_text(2, "1 * x1 + 1"))
+
+
+def power_action(params: ParameterSet, h: Polynomial, ell: int, j: int, k: int) -> Report:
+    """The one power-action check at (ell, j, k) on |x|^(2k) h, as the sweep records it."""
+    full = tuple(range(1, params.n + 1))
+    lap = laplace(DunklOperators(params), full)
+    report = Report()
+    harmonics._add_power_action(
+        report, (ell, j, k), lap, norm_square_poly(full, params.n), gamma(params, full), h
+    )
+    return report
 
 
 def test_power_action_identity_cases():
     # j = 0 is the identity with unit factor
-    report = verify_power_action(P2, Polynomial.one(2), 0, 0, 2)
+    report = power_action(P2, Polynomial.one(2), 0, 0, 2)
     assert report.ok
     # Lap |x|^2 = 4 gamma, via the identity with j = k = 1, h = 1
     nrm = norm_square_poly((1, 2), 2)
     gam = gamma(P2, (1, 2))
     assert laplace(DunklOperators(P2), (1, 2))(nrm) == Polynomial.constant(2, 4 * gam)
-    assert verify_power_action(P2, Polynomial.one(2), 0, 1, 1).ok
+    assert power_action(P2, Polynomial.one(2), 0, 1, 1).ok
     # j=1, k=2, h=x1: factor 4 * 2 * (2 + gamma) = 16 + 8 gamma
     x1 = Polynomial.variable(2, 1)
     lhs = laplace(DunklOperators(P2), (1, 2))(nrm * nrm * x1)
     assert lhs == (nrm * x1).scale(16 + 8 * gam)
-    assert verify_power_action(P2, x1, 1, 1, 2).ok
-
-
-def test_power_action_rejects_non_harmonic():
-    with pytest.raises(ValueError):
-        verify_power_action(P2, Polynomial.variable(2, 1) ** 2, 2, 1, 1)
+    assert power_action(P2, x1, 1, 1, 2).ok
+    # the sweep records these cases on the tower elements 1 and x1
+    sweep = verify_power_action_sweep(P2, 1, 2)
+    assert sweep.ok
+    assert {(0, 0, 2, 0), (0, 1, 1, 0), (1, 1, 2, 0)} <= {r.index_tuple for r in sweep}
 
 
 def test_power_action_sweep_reports_a_non_harmonic_tower_element(monkeypatch, capsys):

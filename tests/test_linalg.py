@@ -24,7 +24,7 @@ from racah_dunkl import (
 )
 from racah_dunkl.linalg import _elimination_rows, _gauss_jordan, product_sum
 from racah_dunkl.poly import monomial_basis
-from racah_dunkl.relations import _matrix_witness
+from racah_dunkl.relations import _matrix_witness, _witnesses
 
 
 def F(a, b=1):
@@ -110,7 +110,7 @@ def test_product_drops_cancelled_entries():
     assert (a * b).sparse_rows == [{1: 2}, {0: 2}]
     cancelled = RationalMatrix([[1, 1]]) * RationalMatrix([[1], [-1]])
     assert cancelled.sparse_rows == [{}]
-    assert cancelled.is_zero and cancelled.first_nonzero_column() is None
+    assert cancelled.is_zero and _matrix_witness(2, monomial_basis(2, 0), cancelled) is None
 
 
 def test_scale_and_equality_cross_denominator():
@@ -294,9 +294,9 @@ def test_zero_test_first_column_and_dense_views(data):
     a = data.draw(dense(r, c))
     m = RationalMatrix.from_fractions(a)
     assert_lowest_terms(m)
-    nonzero_cols = [j for j in range(c) if any(row[j] for row in a)]
-    assert m.is_zero == (not nonzero_cols)
-    assert m.first_nonzero_column() == (nonzero_cols[0] if nonzero_cols else None)
+    assert m.is_zero == (not any(any(row) for row in a))
+    blocks = [(0, monomial_basis(2, r - 1))]  # r monomials
+    assert _witnesses(2, blocks, m) == reference_witnesses(2, blocks, a)
     view = m.rows
     assert all(isinstance(x, int) for row in view for x in row)
     assert [[Fraction(x, m.den) for x in row] for row in view] == a
@@ -345,9 +345,29 @@ def product_terms(draw):
     return (r, c), terms, values
 
 
-def _first_nonzero_column(dense_matrix):
-    return next((j for j in range(len(dense_matrix[0])) if any(row[j] for row in dense_matrix)),
-                None)
+def reference_witnesses(n, blocks, dense_matrix):
+    """Per row block (first row, monomial basis), the first column nonzero in
+    the block's rows, as the polynomial of that column on the basis."""
+    out = []
+    for start, basis in blocks:
+        rows = dense_matrix[start:start + len(basis)]
+        ncols = len(rows[0]) if rows else 0
+        col = next((j for j in range(ncols) if any(row[j] for row in rows)), None)
+        out.append(None if col is None else Polynomial(
+            n, {basis[i]: row[col] for i, row in enumerate(rows)}
+        ).to_text())
+    return out
+
+
+def block_diagonal(blocks):
+    """The block-diagonal matrix of the given matrices, over the lcm of their dens."""
+    den = lcm(*(b.den for b in blocks))
+    rows, offset = [], 0
+    for b in blocks:
+        scale = den // b.den
+        rows += [{offset + j: scale * x for j, x in row.items()} for row in b.sparse_rows]
+        offset += b.ncols
+    return RationalMatrix.from_sparse(rows, den, offset)
 
 
 @settings(max_examples=100, deadline=None)
@@ -364,21 +384,25 @@ def test_product_sum_matches_dense_reference(drawn):
     assert got.den == lcm(*(
         Fraction(coeff).denominator * prod(m.den for m in fs) for coeff, fs in terms
     ))
-    # only nonzero entries are stored, so the zero test and the first column are exact
+    # only nonzero entries are stored, so the zero test is exact
     assert all(isinstance(x, int) and x for row in got.sparse_rows for x in row.values())
-    assert got.is_zero == (_first_nonzero_column(want) is None)
-    assert got.first_nonzero_column() == _first_nonzero_column(want)
+    assert got.is_zero == (not any(any(row) for row in want))
     norm = got.normalized()
     assert norm == got
     assert_lowest_terms(norm)
-    # a witness reads the same whether or not the discrepancy is reduced
-    basis = monomial_basis(2, r - 1)  # r monomials
-    assert _matrix_witness(2, basis, got) == _matrix_witness(2, basis, norm)
     # adding every term again with the opposite sign cancels exactly
     cancelled = product_sum(terms + [(-coeff, fs) for coeff, fs in terms])
     assert cancelled.sparse_rows == [{} for _ in range(r)]
-    assert cancelled.is_zero and cancelled.first_nonzero_column() is None
-    assert _matrix_witness(2, basis, cancelled) is None
+    assert cancelled.is_zero
+    # the witness of each block of a block-diagonal discrepancy (the sum, an
+    # all-zero block and the sum that cancels) is its first nonzero column,
+    # and it reads the same whether or not the discrepancy is reduced
+    zero = RationalMatrix.from_sparse([{}, {}], 1, 2)
+    basis = monomial_basis(2, r - 1)  # r monomials
+    blocks = [(0, basis), (r, monomial_basis(2, 1)), (r + 2, basis)]
+    want_witnesses = reference_witnesses(2, [(0, basis)], want) + [None, None]
+    assert _witnesses(2, blocks, block_diagonal([got, zero, cancelled])) == want_witnesses
+    assert _witnesses(2, blocks, block_diagonal([norm, zero, cancelled])) == want_witnesses
 
 
 def test_product_sum_rejects_mismatched_shapes():

@@ -3,8 +3,9 @@
 The primitive builders are monomial rules with integer images over one
 denominator, and the composites are product sums over them; each
 operator keeps its matrices and the images it applies.  The oracles
-below are written with Polynomial methods only (derivative, reflection,
-coordinate division, products), so they share no code with the rules.
+below are written with Polynomial arithmetic and the reflection and
+coordinate division of tests/reference.py, so they share no code with
+the rules.
 Also checked: kept images never leak into or out of a call, every matrix
 is the one read from the oracles' Fraction images, permuting the
 variables together with mu permutes every operator, and every Polynomial
@@ -34,6 +35,8 @@ from racah_dunkl import (
     su11_triple,
 )
 
+from reference import divide_by_coordinate, reflect
+
 BIG = 10**6
 mu_values = st.one_of(
     st.builds(Fraction, st.integers(1, BIG), st.integers(1, BIG)),
@@ -62,7 +65,7 @@ def cases(draw):
 
 def t_oracle(params, i, p):
     # T_i p = d_i p + mu_i (p - r_i p) / x_i
-    return p.partial_derivative(i) + (p - p.reflect(i)).divide_by_coordinate(i).scale(
+    return p.partial_derivative(i) + divide_by_coordinate(p - reflect(p, i), i).scale(
         params.mu_of(i)
     )
 
@@ -304,9 +307,9 @@ def test_every_result_is_in_lowest_terms(case, c, k, which):
         ("p ** k", p**k, power),
         ("d_i p", p.partial_derivative(i),
          reference_sum((lowered(e, pos), x * e[pos]) for e, x in a.items() if e[pos])),
-        ("r_i p", p.reflect(i), reference_sum((e, -x if e[pos] % 2 else x) for e, x in a.items())),
+        ("r_i p", reflect(p, i), reference_sum((e, -x if e[pos] % 2 else x) for e, x in a.items())),
         ("p at x_i = 0", p.restrict_to_zero(i), reference_sum((e, x) for e, x in a.items() if not e[pos])),
-        ("p / x_i", divisible.divide_by_coordinate(i),
+        ("p / x_i", divide_by_coordinate(divisible, i),
          reference_sum((lowered(e, pos), x) for e, x in a.items() if e[pos])),
         (op.descriptor, op(p), reference_sum(image.items())),
     ]

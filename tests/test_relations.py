@@ -219,18 +219,7 @@ def test_lemma1_witness_is_first_nonzero_monomial_image(monkeypatch):
 def test_one_wrong_generator_entry_at_n6_fails_exactly_its_relations(monkeypatch):
     # bump the (x1 x2 -> x1 x3) entry of C_12, hence of P_12, on degree 2 only;
     # the failing list and the witnesses were recorded on the unfused sweep
-    pair_invariants = relations._pair_invariants
-
-    def bumped(params, k):
-        c_pair = pair_invariants(params, k)
-        if k == 2:
-            key = frozenset((1, 2))
-            entries = c_pair[key].to_fractions()
-            entries[1][2] += 1
-            c_pair[key] = RationalMatrix.from_fractions(entries)
-        return c_pair
-
-    monkeypatch.setattr(relations, "_pair_invariants", bumped)
+    monkeypatch.setattr(relations, "materialize_on_monomials", bumped_pair_invariant(2, 1, 2))
     report = verify_racah_relations(ParameterSet.default(6), 2)
     failed = failures(report)
     assert len(report) == 5544
@@ -314,7 +303,10 @@ class ReferenceWorkspace:
             signs = self.reflect_sign[i]
             self.c1_mat[i] = RationalMatrix.diagonal([values[s] for s in signs])
             self.refl_mat[i] = RationalMatrix.diagonal([1 + 2 * mu * s for s in signs])
-        self.c_pair = relations._pair_invariants(ops, k)
+        self.c_pair = {
+            frozenset(pair): self.materialize(casimir(ops, pair))
+            for pair in combinations(range(1, n + 1), 2)
+        }
         self.p_mat, self.l_mat, self.l2_mat, self.f_mat = {}, {}, {}, {}
         for i, j in combinations(range(1, n + 1), 2):
             key = frozenset((i, j))
@@ -327,7 +319,8 @@ class ReferenceWorkspace:
             self.f_mat[(i, j, m)] = (pij * pjm - pjm * pij).scale(Fraction(1, 2))
 
     def materialize(self, op: LinearOperator) -> RationalMatrix:
-        return materialize_on_monomials(op, self.n, self.k)
+        # looked up at call time, so a patched materialization reaches both routes
+        return relations.materialize_on_monomials(op, self.n, self.k)
 
     def parity_diagonal(self, indices, value) -> RationalMatrix:
         return per_entry_diagonal(self.basis, indices, value)
@@ -368,17 +361,16 @@ def reference_racah_relations(params: ParameterSet, kmax: int) -> Report:
 
 
 def bumped_pair_invariant(degree: int, row: int, col: int):
-    """A _pair_invariants whose C_12 has entry (row, col) raised by one on one degree."""
-    pair_invariants = relations._pair_invariants
+    """A materialize_on_monomials whose C_12 has entry (row, col) raised by one on one degree."""
+    materialize = relations.materialize_on_monomials
 
-    def bumped(ops, k):
-        c_pair = pair_invariants(ops, k)
-        if k == degree:
-            key = frozenset((1, 2))
-            entries = c_pair[key].to_fractions()
+    def bumped(op, n, k):
+        matrix = materialize(op, n, k)
+        if k == degree and op.descriptor == "C{1,2}":
+            entries = matrix.to_fractions()
             entries[row][col] += 1
-            c_pair[key] = RationalMatrix.from_fractions(entries)
-        return c_pair
+            matrix = RationalMatrix.from_fractions(entries)
+        return matrix
 
     return bumped
 
@@ -408,7 +400,8 @@ def test_direct_sum_sweep_matches_the_per_degree_reference(n, kmax, mu, data):
     dim = len(monomial_basis(n, degree))
     row, col = data.draw(st.integers(0, dim - 1)), data.draw(st.integers(0, dim - 1))
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(relations, "_pair_invariants", bumped_pair_invariant(degree, row, col))
+        bumped = bumped_pair_invariant(degree, row, col)
+        patch.setattr(relations, "materialize_on_monomials", bumped)
         report = verify_racah_relations(params, kmax)
         reference = reference_racah_relations(params, kmax)
     assert report.results == reference.results
