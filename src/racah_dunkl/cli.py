@@ -15,6 +15,7 @@ front and raised as ConfigError.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -285,7 +286,13 @@ def _add_options(
         parser.add_argument("--format", default=formats[0], choices=formats)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and shared by every main call.
+
+    parse_args keeps no state between calls: each returns a fresh
+    namespace, and no option has a mutable default.
+    """
     parser = argparse.ArgumentParser(
         prog="racah-dunkl",
         description="exact verification and export tool for the deformed-Laplacian "

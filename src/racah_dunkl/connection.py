@@ -16,14 +16,16 @@ coefficient of the k-th target element in the s-th source element, so
 composition along a chain of bases multiplies in path order,
 W(A->C) = W(A->B) W(B->C).  The solve runs on the tower polynomials'
 integer numerators and returns W itself as a sparse RationalMatrix, with
-no rescale; W and the tridiagonal data stay in that form, and only text
-exports read the dense ``entries`` view.
+no rescale; W and the tridiagonal data stay in that form.  The JSON
+export writes W's integers as text, and only the CSV export reads the
+dense ``entries`` view.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Sequence
 
 from .harmonics import HarmonicBasisElement, HarmonicLabel
@@ -88,13 +90,20 @@ class ConnectionMatrix:
         return ConnectionMatrix(self.from_labels, other.to_labels, self.matrix * other.matrix)
 
     def to_json_obj(self) -> dict:
-        """Labels and entries as strings: str() of each stored nonzero, "0" elsewhere."""
+        """Labels and entries as strings: each stored nonzero in lowest terms, "0" elsewhere.
+
+        An entry is written from its numerator x over the matrix's den:
+        with g = gcd(x, den), a = x / g and b = den / g, it is "a" when
+        b = 1 and "a/b" otherwise, the text of str(Fraction(x, den)),
+        with no Fraction formed.
+        """
         den, ncols = self.matrix.den, self.matrix.ncols
         entries = []
         for row in self.matrix.sparse_rows:
             text = ["0"] * ncols
             for j, x in row.items():
-                text[j] = str(Fraction(x, den))
+                g = gcd(x, den)
+                text[j] = str(x // g) if g == den else f"{x // g}/{den // g}"
             entries.append(text)
         return {
             "from": [lab.to_json_obj() for lab in self.from_labels],
@@ -112,13 +121,27 @@ def connection_matrix(
 
     Both lists must be bases of the same space: equal lengths, full rank,
     and every source element inside the target span; otherwise
-    SpanMismatch is raised.  One elimination solves for W and proves that
-    the target is a basis holding every source element; the source is then
-    independent exactly when the square W is nonsingular, which the rank
-    of W's rows decides.
+    SpanMismatch is raised.  _solve_connection proves that the target is
+    a basis holding every source element and returns W; the source is
+    then independent exactly when the square W is nonsingular, which the
+    rank of W's rows decides.
+    """
+    w = _solve_connection(source, target)
+    if matrix_rank(w.matrix.sparse_rows) != len(source):
+        raise SpanMismatch("source basis is linearly dependent")
+    return w
 
-    The elimination reads each element's integer numerators as they are,
-    and the solve returns W itself, in lowest terms.
+
+def _solve_connection(
+    source: Sequence[HarmonicBasisElement], target: Sequence[HarmonicBasisElement]
+) -> ConnectionMatrix:
+    """W with source_s = sum_k W[s][k] target_k, proving only the target side.
+
+    Raises SpanMismatch when the sizes differ, when the target is linearly
+    dependent, or when a source element lies outside the target span.  The
+    source's own independence is not checked: connection_matrix adds the
+    rank of W for that.  The elimination reads each element's integer
+    numerators as they are, and the solve returns W itself, in lowest terms.
     """
     if len(source) != len(target):
         raise SpanMismatch(
@@ -128,8 +151,6 @@ def connection_matrix(
         w = solve_in_span([el.poly for el in target], [el.poly for el in source])
     except ValueError as exc:
         raise SpanMismatch(str(exc)) from exc
-    if matrix_rank(w.sparse_rows) != len(source):
-        raise SpanMismatch("source basis is linearly dependent")
     return ConnectionMatrix(
         tuple(el.label for el in source), tuple(el.label for el in target), w
     )

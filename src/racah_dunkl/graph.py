@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import permutations
 from typing import Sequence
 
-from .connection import ConnectionMatrix, connection_matrix
+from .connection import ConnectionMatrix, _solve_connection, connection_matrix
 from .harmonics import build_basis_tower
 from .poly import ParameterSet
 
@@ -185,6 +185,13 @@ def connection_pipeline(
 
     The composition of the returned matrices, in order, equals the direct
     connection matrix between the two endpoint bases.
+
+    Only the first edge takes the rank of W.  Each edge's solve proves its
+    target basis independent and holding every source element, and every
+    basis after the start is the target of the edge before it; so with
+    the start proven independent by the first rank, each square W maps an
+    independent source into an independent target of the same size and is
+    nonsingular.  The later edges run _solve_connection alone.
     """
     vertices = [start] + path(start, goal)
     bases = {
@@ -192,5 +199,8 @@ def connection_pipeline(
     }
     out: list[ConnectionMatrix] = []
     for a, b in zip(vertices, vertices[1:]):
-        out.append(connection_matrix(params, bases[a], bases[b]))
+        if out:
+            out.append(_solve_connection(bases[a], bases[b]))
+        else:
+            out.append(connection_matrix(params, bases[a], bases[b]))
     return out

@@ -92,6 +92,21 @@ class HarmonicLabel:
         if len(self.ell) != n - 1 or any(l < 0 for l in self.ell):
             raise ValueError(f"ell {self.ell} must be {n - 1} non-negative integers")
 
+    @classmethod
+    def _trusted(
+        cls, order: tuple[int, ...], epsilon: tuple[int, ...], ell: tuple[int, ...]
+    ) -> "HarmonicLabel":
+        """Wrap the three tuples as they are, without the checks.
+
+        The caller guarantees a label that __post_init__ accepts: order a
+        permutation of 1..n, epsilon n bits and ell n - 1 non-negative ints.
+        """
+        self = object.__new__(cls)
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "epsilon", epsilon)
+        object.__setattr__(self, "ell", ell)
+        return self
+
     @property
     def n(self) -> int:
         return len(self.order)
@@ -252,18 +267,23 @@ def enumerate_labels(
 
     Enumeration is lexicographic in the reversed parity vector, then in
     the reversed norm-power vector, which fixes basis ordering for every
-    matrix built on these labels.
+    matrix built on these labels.  The order (default 1..n) is checked
+    once, and ValueError is raised unless it is a permutation of 1..n,
+    even when k yields no label; the labels are then built through
+    HarmonicLabel._trusted, since every parity and norm-power vector
+    enumerated here is well formed.
     """
     order = tuple(order) if order is not None else tuple(range(1, n + 1))
+    if sorted(order) != list(range(1, n + 1)):
+        raise ValueError(f"order {order} is not a permutation of 1..{n}")
     labels: list[HarmonicLabel] = []
     for eps_rev in product((0, 1), repeat=n):
         rem = k - sum(eps_rev)
         if rem < 0 or rem % 2:
             continue
+        epsilon = tuple(reversed(eps_rev))
         for ell_rev in _compositions(rem // 2, n - 1):
-            labels.append(
-                HarmonicLabel(order, tuple(reversed(eps_rev)), tuple(reversed(ell_rev)))
-            )
+            labels.append(HarmonicLabel._trusted(order, epsilon, tuple(reversed(ell_rev))))
     return labels
 
 
@@ -273,22 +293,20 @@ def build_basis_tower(
     """The realized harmonic basis of degree k for the given variable order.
 
     Each label is realized by the alternating tower of extensions and
-    norm multiplications, in the order of enumerate_labels.  The order
-    must be a permutation of 1..n.  One operators.laplace and one
-    operators.norm_square_mul per prefix of the order are shared by all
-    labels, each an integer monomial rule in closed form (no T_i rule is
-    evaluated) with its kept images, and the intermediate harmonic of each
-    (epsilon, ell) prefix is realized only once.  The intermediates are
-    integer numerators over one positive denominator: a norm
-    multiplication (den 1) keeps the denominator and adds integers, and
-    each _lift divides out its content.  Each element's polynomial wraps
-    the last lift's numerators and denominator as they are.
+    norm multiplications, in the order of enumerate_labels, which raises
+    ValueError unless the order is a permutation of 1..n.  One
+    operators.laplace and one operators.norm_square_mul per prefix of the
+    order are shared by all labels, each an integer monomial rule in
+    closed form (no T_i rule is evaluated) with its kept images, and the
+    intermediate harmonic of each (epsilon, ell) prefix is realized only
+    once.  The intermediates are integer numerators over one positive
+    denominator: a norm multiplication (den 1) keeps the denominator and
+    adds integers, and each _lift divides out its content.  Each element's
+    polynomial wraps the last lift's numerators and denominator as they are.
     """
     if k < 0:
         raise ValueError("degree must be non-negative")
     n = params.n
-    if order is not None and sorted(order) != list(range(1, n + 1)):
-        raise ValueError(f"order {tuple(order)} is not a permutation of 1..{n}")
     labels = enumerate_labels(n, k, order)
     if not labels:
         return []

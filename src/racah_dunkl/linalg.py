@@ -44,6 +44,8 @@ from .poly import Polynomial
 SparseVector = Mapping[Hashable, int]
 # one term c * A_1 * A_2 * ... of a product sum; c is an int or a Fraction
 Term = tuple[int | Fraction, Sequence["RationalMatrix"]]
+# the absent entry of every dense view
+_ZERO = Fraction(0)
 
 
 class InconsistentSystem(ValueError):
@@ -131,13 +133,14 @@ class RationalMatrix:
     def to_fractions(self) -> list[list[Fraction]]:
         """Dense rows of Fraction entries, a fresh copy on every access.
 
-        A Fraction is formed only for the stored nonzeros; every absent
-        entry is one shared Fraction(0).
+        A Fraction is formed only for the stored nonzeros.  Every absent
+        entry, in every view of every matrix, is the one module-level zero,
+        so equal views compare their zeros by identity.
         """
-        zero, den = Fraction(0), self.den
+        den = self.den
         out = []
         for row in self.sparse_rows:
-            dense = [zero] * self.ncols
+            dense = [_ZERO] * self.ncols
             for j, x in row.items():
                 dense[j] = Fraction(x, den)
             out.append(dense)

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from racah_dunkl import cli
 from racah_dunkl.cli import main
 
 
@@ -305,3 +306,24 @@ def test_console_entry_point():
     assert proc.returncode == 0
     data = json.loads(proc.stdout)
     assert data["vertices"] == ["(C12)", "(C13)", "(C23)"]
+
+
+def test_main_builds_its_parser_once_per_process(capsys):
+    # two main calls on different suites share one parser, and print what
+    # fresh parsers print
+    argvs = [
+        ["verify", "su11", "--n", "3", "--mu", "1/2,1/3,1/4", "--kmax", "2"],
+        ["verify", "lemma1", "--n", "3", "--kmax", "2"],
+    ]
+    cli.build_parser.cache_clear()
+    shared = []
+    for argv in argvs:
+        assert main(argv) == 0
+        shared.append(capsys.readouterr())
+    assert cli.build_parser.cache_info().misses == 1
+    assert cli.build_parser.cache_info().hits == 1
+    for argv, out in zip(argvs, shared):
+        cli.build_parser.cache_clear()
+        assert main(argv) == 0
+        assert capsys.readouterr() == out
+    assert all(out.out and not out.err for out in shared)

@@ -319,9 +319,9 @@ def test_the_connection_route_evaluates_no_dunkl_rule_and_forms_no_fraction_in_l
     assert evaluated == [] and formed == []
     assert all(type(x) is int for el in source for x in el.poly.terms.values())
     # the counter sees the Fractions that linalg does form: a dense view
-    # forms one per stored entry and one shared zero
+    # forms one per stored entry; its zeros are linalg's one module-level zero
     w.matrix.to_fractions()
-    assert len(formed) == 1 + sum(len(row) for row in w.matrix.sparse_rows)
+    assert len(formed) == sum(len(row) for row in w.matrix.sparse_rows)
 
 
 @pytest.mark.parametrize("side", ["source", "target"])

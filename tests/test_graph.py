@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from racah_dunkl import connection, graph
 from racah_dunkl import (
     Chain,
     ParameterSet,
@@ -16,6 +17,7 @@ from racah_dunkl import (
     neighbors,
     path,
 )
+from racah_dunkl.connection import SpanMismatch
 
 from reference import connected_by_paths
 
@@ -184,3 +186,62 @@ def test_pipeline_edges_block_diagonal():
                     assert casimir_eigenvalue(
                         params, from_label, len(gen)
                     ) == casimir_eigenvalue(params, to_label, len(gen))
+
+
+BENCH_PARAMS = ParameterSet.make(["3/7", "5/2", "1/9", "8/3"])
+BENCH_START = Chain.from_order((1, 2, 3, 4))
+BENCH_GOAL = Chain.from_order((3, 4, 2, 1))
+
+
+def _tower_with_a_doubled_element(monkeypatch, broken: Chain) -> None:
+    # the broken chain's tower holds its first element twice, so it keeps
+    # its size but is linearly dependent
+    real = graph.build_basis_tower
+
+    def tower(params, k, order=None):
+        elements = real(params, k, order)
+        if tuple(order) == broken.order:
+            elements[1] = elements[0]
+        return elements
+
+    monkeypatch.setattr(graph, "build_basis_tower", tower)
+
+
+def test_pipeline_takes_one_rank_per_walk(monkeypatch):
+    # every basis after the start is the target of an edge's solve, which
+    # proves it independent, so only the first edge needs the rank of W
+    ranks = []
+    real = connection.matrix_rank
+    monkeypatch.setattr(connection, "matrix_rank", lambda rows: ranks.append(1) or real(rows))
+    edges = connection_pipeline(BENCH_PARAMS, 6, BENCH_START, BENCH_GOAL)
+    assert len(edges) == 6 and all(w.matrix.shape == (49, 49) for w in edges)
+    assert len(ranks) == 1
+    assert connection_pipeline(BENCH_PARAMS, 6, BENCH_START, BENCH_START) == []
+    assert len(ranks) == 1
+
+
+def test_pipeline_rejects_a_dependent_start_basis(monkeypatch):
+    _tower_with_a_doubled_element(monkeypatch, BENCH_START)
+    with pytest.raises(SpanMismatch, match="^source basis is linearly dependent$"):
+        connection_pipeline(BENCH_PARAMS, 6, BENCH_START, BENCH_GOAL)
+
+
+def test_pipeline_rejects_a_dependent_intermediate_basis_in_its_edge_solve(monkeypatch):
+    vertices = [BENCH_START] + path(BENCH_START, BENCH_GOAL)
+    broken = vertices[3]
+    assert vertices.count(broken) == 1
+    _tower_with_a_doubled_element(monkeypatch, broken)
+    solved = []
+    real = graph._solve_connection
+
+    def solve(source, target):
+        solved.append(tuple(target))
+        return real(source, target)
+
+    monkeypatch.setattr(graph, "_solve_connection", solve)
+    with pytest.raises(SpanMismatch, match="^columns are linearly dependent$"):
+        connection_pipeline(BENCH_PARAMS, 6, BENCH_START, BENCH_GOAL)
+    # the first edge runs connection_matrix; edges 1 and 2 reach the
+    # broken tower as the target of edge 2, whose solve raises
+    assert len(solved) == 2
+    assert [el.label.order for el in solved[-1]] == [broken.order] * 49

@@ -131,17 +131,48 @@ def test_label_validation_and_degree():
         HarmonicLabel((1, 2, 3), (0, 2, 0), (0, 0))
     with pytest.raises(ValueError):
         HarmonicLabel((1, 2, 3), (0, 0, 0), (-1, 0))
+    for order, eps, ell in (
+        ((0, 1, 2), (0, 0, 0), (0, 0)),
+        ((1, 2, 3), (0, 0), (0, 0)),
+        ((1, 2, 3), (0, 0, 0), (0, 0, 0)),
+        ((1, 2), (0, 0, 0), (0, 0)),
+    ):
+        with pytest.raises(ValueError):
+            HarmonicLabel(order, eps, ell)
 
 
 def test_tower_rejects_an_order_that_is_not_a_permutation_of_1_to_n():
-    # an order of the wrong length is named as such, not as a bad epsilon of a label
+    # an order of the wrong length is named as such, not as a bad epsilon of
+    # a label; enumerate_labels checks the order once, even when k yields
+    # no labels at all
     params = ParameterSet.default(4)
-    for order in ((1, 2, 3), (1, 2, 3, 4, 5), (1, 2, 2, 4), (0, 1, 2, 3)):
+    assert enumerate_labels(4, -1) == []
+    for order in ((1, 2, 3), (1, 2, 3, 4, 5), (1, 2, 2, 4), (0, 1, 2, 3), (1, 2, 3, 5)):
         message = f"^order {re.escape(str(order))} is not a permutation of 1\\.\\.4$"
-        with pytest.raises(ValueError, match=message):
-            build_basis_tower(params, 2, order)
-        with pytest.raises(ValueError, match=message):
-            build_basis_tower(params, 2, list(order))
+        for bad in (order, list(order)):
+            with pytest.raises(ValueError, match=message):
+                build_basis_tower(params, 2, bad)
+            for k in (-1, 0, 3):
+                with pytest.raises(ValueError, match=message):
+                    enumerate_labels(4, k, bad)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_enumerated_labels_equal_labels_built_through_the_checks(n):
+    # enumerate_labels checks the order once and skips the per-label
+    # checks; its labels must be indistinguishable from checked ones
+    orders = list(itertools.islice(itertools.permutations(range(1, n + 1)), 0, None, 5))
+    orders.append(tuple(range(n, 0, -1)))
+    for order in orders:
+        for k in range(7):
+            labels = enumerate_labels(n, k, order)
+            assert len(labels) == harmonic_space_dim(n, k)
+            for label in labels:
+                checked = HarmonicLabel(order, label.epsilon, label.ell)
+                assert label == checked and checked == label
+                assert hash(label) == hash(checked)
+                assert repr(label) == repr(checked)
+                assert label.degree == k
 
 
 def test_basis_n2_k1():
