@@ -121,8 +121,12 @@ def _emit_text(text: str, args) -> None:
 
 
 def cmd_verify(args) -> int:
-    params = _parameters(args)
     suite = args.suite
+    if args.order is not None and suite != "eigen":
+        raise ConfigError(f"--order is read by the eigen suite only, not by {suite}")
+    if args.blocks is not None and suite != "embedding":
+        raise ConfigError(f"--blocks is read by the embedding suite only, not by {suite}")
+    params = _parameters(args)
     n = params.n
     if suite == "su11":
         report = verify_su11(params, _bound(args, 6))

@@ -1,10 +1,11 @@
 """Linear operators on polynomial spaces, built from Dunkl operators.
 
 Every operator shifts the homogeneous degree by a fixed amount, so its
-matrix from the degree-k monomials to the degree-(k + shift) ones holds
-its whole action on degree k; all the verified identities are
-degree-homogeneous, so equality of operators is decided on these exact
-matrices (linalg.RationalMatrix), or on an explicit polynomial basis.
+matrix from the monomials of degrees k..kmax to those of degrees
+k + shift..kmax + shift, one block per degree, holds its whole action on
+those degrees; all the verified identities are degree-homogeneous, so
+equality of operators is decided on these exact matrices
+(linalg.RationalMatrix), or on an explicit polynomial basis.
 
 An operator holds the image of each monomial as nonzero integer
 numerators over one operator-wide denominator ``den``, the form of a
@@ -20,10 +21,12 @@ integer images.  One loop, ``apply``, takes den times an operator on a
 sparse vector of integer coefficients, a tower lift's or a polynomial's
 numerators, and keeps the image of each monomial it meets; calling the
 operator on a polynomial puts that over the polynomial's den times the
-operator's.  Every operator keeps its matrix on each degree.  A
-primitive's matrix is the images of its rule as they are, over its den,
-in lowest terms, and keeps no image; a composite's is one
-linalg.product_sum over its parts' kept matrices.
+operator's.  Every operator keeps its matrix on each range of degrees
+it is asked for.  A primitive's matrix is the images of its rule as they
+are, over its den, in lowest terms, and keeps no image; a degree that
+one of its kept ranges already holds is copied from there, so no rule
+image is evaluated twice.  A composite's is one linalg.product_sum over
+its parts' kept matrices, each part on the range of degrees it acts on.
 
 The composite builders take a DunklOperators object, the n Dunkl
 operators of one parameter set built once, in place of the parameters, so
@@ -72,9 +75,9 @@ class LinearOperator:
     evaluates.  ``apply`` is the linear extension of the rule on integer
     coefficients, and calling the operator on a polynomial p is apply on
     p's numerators over p.den * den.  ``apply`` keeps each monomial's
-    image, and materialize_on_monomials each degree's matrix, for the
-    operator's lifetime; kept images are never handed out, every call
-    returns its own terms.
+    image, and materialize_on_monomials the matrix of each range of
+    degrees, keyed by (n, k, kmax), for the operator's lifetime; kept
+    images are never handed out, every call returns its own terms.
     """
 
     __slots__ = ("rule", "descriptor", "shift", "den", "terms", "_images", "_matrices")
@@ -88,7 +91,7 @@ class LinearOperator:
         self.den = den
         self.terms: list[OperatorTerm] | None = None
         self._images: dict[Monomial, Image] = {}
-        self._matrices: dict[tuple[int, int], RationalMatrix] = {}
+        self._matrices: dict[tuple[int, int, int], RationalMatrix] = {}
 
     @classmethod
     def composite(cls, terms: list[OperatorTerm], descriptor: str) -> "LinearOperator":
@@ -318,45 +321,70 @@ def angular(ops: DunklOperators, i: int, j: int) -> LinearOperator:
     )
 
 
-def materialize_on_monomials(op: LinearOperator, n: int, k: int) -> RationalMatrix:
-    """Kept matrix of an operator from the degree-k to the degree-(k + op.shift) monomials.
+def materialize_on_monomials(op: LinearOperator, n: int, k: int, kmax: int) -> RationalMatrix:
+    """Kept matrix of op on the monomials of degrees k..kmax, one block per degree.
 
-    Column j is the image of the j-th monomial of monomial_basis(n, k), row
-    i the i-th monomial of monomial_basis(n, k + op.shift); a basis of
-    negative degree is empty.  A composite's matrix is the product sum of
-    its terms over its parts' matrices, each on the degree it acts on; a
-    primitive's holds its rule's images over its den.  Both are in lowest
-    terms.  A primitive image with a term outside degree k + op.shift
-    raises ImageEscapesSpan.
+    Block d maps the columns monomial_basis(n, d) to the rows
+    monomial_basis(n, d + op.shift), blocks in degree order; a negative
+    degree gives an empty block, and (op, n, k, k) is the matrix on degree
+    k.  A composite's is the product sum of its terms over its parts'
+    matrices, each on the range it acts on; a primitive's holds its rule's
+    images over its den, each looked up in the positions of its own degree
+    d + shift alone: a term outside them raises ImageEscapesSpan.  Both
+    are in lowest terms, so a range holds the integers of its lowest-terms
+    blocks over the lcm of their dens.
     """
-    matrix = op._matrices.get((n, k))
+    key = (n, k, kmax)
+    matrix = op._matrices.get(key)
     if matrix is not None:
         return matrix
     if op.terms is not None:
         products = []
         for c, factors in op.terms:
-            matrices, d = [], k
+            matrices, d = [], 0
             for factor in reversed(factors):
-                matrices.append(materialize_on_monomials(factor, n, d))
+                matrices.append(materialize_on_monomials(factor, n, k + d, kmax + d))
                 d += factor.shift
             products.append((c, matrices[::-1]))
-        matrix = op._matrices[(n, k)] = product_sum(products).normalized()
+        matrix = op._matrices[key] = product_sum(products).normalized()
         return matrix
-    basis = monomial_basis(n, k)
-    position = monomial_positions(n, k + op.shift)
-    rows: list[dict[int, int]] = [{} for _ in position]
-    for j, exps in enumerate(basis):
-        for e, x in op.rule(exps).items():
-            i = position.get(e)
-            if i is None:
-                raise ImageEscapesSpan(
-                    f"{op.descriptor} maps homogeneous degree {k} to degree {sum(e)},"
-                    f" not to its declared degree {k + op.shift}"
-                )
-            rows[i][j] = x
-    matrix = RationalMatrix.from_sparse(rows, op.den, len(basis)).normalized()
-    op._matrices[(n, k)] = matrix
+    rows: list[dict[int, int]] = []
+    ncols = 0
+    for d in range(k, kmax + 1):
+        basis, block, kept = monomial_basis(n, d), len(rows), _kept_block(op, n, d, ncols)
+        if kept is not None:
+            rows += kept
+        else:
+            position = monomial_positions(n, d + op.shift)
+            rows.extend({} for _ in position)
+            for j, exps in enumerate(basis, ncols):
+                for e, x in op.rule(exps).items():
+                    i = position.get(e)
+                    if i is None:
+                        raise ImageEscapesSpan(
+                            f"{op.descriptor} maps homogeneous degree {d} to degree {sum(e)},"
+                            f" not to its declared degree {d + op.shift}"
+                        )
+                    rows[block + i][j] = x
+        ncols += len(basis)
+    matrix = op._matrices[key] = RationalMatrix.from_sparse(rows, op.den, ncols).normalized()
     return matrix
+
+
+def _kept_block(op: LinearOperator, n: int, d: int, col: int) -> list[dict[int, int]] | None:
+    """A primitive's rows on degree d, columns keyed from col, read from a kept range, or None.
+
+    A kept range holds the images over op.den divided by their gcd, so its
+    entries times op.den // matrix.den are the images again.
+    """
+    for (m, lo, hi), matrix in op._matrices.items():
+        if m == n and lo <= d <= hi:
+            row = sum(len(monomial_basis(n, e + op.shift)) for e in range(lo, d))
+            offset = col - sum(len(monomial_basis(n, e)) for e in range(lo, d))
+            scale = op.den // matrix.den
+            block = matrix.sparse_rows[row:row + len(monomial_basis(n, d + op.shift))]
+            return [{j + offset: scale * x for j, x in r.items()} for r in block]
+    return None
 
 
 def materialize(op: LinearOperator, n: int, basis: list[Polynomial]) -> RationalMatrix:

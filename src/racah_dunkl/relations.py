@@ -2,28 +2,24 @@
 
 Every check here materializes the operators of an identity on the
 monomial bases of homogeneous degrees and forms the exact difference of
-its two sides.  Each relation family is a generator of (relation, index
-tuple, discrepancy) triples, the discrepancy written as one signed sum of
-products of generator matrices; ``linalg.product_sum`` evaluates each sum
-once, over one denominator and without reduction.  A check fails exactly
-when it has a witness: the first nonzero column of its discrepancy, as a
-polynomial on the degree the discrepancy maps to, each entry reduced on
-its own.
-
-The invariants, P_ij, F_ijm and L_ij all preserve the degree, so an
-identity among them holds on the direct sum of degrees 0..kmax exactly
-when it holds on each degree.  A DegreeSum holds that direct sum: each
-generator is one block-diagonal matrix, its block k the generator's
-matrix on the degree-k monomials, and each discrepancy is summed once
-over all degrees.  One witness routine reads the first nonzero column
-inside each diagonal block, so the report still holds one check per
-degree, in degree-major order.  J+, J- and the full Laplacian change the
-degree; their identities are checked degree by degree on rectangular
-matrices, and their witnesses come from the same routine with a single
-block.  A RelationWorkspace is the DegreeSum of the racah sweep with its
-generators (pair invariants, P_ij, L_ij, L_ij^2, F_ijm and the diagonal
-factors) built once, since the same generators appear in many
-instantiated relations.
+its two sides.  A check is (relation, index tuple, shift, term list): its
+discrepancy, one signed sum of products of generator matrices, maps the
+direct sum of degrees 0..kmax to that of degrees shift..kmax + shift,
+block-diagonal by degree, and ``linalg.product_sum`` evaluates it once,
+over one denominator and without reduction.  An identity holds on that
+direct sum exactly when it holds on each degree.  A DegreeSum holds the
+degrees 0..kmax: it takes each operator on the exact range of degrees it
+acts on, one matrix from operators.materialize_on_monomials, and records
+every sweep through one routine, ``DegreeSum.report``.  A check fails on
+degree k exactly when it has a witness there: the first nonzero column of
+its discrepancy in the rows of degree k + shift, as a polynomial on that
+degree, each entry reduced on its own, so the report holds one check per
+degree.  The invariants, P_ij, F_ijm and L_ij preserve the degree (shift
+0); J+, J- and the full Laplacian change it, so the su(1,1) brackets and
+[C_A, Lap] take their factors on shifted ranges.  A RelationWorkspace is
+the DegreeSum of the racah sweep with its generators (pair invariants,
+P_ij, L_ij, L_ij^2, F_ijm and the diagonal factors) built once, since the
+same generators appear in many instantiated relations.
 """
 
 from __future__ import annotations
@@ -62,14 +58,14 @@ def nonempty_subsets(n: int) -> list[tuple[int, ...]]:
 
 
 def _witnesses(n: int, blocks, diff: RationalMatrix) -> list[str | None]:
-    """Per diagonal block of a discrepancy, its first nonzero column as a polynomial.
+    """Per degree of a discrepancy, its first nonzero column as a polynomial.
 
-    ``blocks`` gives each block's first row and the monomial basis of its
-    rows.  A block-diagonal discrepancy has no entry outside its blocks, so
-    the first nonzero column met in a block's rows lies inside the block.
-    The column's integers are read over diff.den and reduced, so a
-    discrepancy that is not in lowest terms gives the same text as its
-    normalized form.
+    ``blocks`` gives, for each source degree in turn, the first row and
+    the monomial basis of the target degree it maps to.  The discrepancy
+    is block-diagonal by degree, so the first nonzero column met in a
+    block's rows lies in that source degree.  The column's integers are
+    read over diff.den and reduced, so a discrepancy that is not in
+    lowest terms gives the same text as its normalized form.
     """
     rows = diff.sparse_rows
     if not any(rows):
@@ -86,47 +82,22 @@ def _witnesses(n: int, blocks, diff: RationalMatrix) -> list[str | None]:
     return out
 
 
-def _matrix_witness(n: int, basis, diff: RationalMatrix) -> str | None:
-    """First nonzero column of a discrepancy matrix on one basis, as a polynomial."""
-    return _witnesses(n, [(0, basis)], diff)[0]
-
-
-def _summed(discrepancies):
-    """Each (relation, index tuple, term list) with its terms summed once."""
-    for relation, idx, terms in discrepancies:
-        yield relation, idx, product_sum(terms)
-
-
-def _record(report: Report, k: int, n: int, basis, discrepancies) -> None:
-    """Record each (relation, index tuple, discrepancy matrix) on degree k."""
-    for relation, idx, diff in discrepancies:
-        report.add(relation, idx, k, _matrix_witness(n, basis, diff))
-
-
 class DegreeSum:
     """The monomials of degrees 0..kmax in n variables, as one direct sum.
 
     ``basis`` lists the degree-0 monomials, then the degree-1 ones, and so
-    on; block k starts at ``starts[k]``.  A kmax below 0 gives no degree.
+    on.  A check is (relation, index tuple, shift, term list): its
+    discrepancy, the term list's product sum, maps the direct sum of
+    degrees 0..kmax to that of degrees shift..kmax + shift, one block per
+    degree.  A kmax below 0 gives no degree.
     """
 
     def __init__(self, n: int, kmax: int):
         self.n = n
+        self.kmax = kmax
         self.degrees = range(max(kmax + 1, 0))
-        self.bases = [monomial_basis(n, k) for k in self.degrees]
-        self.starts = list(accumulate((len(b) for b in self.bases), initial=0))
-        self.basis = [exps for b in self.bases for exps in b]
+        self.basis = [exps for k in self.degrees for exps in monomial_basis(n, k)]
         self.dim = len(self.basis)
-
-    def direct_sum(self, blocks: list[RationalMatrix]) -> RationalMatrix:
-        """The block-diagonal matrix whose block k is blocks[k], over the lcm of their dens."""
-        den = lcm(1, *(b.den for b in blocks))
-        rows: list[dict[int, int]] = []
-        for start, block in zip(self.starts, blocks):
-            scale = den // block.den
-            for row in block.sparse_rows:
-                rows.append({start + j: scale * x for j, x in row.items()})
-        return RationalMatrix.from_sparse(rows, den, self.dim)
 
     def parity_diagonal(self, indices, value) -> RationalMatrix:
         """The diagonal matrix of value(r_i, r_j, ...) on the direct sum.
@@ -143,25 +114,32 @@ class DegreeSum:
         rows = [{row: nums[r]} if nums[r] else {} for row, r in enumerate(patterns)]
         return RationalMatrix.from_sparse(rows, den, self.dim)
 
-    def materialize(self, op: LinearOperator) -> RationalMatrix:
-        """A degree-preserving operator on the direct sum."""
-        return self.direct_sum([materialize_on_monomials(op, self.n, k) for k in self.degrees])
+    def materialize(self, op: LinearOperator, offset: int = 0) -> RationalMatrix:
+        """op on the monomials of degrees offset..kmax + offset, as one direct sum."""
+        return materialize_on_monomials(op, self.n, offset, self.kmax + offset)
 
-    def report(self, checks) -> Report:
-        """Each (relation, index tuple, term list) summed once, recorded once per degree.
+    def report(self, groups) -> Report:
+        """Each check of each group summed once and recorded once per degree.
 
-        The report is degree-major: all checks on degree 0, then on degree
-        1, and so on, each degree in the order of ``checks``.
+        The groups are recorded in turn, each degree-major: all its checks
+        on degree 0, then on degree 1, and so on, each degree in the
+        group's order.  A check's witness on degree k is read in the rows
+        of degree k + shift.
         """
-        blocks = list(zip(self.starts, self.bases))
-        witnessed = [
-            (relation, idx, _witnesses(self.n, blocks, diff))
-            for relation, idx, diff in _summed(checks)
-        ]
+        targets: dict[int, list] = {}
         report = Report()
-        for k in self.degrees:
-            for relation, idx, witnesses in witnessed:
-                report.add(relation, idx, k, witnesses[k])
+        for group in groups:
+            witnessed = []
+            for relation, idx, shift, terms in group:
+                blocks = targets.get(shift)
+                if blocks is None:
+                    bases = [monomial_basis(self.n, k + shift) for k in self.degrees]
+                    starts = accumulate((len(b) for b in bases), initial=0)
+                    blocks = targets[shift] = list(zip(starts, bases))
+                witnessed.append((relation, idx, _witnesses(self.n, blocks, product_sum(terms))))
+            for k in self.degrees:
+                for relation, idx, witnesses in witnessed:
+                    report.add(relation, idx, k, witnesses[k])
         return report
 
 
@@ -170,8 +148,8 @@ class RelationWorkspace(DegreeSum):
 
     Each generator is one block-diagonal matrix on the direct sum: its
     block k is the generator on the degree-k monomials.  The operators are
-    assembled from their kept per-degree matrices, and the diagonal
-    factors, which depend only on reflection signs, are built by
+    materialized on the whole range at once, and the diagonal factors,
+    which depend only on reflection signs, are built by
     ``parity_diagonal`` from one value per sign pattern.
     """
 
@@ -245,34 +223,28 @@ def verify_su11(params: ParameterSet, kmax: int) -> Report:
     """Bracket identities of the raising/lowering triple, on all degrees <= kmax.
 
     For each subset A the three identities [A0, J+] = J+, [A0, J-] = -J-
-    and [J-, J+] = 2 A0 are checked on every degree k as one product sum
-    of the triple's matrices between monomial degrees.  J+ raises the
-    degree by two and J- lowers it by two, so the discrepancies map degree
-    k to degree k + 2, k - 2 and k, and each witness is written there.
+    and [J-, J+] = 2 A0 are each summed once on the direct sum of degrees
+    0..kmax.  J+ raises the degree by two and J- lowers it by two, so the
+    discrepancies map degree k to degree k + 2, k - 2 and k, each factor
+    is taken on the degrees it acts on, and each witness is written on
+    the degree its discrepancy maps to.  The report is subset-major:
+    subset, then degree, then relation.
     """
-    n = params.n
+    space = DegreeSum(params.n, kmax)
     ops = DunklOperators(params)
-    bases = {d: monomial_basis(n, d) for d in range(-2, kmax + 3)}
-    report = Report()
-    for A in nonempty_subsets(n):
-        a0, jp, jm = su11_triple(ops, A)
-        mats = (
-            {d: materialize_on_monomials(a0, n, d) for d in range(-2, kmax + 3)},
-            {d: materialize_on_monomials(jp, n, d) for d in range(-2, kmax + 1)},
-            {d: materialize_on_monomials(jm, n, d) for d in range(kmax + 3)},
-        )
-        for k in range(kmax + 1):
-            for relation, shift, terms in _su11_brackets(*mats, k):
-                _record(report, k, n, bases[k + shift], _summed([(relation, A, terms)]))
-    return report
+    return space.report(_su11_brackets(space, ops, A) for A in nonempty_subsets(params.n))
 
 
-def _su11_brackets(a0, jp, jm, k: int):
-    # (relation, degree shift, terms) on degree k, where a0[d], jp[d] and
-    # jm[d] map degree d to degrees d, d + 2 and d - 2
-    yield "su11-raising", 2, [(1, (a0[k + 2], jp[k])), (-1, (jp[k], a0[k])), (-1, (jp[k],))]
-    yield "su11-lowering", -2, [(1, (a0[k - 2], jm[k])), (-1, (jm[k], a0[k])), (1, (jm[k],))]
-    yield "su11-bracket", 0, [(1, (jm[k + 2], jp[k])), (-1, (jp[k - 2], jm[k])), (-2, (a0[k],))]
+def _su11_brackets(space: DegreeSum, ops: DunklOperators, A: tuple[int, ...]):
+    # A0, J+ and J- map degree d to degrees d, d + 2 and d - 2, and each
+    # factor is taken on the degrees its right neighbour maps to
+    a0, jp, jm = su11_triple(ops, A)
+    a0_0, jp_0, jm_0 = space.materialize(a0), space.materialize(jp), space.materialize(jm)
+    a0_up, a0_down = space.materialize(a0, 2), space.materialize(a0, -2)
+    jp_down, jm_up = space.materialize(jp, -2), space.materialize(jm, 2)
+    yield "su11-raising", A, 2, [(1, (a0_up, jp_0)), (-1, (jp_0, a0_0)), (-1, (jp_0,))]
+    yield "su11-lowering", A, -2, [(1, (a0_down, jm_0)), (-1, (jm_0, a0_0)), (1, (jm_0,))]
+    yield "su11-bracket", A, 0, [(1, (jm_up, jp_0)), (-1, (jp_down, jm_0)), (-2, (a0_0,))]
 
 
 def verify_racah_relations(params: ParameterSet, kmax: int) -> Report:
@@ -308,14 +280,14 @@ def verify_racah_relations(params: ParameterSet, kmax: int) -> Report:
         _quad_ff_relation,
         _quint_ff_relation,
     )
-    return ws.report(chain(*(family(ws) for family in families), _drinfeld_kohno(n, ws.c_pair)))
+    return ws.report([chain(*(family(ws) for family in families), _drinfeld_kohno(n, ws.c_pair))])
 
 
 def _single_invariant_form(ws: RelationWorkspace):
     # generic quadratic invariant of one index vs its reflection closed form
     for i in range(1, ws.n + 1):
         ci = ws.materialize(casimir(ws.ops, (i,)))
-        yield "single-invariant-closed-form", (i,), [(1, (ci,)), (-1, (ws.c1(i),))]
+        yield "single-invariant-closed-form", (i,), 0, [(1, (ci,)), (-1, (ws.c1(i),))]
 
 
 def _pair_invariant_form(ws: RelationWorkspace):
@@ -327,7 +299,7 @@ def _pair_invariant_form(ws: RelationWorkspace):
         square = ws.parity_diagonal(
             (i, j), lambda ri, rj: mu_i * mu_i + mu_j * mu_j + 2 * mu_i * mu_j * ri * rj
         )
-        yield "pair-invariant-angular-form", (i, j), [
+        yield "pair-invariant-angular-form", (i, j), 0, [
             (4, (ws.cp(i, j),)), (1, (ws.l2(i, j),)), (-1, (square,)), (1, (one,)),
         ]
 
@@ -340,7 +312,7 @@ def _subset_additivity(ws: RelationWorkspace):
             terms = [(1, (ca,))]
             terms += [(-1, (ws.cp(i, j),)) for i, j in combinations(A, 2)]
             terms += [(size - 2, (ws.c1(i),)) for i in A]
-            yield "subset-additivity", A, terms
+            yield "subset-additivity", A, 0, terms
 
 
 def _f_from_angular(ws: RelationWorkspace):
@@ -351,14 +323,14 @@ def _f_from_angular(ws: RelationWorkspace):
         i, j, m = idx
         if i > m:
             continue
-        yield "f-from-angular-momentum", idx, [
+        yield "f-from-angular-momentum", idx, 0, [
             (1, (ws.f(i, j, m),)),
             (-sixteenth, (ws.l2(i, j), ws.refl(m))),
             (sixteenth, (ws.l2(i, m), ws.refl(j))),
             (sixteenth, (ws.l2(j, m), ws.refl(i))),
             (-2 * sixteenth, (ws.l_mat[(i, m)], ws.l_mat[(i, j)], ws.l_mat[(j, m)])),
         ]
-        yield "f-antisymmetry", idx, [(1, (ws.f(m, j, i),)), (1, (ws.f(i, j, m),))]
+        yield "f-antisymmetry", idx, 0, [(1, (ws.f(m, j, i),)), (1, (ws.f(i, j, m),))]
 
 
 def _triple_relation(ws: RelationWorkspace):
@@ -366,7 +338,7 @@ def _triple_relation(ws: RelationWorkspace):
     for idx in permutations(range(1, ws.n + 1), 3):
         i, j, m = idx
         p_ij, p_im, p_jm = ws.p(i, j), ws.p(i, m), ws.p(j, m)
-        yield "triple-relation", idx, _commutator(p_jm, ws.f(i, j, m)) + [
+        yield "triple-relation", idx, 0, _commutator(p_jm, ws.f(i, j, m)) + [
             (-1, (p_im, p_jm)),
             (1, (p_jm, p_ij)),
             (-2, (p_im, ws.c1(j))),
@@ -378,7 +350,7 @@ def _quad_pf_relation(ws: RelationWorkspace):
     # [P_ml, F_ijm] = P_im P_jl - P_il P_jm
     for idx in permutations(range(1, ws.n + 1), 4):
         i, j, m, l = idx
-        yield "quad-pf-relation", idx, _commutator(ws.p(m, l), ws.f(i, j, m)) + [
+        yield "quad-pf-relation", idx, 0, _commutator(ws.p(m, l), ws.f(i, j, m)) + [
             (-1, (ws.p(i, m), ws.p(j, l))),
             (1, (ws.p(i, l), ws.p(j, m))),
         ]
@@ -389,7 +361,7 @@ def _quad_ff_relation(ws: RelationWorkspace):
     for idx in permutations(range(1, ws.n + 1), 4):
         i, j, m, l = idx
         f_ijm, f_jml, f_iml = ws.f(i, j, m), ws.f(j, m, l), ws.f(i, m, l)
-        yield "quad-ff-relation", idx, _commutator(f_ijm, f_jml) + [
+        yield "quad-ff-relation", idx, 0, _commutator(f_ijm, f_jml) + [
             (-1, (f_jml, ws.p(i, j))),
             (1, (f_iml, ws.p(j, m))),
             (2, (f_iml, ws.c1(j))),
@@ -401,7 +373,7 @@ def _quint_ff_relation(ws: RelationWorkspace):
     # [F_ijm, F_mlq] = F_ilq P_jm - P_im F_jlq
     for idx in permutations(range(1, ws.n + 1), 5):
         i, j, m, l, q = idx
-        yield "quint-ff-relation", idx, _commutator(ws.f(i, j, m), ws.f(m, l, q)) + [
+        yield "quint-ff-relation", idx, 0, _commutator(ws.f(i, j, m), ws.f(m, l, q)) + [
             (-1, (ws.f(i, l, q), ws.p(j, m))),
             (1, (ws.p(i, m), ws.f(j, l, q))),
         ]
@@ -414,14 +386,14 @@ def _drinfeld_kohno(n: int, c_pair: dict[frozenset, RationalMatrix]):
     for i, j in combinations(range(1, n + 1), 2):
         for m, l in combinations(range(1, n + 1), 2):
             if (i, j) < (m, l) and not {i, j} & {m, l}:
-                yield "disjoint-pairs-commute", (i, j, m, l), _commutator(cp(i, j), cp(m, l))
+                yield "disjoint-pairs-commute", (i, j, m, l), 0, _commutator(cp(i, j), cp(m, l))
     for i, j in combinations(range(1, n + 1), 2):
         for m in range(1, n + 1):
             if m in (i, j):
                 continue
             # [C_ij, C_im + C_jm]
             terms = _commutator(cp(i, j), cp(i, m)) + _commutator(cp(i, j), cp(j, m))
-            yield "adjacent-pair-sum-commutes", (i, j, m), terms
+            yield "adjacent-pair-sum-commutes", (i, j, m), 0, terms
 
 
 def verify_drinfeld_kohno(params: ParameterSet, kmax: int) -> Report:
@@ -433,35 +405,30 @@ def verify_drinfeld_kohno(params: ParameterSet, kmax: int) -> Report:
         frozenset(pair): space.materialize(casimir(ops, pair))
         for pair in combinations(range(1, n + 1), 2)
     }
-    return space.report(_drinfeld_kohno(n, c_pair))
+    return space.report([_drinfeld_kohno(n, c_pair)])
 
 
 def verify_casimir_laplacian_commute(params: ParameterSet, kmax: int) -> Report:
     """[C_A, Lap] = 0 for every nonempty A, on all degrees <= kmax.
 
-    The full Laplacian lowers the degree by two, so on degree k the
-    commutator is a matrix from the degree-k monomials to the degree-(k - 2)
-    ones, and each witness is written on degree k - 2.  The Laplacian is
-    materialized once per degree and each C_A once per degree.
+    The full Laplacian lowers the degree by two, so the commutator
+    C_A Lap - Lap C_A maps degree k to degree k - 2, with C_A taken on
+    degrees -2..kmax - 2 on the left and 0..kmax on the right, and each
+    witness is written on degree k - 2.  The Laplacian is materialized
+    once; the report is subset-major.
     """
     n = params.n
+    space = DegreeSum(n, kmax)
     ops = DunklOperators(params)
-    lap = laplace(ops, range(1, n + 1))
-    laps = [materialize_on_monomials(lap, n, k) for k in range(kmax + 1)]
-    targets = [monomial_basis(n, k - 2) for k in range(kmax + 1)]
-    report = Report()
-    for A in nonempty_subsets(n):
-        ca = casimir(ops, A)
-        mats = {d: materialize_on_monomials(ca, n, d) for d in range(-2, kmax + 1)}
-        for k in range(kmax + 1):
-            _record(report, k, n, targets[k], _summed(_laplacian_commutator(A, mats, laps[k], k)))
-    return report
+    lap = space.materialize(laplace(ops, range(1, n + 1)))
+    subsets = nonempty_subsets(n)
+    return space.report(_laplacian_commutator(space, casimir(ops, A), A, lap) for A in subsets)
 
 
-def _laplacian_commutator(A, ca, lap: RationalMatrix, k: int):
-    # C_A Lap - Lap C_A on degree k, where ca[d] is C_A on degree d and lap
-    # maps degree k to degree k - 2
-    yield "invariant-commutes-with-laplacian", A, [(1, (ca[k - 2], lap)), (-1, (lap, ca[k]))]
+def _laplacian_commutator(space: DegreeSum, ca: LinearOperator, A: tuple[int, ...], lap):
+    # C_A Lap - Lap C_A, from degrees 0..kmax to degrees -2..kmax - 2
+    ca_below, ca_0 = space.materialize(ca, -2), space.materialize(ca)
+    yield "invariant-commutes-with-laplacian", A, -2, [(1, (ca_below, lap)), (-1, (lap, ca_0))]
 
 
 def verify_nested_disjoint_commute(params: ParameterSet, kmax: int) -> Report:
@@ -470,7 +437,7 @@ def verify_nested_disjoint_commute(params: ParameterSet, kmax: int) -> Report:
     ops = DunklOperators(params)
     space = DegreeSum(n, kmax)
     mats = {A: space.materialize(casimir(ops, A)) for A in nonempty_subsets(n)}
-    return space.report(_nested_disjoint_commutators(mats))
+    return space.report([_nested_disjoint_commutators(mats)])
 
 
 def _nested_disjoint_commutators(mats: dict[tuple[int, ...], RationalMatrix]):
@@ -484,7 +451,7 @@ def _nested_disjoint_commutators(mats: dict[tuple[int, ...], RationalMatrix]):
                 relation = "disjoint-invariants-commute"
             else:
                 continue
-            yield relation, (A, B), _commutator(mats[A], mats[B])
+            yield relation, (A, B), 0, _commutator(mats[A], mats[B])
 
 
 def verify_embedding(
@@ -514,7 +481,7 @@ def verify_embedding(
     def mat(subset: tuple[int, ...]) -> RationalMatrix:
         return space.materialize(casimir(ops, subset))
 
-    return space.report(_embedding_relations((K, L, M), mat))
+    return space.report([_embedding_relations((K, L, M), mat)])
 
 
 def _embedding_relations(blocks, mat):
@@ -532,17 +499,17 @@ def _embedding_relations(blocks, mat):
             (-1, (b, c)), (1, (b, c_klm)), (1, (a, c)), (-1, (a, c_klm)),
         ]
 
-    yield "embedding-additivity", blocks, [
+    yield "embedding-additivity", blocks, 0, [
         (1, (c_klm,)), (-1, (c_kl,)), (-1, (c_km,)), (-1, (c_lm,)),
         (1, (c_k,)), (1, (c_l,)), (1, (c_m,)),
     ]
     # 2F - [C_KM, C_KL] and 2F - [C_LM, C_KM]
-    yield "embedding-f-consistency-1", blocks, (
+    yield "embedding-f-consistency-1", blocks, 0, (
         _commutator(c_kl, c_lm) + _commutator(c_km, c_kl, -1)
     )
-    yield "embedding-f-consistency-2", blocks, (
+    yield "embedding-f-consistency-2", blocks, 0, (
         _commutator(c_kl, c_lm) + _commutator(c_lm, c_km, -1)
     )
-    yield "embedding-equitable-1", blocks, equitable(c_kl, c_lm, c_km, c_k, c_l, c_m)
-    yield "embedding-equitable-2", blocks, equitable(c_lm, c_km, c_kl, c_l, c_m, c_k)
-    yield "embedding-equitable-3", blocks, equitable(c_km, c_kl, c_lm, c_m, c_k, c_l)
+    yield "embedding-equitable-1", blocks, 0, equitable(c_kl, c_lm, c_km, c_k, c_l, c_m)
+    yield "embedding-equitable-2", blocks, 0, equitable(c_lm, c_km, c_kl, c_l, c_m, c_k)
+    yield "embedding-equitable-3", blocks, 0, equitable(c_km, c_kl, c_lm, c_m, c_k, c_l)

@@ -14,13 +14,19 @@ of one:
   connection coefficients between two chain orders follow the discrete
   three-term recurrence;
 * ``connected_by_paths`` checks that the recoupling graph is connected by
-  walking ``path`` from one chain to every other.
+  walking ``path`` from one chain to every other;
+* ``per_degree_su11`` and ``per_degree_laplacian_commute`` run the su(1,1)
+  and [C_A, Lap] sweeps degree by degree, on the rectangular matrices of
+  one degree each, with ``one_block_witness``;
+* ``block_diagonal`` puts matrices on one diagonal over the lcm of their
+  dens.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from racah_dunkl import (
@@ -36,6 +42,8 @@ from racah_dunkl import (
     casimir,
     casimir_eigenvalue,
     materialize,
+    materialize_on_monomials,
+    monomial_basis,
     norm_square_poly,
     parity_blocks,
     path,
@@ -44,7 +52,8 @@ from racah_dunkl import (
     solve_in_span,
     spectral_data,
 )
-from racah_dunkl import connection
+from racah_dunkl import connection, relations
+from racah_dunkl.linalg import product_sum
 from racah_dunkl.report import Report
 
 
@@ -266,3 +275,87 @@ def connected_by_paths(graph) -> bool:
             if tuple(sorted((index[u], index[v]))) not in edges:
                 return False
     return True
+
+
+# -- the degree-changing sweeps, one degree at a time ----------------------------
+
+
+def block_diagonal(blocks: Sequence[RationalMatrix]) -> RationalMatrix:
+    """The block-diagonal matrix of the given matrices, over the lcm of their dens."""
+    den = lcm(*(b.den for b in blocks))
+    rows, offset = [], 0
+    for b in blocks:
+        scale = den // b.den
+        rows += [{offset + j: scale * x for j, x in row.items()} for row in b.sparse_rows]
+        offset += b.ncols
+    return RationalMatrix.from_sparse(rows, den, offset)
+
+
+def one_block_witness(n: int, basis, diff: RationalMatrix) -> str | None:
+    """The first nonzero column of a discrepancy on one basis, as a polynomial."""
+    cols = [min(row) for row in diff.sparse_rows if row]
+    if not cols:
+        return None
+    col = min(cols)
+    rows = enumerate(diff.sparse_rows)
+    return Polynomial(
+        n, {basis[i]: Fraction(row[col], diff.den) for i, row in rows if col in row}
+    ).to_text()
+
+
+def _on_degree(op, n: int, d: int) -> RationalMatrix:
+    return materialize_on_monomials(op, n, d, d)
+
+
+def per_degree_su11(params: ParameterSet, kmax: int) -> Report:
+    """The su(1,1) brackets of every subset, summed on each degree's own matrices.
+
+    ``su11_triple`` is looked up on the relations module at call time, so
+    a patched triple reaches this route and the sweep alike.
+    """
+    n = params.n
+    ops = DunklOperators(params)
+    report = Report()
+    for A in relations.nonempty_subsets(n):
+        a0, jp, jm = relations.su11_triple(ops, A)
+        for k in range(kmax + 1):
+            a0_k, jp_k, jm_k = (_on_degree(op, n, k) for op in (a0, jp, jm))
+            brackets = (
+                ("su11-raising", 2, [
+                    (1, (_on_degree(a0, n, k + 2), jp_k)), (-1, (jp_k, a0_k)), (-1, (jp_k,)),
+                ]),
+                ("su11-lowering", -2, [
+                    (1, (_on_degree(a0, n, k - 2), jm_k)), (-1, (jm_k, a0_k)), (1, (jm_k,)),
+                ]),
+                ("su11-bracket", 0, [
+                    (1, (_on_degree(jm, n, k + 2), jp_k)),
+                    (-1, (_on_degree(jp, n, k - 2), jm_k)),
+                    (-2, (a0_k,)),
+                ]),
+            )
+            for relation, shift, terms in brackets:
+                witness = one_block_witness(n, monomial_basis(n, k + shift), product_sum(terms))
+                report.add(relation, A, k, witness)
+    return report
+
+
+def per_degree_laplacian_commute(params: ParameterSet, kmax: int) -> Report:
+    """C_A Lap - Lap C_A for every subset, summed on each degree's own matrices.
+
+    The full Laplacian comes from ``laplace`` on the relations module,
+    looked up at call time, so a patched Laplacian reaches both routes.
+    """
+    n = params.n
+    ops = DunklOperators(params)
+    lap = relations.laplace(ops, range(1, n + 1))
+    report = Report()
+    for A in relations.nonempty_subsets(n):
+        ca = casimir(ops, A)
+        for k in range(kmax + 1):
+            lap_k = _on_degree(lap, n, k)
+            diff = product_sum([
+                (1, (_on_degree(ca, n, k - 2), lap_k)), (-1, (lap_k, _on_degree(ca, n, k))),
+            ])
+            witness = one_block_witness(n, monomial_basis(n, k - 2), diff)
+            report.add("invariant-commutes-with-laplacian", A, k, witness)
+    return report

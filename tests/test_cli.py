@@ -51,6 +51,9 @@ def test_verify_eigen_reports_labels(tmp_path):
     assert code == 0
     rows = json.loads(out.read_text())
     assert all(row["relation"] == "spectral-action" for row in rows)
+    # the eigen suite reads --order
+    assert run(["verify", "eigen", "--n", "3", "--kmax", "1", "--order", "3,2,1"]) == 0
+    assert run(["verify", "eigen", "--n", "3", "--kmax", "1", "--order", "1,2"]) == 2
 
 
 def test_verify_ck_and_lemma_suites(tmp_path):
@@ -260,6 +263,28 @@ def test_options_a_subcommand_does_not_read_are_rejected(argv, capsys):
         run(argv.split())
     assert exc.value.code == 2
     assert capsys.readouterr().out == ""
+
+
+VERIFY_SUITE_OPTIONS = (
+    ["racah", "--n", "3", "--kmax", "0", "--order", "3,2,1"],
+    ["su11", "--n", "2", "--kmax", "0", "--order", "1,2"],
+    ["embedding", "--n", "3", "--kmax", "0", "--order", "1,2,3"],
+    ["su11", "--n", "2", "--kmax", "0", "--blocks", "1;2;3"],
+    ["racah", "--n", "4", "--kmax", "0", "--blocks", "1,2;3;4"],
+    ["eigen", "--n", "3", "--kmax", "0", "--blocks", "1;2;3"],
+)
+
+
+@pytest.mark.parametrize("argv", VERIFY_SUITE_OPTIONS)
+def test_verify_rejects_an_option_its_suite_does_not_read(argv, capsys):
+    # --order belongs to eigen and --blocks to embedding; any other suite
+    # rejects them up front instead of dropping them
+    assert run(["verify", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    option = argv[-2]
+    assert f"configuration error: {option} is read by the" in captured.err
+    assert f"not by {argv[0]}" in captured.err
 
 
 def test_suite_too_small_for_n_is_a_configuration_error(capsys):

@@ -17,6 +17,7 @@ term reference.
 from fractions import Fraction
 from math import gcd, lcm
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -34,8 +35,9 @@ from racah_dunkl import (
     norm_square_poly,
     su11_triple,
 )
+from racah_dunkl.operators import ImageEscapesSpan, LinearOperator, _coordinate_mul
 
-from reference import divide_by_coordinate, reflect
+from reference import block_diagonal, divide_by_coordinate, reflect
 
 BIG = 10**6
 mu_values = st.one_of(
@@ -170,7 +172,7 @@ def test_matrix_columns_are_monomial_images(case, k):
     basis = monomial_basis(n, k)
     for op, oracle in builders_with_oracles(params, A, i, j):
         targets = monomial_basis(n, k + op.shift)
-        matrix = materialize_on_monomials(op, n, k)
+        matrix = materialize_on_monomials(op, n, k, k)
         assert matrix.shape == (len(targets), len(basis)), op.descriptor
         images = [op(Polynomial.monomial(n, exps)) for exps in basis]
         for col, (exps, image) in enumerate(zip(basis, images)):
@@ -204,9 +206,63 @@ def test_matrices_are_the_oracle_images_over_their_lcm(case):
     n = params.n
     for op, oracle in builders_with_oracles(params, A, i, j):
         for k in range(5):
-            matrix = materialize_on_monomials(op, n, k)
+            matrix = materialize_on_monomials(op, n, k, k)
             den, rows = reference_matrix(oracle, n, k, op.shift)
             assert (matrix.den, matrix.sparse_rows) == (den, rows), (op.descriptor, k)
+
+
+degree_ranges = st.sampled_from([(0, 3), (-2, 2), (-2, -1), (1, 4), (2, 1), (0, -1), (3, 3)])
+
+
+@settings(max_examples=25, deadline=None)
+@given(cases(), degree_ranges, degree_ranges)
+def test_range_matrix_is_the_per_degree_blocks_on_one_diagonal(case, first, second):
+    # T_i, x_i, |x_A|^2, Lap_A, A0, J+, J-, C_A and L_ij on two ranges of
+    # degrees: the per-degree matrices of separate operators on one diagonal
+    # over the lcm of their dens, with the same den and sparse rows.  Three
+    # operator sets: ranges straight from the rules (the second range
+    # overlapping the first's kept blocks), the per-degree reference, and
+    # ranges read from kept per-degree blocks
+    params, _, _, A, i, j = case
+    n = params.n
+
+    def operators():
+        return [op for op, _ in builders_with_oracles(params, A, i, j)] + [_coordinate_mul(i)]
+
+    def per_degree(op, k, kmax):
+        blocks = [materialize_on_monomials(op, n, d, d) for d in range(k, kmax + 1)]
+        return block_diagonal(blocks)
+
+    for ranged, single, reused in zip(operators(), operators(), operators()):
+        for k, kmax in (first, second):
+            want = per_degree(single, k, kmax)
+            per_degree(reused, k, kmax)
+            rows = sum(len(monomial_basis(n, d + single.shift)) for d in range(k, kmax + 1))
+            cols = sum(len(monomial_basis(n, d)) for d in range(k, kmax + 1))
+            assert want.shape == (rows, cols), single.descriptor
+            for op in (ranged, reused):
+                whole = materialize_on_monomials(op, n, k, kmax)
+                assert whole.shape == want.shape, op.descriptor
+                assert (whole.den, whole.sparse_rows) == (want.den, want.sparse_rows), (
+                    op.descriptor, k, kmax
+                )
+
+
+def test_range_primitive_image_of_a_wrong_degree_inside_the_range_raises():
+    # declared degree preserving, but degree 1 goes to degree 2, which the
+    # range 0..3 holds: each image is looked up in its own degree's rows
+    def rule(exps):
+        if sum(exps) == 1:
+            return {(exps[0] + 1,) + exps[1:]: 1}
+        return {exps: 1}
+
+    bad = LinearOperator(rule, "bad")
+    with pytest.raises(ImageEscapesSpan, match="bad maps homogeneous degree 1 to degree 2,"
+                       " not to its declared degree 1"):
+        materialize_on_monomials(bad, 3, 0, 3)
+    # degree 0 alone, and the range 2..3, hold no such image
+    assert materialize_on_monomials(bad, 3, 0, 0).shape == (1, 1)
+    assert materialize_on_monomials(bad, 3, 2, 3).shape == (16, 16)
 
 
 def permute(sigma, p):

@@ -28,7 +28,7 @@ from racah_dunkl import (
 )
 from racah_dunkl import cli, operators, relations
 from racah_dunkl.linalg import product_sum
-from racah_dunkl.relations import _matrix_witness
+from racah_dunkl.relations import _witnesses
 
 from reference import divide_by_coordinate, from_text, reflect
 
@@ -207,7 +207,7 @@ def test_subset_additivity_on_triple():
 
 def test_materialize_identity():
     identity = LinearOperator(lambda exps: {exps: 1}, "1")
-    assert materialize_on_monomials(identity, 2, 2) == RationalMatrix.identity(3)
+    assert materialize_on_monomials(identity, 2, 2, 2) == RationalMatrix.identity(3)
     basis = [P(2, "1 * x1^2 + 1 * x2^2"), P(2, "1 * x1 x2")]
     assert materialize(identity, 2, basis) == RationalMatrix.identity(2)
 
@@ -218,7 +218,7 @@ def test_materialize_between_degrees_matches_monomial_images():
     lap = laplace(OPS, (1, 2, 3))
     for op in (jp, jm, lap):
         for k in range(5):
-            mat = materialize_on_monomials(op, 3, k)
+            mat = materialize_on_monomials(op, 3, k, k)
             columns, rows = monomial_basis(3, k), monomial_basis(3, k + op.shift)
             assert mat.shape == (len(rows), len(columns))
             for j, exps in enumerate(columns):
@@ -228,15 +228,15 @@ def test_materialize_between_degrees_matches_monomial_images():
 
 def test_materialize_below_degree_zero_is_empty():
     a0, jp, jm = su11_triple(OPS, (1, 2))
-    lowered = materialize_on_monomials(jm, 3, 1)
+    lowered = materialize_on_monomials(jm, 3, 1, 1)
     assert lowered.shape == (0, 3)
     # A0 on degree -1 has no rows or columns, J+ from degree -1 no columns
-    a0_below = materialize_on_monomials(a0, 3, -1)
-    raised = materialize_on_monomials(jp, 3, -1)
+    a0_below = materialize_on_monomials(a0, 3, -1, -1)
+    raised = materialize_on_monomials(jp, 3, -1, -1)
     assert a0_below.shape == (0, 0) and raised.shape == (3, 0)
     diff = product_sum([(1, (a0_below, lowered)), (-1, (lowered,))])
     assert diff.shape == (0, 3) and diff.is_zero
-    assert _matrix_witness(3, monomial_basis(3, -1), diff) is None
+    assert _witnesses(3, [(0, monomial_basis(3, -1))], diff) == [None]
     square = product_sum([(1, (raised, lowered))])
     assert square.shape == (3, 3) and square.is_zero
 
@@ -246,7 +246,7 @@ def test_primitive_image_leaving_its_declared_degree_raises():
     x1 = LinearOperator(lambda exps: {(exps[0] + 1,) + exps[1:]: 1}, "x1")
     with pytest.raises(ImageEscapesSpan, match="x1 maps homogeneous degree 2 to degree 3,"
                        " not to its declared degree 2"):
-        materialize_on_monomials(x1, 3, 2)
+        materialize_on_monomials(x1, 3, 2, 2)
 
 
 def test_materialize_on_basis_and_escape():

@@ -22,6 +22,8 @@ from racah_dunkl import (
     angular,
     materialize_on_monomials,
     casimir,
+    laplace,
+    su11_triple,
     verify_casimir_laplacian_commute,
     verify_drinfeld_kohno,
     verify_embedding,
@@ -32,9 +34,10 @@ from racah_dunkl import (
 from racah_dunkl import cli, relations
 from racah_dunkl.linalg import product_sum
 from racah_dunkl.poly import Polynomial, monomial_basis
-from racah_dunkl.relations import RelationWorkspace, _matrix_witness, _record
+from racah_dunkl.relations import DegreeSum, RelationWorkspace, _witnesses
 from racah_dunkl.report import CheckResult, Report
 
+from reference import block_diagonal, per_degree_laplacian_commute, per_degree_su11
 from report_helpers import failures
 
 P3 = ParameterSet.make(["1/2", "1/3", "1/4"])
@@ -130,8 +133,8 @@ def test_union_invariant_independent_of_unused_parameters():
     base = ParameterSet.make(["1/2", "1/3", "1/4", "1/5", "1/6"])
     other = ParameterSet.make(["1/2", "1/3", "1/4", "7/2", "9/4"])
     for k in range(3):
-        a = materialize_on_monomials(casimir(DunklOperators(base), (1, 2, 3)), 5, k)
-        b = materialize_on_monomials(casimir(DunklOperators(other), (1, 2, 3)), 5, k)
+        a = materialize_on_monomials(casimir(DunklOperators(base), (1, 2, 3)), 5, k, k)
+        b = materialize_on_monomials(casimir(DunklOperators(other), (1, 2, 3)), 5, k, k)
         assert a == b
 
 
@@ -160,34 +163,47 @@ def test_failure_witness_is_first_nonzero_column():
         12,
     )
     witness = "-1/6 * x1 x3 + 5/2 * x2^2 + -2 * x3^2"
-    assert _matrix_witness(3, basis, diff) == witness
+    assert _witnesses(3, [(0, basis)], diff) == [witness]
     # the same discrepancy reached through sparse arithmetic gives the same witness
     shifted = diff + RationalMatrix.identity(6).scale(Fraction(1, 5))
     back = shifted - RationalMatrix.identity(6).scale(Fraction(1, 5))
-    assert _matrix_witness(3, basis, back) == witness
-    # the recording loop keeps the witness and derives the status from it
-    report = Report()
-    _record(report, 2, 3, basis, [
-        ("triple-relation", (1, 2, 3), back),
-        ("triple-relation", (1, 2, 3), diff - diff),
-    ])
-    assert report.results == [
+    assert _witnesses(3, [(0, basis)], back) == [witness]
+    # the recording loop keeps the witness and derives the status from it;
+    # each discrepancy sits in the degree-2 block of degrees 0..2 (rows and
+    # columns 4..9), so degrees 0 and 1 hold
+    space = DegreeSum(3, 2)
+    below = [RationalMatrix([[0]]), RationalMatrix([[0] * 3] * 3)]
+
+    def on_degree_2(m):
+        return block_diagonal(below + [m])
+
+    report = space.report([[
+        ("triple-relation", (1, 2, 3), 0, [(1, (on_degree_2(back),))]),
+        ("triple-relation", (1, 2, 3), 0, [(1, (on_degree_2(diff),)), (-1, (on_degree_2(diff),))]),
+    ]])
+    assert all(r.ok for r in report if r.degree < 2)
+    assert [r for r in report if r.degree == 2] == [
         CheckResult("triple-relation", (1, 2, 3), 2, "fail", witness),
         CheckResult("triple-relation", (1, 2, 3), 2, "ok", None),
     ]
 
 
+def doubled_lowering(ops, A):
+    """su11_triple with J- doubled, as a primitive on its images."""
+    a0, jp, jm = su11_triple(ops, A)
+    doubled = LinearOperator(
+        lambda e: {m: 2 * c for m, c in jm.apply({e: 1}).items()}, "2J-", -2, jm.den
+    )
+    return a0, jp, doubled
+
+
+def laplacian_without_x3(ops, A):
+    """laplace with x3 left out of every subset's Laplacian."""
+    return laplace(ops, (1, 2))
+
+
 def test_su11_witness_is_first_nonzero_monomial_image(monkeypatch):
     # doubling J- breaks only the bracket [J-, J+] = 2 A0, on every subset
-    triple = relations.su11_triple
-
-    def doubled_lowering(ops, A):
-        a0, jp, jm = triple(ops, A)
-        doubled = LinearOperator(
-            lambda e: {m: 2 * c for m, c in jm.apply({e: 1}).items()}, "2J-", -2, jm.den
-        )
-        return a0, jp, doubled
-
     monkeypatch.setattr(relations, "su11_triple", doubled_lowering)
     failed = failures(verify_su11(P3, 1))
     assert {r.relation for r in failed} == {"su11-bracket"}
@@ -201,8 +217,7 @@ def test_su11_witness_is_first_nonzero_monomial_image(monkeypatch):
 def test_lemma1_witness_is_first_nonzero_monomial_image(monkeypatch):
     # a Laplacian without x3 still commutes with C_1, C_2, C_3 and C_12;
     # the failing list and the witnesses were recorded monomial by monomial
-    laplace = relations.laplace
-    monkeypatch.setattr(relations, "laplace", lambda ops, A: laplace(ops, (1, 2)))
+    monkeypatch.setattr(relations, "laplace", laplacian_without_x3)
     report = verify_casimir_laplacian_commute(P3, 3)
     assert len(report) == 7 * 4
     relation = "invariant-commutes-with-laplacian"
@@ -320,7 +335,7 @@ class ReferenceWorkspace:
 
     def materialize(self, op: LinearOperator) -> RationalMatrix:
         # looked up at call time, so a patched materialization reaches both routes
-        return relations.materialize_on_monomials(op, self.n, self.k)
+        return relations.materialize_on_monomials(op, self.n, self.k, self.k)
 
     def parity_diagonal(self, indices, value) -> RationalMatrix:
         return per_entry_diagonal(self.basis, indices, value)
@@ -355,21 +370,32 @@ def reference_racah_relations(params: ParameterSet, kmax: int) -> Report:
         ws = ReferenceWorkspace(ops, k)
         checks = [check for family in families for check in family(ws)]
         checks += relations._drinfeld_kohno(n, ws.c_pair)
-        for relation, idx, terms in checks:
+        for relation, idx, _, terms in checks:
             report.add(relation, idx, k, reference_witness(n, ws.basis, product_sum(terms)))
     return report
+
+
+def raise_entry(matrix, op, n, k, degree: int, row: int, col: int, by) -> RationalMatrix:
+    """matrix, op on degrees k..kmax, with entry (row, col) of its degree block raised by ``by``.
+
+    The block's rows and columns are offset by the dims of the lower
+    degrees of the range, on the target and on the source side.
+    """
+    rows = sum(len(monomial_basis(n, d + op.shift)) for d in range(k, degree))
+    cols = sum(len(monomial_basis(n, d)) for d in range(k, degree))
+    entries = matrix.to_fractions()
+    entries[rows + row][cols + col] += by
+    return RationalMatrix.from_fractions(entries)
 
 
 def bumped_pair_invariant(degree: int, row: int, col: int):
     """A materialize_on_monomials whose C_12 has entry (row, col) raised by one on one degree."""
     materialize = relations.materialize_on_monomials
 
-    def bumped(op, n, k):
-        matrix = materialize(op, n, k)
-        if k == degree and op.descriptor == "C{1,2}":
-            entries = matrix.to_fractions()
-            entries[row][col] += 1
-            matrix = RationalMatrix.from_fractions(entries)
+    def bumped(op, n, k, kmax):
+        matrix = materialize(op, n, k, kmax)
+        if k <= degree <= kmax and op.descriptor == "C{1,2}":
+            matrix = raise_entry(matrix, op, n, k, degree, row, col, 1)
         return matrix
 
     return bumped
@@ -456,12 +482,10 @@ def test_lemma2_with_one_wrong_invariant_entry_fails_only_on_its_degree(monkeypa
     # commutators with C_12 can fail, and only on degree 2
     materialize = relations.materialize_on_monomials
 
-    def bumped(op, n, k):
-        matrix = materialize(op, n, k)
-        if k == 2 and op.descriptor == "C{1,2}":
-            entries = matrix.to_fractions()
-            entries[1][2] += Fraction(1, 3)
-            matrix = RationalMatrix.from_fractions(entries)
+    def bumped(op, n, k, kmax):
+        matrix = materialize(op, n, k, kmax)
+        if k <= 2 <= kmax and op.descriptor == "C{1,2}":
+            matrix = raise_entry(matrix, op, n, k, 2, 1, 2, Fraction(1, 3))
         return matrix
 
     monkeypatch.setattr(relations, "materialize_on_monomials", bumped)
@@ -475,3 +499,29 @@ def test_lemma2_with_one_wrong_invariant_entry_fails_only_on_its_degree(monkeypa
             "nested-invariants-commute", ((1, 2), (1, 2, 4)), 2, "fail", "-91/180 * x1 x2"
         ),
     ]
+
+
+@settings(max_examples=25, deadline=None)
+@example(2, 0, [Fraction(10**6), Fraction(1, 9), Fraction(1, 2), Fraction(1, 3)])
+@example(4, 3, [Fraction(1, 9), Fraction(10**6), Fraction(1, 2), Fraction(1, 3)])
+@given(st.sampled_from([2, 3, 4]), st.integers(0, 3), st.lists(racah_mu, min_size=4, max_size=4))
+def test_graded_su11_and_lemma1_match_the_per_degree_reference(n, kmax, mu):
+    # the same (relation, index tuple, degree, status, witness) list, in the
+    # same subset-major order, as each sweep run degree by degree, with and
+    # without doubled J- and with and without a Laplacian that omits x3
+    params = ParameterSet(n, tuple(mu[:n]))
+    su11 = verify_su11(params, kmax)
+    assert su11.ok and su11.results == per_degree_su11(params, kmax).results
+    lemma1 = verify_casimir_laplacian_commute(params, kmax)
+    assert lemma1.ok and lemma1.results == per_degree_laplacian_commute(params, kmax).results
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(relations, "su11_triple", doubled_lowering)
+        su11 = verify_su11(params, kmax)
+        assert su11.results == per_degree_su11(params, kmax).results
+    assert {r.relation for r in failures(su11)} == {"su11-bracket"}
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(relations, "laplace", laplacian_without_x3)
+        lemma1 = verify_casimir_laplacian_commute(params, kmax)
+        assert lemma1.results == per_degree_laplacian_commute(params, kmax).results
+    # x3 exists at n >= 3, and the commutator first reads it on degree 2
+    assert bool(failures(lemma1)) == (n >= 3 and kmax >= 2)
