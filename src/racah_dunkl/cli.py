@@ -4,12 +4,28 @@ Rationals cross this boundary as "p/q" strings; there is no floating
 point anywhere.  Identical configurations produce byte-identical output
 files.  ``verify`` writes its report through Report.to_json_text, the
 indented, key-sorted JSON of the report; the other exports, ``connect``
-included, encode their objects with ``json.dumps``.  Exit codes: 0 when
-every verified identity holds; 1 when some identity fails (the report
-names the first violated one and carries a polynomial witness), when a
-suite checked nothing, or when the engine raises (stderr names the
-exception class); 2 for configuration errors, which are all validated up
-front and raised as ConfigError.
+included, encode their objects with ``json.dumps``.
+
+``verify`` reads a suite's noun, runner and these columns from SUITES:
+
+    suite           smallest n  default --kmax  option
+    su11            1           6
+    racah           3           6, 4, 5, 4, 3 at n = 3..7, else 2
+    lemma1          1           4
+    lemma2          2           4
+    drinfeld-kohno  3           4
+    embedding       3           3               --blocks
+    ck              2           4
+    lemma3          1           3
+    eigen           2           4               --order
+
+Exit codes: 0 when every verified identity holds; 1 when some identity
+fails (the report names the first violated one and carries a polynomial
+witness), when a suite checked nothing, or when the engine raises, a
+write that fails after the run (a full disk) included (stderr names the
+exception class); 2 for configuration errors, all checked before any
+computation and raised as ConfigError, such as an --out that names a
+directory or sits in a missing one.
 """
 
 from __future__ import annotations
@@ -17,7 +33,9 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
+from collections import namedtuple
 from fractions import Fraction
 
 from .connection import connection_matrix, parity_blocks, tridiagonal_check
@@ -47,18 +65,6 @@ from .relations import (
 )
 from .report import Report
 
-VERIFY_SUITES = (
-    "su11",
-    "racah",
-    "lemma1",
-    "lemma2",
-    "drinfeld-kohno",
-    "embedding",
-    "ck",
-    "lemma3",
-    "eigen",
-)
-
 
 class ConfigError(ValueError):
     pass
@@ -73,9 +79,10 @@ def _parameters(args) -> ParameterSet:
         raise ConfigError(str(exc)) from exc
 
 
-def _bound(args, default: int) -> int:
+def _bound(args, default) -> int:
+    """--kmax, else the suite's default: an int, or a function of n."""
     if args.kmax is None:
-        return default
+        return default(args.n) if callable(default) else default
     if args.kmax < 0:
         raise ConfigError(f"degree bound --kmax {args.kmax} is negative")
     return args.kmax
@@ -97,7 +104,9 @@ def _parse_order(text: str | None, n: int) -> tuple[int, ...] | None:
     return order
 
 
-def _parse_blocks(text: str, n: int) -> tuple[tuple[int, ...], ...]:
+def _parse_blocks(text: str | None, n: int) -> tuple[tuple[int, ...], ...]:
+    if text is None:
+        return ((1, 2), (3,), (4,)) if n >= 4 else ((1,), (2,), (3,))
     blocks = tuple(_parse_ints(part) for part in text.split(";"))
     if len(blocks) != 3:
         raise ConfigError("blocks must be three ';'-separated index lists")
@@ -120,59 +129,53 @@ def _emit_text(text: str, args) -> None:
         sys.stdout.write(text)
 
 
+def _run_ck(params: ParameterSet, kmax: int, args) -> Report:
+    checks = (verify_tower, verify_extension_restrictions, verify_closed_form)
+    return Report([result for check in checks for result in check(params, kmax)])
+
+
+# run(params, kmax, args) -> Report looks the suite's engine up when called
+Suite = namedtuple("Suite", "noun min_n kmax option run")
+
+SUITES = {
+    "su11": Suite("su11", 1, 6, None, lambda p, k, a: verify_su11(p, k)),
+    "racah": Suite(
+        "relation", 3, default_degree_bound, None, lambda p, k, a: verify_racah_relations(p, k)
+    ),
+    "lemma1": Suite("lemma1", 1, 4, None, lambda p, k, a: verify_casimir_laplacian_commute(p, k)),
+    "lemma2": Suite(
+        "nested/disjoint", 2, 4, None, lambda p, k, a: verify_nested_disjoint_commute(p, k)
+    ),
+    "drinfeld-kohno": Suite(
+        "commutativity", 3, 4, None, lambda p, k, a: verify_drinfeld_kohno(p, k)
+    ),
+    "embedding": Suite(
+        "embedding", 3, 3, "--blocks",
+        lambda p, k, a: verify_embedding(p, *_parse_blocks(a.blocks, p.n), k),
+    ),
+    "ck": Suite("extension", 2, 4, None, _run_ck),
+    "lemma3": Suite("lemma3", 1, 3, None, lambda p, k, a: verify_power_action_sweep(p, 2, k)),
+    "eigen": Suite(
+        "spectral", 2, 4, "--order",
+        lambda p, k, a: verify_spectral_action(p, k, _parse_order(a.order, p.n)),
+    ),
+}
+VERIFY_SUITES = tuple(SUITES)
+
+
 def cmd_verify(args) -> int:
-    suite = args.suite
-    if args.order is not None and suite != "eigen":
-        raise ConfigError(f"--order is read by the eigen suite only, not by {suite}")
-    if args.blocks is not None and suite != "embedding":
-        raise ConfigError(f"--blocks is read by the embedding suite only, not by {suite}")
+    suite = SUITES[args.suite]
+    for owner, other in SUITES.items():
+        option = other.option
+        if option and option != suite.option and getattr(args, option[2:]) is not None:
+            raise ConfigError(f"{option} is read by the {owner} suite only, not by {args.suite}")
     params = _parameters(args)
-    n = params.n
-    if suite == "su11":
-        report = verify_su11(params, _bound(args, 6))
-    elif suite == "racah":
-        if n < 3:
-            raise ConfigError("the relation suite needs n >= 3")
-        report = verify_racah_relations(params, _bound(args, default_degree_bound(n)))
-    elif suite == "lemma1":
-        report = verify_casimir_laplacian_commute(params, _bound(args, 4))
-    elif suite == "lemma2":
-        if n < 2:
-            raise ConfigError("the nested/disjoint suite needs n >= 2")
-        report = verify_nested_disjoint_commute(params, _bound(args, 4))
-    elif suite == "drinfeld-kohno":
-        if n < 3:
-            raise ConfigError("the commutativity suite needs n >= 3")
-        report = verify_drinfeld_kohno(params, _bound(args, 4))
-    elif suite == "embedding":
-        if args.blocks:
-            blocks = _parse_blocks(args.blocks, n)
-        elif n >= 4:
-            blocks = ((1, 2), (3,), (4,))
-        elif n == 3:
-            blocks = ((1,), (2,), (3,))
-        else:
-            raise ConfigError("the embedding suite needs n >= 3")
-        report = verify_embedding(params, *blocks, _bound(args, 3))
-    elif suite == "ck":
-        if n < 2:
-            raise ConfigError("the extension suite needs n >= 2")
-        report = Report()
-        report.extend(verify_tower(params, _bound(args, 4)))
-        report.extend(verify_extension_restrictions(params, _bound(args, 4)))
-        report.extend(verify_closed_form(params, _bound(args, 4)))
-    elif suite == "lemma3":
-        report = verify_power_action_sweep(params, 2, _bound(args, 3))
-    elif suite == "eigen":
-        if n < 2:
-            raise ConfigError("the spectral suite needs n >= 2")
-        order = _parse_order(args.order, n) if args.order else None
-        report = verify_spectral_action(params, _bound(args, 4), order)
-    else:  # pragma: no cover - argparse restricts choices
-        raise ConfigError(f"unknown suite {suite!r}")
+    if params.n < suite.min_n:
+        raise ConfigError(f"the {suite.noun} suite needs n >= {suite.min_n}")
+    report = suite.run(params, _bound(args, suite.kmax), args)
     _emit_text(report.to_json_text(), args)
     if len(report) == 0:
-        print(f"no identity checked: the {suite} suite is empty", file=sys.stderr)
+        print(f"no identity checked: the {args.suite} suite is empty", file=sys.stderr)
         return 1
     return 0 if report.ok else 1
 
@@ -195,8 +198,6 @@ def cmd_connect(args) -> int:
     n = params.n
     from_order = _parse_order(args.from_order, n)
     to_order = _parse_order(args.to_order, n)
-    if from_order is None or to_order is None:
-        raise ConfigError("--from and --to variable orders are required")
     source = build_basis_tower(params, args.k, from_order)
     target = build_basis_tower(params, args.k, to_order)
     w = connection_matrix(params, source, target)
@@ -346,6 +347,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if getattr(args, "k", 0) < 0:
             raise ConfigError(f"degree --k {args.k} is negative")
+        if args.out and os.path.isdir(args.out):
+            raise ConfigError(f"--out {args.out} is a directory")
+        if args.out and not os.path.isdir(os.path.dirname(args.out) or "."):
+            raise ConfigError(f"--out {args.out} is not in an existing directory")
         return args.fn(args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

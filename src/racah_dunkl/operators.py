@@ -21,12 +21,12 @@ integer images.  One loop, ``apply``, takes den times an operator on a
 sparse vector of integer coefficients, a tower lift's or a polynomial's
 numerators, and keeps the image of each monomial it meets; calling the
 operator on a polynomial puts that over the polynomial's den times the
-operator's.  Every operator keeps its matrix on each range of degrees
-it is asked for.  A primitive's matrix is the images of its rule as they
-are, over its den, in lowest terms, and keeps no image; a degree that
-one of its kept ranges already holds is copied from there, so no rule
-image is evaluated twice.  A composite's is one linalg.product_sum over
-its parts' kept matrices, each part on the range of degrees it acts on.
+operator's.  A primitive keeps its matrix on each range of degrees it
+is asked for: the images of its rule, over its den, in lowest terms, or
+a degree copied from a kept range, so no rule image is evaluated twice.
+A composite's matrix is one linalg.product_sum over its parts' matrices,
+each on the range of degrees it acts on, built anew on each request: no
+sweep asks a composite for one range twice.
 
 The composite builders take a DunklOperators object, the n Dunkl
 operators of one parameter set built once, in place of the parameters, so
@@ -75,8 +75,8 @@ class LinearOperator:
     evaluates.  ``apply`` is the linear extension of the rule on integer
     coefficients, and calling the operator on a polynomial p is apply on
     p's numerators over p.den * den.  ``apply`` keeps each monomial's
-    image, and materialize_on_monomials the matrix of each range of
-    degrees, keyed by (n, k, kmax), for the operator's lifetime; kept
+    image, and materialize_on_monomials a primitive's matrix of each range
+    of degrees, keyed by (n, k, kmax), for the operator's lifetime; kept
     images are never handed out, every call returns its own terms.
     """
 
@@ -322,22 +322,19 @@ def angular(ops: DunklOperators, i: int, j: int) -> LinearOperator:
 
 
 def materialize_on_monomials(op: LinearOperator, n: int, k: int, kmax: int) -> RationalMatrix:
-    """Kept matrix of op on the monomials of degrees k..kmax, one block per degree.
+    """Matrix of op on the monomials of degrees k..kmax, one block per degree.
 
     Block d maps the columns monomial_basis(n, d) to the rows
     monomial_basis(n, d + op.shift), blocks in degree order; a negative
     degree gives an empty block, and (op, n, k, k) is the matrix on degree
     k.  A composite's is the product sum of its terms over its parts'
-    matrices, each on the range it acts on; a primitive's holds its rule's
-    images over its den, each looked up in the positions of its own degree
-    d + shift alone: a term outside them raises ImageEscapesSpan.  Both
-    are in lowest terms, so a range holds the integers of its lowest-terms
-    blocks over the lcm of their dens.
+    matrices, each on the range it acts on, and is not kept; a primitive's
+    is kept per range and holds its rule's images over its den, each
+    looked up in the positions of its own degree d + shift alone: a term
+    outside them raises ImageEscapesSpan.  Both are in lowest terms, so a
+    range holds the integers of its lowest-terms blocks over the lcm of
+    their dens.
     """
-    key = (n, k, kmax)
-    matrix = op._matrices.get(key)
-    if matrix is not None:
-        return matrix
     if op.terms is not None:
         products = []
         for c, factors in op.terms:
@@ -346,7 +343,10 @@ def materialize_on_monomials(op: LinearOperator, n: int, k: int, kmax: int) -> R
                 matrices.append(materialize_on_monomials(factor, n, k + d, kmax + d))
                 d += factor.shift
             products.append((c, matrices[::-1]))
-        matrix = op._matrices[key] = product_sum(products).normalized()
+        return product_sum(products).normalized()
+    key = (n, k, kmax)
+    matrix = op._matrices.get(key)
+    if matrix is not None:
         return matrix
     rows: list[dict[int, int]] = []
     ncols = 0

@@ -92,7 +92,7 @@ class Polynomial:
     ``sorted_terms`` for the coefficients as Fractions.
     """
 
-    __slots__ = ("n", "terms", "den", "_hash")
+    __slots__ = ("n", "terms", "den")
 
     def __init__(self, n: int, terms: dict[Monomial, RationalLike] | None = None):
         if n < 1:
@@ -110,7 +110,6 @@ class Polynomial:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "terms", ints)
         object.__setattr__(self, "den", den)
-        object.__setattr__(self, "_hash", None)
 
     @classmethod
     def _trusted(cls, n: int, terms: dict[Monomial, int], den: int) -> "Polynomial":
@@ -124,7 +123,6 @@ class Polynomial:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "terms", terms)
         object.__setattr__(self, "den", den)
-        object.__setattr__(self, "_hash", None)
         return self
 
     @classmethod
@@ -322,11 +320,7 @@ class Polynomial:
         return self.n == other.n and self.den == other.den and self.terms == other.terms
 
     def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = hash((self.n, self.den, frozenset(self.terms.items())))
-            object.__setattr__(self, "_hash", h)
-        return h
+        return hash((self.n, self.den, frozenset(self.terms.items())))
 
     # -- serialization -------------------------------------------------------
 

@@ -352,3 +352,85 @@ def test_main_builds_its_parser_once_per_process(capsys):
         assert main(argv) == 0
         assert capsys.readouterr() == out
     assert all(out.out and not out.err for out in shared)
+
+
+def test_out_is_checked_before_any_computation(monkeypatch, tmp_path, capsys):
+    # an --out naming a directory, or sitting in a missing one, is a
+    # configuration error (exit 2) raised before the suite runs
+    calls = []
+    monkeypatch.setattr(cli, "verify_su11", lambda params, kmax: calls.append(kmax))
+    missing = tmp_path / "missing" / "x.json"
+    for out in (missing, tmp_path):
+        assert run(["verify", "su11", "--n", "2", "--kmax", "1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"configuration error: --out {out} ")
+    assert calls == []
+    assert run(["basis", "--n", "3", "--k", "2", "--out", str(missing)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"configuration error: --out {missing} is not in an existing directory\n"
+    )
+    assert not missing.parent.exists()
+
+
+def test_verify_rejects_an_empty_suite_option(capsys):
+    # an empty --order or --blocks is a malformed value, not an absent one
+    assert run(["verify", "eigen", "--n", "3", "--kmax", "1", "--order", ""]) == 2
+    assert run(["verify", "embedding", "--n", "3", "--kmax", "1", "--blocks", ""]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("configuration error: expected comma-separated integers") == 2
+
+
+# suite: (smallest n, the message one below it)
+SMALLEST_N = {
+    "racah": (3, "the relation suite needs n >= 3"),
+    "lemma2": (2, "the nested/disjoint suite needs n >= 2"),
+    "drinfeld-kohno": (3, "the commutativity suite needs n >= 3"),
+    "embedding": (3, "the embedding suite needs n >= 3"),
+    "ck": (2, "the extension suite needs n >= 2"),
+    "eigen": (2, "the spectral suite needs n >= 2"),
+}
+
+
+def test_smallest_n_of_each_suite_is_its_table_row():
+    rows = {name: suite.min_n for name, suite in cli.SUITES.items() if suite.min_n > 1}
+    assert rows == {name: n for name, (n, _) in SMALLEST_N.items()}
+    assert cli.VERIFY_SUITES == tuple(cli.SUITES)
+
+
+@pytest.mark.parametrize("suite", sorted(SMALLEST_N))
+def test_suite_rejects_n_below_its_smallest(suite, capsys):
+    smallest, message = SMALLEST_N[suite]
+    assert run(["verify", suite, "--n", str(smallest - 1), "--kmax", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"configuration error: {message}\n"
+
+
+# suite: (a small n, the default --kmax at that n)
+DEFAULT_KMAX = {
+    "su11": (1, 6),
+    "racah": (3, 6),
+    "lemma1": (1, 4),
+    "lemma2": (2, 4),
+    "drinfeld-kohno": (3, 4),
+    "embedding": (3, 3),
+    "ck": (2, 4),
+    "lemma3": (1, 3),
+    "eigen": (2, 4),
+}
+
+
+@pytest.mark.parametrize("suite", list(DEFAULT_KMAX))
+def test_omitted_kmax_is_the_suite_default(suite, capsys):
+    n, kmax = DEFAULT_KMAX[suite]
+    assert run(["verify", suite, "--n", str(n)]) == 0
+    omitted = capsys.readouterr()
+    assert run(["verify", suite, "--n", str(n), "--kmax", str(kmax)]) == 0
+    explicit = capsys.readouterr()
+    assert omitted.out and omitted.out == explicit.out
+    assert omitted.err == explicit.err == ""
+    # one degree fewer is a different report, so the default is pinned
+    assert run(["verify", suite, "--n", str(n), "--kmax", str(kmax - 1)]) == 0
+    assert capsys.readouterr().out != omitted.out
