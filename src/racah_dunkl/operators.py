@@ -22,11 +22,11 @@ sparse vector of integer coefficients, a tower lift's or a polynomial's
 numerators, and keeps the image of each monomial it meets; calling the
 operator on a polynomial puts that over the polynomial's den times the
 operator's.  A primitive keeps its matrix on each range of degrees it
-is asked for: the images of its rule, over its den, in lowest terms, or
-a degree copied from a kept range, so no rule image is evaluated twice.
-A composite's matrix is one linalg.product_sum over its parts' matrices,
-each on the range of degrees it acts on, built anew on each request: no
-sweep asks a composite for one range twice.
+is asked for: the images of its rule, over its den, in lowest terms.  A
+sweep asks each operator for one range and reads every factor of a check
+as a leading block of it (relations.DegreeSum), so no rule image is
+evaluated twice.  A composite's matrix is one linalg.product_sum over its
+parts' matrices, each on the range of degrees it acts on, built anew.
 
 The composite builders take a DunklOperators object, the n Dunkl
 operators of one parameter set built once, in place of the parameters, so
@@ -76,8 +76,9 @@ class LinearOperator:
     coefficients, and calling the operator on a polynomial p is apply on
     p's numerators over p.den * den.  ``apply`` keeps each monomial's
     image, and materialize_on_monomials a primitive's matrix of each range
-    of degrees, keyed by (n, k, kmax), for the operator's lifetime; kept
-    images are never handed out, every call returns its own terms.
+    of degrees, keyed by (n, k, kmax) with k raised to the first degree
+    holding a row or a column, for the operator's lifetime; kept images
+    are never handed out, every call returns its own terms.
     """
 
     __slots__ = ("rule", "descriptor", "shift", "den", "terms", "_images", "_matrices")
@@ -327,14 +328,16 @@ def materialize_on_monomials(op: LinearOperator, n: int, k: int, kmax: int) -> R
     Block d maps the columns monomial_basis(n, d) to the rows
     monomial_basis(n, d + op.shift), blocks in degree order; a negative
     degree gives an empty block, and (op, n, k, k) is the matrix on degree
-    k.  A composite's is the product sum of its terms over its parts'
-    matrices, each on the range it acts on, and is not kept; a primitive's
-    is kept per range and holds its rule's images over its den, each
-    looked up in the positions of its own degree d + shift alone: a term
-    outside them raises ImageEscapesSpan.  Both are in lowest terms, so a
-    range holds the integers of its lowest-terms blocks over the lcm of
-    their dens.
+    k.  The degrees below min(0, -shift) hold no row and no column, so k
+    is raised to it first and such ranges share one matrix.  A
+    composite's is the product sum of its terms over its parts' matrices,
+    each on the range it acts on, and is not kept; a primitive's is kept
+    per range and holds its rule's images over its den, each looked up in
+    the positions of its own degree d + shift alone: a term outside them
+    raises ImageEscapesSpan.  Both are in lowest terms, so a range holds
+    the integers of its lowest-terms blocks over the lcm of their dens.
     """
+    k = max(k, min(0, -op.shift))
     if op.terms is not None:
         products = []
         for c, factors in op.terms:
@@ -351,40 +354,21 @@ def materialize_on_monomials(op: LinearOperator, n: int, k: int, kmax: int) -> R
     rows: list[dict[int, int]] = []
     ncols = 0
     for d in range(k, kmax + 1):
-        basis, block, kept = monomial_basis(n, d), len(rows), _kept_block(op, n, d, ncols)
-        if kept is not None:
-            rows += kept
-        else:
-            position = monomial_positions(n, d + op.shift)
-            rows.extend({} for _ in position)
-            for j, exps in enumerate(basis, ncols):
-                for e, x in op.rule(exps).items():
-                    i = position.get(e)
-                    if i is None:
-                        raise ImageEscapesSpan(
-                            f"{op.descriptor} maps homogeneous degree {d} to degree {sum(e)},"
-                            f" not to its declared degree {d + op.shift}"
-                        )
-                    rows[block + i][j] = x
+        basis, block = monomial_basis(n, d), len(rows)
+        position = monomial_positions(n, d + op.shift)
+        rows.extend({} for _ in position)
+        for j, exps in enumerate(basis, ncols):
+            for e, x in op.rule(exps).items():
+                i = position.get(e)
+                if i is None:
+                    raise ImageEscapesSpan(
+                        f"{op.descriptor} maps homogeneous degree {d} to degree {sum(e)},"
+                        f" not to its declared degree {d + op.shift}"
+                    )
+                rows[block + i][j] = x
         ncols += len(basis)
     matrix = op._matrices[key] = RationalMatrix.from_sparse(rows, op.den, ncols).normalized()
     return matrix
-
-
-def _kept_block(op: LinearOperator, n: int, d: int, col: int) -> list[dict[int, int]] | None:
-    """A primitive's rows on degree d, columns keyed from col, read from a kept range, or None.
-
-    A kept range holds the images over op.den divided by their gcd, so its
-    entries times op.den // matrix.den are the images again.
-    """
-    for (m, lo, hi), matrix in op._matrices.items():
-        if m == n and lo <= d <= hi:
-            row = sum(len(monomial_basis(n, e + op.shift)) for e in range(lo, d))
-            offset = col - sum(len(monomial_basis(n, e)) for e in range(lo, d))
-            scale = op.den // matrix.den
-            block = matrix.sparse_rows[row:row + len(monomial_basis(n, d + op.shift))]
-            return [{j + offset: scale * x for j, x in r.items()} for r in block]
-    return None
 
 
 def materialize(op: LinearOperator, n: int, basis: list[Polynomial]) -> RationalMatrix:

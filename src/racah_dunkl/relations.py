@@ -7,16 +7,16 @@ discrepancy, one signed sum of products of generator matrices, maps the
 direct sum of degrees 0..kmax to that of degrees shift..kmax + shift,
 block-diagonal by degree, and ``linalg.product_sum`` evaluates it once,
 over one denominator and without reduction.  An identity holds on that
-direct sum exactly when it holds on each degree.  A DegreeSum holds the
-degrees 0..kmax: it takes each operator on the exact range of degrees it
-acts on, one matrix from operators.materialize_on_monomials, and records
+direct sum exactly when it holds on each degree.  A DegreeSum takes each
+operator once, on the degrees 0..top its checks reach, and reads every
+factor of a check as a leading block of that one matrix; it records
 every sweep through one routine, ``DegreeSum.report``.  A check fails on
 degree k exactly when it has a witness there: the first nonzero column of
 its discrepancy in the rows of degree k + shift, as a polynomial on that
 degree, each entry reduced on its own, so the report holds one check per
 degree.  The invariants, P_ij, F_ijm and L_ij preserve the degree (shift
 0); J+, J- and the full Laplacian change it, so the su(1,1) brackets and
-[C_A, Lap] take their factors on shifted ranges.  A RelationWorkspace is
+[C_A, Lap] read blocks of different degrees.  A RelationWorkspace is
 the DegreeSum of the racah sweep with its generators (pair invariants,
 P_ij, L_ij, L_ij^2, F_ijm and the diagonal factors) built once, since the
 same generators appear in many instantiated relations.
@@ -86,18 +86,22 @@ class DegreeSum:
     """The monomials of degrees 0..kmax in n variables, as one direct sum.
 
     ``basis`` lists the degree-0 monomials, then the degree-1 ones, and so
-    on.  A check is (relation, index tuple, shift, term list): its
-    discrepancy, the term list's product sum, maps the direct sum of
-    degrees 0..kmax to that of degrees shift..kmax + shift, one block per
-    degree.  A kmax below 0 gives no degree.
+    on, in the ambient order that runs up to degree ``top`` (kmax by
+    default); ``ends[d]`` counts the ambient monomials of degree below d.
+    A check is (relation, index tuple, shift, term list): its discrepancy,
+    the term list's product sum, maps degrees 0..kmax to the ambient
+    degrees 0..kmax + shift.  A kmax below 0 gives no degree.
     """
 
-    def __init__(self, n: int, kmax: int):
+    def __init__(self, n: int, kmax: int, top: int | None = None):
         self.n = n
         self.kmax = kmax
+        self.top = kmax if top is None else top
         self.degrees = range(max(kmax + 1, 0))
         self.basis = [exps for k in self.degrees for exps in monomial_basis(n, k)]
         self.dim = len(self.basis)
+        dims = (len(monomial_basis(n, d)) for d in range(self.top + 1))
+        self.ends = list(accumulate(dims, initial=0))
 
     def parity_diagonal(self, indices, value) -> RationalMatrix:
         """The diagonal matrix of value(r_i, r_j, ...) on the direct sum.
@@ -114,9 +118,17 @@ class DegreeSum:
         rows = [{row: nums[r]} if nums[r] else {} for row, r in enumerate(patterns)]
         return RationalMatrix.from_sparse(rows, den, self.dim)
 
-    def materialize(self, op: LinearOperator, offset: int = 0) -> RationalMatrix:
-        """op on the monomials of degrees offset..kmax + offset, as one direct sum."""
-        return materialize_on_monomials(op, self.n, offset, self.kmax + offset)
+    def materialize(self, op: LinearOperator) -> RationalMatrix:
+        """op on the ambient degrees 0..top: its rows and columns both start at degree 0."""
+        return materialize_on_monomials(op, self.n, min(0, -op.shift), self.top - max(0, op.shift))
+
+    def lead(self, matrix: RationalMatrix, rows: int, cols: int) -> RationalMatrix:
+        """An ambient matrix's rows of degree <= rows and columns of degree <= cols.
+
+        The matrix is block-diagonal by degree: the block shares its rows and den.
+        """
+        r, c = self.ends[max(rows + 1, 0)], self.ends[max(cols + 1, 0)]
+        return RationalMatrix.from_sparse(matrix.sparse_rows[:r], matrix.den, c)
 
     def report(self, groups) -> Report:
         """Each check of each group summed once and recorded once per degree.
@@ -124,7 +136,7 @@ class DegreeSum:
         The groups are recorded in turn, each degree-major: all its checks
         on degree 0, then on degree 1, and so on, each degree in the
         group's order.  A check's witness on degree k is read in the rows
-        of degree k + shift.
+        of degree k + shift, at their ambient offset.
         """
         targets: dict[int, list] = {}
         report = Report()
@@ -133,9 +145,10 @@ class DegreeSum:
             for relation, idx, shift, terms in group:
                 blocks = targets.get(shift)
                 if blocks is None:
-                    bases = [monomial_basis(self.n, k + shift) for k in self.degrees]
-                    starts = accumulate((len(b) for b in bases), initial=0)
-                    blocks = targets[shift] = list(zip(starts, bases))
+                    blocks = targets[shift] = [
+                        (self.ends[max(k + shift, 0)], monomial_basis(self.n, k + shift))
+                        for k in self.degrees
+                    ]
                 witnessed.append((relation, idx, _witnesses(self.n, blocks, product_sum(terms))))
             for k in self.degrees:
                 for relation, idx, witnesses in witnessed:
@@ -226,22 +239,22 @@ def verify_su11(params: ParameterSet, kmax: int) -> Report:
     and [J-, J+] = 2 A0 are each summed once on the direct sum of degrees
     0..kmax.  J+ raises the degree by two and J- lowers it by two, so the
     discrepancies map degree k to degree k + 2, k - 2 and k, each factor
-    is taken on the degrees it acts on, and each witness is written on
-    the degree its discrepancy maps to.  The report is subset-major:
-    subset, then degree, then relation.
+    is a block of one matrix on degrees 0..kmax + 2, and each witness is
+    written on the degree its discrepancy maps to.  The report is
+    subset-major: subset, then degree, then relation.
     """
-    space = DegreeSum(params.n, kmax)
+    space = DegreeSum(params.n, kmax, kmax + 2)
     ops = DunklOperators(params)
     return space.report(_su11_brackets(space, ops, A) for A in nonempty_subsets(params.n))
 
 
 def _su11_brackets(space: DegreeSum, ops: DunklOperators, A: tuple[int, ...]):
-    # A0, J+ and J- map degree d to degrees d, d + 2 and d - 2, and each
-    # factor is taken on the degrees its right neighbour maps to
-    a0, jp, jm = su11_triple(ops, A)
-    a0_0, jp_0, jm_0 = space.materialize(a0), space.materialize(jp), space.materialize(jm)
-    a0_up, a0_down = space.materialize(a0, 2), space.materialize(a0, -2)
-    jp_down, jm_up = space.materialize(jp, -2), space.materialize(jm, 2)
+    # A0, J+ and J- map degree d to degrees d, d + 2 and d - 2; each other
+    # factor is the leading block of one of them that its neighbours need
+    a0_up, jp_0, jm_up = (space.materialize(op) for op in su11_triple(ops, A))
+    k, lead = space.kmax, space.lead
+    a0_0, a0_down = lead(a0_up, k, k), lead(a0_up, k - 2, k - 2)
+    jp_down, jm_0 = lead(jp_0, k, k - 2), lead(jm_up, k - 2, k)
     yield "su11-raising", A, 2, [(1, (a0_up, jp_0)), (-1, (jp_0, a0_0)), (-1, (jp_0,))]
     yield "su11-lowering", A, -2, [(1, (a0_down, jm_0)), (-1, (jm_0, a0_0)), (1, (jm_0,))]
     yield "su11-bracket", A, 0, [(1, (jm_up, jp_0)), (-1, (jp_down, jm_0)), (-2, (a0_0,))]
@@ -412,10 +425,10 @@ def verify_casimir_laplacian_commute(params: ParameterSet, kmax: int) -> Report:
     """[C_A, Lap] = 0 for every nonempty A, on all degrees <= kmax.
 
     The full Laplacian lowers the degree by two, so the commutator
-    C_A Lap - Lap C_A maps degree k to degree k - 2, with C_A taken on
-    degrees -2..kmax - 2 on the left and 0..kmax on the right, and each
-    witness is written on degree k - 2.  The Laplacian is materialized
-    once; the report is subset-major.
+    C_A Lap - Lap C_A maps degree k to degree k - 2, with C_A on degrees
+    0..kmax on the right and its leading block on 0..kmax - 2 on the left,
+    and each witness is written on degree k - 2.  The Laplacian is
+    materialized once; the report is subset-major.
     """
     n = params.n
     space = DegreeSum(n, kmax)
@@ -426,8 +439,9 @@ def verify_casimir_laplacian_commute(params: ParameterSet, kmax: int) -> Report:
 
 
 def _laplacian_commutator(space: DegreeSum, ca: LinearOperator, A: tuple[int, ...], lap):
-    # C_A Lap - Lap C_A, from degrees 0..kmax to degrees -2..kmax - 2
-    ca_below, ca_0 = space.materialize(ca, -2), space.materialize(ca)
+    # C_A Lap - Lap C_A, from degrees 0..kmax to degrees 0..kmax - 2
+    ca_0 = space.materialize(ca)
+    ca_below = space.lead(ca_0, space.kmax - 2, space.kmax - 2)
     yield "invariant-commutes-with-laplacian", A, -2, [(1, (ca_below, lap)), (-1, (lap, ca_0))]
 
 

@@ -221,8 +221,8 @@ def test_range_matrix_is_the_per_degree_blocks_on_one_diagonal(case, first, seco
     # degrees: the per-degree matrices of separate operators on one diagonal
     # over the lcm of their dens, with the same den and sparse rows.  Three
     # operator sets: ranges straight from the rules (the second range
-    # overlapping the first's kept blocks), the per-degree reference, and
-    # ranges read from kept per-degree blocks
+    # overlapping the first's kept matrix), the per-degree reference, and
+    # ranges asked for after the per-degree blocks are kept
     params, _, _, A, i, j = case
     n = params.n
 

@@ -302,6 +302,46 @@ def test_a_sweep_evaluates_each_dunkl_image_once(
     assert len(dunkl_evaluated) == len(set(dunkl_evaluated)) == dunkl_images
 
 
+@pytest.mark.parametrize("command", [
+    "verify su11 --n 3 --kmax 3",
+    "verify lemma1 --n 4 --kmax 3",
+    "verify racah --n 4 --kmax 2",
+    "verify lemma2 --n 4 --kmax 2",
+    "verify embedding --n 4 --kmax 2",
+])
+def test_a_sweep_keeps_one_range_per_primitive(monkeypatch, command):
+    # each sweep asks every operator for its one ambient range, so every
+    # primitive it materializes keeps exactly one matrix
+    built = []
+    init = LinearOperator.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+
+    monkeypatch.setattr(LinearOperator, "__init__", recording_init)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(command.split()) == 0
+    kept = [len(op._matrices) for op in built if op.terms is None and op._matrices]
+    assert kept and set(kept) == {1}
+
+
+def test_ranges_that_differ_below_their_first_row_or_column_share_one_matrix():
+    # below degree min(0, -shift) a range holds no row and no column: A0 and
+    # Lap_A from degree -2 are A0 and Lap_A from degree 0, and |x_A|^2 (shift
+    # 2) from degree -4 is |x_A|^2 from degree -2, whose rows start at degree 0
+    ops = DunklOperators(PARAMS)
+    a0, jp, _ = su11_triple(ops, (1, 2))
+    (_, (norm_square,)), = jp.terms
+    lap = laplace(ops, (1, 2))
+    for op, low, first in ((a0, -2, 0), (lap, -2, 0), (norm_square, -4, -2)):
+        kept = materialize_on_monomials(op, 3, first, 3)
+        assert materialize_on_monomials(op, 3, low, 3) is kept
+        assert list(op._matrices) == [(3, first, 3)]
+    # an empty range from below stays empty
+    assert materialize_on_monomials(a0, 3, -2, -1).shape == (0, 0)
+
+
 def test_operators_module_keeps_no_store():
     # kept images and matrices belong to the operators that computed them:
     # no memoizing decorator, and no module-level container to fill

@@ -34,7 +34,7 @@ from racah_dunkl import (
 from racah_dunkl import cli, relations
 from racah_dunkl.linalg import product_sum
 from racah_dunkl.poly import Polynomial, monomial_basis
-from racah_dunkl.relations import DegreeSum, RelationWorkspace, _witnesses
+from racah_dunkl.relations import DegreeSum, RelationWorkspace, _witnesses, nonempty_subsets
 from racah_dunkl.report import CheckResult, Report
 
 from reference import block_diagonal, per_degree_laplacian_commute, per_degree_su11
@@ -525,3 +525,104 @@ def test_graded_su11_and_lemma1_match_the_per_degree_reference(n, kmax, mu):
         assert lemma1.results == per_degree_laplacian_commute(params, kmax).results
     # x3 exists at n >= 3, and the commutator first reads it on degree 2
     assert bool(failures(lemma1)) == (n >= 3 and kmax >= 2)
+
+
+def with_extra_image(op, source, extra):
+    """op as a primitive on its images, with the monomial ``extra`` added to source's image."""
+
+    def rule(exps):
+        image = op.apply({exps: 1})
+        if exps == source:
+            image[extra] = image.get(extra, 0) + op.den
+        return {e: x for e, x in image.items() if x}
+
+    return LinearOperator(rule, f"{op.descriptor}'", op.shift, op.den)
+
+
+@pytest.mark.parametrize("n, kmax", [(2, 0), (2, 3), (3, 2), (4, 1)])
+def test_a_wrong_raising_image_on_degree_kmax_fails_only_there(monkeypatch, n, kmax):
+    # J+ of {1} also sends x1^kmax to x1^kmax x2^2, whose {1}-degree it does
+    # not raise, so [A0, J+] = J+ fails on degree kmax alone; its witness is
+    # read in the rows of degree kmax + 2, the top of the ambient degrees
+    source = (kmax,) + (0,) * (n - 1)
+    extra = (kmax, 2) + (0,) * (n - 2)
+
+    def broken_triple(ops, A):
+        a0, jp, jm = su11_triple(ops, A)
+        return a0, with_extra_image(jp, source, extra) if A == (1,) else jp, jm
+
+    monkeypatch.setattr(relations, "su11_triple", broken_triple)
+    params = ParameterSet.default(n)
+    report = verify_su11(params, kmax)
+    assert report.results == per_degree_su11(params, kmax).results
+    raising = [r for r in failures(report) if r.relation == "su11-raising"]
+    witness = Polynomial.monomial(n, extra).scale(-1).to_text()
+    assert raising == [CheckResult("su11-raising", (1,), kmax, "fail", witness)]
+
+
+@pytest.mark.parametrize("n, kmax", [(2, 2), (3, 2), (3, 3), (4, 3)])
+def test_a_wrong_laplacian_image_on_degree_2_fails_only_there(monkeypatch, n, kmax):
+    # the full Laplacian also sends x1^2 to 1: [C_A, Lap] fails on degree 2
+    # alone, with witnesses in the rows of degree 0, for the subsets holding 1
+    # and another index (C_1 depends on r_1 alone, so it is one scalar on 1
+    # and on x1^2)
+    source, extra = (2,) + (0,) * (n - 1), (0,) * n
+
+    def broken_laplace(ops, A):
+        return with_extra_image(laplace(ops, A), source, extra)
+
+    monkeypatch.setattr(relations, "laplace", broken_laplace)
+    params = ParameterSet.default(n)
+    report = verify_casimir_laplacian_commute(params, kmax)
+    assert report.results == per_degree_laplacian_commute(params, kmax).results
+    failed = failures(report)
+    assert {r.degree for r in failed} == {2}
+    assert [r.index_tuple for r in failed] == [
+        A for A in nonempty_subsets(n) if 1 in A and len(A) > 1
+    ]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_su11_and_lemma1_record_one_check_per_subset_relation_and_degree(n):
+    # 2^n - 1 nonempty subsets: every su(1,1) relation and [C_A, Lap] = 0
+    # record exactly that many checks on each degree 0..kmax
+    params, kmax = ParameterSet.default(n), 3
+    families = (
+        (verify_su11, ("su11-raising", "su11-lowering", "su11-bracket")),
+        (verify_casimir_laplacian_commute, ("invariant-commutes-with-laplacian",)),
+    )
+    for sweep, names in families:
+        counts = Counter((r.relation, r.degree) for r in sweep(params, kmax))
+        assert counts == {(name, k): 2**n - 1 for name in names for k in range(kmax + 1)}
+
+
+@settings(max_examples=25, deadline=None)
+@example(4, 3, [Fraction(10**6), Fraction(1, 9), Fraction(1, 2), Fraction(1, 3)], (1, 2, 4))
+@example(2, 0, [Fraction(1, 9), Fraction(10**6), Fraction(1, 2), Fraction(1, 3)], (1, 2))
+@given(
+    st.sampled_from([2, 3, 4]),
+    st.integers(0, 3),
+    st.lists(racah_mu, min_size=4, max_size=4),
+    st.sets(st.integers(1, 4), min_size=1).map(lambda A: tuple(sorted(A))),
+)
+def test_every_leading_block_is_the_matrix_on_its_degrees(n, kmax, mu, A):
+    # A0, J+-, C_A and Lap_A on the ambient degrees of su11 (top kmax + 2)
+    # and lemma1 (top kmax): the leading block on the source degrees up to
+    # each d, the blocks a check reads among them, the top one included, is
+    # a fresh operator's matrix on the degrees -2..d
+    params = ParameterSet(n, tuple(mu[:n]))
+    A = tuple(i for i in A if i <= n) or (1,)
+
+    def operators():
+        ops = DunklOperators(params)
+        return [*su11_triple(ops, A), casimir(ops, A), laplace(ops, A)]
+
+    for top in (kmax + 2, kmax):
+        space = DegreeSum(n, kmax, top)
+        for op, fresh in zip(operators(), operators()):
+            ambient = space.materialize(op)
+            last = top - max(0, op.shift)
+            assert space.lead(ambient, last + op.shift, last).shape == ambient.shape
+            for d in range(-1, last + 1):
+                block = space.lead(ambient, d + op.shift, d)
+                assert block == materialize_on_monomials(fresh, n, -2, d), (op.descriptor, d)

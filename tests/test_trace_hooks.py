@@ -12,6 +12,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 CHILD = """
@@ -61,3 +63,41 @@ def test_every_traced_layer_is_reached():
     metrics = result["metrics"]
     missed = [layer for layer in LAYERS if not metrics[f"{layer}.calls"] > 0]
     assert missed == []
+
+
+SWEEP_CHILD = """
+import contextlib, io, json, sys
+sys.path[:0] = [{src!r}, {perfbench!r}]
+from racah_dunkl import cli
+import spans
+
+tracer = spans.Tracer()
+spans.install(tracer)
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["verify", {suite!r}, "--n", "3", "--kmax", "2"])
+print(json.dumps({{"code": code, "metrics": spans.layer_metrics(tracer)}}))
+"""
+
+
+@pytest.mark.parametrize("suite, materializations", [
+    # per subset of {1, 2, 3}: A0, J+ and J-, and J+'s |x_A|^2 and J-'s Lap_A
+    ("su11", 7 * 5),
+    # the full Laplacian, and per subset C_A and its D_A, |x_A|^2 and Lap_A
+    ("lemma1", 1 + 7 * 4),
+])
+def test_the_degree_changing_sweeps_materialize_through_the_traced_name(
+    suite, materializations
+):
+    # su11 and lemma1 take each operator through the name the tracer
+    # rebinds: a closure or table in relations that kept the function
+    # itself would leave their top-level materializations untraced
+    script = SWEEP_CHILD.format(
+        src=str(ROOT / "src"), perfbench=str(ROOT / "perfbench"), suite=suite
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, cwd=ROOT
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["code"] == 0
+    assert result["metrics"]["operators.materialize.calls"] == materializations > 0
