@@ -1,10 +1,11 @@
 """Batch command-line interface for the verification suites and exports.
 
-Rationals cross this boundary as "p/q" strings; there is no floating
-point anywhere.  Identical configurations produce byte-identical output
-files.  ``verify`` writes its report through Report.to_json_text, the
-indented, key-sorted JSON of the report; the other exports, ``connect``
-included, encode their objects with ``json.dumps``.
+Rationals cross this boundary as "p/q" strings (a --mu entry that is not
+one is named in the error); there is no floating point anywhere.
+Identical configurations produce byte-identical output files.  ``verify``
+writes its report through Report.to_json_text, the indented, key-sorted
+JSON of the report; the other exports, ``connect`` included, encode their
+objects with ``json.dumps``.
 
 ``verify`` reads a suite's noun, runner and these columns from SUITES:
 
@@ -35,8 +36,6 @@ import functools
 import json
 import os
 import sys
-from collections import namedtuple
-from fractions import Fraction
 
 from .connection import connection_matrix, parity_blocks, tridiagonal_check
 from .graph import build_graph
@@ -52,7 +51,7 @@ from .harmonics import (
     verify_tower,
 )
 from .operators import DunklOperators, casimir
-from .poly import ParameterSet
+from .poly import Frozen, ParameterSet
 from .racah import module_dimension, module_tridiagonal_data, recurrence_table_json
 from .relations import (
     default_degree_bound,
@@ -74,8 +73,8 @@ def _parameters(args) -> ParameterSet:
     try:
         if not args.mu:
             return ParameterSet.default(args.n)
-        return ParameterSet(args.n, tuple(Fraction(m) for m in args.mu.split(",")))
-    except (ValueError, ZeroDivisionError) as exc:
+        return ParameterSet(args.n, args.mu.split(","))
+    except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
@@ -135,7 +134,9 @@ def _run_ck(params: ParameterSet, kmax: int, args) -> Report:
 
 
 # run(params, kmax, args) -> Report looks the suite's engine up when called
-Suite = namedtuple("Suite", "noun min_n kmax option run")
+class Suite(Frozen):
+    __slots__ = ("noun", "min_n", "kmax", "option", "run")
+
 
 SUITES = {
     "su11": Suite("su11", 1, 6, None, lambda p, k, a: verify_su11(p, k)),

@@ -23,15 +23,14 @@ dense ``entries`` view.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Sequence
 
-from .harmonics import HarmonicBasisElement, HarmonicLabel
+from .harmonics import HarmonicBasisElement
 from .linalg import RationalMatrix, matrix_rank, solve_in_span
 from .operators import LinearOperator, materialize
-from .poly import ParameterSet, Polynomial
+from .poly import Frozen, ParameterSet, Polynomial, Record
 from .report import Report
 
 
@@ -65,11 +64,8 @@ def fischer_pairing(params: ParameterSet, p: Polynomial, q: Polynomial) -> Fract
     return total / (p.den * q.den)
 
 
-@dataclass(frozen=True)
-class ConnectionMatrix:
-    from_labels: tuple[HarmonicLabel, ...]
-    to_labels: tuple[HarmonicLabel, ...]
-    matrix: RationalMatrix
+class ConnectionMatrix(Frozen):
+    __slots__ = ("from_labels", "to_labels", "matrix")  # two HarmonicLabel tuples, W
 
     @property
     def entries(self) -> tuple[tuple[Fraction, ...], ...]:
@@ -172,13 +168,10 @@ def parity_blocks(basis: Sequence[HarmonicBasisElement]) -> dict[tuple[int, ...]
     return blocks
 
 
-@dataclass
-class TridiagonalData:
+class TridiagonalData(Record):
     """Result of materializing an operator on a labeled harmonic basis."""
 
-    matrix: RationalMatrix
-    blocks: dict[tuple[int, ...], list[int]]  # parity vector -> basis positions
-    report: Report
+    __slots__ = ("matrix", "blocks", "report")  # blocks: parity vector -> basis positions
 
     def block_diagonal(self, parities: tuple[int, ...]) -> list[Fraction]:
         idx = self.blocks[parities]

@@ -12,29 +12,34 @@ the chain.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import total_ordering
 from itertools import permutations
 from typing import Sequence
 
 from .connection import ConnectionMatrix, _solve_connection, connection_matrix
 from .harmonics import build_basis_tower
-from .poly import ParameterSet
+from .poly import Frozen, ParameterSet
 
 
-@dataclass(frozen=True, order=True)
-class Chain:
-    """Canonical form of a maximal commuting chain, keyed by its ordering."""
+@total_ordering
+class Chain(Frozen):
+    """Canonical form of a maximal commuting chain, keyed and ordered by its ordering tuple."""
 
-    order: tuple[int, ...]
+    __slots__ = ("order",)
 
-    def __post_init__(self) -> None:
-        n = len(self.order)
+    def __init__(self, order: Sequence[int]) -> None:
+        order = tuple(order)
+        n = len(order)
         if n < 3:
             raise ValueError("chains need at least three variables")
-        if sorted(self.order) != list(range(1, n + 1)):
-            raise ValueError(f"{self.order} is not a permutation of 1..{n}")
-        if self.order[0] > self.order[1]:
+        if sorted(order) != list(range(1, n + 1)):
+            raise ValueError(f"{order} is not a permutation of 1..{n}")
+        if order[0] > order[1]:
             raise ValueError("canonical chains have their first pair sorted")
+        super().__init__(order)
+
+    def __lt__(self, other: object) -> bool:
+        return self.order < other.order if type(other) is Chain else NotImplemented
 
     @classmethod
     def from_order(cls, order: Sequence[int]) -> "Chain":
@@ -142,10 +147,8 @@ def path(start: Chain, goal: Chain) -> list[Chain]:
     return walk
 
 
-@dataclass(frozen=True)
-class RecouplingGraph:
-    vertices: tuple[Chain, ...]
-    edges: tuple[tuple[int, int], ...]
+class RecouplingGraph(Frozen):
+    __slots__ = ("vertices", "edges")  # tuples of the sorted chains and of index pairs i < j
 
     def degree(self, index: int) -> int:
         return sum(1 for e in self.edges if index in e)

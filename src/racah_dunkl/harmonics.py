@@ -20,7 +20,6 @@ ell[m] is the squared-norm power inserted after that step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import comb, factorial, gcd
@@ -36,7 +35,7 @@ from .operators import (
     norm_square_mul,
     norm_square_poly,
 )
-from .poly import Monomial, ParameterSet, Polynomial, monomial_basis
+from .poly import Frozen, Monomial, ParameterSet, Polynomial, _set, monomial_basis
 from .report import Report, first_witness
 
 
@@ -70,27 +69,26 @@ def harmonic_space_dim(n: int, k: int) -> int:
     return poly_space_dim(n - 1, k) + poly_space_dim(n - 1, k - 1)
 
 
-@dataclass(frozen=True)
-class HarmonicLabel:
+class HarmonicLabel(Frozen):
     """Index data of one tower basis element.
 
     order is the variable sequence of the construction (innermost first),
     epsilon the parities per step, ell the squared-norm powers inserted
-    between consecutive steps.
+    between consecutive steps.  Each is stored as a tuple.
     """
 
-    order: tuple[int, ...]
-    epsilon: tuple[int, ...]
-    ell: tuple[int, ...]
+    __slots__ = ("order", "epsilon", "ell")
 
-    def __post_init__(self) -> None:
-        n = len(self.order)
-        if sorted(self.order) != list(range(1, n + 1)):
-            raise ValueError(f"order {self.order} is not a permutation of 1..{n}")
-        if len(self.epsilon) != n or any(e not in (0, 1) for e in self.epsilon):
-            raise ValueError(f"epsilon {self.epsilon} must be a 0/1 vector of length {n}")
-        if len(self.ell) != n - 1 or any(l < 0 for l in self.ell):
-            raise ValueError(f"ell {self.ell} must be {n - 1} non-negative integers")
+    def __init__(self, order: Iterable[int], epsilon: Iterable[int], ell: Iterable[int]) -> None:
+        order, epsilon, ell = tuple(order), tuple(epsilon), tuple(ell)
+        n = len(order)
+        if sorted(order) != list(range(1, n + 1)):
+            raise ValueError(f"order {order} is not a permutation of 1..{n}")
+        if len(epsilon) != n or any(e not in (0, 1) for e in epsilon):
+            raise ValueError(f"epsilon {epsilon} must be a 0/1 vector of length {n}")
+        if len(ell) != n - 1 or any(l < 0 for l in ell):
+            raise ValueError(f"ell {ell} must be {n - 1} non-negative integers")
+        super().__init__(order, epsilon, ell)
 
     @classmethod
     def _trusted(
@@ -98,13 +96,13 @@ class HarmonicLabel:
     ) -> "HarmonicLabel":
         """Wrap the three tuples as they are, without the checks.
 
-        The caller guarantees a label that __post_init__ accepts: order a
+        The caller guarantees a label that __init__ accepts: order a
         permutation of 1..n, epsilon n bits and ell n - 1 non-negative ints.
         """
         self = object.__new__(cls)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "epsilon", epsilon)
-        object.__setattr__(self, "ell", ell)
+        _set(self, "order", order)
+        _set(self, "epsilon", epsilon)
+        _set(self, "ell", ell)
         return self
 
     @property
@@ -143,12 +141,14 @@ class HarmonicLabel:
 IntegerTerms = dict[Monomial, int]
 
 
-@dataclass(frozen=True)
-class HarmonicBasisElement:
+class HarmonicBasisElement(Frozen):
     """One realized tower element: its label and its polynomial."""
 
-    label: HarmonicLabel
-    poly: Polynomial
+    __slots__ = ("label", "poly")
+
+    def __init__(self, label: HarmonicLabel, poly: Polynomial) -> None:
+        _set(self, "label", label)
+        _set(self, "poly", poly)
 
 
 def ck_extend(

@@ -223,7 +223,8 @@ def product_sum(terms: Sequence[Term]) -> RationalMatrix:
     factors'), so each term contributes integers only.  Each output row is
     accumulated in one dict over all terms, entries that cancel are
     dropped, and no gcd is taken: ``is_zero`` needs none, and
-    ``normalized`` reduces when lowest terms are wanted.
+    ``normalized`` reduces when lowest terms are wanted.  One term 1/q * A
+    shares A's rows, over q times its den, with no copy: J+ and J- are such.
     """
     if not terms:
         raise ValueError("a product sum needs at least one term")
@@ -249,6 +250,8 @@ def product_sum(terms: Sequence[Term]) -> RationalMatrix:
             rows = [f.sparse_rows for f in factors]
             scale = c.numerator * (den // term_den)
             plan.append((scale, rows[0], rows[1:-1], rows[-1] if len(rows) > 1 else None))
+    if len(plan) == 1 and plan[0][0] == 1 and plan[0][3] is None:  # 1/q times one matrix
+        return RationalMatrix.from_sparse(plan[0][1], den, shape[1])
     out: list[dict[int, int]] = [{} for _ in range(shape[0])]
     for scale, first, middle, last in plan:
         for acc, row in zip(out, first):

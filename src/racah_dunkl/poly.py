@@ -13,11 +13,12 @@ mathematical notation; exponent tuples are 0-based internally.
 Canonical term order is graded lexicographic with x1 > x2 > ... > xn,
 highest degree first.  Serialization (text and JSON) lists terms in that
 order, so equal polynomials serialize to identical bytes.
+
+Record and Frozen, the value-record bases, live here: every module imports poly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import gcd, lcm
@@ -28,42 +29,91 @@ Monomial = tuple[int, ...]
 
 RationalLike = Fraction | int | str
 
+_set = object.__setattr__  # sets a field of a Frozen record
+
 
 def _term_sort_key(exps: Monomial) -> tuple[int, Monomial]:
     return (sum(exps), exps)
 
 
 def _rational(value: RationalLike, name: str) -> Fraction:
-    """value as an exact Fraction; a float or any other type is refused."""
+    """value as an exact Fraction; a float, any other type or a malformed string is refused."""
     if not isinstance(value, (int, Fraction, str)):
         raise ValueError(
             f"{name} = {value!r} is a {type(value).__name__}; "
             "pass an int, a Fraction or a 'p/q' string"
         )
-    return Fraction(value)
+    try:
+        return Fraction(value)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"{name} = {value!r} is not a 'p/q' rational with q != 0") from None
 
 
-@dataclass(frozen=True)
-class ParameterSet:
+class Record:
+    """A mutable, unhashable value record: its fields are the names in __slots__.
+
+    Record(*fields) sets them in order.  A record equals one of its own
+    class with equal fields (== returns NotImplemented for any other), its
+    repr is Name(field=value, ...), and copy and pickle rebuild it.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *fields) -> None:
+        if len(fields) != len(self.__slots__):
+            raise TypeError(f"{type(self).__name__} takes the fields {self.__slots__}")
+        for name, value in zip(self.__slots__, fields):
+            _set(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other: object) -> bool:
+        return self._fields() == other._fields() if type(other) is type(self) else NotImplemented
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+
+class Frozen(Record):
+    """An immutable Record, hashed as the tuple of its fields; __init__ sets them with _set."""
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class ParameterSet(Frozen):
     """Ambient dimension n together with the deformation parameters mu.
 
     Every mu_i must be a positive rational; this is the standing
     assumption for all operators built from these parameters.
     """
 
-    n: int
-    mu: tuple[Fraction, ...]
+    __slots__ = ("n", "mu")
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"dimension must be positive, got {self.n}")
-        if len(self.mu) != self.n:
-            raise ValueError(f"expected {self.n} deformation parameters, got {len(self.mu)}")
-        mu = tuple(_rational(m, f"mu_{i}") for i, m in enumerate(self.mu, start=1))
-        object.__setattr__(self, "mu", mu)
-        for i, m in enumerate(self.mu, start=1):
+    def __init__(self, n: int, mu: Iterable[RationalLike]) -> None:
+        if n < 1:
+            raise ValueError(f"dimension must be positive, got {n}")
+        mu = tuple(mu)
+        if len(mu) != n:
+            raise ValueError(f"expected {n} deformation parameters, got {len(mu)}")
+        mu = tuple(_rational(m, f"mu_{i}") for i, m in enumerate(mu, start=1))
+        for i, m in enumerate(mu, start=1):
             if m <= 0:
                 raise ValueError(f"mu_{i} = {m} violates the requirement mu_i > 0")
+        super().__init__(n, mu)
 
     @classmethod
     def make(cls, mu: Iterable[RationalLike]) -> "ParameterSet":

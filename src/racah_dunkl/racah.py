@@ -16,29 +16,25 @@ this square form, which has identical content and stays rational.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .poly import ParameterSet, Polynomial
+from .poly import Frozen, ParameterSet, Polynomial
 
 
 class OmegaZero(ZeroDivisionError):
     """Raised when a diagonal coefficient would divide by a vanishing omega."""
 
 
-@dataclass(frozen=True)
-class RacahParameters:
-    alpha: Fraction
-    beta: Fraction
-    gamma: Fraction
-    delta: Fraction
-    tau: Fraction
+class RacahParameters(Frozen):
+    __slots__ = ("alpha", "beta", "gamma", "delta", "tau")
 
-    def __post_init__(self) -> None:
-        expected = (self.gamma + self.delta + 1) * (self.gamma + self.delta) / 4
-        if self.tau != expected:
-            raise ValueError(f"tau = {self.tau} is inconsistent; expected {expected}")
+    def __init__(self, alpha: Fraction, beta: Fraction, gamma: Fraction, delta: Fraction,
+                 tau: Fraction) -> None:
+        expected = (gamma + delta + 1) * (gamma + delta) / 4
+        if tau != expected:
+            raise ValueError(f"tau = {tau} is inconsistent; expected {expected}")
+        super().__init__(alpha, beta, gamma, delta, tau)
 
     @classmethod
     def derive(
@@ -48,13 +44,8 @@ class RacahParameters:
         return cls(alpha, beta, gamma, delta, tau)
 
 
-@dataclass(frozen=True)
-class SpectralData:
-    sigma: Fraction
-    lambda1: Fraction
-    lambda2: Fraction
-    lambda3: Fraction
-    lambda123: Fraction
+class SpectralData(Frozen):
+    __slots__ = ("sigma", "lambda1", "lambda2", "lambda3", "lambda123")  # Fractions
 
     def omega(self, k: int) -> Fraction:
         """Eigenvalue of the first-pair invariant at the k-th module vector."""

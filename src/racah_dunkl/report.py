@@ -1,10 +1,11 @@
 """Result records for identity-verification sweeps.
 
 Every verification suite produces a Report: a flat list of per-identity
-check results.  A result names the relation, the index tuple it was
-instantiated with, the polynomial degree of the test space, and the first
-witnessing discrepancy, serialized as text.  A check fails exactly when it
-has a witness: Report.add takes only the witness, and the status follows.
+check results, each an immutable CheckResult.  A result names the
+relation, the index tuple it was instantiated with, the polynomial degree
+of the test space, its status and the first witnessing discrepancy, as
+text.  A check fails ("fail", else "ok") exactly when it has a witness:
+Report.add takes only the witness, and the status follows.
 
 Report.to_json_text writes the bytes of every ``verify`` report: the text
 of ``json.dumps(report.to_json_obj(), indent=2, sort_keys=True)`` plus a
@@ -16,11 +17,10 @@ that ``indent`` selects never runs.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Iterable
 
-from .poly import Polynomial
+from .poly import Frozen, Polynomial, Record, _set
 
 
 def first_witness(discrepancies: Iterable[Polynomial]) -> str | None:
@@ -31,13 +31,16 @@ def first_witness(discrepancies: Iterable[Polynomial]) -> str | None:
     return next((d.to_text() for d in discrepancies if not d.is_zero), None)
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    relation: str
-    index_tuple: tuple
-    degree: int
-    status: str  # "ok" or "fail"
-    first_discrepancy: str | None = None
+class CheckResult(Frozen):
+    __slots__ = ("relation", "index_tuple", "degree", "status", "first_discrepancy")
+
+    def __init__(self, relation: str, index_tuple: tuple, degree: int, status: str,
+                 first_discrepancy: str | None = None) -> None:
+        _set(self, "relation", relation)
+        _set(self, "index_tuple", index_tuple)
+        _set(self, "degree", degree)
+        _set(self, "status", status)
+        _set(self, "first_discrepancy", first_discrepancy)
 
     @property
     def ok(self) -> bool:
@@ -55,9 +58,11 @@ class CheckResult:
         return obj
 
 
-@dataclass
-class Report:
-    results: list[CheckResult] = field(default_factory=list)
+class Report(Record):
+    __slots__ = ("results",)
+
+    def __init__(self, results: list[CheckResult] | None = None) -> None:
+        self.results = [] if results is None else results
 
     def add(
         self, relation: str, index_tuple: tuple, degree: int, witness: str | None

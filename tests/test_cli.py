@@ -36,6 +36,13 @@ def test_verify_rejects_wrong_mu_count(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("mu, entry", [("1/0,1,1", "mu_1 = '1/0'"), ("1,a,1", "mu_2 = 'a'")])
+def test_verify_names_a_malformed_mu_entry(mu, entry, capsys):
+    assert run(["verify", "racah", "--n", "3", "--mu", mu]) == 2
+    message = f"configuration error: {entry} is not a 'p/q' rational with q != 0\n"
+    assert capsys.readouterr().err == message
+
+
 def test_verify_racah_small(tmp_path):
     out = tmp_path / "racah.json"
     code = run([

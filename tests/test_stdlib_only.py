@@ -1,6 +1,8 @@
 """The runtime depends on the standard library alone."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -49,3 +51,47 @@ def test_no_floating_point_anywhere_in_the_package():
         for line in floating_point(ast.parse(path.read_text(encoding="utf-8"), str(path)))
     ]
     assert found == []
+
+
+def generated_code(tree: ast.AST) -> list[str]:
+    """Uses of dataclasses, namedtuple, NamedTuple, exec and eval in a syntax tree."""
+    banned = {"dataclass", "dataclasses", "namedtuple", "NamedTuple", "exec", "eval"}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names = [node.module] + [alias.name for alias in node.names]
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, (ast.Name, ast.Attribute)):
+            names = [getattr(node, "id", None) or node.attr]
+        else:
+            continue
+        found += [f"{node.lineno}: {name}" for name in names if name in banned]
+    return found
+
+
+def test_no_generated_code_in_the_package():
+    probe = (
+        "from dataclasses import dataclass\nimport collections\nT = collections.namedtuple('T', 'a')\n"
+        "from typing import NamedTuple\nexec('1')\nx = eval('1')\n"
+    )
+    assert len(generated_code(ast.parse(probe))) == 6
+    found = [
+        f"{path.name}:{line}"
+        for path in sorted(PACKAGE.rglob("*.py"))
+        for line in generated_code(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+    ]
+    assert found == []
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    # -S: no site hooks, so only the package and what it imports are loaded
+    code = (
+        "import sys, racah_dunkl, racah_dunkl.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout == "[]\n"
