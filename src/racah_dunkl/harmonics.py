@@ -412,9 +412,10 @@ def _add_power_action(
 
 def _dunkl_laplacian(ops: DunklOperators, h: Polynomial) -> Polynomial:
     """The sum of T_i(T_i(h)) over all i: the harmonicity oracle of verify ck,
-    which shares no code with the closed-form rule of operators.laplace."""
+    which shares no code with the closed-form coefficients of operators.laplace."""
     total = Polynomial.zero(ops.n)
-    for t in ops.dunkl.values():
+    for i in range(1, ops.n + 1):
+        t = ops.dunkl[i]
         total = total + t(t(h))
     return total
 

@@ -9,24 +9,36 @@ equality of operators is decided on these exact matrices
 
 An operator holds the image of each monomial as nonzero integer
 numerators over one operator-wide denominator ``den``, the form of a
-RationalMatrix row.  A primitive operator is given by its rule on one
-monomial: T_i, multiplication by x_i or by |x_A|^2, the Laplacian Lap_A
-by the closed form of T_i^2, and the diagonals scaling a monomial by a
-function of its degree over A (A0, the diagonal part of C_A).  A
-composite operator is a list of terms (c, (op_1, op_2, ...)) standing for
-the sum of c * op_1 op_2 ..., the linalg.Term shape with operators in
-place of matrices: C_A, L_ij, J+ and J-.  Its den is the lcm of the
-terms' denominators, so each term adds an integer multiple of its parts'
-integer images.  One loop, ``apply``, takes den times an operator on a
-sparse vector of integer coefficients, a tower lift's or a polynomial's
-numerators, and keeps the image of each monomial it meets; calling the
-operator on a polynomial puts that over the polynomial's den times the
-operator's.  A primitive keeps its matrix on each range of degrees it
-is asked for: the images of its rule, over its den, in lowest terms.  A
-sweep asks each operator for one range and reads every factor of a check
-as a leading block of it (relations.DegreeSum), so no rule image is
-evaluated twice.  A composite's matrix is one linalg.product_sum over its
-parts' matrices, each on the range of degrees it acts on, built anew.
+RationalMatrix row.  It is defined in one of three ways:
+
+* by coordinate data, as every built-in primitive is.  A coordinate move
+  (pos, c) sends x^e to c(e_pos) x^(e + shift at pos), and a sum of moves
+  gives T_i, the multiplication by x_i or by |x_A|^2, and the Laplacian
+  Lap_A by the closed form of T_i^2.  A degree diagonal (positions, v)
+  scales x^e by v(its degree over positions), which gives A0 and the
+  diagonal part D_A of C_A.  The operator keeps each coefficient's values,
+  evaluated once per exponent or A-degree, and both its rule on one
+  monomial and its matrices are read from them;
+* by a rule on one monomial alone (``LinearOperator(rule, ...)``), for an
+  operator that has no coordinate data;
+* as a composite: a list of terms (c, (op_1, op_2, ...)) standing for
+  the sum of c * op_1 op_2 ..., the linalg.Term shape with operators in
+  place of matrices: C_A, L_ij, J+ and J-.  Its den is the lcm of the
+  terms' denominators, so each term adds an integer multiple of its parts'
+  integer images.
+
+One loop, ``apply``, takes den times an operator on a sparse vector of
+integer coefficients, a tower lift's or a polynomial's numerators, and
+keeps the image of each monomial it meets; calling the operator on a
+polynomial puts that over the polynomial's den times the operator's.  A
+primitive keeps its matrix on each range of degrees it is asked for,
+over its den in lowest terms.  A move's block is filled from the shared
+index table poly.coordinate_moves, a diagonal's from poly.subset_degrees,
+and a rule's from its images.  A sweep asks each operator for one range
+and reads every factor of a check as a leading block of it
+(relations.DegreeSum), so no coefficient is evaluated twice.  A
+composite's matrix is one linalg.product_sum over its parts' matrices,
+each on the range of degrees it acts on, built anew.
 
 The composite builders take a DunklOperators object, the n Dunkl
 operators of one parameter set built once, in place of the parameters, so
@@ -40,16 +52,26 @@ Index conventions follow the coordinate notation: operator builders take
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm, prod
+from math import gcd, lcm, prod
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .linalg import InconsistentSystem, RationalMatrix, product_sum, solve_in_span
-from .poly import Monomial, ParameterSet, Polynomial, monomial_basis, monomial_positions
+from .poly import (
+    Monomial,
+    ParameterSet,
+    Polynomial,
+    coordinate_moves,
+    monomial_basis,
+    monomial_positions,
+    subset_degrees,
+)
 
 # den times the image of one monomial: nonzero integers keyed by exponent tuples
 Image = dict[Monomial, int]
 # one term c * op_1 op_2 ... of a composite operator; op_1 acts last
 OperatorTerm = tuple[int | Fraction, Sequence["LinearOperator"]]
+# an integer coefficient of one exponent, or of one degree over a subset
+Coefficient = Callable[[int], int]
 
 
 class ImageEscapesSpan(ValueError):
@@ -71,17 +93,22 @@ class LinearOperator:
 
     rule(exps) returns den times the image of the monomial with exponent
     tuple exps, as a fresh dict of nonzero integers keyed by exponent
-    tuples; a composite (``composite``) has ``terms``, which its rule
-    evaluates.  ``apply`` is the linear extension of the rule on integer
-    coefficients, and calling the operator on a polynomial p is apply on
-    p's numerators over p.den * den.  ``apply`` keeps each monomial's
-    image, and materialize_on_monomials a primitive's matrix of each range
-    of degrees, keyed by (n, k, kmax) with k raised to the first degree
-    holding a row or a column, for the operator's lifetime; kept images
-    are never handed out, every call returns its own terms.
+    tuples.  An operator built by ``moving`` has ``moves``, one by
+    ``degree_diagonal`` has ``diagonal``, and a composite (``composite``)
+    has ``terms``; the rule of each is read from them.  ``apply`` is the
+    linear extension of the rule on integer coefficients, and calling the
+    operator on a polynomial p is apply on p's numerators over p.den * den.
+    For the operator's lifetime, ``apply`` keeps each monomial's image,
+    materialize_on_monomials a primitive's matrix of each range of
+    degrees, keyed by (n, k, kmax) with k raised to the first degree
+    holding a row or a column, and each move or diagonal the values of its
+    coefficient, indexed by exponent or A-degree; kept images are never
+    handed out, every call returns its own terms.
     """
 
-    __slots__ = ("rule", "descriptor", "shift", "den", "terms", "_images", "_matrices")
+    __slots__ = (
+        "rule", "descriptor", "shift", "den", "terms", "moves", "diagonal", "_images", "_matrices"
+    )
 
     def __init__(
         self, rule: Callable[[Monomial], Image], descriptor: str = "?", shift: int = 0, den: int = 1
@@ -91,8 +118,66 @@ class LinearOperator:
         self.shift = shift
         self.den = den
         self.terms: list[OperatorTerm] | None = None
+        self.moves: tuple[tuple[int, Coefficient, list[int]], ...] | None = None
+        self.diagonal: tuple[tuple[int, ...], Coefficient, list[int]] | None = None
         self._images: dict[Monomial, Image] = {}
         self._matrices: dict[tuple[int, int, int], RationalMatrix] = {}
+
+    @classmethod
+    def moving(
+        cls, moves: Iterable[tuple[int, Coefficient]], descriptor: str, shift: int, den: int = 1
+    ) -> "LinearOperator":
+        """The sum of the coordinate moves (pos, c): x^e to c(e_pos) x^(e + shift at pos).
+
+        pos is 0-based, and c(e) is an integer, den times the coefficient;
+        it is evaluated once per exponent e >= -shift, and below that the
+        move has no image.  ``moves`` holds (pos, c, values), values[e]
+        the kept c(e), or 0 below -shift.
+        """
+        steps = tuple([(pos, c, []) for pos, c in moves])
+        lowest = -shift if shift < 0 else 0
+
+        def rule(exps: Monomial) -> Image:
+            image = {}
+            for pos, c, values in steps:
+                e = exps[pos]
+                try:
+                    x = values[e]
+                except IndexError:
+                    _grow(values, c, lowest, e)
+                    x = values[e]
+                if x:
+                    image[exps[:pos] + (e + shift,) + exps[pos + 1:]] = x
+            return image
+
+        op = cls(rule, descriptor, shift, den)
+        op.moves = steps
+        return op
+
+    @classmethod
+    def degree_diagonal(
+        cls, positions: Iterable[int], value: Coefficient, descriptor: str, den: int
+    ) -> "LinearOperator":
+        """The operator scaling x^e by value(s) / den, s its degree over the 0-based positions.
+
+        value is evaluated once per degree s; ``diagonal`` holds
+        (positions, value, values), values[s] the kept value(s).
+        """
+        positions = tuple(positions)
+        values: list[int] = []
+
+        def rule(exps: Monomial) -> Image:
+            s = sum([exps[pos] for pos in positions])
+            try:
+                x = values[s]
+            except IndexError:
+                _grow(values, value, 0, s)
+                x = values[s]
+            return {exps: x} if x else {}
+
+        op = cls(rule, descriptor, 0, den)
+        op.diagonal = (positions, value, values)
+        return op
 
     @classmethod
     def composite(cls, terms: list[OperatorTerm], descriptor: str) -> "LinearOperator":
@@ -156,8 +241,10 @@ def _name(subset: tuple[int, ...]) -> str:
     return ",".join(map(str, subset))
 
 
-def _shift(exps: Monomial, pos: int, by: int) -> Monomial:
-    return exps[:pos] + (exps[pos] + by,) + exps[pos + 1:]
+def _grow(values: list[int], c: Coefficient, lowest: int, upto: int) -> None:
+    """Extend values to index upto with c(e), or 0 for e below lowest."""
+    for e in range(len(values), upto + 1):
+        values.append(c(e) if e >= lowest else 0)
 
 
 def dunkl(params: ParameterSet, i: int) -> LinearOperator:
@@ -169,26 +256,19 @@ def dunkl(params: ParameterSet, i: int) -> LinearOperator:
     by one.  With 2 mu_i = a / b, b T_i x^e is (e_i b + a) x^(e - e_i) for
     odd e_i and e_i b x^(e - e_i) for even e_i.
     """
-    pos = i - 1
     two_mu = 2 * params.mu_of(i)
     a, b = two_mu.numerator, two_mu.denominator
-
-    def rule(exps: Monomial) -> Image:
-        e = exps[pos]
-        if e == 0:
-            return {}
-        return {_shift(exps, pos, -1): e * b + a if e % 2 else e * b}
-
-    return LinearOperator(rule, f"T{i}", -1, b)
+    return LinearOperator.moving([(i - 1, lambda e: e * b + a if e % 2 else e * b)], f"T{i}", -1, b)
 
 
 class DunklOperators:
-    """The n Dunkl operators of one parameter set, built once: ``dunkl[i]`` is T_i.
+    """The n Dunkl operators of one parameter set: ``dunkl[i]`` is T_i, built once.
 
     The composite builders take this object in place of the parameters, so
     every operator built from one object shares the T_i, with their kept
     images and matrices; ``laplacians`` keeps the Lap_A that ``laplace``
-    builds, one per subset A, the same way.
+    builds, one per subset A, the same way.  Each T_i is built on first
+    use: a harmonic tower reads only Lap_A.
     """
 
     __slots__ = ("params", "n", "dunkl", "laplacians")
@@ -196,14 +276,33 @@ class DunklOperators:
     def __init__(self, params: ParameterSet):
         self.params = params
         self.n = params.n
-        self.dunkl = {i: dunkl(params, i) for i in range(1, params.n + 1)}
+        self.dunkl = _DunklTable(params)
         self.laplacians: dict[tuple[int, ...], LinearOperator] = {}
+
+
+class _DunklTable(dict):
+    """T_1..T_n of one parameter set by index i, each built when first looked up."""
+
+    __slots__ = ("params",)
+
+    def __init__(self, params: ParameterSet):
+        super().__init__()
+        self.params = params
+
+    def __missing__(self, i: int) -> LinearOperator:
+        if type(i) is not int or not 1 <= i <= self.params.n:
+            raise KeyError(i)
+        op = self[i] = dunkl(self.params, i)
+        return op
+
+
+def _unit(e: int) -> int:
+    return 1
 
 
 def _coordinate_mul(i: int) -> LinearOperator:
     """Multiplication by the coordinate x_i."""
-    pos = i - 1
-    return LinearOperator(lambda exps: {_shift(exps, pos, 1): 1}, f"x{i}", 1)
+    return LinearOperator.moving([(i - 1, _unit)], f"x{i}", 1)
 
 
 def laplace(ops: DunklOperators, A: Iterable[int]) -> LinearOperator:
@@ -221,49 +320,34 @@ def laplace(ops: DunklOperators, A: Iterable[int]) -> LinearOperator:
     lap = ops.laplacians.get(subset)
     if lap is not None:
         return lap
-    two_mu = [(i - 1, 2 * ops.params.mu_of(i)) for i in subset]
-    den = lcm(*(t.denominator for _, t in two_mu))
-    factors = [(pos, t.numerator, t.denominator, den // t.denominator) for pos, t in two_mu]
-
-    def rule(exps: Monomial) -> Image:
-        image = {}
-        for pos, a, b, s in factors:
-            e = exps[pos]
-            if e >= 2:
-                odd, even = (e, e - 1) if e % 2 else (e - 1, e)
-                image[exps[:pos] + (e - 2,) + exps[pos + 1:]] = (odd * b + a) * even * s
-        return image
-
-    lap = ops.laplacians[subset] = LinearOperator(rule, f"Lap{{{_name(subset)}}}", -2, den)
+    two_mu = [2 * ops.params.mu_of(i) for i in subset]
+    den = lcm(*(t.denominator for t in two_mu))
+    moves = [
+        (i - 1, _square_coefficient(t.numerator, t.denominator, den // t.denominator))
+        for i, t in zip(subset, two_mu)
+    ]
+    lap = ops.laplacians[subset] = LinearOperator.moving(moves, f"Lap{{{_name(subset)}}}", -2, den)
     return lap
+
+
+def _square_coefficient(a: int, b: int, s: int) -> Coefficient:
+    """The coefficient (odd * b + a) * even * s of T_i^2 over L = b s, at exponents e >= 2."""
+
+    def coefficient(e: int) -> int:
+        odd, even = (e, e - 1) if e % 2 else (e - 1, e)
+        return (odd * b + a) * even * s
+
+    return coefficient
 
 
 def norm_square_mul(A: Iterable[int], n: int) -> LinearOperator:
     """Multiplication by the squared norm over A, sum of x_i^2 for i in A."""
     subset = normalize_subset(A, n)
-    positions = [i - 1 for i in subset]
-    return LinearOperator(
-        lambda exps: {_shift(exps, pos, 2): 1 for pos in positions},
-        f"|x{{{_name(subset)}}}|^2",
-        2,
-    )
+    return LinearOperator.moving([(i - 1, _unit) for i in subset], f"|x{{{_name(subset)}}}|^2", 2)
 
 
 def norm_square_poly(A: Iterable[int], n: int) -> Polynomial:
     return norm_square_mul(A, n)(Polynomial.one(n))
-
-
-def _degree_diagonal(
-    subset: tuple[int, ...], value: Callable[[int], int], descriptor: str, den: int
-) -> LinearOperator:
-    """The operator scaling each monomial by value(its degree over subset) / den."""
-    positions = [i - 1 for i in subset]
-
-    def rule(exps: Monomial) -> Image:
-        v = value(sum([exps[pos] for pos in positions]))
-        return {exps: v} if v else {}
-
-    return LinearOperator(rule, descriptor, 0, den)
 
 
 def gamma(params: ParameterSet, A: Iterable[int]) -> Fraction:
@@ -287,7 +371,8 @@ def su11_triple(
     g, h = gam.numerator, gam.denominator
     half = Fraction(1, 2)
     name = _name(subset)
-    a0 = _degree_diagonal(subset, lambda d: d * h + g, f"A0{{{name}}}", 2 * h)
+    positions = [i - 1 for i in subset]
+    a0 = LinearOperator.degree_diagonal(positions, lambda d: d * h + g, f"A0{{{name}}}", 2 * h)
     j_plus = LinearOperator.composite([(half, (norm_square_mul(subset, ops.n),))], f"J+{{{name}}}")
     j_minus = LinearOperator.composite([(half, (laplace(ops, subset),))], f"J-{{{name}}}")
     return a0, j_plus, j_minus
@@ -305,8 +390,9 @@ def casimir(ops: DunklOperators, A: Iterable[int]) -> LinearOperator:
     gam = gamma(ops.params, subset)
     g, h = gam.numerator, gam.denominator
     name = _name(subset)
-    diagonal = _degree_diagonal(
-        subset, lambda d: (d * h + g) * (d * h + g - 2 * h), f"D{{{name}}}", 4 * h * h
+    positions = [i - 1 for i in subset]
+    diagonal = LinearOperator.degree_diagonal(
+        positions, lambda d: (d * h + g) * (d * h + g - 2 * h), f"D{{{name}}}", 4 * h * h
     )
     nrm_lap = (norm_square_mul(subset, ops.n), laplace(ops, subset))
     return LinearOperator.composite([(1, (diagonal,)), (Fraction(-1, 4), nrm_lap)], f"C{{{name}}}")
@@ -332,10 +418,14 @@ def materialize_on_monomials(op: LinearOperator, n: int, k: int, kmax: int) -> R
     is raised to it first and such ranges share one matrix.  A
     composite's is the product sum of its terms over its parts' matrices,
     each on the range it acts on, and is not kept; a primitive's is kept
-    per range and holds its rule's images over its den, each looked up in
-    the positions of its own degree d + shift alone: a term outside them
-    raises ImageEscapesSpan.  Both are in lowest terms, so a range holds
-    the integers of its lowest-terms blocks over the lcm of their dens.
+    per range, over its den.  A move's block is read from the index
+    tables of poly.coordinate_moves and a diagonal's from those of
+    poly.subset_degrees, with each coefficient's kept values, and the
+    common factor of those values and den is divided out first.  A rule's
+    block holds the rule's images, each looked up in the positions of its
+    own degree d + shift alone: a term outside them raises
+    ImageEscapesSpan.  All are in lowest terms, so a range holds the
+    integers of its lowest-terms blocks over the lcm of their dens.
     """
     k = max(k, min(0, -op.shift))
     if op.terms is not None:
@@ -351,6 +441,56 @@ def materialize_on_monomials(op: LinearOperator, n: int, k: int, kmax: int) -> R
     matrix = op._matrices.get(key)
     if matrix is not None:
         return matrix
+    if op.moves is not None:
+        matrix = _moves_matrix(op, n, k, kmax)
+    elif op.diagonal is not None:
+        matrix = _diagonal_matrix(op, n, k, kmax)
+    else:
+        matrix = _rule_matrix(op, n, k, kmax)
+    op._matrices[key] = matrix
+    return matrix
+
+
+def _moves_matrix(op: LinearOperator, n: int, k: int, kmax: int) -> RationalMatrix:
+    """A move operator's matrix on degrees k..kmax, from the shared move tables."""
+    shift, degrees = op.shift, range(k, kmax + 1)
+    lowest = max(0, -shift)
+    moves = []
+    for pos, c, values in op.moves:
+        _grow(values, c, lowest, kmax)
+        moves.append((values, [coordinate_moves(n, d, pos, shift) for d in degrees]))
+    g = gcd(op.den, *(values[e] for values, tables in moves for table in tables for e, _ in table))
+    rows: list[dict[int, int]] = []
+    ncols = 0
+    for t, d in enumerate(degrees):
+        block = [{} for _ in monomial_basis(n, d + shift)]
+        for values, tables in moves:
+            for e, pairs in tables[t]:
+                x = values[e] // g
+                if x:
+                    for i, j in pairs:
+                        block[i][ncols + j] = x
+        rows += block
+        ncols += len(monomial_basis(n, d))
+    return RationalMatrix.from_sparse(rows, op.den // g, ncols)
+
+
+def _diagonal_matrix(op: LinearOperator, n: int, k: int, kmax: int) -> RationalMatrix:
+    """A degree diagonal's matrix on degrees k..kmax, from the shared A-degree tables."""
+    positions, value, values = op.diagonal
+    _grow(values, value, 0, kmax)
+    tables = [subset_degrees(n, d, positions) for d in range(k, kmax + 1)]
+    g = gcd(op.den, *(values[s] for s in set().union(*tables)))
+    scaled = [x // g for x in values]
+    rows: list[dict[int, int]] = []
+    for table in tables:
+        start = len(rows)
+        rows += [{j: x} if (x := scaled[s]) else {} for j, s in enumerate(table, start)]
+    return RationalMatrix.from_sparse(rows, op.den // g, len(rows))
+
+
+def _rule_matrix(op: LinearOperator, n: int, k: int, kmax: int) -> RationalMatrix:
+    """A rule operator's matrix on degrees k..kmax, from the rule's image of each monomial."""
     rows: list[dict[int, int]] = []
     ncols = 0
     for d in range(k, kmax + 1):
@@ -367,8 +507,7 @@ def materialize_on_monomials(op: LinearOperator, n: int, k: int, kmax: int) -> R
                     )
                 rows[block + i][j] = x
         ncols += len(basis)
-    matrix = op._matrices[key] = RationalMatrix.from_sparse(rows, op.den, ncols).normalized()
-    return matrix
+    return RationalMatrix.from_sparse(rows, op.den, ncols).normalized()
 
 
 def materialize(op: LinearOperator, n: int, basis: list[Polynomial]) -> RationalMatrix:

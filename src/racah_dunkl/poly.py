@@ -422,3 +422,33 @@ def monomial_basis(n: int, k: int) -> tuple[Monomial, ...]:
 def monomial_positions(n: int, k: int) -> Mapping[Monomial, int]:
     """Read-only map from each exponent tuple of monomial_basis(n, k) to its index."""
     return MappingProxyType({exps: i for i, exps in enumerate(monomial_basis(n, k))})
+
+
+@cache
+def subset_degrees(n: int, k: int, positions: tuple[int, ...]) -> tuple[int, ...]:
+    """Each monomial's degree over the 0-based coordinates positions, in monomial_basis(n, k).
+
+    With one position it is that coordinate's exponent in each monomial.
+    """
+    return tuple([sum([exps[pos] for pos in positions]) for exps in monomial_basis(n, k)])
+
+
+@cache
+def coordinate_moves(n: int, k: int, pos: int, step: int) -> tuple[tuple[int, tuple], ...]:
+    """The moves x^e -> x^(e + step at pos) from degree k, grouped by the exponent e_pos.
+
+    One (e, pairs) per exponent e of the 0-based coordinate pos that a
+    degree-k monomial holds with e + step >= 0, in increasing e; pairs
+    lists (row, column) for each such monomial: its column in
+    monomial_basis(n, k) and the row of its moved monomial in
+    monomial_basis(n, k + step).  A move is one-to-one, so each row
+    appears at most once.
+    """
+    position = monomial_positions(n, k + step)
+    groups: dict[int, list[tuple[int, int]]] = {}
+    for j, exps in enumerate(monomial_basis(n, k)):
+        e = exps[pos]
+        if e + step >= 0:
+            moved = exps[:pos] + (e + step,) + exps[pos + 1:]
+            groups.setdefault(e, []).append((position[moved], j))
+    return tuple([(e, tuple(groups[e])) for e in sorted(groups)])

@@ -39,7 +39,7 @@ from .operators import (
     normalize_subset,
     su11_triple,
 )
-from .poly import ParameterSet, Polynomial, monomial_basis
+from .poly import ParameterSet, Polynomial, monomial_basis, subset_degrees
 from .report import Report
 
 # Degree bounds keeping full relation sweeps in seconds-to-minutes.
@@ -107,15 +107,23 @@ class DegreeSum:
         """The diagonal matrix of value(r_i, r_j, ...) on the direct sum.
 
         r_i = (-1)^e_i is the reflection sign of x_i on the monomial x^e, for
-        each i in ``indices``.  ``value`` is evaluated once per sign pattern
-        that occurs, the values are put over their lcm, and a zero value
-        stores no entry.
+        each i in ``indices``.  Each monomial's sign pattern is the bit mask
+        of its odd exponents among them, read from the per-degree exponent
+        tables of poly.subset_degrees.  ``value`` is evaluated once per sign
+        pattern that occurs, the values are put over their lcm, and a zero
+        value stores no entry.
         """
-        patterns = [tuple(-1 if exps[i - 1] & 1 else 1 for i in indices) for exps in self.basis]
-        values = {r: Fraction(value(*r)) for r in set(patterns)}
+        masks = [0] * self.dim
+        for bit, i in enumerate(indices):
+            tables = (subset_degrees(self.n, k, (i - 1,)) for k in self.degrees)
+            masks = [m | (e & 1) << bit for m, e in zip(masks, chain.from_iterable(tables))]
+        values = {
+            m: Fraction(value(*(-1 if m >> bit & 1 else 1 for bit in range(len(indices)))))
+            for m in set(masks)
+        }
         den = lcm(1, *(v.denominator for v in values.values()))
-        nums = {r: v.numerator * (den // v.denominator) for r, v in values.items()}
-        rows = [{row: nums[r]} if nums[r] else {} for row, r in enumerate(patterns)]
+        nums = {m: v.numerator * (den // v.denominator) for m, v in values.items()}
+        rows = [{row: x} if (x := nums[m]) else {} for row, m in enumerate(masks)]
         return RationalMatrix.from_sparse(rows, den, self.dim)
 
     def materialize(self, op: LinearOperator) -> RationalMatrix:

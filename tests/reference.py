@@ -8,6 +8,11 @@ of one:
   test can state a witness or an expected polynomial as text;
 * ``reflect`` and ``divide_by_coordinate`` build the textbook Dunkl
   operator T_i p = d_i p + mu_i (p - r_i p) / x_i;
+* ``dunkl_rule``, ``coordinate_rule``, ``laplace_rule``,
+  ``norm_square_rule``, ``a0_rule`` and ``casimir_diagonal_rule`` are the
+  primitives as closed-form rules on one monomial, the form the package
+  built them in before it read them from coordinate data, so their
+  matrices come from the rule loop of ``materialize_on_monomials``;
 * ``fischer_decompose`` splits a polynomial into norm powers times
   harmonics by one solve against the tower bases;
 * ``module_basis`` and ``rank_one_overlap`` check, at n = 3, that the
@@ -54,6 +59,7 @@ from racah_dunkl import (
 )
 from racah_dunkl import connection, relations
 from racah_dunkl.linalg import product_sum
+from racah_dunkl.operators import LinearOperator, gamma, normalize_subset
 from racah_dunkl.report import Report
 
 
@@ -117,6 +123,97 @@ def divide_by_coordinate(p: Polynomial, i: int) -> Polynomial:
             raise NotDivisible(f"term with exponents {exps} has no factor x{i}")
         out[exps[:pos] + (e - 1,) + exps[pos + 1:]] = Fraction(x, p.den)
     return Polynomial(p.n, out)
+
+
+# -- the primitives as closed-form rules ------------------------------------------
+
+
+def _shift(exps, pos, by):
+    return exps[:pos] + (exps[pos] + by,) + exps[pos + 1:]
+
+
+def _name(subset):
+    return ",".join(map(str, subset))
+
+
+def dunkl_rule(params: ParameterSet, i: int) -> LinearOperator:
+    """T_i: with 2 mu_i = a / b, b T_i x^e is (e_i b + a) or e_i b times x^(e - e_i)."""
+    pos = i - 1
+    two_mu = 2 * params.mu_of(i)
+    a, b = two_mu.numerator, two_mu.denominator
+
+    def rule(exps):
+        e = exps[pos]
+        if e == 0:
+            return {}
+        return {_shift(exps, pos, -1): e * b + a if e % 2 else e * b}
+
+    return LinearOperator(rule, f"T{i}", -1, b)
+
+
+def coordinate_rule(i: int) -> LinearOperator:
+    """Multiplication by the coordinate x_i."""
+    pos = i - 1
+    return LinearOperator(lambda exps: {_shift(exps, pos, 1): 1}, f"x{i}", 1)
+
+
+def laplace_rule(params: ParameterSet, A) -> LinearOperator:
+    """Lap_A over L, the lcm of the b over A: (odd * b + a) * even * (L / b) per T_i^2."""
+    subset = normalize_subset(A, params.n)
+    two_mu = [(i - 1, 2 * params.mu_of(i)) for i in subset]
+    den = lcm(*(t.denominator for _, t in two_mu))
+    factors = [(pos, t.numerator, t.denominator, den // t.denominator) for pos, t in two_mu]
+
+    def rule(exps):
+        image = {}
+        for pos, a, b, s in factors:
+            e = exps[pos]
+            if e >= 2:
+                odd, even = (e, e - 1) if e % 2 else (e - 1, e)
+                image[exps[:pos] + (e - 2,) + exps[pos + 1:]] = (odd * b + a) * even * s
+        return image
+
+    return LinearOperator(rule, f"Lap{{{_name(subset)}}}", -2, den)
+
+
+def norm_square_rule(A, n: int) -> LinearOperator:
+    """Multiplication by the squared norm over A, sum of x_i^2 for i in A."""
+    subset = normalize_subset(A, n)
+    positions = [i - 1 for i in subset]
+    return LinearOperator(
+        lambda exps: {_shift(exps, pos, 2): 1 for pos in positions},
+        f"|x{{{_name(subset)}}}|^2",
+        2,
+    )
+
+
+def _degree_diagonal(subset, value, descriptor, den):
+    """The operator scaling each monomial by value(its degree over subset) / den."""
+    positions = [i - 1 for i in subset]
+
+    def rule(exps):
+        v = value(sum([exps[pos] for pos in positions]))
+        return {exps: v} if v else {}
+
+    return LinearOperator(rule, descriptor, 0, den)
+
+
+def a0_rule(params: ParameterSet, A) -> LinearOperator:
+    """A0 of su11_triple: with gamma_A = g / h, (d h + g) / 2h on A-degree d."""
+    subset = normalize_subset(A, params.n)
+    gam = gamma(params, subset)
+    g, h = gam.numerator, gam.denominator
+    return _degree_diagonal(subset, lambda d: d * h + g, f"A0{{{_name(subset)}}}", 2 * h)
+
+
+def casimir_diagonal_rule(params: ParameterSet, A) -> LinearOperator:
+    """D_A, the diagonal part of C_A: (d h + g)(d h + g - 2h) / 4h^2 on A-degree d."""
+    subset = normalize_subset(A, params.n)
+    gam = gamma(params, subset)
+    g, h = gam.numerator, gam.denominator
+    return _degree_diagonal(
+        subset, lambda d: (d * h + g) * (d * h + g - 2 * h), f"D{{{_name(subset)}}}", 4 * h * h
+    )
 
 
 # -- harmonic decomposition -----------------------------------------------------

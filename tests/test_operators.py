@@ -26,7 +26,7 @@ from racah_dunkl import (
     norm_square_mul,
     su11_triple,
 )
-from racah_dunkl import cli, operators, relations
+from racah_dunkl import cli, operators
 from racah_dunkl.linalg import product_sum
 from racah_dunkl.relations import _witnesses
 
@@ -261,45 +261,51 @@ def test_materialize_on_basis_and_escape():
         materialize(x1, 3, basis)
 
 
-@pytest.mark.parametrize("command, laplacian_images, dunkl_images", [
-    # Lap_A of all 31 subsets on every monomial of degrees 0..4 in five
-    # variables, 31 * 126; the commutator's full Laplacian is C_{12345}'s
-    ("verify lemma1 --n 5 --kmax 4", 3906, 0),
-    # J- reaches degree 6: Lap_A of all 15 subsets on degrees 0..6, 15 * 210
-    ("verify su11 --n 4 --kmax 4", 3150, 0),
-    # every C_A on degrees 0..2, 15 * 15; T_1..T_4 through L_ij, 4 * 15
-    ("verify racah --n 4 --kmax 2", 225, 60),
+@pytest.mark.parametrize("command, evaluations", [
+    # C_A of all 31 subsets on degrees 0..4: D_A at the A-degrees 0..4,
+    # 31 * 5; Lap_A at the exponents 2..4 and |x_A|^2 (on degrees -2..2) at
+    # 0..2, each 3 per coordinate of A, 80 * 3 twice; the commutator's full
+    # Laplacian is C_{12345}'s
+    ("verify lemma1 --n 5 --kmax 4", 155 + 240 + 240),
+    # degrees 0..6: A0 at the A-degrees 0..6, 15 * 7; J+'s |x_A|^2 (on
+    # degrees -2..4) at 0..4 and J-'s Lap_A at 2..6, 5 per coordinate of A,
+    # 32 * 5 twice
+    ("verify su11 --n 4 --kmax 4", 105 + 160 + 160),
+    # on degrees 0..2, the 15 C_A: D_A at 0..2 (15 * 3), Lap_A at 2 and
+    # |x_A|^2 (on -2..0) at 0, 32 coordinates each; T_1..T_4 at 1..2 (4 * 2)
+    # and the two x_i of each L_ij (on -1..1) at 0..1 (6 * 2 * 2)
+    ("verify racah --n 4 --kmax 2", 45 + 32 + 32 + 8 + 24),
 ])
-def test_a_sweep_evaluates_each_dunkl_image_once(
-    monkeypatch, command, laplacian_images, dunkl_images
-):
-    # every subset's invariant, Laplacian and J- share the sweep's Lap_A and
-    # T_i: no image of either is evaluated twice
-    laplacian, dunkl_evaluated = [], []
-    real_dunkl, real_laplace = operators.dunkl, operators.laplace
-    counted = set()
+def test_a_sweep_evaluates_each_dunkl_image_once(monkeypatch, command, evaluations):
+    # a sweep reads every primitive's matrix from its coordinate data: it calls
+    # no primitive's rule, and evaluates each coefficient at most once per
+    # (operator, coordinate, exponent) or (operator, A-degree)
+    calls, evaluated = [], []
+    moving = LinearOperator.moving.__func__
+    degree_diagonal = LinearOperator.degree_diagonal.__func__
 
-    def counting_dunkl(params, i):
-        op = real_dunkl(params, i)
+    def counted(key, c):
+        return lambda e: evaluated.append((key, e)) or c(e)
+
+    def counting(op):
         rule = op.rule
-        op.rule = lambda exps: dunkl_evaluated.append((i, exps)) or rule(exps)
+        op.rule = lambda exps: calls.append((op.descriptor, exps)) or rule(exps)
         return op
 
-    def counting_laplace(ops, A):
-        op = real_laplace(ops, A)
-        if op not in counted:
-            counted.add(op)
-            rule, name = op.rule, op.descriptor
-            op.rule = lambda exps: laplacian.append((name, exps)) or rule(exps)
-        return op
+    def counting_moving(cls, moves, descriptor, shift, den=1):
+        key = object()
+        moves = [(pos, counted((key, pos), c)) for pos, c in moves]
+        return counting(moving(cls, moves, descriptor, shift, den))
 
-    monkeypatch.setattr(operators, "dunkl", counting_dunkl)
-    monkeypatch.setattr(operators, "laplace", counting_laplace)
-    monkeypatch.setattr(relations, "laplace", counting_laplace)
+    def counting_diagonal(cls, positions, value, descriptor, den):
+        return counting(degree_diagonal(cls, positions, counted(object(), value), descriptor, den))
+
+    monkeypatch.setattr(LinearOperator, "moving", classmethod(counting_moving))
+    monkeypatch.setattr(LinearOperator, "degree_diagonal", classmethod(counting_diagonal))
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(command.split()) == 0
-    assert len(laplacian) == len(set(laplacian)) == laplacian_images
-    assert len(dunkl_evaluated) == len(set(dunkl_evaluated)) == dunkl_images
+    assert calls == []
+    assert len(evaluated) == len(set(evaluated)) == evaluations
 
 
 @pytest.mark.parametrize("command", [
