@@ -7,11 +7,15 @@ sum_t c_t * A_t1 * A_t2 (* A_t3 ...) over the least common multiple of the
 term denominators.  It accumulates each output row in one integer dict,
 touches only nonzero entries, drops entries that cancel, and does no gcd
 reduction, so an identity checked as one such sum costs its products and
-nothing else.  Every arithmetic method of RationalMatrix is one of its
-cases: a product, sum or difference is a one- or two-term sum, negation
-and ``scale`` are one one-factor term, and the diagonal products are one
-product with ``RationalMatrix.diagonal``; all but negation are reduced to
-lowest terms.  The algebra generators never mix the reflection parity
+nothing else.  Its row walk reads stored entries only:
+itertools.compress drops the empty rows of each term's first factor in
+C, with no Python test per row, and every row is read by key, in the
+order its entries were stored, so each output row's keys come in a fixed
+order.  Every arithmetic method of RationalMatrix is one of its cases: a
+product, sum or difference is a one- or two-term sum, negation and
+``scale`` are one one-factor term, and the diagonal products are one
+product with ``RationalMatrix.diagonal``; all but negation are reduced
+to lowest terms.  The algebra generators never mix the reflection parity
 classes of the monomials, so their matrices are very sparse and the
 cross-parity entries are simply never stored.
 
@@ -35,6 +39,7 @@ rows from different sectors never share a column.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import compress
 from math import gcd, lcm
 from typing import Hashable, Mapping, Sequence
 
@@ -225,6 +230,14 @@ def product_sum(terms: Sequence[Term]) -> RationalMatrix:
     dropped, and no gcd is taken: ``is_zero`` needs none, and
     ``normalized`` reduces when lowest terms are wanted.  One term 1/q * A
     shares A's rows, over q times its den, with no copy: J+ and J- are such.
+
+    The walk visits only the nonempty rows of each term's first factor,
+    picked out by ``compress`` without a Python test per row, and reads
+    each row by key: for a key k of the running row, x = its entry and b =
+    row k of the next factor, each entry of b adds x * b[j] at column j.
+    Middle factors of a chain fold into a fresh running row the same way,
+    and the last into the output row.  Keys are met in each row's storage
+    order, so every output row's key order is fixed by the terms alone.
     """
     if not terms:
         raise ValueError("a product sum needs at least one term")
@@ -254,32 +267,32 @@ def product_sum(terms: Sequence[Term]) -> RationalMatrix:
         return RationalMatrix.from_sparse(plan[0][1], den, shape[1])
     out: list[dict[int, int]] = [{} for _ in range(shape[0])]
     for scale, first, middle, last in plan:
-        for acc, row in zip(out, first):
-            if not row:
-                continue
+        # compress drops the empty rows of the first factor in C
+        for acc, row in compress(zip(out, first), first):
             if last is None:
-                for j, x in row.items():
+                for j in row:
                     if j in acc:
-                        acc[j] += scale * x
+                        acc[j] += scale * row[j]
                     else:
-                        acc[j] = scale * x
+                        acc[j] = scale * row[j]
                 continue
             for b_rows in middle:
                 tmp: dict[int, int] = {}
-                for k, x in row.items():
-                    for j, y in b_rows[k].items():
+                for k in row:
+                    x, b = row[k], b_rows[k]
+                    for j in b:
                         if j in tmp:
-                            tmp[j] += x * y
+                            tmp[j] += x * b[j]
                         else:
-                            tmp[j] = x * y
+                            tmp[j] = x * b[j]
                 row = tmp
-            for k, x in row.items():
-                x *= scale
-                for j, y in last[k].items():
+            for k in row:
+                x, b = scale * row[k], last[k]
+                for j in b:
                     if j in acc:
-                        acc[j] += x * y
+                        acc[j] += x * b[j]
                     else:
-                        acc[j] = x * y
+                        acc[j] = x * b[j]
     for i, acc in enumerate(out):
         if not all(acc.values()):  # drop entries that cancelled
             out[i] = {j: v for j, v in acc.items() if v} if any(acc.values()) else {}

@@ -42,8 +42,8 @@ each on the range of degrees it acts on, built anew.
 
 The composite builders take a DunklOperators object, the n Dunkl
 operators of one parameter set built once, in place of the parameters, so
-all operators built from one object share the T_i and the Lap_A with
-their kept images and matrices: a sweep computes each of them once.
+all operators built from one object share the T_i, the x_i and the Lap_A
+with their kept images and matrices: a sweep computes each of them once.
 
 Index conventions follow the coordinate notation: operator builders take
 1-based variable indices, and subsets are subsets of {1, .., n}.
@@ -266,33 +266,36 @@ class DunklOperators:
 
     The composite builders take this object in place of the parameters, so
     every operator built from one object shares the T_i, with their kept
-    images and matrices; ``laplacians`` keeps the Lap_A that ``laplace``
-    builds, one per subset A, the same way.  Each T_i is built on first
-    use: a harmonic tower reads only Lap_A.
+    images and matrices; ``coordinates[i]`` keeps the multiplication by x_i
+    that ``angular`` reads, and ``laplacians`` the Lap_A that ``laplace``
+    builds, one per subset A, the same way.  Each T_i and x_i is built on
+    first use: a harmonic tower reads only Lap_A.
     """
 
-    __slots__ = ("params", "n", "dunkl", "laplacians")
+    __slots__ = ("params", "n", "dunkl", "coordinates", "laplacians")
 
     def __init__(self, params: ParameterSet):
         self.params = params
         self.n = params.n
-        self.dunkl = _DunklTable(params)
+        self.dunkl = _IndexTable(params.n, lambda i: dunkl(params, i))
+        self.coordinates = _IndexTable(params.n, _coordinate_mul)
         self.laplacians: dict[tuple[int, ...], LinearOperator] = {}
 
 
-class _DunklTable(dict):
-    """T_1..T_n of one parameter set by index i, each built when first looked up."""
+class _IndexTable(dict):
+    """One operator per index i in 1..n, built by build(i) when first looked up."""
 
-    __slots__ = ("params",)
+    __slots__ = ("n", "build")
 
-    def __init__(self, params: ParameterSet):
+    def __init__(self, n: int, build: Callable[[int], LinearOperator]):
         super().__init__()
-        self.params = params
+        self.n = n
+        self.build = build
 
     def __missing__(self, i: int) -> LinearOperator:
-        if type(i) is not int or not 1 <= i <= self.params.n:
+        if type(i) is not int or not 1 <= i <= self.n:
             raise KeyError(i)
-        op = self[i] = dunkl(self.params, i)
+        op = self[i] = self.build(i)
         return op
 
 
@@ -403,7 +406,7 @@ def angular(ops: DunklOperators, i: int, j: int) -> LinearOperator:
     if i == j:
         raise ValueError("angular momentum needs two distinct indices")
     return LinearOperator.composite(
-        [(1, (_coordinate_mul(i), ops.dunkl[j])), (-1, (_coordinate_mul(j), ops.dunkl[i]))],
+        [(1, (ops.coordinates[i], ops.dunkl[j])), (-1, (ops.coordinates[j], ops.dunkl[i]))],
         f"L{i}{j}",
     )
 

@@ -425,12 +425,25 @@ def monomial_positions(n: int, k: int) -> Mapping[Monomial, int]:
 
 
 @cache
+def exponent_columns(n: int, k: int) -> tuple[tuple[int, ...], ...]:
+    """The exponents of each coordinate over monomial_basis(n, k): column pos holds e_pos.
+
+    An empty basis gives n empty columns.
+    """
+    return tuple(zip(*monomial_basis(n, k))) or ((),) * n
+
+
+@cache
 def subset_degrees(n: int, k: int, positions: tuple[int, ...]) -> tuple[int, ...]:
     """Each monomial's degree over the 0-based coordinates positions, in monomial_basis(n, k).
 
-    With one position it is that coordinate's exponent in each monomial.
+    With one position it is that coordinate's exponent column itself; with
+    more, the columns are summed entry by entry.
     """
-    return tuple([sum([exps[pos] for pos in positions]) for exps in monomial_basis(n, k)])
+    columns = exponent_columns(n, k)
+    if len(positions) == 1:
+        return columns[positions[0]]
+    return tuple(map(sum, zip(*[columns[pos] for pos in positions])))
 
 
 @cache

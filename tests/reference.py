@@ -24,7 +24,10 @@ of one:
   and [C_A, Lap] sweeps degree by degree, on the rectangular matrices of
   one degree each, with ``one_block_witness``;
 * ``block_diagonal`` puts matrices on one diagonal over the lcm of their
-  dens.
+  dens;
+* ``reference_product_sum`` is ``linalg.product_sum`` as it was written
+  before its row walk read only stored entries: every row, empty or not,
+  is tested in Python, and every row is read through ``.items()``.
 """
 
 from __future__ import annotations
@@ -58,7 +61,7 @@ from racah_dunkl import (
     spectral_data,
 )
 from racah_dunkl import connection, relations
-from racah_dunkl.linalg import product_sum
+from racah_dunkl.linalg import Term, product_sum
 from racah_dunkl.operators import LinearOperator, gamma, normalize_subset
 from racah_dunkl.report import Report
 
@@ -456,3 +459,78 @@ def per_degree_laplacian_commute(params: ParameterSet, kmax: int) -> Report:
             witness = one_block_witness(n, monomial_basis(n, k - 2), diff)
             report.add("invariant-commutes-with-laplacian", A, k, witness)
     return report
+
+
+# -- the product kernel, walking every row's items ---------------------------
+
+
+def reference_product_sum(terms: Sequence[Term]) -> RationalMatrix:
+    """The exact sum of c * A_1 * A_2 * ... over the terms, not reduced.
+
+    Each term is (c, factors) with at least one factor; every term's
+    product must have the same shape.  The result's denominator is the
+    least common multiple of the term denominators (c's times its
+    factors'), so each term contributes integers only.  Each output row is
+    accumulated in one dict over all terms, entries that cancel are
+    dropped, and no gcd is taken: ``is_zero`` needs none, and
+    ``normalized`` reduces when lowest terms are wanted.  One term 1/q * A
+    shares A's rows, over q times its den, with no copy: J+ and J- are such.
+    """
+    if not terms:
+        raise ValueError("a product sum needs at least one term")
+    shape = None
+    dens = []
+    for c, factors in terms:
+        den = c.denominator
+        for left, right in zip(factors, factors[1:]):
+            if left.ncols != right.nrows:
+                raise ValueError(f"cannot multiply {left.shape} by {right.shape}")
+        for factor in factors:
+            den *= factor.den
+        term_shape = (factors[0].nrows, factors[-1].ncols)
+        if shape is None:
+            shape = term_shape
+        elif term_shape != shape:
+            raise ValueError(f"shape mismatch: {shape} vs {term_shape}")
+        dens.append(den)
+    den = lcm(*dens)
+    plan = []  # each term as (integer scale, first, middle and last factor rows)
+    for (c, factors), term_den in zip(terms, dens):
+        if c:
+            rows = [f.sparse_rows for f in factors]
+            scale = c.numerator * (den // term_den)
+            plan.append((scale, rows[0], rows[1:-1], rows[-1] if len(rows) > 1 else None))
+    if len(plan) == 1 and plan[0][0] == 1 and plan[0][3] is None:  # 1/q times one matrix
+        return RationalMatrix.from_sparse(plan[0][1], den, shape[1])
+    out: list[dict[int, int]] = [{} for _ in range(shape[0])]
+    for scale, first, middle, last in plan:
+        for acc, row in zip(out, first):
+            if not row:
+                continue
+            if last is None:
+                for j, x in row.items():
+                    if j in acc:
+                        acc[j] += scale * x
+                    else:
+                        acc[j] = scale * x
+                continue
+            for b_rows in middle:
+                tmp: dict[int, int] = {}
+                for k, x in row.items():
+                    for j, y in b_rows[k].items():
+                        if j in tmp:
+                            tmp[j] += x * y
+                        else:
+                            tmp[j] = x * y
+                row = tmp
+            for k, x in row.items():
+                x *= scale
+                for j, y in last[k].items():
+                    if j in acc:
+                        acc[j] += x * y
+                    else:
+                        acc[j] = x * y
+    for i, acc in enumerate(out):
+        if not all(acc.values()):  # drop entries that cancelled
+            out[i] = {j: v for j, v in acc.items() if v} if any(acc.values()) else {}
+    return RationalMatrix.from_sparse(out, den, shape[1])

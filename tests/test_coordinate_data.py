@@ -28,7 +28,7 @@ from racah_dunkl import (
     su11_triple,
 )
 from racah_dunkl.operators import LinearOperator, _coordinate_mul
-from racah_dunkl.poly import coordinate_moves, subset_degrees
+from racah_dunkl.poly import coordinate_moves, exponent_columns, subset_degrees
 from racah_dunkl.relations import nonempty_subsets, verify_casimir_laplacian_commute
 
 import reference
@@ -123,6 +123,21 @@ def test_shared_tables_are_immutable_and_independent_of_what_filled_them():
                     assert _all_tuples(coordinate_moves(n, d, pos, step))
             for A in nonempty_subsets(n):
                 assert _all_tuples(subset_degrees(n, d, tuple(i - 1 for i in A)))
+
+
+def test_subset_degrees_are_the_per_monomial_sums():
+    # the tables are built from exponent columns; each equals the degree of
+    # every monomial over the subset, summed one monomial at a time
+    for n in range(1, 6):
+        for k in range(-1, 7):
+            basis = monomial_basis(n, k)
+            columns = exponent_columns(n, k)
+            assert len(columns) == n
+            assert all(list(column) == [e[pos] for e in basis] for pos, column in enumerate(columns))
+            for A in nonempty_subsets(n):
+                positions = tuple(i - 1 for i in A)
+                want = [sum(e[pos] for pos in positions) for e in basis]
+                assert list(subset_degrees(n, k, positions)) == want, (n, k, A)
 
 
 def kept_values(op):

@@ -26,7 +26,7 @@ from racah_dunkl.linalg import _elimination_rows, _gauss_jordan, product_sum
 from racah_dunkl.poly import monomial_basis
 from racah_dunkl.relations import _witnesses
 
-from reference import block_diagonal
+from reference import block_diagonal, reference_product_sum
 
 
 def F(a, b=1):
@@ -404,6 +404,93 @@ def test_product_sum_rejects_mismatched_shapes():
         product_sum([(1, (a,)), (1, (b,))])
     with pytest.raises(ValueError, match="at least one term"):
         product_sum([])
+
+
+# -- the row walk against the items walk it replaced -----------------------------
+
+
+numerators = st.one_of(
+    st.integers(min_value=-9, max_value=9), st.integers(min_value=-10**12, max_value=10**12)
+).filter(bool)
+
+
+@st.composite
+def sweep_factor(draw, nrows, ncols):
+    """A factor shaped like a sweep's, with each row's keys stored in a drawn order.
+
+    Diagonal, block-diagonal (consecutive row and column blocks, cut
+    alike) or general; most rows hold no entry or one.
+    """
+    kind = draw(st.sampled_from(["diagonal", "blocks", "general"]))
+    if kind == "diagonal":
+        allowed = [range(i, i + 1) if i < ncols else range(0) for i in range(nrows)]
+    elif kind == "blocks":
+        cuts = sorted(draw(st.lists(st.integers(0, min(nrows, ncols)), max_size=3)))
+        row_ends = [0] + cuts + [nrows]
+        col_ends = [0] + cuts + [ncols]
+        allowed = [None] * nrows
+        for b in range(len(row_ends) - 1):
+            for i in range(row_ends[b], row_ends[b + 1]):
+                allowed[i] = range(col_ends[b], col_ends[b + 1])
+    else:
+        allowed = [range(ncols)] * nrows
+    rows = []
+    for cols in allowed:
+        size = draw(st.sampled_from([0, 0, 0, 1, 1, 2, 3]))
+        keys = draw(st.lists(st.sampled_from(cols), max_size=size, unique=True)) if cols else []
+        rows.append({j: draw(numerators) for j in keys})
+    den = draw(st.integers(min_value=1, max_value=12))
+    return RationalMatrix.from_sparse(rows, den, ncols)
+
+
+@st.composite
+def sweep_terms(draw):
+    """Terms c * A_1 (* A_2 (* A_3)) of one shape, some with c = 0, some cancelling."""
+    r, c = draw(st.integers(0, 8)), draw(st.integers(0, 8))
+    terms = []
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        dims = [r] + [draw(st.integers(0, 8)) for _ in range(draw(st.integers(0, 2)))] + [c]
+        coeff = draw(st.one_of(st.just(0), scalars, st.integers(-10**6, 10**6)))
+        terms.append((coeff, tuple(draw(sweep_factor(a, b)) for a, b in zip(dims, dims[1:]))))
+    if draw(st.booleans()):  # the sum cancels to zero
+        terms += [(-coeff, factors) for coeff, factors in terms]
+    return terms
+
+
+def assert_same_sum(got, want):
+    assert (got.den, got.shape, got.sparse_rows) == (want.den, want.shape, want.sparse_rows)
+    assert [list(row) for row in got.sparse_rows] == [list(row) for row in want.sparse_rows]
+
+
+@settings(max_examples=200, deadline=None)
+@given(sweep_terms())
+def test_product_sum_row_walk_is_the_items_walk(terms):
+    # same den, shape, sparse rows and key order in every row as the loop
+    # that walked every row of the first factor and read rows by .items()
+    assert_same_sum(product_sum(terms), reference_product_sum(terms))
+
+
+class UnreadableRow(dict):
+    """An empty row that fails the test if it is ever iterated."""
+
+    def __iter__(self):
+        raise AssertionError("an empty row of the first factor was iterated")
+
+    keys = values = items = __iter__
+
+
+def test_product_sum_never_iterates_an_empty_row_of_a_first_factor():
+    plain_rows = [{1: 2, 0: -3}, {}, {0: 3}, {}, {}]
+    rows = [row or UnreadableRow() for row in plain_rows]
+    first = RationalMatrix.from_sparse(rows, 2, 2)
+    plain = RationalMatrix.from_sparse(plain_rows, 2, 2)
+    b = RationalMatrix.from_sparse([{1: 5, 0: 1}, {1: 7}], 3, 2)
+    for shape in ([(1, (0, b))], [(2, (0,)), (1, (0, b))], [(Fraction(-1, 3), (0, b, b))],
+                  [(1, (0, b)), (-1, (0, b))]):
+        got = product_sum([(c, (first,) + fs[1:]) for c, fs in shape])
+        assert_same_sum(got, reference_product_sum([(c, (plain,) + fs[1:]) for c, fs in shape]))
+    # one term 1/q * A walks no row at all: it shares A's rows
+    assert product_sum([(Fraction(1, 3), (first,))]).sparse_rows is rows
 
 
 # -- the arithmetic methods as cases of product_sum ------------------------------

@@ -273,8 +273,9 @@ def test_materialize_on_basis_and_escape():
     ("verify su11 --n 4 --kmax 4", 105 + 160 + 160),
     # on degrees 0..2, the 15 C_A: D_A at 0..2 (15 * 3), Lap_A at 2 and
     # |x_A|^2 (on -2..0) at 0, 32 coordinates each; T_1..T_4 at 1..2 (4 * 2)
-    # and the two x_i of each L_ij (on -1..1) at 0..1 (6 * 2 * 2)
-    ("verify racah --n 4 --kmax 2", 45 + 32 + 32 + 8 + 24),
+    # and x_1..x_4, kept on DunklOperators and read by every L_ij (on
+    # -1..1), at 0..1 (4 * 2)
+    ("verify racah --n 4 --kmax 2", 45 + 32 + 32 + 8 + 8),
 ])
 def test_a_sweep_evaluates_each_dunkl_image_once(monkeypatch, command, evaluations):
     # a sweep reads every primitive's matrix from its coordinate data: it calls
@@ -346,6 +347,20 @@ def test_ranges_that_differ_below_their_first_row_or_column_share_one_matrix():
         assert list(op._matrices) == [(3, first, 3)]
     # an empty range from below stays empty
     assert materialize_on_monomials(a0, 3, -2, -1).shape == (0, 0)
+
+
+def test_every_angular_momentum_reads_the_kept_coordinates():
+    # x_i is built once per DunklOperators, on first lookup, like T_i
+    ops = DunklOperators(PARAMS)
+    assert not ops.coordinates
+    (_, (x1, t2)), (_, (x2, t1)) = angular(ops, 1, 2).terms
+    (_, (x1_again, t3)), (_, (x3, _)) = angular(ops, 1, 3).terms
+    assert x1 is x1_again is ops.coordinates[1] and x2 is ops.coordinates[2]
+    assert (t1, t2, t3) == (ops.dunkl[1], ops.dunkl[2], ops.dunkl[3])
+    assert sorted(ops.coordinates) == [1, 2, 3] and x3.descriptor == "x3"
+    for bad in (0, PARAMS.n + 1, "1"):
+        with pytest.raises(KeyError):
+            ops.coordinates[bad]
 
 
 def test_operators_module_keeps_no_store():
