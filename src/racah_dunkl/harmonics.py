@@ -1,17 +1,16 @@
 """Harmonic bases of the deformed Laplacian via one-variable extensions.
 
-A degree-k polynomial in m variables that is annihilated by the deformed
-Laplacian lifts to a harmonic polynomial in m+1 variables of prescribed
-parity in the new variable; the lift is a finite alternating sum whose
-j-th term carries the j-th Laplacian power.  Iterating the lift from the
-constants, interleaved with multiplications by squared norms, produces a
-basis of the degree-k harmonics in all n variables.  Each basis element
-is a joint eigenfunction of the tower of quadratic invariants attached to
-the prefixes of the variable order, with eigenvalues given in closed form
-by casimir_eigenvalue.  The lifts run on integer numerators over one
-denominator, the form a Polynomial holds, so each realized element,
-a HarmonicBasisElement, is its label and the Polynomial that wraps the
-last lift's numerators and denominator as they are.
+A degree-k harmonic in m variables lifts to a harmonic in m+1 variables
+of prescribed parity in the new variable, by a finite alternating sum
+over its Laplacian powers.  Iterating the lift from the constants,
+interleaved with multiplications by squared norms, gives a basis of the
+degree-k harmonics in n variables (the tower), whose elements are joint
+eigenfunctions of the prefix invariants with eigenvalues in closed form
+(casimir_eigenvalue).  The lifts run on integer numerators over one
+denominator, so each element is its label and a Polynomial wrapping
+those as they are.  The ck, lemma3 and eigen checks put the elements of
+degrees 0..kmax as the columns of one matrix H on a relations.DegreeSum
+and state each identity as one product sum on H, recorded per element.
 
 Labels are positional: for a label with variable order (o_1, .., o_n),
 epsilon[m] is the parity used when variable o_{m+1} is adjoined and
@@ -25,7 +24,7 @@ from itertools import product
 from math import comb, factorial, gcd
 from typing import Iterable, Iterator, Sequence
 
-from .linalg import matrix_rank
+from .linalg import RationalMatrix, matrix_rank, product_sum
 from .operators import (
     DunklOperators,
     LinearOperator,
@@ -36,7 +35,8 @@ from .operators import (
     norm_square_poly,
 )
 from .poly import Frozen, Monomial, ParameterSet, Polynomial, _set, monomial_basis
-from .report import Report, first_witness
+from .relations import DegreeSum
+from .report import Report
 
 
 def raising_factorial(x: Fraction, j: int) -> Fraction:
@@ -389,46 +389,28 @@ def casimir_eigenvalue(params: ParameterSet, label: HarmonicLabel, m: int) -> Fr
     return (d + gam) * (d + gam - 2) / 4
 
 
-def _add_power_action(
-    report: Report, index: tuple, lap: LinearOperator, nrm: Polynomial, gam: Fraction,
-    h: Polynomial,
-) -> None:
-    """Record the power action at index (ell, j, k, ...) on |x|^(2k) h.
-
-    A non-harmonic h fails with its Laplacian as the witness.
-    """
-    ell, j, k = index[:3]
-    lhs = nrm**k * h
-    for _ in range(j):
-        lhs = lap(lhs)
-    factor = (
-        Fraction(4) ** j
-        * falling_factorial(k, j)
-        * falling_factorial(ell + k - 1 + gam, j)
-    )
-    rhs = (nrm ** (k - j) * h).scale(factor)
-    report.add("laplacian-power-action", index, ell + 2 * k, first_witness([lap(h), lhs - rhs]))
-
-
-def _dunkl_laplacian(ops: DunklOperators, h: Polynomial) -> Polynomial:
-    """The sum of T_i(T_i(h)) over all i: the harmonicity oracle of verify ck,
-    which shares no code with the closed-form coefficients of operators.laplace."""
-    total = Polynomial.zero(ops.n)
-    for i in range(1, ops.n + 1):
-        t = ops.dunkl[i]
-        total = total + t(t(h))
-    return total
+def _dunkl_square_sums(space: DegreeSum, ops: DunklOperators, polys) -> list[str | None]:
+    """Per polynomial, sum_i T_i T_i of it as text, or None, from one product sum;
+    the T_i are materialized from their moves, apart from operators.laplace."""
+    k, h = space.kmax, space.columns(polys)
+    terms = []
+    for i in range(1, space.n + 1):
+        t = space.materialize(ops.dunkl[i])
+        terms.append((1, (space.lead(t, k - 2, k - 1), t, h)))
+    return space.column_witnesses(product_sum(terms))
 
 
 def verify_tower(params: ParameterSet, kmax: int) -> Report:
     """Tower bases are harmonic, correctly sized, and linearly independent."""
     n = params.n
-    ops = DunklOperators(params)
+    space = DegreeSum(n, kmax)
+    towers = [build_basis_tower(params, k) for k in space.degrees]
+    polys = [el.poly for elements in towers for el in elements]
+    laplacians = iter(_dunkl_square_sums(space, DunklOperators(params), polys))
     report = Report()
-    for k in range(kmax + 1):
-        elements = build_basis_tower(params, k)
-        witness = first_witness(_dunkl_laplacian(ops, el.poly) for el in elements)
-        report.add("tower-element-harmonic", (), k, witness)
+    for k, elements in enumerate(towers):
+        block = [next(laplacians) for _ in elements]
+        report.add("tower-element-harmonic", (), k, next(filter(None, block), None))
 
         expected = harmonic_space_dim(n, k)
         count = len(elements)
@@ -453,9 +435,9 @@ def verify_extension_restrictions(params: ParameterSet, kmax: int) -> Report:
     new = n
     ops = DunklOperators(params)
     lap_done = laplace(ops, range(1, n))
-    report = Report()
+    restrictions, inputs, lifts = [], [], []
     for k in range(kmax + 1):
-        even_bad = odd_bad = harm_bad = None
+        even_bad = odd_bad = None
         for exps in monomial_basis(n - 1, k):
             p = Polynomial.monomial(n, exps + (0,))
             ext0 = Polynomial._trusted(n, *_lift(params, lap_done, new, 0, p.terms, p.den))
@@ -464,13 +446,20 @@ def verify_extension_restrictions(params: ParameterSet, kmax: int) -> Report:
                 even_bad = p.to_text()
             if odd_bad is None and ext1.partial_derivative(new).restrict_to_zero(new) != p:
                 odd_bad = p.to_text()
-            if harm_bad is None and not (
-                _dunkl_laplacian(ops, ext0).is_zero and _dunkl_laplacian(ops, ext1).is_zero
-            ):
-                harm_bad = p.to_text()
+            inputs.append((k, p))
+            lifts += [ext0, ext1]
+        restrictions.append((even_bad, odd_bad))
+    # the odd lift of a degree-kmax input has degree kmax + 1
+    laplacians = _dunkl_square_sums(DegreeSum(n, kmax + 1), ops, lifts)
+    harm_bad = [None] * (kmax + 1)
+    for (k, p), even, odd in zip(inputs, laplacians[::2], laplacians[1::2]):
+        if harm_bad[k] is None and (even or odd):
+            harm_bad[k] = p.to_text()
+    report = Report()
+    for k, (even_bad, odd_bad) in enumerate(restrictions):
         report.add("extension-restriction-even", (), k, even_bad)
         report.add("extension-derivative-restriction-odd", (), k, odd_bad)
-        report.add("extension-harmonic", (), k, harm_bad)
+        report.add("extension-harmonic", (), k, harm_bad[k])
     return report
 
 
@@ -493,18 +482,28 @@ def verify_closed_form(params: ParameterSet, kmax: int) -> Report:
 def verify_spectral_action(
     params: ParameterSet, kmax: int, order: Sequence[int] | None = None
 ) -> Report:
-    """Prefix invariants act on every tower element by the closed eigenvalue."""
+    """Prefix invariants act on every tower element by the closed eigenvalue.
+
+    With the towers of degrees <= kmax the columns of H, each prefix
+    invariant C_m is one product sum C_m H - H Lambda_m, Lambda_m the
+    diagonal of the closed eigenvalues, read per element.
+    """
     n = params.n
     order = tuple(order) if order is not None else tuple(range(1, n + 1))
     ops = DunklOperators(params)
     invariants = {m: casimir(ops, order[:m]) for m in range(2, n + 1)}
+    space = DegreeSum(n, kmax)
+    elements = [el for k in space.degrees for el in build_basis_tower(params, k, order)]
+    labels, h = [el.label for el in elements], space.columns([el.poly for el in elements])
+    witnesses = []
+    for m, c in invariants.items():
+        values = RationalMatrix.diagonal([casimir_eigenvalue(params, label, m) for label in labels])
+        diff = product_sum([(1, (space.materialize(c), h)), (-1, (h, values))])
+        witnesses.append(space.column_witnesses(diff))
     report = Report()
-    for k in range(kmax + 1):
-        for el in build_basis_tower(params, k, order):
-            for m in range(2, n + 1):
-                value = casimir_eigenvalue(params, el.label, m)
-                witness = first_witness([invariants[m](el.poly) - el.poly.scale(value)])
-                report.add("spectral-action", (m, el.label.epsilon, el.label.ell), k, witness)
+    for label, column in zip(labels, zip(*witnesses)):
+        for m, witness in zip(invariants, column):
+            report.add("spectral-action", (m, label.epsilon, label.ell), label.degree, witness)
     return report
 
 
@@ -513,19 +512,37 @@ def verify_power_action_sweep(
 ) -> Report:
     """Laplacian-power identity over all tower harmonics and admissible j, k.
 
-    A tower element that is not harmonic fails every check it enters, with
-    its Laplacian as the witness.
+    With the towers of degrees ell <= ell_max the columns of H, each
+    0 <= j <= k <= k_max is one product sum Lap^j N^k H - N^(k-j) H D, N
+    the multiplication by |x|^2, D = 4^j (k)_j (ell + k - 1 + gamma)_j per
+    column.  A non-harmonic element fails every check, witnessed by Lap h.
     """
-    full = tuple(range(1, params.n + 1))
-    lap = laplace(DunklOperators(params), full)
-    nrm = norm_square_poly(full, params.n)
-    gam = gamma(params, full)
+    n = params.n
+    full = tuple(range(1, n + 1))
+    space = DegreeSum(n, ell_max, ell_max + 2 * k_max)
+    towers = [build_basis_tower(params, ell) for ell in space.degrees]
+    h = space.columns([el.poly for elements in towers for el in elements])
+    cols = [(ell, t) for ell, elements in enumerate(towers) for t in range(len(elements))]
+    ops = DunklOperators(params)
+    lap, nrm = space.materialize(laplace(ops, full)), space.materialize(norm_square_mul(full, n))
+    base = gamma(params, full) - 1  # ell + k - 1 + gamma is base + ell + k
+    lap_h = space.column_witnesses(space.lead(lap, ell_max - 2, ell_max) * h)
+    powers = [h]  # N^k H, with rows of degree <= ell_max + 2k
+    for top in range(ell_max + 2, ell_max + 2 * k_max + 1, 2):
+        powers.append(space.lead(nrm, top, top - 2) * powers[-1])
+    witnesses = {}
+    for k, lhs in enumerate(powers):
+        for j in range(k + 1):
+            top = ell_max + 2 * (k - j)
+            if j:  # Lap^j N^k H
+                lhs = space.lead(lap, top, top + 2) * lhs
+            d = RationalMatrix.diagonal([falling_factorial(base + ell + k, j) for ell, _ in cols])
+            terms = [(1, (lhs,)), (-(4**j) * falling_factorial(k, j), (powers[k - j], d))]
+            witnesses[j, k] = space.column_witnesses(product_sum(terms))
     report = Report()
-    for ell in range(ell_max + 1):
-        for t, el in enumerate(build_basis_tower(params, ell)):
-            for k in range(k_max + 1):
-                for j in range(k + 1):
-                    _add_power_action(report, (ell, j, k, t), lap, nrm, gam, el.poly)
+    for c, (ell, t) in enumerate(cols):
+        for (j, k), found in witnesses.items():
+            report.add("laplacian-power-action", (ell, j, k, t), ell + 2 * k, lap_h[c] or found[c])
     return report
 
 

@@ -1,31 +1,28 @@
 """Exhaustive verification of the symmetry-algebra identities.
 
-Every check here materializes the operators of an identity on the
-monomial bases of homogeneous degrees and forms the exact difference of
-its two sides.  A check is (relation, index tuple, shift, term list): its
-discrepancy, one signed sum of products of generator matrices, maps the
-direct sum of degrees 0..kmax to that of degrees shift..kmax + shift,
-block-diagonal by degree, and ``linalg.product_sum`` evaluates it once,
-over one denominator and without reduction.  An identity holds on that
-direct sum exactly when it holds on each degree.  A DegreeSum takes each
-operator once, on the degrees 0..top its checks reach, and reads every
-factor of a check as a leading block of that one matrix; it records
-every sweep through one routine, ``DegreeSum.report``.  A check fails on
-degree k exactly when it has a witness there: the first nonzero column of
-its discrepancy in the rows of degree k + shift, as a polynomial on that
-degree, each entry reduced on its own, so the report holds one check per
-degree.  The invariants, P_ij, F_ijm and L_ij preserve the degree (shift
-0); J+, J- and the full Laplacian change it, so the su(1,1) brackets and
-[C_A, Lap] read blocks of different degrees.  A RelationWorkspace is
-the DegreeSum of the racah sweep with its generators (pair invariants,
-P_ij, L_ij, L_ij^2, F_ijm and the diagonal factors) built once, since the
-same generators appear in many instantiated relations.
+Every check materializes the operators of an identity on the monomials
+of degrees 0..kmax, one direct sum (a DegreeSum), and forms the exact
+difference of its two sides as one ``linalg.product_sum``: a signed sum
+of products of matrices, block-diagonal by degree, over one denominator.
+A DegreeSum takes each operator once, on the ambient degrees 0..top its
+checks reach, and reads every factor as a leading block of that matrix;
+J+, J- and the full Laplacian change the degree, the other generators
+keep it.  Every ``verify`` suite records through a DegreeSum, and every
+witness is a column of a discrepancy, read as a polynomial by
+``DegreeSum.column_witnesses``.  ``DegreeSum.report`` takes checks
+(relation, index tuple, term list) and records one result per degree k,
+witnessed by the first nonzero column of degree k; the harmonic suites
+of harmonics.py read one witness per column of a matrix whose columns
+are the towers' polynomials (``DegreeSum.columns``).  A
+RelationWorkspace is the DegreeSum of the racah sweep with its
+generators (pair invariants, P_ij, L_ij, L_ij^2, F_ijm and the diagonal
+factors) built once.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate, chain, combinations, permutations
+from itertools import accumulate, chain, combinations, compress, permutations
 from math import lcm
 
 from .linalg import RationalMatrix, Term, product_sum
@@ -39,7 +36,7 @@ from .operators import (
     normalize_subset,
     su11_triple,
 )
-from .poly import ParameterSet, Polynomial, monomial_basis, subset_degrees
+from .poly import ParameterSet, Polynomial, monomial_basis, monomial_positions, subset_degrees
 from .report import Report
 
 # Degree bounds keeping full relation sweeps in seconds-to-minutes.
@@ -57,40 +54,15 @@ def nonempty_subsets(n: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _witnesses(n: int, blocks, diff: RationalMatrix) -> list[str | None]:
-    """Per degree of a discrepancy, its first nonzero column as a polynomial.
-
-    ``blocks`` gives, for each source degree in turn, the first row and
-    the monomial basis of the target degree it maps to.  The discrepancy
-    is block-diagonal by degree, so the first nonzero column met in a
-    block's rows lies in that source degree.  The column's integers are
-    read over diff.den and reduced, so a discrepancy that is not in
-    lowest terms gives the same text as its normalized form.
-    """
-    rows = diff.sparse_rows
-    if not any(rows):
-        return [None] * len(blocks)
-    out = []
-    for start, basis in blocks:
-        block = rows[start:start + len(basis)]
-        col = min((min(row) for row in block if row), default=None)
-        if col is None:
-            out.append(None)
-            continue
-        terms = {basis[i]: row[col] for i, row in enumerate(block) if col in row}
-        out.append(Polynomial._reduced(n, terms, diff.den).to_text())
-    return out
-
-
 class DegreeSum:
     """The monomials of degrees 0..kmax in n variables, as one direct sum.
 
     ``basis`` lists the degree-0 monomials, then the degree-1 ones, and so
     on, in the ambient order that runs up to degree ``top`` (kmax by
     default); ``ends[d]`` counts the ambient monomials of degree below d.
-    A check is (relation, index tuple, shift, term list): its discrepancy,
-    the term list's product sum, maps degrees 0..kmax to the ambient
-    degrees 0..kmax + shift.  A kmax below 0 gives no degree.
+    A check is (relation, index tuple, term list): its discrepancy, the
+    term list's product sum, maps degrees 0..kmax to ambient degrees.  A
+    kmax below 0 gives no degree.
     """
 
     def __init__(self, n: int, kmax: int, top: int | None = None):
@@ -138,26 +110,45 @@ class DegreeSum:
         r, c = self.ends[max(rows + 1, 0)], self.ends[max(cols + 1, 0)]
         return RationalMatrix.from_sparse(matrix.sparse_rows[:r], matrix.den, c)
 
+    def columns(self, polys) -> RationalMatrix:
+        """Homogeneous polynomials of degree <= kmax as columns on the ambient rows."""
+        den = lcm(1, *(p.den for p in polys))
+        rows: list[dict[int, int]] = [{} for _ in range(self.dim)]
+        for j, p in enumerate(polys):
+            scale = den // p.den
+            for exps, x in p.terms.items():
+                d = sum(exps)
+                rows[self.ends[d] + monomial_positions(self.n, d)[exps]][j] = x * scale
+        return RationalMatrix.from_sparse(rows, den, len(polys))
+
+    def column_witnesses(self, diff: RationalMatrix) -> list[str | None]:
+        """Per column of a matrix on the ambient rows, its polynomial's text, or None."""
+        cols: list[dict] = [{} for _ in range(diff.ncols)]
+        monomials = chain.from_iterable(monomial_basis(self.n, d) for d in range(self.top + 1))
+        for exps, row in compress(zip(monomials, diff.sparse_rows), diff.sparse_rows):
+            for j in row:
+                cols[j][exps] = row[j]
+        return [Polynomial._reduced(self.n, c, diff.den).to_text() if c else None for c in cols]
+
     def report(self, groups) -> Report:
         """Each check of each group summed once and recorded once per degree.
 
         The groups are recorded in turn, each degree-major: all its checks
         on degree 0, then on degree 1, and so on, each degree in the
-        group's order.  A check's witness on degree k is read in the rows
-        of degree k + shift, at their ambient offset.
+        group's order.  A check's witness on degree k is the first of its
+        columns of degree k that ``column_witnesses`` reads as nonzero.
         """
-        targets: dict[int, list] = {}
+        spans = [(self.ends[k], self.ends[k + 1]) for k in self.degrees]
+        held = [None] * len(spans)
         report = Report()
         for group in groups:
             witnessed = []
-            for relation, idx, shift, terms in group:
-                blocks = targets.get(shift)
-                if blocks is None:
-                    blocks = targets[shift] = [
-                        (self.ends[max(k + shift, 0)], monomial_basis(self.n, k + shift))
-                        for k in self.degrees
-                    ]
-                witnessed.append((relation, idx, _witnesses(self.n, blocks, product_sum(terms))))
+            for relation, idx, terms in group:
+                diff, witnesses = product_sum(terms), held
+                if not diff.is_zero:
+                    cols = self.column_witnesses(diff)
+                    witnesses = [next(filter(None, cols[a:b]), None) for a, b in spans]
+                witnessed.append((relation, idx, witnesses))
             for k in self.degrees:
                 for relation, idx, witnesses in witnessed:
                     report.add(relation, idx, k, witnesses[k])
@@ -263,9 +254,9 @@ def _su11_brackets(space: DegreeSum, ops: DunklOperators, A: tuple[int, ...]):
     k, lead = space.kmax, space.lead
     a0_0, a0_down = lead(a0_up, k, k), lead(a0_up, k - 2, k - 2)
     jp_down, jm_0 = lead(jp_0, k, k - 2), lead(jm_up, k - 2, k)
-    yield "su11-raising", A, 2, [(1, (a0_up, jp_0)), (-1, (jp_0, a0_0)), (-1, (jp_0,))]
-    yield "su11-lowering", A, -2, [(1, (a0_down, jm_0)), (-1, (jm_0, a0_0)), (1, (jm_0,))]
-    yield "su11-bracket", A, 0, [(1, (jm_up, jp_0)), (-1, (jp_down, jm_0)), (-2, (a0_0,))]
+    yield "su11-raising", A, [(1, (a0_up, jp_0)), (-1, (jp_0, a0_0)), (-1, (jp_0,))]
+    yield "su11-lowering", A, [(1, (a0_down, jm_0)), (-1, (jm_0, a0_0)), (1, (jm_0,))]
+    yield "su11-bracket", A, [(1, (jm_up, jp_0)), (-1, (jp_down, jm_0)), (-2, (a0_0,))]
 
 
 def verify_racah_relations(params: ParameterSet, kmax: int) -> Report:
@@ -308,7 +299,7 @@ def _single_invariant_form(ws: RelationWorkspace):
     # generic quadratic invariant of one index vs its reflection closed form
     for i in range(1, ws.n + 1):
         ci = ws.materialize(casimir(ws.ops, (i,)))
-        yield "single-invariant-closed-form", (i,), 0, [(1, (ci,)), (-1, (ws.c1(i),))]
+        yield "single-invariant-closed-form", (i,), [(1, (ci,)), (-1, (ws.c1(i),))]
 
 
 def _pair_invariant_form(ws: RelationWorkspace):
@@ -320,7 +311,7 @@ def _pair_invariant_form(ws: RelationWorkspace):
         square = ws.parity_diagonal(
             (i, j), lambda ri, rj: mu_i * mu_i + mu_j * mu_j + 2 * mu_i * mu_j * ri * rj
         )
-        yield "pair-invariant-angular-form", (i, j), 0, [
+        yield "pair-invariant-angular-form", (i, j), [
             (4, (ws.cp(i, j),)), (1, (ws.l2(i, j),)), (-1, (square,)), (1, (one,)),
         ]
 
@@ -333,7 +324,7 @@ def _subset_additivity(ws: RelationWorkspace):
             terms = [(1, (ca,))]
             terms += [(-1, (ws.cp(i, j),)) for i, j in combinations(A, 2)]
             terms += [(size - 2, (ws.c1(i),)) for i in A]
-            yield "subset-additivity", A, 0, terms
+            yield "subset-additivity", A, terms
 
 
 def _f_from_angular(ws: RelationWorkspace):
@@ -344,14 +335,14 @@ def _f_from_angular(ws: RelationWorkspace):
         i, j, m = idx
         if i > m:
             continue
-        yield "f-from-angular-momentum", idx, 0, [
+        yield "f-from-angular-momentum", idx, [
             (1, (ws.f(i, j, m),)),
             (-sixteenth, (ws.l2(i, j), ws.refl(m))),
             (sixteenth, (ws.l2(i, m), ws.refl(j))),
             (sixteenth, (ws.l2(j, m), ws.refl(i))),
             (-2 * sixteenth, (ws.l_mat[(i, m)], ws.l_mat[(i, j)], ws.l_mat[(j, m)])),
         ]
-        yield "f-antisymmetry", idx, 0, [(1, (ws.f(m, j, i),)), (1, (ws.f(i, j, m),))]
+        yield "f-antisymmetry", idx, [(1, (ws.f(m, j, i),)), (1, (ws.f(i, j, m),))]
 
 
 def _triple_relation(ws: RelationWorkspace):
@@ -359,7 +350,7 @@ def _triple_relation(ws: RelationWorkspace):
     for idx in permutations(range(1, ws.n + 1), 3):
         i, j, m = idx
         p_ij, p_im, p_jm = ws.p(i, j), ws.p(i, m), ws.p(j, m)
-        yield "triple-relation", idx, 0, _commutator(p_jm, ws.f(i, j, m)) + [
+        yield "triple-relation", idx, _commutator(p_jm, ws.f(i, j, m)) + [
             (-1, (p_im, p_jm)),
             (1, (p_jm, p_ij)),
             (-2, (p_im, ws.c1(j))),
@@ -371,7 +362,7 @@ def _quad_pf_relation(ws: RelationWorkspace):
     # [P_ml, F_ijm] = P_im P_jl - P_il P_jm
     for idx in permutations(range(1, ws.n + 1), 4):
         i, j, m, l = idx
-        yield "quad-pf-relation", idx, 0, _commutator(ws.p(m, l), ws.f(i, j, m)) + [
+        yield "quad-pf-relation", idx, _commutator(ws.p(m, l), ws.f(i, j, m)) + [
             (-1, (ws.p(i, m), ws.p(j, l))),
             (1, (ws.p(i, l), ws.p(j, m))),
         ]
@@ -382,7 +373,7 @@ def _quad_ff_relation(ws: RelationWorkspace):
     for idx in permutations(range(1, ws.n + 1), 4):
         i, j, m, l = idx
         f_ijm, f_jml, f_iml = ws.f(i, j, m), ws.f(j, m, l), ws.f(i, m, l)
-        yield "quad-ff-relation", idx, 0, _commutator(f_ijm, f_jml) + [
+        yield "quad-ff-relation", idx, _commutator(f_ijm, f_jml) + [
             (-1, (f_jml, ws.p(i, j))),
             (1, (f_iml, ws.p(j, m))),
             (2, (f_iml, ws.c1(j))),
@@ -394,7 +385,7 @@ def _quint_ff_relation(ws: RelationWorkspace):
     # [F_ijm, F_mlq] = F_ilq P_jm - P_im F_jlq
     for idx in permutations(range(1, ws.n + 1), 5):
         i, j, m, l, q = idx
-        yield "quint-ff-relation", idx, 0, _commutator(ws.f(i, j, m), ws.f(m, l, q)) + [
+        yield "quint-ff-relation", idx, _commutator(ws.f(i, j, m), ws.f(m, l, q)) + [
             (-1, (ws.f(i, l, q), ws.p(j, m))),
             (1, (ws.p(i, m), ws.f(j, l, q))),
         ]
@@ -407,14 +398,14 @@ def _drinfeld_kohno(n: int, c_pair: dict[frozenset, RationalMatrix]):
     for i, j in combinations(range(1, n + 1), 2):
         for m, l in combinations(range(1, n + 1), 2):
             if (i, j) < (m, l) and not {i, j} & {m, l}:
-                yield "disjoint-pairs-commute", (i, j, m, l), 0, _commutator(cp(i, j), cp(m, l))
+                yield "disjoint-pairs-commute", (i, j, m, l), _commutator(cp(i, j), cp(m, l))
     for i, j in combinations(range(1, n + 1), 2):
         for m in range(1, n + 1):
             if m in (i, j):
                 continue
             # [C_ij, C_im + C_jm]
             terms = _commutator(cp(i, j), cp(i, m)) + _commutator(cp(i, j), cp(j, m))
-            yield "adjacent-pair-sum-commutes", (i, j, m), 0, terms
+            yield "adjacent-pair-sum-commutes", (i, j, m), terms
 
 
 def verify_drinfeld_kohno(params: ParameterSet, kmax: int) -> Report:
@@ -450,7 +441,7 @@ def _laplacian_commutator(space: DegreeSum, ca: LinearOperator, A: tuple[int, ..
     # C_A Lap - Lap C_A, from degrees 0..kmax to degrees 0..kmax - 2
     ca_0 = space.materialize(ca)
     ca_below = space.lead(ca_0, space.kmax - 2, space.kmax - 2)
-    yield "invariant-commutes-with-laplacian", A, -2, [(1, (ca_below, lap)), (-1, (lap, ca_0))]
+    yield "invariant-commutes-with-laplacian", A, [(1, (ca_below, lap)), (-1, (lap, ca_0))]
 
 
 def verify_nested_disjoint_commute(params: ParameterSet, kmax: int) -> Report:
@@ -473,7 +464,7 @@ def _nested_disjoint_commutators(mats: dict[tuple[int, ...], RationalMatrix]):
                 relation = "disjoint-invariants-commute"
             else:
                 continue
-            yield relation, (A, B), 0, _commutator(mats[A], mats[B])
+            yield relation, (A, B), _commutator(mats[A], mats[B])
 
 
 def verify_embedding(
@@ -521,17 +512,17 @@ def _embedding_relations(blocks, mat):
             (-1, (b, c)), (1, (b, c_klm)), (1, (a, c)), (-1, (a, c_klm)),
         ]
 
-    yield "embedding-additivity", blocks, 0, [
+    yield "embedding-additivity", blocks, [
         (1, (c_klm,)), (-1, (c_kl,)), (-1, (c_km,)), (-1, (c_lm,)),
         (1, (c_k,)), (1, (c_l,)), (1, (c_m,)),
     ]
     # 2F - [C_KM, C_KL] and 2F - [C_LM, C_KM]
-    yield "embedding-f-consistency-1", blocks, 0, (
+    yield "embedding-f-consistency-1", blocks, (
         _commutator(c_kl, c_lm) + _commutator(c_km, c_kl, -1)
     )
-    yield "embedding-f-consistency-2", blocks, 0, (
+    yield "embedding-f-consistency-2", blocks, (
         _commutator(c_kl, c_lm) + _commutator(c_lm, c_km, -1)
     )
-    yield "embedding-equitable-1", blocks, 0, equitable(c_kl, c_lm, c_km, c_k, c_l, c_m)
-    yield "embedding-equitable-2", blocks, 0, equitable(c_lm, c_km, c_kl, c_l, c_m, c_k)
-    yield "embedding-equitable-3", blocks, 0, equitable(c_km, c_kl, c_lm, c_m, c_k, c_l)
+    yield "embedding-equitable-1", blocks, equitable(c_kl, c_lm, c_km, c_k, c_l, c_m)
+    yield "embedding-equitable-2", blocks, equitable(c_lm, c_km, c_kl, c_l, c_m, c_k)
+    yield "embedding-equitable-3", blocks, equitable(c_km, c_kl, c_lm, c_m, c_k, c_l)

@@ -18,17 +18,8 @@ from __future__ import annotations
 
 import json
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Iterable
 
-from .poly import Frozen, Polynomial, Record, _set
-
-
-def first_witness(discrepancies: Iterable[Polynomial]) -> str | None:
-    """Text of the first nonzero polynomial of a lazy stream, else None.
-
-    The stream is consumed only up to its first nonzero member.
-    """
-    return next((d.to_text() for d in discrepancies if not d.is_zero), None)
+from .poly import Frozen, Record, _set
 
 
 class CheckResult(Frozen):

@@ -27,7 +27,16 @@ of one:
   dens;
 * ``reference_product_sum`` is ``linalg.product_sum`` as it was written
   before its row walk read only stored entries: every row, empty or not,
-  is tested in Python, and every row is read through ``.items()``.
+  is tested in Python, and every row is read through ``.items()``;
+* ``reference_tower``, ``reference_extension_restrictions``,
+  ``reference_spectral_action`` and ``reference_power_action_sweep`` are
+  the ck, eigen and lemma3 checks as they were written before they became
+  product sums on one tower matrix: each applies the operators to every
+  element's Polynomial and records its first nonzero discrepancy
+  (``first_witness``), with the Dunkl Laplacian sum_i T_i(T_i(h))
+  (``dunkl_laplacian_of``) and one power-action check at a time
+  (``add_power_action``).  They look up ``build_basis_tower`` and
+  ``casimir_eigenvalue`` here, so a test patches both routes.
 """
 
 from __future__ import annotations
@@ -35,7 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from racah_dunkl import (
     ConnectionMatrix,
@@ -49,6 +58,8 @@ from racah_dunkl import (
     build_basis_tower,
     casimir,
     casimir_eigenvalue,
+    harmonic_space_dim,
+    laplace,
     materialize,
     materialize_on_monomials,
     monomial_basis,
@@ -61,7 +72,8 @@ from racah_dunkl import (
     spectral_data,
 )
 from racah_dunkl import connection, relations
-from racah_dunkl.linalg import Term, product_sum
+from racah_dunkl.harmonics import _lift, falling_factorial
+from racah_dunkl.linalg import Term, matrix_rank, product_sum
 from racah_dunkl.operators import LinearOperator, gamma, normalize_subset
 from racah_dunkl.report import Report
 
@@ -534,3 +546,138 @@ def reference_product_sum(terms: Sequence[Term]) -> RationalMatrix:
         if not all(acc.values()):  # drop entries that cancelled
             out[i] = {j: v for j, v in acc.items() if v} if any(acc.values()) else {}
     return RationalMatrix.from_sparse(out, den, shape[1])
+
+
+# -- the per-element harmonic suites -------------------------------------------
+
+
+def first_witness(discrepancies: Iterable[Polynomial]) -> str | None:
+    """Text of the first nonzero polynomial of a lazy stream, else None.
+
+    The stream is consumed only up to its first nonzero member.
+    """
+    return next((d.to_text() for d in discrepancies if not d.is_zero), None)
+
+
+def add_power_action(
+    report: Report, index: tuple, lap: LinearOperator, nrm: Polynomial, gam: Fraction,
+    h: Polynomial,
+) -> None:
+    """Record the power action at index (ell, j, k, ...) on |x|^(2k) h.
+
+    A non-harmonic h fails with its Laplacian as the witness.
+    """
+    ell, j, k = index[:3]
+    lhs = nrm**k * h
+    for _ in range(j):
+        lhs = lap(lhs)
+    factor = (
+        Fraction(4) ** j
+        * falling_factorial(k, j)
+        * falling_factorial(ell + k - 1 + gam, j)
+    )
+    rhs = (nrm ** (k - j) * h).scale(factor)
+    report.add("laplacian-power-action", index, ell + 2 * k, first_witness([lap(h), lhs - rhs]))
+
+
+def dunkl_laplacian_of(ops: DunklOperators, h: Polynomial) -> Polynomial:
+    """The sum of T_i(T_i(h)) over all i: the harmonicity oracle of verify ck,
+    which shares no code with the closed-form coefficients of operators.laplace."""
+    total = Polynomial.zero(ops.n)
+    for i in range(1, ops.n + 1):
+        t = ops.dunkl[i]
+        total = total + t(t(h))
+    return total
+
+
+def reference_tower(params: ParameterSet, kmax: int) -> Report:
+    """Tower bases are harmonic, correctly sized, and linearly independent."""
+    n = params.n
+    ops = DunklOperators(params)
+    report = Report()
+    for k in range(kmax + 1):
+        elements = build_basis_tower(params, k)
+        witness = first_witness(dunkl_laplacian_of(ops, el.poly) for el in elements)
+        report.add("tower-element-harmonic", (), k, witness)
+
+        expected = harmonic_space_dim(n, k)
+        count = len(elements)
+        report.add("tower-count", (), k, None if count == expected else f"{count} != {expected}")
+
+        rank = matrix_rank([el.poly.terms for el in elements])
+        witness = None if rank == count else f"rank {rank} < {count}"
+        report.add("tower-linear-independence", (), k, witness)
+    return report
+
+
+def reference_extension_restrictions(params: ParameterSet, kmax: int) -> Report:
+    """Injectivity witnesses of the extension maps, on every monomial input.
+
+    The even extension restricts back to its input at x_new = 0; the odd
+    extension does so after one derivative in the new variable; both
+    extensions land in the kernel of the full Laplacian, sum_i T_i T_i.
+    """
+    n = params.n
+    if n < 2:
+        raise ValueError("extensions need at least two variables")
+    new = n
+    ops = DunklOperators(params)
+    lap_done = laplace(ops, range(1, n))
+    report = Report()
+    for k in range(kmax + 1):
+        even_bad = odd_bad = harm_bad = None
+        for exps in monomial_basis(n - 1, k):
+            p = Polynomial.monomial(n, exps + (0,))
+            ext0 = Polynomial._trusted(n, *_lift(params, lap_done, new, 0, p.terms, p.den))
+            ext1 = Polynomial._trusted(n, *_lift(params, lap_done, new, 1, p.terms, p.den))
+            if even_bad is None and ext0.restrict_to_zero(new) != p:
+                even_bad = p.to_text()
+            if odd_bad is None and ext1.partial_derivative(new).restrict_to_zero(new) != p:
+                odd_bad = p.to_text()
+            if harm_bad is None and not (
+                dunkl_laplacian_of(ops, ext0).is_zero and dunkl_laplacian_of(ops, ext1).is_zero
+            ):
+                harm_bad = p.to_text()
+        report.add("extension-restriction-even", (), k, even_bad)
+        report.add("extension-derivative-restriction-odd", (), k, odd_bad)
+        report.add("extension-harmonic", (), k, harm_bad)
+    return report
+
+
+def reference_spectral_action(
+    params: ParameterSet, kmax: int, order: Sequence[int] | None = None
+) -> Report:
+    """Prefix invariants act on every tower element by the closed eigenvalue."""
+    n = params.n
+    order = tuple(order) if order is not None else tuple(range(1, n + 1))
+    ops = DunklOperators(params)
+    invariants = {m: casimir(ops, order[:m]) for m in range(2, n + 1)}
+    report = Report()
+    for k in range(kmax + 1):
+        for el in build_basis_tower(params, k, order):
+            for m in range(2, n + 1):
+                value = casimir_eigenvalue(params, el.label, m)
+                witness = first_witness([invariants[m](el.poly) - el.poly.scale(value)])
+                report.add("spectral-action", (m, el.label.epsilon, el.label.ell), k, witness)
+    return report
+
+
+def reference_power_action_sweep(
+    params: ParameterSet, ell_max: int, k_max: int
+) -> Report:
+    """Laplacian-power identity over all tower harmonics and admissible j, k.
+
+    A tower element that is not harmonic fails every check it enters, with
+    its Laplacian as the witness.
+    """
+    full = tuple(range(1, params.n + 1))
+    lap = laplace(DunklOperators(params), full)
+    nrm = norm_square_poly(full, params.n)
+    gam = gamma(params, full)
+    report = Report()
+    for ell in range(ell_max + 1):
+        for t, el in enumerate(build_basis_tower(params, ell)):
+            for k in range(k_max + 1):
+                for j in range(k + 1):
+                    add_power_action(report, (ell, j, k, t), lap, nrm, gam, el.poly)
+    return report

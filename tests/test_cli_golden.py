@@ -45,6 +45,11 @@ STDOUT_GOLDEN = (
      "da755b2ab9c5bff9e242d665342e0c875d6b31a3967bbd5771f392adef416529"),
     ("verify eigen --n 3 --kmax 2 --mu 3/7,1000000,3/7 --order 2,3,1", 0,
      "053f8cbb57df85e4a161a58b82497dd0c4d6c937054888442198f04bad217867"),
+    # several columns and degrees per check: the order of the per-element records
+    ("verify eigen --n 4 --kmax 3 --mu 3/7,1000000,3/7,2 --order 4,2,3,1", 0,
+     "7f964706f8fa9cc9a009b613c0729adc153446ce1bdcb0e62f6101c75b06c38c"),
+    ("verify lemma3 --n 3 --kmax 2 --mu 7,1/9,1000000", 0,
+     "cfd627fbf6a6eab0d52bdb3951d68da43f1ea24cdc849226ccca0a26e6b802d4"),
     ("connect --n 3 --k 3 --from 1,2,3 --to 2,3,1", 0,
      "e6f87cb6a409430541e6815ed09eacecef49fa2b8a173a3cd8d12201036672a8"),
     ("connect --n 3 --k 2 --mu 7,1/9,1000000 --from 1,2,3 --to 1,3,2", 0,

@@ -36,7 +36,7 @@ from racah_dunkl import (
 from racah_dunkl import harmonics
 from racah_dunkl.report import Report
 
-from reference import fischer_decompose, from_text, module_basis, reflect
+from reference import add_power_action, fischer_decompose, from_text, module_basis, reflect
 from report_helpers import failures
 
 P3 = ParameterSet.make(["1/2", "1/3", "1/4"])
@@ -593,11 +593,11 @@ def test_fischer_decompose_requires_homogeneous():
 
 
 def power_action(params: ParameterSet, h: Polynomial, ell: int, j: int, k: int) -> Report:
-    """The one power-action check at (ell, j, k) on |x|^(2k) h, as the sweep records it."""
+    """The one power-action check at (ell, j, k) on |x|^(2k) h, by the per-element route."""
     full = tuple(range(1, params.n + 1))
     lap = laplace(DunklOperators(params), full)
     report = Report()
-    harmonics._add_power_action(
+    add_power_action(
         report, (ell, j, k), lap, norm_square_poly(full, params.n), gamma(params, full), h
     )
     return report

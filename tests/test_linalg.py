@@ -23,8 +23,7 @@ from racah_dunkl import (
     solve_in_span,
 )
 from racah_dunkl.linalg import _elimination_rows, _gauss_jordan, product_sum
-from racah_dunkl.poly import monomial_basis
-from racah_dunkl.relations import _witnesses
+from racah_dunkl.relations import DegreeSum
 
 from reference import block_diagonal, reference_product_sum
 
@@ -112,7 +111,7 @@ def test_product_drops_cancelled_entries():
     assert (a * b).sparse_rows == [{1: 2}, {0: 2}]
     cancelled = RationalMatrix([[1, 1]]) * RationalMatrix([[1], [-1]])
     assert cancelled.sparse_rows == [{}]
-    assert cancelled.is_zero and _witnesses(2, [(0, monomial_basis(2, 0))], cancelled) == [None]
+    assert cancelled.is_zero and DegreeSum(2, 0).column_witnesses(cancelled) == [None]
 
 
 def test_scale_and_equality_cross_denominator():
@@ -297,8 +296,8 @@ def test_zero_test_first_column_and_dense_views(data):
     m = RationalMatrix.from_fractions(a)
     assert_lowest_terms(m)
     assert m.is_zero == (not any(any(row) for row in a))
-    blocks = [(0, monomial_basis(2, r - 1))]  # r monomials
-    assert _witnesses(2, blocks, m) == reference_witnesses(2, blocks, a)
+    space = DegreeSum(2, r)  # at least r ambient monomials
+    assert space.column_witnesses(m) == reference_witnesses(2, space.basis, a, c)
     view = m.rows
     assert all(isinstance(x, int) for row in view for x in row)
     assert [[Fraction(x, m.den) for x in row] for row in view] == a
@@ -347,17 +346,13 @@ def product_terms(draw):
     return (r, c), terms, values
 
 
-def reference_witnesses(n, blocks, dense_matrix):
-    """Per row block (first row, monomial basis), the first column nonzero in
-    the block's rows, as the polynomial of that column on the basis."""
+def reference_witnesses(n, basis, dense_matrix, ncols):
+    """Per column, the polynomial of its entries on the basis (row i on
+    basis[i]) as text, or None for a zero column."""
     out = []
-    for start, basis in blocks:
-        rows = dense_matrix[start:start + len(basis)]
-        ncols = len(rows[0]) if rows else 0
-        col = next((j for j in range(ncols) if any(row[j] for row in rows)), None)
-        out.append(None if col is None else Polynomial(
-            n, {basis[i]: row[col] for i, row in enumerate(rows)}
-        ).to_text())
+    for j in range(ncols):
+        p = Polynomial(n, {basis[i]: row[j] for i, row in enumerate(dense_matrix)})
+        out.append(None if p.is_zero else p.to_text())
     return out
 
 
@@ -385,15 +380,14 @@ def test_product_sum_matches_dense_reference(drawn):
     cancelled = product_sum(terms + [(-coeff, fs) for coeff, fs in terms])
     assert cancelled.sparse_rows == [{} for _ in range(r)]
     assert cancelled.is_zero
-    # the witness of each block of a block-diagonal discrepancy (the sum, an
-    # all-zero block and the sum that cancels) is its first nonzero column,
-    # and it reads the same whether or not the discrepancy is reduced
+    # each column of a block-diagonal discrepancy (the sum, an all-zero
+    # block and the sum that cancels) reads as the polynomial of its entries
+    # on the ambient monomials, the same whether or not it is reduced
     zero = RationalMatrix.from_sparse([{}, {}], 1, 2)
-    basis = monomial_basis(2, r - 1)  # r monomials
-    blocks = [(0, basis), (r, monomial_basis(2, 1)), (r + 2, basis)]
-    want_witnesses = reference_witnesses(2, [(0, basis)], want) + [None, None]
-    assert _witnesses(2, blocks, block_diagonal([got, zero, cancelled])) == want_witnesses
-    assert _witnesses(2, blocks, block_diagonal([norm, zero, cancelled])) == want_witnesses
+    space = DegreeSum(2, 2 * r + 2)  # at least 2r + 2 ambient monomials
+    want_witnesses = reference_witnesses(2, space.basis, want, c) + [None] * (2 + c)
+    assert space.column_witnesses(block_diagonal([got, zero, cancelled])) == want_witnesses
+    assert space.column_witnesses(block_diagonal([norm, zero, cancelled])) == want_witnesses
 
 
 def test_product_sum_rejects_mismatched_shapes():

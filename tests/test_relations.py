@@ -34,7 +34,7 @@ from racah_dunkl import (
 from racah_dunkl import cli, relations
 from racah_dunkl.linalg import product_sum
 from racah_dunkl.poly import Polynomial, monomial_basis
-from racah_dunkl.relations import DegreeSum, RelationWorkspace, _witnesses, nonempty_subsets
+from racah_dunkl.relations import DegreeSum, RelationWorkspace, nonempty_subsets
 from racah_dunkl.report import CheckResult, Report
 
 from reference import block_diagonal, per_degree_laplacian_commute, per_degree_su11
@@ -149,8 +149,8 @@ def test_report_json_shape():
 
 
 def test_failure_witness_is_first_nonzero_column():
-    # degree-2 monomials of three variables: x1^2, x1x2, x1x3, x2^2, x2x3, x3^2
-    basis = monomial_basis(3, 2)
+    # rows: the degree-2 monomials x1^2, x1x2, x1x3, x2^2, x2x3, x3^2
+    assert monomial_basis(3, 2)[:3] == ((2, 0, 0), (1, 1, 0), (1, 0, 1))
     diff = RationalMatrix(
         [
             [0, 0, 0, 0, 9, 0],
@@ -163,12 +163,6 @@ def test_failure_witness_is_first_nonzero_column():
         12,
     )
     witness = "-1/6 * x1 x3 + 5/2 * x2^2 + -2 * x3^2"
-    assert _witnesses(3, [(0, basis)], diff) == [witness]
-    # the same discrepancy reached through sparse arithmetic gives the same witness
-    shifted = diff + RationalMatrix.identity(6).scale(Fraction(1, 5))
-    back = shifted - RationalMatrix.identity(6).scale(Fraction(1, 5))
-    assert _witnesses(3, [(0, basis)], back) == [witness]
-    # the recording loop keeps the witness and derives the status from it;
     # each discrepancy sits in the degree-2 block of degrees 0..2 (rows and
     # columns 4..9), so degrees 0 and 1 hold
     space = DegreeSum(3, 2)
@@ -177,9 +171,18 @@ def test_failure_witness_is_first_nonzero_column():
     def on_degree_2(m):
         return block_diagonal(below + [m])
 
+    columns = space.column_witnesses(on_degree_2(diff))
+    assert columns[:5] == [None] * 5 and columns[5] == witness
+    assert columns[6:] == [None, "7 * x1 x2", "3/4 * x1^2", None]
+    # the same discrepancy reached through sparse arithmetic gives the same witnesses
+    shifted = diff + RationalMatrix.identity(6).scale(Fraction(1, 5))
+    back = shifted - RationalMatrix.identity(6).scale(Fraction(1, 5))
+    assert space.column_witnesses(on_degree_2(back)) == columns
+    # the recording loop keeps the first nonzero column of each degree as the
+    # witness and derives the status from it
     report = space.report([[
-        ("triple-relation", (1, 2, 3), 0, [(1, (on_degree_2(back),))]),
-        ("triple-relation", (1, 2, 3), 0, [(1, (on_degree_2(diff),)), (-1, (on_degree_2(diff),))]),
+        ("triple-relation", (1, 2, 3), [(1, (on_degree_2(back),))]),
+        ("triple-relation", (1, 2, 3), [(1, (on_degree_2(diff),)), (-1, (on_degree_2(diff),))]),
     ]])
     assert all(r.ok for r in report if r.degree < 2)
     assert [r for r in report if r.degree == 2] == [
@@ -370,7 +373,7 @@ def reference_racah_relations(params: ParameterSet, kmax: int) -> Report:
         ws = ReferenceWorkspace(ops, k)
         checks = [check for family in families for check in family(ws)]
         checks += relations._drinfeld_kohno(n, ws.c_pair)
-        for relation, idx, _, terms in checks:
+        for relation, idx, terms in checks:
             report.add(relation, idx, k, reference_witness(n, ws.basis, product_sum(terms)))
     return report
 

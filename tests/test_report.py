@@ -1,13 +1,11 @@
 """Report records: a check fails exactly when it carries a witness."""
 
 import json
-from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from racah_dunkl import Polynomial
-from racah_dunkl.report import CheckResult, Report, first_witness
+from racah_dunkl.report import CheckResult, Report
 
 from report_helpers import failures
 
@@ -37,17 +35,6 @@ def test_ok_entries_serialize_without_a_witness_key():
             "first_discrepancy_polynomial": "2 != 3",
         },
     ]
-
-
-def test_first_witness_stops_at_the_first_nonzero_polynomial():
-    def stream():
-        yield Polynomial.zero(2)
-        yield Polynomial.variable(2, 1).scale(Fraction(-3, 2))
-        raise AssertionError("read past the first nonzero polynomial")
-
-    assert first_witness(stream()) == "-3/2 * x1"
-    assert first_witness([Polynomial.zero(2)]) is None
-    assert first_witness([]) is None
 
 
 def oracle_text(report: Report) -> str:

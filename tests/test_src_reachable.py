@@ -22,7 +22,7 @@ SRC = ROOT / "src" / "racah_dunkl"
 
 # definitions kept although no root reaches them, each with its reason
 KEEP = {
-    "connection.fischer_pairing": "the orthogonality suite of ROADMAP item 5 builds on it",
+    "connection.fischer_pairing": "the orthogonality suite of ROADMAP item 7 builds on it",
     "harmonics.ck_extend": "the input-checked entry to the lift that the tower runs unchecked",
     "linalg.RationalMatrix.from_fractions": "the constructor from dense Fraction rows that "
     "the tests build matrices with",
