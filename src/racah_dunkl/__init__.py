@@ -39,13 +39,10 @@ from .harmonics import (
     dimension_table,
     enumerate_labels,
     harmonic_space_dim,
-    jacobi_closed_form,
     poly_space_dim,
-    verify_closed_form,
-    verify_extension_restrictions,
+    verify_ck,
     verify_power_action_sweep,
     verify_spectral_action,
-    verify_tower,
 )
 from .linalg import InconsistentSystem, RationalMatrix, matrix_rank, solve_in_span
 from .operators import (
@@ -60,7 +57,6 @@ from .operators import (
     materialize,
     materialize_on_monomials,
     norm_square_mul,
-    norm_square_poly,
     normalize_subset,
     su11_triple,
 )

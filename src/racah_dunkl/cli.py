@@ -44,11 +44,9 @@ from .harmonics import (
     build_basis_tower,
     casimir_eigenvalue,
     dimension_table,
-    verify_closed_form,
-    verify_extension_restrictions,
+    verify_ck,
     verify_power_action_sweep,
     verify_spectral_action,
-    verify_tower,
 )
 from .operators import DunklOperators, casimir
 from .poly import Frozen, ParameterSet
@@ -128,11 +126,6 @@ def _emit_text(text: str, args) -> None:
         sys.stdout.write(text)
 
 
-def _run_ck(params: ParameterSet, kmax: int, args) -> Report:
-    checks = (verify_tower, verify_extension_restrictions, verify_closed_form)
-    return Report([result for check in checks for result in check(params, kmax)])
-
-
 # run(params, kmax, args) -> Report looks the suite's engine up when called
 class Suite(Frozen):
     __slots__ = ("noun", "min_n", "kmax", "option", "run")
@@ -154,7 +147,7 @@ SUITES = {
         "embedding", 3, 3, "--blocks",
         lambda p, k, a: verify_embedding(p, *_parse_blocks(a.blocks, p.n), k),
     ),
-    "ck": Suite("extension", 2, 4, None, _run_ck),
+    "ck": Suite("extension", 2, 4, None, lambda p, k, a: verify_ck(p, k)),
     "lemma3": Suite("lemma3", 1, 3, None, lambda p, k, a: verify_power_action_sweep(p, 2, k)),
     "eigen": Suite(
         "spectral", 2, 4, "--order",

@@ -8,9 +8,14 @@ degree-k harmonics in n variables (the tower), whose elements are joint
 eigenfunctions of the prefix invariants with eigenvalues in closed form
 (casimir_eigenvalue).  The lifts run on integer numerators over one
 denominator, so each element is its label and a Polynomial wrapping
-those as they are.  The ck, lemma3 and eigen checks put the elements of
-degrees 0..kmax as the columns of one matrix H on a relations.DegreeSum
-and state each identity as one product sum on H, recorded per element.
+those as they are.  The ck, lemma3 and eigen checks (verify_ck,
+verify_power_action_sweep, verify_spectral_action) put the elements of
+degrees 0..kmax as the columns of one matrix H on a relations.DegreeSum,
+each tower built once, and state each identity as one product sum on H,
+read per column.  verify_ck also compares H with the closed forms J of
+the same labels (_closed_forms: terminating hypergeometric products,
+formed without any lift) and checks the lifts of every monomial by the
+same product sums.
 
 Labels are positional: for a label with variable order (o_1, .., o_n),
 epsilon[m] is the parity used when variable o_{m+1} is adjoined and
@@ -21,7 +26,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from math import comb, factorial, gcd
+from math import comb, factorial, gcd, lcm
 from typing import Iterable, Iterator, Sequence
 
 from .linalg import RationalMatrix, matrix_rank, product_sum
@@ -32,7 +37,6 @@ from .operators import (
     gamma,
     laplace,
     norm_square_mul,
-    norm_square_poly,
 )
 from .poly import Frozen, Monomial, ParameterSet, Polynomial, _set, monomial_basis
 from .relations import DegreeSum
@@ -334,45 +338,60 @@ def build_basis_tower(
     return elements
 
 
-def jacobi_closed_form(params: ParameterSet, label: HarmonicLabel) -> Polynomial:
-    """Closed-form product expansion of a tower basis element.
+def _closed_forms(params: ParameterSet, labels: Sequence[HarmonicLabel]) -> list[Polynomial]:
+    """The closed-form product expansion of the tower element of each label.
 
-    Each extension step contributes a terminating hypergeometric factor in
-    the ratio -x^2 / |x_prefix|^2; expanding it with the powers of the
-    prefix norm clears every denominator, so the result is an exact
-    polynomial.  It must coincide with the tower element of the same
-    label, which is the correctness oracle relating the two constructions.
+    The labels share one variable order.  The first step gives x_v^epsilon[0], v the first order variable.  Step
+    m >= 2 turns the product h so far, of degree d over the prefix A of
+    the first m - 1 order variables, into the terminating hypergeometric
+    sum_j c_j x_v^(2j+eps) |x_A|^(2(l-j)) h, v the m-th variable, eps its
+    parity and l = ell[m-2], with c_j = (-1)^j (l)_j (d + l - 1 + gamma_A)_j
+    / (j! (mu_v + 1/2 + eps)^(j)), (.)_j the falling and (.)^(j) the
+    raising factorial.  Each product runs on integer numerators over one
+    denominator: the norm powers by operators.norm_square_mul, the powers
+    of x_v placed as exponents, since h does not hold x_v, and the c_j
+    over the lcm of their denominators.  As in build_basis_tower, the
+    product after each (epsilon[:m], ell[:m-1]) prefix is formed once; no
+    lift and no Laplacian is used, so it must coincide with the tower
+    element of the same label independently.
     """
-    n = params.n
-    if label.n != n:
-        raise ValueError("label dimension does not match parameters")
-    o = label.order
-    exps = [0] * n
-    exps[o[0] - 1] = label.epsilon[0]
-    h = Polynomial.monomial(n, exps)
-    deg = label.epsilon[0]
-    for m in range(2, n + 1):
-        done = o[: m - 1]
-        power = label.ell[m - 2]
-        eps = label.epsilon[m - 1]
-        var = o[m - 1]
-        gam = gamma(params, done)
-        base = params.mu_of(var) + Fraction(1, 2) + eps
-        nrm = norm_square_poly(done, n)
-        total = Polynomial.zero(n)
-        for j in range(power + 1):
-            coeff = (
-                Fraction((-1) ** j)
-                * falling_factorial(power, j)
-                * falling_factorial(deg + power - 1 + gam, j)
-                / (factorial(j) * raising_factorial(base, j))
-            )
-            mono = [0] * n
-            mono[var - 1] = 2 * j + eps
-            total = total + Polynomial.monomial(n, mono, coeff) * nrm ** (power - j) * h
-        h = total
-        deg += 2 * power + eps
-    return h
+    if not labels:
+        return []
+    n, o = params.n, labels[0].order
+    norms = [None] + [norm_square_mul(o[:m], n) for m in range(1, n)]
+    gammas = [None] + [gamma(params, o[:m]) for m in range(1, n)]
+    steps: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple[IntegerTerms, int]] = {}
+    closed = []
+    for label in labels:
+        eps, ell = label.epsilon, label.ell
+        h, den = {(0,) * n: 1}, 1
+        for m in range(1, n + 1):
+            key = (eps[:m], ell[: m - 1])
+            if key not in steps:
+                coeffs = [Fraction(1)]
+                if m > 1:
+                    l = ell[m - 2]
+                    top = label.partial_degree(m - 1) + l - 1 + gammas[m - 1]
+                    base = params.mu_of(o[m - 1]) + Fraction(1, 2) + eps[m - 1]
+                    coeffs = [
+                        (-1) ** j * falling_factorial(l, j) * falling_factorial(top, j)
+                        / (factorial(j) * raising_factorial(base, j))
+                        for j in range(l + 1)
+                    ]
+                powers = [h]  # |x_A|^(2i) h
+                for _ in coeffs[1:]:
+                    powers.append(norms[m - 1].apply(powers[-1]))
+                scale = lcm(*(c.denominator for c in coeffs))
+                pos, out = o[m - 1] - 1, {}
+                for j, (c, q) in enumerate(zip(coeffs, reversed(powers))):
+                    num, power = c.numerator * (scale // c.denominator), (2 * j + eps[m - 1],)
+                    for exps, x in q.items():
+                        out[exps[:pos] + power + exps[pos + 1:]] = num * x
+                g = gcd(den * scale, *out.values())
+                steps[key] = {exps: x // g for exps, x in out.items()}, den * scale // g
+            h, den = steps[key]
+        closed.append(Polynomial._trusted(n, h, den))
+    return closed
 
 
 def casimir_eigenvalue(params: ParameterSet, label: HarmonicLabel, m: int) -> Fraction:
@@ -389,93 +408,110 @@ def casimir_eigenvalue(params: ParameterSet, label: HarmonicLabel, m: int) -> Fr
     return (d + gam) * (d + gam - 2) / 4
 
 
-def _dunkl_square_sums(space: DegreeSum, ops: DunklOperators, polys) -> list[str | None]:
-    """Per polynomial, sum_i T_i T_i of it as text, or None, from one product sum;
-    the T_i are materialized from their moves, apart from operators.laplace."""
-    k, h = space.kmax, space.columns(polys)
-    terms = []
-    for i in range(1, space.n + 1):
-        t = space.materialize(ops.dunkl[i])
-        terms.append((1, (space.lead(t, k - 2, k - 1), t, h)))
-    return space.column_witnesses(product_sum(terms))
+def _first_per_degree(kmax: int, degrees: Iterable[int], found: Iterable) -> list:
+    """Per degree 0..kmax, the first item of found at that degree that is not None."""
+    first = [None] * (kmax + 1)
+    for k, x in zip(degrees, found):
+        if first[k] is None:
+            first[k] = x
+    return first
 
 
-def verify_tower(params: ParameterSet, kmax: int) -> Report:
-    """Tower bases are harmonic, correctly sized, and linearly independent."""
-    n = params.n
-    space = DegreeSum(n, kmax)
-    towers = [build_basis_tower(params, k) for k in space.degrees]
-    polys = [el.poly for elements in towers for el in elements]
-    laplacians = iter(_dunkl_square_sums(space, DunklOperators(params), polys))
-    report = Report()
-    for k, elements in enumerate(towers):
-        block = [next(laplacians) for _ in elements]
-        report.add("tower-element-harmonic", (), k, next(filter(None, block), None))
+def verify_ck(params: ParameterSet, kmax: int) -> Report:
+    """The Cauchy-Kovalevskaia construction of the harmonics, on degrees 0..kmax.
 
-        expected = harmonic_space_dim(n, k)
-        count = len(elements)
-        report.add("tower-count", (), k, None if count == expected else f"{count} != {expected}")
+    The towers of degrees 0..kmax, each built once, are the columns of H
+    on the ambient monomials of degrees 0..kmax + 1; the even and odd
+    lifts into x_n of every monomial p in x_1..x_{n-1} of degree <= kmax
+    are the columns of E0 and E1, and the inputs p those of P.  Each
+    identity is one product sum, read per column:
 
-        rank = matrix_rank([el.poly.terms for el in elements])
-        witness = None if rank == count else f"rank {rank} < {count}"
-        report.add("tower-linear-independence", (), k, witness)
-    return report
+    * harmonicity: sum_i T_i T_i on [H | E0 | E1], the T_i materialized
+      from their own moves, so it shares no code with operators.laplace;
+    * restrictions: R0 E0 - P and R0 d E1 - P, R0 setting x_n = 0 and d
+      the derivative in x_n, each witnessed by its first failing input p;
+    * closed form: J - H, J the terminating hypergeometric products of
+      _closed_forms, which never lift; a failing element's record carries
+      its (epsilon, ell).
 
-
-def verify_extension_restrictions(params: ParameterSet, kmax: int) -> Report:
-    """Injectivity witnesses of the extension maps, on every monomial input.
-
-    The even extension restricts back to its input at x_new = 0; the odd
-    extension does so after one derivative in the new variable; both
-    extensions land in the kernel of the full Laplacian, sum_i T_i T_i.
+    Each relation is recorded once per degree, witnessed by its first
+    failing column: the tower records for every degree (harmonicity,
+    count, linear independence), then the extension records (even
+    restriction, odd derivative restriction, harmonicity of the lifts),
+    then the closed form.
     """
     n = params.n
     if n < 2:
         raise ValueError("extensions need at least two variables")
-    new = n
+    top = kmax + 1  # the odd lift of a degree-kmax input has degree kmax + 1
+    space = DegreeSum(n, top)
     ops = DunklOperators(params)
-    lap_done = laplace(ops, range(1, n))
-    restrictions, inputs, lifts = [], [], []
+    towers = [build_basis_tower(params, k) for k in range(kmax + 1)]
+    elements = [el for tower in towers for el in tower]
+    polys = [el.poly for el in elements]
+    degrees = [el.label.degree for el in elements]
+    lap = laplace(ops, range(1, n))
+    inputs, input_degrees = [], []
     for k in range(kmax + 1):
-        even_bad = odd_bad = None
         for exps in monomial_basis(n - 1, k):
-            p = Polynomial.monomial(n, exps + (0,))
-            ext0 = Polynomial._trusted(n, *_lift(params, lap_done, new, 0, p.terms, p.den))
-            ext1 = Polynomial._trusted(n, *_lift(params, lap_done, new, 1, p.terms, p.den))
-            if even_bad is None and ext0.restrict_to_zero(new) != p:
-                even_bad = p.to_text()
-            if odd_bad is None and ext1.partial_derivative(new).restrict_to_zero(new) != p:
-                odd_bad = p.to_text()
-            inputs.append((k, p))
-            lifts += [ext0, ext1]
-        restrictions.append((even_bad, odd_bad))
-    # the odd lift of a degree-kmax input has degree kmax + 1
-    laplacians = _dunkl_square_sums(DegreeSum(n, kmax + 1), ops, lifts)
-    harm_bad = [None] * (kmax + 1)
-    for (k, p), even, odd in zip(inputs, laplacians[::2], laplacians[1::2]):
-        if harm_bad[k] is None and (even or odd):
-            harm_bad[k] = p.to_text()
-    report = Report()
-    for k, (even_bad, odd_bad) in enumerate(restrictions):
-        report.add("extension-restriction-even", (), k, even_bad)
-        report.add("extension-derivative-restriction-odd", (), k, odd_bad)
-        report.add("extension-harmonic", (), k, harm_bad[k])
-    return report
+            inputs.append(Polynomial.monomial(n, exps + (0,)))
+            input_degrees.append(k)
+    evens, odds = (
+        [Polynomial._trusted(n, *_lift(params, lap, n, parity, p.terms, 1)) for p in inputs]
+        for parity in (0, 1)
+    )
 
+    def first_failing_input(found) -> list[str | None]:
+        """Per degree, the first input whose column in found is not None, as text."""
+        texts = (p.to_text() if bad else None for p, bad in zip(inputs, found))
+        return _first_per_degree(kmax, input_degrees, texts)
 
-def verify_closed_form(params: ParameterSet, kmax: int) -> Report:
-    """The product closed form equals the tower element, label by label."""
+    squares = []
+    h_lifts = space.columns(polys + evens + odds)
+    for i in range(1, n + 1):
+        t = space.materialize(ops.dunkl[i])
+        squares.append((1, (space.lead(t, top - 2, top - 1), t, h_lifts)))
+    laplacians = space.column_witnesses(product_sum(squares))
+    harmonic = _first_per_degree(kmax, degrees, laplacians[: len(polys)])
+    lifts, m = laplacians[len(polys):], len(inputs)
+    lifted = first_failing_input(a or b for a, b in zip(lifts[:m], lifts[m:]))
+
+    r0 = LinearOperator.degree_diagonal((n - 1,), lambda s: int(not s), f"x{n}=0", 1)
+    d = LinearOperator.moving([(n - 1, lambda e: e)], f"d/dx{n}", -1)
+    r0, d, p = space.materialize(r0), space.materialize(d), space.columns(inputs)
+    # P on the rows of degree <= kmax, where both restrictions land
+    p = RationalMatrix.from_sparse(p.sparse_rows[: space.ends[top]], 1, p.ncols)
+    even, odd = (
+        first_failing_input(space.column_witnesses(product_sum(terms)))
+        for terms in (
+            [(1, (space.lead(r0, kmax, top), space.columns(evens))), (-1, (p,))],
+            [(1, (space.lead(r0, kmax, kmax), d, space.columns(odds))), (-1, (p,))],
+        )
+    )
+
+    closed = space.columns(_closed_forms(params, [el.label for el in elements]))
+    diff = product_sum([(1, (closed,)), (-1, (space.columns(polys),))])
+    mismatches = [
+        ((el.label.epsilon, el.label.ell), witness) if witness else None
+        for el, witness in zip(elements, space.column_witnesses(diff))
+    ]
+
     report = Report()
+    for k, tower in enumerate(towers):
+        report.add("tower-element-harmonic", (), k, harmonic[k])
+        expected = harmonic_space_dim(n, k)
+        count = len(tower)
+        report.add("tower-count", (), k, None if count == expected else f"{count} != {expected}")
+        rank = matrix_rank([el.poly.terms for el in tower])
+        witness = None if rank == count else f"rank {rank} < {count}"
+        report.add("tower-linear-independence", (), k, witness)
     for k in range(kmax + 1):
-        witness = None
-        bad_label: tuple = ()
-        for el in build_basis_tower(params, k):
-            closed = jacobi_closed_form(params, el.label)
-            if el.poly != closed:
-                witness = (closed - el.poly).to_text()
-                bad_label = (el.label.epsilon, el.label.ell)
-                break
-        report.add("closed-form-matches-tower", bad_label, k, witness)
+        report.add("extension-restriction-even", (), k, even[k])
+        report.add("extension-derivative-restriction-odd", (), k, odd[k])
+        report.add("extension-harmonic", (), k, lifted[k])
+    for k, found in enumerate(_first_per_degree(kmax, degrees, mismatches)):
+        label, witness = found or ((), None)
+        report.add("closed-form-matches-tower", label, k, witness)
     return report
 
 

@@ -349,10 +349,6 @@ def norm_square_mul(A: Iterable[int], n: int) -> LinearOperator:
     return LinearOperator.moving([(i - 1, _unit) for i in subset], f"|x{{{_name(subset)}}}|^2", 2)
 
 
-def norm_square_poly(A: Iterable[int], n: int) -> Polynomial:
-    return norm_square_mul(A, n)(Polynomial.one(n))
-
-
 def gamma(params: ParameterSet, A: Iterable[int]) -> Fraction:
     """|A|/2 plus the sum of the deformation parameters over A."""
     subset = normalize_subset(A, params.n)

@@ -311,43 +311,7 @@ class Polynomial:
             self.n, {e: x * a for e, x in self.terms.items()}, self.den * c.denominator
         )
 
-    def __pow__(self, k: int) -> "Polynomial":
-        if k < 0:
-            raise ValueError("negative powers are not polynomials")
-        result = Polynomial.one(self.n)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base_needed = k >> 1
-            if base_needed:
-                base = base * base
-            k = base_needed
-        return result
-
-    # -- coordinate operations --------------------------------------------
-
-    def _check_index(self, i: int) -> int:
-        if not 1 <= i <= self.n:
-            raise IndexError(f"variable index {i} out of range 1..{self.n}")
-        return i - 1
-
-    def partial_derivative(self, i: int) -> "Polynomial":
-        """Formal partial derivative with respect to x_i."""
-        pos = self._check_index(i)
-        out = {
-            exps[:pos] + (exps[pos] - 1,) + exps[pos + 1:]: x * exps[pos]
-            for exps, x in self.terms.items()
-            if exps[pos]
-        }
-        return Polynomial._reduced(self.n, out, self.den)
-
-    def restrict_to_zero(self, i: int) -> "Polynomial":
-        """Set x_i = 0: keep only terms with exponent 0 in x_i."""
-        pos = self._check_index(i)
-        return Polynomial._reduced(
-            self.n, {e: x for e, x in self.terms.items() if e[pos] == 0}, self.den
-        )
+    # -- evaluation --------------------------------------------------------
 
     def evaluate(self, values: Iterable[RationalLike]) -> Fraction:
         vals = [_rational(v, "value") for v in values]

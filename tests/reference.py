@@ -7,7 +7,10 @@ of one:
 * ``from_text`` parses the text that ``Polynomial.to_text`` writes, so a
   test can state a witness or an expected polynomial as text;
 * ``reflect`` and ``divide_by_coordinate`` build the textbook Dunkl
-  operator T_i p = d_i p + mu_i (p - r_i p) / x_i;
+  operator T_i p = d_i p + mu_i (p - r_i p) / x_i, with
+  ``partial_derivative``; ``restrict_to_zero`` sets x_i = 0,
+  ``polynomial_power`` takes p^k by repeated squaring and
+  ``norm_square_poly`` is |x_A|^2, each by Polynomial arithmetic;
 * ``dunkl_rule``, ``coordinate_rule``, ``laplace_rule``,
   ``norm_square_rule``, ``a0_rule`` and ``casimir_diagonal_rule`` are the
   primitives as closed-form rules on one monomial, the form the package
@@ -29,27 +32,31 @@ of one:
   before its row walk read only stored entries: every row, empty or not,
   is tested in Python, and every row is read through ``.items()``;
 * ``reference_tower``, ``reference_extension_restrictions``,
-  ``reference_spectral_action`` and ``reference_power_action_sweep`` are
-  the ck, eigen and lemma3 checks as they were written before they became
-  product sums on one tower matrix: each applies the operators to every
-  element's Polynomial and records its first nonzero discrepancy
-  (``first_witness``), with the Dunkl Laplacian sum_i T_i(T_i(h))
-  (``dunkl_laplacian_of``) and one power-action check at a time
-  (``add_power_action``).  They look up ``build_basis_tower`` and
-  ``casimir_eigenvalue`` here, so a test patches both routes.
+  ``reference_closed_form``, ``reference_spectral_action`` and
+  ``reference_power_action_sweep`` are the ck, eigen and lemma3 checks as
+  they were written before they became product sums on one tower matrix:
+  each applies the operators to every element's Polynomial and records
+  its first nonzero discrepancy (``first_witness``), with the Dunkl
+  Laplacian sum_i T_i(T_i(h)) (``dunkl_laplacian_of``), one power-action
+  check at a time (``add_power_action``) and the closed form of one label
+  at a time (``jacobi_closed_form``).  ``reference_ck`` concatenates the
+  three ck reports, as ``verify ck`` once did.  They look up
+  ``build_basis_tower``, ``casimir_eigenvalue`` and ``raising_factorial``
+  here, so a test patches both routes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import factorial, lcm
 from typing import Iterable, Sequence
 
 from racah_dunkl import (
     ConnectionMatrix,
     DunklOperators,
     HarmonicBasisElement,
+    HarmonicLabel,
     ParameterSet,
     Polynomial,
     RacahParameters,
@@ -63,7 +70,7 @@ from racah_dunkl import (
     materialize,
     materialize_on_monomials,
     monomial_basis,
-    norm_square_poly,
+    norm_square_mul,
     parity_blocks,
     path,
     racah_parameters,
@@ -72,7 +79,7 @@ from racah_dunkl import (
     spectral_data,
 )
 from racah_dunkl import connection, relations
-from racah_dunkl.harmonics import _lift, falling_factorial
+from racah_dunkl.harmonics import _lift, falling_factorial, raising_factorial
 from racah_dunkl.linalg import Term, matrix_rank, product_sum
 from racah_dunkl.operators import LinearOperator, gamma, normalize_subset
 from racah_dunkl.report import Report
@@ -138,6 +145,44 @@ def divide_by_coordinate(p: Polynomial, i: int) -> Polynomial:
             raise NotDivisible(f"term with exponents {exps} has no factor x{i}")
         out[exps[:pos] + (e - 1,) + exps[pos + 1:]] = Fraction(x, p.den)
     return Polynomial(p.n, out)
+
+
+def polynomial_power(p: Polynomial, k: int) -> Polynomial:
+    """p to the k-th power, by repeated squaring."""
+    if k < 0:
+        raise ValueError("negative powers are not polynomials")
+    result = Polynomial.one(p.n)
+    base = p
+    while k:
+        if k & 1:
+            result = result * base
+        base_needed = k >> 1
+        if base_needed:
+            base = base * base
+        k = base_needed
+    return result
+
+
+def partial_derivative(p: Polynomial, i: int) -> Polynomial:
+    """Formal partial derivative with respect to x_i."""
+    pos = _position(p, i)
+    out = {
+        exps[:pos] + (exps[pos] - 1,) + exps[pos + 1:]: Fraction(x * exps[pos], p.den)
+        for exps, x in p.terms.items()
+        if exps[pos]
+    }
+    return Polynomial(p.n, out)
+
+
+def restrict_to_zero(p: Polynomial, i: int) -> Polynomial:
+    """Set x_i = 0: keep only terms with exponent 0 in x_i."""
+    pos = _position(p, i)
+    return Polynomial(p.n, {e: Fraction(x, p.den) for e, x in p.terms.items() if e[pos] == 0})
+
+
+def norm_square_poly(A, n: int) -> Polynomial:
+    """The squared norm over A, sum of x_i^2 for i in A."""
+    return norm_square_mul(A, n)(Polynomial.one(n))
 
 
 # -- the primitives as closed-form rules ------------------------------------------
@@ -255,7 +300,7 @@ def fischer_decompose(params: ParameterSet, p: Polynomial) -> list[tuple[int, Po
     span: list[Polynomial] = []
     tags: list[tuple[int, Polynomial]] = []
     for j in range(k // 2 + 1):
-        nrm_pow = nrm**j
+        nrm_pow = polynomial_power(nrm, j)
         for element in build_basis_tower(params, k - 2 * j):
             span.append(nrm_pow * element.poly)
             tags.append((j, element.poly))
@@ -568,7 +613,7 @@ def add_power_action(
     A non-harmonic h fails with its Laplacian as the witness.
     """
     ell, j, k = index[:3]
-    lhs = nrm**k * h
+    lhs = polynomial_power(nrm, k) * h
     for _ in range(j):
         lhs = lap(lhs)
     factor = (
@@ -576,7 +621,7 @@ def add_power_action(
         * falling_factorial(k, j)
         * falling_factorial(ell + k - 1 + gam, j)
     )
-    rhs = (nrm ** (k - j) * h).scale(factor)
+    rhs = (polynomial_power(nrm, k - j) * h).scale(factor)
     report.add("laplacian-power-action", index, ell + 2 * k, first_witness([lap(h), lhs - rhs]))
 
 
@@ -630,9 +675,9 @@ def reference_extension_restrictions(params: ParameterSet, kmax: int) -> Report:
             p = Polynomial.monomial(n, exps + (0,))
             ext0 = Polynomial._trusted(n, *_lift(params, lap_done, new, 0, p.terms, p.den))
             ext1 = Polynomial._trusted(n, *_lift(params, lap_done, new, 1, p.terms, p.den))
-            if even_bad is None and ext0.restrict_to_zero(new) != p:
+            if even_bad is None and restrict_to_zero(ext0, new) != p:
                 even_bad = p.to_text()
-            if odd_bad is None and ext1.partial_derivative(new).restrict_to_zero(new) != p:
+            if odd_bad is None and restrict_to_zero(partial_derivative(ext1, new), new) != p:
                 odd_bad = p.to_text()
             if harm_bad is None and not (
                 dunkl_laplacian_of(ops, ext0).is_zero and dunkl_laplacian_of(ops, ext1).is_zero
@@ -642,6 +687,70 @@ def reference_extension_restrictions(params: ParameterSet, kmax: int) -> Report:
         report.add("extension-derivative-restriction-odd", (), k, odd_bad)
         report.add("extension-harmonic", (), k, harm_bad)
     return report
+
+
+def jacobi_closed_form(params: ParameterSet, label: HarmonicLabel) -> Polynomial:
+    """Closed-form product expansion of a tower basis element.
+
+    Each extension step contributes a terminating hypergeometric factor in
+    the ratio -x^2 / |x_prefix|^2; expanding it with the powers of the
+    prefix norm clears every denominator, so the result is an exact
+    polynomial.  It must coincide with the tower element of the same
+    label, which is the correctness oracle relating the two constructions.
+    """
+    n = params.n
+    if label.n != n:
+        raise ValueError("label dimension does not match parameters")
+    o = label.order
+    exps = [0] * n
+    exps[o[0] - 1] = label.epsilon[0]
+    h = Polynomial.monomial(n, exps)
+    deg = label.epsilon[0]
+    for m in range(2, n + 1):
+        done = o[: m - 1]
+        power = label.ell[m - 2]
+        eps = label.epsilon[m - 1]
+        var = o[m - 1]
+        gam = gamma(params, done)
+        base = params.mu_of(var) + Fraction(1, 2) + eps
+        nrm = norm_square_poly(done, n)
+        total = Polynomial.zero(n)
+        for j in range(power + 1):
+            coeff = (
+                Fraction((-1) ** j)
+                * falling_factorial(power, j)
+                * falling_factorial(deg + power - 1 + gam, j)
+                / (factorial(j) * raising_factorial(base, j))
+            )
+            mono = [0] * n
+            mono[var - 1] = 2 * j + eps
+            term = Polynomial.monomial(n, mono, coeff) * polynomial_power(nrm, power - j)
+            total = total + term * h
+        h = total
+        deg += 2 * power + eps
+    return h
+
+
+def reference_closed_form(params: ParameterSet, kmax: int) -> Report:
+    """The product closed form equals the tower element, label by label."""
+    report = Report()
+    for k in range(kmax + 1):
+        witness = None
+        bad_label: tuple = ()
+        for el in build_basis_tower(params, k):
+            closed = jacobi_closed_form(params, el.label)
+            if el.poly != closed:
+                witness = (closed - el.poly).to_text()
+                bad_label = (el.label.epsilon, el.label.ell)
+                break
+        report.add("closed-form-matches-tower", bad_label, k, witness)
+    return report
+
+
+def reference_ck(params: ParameterSet, kmax: int) -> Report:
+    """The three ck checks, each building its own towers, their records concatenated."""
+    checks = (reference_tower, reference_extension_restrictions, reference_closed_form)
+    return Report([result for check in checks for result in check(params, kmax)])
 
 
 def reference_spectral_action(

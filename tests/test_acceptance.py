@@ -30,17 +30,15 @@ from racah_dunkl import (
     spectral_data,
     tridiagonal_check,
     verify_casimir_laplacian_commute,
-    verify_closed_form,
-    verify_extension_restrictions,
+    verify_ck,
     verify_nested_disjoint_commute,
     verify_racah_relations,
     verify_spectral_action,
     verify_su11,
-    verify_tower,
 )
 
 from reference import connected_by_paths
-from report_helpers import failures
+from report_helpers import failures, select
 
 
 def _passed(num: int, text: str) -> None:
@@ -108,15 +106,25 @@ def test_criterion_04_pairwise_commutation_pattern():
 
 
 def test_criterion_05_extension_basis_suite():
-    params = ParameterSet.default(4)
-    _require(verify_tower(params, 5), 5)
-    _require(verify_extension_restrictions(params, 5), 5)
+    report = verify_ck(ParameterSet.default(4), 5)
+    tower = select(report, "tower-element-harmonic", "tower-count", "tower-linear-independence")
+    extensions = select(
+        report,
+        "extension-restriction-even",
+        "extension-derivative-restriction-odd",
+        "extension-harmonic",
+    )
+    for part in (tower, extensions):
+        _require(part, 5)
+        assert len(part) == 3 * 6
     _passed(5, "tower bases harmonic/counted/independent with restriction identities, n=4, k<=5")
 
 
 def test_criterion_06_closed_form():
-    _require(verify_closed_form(ParameterSet.default(3), 6), 6)
-    _require(verify_closed_form(ParameterSet.default(4), 4), 6)
+    for n, kmax in ((3, 6), (4, 4)):
+        report = select(verify_ck(ParameterSet.default(n), kmax), "closed-form-matches-tower")
+        _require(report, 6)
+        assert len(report) == kmax + 1
     _passed(6, "product closed form equals the tower element for every label, n=3 k<=6 and n=4 k<=4")
 
 

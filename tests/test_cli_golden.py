@@ -50,6 +50,8 @@ STDOUT_GOLDEN = (
      "7f964706f8fa9cc9a009b613c0729adc153446ce1bdcb0e62f6101c75b06c38c"),
     ("verify lemma3 --n 3 --kmax 2 --mu 7,1/9,1000000", 0,
      "cfd627fbf6a6eab0d52bdb3951d68da43f1ea24cdc849226ccca0a26e6b802d4"),
+    ("verify ck --n 4 --kmax 3 --mu 3/7,1000000,3/7,2", 0,
+     "24c9d53bc397e37dd8d814f458f20f2eb56e56f365fdca727091dcc53b02877f"),
     ("connect --n 3 --k 3 --from 1,2,3 --to 2,3,1", 0,
      "e6f87cb6a409430541e6815ed09eacecef49fa2b8a173a3cd8d12201036672a8"),
     ("connect --n 3 --k 2 --mu 7,1/9,1000000 --from 1,2,3 --to 1,3,2", 0,

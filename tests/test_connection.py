@@ -92,7 +92,7 @@ def test_pairing_symmetric_bilinear():
 
 
 def test_pairing_degrees_orthogonal():
-    p = Polynomial.variable(3, 1) ** 2
+    p = Polynomial.monomial(3, (2, 0, 0))
     q = Polynomial.variable(3, 1)
     assert fischer_pairing(P3, p, q) == 0
     assert fischer_pairing(P3, q, p) == 0
@@ -277,7 +277,7 @@ def test_connection_span_mismatch():
         connection_matrix(P3, a, b)
     # same count, different span: swap one harmonic for a non-harmonic
     broken = list(b)
-    broken[0] = HarmonicBasisElement(broken[0].label, Polynomial.variable(3, 1) ** 2)
+    broken[0] = HarmonicBasisElement(broken[0].label, Polynomial.monomial(3, (2, 0, 0)))
     with pytest.raises(SpanMismatch):
         connection_matrix(P3, b, broken)
 

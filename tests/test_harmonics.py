@@ -23,21 +23,27 @@ from racah_dunkl import (
     enumerate_labels,
     gamma,
     harmonic_space_dim,
-    jacobi_closed_form,
     laplace,
     matrix_rank,
     monomial_basis,
-    norm_square_poly,
     parity_blocks,
-    verify_extension_restrictions,
+    verify_ck,
     verify_power_action_sweep,
-    verify_tower,
 )
 from racah_dunkl import harmonics
 from racah_dunkl.report import Report
 
-from reference import add_power_action, fischer_decompose, from_text, module_basis, reflect
-from report_helpers import failures
+from reference import (
+    add_power_action,
+    fischer_decompose,
+    from_text,
+    jacobi_closed_form,
+    module_basis,
+    norm_square_poly,
+    polynomial_power,
+    reflect,
+)
+from report_helpers import failures, select
 
 P3 = ParameterSet.make(["1/2", "1/3", "1/4"])
 P2 = ParameterSet.make(["1/2", "1/3"])
@@ -54,7 +60,7 @@ def realize_label(params: ParameterSet, label: HarmonicLabel) -> Polynomial:
         done = o[: m - 1]
         power = label.ell[m - 2]
         if power:
-            h = norm_square_poly(done, n) ** power * h
+            h = polynomial_power(norm_square_poly(done, n), power) * h
         h = ck_extend(params, done, o[m - 1], label.epsilon[m - 1], h)
     return h
 
@@ -79,9 +85,9 @@ def test_ck_extend_constant_odd():
 
 def test_ck_extend_square():
     # j = 0 and j = 1 terms: x1^2 - (1 + 2 mu_1)/(1 + 2 mu_2) x2^2
-    p = Polynomial.variable(2, 1) ** 2
+    p = Polynomial.monomial(2, (2, 0))
     ext = ck_extend(P2, (1,), 2, 0, p)
-    expected = p - (Polynomial.variable(2, 2) ** 2).scale(Fraction(6, 5))
+    expected = p - Polynomial.monomial(2, (0, 2), Fraction(6, 5))
     assert ext == expected
     assert laplace(DunklOperators(P2), (1, 2))(ext).is_zero
 
@@ -108,6 +114,9 @@ def test_ck_extend_rejects_an_input_holding_the_new_variable():
 
 
 def test_extension_restrictions_build_the_dunkl_operators_once(monkeypatch):
+    # verify ck builds one DunklOperators for the lifts and every T_i; the
+    # towers, built before the count starts, are read as they are
+    towers = {k: build_basis_tower(P3, k) for k in range(5)}
     built = []
     real = harmonics.DunklOperators
 
@@ -115,10 +124,11 @@ def test_extension_restrictions_build_the_dunkl_operators_once(monkeypatch):
         built.append(params)
         return real(params)
 
+    monkeypatch.setattr(harmonics, "build_basis_tower", lambda params, k: towers[k])
     monkeypatch.setattr(harmonics, "DunklOperators", counting)
-    report = verify_extension_restrictions(P3, 4)
+    report = verify_ck(P3, 4)
     assert built == [P3]
-    assert len(report) == 15 and report.ok
+    assert len(report) == 35 and report.ok
 
 
 def test_label_validation_and_degree():
@@ -342,7 +352,7 @@ def test_lift_matches_the_monomial_product_reference(n, data):
                 key = (label.epsilon[: m + 1], label.ell[:m])
                 if key not in steps:
                     if m:
-                        h = norm_square_poly(order[:m], n) ** label.ell[m - 1] * h
+                        h = polynomial_power(norm_square_poly(order[:m], n), label.ell[m - 1]) * h
                     steps[key] = lift(m, label.epsilon[m], h)
                 h = steps[key]
         tower = build_basis_tower(params, k, order)
@@ -379,7 +389,7 @@ def test_tower_is_the_reference_chain_in_reduced_fractions(n, data):
             h = Polynomial.one(n)
             for m in range(n):
                 if m:
-                    h = norm_square_poly(order[:m], n) ** el.label.ell[m - 1] * h
+                    h = polynomial_power(norm_square_poly(order[:m], n), el.label.ell[m - 1]) * h
                 lifted = ck_extend(params, order[:m], order[m], el.label.epsilon[m], h)
                 h = reference_lift(params, laps[m], order[m], el.label.epsilon[m], h)
                 assert_reduced_fractions(lifted)
@@ -450,18 +460,19 @@ def swapped_laplace(ops, A):
 def test_verify_tower_catches_a_wrong_laplacian_rule(monkeypatch):
     # the tower lifts with laplace's closed-form rule; verify ck checks
     # harmonicity through T_i(T_i(h)), so a wrong rule is caught, with a witness
-    assert verify_tower(P3, 3).ok
+    assert verify_ck(P3, 3).ok
     monkeypatch.setattr(harmonics, "laplace", swapped_laplace)
-    report = verify_tower(P3, 3)
-    harmonic = [r for r in failures(report) if r.relation == "tower-element-harmonic"]
+    report = verify_ck(P3, 3)
+    harmonic = failures(select(report, "tower-element-harmonic"))
     assert [r.degree for r in harmonic] == [2, 3]
     # the witness is the first nonzero sum of T_i T_i over the broken tower
     lap = dunkl_laplacian(P3, (1, 2, 3))
     for r in harmonic:
         images = [lap(el.poly) for el in build_basis_tower(P3, r.degree)]
         assert r.first_discrepancy == next(q for q in images if not q.is_zero).to_text()
-    extensions = verify_extension_restrictions(P3, 3)
-    assert "extension-harmonic" in {r.relation for r in failures(extensions)}
+    assert "extension-harmonic" in {r.relation for r in failures(report)}
+    # the closed form never lifts, so it tells the broken tower apart too
+    assert [r.degree for r in failures(select(report, "closed-form-matches-tower"))] == [2, 3]
 
 
 def test_tower_linear_independence():
@@ -496,25 +507,40 @@ def test_parity_sectors_partition_basis():
     assert total == len(elements)
 
 
+def closed_forms(params: ParameterSet, labels) -> list[Polynomial]:
+    """The closed forms that verify ck compares with the towers."""
+    return harmonics._closed_forms(params, labels)
+
+
 def test_closed_form_trivial_label():
     label = HarmonicLabel((1, 2, 3), (1, 1, 0), (0, 0))
-    assert jacobi_closed_form(P3, label) == from_text(3, "1 * x1 x2")
+    assert closed_forms(P3, [label]) == [from_text(3, "1 * x1 x2")]
 
 
 def test_closed_form_matches_tower_n2():
     label = HarmonicLabel((1, 2), (0, 0), (1,))
-    assert jacobi_closed_form(P2, label) == realize_label(P2, label)
+    assert closed_forms(P2, [label]) == [realize_label(P2, label)]
 
 
-def test_closed_form_matches_tower_sweep():
-    for k in range(5):
-        for label in enumerate_labels(3, k):
-            assert jacobi_closed_form(P3, label) == realize_label(P3, label)
+def test_closed_form_matches_tower_sweep(monkeypatch):
+    # every label of degrees 0..4 in one call, sharing prefixes across degrees;
+    # the per-label Polynomial expansion of tests/reference.py agrees
+    labels = [label for k in range(5) for label in enumerate_labels(3, k)]
+    expected = [realize_label(P3, label) for label in labels]
+    assert [jacobi_closed_form(P3, label) for label in labels] == expected
+
+    # the closed form is the route independent of the tower: it never lifts
+    def refuse(*args):
+        raise AssertionError("the closed form reached the lift")
+
+    for name in ("_lift", "laplace", "ck_extend"):
+        monkeypatch.setattr(harmonics, name, refuse)
+    assert closed_forms(P3, labels) == expected
 
 
 def test_closed_form_permuted_order():
-    for label in enumerate_labels(3, 4, order=(2, 3, 1)):
-        assert jacobi_closed_form(P3, label) == realize_label(P3, label)
+    labels = enumerate_labels(3, 4, order=(2, 3, 1))
+    assert closed_forms(P3, labels) == [realize_label(P3, label) for label in labels]
 
 
 def test_casimir_eigenvalue_examples():
@@ -572,13 +598,13 @@ def test_fischer_decompose_norm_square():
 
 def test_fischer_decompose_reconstruction():
     nrm = norm_square_poly((1, 2), 2)
-    p = Polynomial.variable(2, 1) ** 2
+    p = Polynomial.monomial(2, (2, 0))
     comps = fischer_decompose(P2, p)
     lap = laplace(DunklOperators(P2), (1, 2))
     total = Polynomial.zero(2)
     for j, h in comps:
         assert lap(h).is_zero
-        total = total + nrm**j * h
+        total = total + polynomial_power(nrm, j) * h
     assert total == p
     # frozen values for this input, cross-checked by applying the Laplacian
     assert comps == [
@@ -627,7 +653,7 @@ def test_power_action_sweep_reports_a_non_harmonic_tower_element(monkeypatch, ca
     from racah_dunkl import cli, harmonics
 
     real = harmonics.build_basis_tower
-    square = Polynomial.variable(2, 1) ** 2
+    square = Polynomial.monomial(2, (2, 0))
 
     def defective(params, k, order=None):
         elements = real(params, k, order)

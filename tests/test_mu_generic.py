@@ -20,13 +20,13 @@ from racah_dunkl import (
     connection_matrix,
     connection_pipeline,
     verify_casimir_laplacian_commute,
-    verify_closed_form,
+    verify_ck,
     verify_racah_relations,
     verify_spectral_action,
     verify_su11,
 )
 
-from report_helpers import failures
+from report_helpers import failures, select
 
 BIG = 10**6
 mu_values = st.one_of(
@@ -84,7 +84,7 @@ def test_invariants_commute_with_laplacian_at_any_mu(p3, p4):
 @given(parameters(3), parameters(4))
 def test_su11_closed_form_and_spectral_action_at_any_mu(p3, p4):
     assert_all_ok(verify_su11(p3, 3))
-    assert_all_ok(verify_closed_form(p3, 3))
+    assert_all_ok(select(verify_ck(p3, 3), "closed-form-matches-tower"))
     assert_all_ok(verify_spectral_action(p4, 3))
 
 

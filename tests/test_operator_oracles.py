@@ -32,12 +32,18 @@ from racah_dunkl import (
     materialize_on_monomials,
     monomial_basis,
     norm_square_mul,
-    norm_square_poly,
     su11_triple,
 )
 from racah_dunkl.operators import ImageEscapesSpan, LinearOperator, _coordinate_mul
 
-from reference import block_diagonal, divide_by_coordinate, reflect
+from reference import (
+    block_diagonal,
+    divide_by_coordinate,
+    norm_square_poly,
+    partial_derivative,
+    reflect,
+    restrict_to_zero,
+)
 
 BIG = 10**6
 mu_values = st.one_of(
@@ -67,7 +73,7 @@ def cases(draw):
 
 def t_oracle(params, i, p):
     # T_i p = d_i p + mu_i (p - r_i p) / x_i
-    return p.partial_derivative(i) + divide_by_coordinate(p - reflect(p, i), i).scale(
+    return partial_derivative(p, i) + divide_by_coordinate(p - reflect(p, i), i).scale(
         params.mu_of(i)
     )
 
@@ -82,7 +88,7 @@ def lap_oracle(params, A, p):
 def euler_oracle(A, p):
     total = Polynomial.zero(p.n)
     for i in A:
-        total = total + Polynomial.variable(p.n, i) * p.partial_derivative(i)
+        total = total + Polynomial.variable(p.n, i) * partial_derivative(p, i)
     return total
 
 
@@ -338,17 +344,14 @@ def assert_canonical(result, expected, what):
 
 
 @settings(max_examples=60, deadline=None)
-@given(cases(), coeffs, st.integers(0, 3), st.integers(0, 8))
-def test_every_result_is_in_lowest_terms(case, c, k, which):
+@given(cases(), coeffs, st.integers(0, 8))
+def test_every_result_is_in_lowest_terms(case, c, which):
     # equal polynomials compare by their terms and den, so a result that is
     # not in lowest terms would make == silently false
     params, p, q, A, i, j = case
-    n, pos = params.n, i - 1
+    pos = i - 1
     a, b = fractions(p), fractions(q)
-    power = {(0,) * n: Fraction(1)}
-    for _ in range(k):
-        power = reference_product(power, a)
-    divisible = p - p.restrict_to_zero(i)
+    divisible = p - restrict_to_zero(p, i)
     op, _ = builders_with_oracles(params, A, i, j)[which]  # one of the nine builders
     image = {}
     for exps, x in a.items():
@@ -360,11 +363,10 @@ def test_every_result_is_in_lowest_terms(case, c, k, which):
         ("p - p", p - p, {}),
         ("p * q", p * q, reference_product(a, b)),
         ("c p", p.scale(c), reference_sum((e, x * c) for e, x in a.items())),
-        ("p ** k", p**k, power),
-        ("d_i p", p.partial_derivative(i),
+        ("d_i p", partial_derivative(p, i),
          reference_sum((lowered(e, pos), x * e[pos]) for e, x in a.items() if e[pos])),
         ("r_i p", reflect(p, i), reference_sum((e, -x if e[pos] % 2 else x) for e, x in a.items())),
-        ("p at x_i = 0", p.restrict_to_zero(i), reference_sum((e, x) for e, x in a.items() if not e[pos])),
+        ("p at x_i = 0", restrict_to_zero(p, i), reference_sum((e, x) for e, x in a.items() if not e[pos])),
         ("p / x_i", divide_by_coordinate(divisible, i),
          reference_sum((lowered(e, pos), x) for e, x in a.items() if e[pos])),
         (op.descriptor, op(p), reference_sum(image.items())),

@@ -30,7 +30,7 @@ from racah_dunkl import cli, operators
 from racah_dunkl.linalg import product_sum
 from racah_dunkl.relations import DegreeSum
 
-from reference import divide_by_coordinate, from_text, reflect
+from reference import divide_by_coordinate, from_text, partial_derivative, reflect
 
 PARAMS = ParameterSet.make(["1/2", "1/3", "1/4"])
 OPS = DunklOperators(PARAMS)
@@ -56,7 +56,7 @@ def test_dunkl_matches_composite_formula():
         for exps in monomial_basis(3, 4):
             p = Polynomial.monomial(3, exps, Fraction(3, 7))
             odd_part = p - reflect(p, i)
-            expected = p.partial_derivative(i)
+            expected = partial_derivative(p, i)
             if not odd_part.is_zero:
                 expected = expected + divide_by_coordinate(odd_part, i).scale(mu)
             assert t(p) == expected

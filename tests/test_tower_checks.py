@@ -5,7 +5,10 @@ ambient monomials of a DegreeSum; each per-element identity is one
 product sum on H, read column by column.  The per-element routes of
 tests/reference.py, which apply the operators to every element's
 Polynomial, are the oracle: both write the same bytes at drawn mu, under
-a shifted eigenvalue and with a non-harmonic tower element.
+a shifted eigenvalue, with a non-harmonic tower element and with a wrong
+closed-form coefficient.  verify ck builds each tower once and records
+seven relations per degree, grouped as the tower, extension and
+closed-form checks.
 """
 
 from fractions import Fraction
@@ -21,17 +24,16 @@ from racah_dunkl import (
     Polynomial,
     RationalMatrix,
     enumerate_labels,
-    verify_extension_restrictions,
+    verify_ck,
     verify_power_action_sweep,
     verify_spectral_action,
-    verify_tower,
 )
 from racah_dunkl import harmonics, operators
 from racah_dunkl.cli import SUITES
 from racah_dunkl.relations import DegreeSum
 
 import reference
-from report_helpers import failures
+from report_helpers import failures, select
 
 mu_values = st.one_of(
     st.sampled_from([Fraction(10**6), Fraction(1, 9)]),
@@ -57,11 +59,9 @@ def both_routes(params: ParameterSet, kmax: int, order) -> list[tuple[str, str]]
          reference.reference_spectral_action(params, kmax, order)),
         (verify_power_action_sweep(params, min(kmax, 2), kmax),
          reference.reference_power_action_sweep(params, min(kmax, 2), kmax)),
-        (verify_tower(params, kmax), reference.reference_tower(params, kmax)),
     ]
     if n >= 2:
-        pairs.append((verify_extension_restrictions(params, kmax),
-                      reference.reference_extension_restrictions(params, kmax)))
+        pairs.append((verify_ck(params, kmax), reference.reference_ck(params, kmax)))
     return [(a.to_json_text(), b.to_json_text()) for a, b in pairs]
 
 
@@ -108,7 +108,7 @@ def test_a_non_harmonic_element_fails_the_same_records(case, data):
         return
     place = data.draw(st.integers(0, len(elements) - 1))
     # a homogeneous polynomial of the element's degree that the Laplacian does not kill
-    broken = Polynomial.variable(n, 1) ** degree
+    broken = Polynomial.monomial(n, (degree,) + (0,) * (n - 1))
 
     def defective(p, k, o=None):
         out = real(p, k, o)
@@ -122,8 +122,9 @@ def test_a_non_harmonic_element_fails_the_same_records(case, data):
         routes = both_routes(params, max(kmax, degree), order)
     for matrix, element in routes:
         assert matrix == element
-    tower = routes[2][0]
-    assert '"status": "fail"' in tower and '"relation": "tower-element-harmonic"' in tower
+    if n >= 2:
+        ck = routes[2][0]
+        assert '"status": "fail"' in ck and '"relation": "tower-element-harmonic"' in ck
 
 
 REAL_DUNKL = operators.dunkl
@@ -151,22 +152,85 @@ def test_ck_catches_one_wrong_dunkl_image(monkeypatch):
     run_ck = SUITES["ck"].run
     wider = ParameterSet.make(["3/7", "1000000", "3/7", "2"])
     assert run_ck(wider, 2, None).to_json_text() == run_ck(params, 2, None).to_json_text()
-    assert verify_tower(params, 3).ok and verify_extension_restrictions(params, 3).ok
+    assert verify_ck(params, 3).ok
     monkeypatch.setattr(operators, "dunkl", broken_dunkl)
-    tower = verify_tower(params, 3)
-    extensions = verify_extension_restrictions(params, 3)
-    assert [(r.relation, r.degree, r.first_discrepancy) for r in failures(tower)] == [
+    report = verify_ck(params, 3)
+    assert [(r.relation, r.degree, r.first_discrepancy) for r in failures(report)] == [
         ("tower-element-harmonic", 2, "13/7"),
         ("tower-element-harmonic", 3, "27/7 * x1"),
-    ]
-    assert [(r.relation, r.degree, r.first_discrepancy) for r in failures(extensions)] == [
         ("extension-harmonic", 2, "1 * x1^2"),
         ("extension-harmonic", 3, "1 * x1^3"),
     ]
     # the per-element route, applying the same broken T_1 to each Polynomial
-    assert tower.to_json_text() == reference.reference_tower(params, 3).to_json_text()
-    assert (extensions.to_json_text()
-            == reference.reference_extension_restrictions(params, 3).to_json_text())
+    assert report.to_json_text() == reference.reference_ck(params, 3).to_json_text()
+
+
+REAL_RAISING = harmonics.raising_factorial
+
+
+@pytest.mark.parametrize(
+    "mu", [["3/7", "2"], ["3/7", "1000000", "2"], ["3/7", "1000000", "3/7", "2"]]
+)
+def test_ck_catches_one_wrong_closed_form_coefficient(mu):
+    # the base mu_n + 1/2 + eps of the last step, and no other, shifted by 1:
+    # the closed form then differs from the tower exactly on the labels whose
+    # last norm power ell[-1] is at least 1, which enter (base)_j with j >= 1
+    params = ParameterSet.make(mu)
+    n, kmax = params.n, 4
+    last = {params.mu_of(n) + Fraction(1, 2) + eps for eps in (0, 1)}
+    assert all(params.mu_of(i) + Fraction(1, 2) + eps not in last
+               for i in range(1, n) for eps in (0, 1))
+
+    def shifted(x, j):
+        return REAL_RAISING(x + 1 if x in last else x, j)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(harmonics, "raising_factorial", shifted)
+        patch.setattr(reference, "raising_factorial", shifted)
+        report = verify_ck(params, kmax)
+        oracle = reference.reference_ck(params, kmax)
+    assert report.to_json_text() == oracle.to_json_text()
+    expected = [
+        k for k in range(kmax + 1) if any(label.ell[-1] >= 1 for label in enumerate_labels(n, k))
+    ]
+    assert expected == [2, 3, 4]
+    assert [(r.relation, r.degree) for r in failures(report)] == [
+        ("closed-form-matches-tower", k) for k in expected
+    ]
+    for r in failures(report):
+        epsilon, ell = r.index_tuple
+        assert ell[-1] >= 1
+
+
+CK_RELATIONS = (
+    ["tower-element-harmonic", "tower-count", "tower-linear-independence"],
+    ["extension-restriction-even", "extension-derivative-restriction-odd", "extension-harmonic"],
+    ["closed-form-matches-tower"],
+)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_ck_builds_each_tower_once_and_keeps_the_record_order(monkeypatch, n):
+    # one tower per degree serves harmonicity, count, rank and the closed
+    # form; the records are the three former checks' in turn, degree-major
+    params, kmax = ParameterSet.default(n), 3
+    built = []
+    real = harmonics.build_basis_tower
+
+    def counting(p, k, order=None):
+        built.append(k)
+        return real(p, k, order)
+
+    monkeypatch.setattr(harmonics, "build_basis_tower", counting)
+    report = verify_ck(params, kmax)
+    assert built == list(range(kmax + 1))
+    assert len(report) == 7 * (kmax + 1) and report.ok
+    expected = [
+        (relation, k) for group in CK_RELATIONS for k in range(kmax + 1) for relation in group
+    ]
+    assert [(r.relation, r.degree) for r in report] == expected
+    for group in CK_RELATIONS:
+        assert [r.relation for r in select(report, *group)] == group * (kmax + 1)
 
 
 def test_columns_place_each_polynomial_in_its_degree():

@@ -29,6 +29,8 @@ codes = []
 with contextlib.redirect_stdout(io.StringIO()):
     codes.append(cli.main(["verify", "racah", "--n", "3", "--kmax", "1"]))
     codes.append(cli.main(["verify", "ck", "--n", "3", "--kmax", "2"]))
+    # the tridiagonal check applies C_23 to each module polynomial: operators.apply
+    codes.append(cli.main(["connect", "--n", "3", "--k", "2", "--from", "1,2,3", "--to", "2,3,1"]))
 params = racah_dunkl.ParameterSet.default(4)
 start = racah_dunkl.Chain.from_order((1, 2, 3, 4))
 goal = racah_dunkl.Chain.from_order((2, 4, 3, 1))
@@ -59,7 +61,7 @@ def test_every_traced_layer_is_reached():
     )
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
-    assert result["codes"] == [0, 0]
+    assert result["codes"] == [0, 0, 0]
     metrics = result["metrics"]
     missed = [layer for layer in LAYERS if not metrics[f"{layer}.calls"] > 0]
     assert missed == []
