@@ -195,16 +195,11 @@ def cmd_connect(args) -> int:
     source = build_basis_tower(params, args.k, from_order)
     target = build_basis_tower(params, args.k, to_order)
     w = connection_matrix(params, source, target)
-    if args.format == "csv":
-        text = "".join(",".join(str(x) for x in row) + "\n" for row in w.entries)
-        _emit_text(text, args)
-        return 0
-    payload = {"connection": w.to_json_obj()}
     report = Report()
     if n == 3:
         pair = tuple(sorted(to_order[:2]))
         shared = set(from_order[:2]) & set(pair)
-        if pair != tuple(sorted(from_order[:2])) and len(shared) == 1 and source:
+        if pair != tuple(sorted(from_order[:2])) and len(shared) == 1:
             frame = (
                 next(i for i in from_order[:2] if i not in pair),
                 next(iter(shared)),
@@ -216,10 +211,15 @@ def cmd_connect(args) -> int:
                 eff_eps = [parities[o - 1] for o in frame]
                 expected[parities] = module_tridiagonal_data(eff_params, eff_eps, args.k)
             invariant = casimir(DunklOperators(params), pair)
-            data = tridiagonal_check(params, invariant, source, expected)
-            report.extend(data.report)
+            report = tridiagonal_check(params, invariant, source, expected).report
+    if args.format == "csv":
+        text = "".join(",".join(str(x) for x in row) + "\n" for row in w.entries)
+    else:
+        payload = {"connection": w.to_json_obj()}
+        if len(report):
             payload["tridiagonal"] = report.to_json_obj()
-    _emit_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", args)
+        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    _emit_text(text, args)
     return 0 if report.ok else 1
 
 

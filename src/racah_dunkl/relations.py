@@ -14,9 +14,10 @@ witness is a column of a discrepancy, read as a polynomial by
 witnessed by the first nonzero column of degree k; the harmonic suites
 of harmonics.py read one witness per column of a matrix whose columns
 are the towers' polynomials (``DegreeSum.columns``).  A
-RelationWorkspace is the DegreeSum of the racah sweep with its
-generators (pair invariants, P_ij, L_ij, L_ij^2, F_ijm and the diagonal
-factors) built once.
+RelationWorkspace, a DegreeSum with one DunklOperators, is the generator
+table of the suites that read a generator more than once (racah, lemma2,
+drinfeld-kohno and embedding): C_A, P_ij, L_ij, L_ij^2, F_ijm and the
+diagonal factors, each built on its first request and kept.
 """
 
 from __future__ import annotations
@@ -36,15 +37,12 @@ from .operators import (
     normalize_subset,
     su11_triple,
 )
-from .poly import ParameterSet, Polynomial, monomial_basis, monomial_positions, subset_degrees
+from .poly import ParameterSet, Polynomial, monomial_basis, monomial_positions
 from .report import Report
 
-# Degree bounds keeping full relation sweeps in seconds-to-minutes.
-_DEFAULT_BOUNDS = {3: 6, 4: 4, 5: 5, 6: 4, 7: 3}
-
-
 def default_degree_bound(n: int) -> int:
-    return _DEFAULT_BOUNDS.get(n, 2)
+    # bounds keeping full relation sweeps in seconds-to-minutes
+    return {3: 6, 4: 4, 5: 5, 6: 4, 7: 3}.get(n, 2)
 
 
 def nonempty_subsets(n: int) -> list[tuple[int, ...]]:
@@ -74,29 +72,6 @@ class DegreeSum:
         self.dim = len(self.basis)
         dims = (len(monomial_basis(n, d)) for d in range(self.top + 1))
         self.ends = list(accumulate(dims, initial=0))
-
-    def parity_diagonal(self, indices, value) -> RationalMatrix:
-        """The diagonal matrix of value(r_i, r_j, ...) on the direct sum.
-
-        r_i = (-1)^e_i is the reflection sign of x_i on the monomial x^e, for
-        each i in ``indices``.  Each monomial's sign pattern is the bit mask
-        of its odd exponents among them, read from the per-degree exponent
-        tables of poly.subset_degrees.  ``value`` is evaluated once per sign
-        pattern that occurs, the values are put over their lcm, and a zero
-        value stores no entry.
-        """
-        masks = [0] * self.dim
-        for bit, i in enumerate(indices):
-            tables = (subset_degrees(self.n, k, (i - 1,)) for k in self.degrees)
-            masks = [m | (e & 1) << bit for m, e in zip(masks, chain.from_iterable(tables))]
-        values = {
-            m: Fraction(value(*(-1 if m >> bit & 1 else 1 for bit in range(len(indices)))))
-            for m in set(masks)
-        }
-        den = lcm(1, *(v.denominator for v in values.values()))
-        nums = {m: v.numerator * (den // v.denominator) for m, v in values.items()}
-        rows = [{row: x} if (x := nums[m]) else {} for row, m in enumerate(masks)]
-        return RationalMatrix.from_sparse(rows, den, self.dim)
 
     def materialize(self, op: LinearOperator) -> RationalMatrix:
         """op on the ambient degrees 0..top: its rows and columns both start at degree 0."""
@@ -156,74 +131,101 @@ class DegreeSum:
 
 
 class RelationWorkspace(DegreeSum):
-    """Exact matrices of the algebra generators on degrees 0..kmax, built once.
+    """The generator table of a relation sweep, on the direct sum of degrees 0..kmax.
 
-    Each generator is one block-diagonal matrix on the direct sum: its
-    block k is the generator on the degree-k monomials.  The operators are
-    materialized on the whole range at once, and the diagonal factors,
-    which depend only on reflection signs, are built by
-    ``parity_diagonal`` from one value per sign pattern.
+    It holds one DunklOperators, and its accessors return the generators'
+    block-diagonal matrices, block k the generator on the degree-k
+    monomials: C_A (``c``, keyed by its sorted subset), the closed form
+    c1_i of C_i, the reflection factor R_i = 1 + 2 mu_i r_i (``refl``),
+    L_ij in either orientation, L_ij^2, P_ij and F_ijm.  Each is built on
+    its first request and kept in ``built``, so a later request is one
+    dict lookup and a sweep builds only what it reads.  c1_i, R_i and the
+    square of the pair form read the reflection signs r_i = (-1)^e_i
+    alone, so each is a degree diagonal over {i} or {i, j}; the square is
+    read once per pair and is not kept.
     """
 
     def __init__(self, ops: DunklOperators, kmax: int):
         super().__init__(ops.n, kmax)
         self.ops = ops
+        self.built: dict[tuple, RationalMatrix] = {}
 
-        n = self.n
-        # diagonal factors: the closed form 1/4 (mu^2 - mu r - 3/4) of the
-        # one-index invariant, and 1 + 2 mu r from the angular form of F
-        self.c1_mat: dict[int, RationalMatrix] = {}
-        self.refl_mat: dict[int, RationalMatrix] = {}
-        for i in range(1, n + 1):
-            mu = ops.params.mu_of(i)
-            self.c1_mat[i] = self.parity_diagonal(
-                (i,), lambda r: (mu * mu - mu * r - Fraction(3, 4)) / 4
-            )
-            self.refl_mat[i] = self.parity_diagonal((i,), lambda r: 1 + 2 * mu * r)
-
-        self.c_pair = {
-            frozenset(pair): self.materialize(casimir(ops, pair))
-            for pair in combinations(range(1, n + 1), 2)
-        }
-        self.p_mat: dict[frozenset, RationalMatrix] = {}
-        self.l_mat: dict[tuple[int, int], RationalMatrix] = {}
-        self.l2_mat: dict[frozenset, RationalMatrix] = {}
-        self.f_mat: dict[tuple[int, int, int], RationalMatrix] = {}
-
-        for i, j in combinations(range(1, n + 1), 2):
-            key = frozenset((i, j))
-            self.p_mat[key] = product_sum(
-                [(1, (self.c_pair[key],)), (-1, (self.c1_mat[i],)), (-1, (self.c1_mat[j],))]
-            ).normalized()
-            lij = self.materialize(angular(ops, i, j))
-            self.l_mat[(i, j)] = lij
-            self.l_mat[(j, i)] = -lij
-            self.l2_mat[key] = lij * lij
-
-        half = Fraction(1, 2)
-        for i, j, m in permutations(range(1, n + 1), 3):
-            # F_ijm = 1/2 [P_ij, P_jm]
-            self.f_mat[(i, j, m)] = product_sum(
-                _commutator(self.p(i, j), self.p(j, m), half)
-            ).normalized()
+    def c(self, A) -> RationalMatrix:
+        # keyed by the sorted subset: embedding's K + L comes unsorted
+        key = ("C", normalize_subset(A, self.n))
+        if (matrix := self.built.get(key)) is None:
+            matrix = self.built[key] = self.materialize(casimir(self.ops, key[1]))
+        return matrix
 
     def c1(self, i: int) -> RationalMatrix:
-        return self.c1_mat[i]
+        # 1/4 (mu^2 - mu r - 3/4): with mu = a / b, (4a^2 - 4ab r - 3b^2) / 16b^2
+        key = ("c1", i)
+        if (matrix := self.built.get(key)) is None:
+            mu = self.ops.params.mu_of(i)
+            a, b = mu.numerator, mu.denominator
+            c1 = _sign_diagonal((i,), lambda r: 4 * a * a - 4 * a * b * r - 3 * b * b, 16 * b * b)
+            matrix = self.built[key] = self.materialize(c1)
+        return matrix
 
     def refl(self, i: int) -> RationalMatrix:
-        return self.refl_mat[i]
+        # 1 + 2 mu r = (b + 2a r) / b
+        key = ("R", i)
+        if (matrix := self.built.get(key)) is None:
+            mu = self.ops.params.mu_of(i)
+            a, b = mu.numerator, mu.denominator
+            refl = _sign_diagonal((i,), lambda r: b + 2 * a * r, b)
+            matrix = self.built[key] = self.materialize(refl)
+        return matrix
 
-    def cp(self, i: int, j: int) -> RationalMatrix:
-        return self.c_pair[frozenset((i, j))]
+    def square(self, i: int, j: int) -> RationalMatrix:
+        # (mu_i r_i + mu_j r_j)^2 = (mu_i + mu_j r_i r_j)^2 = (a_i b_j + a_j b_i r)^2 / (b_i b_j)^2
+        mu_i, mu_j = self.ops.params.mu_of(i), self.ops.params.mu_of(j)
+        u, v = mu_i.numerator * mu_j.denominator, mu_j.numerator * mu_i.denominator
+        den = (mu_i.denominator * mu_j.denominator) ** 2
+        return self.materialize(_sign_diagonal((i, j), lambda r: (u + v * r) ** 2, den))
 
-    def p(self, i: int, j: int) -> RationalMatrix:
-        return self.p_mat[frozenset((i, j))]
+    def l(self, i: int, j: int) -> RationalMatrix:
+        # L_ji = -L_ij
+        key = ("L", i, j)
+        if (matrix := self.built.get(key)) is None:
+            matrix = self.materialize(angular(self.ops, i, j)) if i < j else -self.l(j, i)
+            self.built[key] = matrix
+        return matrix
 
     def l2(self, i: int, j: int) -> RationalMatrix:
-        return self.l2_mat[frozenset((i, j))]
+        key = ("L2", i, j) if i < j else ("L2", j, i)
+        if (matrix := self.built.get(key)) is None:
+            lij = self.l(*key[1:])
+            matrix = self.built[key] = lij * lij
+        return matrix
+
+    def p(self, i: int, j: int) -> RationalMatrix:
+        # P_ij = C_ij - C_i - C_j
+        key = ("P", i, j) if i < j else ("P", j, i)
+        if (matrix := self.built.get(key)) is None:
+            terms = [(1, (self.c(key[1:]),)), (-1, (self.c1(i),)), (-1, (self.c1(j),))]
+            matrix = self.built[key] = product_sum(terms).normalized()
+        return matrix
 
     def f(self, i: int, j: int, m: int) -> RationalMatrix:
-        return self.f_mat[(i, j, m)]
+        # F_ijm = 1/2 [P_ij, P_jm]
+        key = ("F", i, j, m)
+        if (matrix := self.built.get(key)) is None:
+            terms = _commutator(self.p(i, j), self.p(j, m), Fraction(1, 2))
+            matrix = self.built[key] = product_sum(terms).normalized()
+        return matrix
+
+
+def _sign_diagonal(indices: tuple[int, ...], value, den: int) -> LinearOperator:
+    """value(r) / den on x^e, with r = (-1)^s and s the degree of x^e over indices.
+
+    r is the product of the reflection signs r_i over the indices, so the
+    operator is their degree diagonal; value(r) is an integer.
+    """
+    name = ",".join(map(str, indices))
+    return LinearOperator.degree_diagonal(
+        [i - 1 for i in indices], lambda s: value(-1 if s & 1 else 1), f"r{{{name}}}", den
+    )
 
 
 def _commutator(a: RationalMatrix, b: RationalMatrix, c=1) -> list[Term]:
@@ -292,7 +294,7 @@ def verify_racah_relations(params: ParameterSet, kmax: int) -> Report:
         _quad_ff_relation,
         _quint_ff_relation,
     )
-    return ws.report([chain(*(family(ws) for family in families), _drinfeld_kohno(n, ws.c_pair))])
+    return ws.report([chain(*(family(ws) for family in families), _drinfeld_kohno(ws))])
 
 
 def _single_invariant_form(ws: RelationWorkspace):
@@ -304,15 +306,10 @@ def _single_invariant_form(ws: RelationWorkspace):
 
 def _pair_invariant_form(ws: RelationWorkspace):
     # 4 C_ij + L_ij^2 - (mu_i r_i + mu_j r_j)^2 + 1 = 0
-    params = ws.ops.params
     one = RationalMatrix.identity(ws.dim)
     for i, j in combinations(range(1, ws.n + 1), 2):
-        mu_i, mu_j = params.mu_of(i), params.mu_of(j)
-        square = ws.parity_diagonal(
-            (i, j), lambda ri, rj: mu_i * mu_i + mu_j * mu_j + 2 * mu_i * mu_j * ri * rj
-        )
         yield "pair-invariant-angular-form", (i, j), [
-            (4, (ws.cp(i, j),)), (1, (ws.l2(i, j),)), (-1, (square,)), (1, (one,)),
+            (4, (ws.c((i, j)),)), (1, (ws.l2(i, j),)), (-1, (ws.square(i, j),)), (1, (one,)),
         ]
 
 
@@ -322,7 +319,7 @@ def _subset_additivity(ws: RelationWorkspace):
         for A in combinations(range(1, ws.n + 1), size):
             ca = ws.materialize(casimir(ws.ops, A))
             terms = [(1, (ca,))]
-            terms += [(-1, (ws.cp(i, j),)) for i, j in combinations(A, 2)]
+            terms += [(-1, (ws.c(pair),)) for pair in combinations(A, 2)]
             terms += [(size - 2, (ws.c1(i),)) for i in A]
             yield "subset-additivity", A, terms
 
@@ -340,7 +337,7 @@ def _f_from_angular(ws: RelationWorkspace):
             (-sixteenth, (ws.l2(i, j), ws.refl(m))),
             (sixteenth, (ws.l2(i, m), ws.refl(j))),
             (sixteenth, (ws.l2(j, m), ws.refl(i))),
-            (-2 * sixteenth, (ws.l_mat[(i, m)], ws.l_mat[(i, j)], ws.l_mat[(j, m)])),
+            (-2 * sixteenth, (ws.l(i, m), ws.l(i, j), ws.l(j, m))),
         ]
         yield "f-antisymmetry", idx, [(1, (ws.f(m, j, i),)), (1, (ws.f(i, j, m),))]
 
@@ -391,33 +388,25 @@ def _quint_ff_relation(ws: RelationWorkspace):
         ]
 
 
-def _drinfeld_kohno(n: int, c_pair: dict[frozenset, RationalMatrix]):
-    def cp(i: int, j: int) -> RationalMatrix:
-        return c_pair[frozenset((i, j))]
-
+def _drinfeld_kohno(ws: RelationWorkspace):
+    n, c = ws.n, ws.c
     for i, j in combinations(range(1, n + 1), 2):
         for m, l in combinations(range(1, n + 1), 2):
             if (i, j) < (m, l) and not {i, j} & {m, l}:
-                yield "disjoint-pairs-commute", (i, j, m, l), _commutator(cp(i, j), cp(m, l))
+                yield "disjoint-pairs-commute", (i, j, m, l), _commutator(c((i, j)), c((m, l)))
     for i, j in combinations(range(1, n + 1), 2):
         for m in range(1, n + 1):
             if m in (i, j):
                 continue
             # [C_ij, C_im + C_jm]
-            terms = _commutator(cp(i, j), cp(i, m)) + _commutator(cp(i, j), cp(j, m))
+            terms = _commutator(c((i, j)), c((i, m))) + _commutator(c((i, j)), c((j, m)))
             yield "adjacent-pair-sum-commutes", (i, j, m), terms
 
 
 def verify_drinfeld_kohno(params: ParameterSet, kmax: int) -> Report:
     """Commutativity pattern of the two-index invariants, as a standalone sweep."""
-    n = params.n
-    ops = DunklOperators(params)
-    space = DegreeSum(n, kmax)
-    c_pair = {
-        frozenset(pair): space.materialize(casimir(ops, pair))
-        for pair in combinations(range(1, n + 1), 2)
-    }
-    return space.report([_drinfeld_kohno(n, c_pair)])
+    ws = RelationWorkspace(DunklOperators(params), kmax)
+    return ws.report([_drinfeld_kohno(ws)])
 
 
 def verify_casimir_laplacian_commute(params: ParameterSet, kmax: int) -> Report:
@@ -446,15 +435,12 @@ def _laplacian_commutator(space: DegreeSum, ca: LinearOperator, A: tuple[int, ..
 
 def verify_nested_disjoint_commute(params: ParameterSet, kmax: int) -> Report:
     """[C_A, C_B] = 0 whenever A and B are nested or disjoint."""
-    n = params.n
-    ops = DunklOperators(params)
-    space = DegreeSum(n, kmax)
-    mats = {A: space.materialize(casimir(ops, A)) for A in nonempty_subsets(n)}
-    return space.report([_nested_disjoint_commutators(mats)])
+    ws = RelationWorkspace(DunklOperators(params), kmax)
+    return ws.report([_nested_disjoint_commutators(ws)])
 
 
-def _nested_disjoint_commutators(mats: dict[tuple[int, ...], RationalMatrix]):
-    subsets = list(mats)
+def _nested_disjoint_commutators(ws: RelationWorkspace):
+    subsets = nonempty_subsets(ws.n)
     for a_idx, A in enumerate(subsets):
         for B in subsets[a_idx + 1:]:
             sa, sb = set(A), set(B)
@@ -464,7 +450,7 @@ def _nested_disjoint_commutators(mats: dict[tuple[int, ...], RationalMatrix]):
                 relation = "disjoint-invariants-commute"
             else:
                 continue
-            yield relation, (A, B), _commutator(mats[A], mats[B])
+            yield relation, (A, B), _commutator(ws.c(A), ws.c(B))
 
 
 def verify_embedding(
@@ -488,20 +474,15 @@ def verify_embedding(
     if set(K) & set(L) or set(K) & set(M) or set(L) & set(M):
         raise ValueError("blocks K, L, M must be pairwise disjoint")
 
-    ops = DunklOperators(params)
-    space = DegreeSum(n, kmax)
-
-    def mat(subset: tuple[int, ...]) -> RationalMatrix:
-        return space.materialize(casimir(ops, subset))
-
-    return space.report([_embedding_relations((K, L, M), mat)])
+    ws = RelationWorkspace(DunklOperators(params), kmax)
+    return ws.report([_embedding_relations(ws, (K, L, M))])
 
 
-def _embedding_relations(blocks, mat):
+def _embedding_relations(ws: RelationWorkspace, blocks):
     K, L, M = blocks
-    c_k, c_l, c_m = mat(K), mat(L), mat(M)
-    c_kl, c_km, c_lm = mat(K + L), mat(K + M), mat(L + M)
-    c_klm = mat(K + L + M)
+    c_k, c_l, c_m = ws.c(K), ws.c(L), ws.c(M)
+    c_kl, c_km, c_lm = ws.c(K + L), ws.c(K + M), ws.c(L + M)
+    c_klm = ws.c(K + L + M)
     # F = 1/2 [C_KL, C_LM]
     f = product_sum(_commutator(c_kl, c_lm, Fraction(1, 2))).normalized()
 

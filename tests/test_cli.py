@@ -133,6 +133,28 @@ def test_connect_csv_flat_matrix(tmp_path):
     assert all(len(line.split(",")) == 5 for line in lines)
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_connect_fails_on_wrong_tridiagonal_data_in_both_formats(monkeypatch, capsys, fmt):
+    # the n = 3 check runs whatever the format; its report goes to JSON alone
+    argv = ["connect", "--n", "3", "--k", "4", "--from", "1,2,3", "--to", "2,3,1", "--format", fmt]
+    assert run(argv) == 0
+    good = capsys.readouterr().out
+    data = cli.module_tridiagonal_data
+
+    def shifted(params, epsilon, d3):
+        diag, offsq = data(params, epsilon, d3)
+        return [b + 1 for b in diag], offsq
+
+    monkeypatch.setattr(cli, "module_tridiagonal_data", shifted)
+    assert run(argv) == 1
+    out = capsys.readouterr().out
+    if fmt == "csv":
+        assert out == good
+    else:
+        failed = [row for row in json.loads(out)["tridiagonal"] if row["status"] != "ok"]
+        assert {row["relation"] for row in failed} == {"diagonal-matches"}
+
+
 def test_graph_outputs(tmp_path):
     out = tmp_path / "graph.json"
     assert run(["graph", "--n", "4", "--out", str(out)]) == 0

@@ -1,10 +1,11 @@
 """The identities are claimed for every positive rational mu, so draw mu.
 
 The acceptance gate runs at ParameterSet.default(n); these properties run
-small sweeps of the relation, su(1,1), lemma1, closed-form and spectral suites at
-drawn mu, including equal values, integers and numerators and denominators
-up to 10^6, and use the direct connection matrix as the oracle for the
-composed per-edge pipeline.
+small sweeps of the relation, su(1,1), lemma1, lemma2, drinfeld-kohno,
+embedding, closed-form and spectral suites at drawn mu, including equal
+values, integers and numerators and denominators up to 10^6.  The direct
+connection matrix is the oracle for the composed per-edge pipeline, and
+the racah sweep's pair families for the drinfeld-kohno suite.
 """
 
 from fractions import Fraction
@@ -21,6 +22,9 @@ from racah_dunkl import (
     connection_pipeline,
     verify_casimir_laplacian_commute,
     verify_ck,
+    verify_drinfeld_kohno,
+    verify_embedding,
+    verify_nested_disjoint_commute,
     verify_racah_relations,
     verify_spectral_action,
     verify_su11,
@@ -78,6 +82,34 @@ def test_invariants_commute_with_laplacian_at_any_mu(p3, p4):
         report = verify_casimir_laplacian_commute(params, kmax)
         assert_all_ok(report)
         assert shape(report) == default_lemma1_shape(params.n, kmax)
+
+
+@settings(max_examples=10, deadline=None)
+@given(parameters(3), parameters(4), st.permutations([1, 2, 3, 4]))
+def test_commutativity_and_embedding_suites_hold_at_any_mu(p3, p4, order):
+    # the embedding blocks come in a drawn order, so K + L is often unsorted
+    singletons = [(i,) for i in order if i != 4]
+    pair_first = [order[:2], order[2:3], order[3:]]
+    for params, kmax, blocks in ((p3, 3, singletons), (p4, 2, pair_first)):
+        for suite in (
+            verify_nested_disjoint_commute,
+            verify_drinfeld_kohno,
+            lambda p, k: verify_embedding(p, *blocks, k),
+        ):
+            report = suite(params, kmax)
+            assert_all_ok(report)
+            assert shape(report) == shape(suite(ParameterSet.default(params.n), kmax))
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.sampled_from([3, 4]).flatmap(parameters), st.integers(0, 2))
+def test_drinfeld_kohno_is_the_commutativity_part_of_the_racah_sweep(params, kmax):
+    # the same records, in the same order, as the racah sweep's two pair families
+    report = verify_drinfeld_kohno(params, kmax)
+    assert_all_ok(report)
+    racah = verify_racah_relations(params, kmax)
+    pair_families = select(racah, "disjoint-pairs-commute", "adjacent-pair-sum-commutes")
+    assert report.results == pair_families.results
 
 
 @settings(max_examples=10, deadline=None)

@@ -26,7 +26,7 @@ from racah_dunkl import (
     norm_square_mul,
     su11_triple,
 )
-from racah_dunkl import cli, operators
+from racah_dunkl import cli, operators, relations
 from racah_dunkl.linalg import product_sum
 from racah_dunkl.relations import DegreeSum
 
@@ -274,8 +274,9 @@ def test_materialize_on_basis_and_escape():
     # on degrees 0..2, the 15 C_A: D_A at 0..2 (15 * 3), Lap_A at 2 and
     # |x_A|^2 (on -2..0) at 0, 32 coordinates each; T_1..T_4 at 1..2 (4 * 2)
     # and x_1..x_4, kept on DunklOperators and read by every L_ij (on
-    # -1..1), at 0..1 (4 * 2)
-    ("verify racah --n 4 --kmax 2", 45 + 32 + 32 + 8 + 8),
+    # -1..1), at 0..1 (4 * 2); the degree diagonals c1_i and R_i at 0..2
+    # (4 * 2 * 3) and the six pair squares at 0..2 (6 * 3)
+    ("verify racah --n 4 --kmax 2", 45 + 32 + 32 + 8 + 8 + 24 + 18),
 ])
 def test_a_sweep_evaluates_each_dunkl_image_once(monkeypatch, command, evaluations):
     # a sweep reads every primitive's matrix from its coordinate data: it calls
@@ -363,10 +364,9 @@ def test_every_angular_momentum_reads_the_kept_coordinates():
             ops.coordinates[bad]
 
 
-def test_operators_module_keeps_no_store():
-    # kept images and matrices belong to the operators that computed them:
-    # no memoizing decorator, and no module-level container to fill
-    tree = ast.parse(Path(operators.__file__).read_text(encoding="utf-8"))
+def assert_keeps_no_store(module):
+    # no memoizing decorator, no global, and no module-level container to fill
+    tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
     names = {getattr(node, "id", None) or getattr(node, "attr", None) for node in ast.walk(tree)}
     names |= {node.name for node in ast.walk(tree) if isinstance(node, ast.alias)}
     assert not names & {"functools", "lru_cache", "cache", "cached_property"}
@@ -378,3 +378,19 @@ def test_operators_module_keeps_no_store():
             assert isinstance(value, ast.Subscript) or (
                 isinstance(value, ast.Call) and value.func.id == "Fraction"
             ), ast.unparse(node)
+        if isinstance(node, ast.ClassDef):
+            # a class attribute would be one store shared by every instance
+            for stmt in node.body:
+                if isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                    targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                    assert [t.id for t in targets] == ["__slots__"], ast.unparse(stmt)
+
+
+def test_operators_module_keeps_no_store():
+    # kept images and matrices belong to the operators that computed them
+    assert_keeps_no_store(operators)
+
+
+def test_relations_module_keeps_no_store():
+    # a sweep's generators are kept on its RelationWorkspace object alone
+    assert_keeps_no_store(relations)

@@ -138,6 +138,29 @@ def test_union_invariant_independent_of_unused_parameters():
         assert a == b
 
 
+def test_the_workspace_builds_a_generator_on_its_first_request_only(monkeypatch):
+    # F_123 reads P_12 and P_23, which read C_12, C_23 and the closed forms
+    # c1_1, c1_2, c1_3; a later request, in either orientation or subset
+    # order, is a lookup that builds nothing
+    built = []
+    materialize = relations.materialize_on_monomials
+
+    def recording(op, n, k, kmax):
+        built.append(op.descriptor)
+        return materialize(op, n, k, kmax)
+
+    monkeypatch.setattr(relations, "materialize_on_monomials", recording)
+    ws = RelationWorkspace(DunklOperators(P3), 2)
+    assert built == []
+    f = ws.f(1, 2, 3)
+    assert built == ["C{1,2}", "r{1}", "r{2}", "C{2,3}", "r{3}"]
+    assert ws.f(1, 2, 3) is f
+    assert ws.p(2, 1) is ws.p(1, 2) and ws.c((2, 1)) is ws.c([1, 2]) is ws.c((1, 2, 2))
+    assert len(built) == 5
+    assert ws.l(2, 1) == -ws.l(1, 2) and ws.l2(2, 1) is ws.l2(1, 2)
+    assert built[5:] == ["L12"]
+
+
 def test_report_json_shape():
     report = verify_su11(P3, 1)
     obj = report.to_json_obj()
@@ -295,32 +318,23 @@ class ReferenceWorkspace:
     """The generators on the degree-k monomials alone, one workspace per degree.
 
     It is the reference for the direct-sum RelationWorkspace: the relation
-    families run on it unchanged, and every matrix is that of one degree.
+    families run on it unchanged through accessors of its own, every matrix
+    is that of one degree, built eagerly, and the diagonal factors are
+    Fraction diagonals with one entry per monomial.
     """
-
-    c1 = RelationWorkspace.c1
-    refl = RelationWorkspace.refl
-    cp = RelationWorkspace.cp
-    p = RelationWorkspace.p
-    l2 = RelationWorkspace.l2
-    f = RelationWorkspace.f
 
     def __init__(self, ops: DunklOperators, k: int):
         self.ops, self.n, self.k = ops, ops.n, k
         self.basis = monomial_basis(self.n, k)
         self.dim = len(self.basis)
         n = self.n
-        self.reflect_sign = {
-            i: [1 if exps[i - 1] % 2 == 0 else -1 for exps in self.basis]
-            for i in range(1, n + 1)
-        }
         self.c1_mat, self.refl_mat = {}, {}
         for i in range(1, n + 1):
             mu = ops.params.mu_of(i)
-            values = {s: (mu * mu - s * mu - Fraction(3, 4)) / 4 for s in (1, -1)}
-            signs = self.reflect_sign[i]
-            self.c1_mat[i] = RationalMatrix.diagonal([values[s] for s in signs])
-            self.refl_mat[i] = RationalMatrix.diagonal([1 + 2 * mu * s for s in signs])
+            self.c1_mat[i] = per_entry_diagonal(
+                self.basis, (i,), lambda s: (mu * mu - s * mu - Fraction(3, 4)) / 4
+            )
+            self.refl_mat[i] = per_entry_diagonal(self.basis, (i,), lambda s: 1 + 2 * mu * s)
         self.c_pair = {
             frozenset(pair): self.materialize(casimir(ops, pair))
             for pair in combinations(range(1, n + 1), 2)
@@ -340,8 +354,32 @@ class ReferenceWorkspace:
         # looked up at call time, so a patched materialization reaches both routes
         return relations.materialize_on_monomials(op, self.n, self.k, self.k)
 
-    def parity_diagonal(self, indices, value) -> RationalMatrix:
-        return per_entry_diagonal(self.basis, indices, value)
+    def c(self, pair) -> RationalMatrix:
+        return self.c_pair[frozenset(pair)]
+
+    def c1(self, i: int) -> RationalMatrix:
+        return self.c1_mat[i]
+
+    def refl(self, i: int) -> RationalMatrix:
+        return self.refl_mat[i]
+
+    def square(self, i: int, j: int) -> RationalMatrix:
+        mi, mj = self.ops.params.mu_of(i), self.ops.params.mu_of(j)
+        return per_entry_diagonal(
+            self.basis, (i, j), lambda ri, rj: mi * mi + mj * mj + 2 * mi * mj * ri * rj
+        )
+
+    def l(self, i: int, j: int) -> RationalMatrix:
+        return self.l_mat[(i, j)]
+
+    def l2(self, i: int, j: int) -> RationalMatrix:
+        return self.l2_mat[frozenset((i, j))]
+
+    def p(self, i: int, j: int) -> RationalMatrix:
+        return self.p_mat[frozenset((i, j))]
+
+    def f(self, i: int, j: int, m: int) -> RationalMatrix:
+        return self.f_mat[(i, j, m)]
 
 
 def reference_witness(n: int, basis, diff: RationalMatrix) -> str | None:
@@ -372,7 +410,7 @@ def reference_racah_relations(params: ParameterSet, kmax: int) -> Report:
     for k in range(kmax + 1):
         ws = ReferenceWorkspace(ops, k)
         checks = [check for family in families for check in family(ws)]
-        checks += relations._drinfeld_kohno(n, ws.c_pair)
+        checks += relations._drinfeld_kohno(ws)
         for relation, idx, terms in checks:
             report.add(relation, idx, k, reference_witness(n, ws.basis, product_sum(terms)))
     return report
@@ -476,8 +514,7 @@ def test_parity_diagonals_are_the_per_entry_fraction_diagonals(n, kmax, mu):
         def square(ri, rj):
             return mi * mi + mj * mj + 2 * mi * mj * ri * rj
 
-        reference = per_entry_diagonal(ws.basis, (i, j), square)
-        assert_same(ws.parity_diagonal((i, j), square), reference)
+        assert_same(ws.square(i, j), per_entry_diagonal(ws.basis, (i, j), square))
 
 
 def test_lemma2_with_one_wrong_invariant_entry_fails_only_on_its_degree(monkeypatch):

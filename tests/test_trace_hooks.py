@@ -81,6 +81,20 @@ print(json.dumps({{"code": code, "metrics": spans.layer_metrics(tracer)}}))
 """
 
 
+def traced_materializations(suite: str) -> int:
+    """operators.materialize.calls of ``verify suite --n 3 --kmax 2``, run in a child."""
+    script = SWEEP_CHILD.format(
+        src=str(ROOT / "src"), perfbench=str(ROOT / "perfbench"), suite=suite
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, cwd=ROOT
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["code"] == 0
+    return result["metrics"]["operators.materialize.calls"]
+
+
 @pytest.mark.parametrize("suite, materializations", [
     # per subset of {1, 2, 3}: A0, J+ and J-, and J+'s |x_A|^2 and J-'s Lap_A
     ("su11", 7 * 5),
@@ -93,13 +107,18 @@ def test_the_degree_changing_sweeps_materialize_through_the_traced_name(
     # su11 and lemma1 take each operator through the name the tracer
     # rebinds: a closure or table in relations that kept the function
     # itself would leave their top-level materializations untraced
-    script = SWEEP_CHILD.format(
-        src=str(ROOT / "src"), perfbench=str(ROOT / "perfbench"), suite=suite
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, cwd=ROOT
-    )
-    assert proc.returncode == 0, proc.stderr
-    result = json.loads(proc.stdout.splitlines()[-1])
-    assert result["code"] == 0
-    assert result["metrics"]["operators.materialize.calls"] == materializations > 0
+    assert traced_materializations(suite) == materializations > 0
+
+
+@pytest.mark.parametrize("suite, materializations", [
+    # per subset of {1, 2, 3}: C_A and its D_A, |x_A|^2 and Lap_A
+    ("lemma2", 7 * 4),
+    # per pair: C_ij and its D_ij, |x_ij|^2 and Lap_ij
+    ("drinfeld-kohno", 3 * 4),
+    # the blocks {1}, {2}, {3}: C_A of their 7 unions, each with its parts
+    ("embedding", 7 * 4),
+])
+def test_the_workspace_sweeps_materialize_through_the_traced_name(suite, materializations):
+    # the generator table builds each C_A once, on its first request,
+    # through the name the tracer rebinds
+    assert traced_materializations(suite) == materializations
