@@ -229,7 +229,7 @@ def product_sum(terms: Sequence[Term]) -> RationalMatrix:
     accumulated in one dict over all terms, entries that cancel are
     dropped, and no gcd is taken: ``is_zero`` needs none, and
     ``normalized`` reduces when lowest terms are wanted.  One term 1/q * A
-    shares A's rows, over q times its den, with no copy: J+ and J- are such.
+    shares A's rows, over q times its den, with no copy.
 
     The walk visits only the nonempty rows of each term's first factor,
     picked out by ``compress`` without a Python test per row, and reads

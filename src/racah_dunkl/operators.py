@@ -13,8 +13,9 @@ RationalMatrix row.  It is defined in one of three ways:
 
 * by coordinate data, as every built-in primitive is.  A coordinate move
   (pos, c) sends x^e to c(e_pos) x^(e + shift at pos), and a sum of moves
-  gives T_i, the multiplication by x_i or by |x_A|^2, and the Laplacian
-  Lap_A by the closed form of T_i^2.  A degree diagonal (positions, v)
+  gives T_i, the multiplication by x_i or by |x_A|^2, the Laplacian
+  Lap_A by the closed form of T_i^2, and J+ and J- (|x_A|^2 / 2 and
+  Lap_A's moves over twice its den).  A degree diagonal (positions, v)
   scales x^e by v(its degree over positions), which gives A0 and the
   diagonal part D_A of C_A.  The operator keeps each coefficient's values,
   evaluated once per exponent or A-degree, and both its rule on one
@@ -23,7 +24,7 @@ RationalMatrix row.  It is defined in one of three ways:
   operator that has no coordinate data;
 * as a composite: a list of terms (c, (op_1, op_2, ...)) standing for
   the sum of c * op_1 op_2 ..., the linalg.Term shape with operators in
-  place of matrices: C_A, L_ij, J+ and J-.  Its den is the lcm of the
+  place of matrices: C_A and L_ij.  Its den is the lcm of the
   terms' denominators, so each term adds an integer multiple of its parts'
   integer images.
 
@@ -39,6 +40,14 @@ and reads every factor of a check as a leading block of it
 (relations.DegreeSum), so no coefficient is evaluated twice.  A
 composite's matrix is one linalg.product_sum over its parts' matrices,
 each on the range of degrees it acts on, built anew.
+
+The coordinate data certify where an operator acts: its ``support`` is
+the positions of its moves or diagonal, for a composite the union over
+its factors, and None for a rule.  An operator with support in a set S
+of variables acts on x_S alone, so materialize_on_monomials can read it
+on the monomials of those variables only, re-indexing the same data onto
+the same shared tables; relations.DegreeSum.local_first proves checks
+that way.
 
 The composite builders take a DunklOperators object, the n Dunkl
 operators of one parameter set built once, in place of the parameters, so
@@ -134,7 +143,21 @@ class LinearOperator:
         move has no image.  ``moves`` holds (pos, c, values), values[e]
         the kept c(e), or 0 below -shift.
         """
-        steps = tuple([(pos, c, []) for pos, c in moves])
+        return cls._of_moves(tuple([(pos, c, []) for pos, c in moves]), descriptor, shift, den)
+
+    def moves_at(self, positions: Iterable[int], descriptor: str, den: int) -> "LinearOperator":
+        """The sum of this move operator's moves at the 0-based positions, over den.
+
+        Each move keeps its coefficient and the list of its kept values,
+        so the two operators evaluate each coefficient once between them.
+        """
+        positions = set(positions)
+        steps = tuple([step for step in self.moves if step[0] in positions])
+        return LinearOperator._of_moves(steps, descriptor, self.shift, den)
+
+    @classmethod
+    def _of_moves(cls, steps, descriptor: str, shift: int, den: int) -> "LinearOperator":
+        """The move operator of the (pos, c, values) steps, its rule read from them."""
         lowest = -shift if shift < 0 else 0
 
         def rule(exps: Monomial) -> Image:
@@ -193,6 +216,26 @@ class LinearOperator:
         op = cls(lambda exps: _terms_image(scaled, exps), descriptor, shift, den)
         op.terms = terms
         return op
+
+    @property
+    def support(self) -> frozenset[int] | None:
+        """The 0-based positions the operator reads and moves, from its coordinate data.
+
+        A move operator's are the positions of its moves, a degree
+        diagonal's its positions, and a composite's the union over its
+        factors.  An operator given by a rule alone, or built from one,
+        has no known support: None.  Operators whose supports are disjoint
+        commute, and on n variables an operator with support in S is its
+        action on the variables of S tensored with the identity.
+        """
+        if self.moves is not None:
+            return frozenset([pos for pos, _, _ in self.moves])
+        if self.diagonal is not None:
+            return frozenset(self.diagonal[0])
+        if self.terms is None:
+            return None
+        supports = [op.support for _, factors in self.terms for op in factors]
+        return None if None in supports else frozenset().union(*supports)
 
     def apply(self, terms: Mapping[Monomial, int], out: Image | None = None) -> Image:
         """den * self(terms) added into out (a fresh dict by default), without cancelled terms.
@@ -363,17 +406,18 @@ def su11_triple(
     A0 is half the shifted degree operator, J+ multiplies by the squared
     norm over A (times 1/2), and J- is half the deformed Laplacian over A.
     With gamma_A = g / h, A0 scales a monomial of A-degree d by
-    (d h + g) / 2h.
+    (d h + g) / 2h.  J+ is the moves of |x_A|^2 over den 2, and J- the
+    moves of Lap_A, with their kept values, over twice Lap_A's den L.
     """
     subset = normalize_subset(A, ops.n)
     gam = gamma(ops.params, subset)
     g, h = gam.numerator, gam.denominator
-    half = Fraction(1, 2)
     name = _name(subset)
     positions = [i - 1 for i in subset]
     a0 = LinearOperator.degree_diagonal(positions, lambda d: d * h + g, f"A0{{{name}}}", 2 * h)
-    j_plus = LinearOperator.composite([(half, (norm_square_mul(subset, ops.n),))], f"J+{{{name}}}")
-    j_minus = LinearOperator.composite([(half, (laplace(ops, subset),))], f"J-{{{name}}}")
+    j_plus = LinearOperator.moving([(pos, _unit) for pos in positions], f"J+{{{name}}}", 2, 2)
+    lap = laplace(ops, subset)
+    j_minus = lap.moves_at(positions, f"J-{{{name}}}", 2 * lap.den)
     return a0, j_plus, j_minus
 
 
@@ -407,56 +451,75 @@ def angular(ops: DunklOperators, i: int, j: int) -> LinearOperator:
     )
 
 
-def materialize_on_monomials(op: LinearOperator, n: int, k: int, kmax: int) -> RationalMatrix:
-    """Matrix of op on the monomials of degrees k..kmax, one block per degree.
+def materialize_on_monomials(
+    op: LinearOperator, n: int, k: int, kmax: int, variables: tuple[int, ...] | None = None
+) -> RationalMatrix:
+    """Matrix of op on the monomials of degrees k..kmax in n variables, one block per degree.
 
     Block d maps the columns monomial_basis(n, d) to the rows
     monomial_basis(n, d + op.shift), blocks in degree order; a negative
     degree gives an empty block, and (op, n, k, k) is the matrix on degree
-    k.  The degrees below min(0, -shift) hold no row and no column, so k
-    is raised to it first and such ranges share one matrix.  A
-    composite's is the product sum of its terms over its parts' matrices,
-    each on the range it acts on, and is not kept; a primitive's is kept
-    per range, over its den.  A move's block is read from the index
+    k.  The n variables are op's positions 0..n-1, or, given
+    ``variables``, the n sorted 0-based positions it lists, which must
+    hold op's support: each position of op's coordinate data is read at
+    its index in variables, so op acts on those variables alone.  The
+    degrees below min(0, -shift) hold no row and no column, so k is
+    raised to it first and such ranges share one matrix.  A composite's
+    is the product sum of its terms over its parts' matrices, each on the
+    range it acts on, and is not kept; a primitive's is kept per range
+    and variables, over its den.  A move's block is read from the index
     tables of poly.coordinate_moves and a diagonal's from those of
     poly.subset_degrees, with each coefficient's kept values, and the
     common factor of those values and den is divided out first.  A rule's
     block holds the rule's images, each looked up in the positions of its
     own degree d + shift alone: a term outside them raises
-    ImageEscapesSpan.  All are in lowest terms, so a range holds the
-    integers of its lowest-terms blocks over the lcm of their dens.
+    ImageEscapesSpan, and a rule has no positions to read at other
+    variables.  All are in lowest terms, so a range holds the integers of
+    its lowest-terms blocks over the lcm of their dens.
     """
     k = max(k, min(0, -op.shift))
+    if variables == tuple(range(n)):
+        variables = None
     if op.terms is not None:
         products = []
         for c, factors in op.terms:
             matrices, d = [], 0
             for factor in reversed(factors):
-                matrices.append(materialize_on_monomials(factor, n, k + d, kmax + d))
+                matrices.append(materialize_on_monomials(factor, n, k + d, kmax + d, variables))
                 d += factor.shift
             products.append((c, matrices[::-1]))
         return product_sum(products).normalized()
-    key = (n, k, kmax)
+    key = (n if variables is None else variables, k, kmax)
     matrix = op._matrices.get(key)
     if matrix is not None:
         return matrix
     if op.moves is not None:
-        matrix = _moves_matrix(op, n, k, kmax)
+        matrix = _moves_matrix(op, n, k, kmax, variables)
     elif op.diagonal is not None:
-        matrix = _diagonal_matrix(op, n, k, kmax)
-    else:
+        matrix = _diagonal_matrix(op, n, k, kmax, variables)
+    elif variables is None:
         matrix = _rule_matrix(op, n, k, kmax)
+    else:
+        raise ValueError(f"{op.descriptor} is a rule: it cannot act on chosen variables")
     op._matrices[key] = matrix
     return matrix
 
 
-def _moves_matrix(op: LinearOperator, n: int, k: int, kmax: int) -> RationalMatrix:
+def _local(pos: int, variables: tuple[int, ...] | None) -> int:
+    """A 0-based position at its index in variables (itself when variables is None)."""
+    return pos if variables is None else variables.index(pos)
+
+
+def _moves_matrix(
+    op: LinearOperator, n: int, k: int, kmax: int, variables: tuple[int, ...] | None
+) -> RationalMatrix:
     """A move operator's matrix on degrees k..kmax, from the shared move tables."""
     shift, degrees = op.shift, range(k, kmax + 1)
     lowest = max(0, -shift)
     moves = []
     for pos, c, values in op.moves:
         _grow(values, c, lowest, kmax)
+        pos = _local(pos, variables)
         moves.append((values, [coordinate_moves(n, d, pos, shift) for d in degrees]))
     g = gcd(op.den, *(values[e] for values, tables in moves for table in tables for e, _ in table))
     rows: list[dict[int, int]] = []
@@ -474,9 +537,12 @@ def _moves_matrix(op: LinearOperator, n: int, k: int, kmax: int) -> RationalMatr
     return RationalMatrix.from_sparse(rows, op.den // g, ncols)
 
 
-def _diagonal_matrix(op: LinearOperator, n: int, k: int, kmax: int) -> RationalMatrix:
+def _diagonal_matrix(
+    op: LinearOperator, n: int, k: int, kmax: int, variables: tuple[int, ...] | None
+) -> RationalMatrix:
     """A degree diagonal's matrix on degrees k..kmax, from the shared A-degree tables."""
     positions, value, values = op.diagonal
+    positions = tuple([_local(pos, variables) for pos in positions])
     _grow(values, value, 0, kmax)
     tables = [subset_degrees(n, d, positions) for d in range(k, kmax + 1)]
     g = gcd(op.den, *(values[s] for s in set().union(*tables)))

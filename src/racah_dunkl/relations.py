@@ -18,6 +18,20 @@ RelationWorkspace, a DegreeSum with one DunklOperators, is the generator
 table of the suites that read a generator more than once (racah, lemma2,
 drinfeld-kohno and embedding): C_A, P_ij, L_ij, L_ij^2, F_ijm and the
 diagonal factors, each built on its first request and kept.
+
+su11 and lemma1 prove each check on the variables of its subset A first
+(``DegreeSum.local_first``).  The certificate is the operators' own
+coordinate data: when the support of every factor lies in A, the check's
+discrepancy on n variables is its discrepancy D on the monomials of x_A
+tensored with the identity on the other variables, so D = 0 on degrees
+0..kmax makes the check hold on every degree.  lemma1 splits the full
+Laplacian's moves by position into Lap|A + Lap|A^c; the second acts on
+other variables than C_A and so commutes with it, and [C_A, Lap|A] is
+the local check.  An unknown support (an operator given by a rule), a
+support outside A, a Laplacian with no moves, or a nonzero D sends the
+check to the n-variable sum, so every failure keeps its n-variable
+witness.  racah, lemma2, drinfeld-kohno and embedding stay on the
+n-variable sum.
 """
 
 from __future__ import annotations
@@ -60,11 +74,18 @@ class DegreeSum:
     default); ``ends[d]`` counts the ambient monomials of degree below d.
     A check is (relation, index tuple, term list): its discrepancy, the
     term list's product sum, maps degrees 0..kmax to ambient degrees.  A
-    kmax below 0 gives no degree.
+    kmax below 0 gives no degree.  The variables are x_1..x_n, or the x_v
+    for v in ``variables`` (1-based, sorted), and then ``n`` is their
+    count and operators are read on those variables alone; ``positions``
+    holds them 0-based, or None when they are 0..n-1.
     """
 
-    def __init__(self, n: int, kmax: int, top: int | None = None):
-        self.n = n
+    def __init__(
+        self, n: int, kmax: int, top: int | None = None, variables: tuple[int, ...] | None = None
+    ):
+        positions = tuple(range(n)) if variables is None else tuple(v - 1 for v in variables)
+        self.n = n = len(positions)
+        self.positions = None if positions == tuple(range(n)) else positions
         self.kmax = kmax
         self.top = kmax if top is None else top
         self.degrees = range(max(kmax + 1, 0))
@@ -75,7 +96,36 @@ class DegreeSum:
 
     def materialize(self, op: LinearOperator) -> RationalMatrix:
         """op on the ambient degrees 0..top: its rows and columns both start at degree 0."""
-        return materialize_on_monomials(op, self.n, min(0, -op.shift), self.top - max(0, op.shift))
+        low, high = min(0, -op.shift), self.top - max(0, op.shift)
+        if self.positions is None:
+            return materialize_on_monomials(op, self.n, low, high)
+        return materialize_on_monomials(op, self.n, low, high, self.positions)
+
+    def local_first(self, A: tuple[int, ...], build, operators, local):
+        """The checks of build(self, A, *operators), each proven on A's variables when it can be.
+
+        ``local`` is None, or operators whose checks hold here exactly when
+        those of ``operators`` do, provided their supports lie in A.  When
+        their coordinate data show that they do, each check of build on
+        the monomials of A's variables alone, to the same degrees, whose
+        discrepancy D is zero holds here on every degree, since here its
+        discrepancy is D tensored with the identity on the other
+        variables: it is yielded with the term list None.  Every other
+        check, and every check when local is None or reaches outside A,
+        or when A holds all the variables, is built here from
+        ``operators``, so its witness reads the same.
+        """
+        if local is None or len(A) == self.n or not _within(A, *local):
+            yield from build(self, A, *operators)
+            return
+        on_a, here = DegreeSum(self.n, self.kmax, self.top, A), None
+        for i, (relation, idx, terms) in enumerate(build(on_a, A, *local)):
+            if product_sum(terms).is_zero:
+                yield relation, idx, None
+                continue
+            if here is None:
+                here = list(build(self, A, *operators))
+            yield here[i]
 
     def lead(self, matrix: RationalMatrix, rows: int, cols: int) -> RationalMatrix:
         """An ambient matrix's rows of degree <= rows and columns of degree <= cols.
@@ -111,7 +161,9 @@ class DegreeSum:
         The groups are recorded in turn, each degree-major: all its checks
         on degree 0, then on degree 1, and so on, each degree in the
         group's order.  A check's witness on degree k is the first of its
-        columns of degree k that ``column_witnesses`` reads as nonzero.
+        columns of degree k that ``column_witnesses`` reads as nonzero; a
+        check whose term list is None was proven (``local_first``) and
+        holds on every degree.
         """
         spans = [(self.ends[k], self.ends[k + 1]) for k in self.degrees]
         held = [None] * len(spans)
@@ -119,8 +171,8 @@ class DegreeSum:
         for group in groups:
             witnessed = []
             for relation, idx, terms in group:
-                diff, witnesses = product_sum(terms), held
-                if not diff.is_zero:
+                witnesses = held
+                if terms is not None and not (diff := product_sum(terms)).is_zero:
                     cols = self.column_witnesses(diff)
                     witnesses = [next(filter(None, cols[a:b]), None) for a, b in spans]
                 witnessed.append((relation, idx, witnesses))
@@ -241,18 +293,27 @@ def verify_su11(params: ParameterSet, kmax: int) -> Report:
     0..kmax.  J+ raises the degree by two and J- lowers it by two, so the
     discrepancies map degree k to degree k + 2, k - 2 and k, each factor
     is a block of one matrix on degrees 0..kmax + 2, and each witness is
-    written on the degree its discrepancy maps to.  The report is
+    written on the degree its discrepancy maps to.  When the supports of
+    A0, J+ and J- lie in A, each identity is summed on the monomials of
+    A's variables first (``DegreeSum.local_first``).  The report is
     subset-major: subset, then degree, then relation.
     """
     space = DegreeSum(params.n, kmax, kmax + 2)
     ops = DunklOperators(params)
-    return space.report(_su11_brackets(space, ops, A) for A in nonempty_subsets(params.n))
+    triples = ((A, su11_triple(ops, A)) for A in nonempty_subsets(params.n))
+    return space.report(space.local_first(A, _su11_brackets, t, t) for A, t in triples)
 
 
-def _su11_brackets(space: DegreeSum, ops: DunklOperators, A: tuple[int, ...]):
+def _within(A: tuple[int, ...], *ops: LinearOperator) -> bool:
+    """Whether the coordinate data of every op lies on the variables of A."""
+    positions = {i - 1 for i in A}
+    return all(op.support is not None and op.support <= positions for op in ops)
+
+
+def _su11_brackets(space: DegreeSum, A: tuple[int, ...], a0, jp, jm):
     # A0, J+ and J- map degree d to degrees d, d + 2 and d - 2; each other
     # factor is the leading block of one of them that its neighbours need
-    a0_up, jp_0, jm_up = (space.materialize(op) for op in su11_triple(ops, A))
+    a0_up, jp_0, jm_up = (space.materialize(op) for op in (a0, jp, jm))
     k, lead = space.kmax, space.lead
     a0_0, a0_down = lead(a0_up, k, k), lead(a0_up, k - 2, k - 2)
     jp_down, jm_0 = lead(jp_0, k, k - 2), lead(jm_up, k - 2, k)
@@ -415,22 +476,35 @@ def verify_casimir_laplacian_commute(params: ParameterSet, kmax: int) -> Report:
     The full Laplacian lowers the degree by two, so the commutator
     C_A Lap - Lap C_A maps degree k to degree k - 2, with C_A on degrees
     0..kmax on the right and its leading block on 0..kmax - 2 on the left,
-    and each witness is written on degree k - 2.  The Laplacian is
-    materialized once; the report is subset-major.
+    and each witness is written on degree k - 2.  When C_A's support lies
+    in A and the Laplacian is coordinate moves, its moves split by
+    position into Lap|A + Lap|A^c.  The second acts on other variables
+    than C_A, so it commutes with C_A, and [C_A, Lap|A] is summed on the
+    monomials of A's variables first (``DegreeSum.local_first``).  The
+    report is subset-major.
     """
     n = params.n
     space = DegreeSum(n, kmax)
     ops = DunklOperators(params)
-    lap = space.materialize(laplace(ops, range(1, n + 1)))
+    lap = laplace(ops, range(1, n + 1))
     subsets = nonempty_subsets(n)
-    return space.report(_laplacian_commutator(space, casimir(ops, A), A, lap) for A in subsets)
+    return space.report(_lemma1_checks(space, casimir(ops, A), lap, A) for A in subsets)
 
 
-def _laplacian_commutator(space: DegreeSum, ca: LinearOperator, A: tuple[int, ...], lap):
+def _lemma1_checks(space: DegreeSum, ca: LinearOperator, lap: LinearOperator, A: tuple[int, ...]):
+    # [C_A, Lap] = [C_A, Lap|A] when C_A commutes with Lap|A^c
+    local = None
+    if lap.moves is not None:
+        name = f"{lap.descriptor}|{{{','.join(map(str, A))}}}"
+        local = (ca, lap.moves_at([i - 1 for i in A], name, lap.den))
+    return space.local_first(A, _laplacian_commutator, (ca, lap), local)
+
+
+def _laplacian_commutator(space: DegreeSum, A: tuple[int, ...], ca, lap):
     # C_A Lap - Lap C_A, from degrees 0..kmax to degrees 0..kmax - 2
-    ca_0 = space.materialize(ca)
+    ca_0, lap_0 = space.materialize(ca), space.materialize(lap)
     ca_below = space.lead(ca_0, space.kmax - 2, space.kmax - 2)
-    yield "invariant-commutes-with-laplacian", A, [(1, (ca_below, lap)), (-1, (lap, ca_0))]
+    yield "invariant-commutes-with-laplacian", A, [(1, (ca_below, lap_0)), (-1, (lap_0, ca_0))]
 
 
 def verify_nested_disjoint_commute(params: ParameterSet, kmax: int) -> Report:

@@ -336,18 +336,66 @@ def test_a_sweep_keeps_one_range_per_primitive(monkeypatch, command):
 
 def test_ranges_that_differ_below_their_first_row_or_column_share_one_matrix():
     # below degree min(0, -shift) a range holds no row and no column: A0 and
-    # Lap_A from degree -2 are A0 and Lap_A from degree 0, and |x_A|^2 (shift
-    # 2) from degree -4 is |x_A|^2 from degree -2, whose rows start at degree 0
+    # Lap_A from degree -2 are A0 and Lap_A from degree 0, and J+ (shift 2,
+    # the moves of |x_A|^2) from degree -4 is J+ from degree -2, whose rows
+    # start at degree 0
     ops = DunklOperators(PARAMS)
     a0, jp, _ = su11_triple(ops, (1, 2))
-    (_, (norm_square,)), = jp.terms
     lap = laplace(ops, (1, 2))
-    for op, low, first in ((a0, -2, 0), (lap, -2, 0), (norm_square, -4, -2)):
+    for op, low, first in ((a0, -2, 0), (lap, -2, 0), (jp, -4, -2)):
         kept = materialize_on_monomials(op, 3, first, 3)
         assert materialize_on_monomials(op, 3, low, 3) is kept
         assert list(op._matrices) == [(3, first, 3)]
     # an empty range from below stays empty
     assert materialize_on_monomials(a0, 3, -2, -1).shape == (0, 0)
+
+
+def test_support_is_read_from_coordinate_data():
+    # moves and diagonals name their positions, a composite unites its
+    # factors', and a rule, or any composite over one, has no known support
+    ops = DunklOperators(PARAMS)
+    a0, jp, jm = su11_triple(ops, (1, 3))
+    rule = LinearOperator(lambda exps: {exps: 1}, "1")
+    assert ops.dunkl[2].support == ops.coordinates[2].support == {1}
+    assert a0.support == jp.support == jm.support == laplace(ops, (1, 3)).support == {0, 2}
+    assert casimir(ops, (2, 3)).support == {1, 2} and angular(ops, 1, 3).support == {0, 2}
+    assert rule.support is None
+    assert LinearOperator.composite([(1, (ops.dunkl[1], rule))], "T1 1").support is None
+
+
+def test_raising_and_lowering_are_primitive_moves():
+    # J+ is |x_A|^2 over den 2, J- shares Lap_A's moves and kept values over 2L
+    ops = DunklOperators(PARAMS)
+    _, jp, jm = su11_triple(ops, (1, 3))
+    lap = laplace(ops, (1, 3))
+    assert jp.terms is None and jm.terms is None
+    assert (jp.den, jm.den) == (2, 2 * lap.den)
+    assert [step[0] for step in jp.moves] == [0, 2]
+    assert all(a is b for a, b in zip(jm.moves, lap.moves))
+    materialize_on_monomials(jm, 3, 0, 4)
+    assert all(values[:5] for *_, values in lap.moves)
+
+
+def test_an_operator_on_chosen_variables_is_the_operator_of_their_parameters():
+    # Lap_{2,4}, C_{2,4} and A0, J+, J- of {2, 4} at n = 4, read on x2 and x4
+    # alone, are the operators of {1, 2} built from (mu_2, mu_4) on two variables
+    params = ParameterSet.make(["1/2", "7/3", "1/9", "1000000"])
+    ops = DunklOperators(params)
+    small = DunklOperators(ParameterSet.make(["7/3", "1000000"]))
+    pairs = [
+        (laplace(ops, (2, 4)), laplace(small, (1, 2))),
+        (casimir(ops, (2, 4)), casimir(small, (1, 2))),
+        *zip(su11_triple(ops, (2, 4)), su11_triple(small, (1, 2))),
+    ]
+    for op, other in pairs:
+        assert materialize_on_monomials(op, 2, 0, 4, (1, 3)) == materialize_on_monomials(
+            other, 2, 0, 4
+        ), op.descriptor
+    # variables 0..n-1 are the plain range: one kept matrix
+    lap = laplace(ops, (1, 2))
+    assert materialize_on_monomials(lap, 2, 0, 3, (0, 1)) is materialize_on_monomials(lap, 2, 0, 3)
+    with pytest.raises(ValueError):
+        materialize_on_monomials(LinearOperator(lambda e: {e: 1}, "1"), 2, 0, 2, (1, 3))
 
 
 def test_every_angular_momentum_reads_the_kept_coordinates():

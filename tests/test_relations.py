@@ -31,7 +31,7 @@ from racah_dunkl import (
     verify_racah_relations,
     verify_su11,
 )
-from racah_dunkl import cli, relations
+from racah_dunkl import cli, operators, relations
 from racah_dunkl.linalg import product_sum
 from racah_dunkl.poly import Polynomial, monomial_basis
 from racah_dunkl.relations import DegreeSum, RelationWorkspace, nonempty_subsets
@@ -634,6 +634,162 @@ def test_su11_and_lemma1_record_one_check_per_subset_relation_and_degree(n):
     for sweep, names in families:
         counts = Counter((r.relation, r.degree) for r in sweep(params, kmax))
         assert counts == {(name, k): 2**n - 1 for name in names for k in range(kmax + 1)}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("kmax", [0, 4])
+def test_su11_and_lemma1_record_counts_are_the_closed_forms(n, kmax):
+    # 3 (2^n - 1)(kmax + 1) su(1,1) records and (2^n - 1)(kmax + 1) for
+    # [C_A, Lap]: a route that proves a check on A's variables still records it
+    params = ParameterSet.default(n)
+    assert len(verify_su11(params, kmax)) == 3 * (2**n - 1) * (kmax + 1)
+    assert len(verify_casimir_laplacian_commute(params, kmax)) == (2**n - 1) * (kmax + 1)
+
+
+def recording_routes(monkeypatch):
+    """Patch relations' materialize_on_monomials to list (descriptor, variables) per call.
+
+    variables is the count n of variables on the plain range 0..n-1, else
+    their 0-based positions.
+    """
+    calls = []
+    materialize = relations.materialize_on_monomials
+
+    def recording(op, n, k, kmax, variables=None):
+        calls.append((op.descriptor, n if variables is None else variables))
+        return materialize(op, n, k, kmax, variables)
+
+    monkeypatch.setattr(relations, "materialize_on_monomials", recording)
+    return calls
+
+
+def test_passing_su11_and_lemma1_checks_run_on_their_own_variables(monkeypatch):
+    # every subset but the full set is read on its own variables only; the
+    # n-variable matrices are those of {1, 2, 3}, whose variables are all
+    calls = recording_routes(monkeypatch)
+    assert verify_su11(P3, 2).ok
+    assert verify_casimir_laplacian_commute(P3, 2).ok
+    full = [descriptor for descriptor, variables in calls if variables == 3]
+    assert full == ["A0{1,2,3}", "J+{1,2,3}", "J-{1,2,3}", "C{1,2,3}", "Lap{1,2,3}"]
+    # {1} and {1, 2} are the plain ranges of one and two variables
+    assert {variables for _, variables in calls} == {1, 2, 3, (1,), (2,), (1, 2), (0, 2)}
+
+
+def test_a_raising_operator_leaking_across_variables_takes_the_n_variable_route(monkeypatch):
+    # J+ of {1} with an extra coordinate move of x2: its coordinate data
+    # reach outside {1}, so its checks run on all n variables, and fail
+    # there with the per-degree reference's witness
+    def leaking_triple(ops, A):
+        a0, jp, jm = su11_triple(ops, A)
+        if A == (1,):
+            jp = LinearOperator.moving([(0, lambda e: 1), (1, lambda e: 1)], "J+{1}", 2, 2)
+        return a0, jp, jm
+
+    monkeypatch.setattr(relations, "su11_triple", leaking_triple)
+    calls = recording_routes(monkeypatch)
+    params = ParameterSet.default(3)
+    report = verify_su11(params, 3)
+    assert ("J+{1}", 3) in calls and ("A0{1}", 1) not in calls
+    assert report.results == per_degree_su11(params, 3).results
+    failed = failures(report)
+    assert {(r.relation, r.index_tuple) for r in failed} == {("su11-raising", (1,))}
+    assert failed[0] == CheckResult("su11-raising", (1,), 0, "fail", "-1/2 * x2^2")
+
+
+def test_a_wrong_a0_inside_its_support_fails_on_its_variables_first(monkeypatch):
+    # A0 + 1 on {1, 3}: [J-, J+] = 2 A0 fails on x1, x3 alone, so the
+    # bracket is summed again on all n variables, for the reference's bytes
+    real = LinearOperator.degree_diagonal.__func__
+
+    def mutated(cls, positions, value, descriptor, den):
+        if descriptor == "A0{1,3}":
+            return real(cls, positions, lambda d: value(d) + den, descriptor, den)
+        return real(cls, positions, value, descriptor, den)
+
+    monkeypatch.setattr(LinearOperator, "degree_diagonal", classmethod(mutated))
+    calls = recording_routes(monkeypatch)
+    params = ParameterSet.default(4)
+    report = verify_su11(params, 3)
+    assert ("A0{1,3}", (0, 2)) in calls and ("A0{1,3}", 4) in calls
+    assert {d for d, variables in calls if variables == 4} == {
+        "A0{1,3}", "J+{1,3}", "J-{1,3}", "A0{1,2,3,4}", "J+{1,2,3,4}", "J-{1,2,3,4}",
+    }
+    assert report.results == per_degree_su11(params, 3).results
+    failed = failures(report)
+    assert {(r.relation, r.index_tuple) for r in failed} == {("su11-bracket", (1, 3))}
+    assert [r.degree for r in failed] == [0, 1, 2, 3]
+
+
+def test_a_wrong_laplacian_coefficient_inside_its_support_fails_on_its_variables_first(
+    monkeypatch
+):
+    # C_{1,2} built on a Lap_{1,2} whose x1 coefficient is off by one at
+    # exponent 3: [C_{1,2}, Lap] fails on x1, x2 alone, and is summed again
+    # on all n variables, for the reference's bytes
+    real = operators.laplace
+
+    def wrong_laplace(ops, A):
+        lap = real(ops, A)
+        if tuple(A) != (1, 2):
+            return lap
+        (_, c, _), second = lap.moves
+        moves = [(0, lambda e: c(e) + (e == 3)), second[:2]]
+        return LinearOperator.moving(moves, lap.descriptor, lap.shift, lap.den)
+
+    monkeypatch.setattr(operators, "laplace", wrong_laplace)
+    calls = recording_routes(monkeypatch)
+    params = ParameterSet.default(3)
+    report = verify_casimir_laplacian_commute(params, 4)
+    assert ("C{1,2}", 2) in calls and ("C{1,2}", 3) in calls
+    assert {d for d, variables in calls if variables == 3} == {"C{1,2}", "C{1,2,3}", "Lap{1,2,3}"}
+    assert report.results == per_degree_laplacian_commute(params, 4).results
+    relation = "invariant-commutes-with-laplacian"
+    assert failures(report) == [
+        CheckResult(relation, (1, 2), 3, "fail", "17/18 * x1"),
+        CheckResult(relation, (1, 2), 4, "fail", "23/18 * x1 x2"),
+    ]
+
+
+@settings(max_examples=20, deadline=None)
+@example(5, 4, [Fraction(10**6), Fraction(1, 9), Fraction(1, 2), Fraction(1, 3), Fraction(1)], None)
+@example(3, 2, [Fraction(1, 9), Fraction(10**6), Fraction(7, 3)] + [Fraction(1)] * 2, ((1, 3), 1))
+@given(
+    st.integers(1, 5),
+    st.integers(0, 4),
+    st.lists(racah_mu, min_size=5, max_size=5),
+    st.one_of(
+        st.none(),
+        st.tuples(
+            st.sets(st.integers(1, 5), min_size=1).map(lambda A: tuple(sorted(A))),
+            st.integers(0, 4),
+        ),
+    ),
+)
+def test_support_local_reports_are_the_n_variable_reports(n, kmax, mu, bump):
+    # su11 and lemma1 against the same sweeps with every support unknown, so
+    # every check runs on all n variables: the same bytes, with and without
+    # A0 and D_A raised by one at one A-degree of a drawn subset
+    params = ParameterSet(n, tuple(mu[:n]))
+    real = LinearOperator.degree_diagonal.__func__
+    wrong = set()
+    if bump is not None and all(i <= n for i in bump[0]):
+        name = ",".join(map(str, bump[0]))
+        wrong = {f"A0{{{name}}}", f"D{{{name}}}"}
+
+    def mutated(cls, positions, value, descriptor, den):
+        if descriptor in wrong:
+            return real(cls, positions, lambda s: value(s) + (s == bump[1]), descriptor, den)
+        return real(cls, positions, value, descriptor, den)
+
+    def texts():
+        sweeps = (verify_su11, verify_casimir_laplacian_commute)
+        return [sweep(params, kmax).to_json_text() for sweep in sweeps]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(LinearOperator, "degree_diagonal", classmethod(mutated))
+        local = texts()
+        patch.setattr(LinearOperator, "support", property(lambda op: None))
+        assert texts() == local
 
 
 @settings(max_examples=25, deadline=None)
