@@ -3,11 +3,13 @@
 A chain is the commuting family attached to the nested prefixes of a
 variable ordering; swapping the first two variables leaves every prefix
 set unchanged, so orderings are canonicalized with the first pair sorted.
-Two chains are adjacent when their generator lists differ in exactly one
-position, and any two chains are joined by a walk obtained by expanding
-the relating permutation into adjacent transpositions of the ordering;
-flips of the first two positions are skipped because they do not move
-the chain.
+The one move of the graph is an adjacent transposition of the ordering
+past its first pair: flipping positions a and a + 1 (0-based, a >= 1)
+replaces the size-(a + 1) prefix and keeps every other, so two chains are
+adjacent exactly when their generator lists differ in one position.  Any
+two chains are joined by a walk obtained by expanding the relating
+permutation into such flips; flips of the first two positions are
+skipped because they do not move the chain.
 """
 
 from __future__ import annotations
@@ -70,47 +72,25 @@ def enumerate_chains(n: int) -> list[Chain]:
     """All distinct chains on n variables, sorted; there are n!/2 of them."""
     if n < 3:
         raise ValueError("chains need at least three variables")
-    return sorted({Chain.from_order(p) for p in permutations(range(1, n + 1))})
+    # permutations yields the orderings in lexicographic order
+    return [Chain(p) for p in permutations(range(1, n + 1)) if p[0] < p[1]]
 
 
-def _order_from_prefixes(prefixes: list[frozenset], n: int) -> tuple[int, ...]:
-    order: list[int] = sorted(prefixes[0])
-    previous = set(prefixes[0])
-    for s in prefixes[1:]:
-        (new,) = set(s) - previous
-        order.append(new)
-        previous = set(s)
-    (last,) = set(range(1, n + 1)) - previous
-    order.append(last)
-    return tuple(order)
+def _flip(order: Sequence[int], a: int) -> tuple[int, ...]:
+    """The ordering with positions a and a + 1 exchanged."""
+    return (*order[:a], order[a + 1], order[a], *order[a + 2:])
 
 
 def neighbors(chain: Chain) -> list[Chain]:
     """Chains whose generator list differs from this one in exactly one spot.
 
-    Replacing the size-m prefix must stay between the neighbouring
-    prefixes; the size-2 prefix is only bounded above, which is why every
-    vertex has degree n - 1.
+    Each is one flip past the first pair, of the ordering or of the
+    ordering with its first pair exchanged: the flip at a >= 2 gives the
+    same chain from both, and the flip at a = 1 two different size-2
+    prefixes, which is why every vertex has degree n - 1.
     """
-    n = chain.n
-    prefixes = list(chain.generators)
-    out: set[Chain] = set()
-    full = frozenset(range(1, n + 1))
-    for t, current in enumerate(prefixes):
-        above = prefixes[t + 1] if t + 1 < len(prefixes) else full
-        below = prefixes[t - 1] if t > 0 else None
-        if below is None:
-            candidates = [
-                frozenset(pair) for pair in permutations(sorted(above), 2)
-            ]
-        else:
-            candidates = [below | {x} for x in above - below]
-        for cand in candidates:
-            if len(cand) != len(current) or cand == current:
-                continue
-            replaced = prefixes[:t] + [cand] + prefixes[t + 1:]
-            out.add(Chain.from_order(_order_from_prefixes(replaced, n)))
-    return sorted(out)
+    orders = (chain.order, _flip(chain.order, 0))
+    return sorted({Chain.from_order(_flip(o, a)) for o in orders for a in range(1, chain.n - 1)})
 
 
 def path(start: Chain, goal: Chain) -> list[Chain]:
@@ -126,23 +106,17 @@ def path(start: Chain, goal: Chain) -> list[Chain]:
         raise ValueError("chains live on different variable counts")
     if start == goal:
         return []
-    current = list(start.order)
+    current = start.order
     target = goal.order
     walk: list[Chain] = []
-
-    def flip(a: int) -> None:
-        current[a], current[a + 1] = current[a + 1], current[a]
-        if a >= 1:
-            walk.append(Chain.from_order(current))
-
     for p in range(len(target)):
         if current[p] == target[p]:
             continue
         q = current.index(target[p])
-        for a in range(q - 1, p - 1, -1):
-            flip(a)
-        for a in range(p + 1, q):
-            flip(a)
+        for a in (*range(q - 1, p - 1, -1), *range(p + 1, q)):
+            current = _flip(current, a)
+            if a >= 1:
+                walk.append(Chain.from_order(current))
     assert walk and walk[-1] == goal
     return walk
 

@@ -228,8 +228,7 @@ def product_sum(terms: Sequence[Term]) -> RationalMatrix:
     factors'), so each term contributes integers only.  Each output row is
     accumulated in one dict over all terms, entries that cancel are
     dropped, and no gcd is taken: ``is_zero`` needs none, and
-    ``normalized`` reduces when lowest terms are wanted.  One term 1/q * A
-    shares A's rows, over q times its den, with no copy.
+    ``normalized`` reduces when lowest terms are wanted.
 
     The walk visits only the nonempty rows of each term's first factor,
     picked out by ``compress`` without a Python test per row, and reads
@@ -263,8 +262,6 @@ def product_sum(terms: Sequence[Term]) -> RationalMatrix:
             rows = [f.sparse_rows for f in factors]
             scale = c.numerator * (den // term_den)
             plan.append((scale, rows[0], rows[1:-1], rows[-1] if len(rows) > 1 else None))
-    if len(plan) == 1 and plan[0][0] == 1 and plan[0][3] is None:  # 1/q times one matrix
-        return RationalMatrix.from_sparse(plan[0][1], den, shape[1])
     out: list[dict[int, int]] = [{} for _ in range(shape[0])]
     for scale, first, middle, last in plan:
         # compress drops the empty rows of the first factor in C

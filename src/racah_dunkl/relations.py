@@ -69,9 +69,9 @@ def nonempty_subsets(n: int) -> list[tuple[int, ...]]:
 class DegreeSum:
     """The monomials of degrees 0..kmax in n variables, as one direct sum.
 
-    ``basis`` lists the degree-0 monomials, then the degree-1 ones, and so
-    on, in the ambient order that runs up to degree ``top`` (kmax by
-    default); ``ends[d]`` counts the ambient monomials of degree below d.
+    Its ``dim`` monomials are the degree-0 ones, then the degree-1 ones,
+    and so on, in the ambient order that runs up to degree ``top`` (kmax
+    by default); ``ends[d]`` counts the ambient monomials of degree below d.
     A check is (relation, index tuple, term list): its discrepancy, the
     term list's product sum, maps degrees 0..kmax to ambient degrees.  A
     kmax below 0 gives no degree.  The variables are x_1..x_n, or the x_v
@@ -89,10 +89,9 @@ class DegreeSum:
         self.kmax = kmax
         self.top = kmax if top is None else top
         self.degrees = range(max(kmax + 1, 0))
-        self.basis = [exps for k in self.degrees for exps in monomial_basis(n, k)]
-        self.dim = len(self.basis)
         dims = (len(monomial_basis(n, d)) for d in range(self.top + 1))
         self.ends = list(accumulate(dims, initial=0))
+        self.dim = self.ends[max(kmax + 1, 0)]
 
     def materialize(self, op: LinearOperator) -> RationalMatrix:
         """op on the ambient degrees 0..top: its rows and columns both start at degree 0."""

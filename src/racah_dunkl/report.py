@@ -64,9 +64,6 @@ class Report(Record):
             CheckResult(relation, tuple(index_tuple), degree, status, witness)
         )
 
-    def extend(self, other: "Report") -> None:
-        self.results.extend(other.results)
-
     @property
     def ok(self) -> bool:
         return all(r.ok for r in self.results)

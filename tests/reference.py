@@ -49,10 +49,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import permutations
 from math import factorial, lcm
 from typing import Iterable, Sequence
 
 from racah_dunkl import (
+    Chain,
     ConnectionMatrix,
     DunklOperators,
     HarmonicBasisElement,
@@ -419,6 +421,46 @@ def rank_one_overlap(
 # -- the recoupling graph -----------------------------------------------------------
 
 
+def _order_from_prefixes(prefixes: list[frozenset], n: int) -> tuple[int, ...]:
+    order: list[int] = sorted(prefixes[0])
+    previous = set(prefixes[0])
+    for s in prefixes[1:]:
+        (new,) = set(s) - previous
+        order.append(new)
+        previous = set(s)
+    (last,) = set(range(1, n + 1)) - previous
+    order.append(last)
+    return tuple(order)
+
+
+def reference_neighbors(chain: Chain) -> list[Chain]:
+    """Chains whose generator list differs from this one in exactly one spot.
+
+    Replacing the size-m prefix must stay between the neighbouring
+    prefixes; the size-2 prefix is only bounded above, which is why every
+    vertex has degree n - 1.
+    """
+    n = chain.n
+    prefixes = list(chain.generators)
+    out: set[Chain] = set()
+    full = frozenset(range(1, n + 1))
+    for t, current in enumerate(prefixes):
+        above = prefixes[t + 1] if t + 1 < len(prefixes) else full
+        below = prefixes[t - 1] if t > 0 else None
+        if below is None:
+            candidates = [
+                frozenset(pair) for pair in permutations(sorted(above), 2)
+            ]
+        else:
+            candidates = [below | {x} for x in above - below]
+        for cand in candidates:
+            if len(cand) != len(current) or cand == current:
+                continue
+            replaced = prefixes[:t] + [cand] + prefixes[t + 1:]
+            out.add(Chain.from_order(_order_from_prefixes(replaced, n)))
+    return sorted(out)
+
+
 def connected_by_paths(graph) -> bool:
     """Whether path() walks from the first vertex to every other along graph edges."""
     index = {v: i for i, v in enumerate(graph.vertices)}
@@ -435,6 +477,11 @@ def connected_by_paths(graph) -> bool:
 
 
 # -- the degree-changing sweeps, one degree at a time ----------------------------
+
+
+def degree_sum_basis(space) -> list[tuple[int, ...]]:
+    """A DegreeSum's monomials in its row order: degree 0, then 1, ..., up to its kmax."""
+    return [exps for k in space.degrees for exps in monomial_basis(space.n, k)]
 
 
 def block_diagonal(blocks: Sequence[RationalMatrix]) -> RationalMatrix:

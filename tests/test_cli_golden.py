@@ -6,8 +6,8 @@ witness or a connection matrix fails here.  The commands cover every
 verify suite at small n and k (most at a drawn mu with a large integer and
 a repeated value), ``connect`` at n=3 (which runs the tridiagonal check),
 at n=4 (JSON and CSV) and on the empty bases of n=1, the polynomial JSON
-of ``basis`` at n=3 and n=4, ``racah``, and the engine failure that exits
-1 with no output.
+of ``basis`` at n=3 and n=4, ``racah``, the recoupling graph at n=4
+(JSON) and n=5 (dot), and the engine failure that exits 1 with no output.
 
 After a deliberate output change, recompute the digest of the command's
 output (``python -m racah_dunkl.cli <command> | sha256sum``) and say in
@@ -69,6 +69,10 @@ STDOUT_GOLDEN = (
      "b64d6194c7c5c324b34279069f4ab44a4f6c27ff7d399f102ace84fbd02d2a1b"),
     ("racah --n 3 --epsilon 0,1,0 --degree 5", 0,
      "4a6455f68c4089558025d4c82be543c6ea793596082375423fa90991f8388348"),
+    ("graph --n 4", 0,
+     "e40eaf4a49e7b2a90ce01fee9a8ead7b8de0375d8e6ab63add411340066d95d5"),
+    ("graph --n 5 --format dot", 0,
+     "f0657dbab7c6bc4e5a47fd66f3e671623465148759cba92b293cf509538999cc"),
     # degenerate spectrum: OmegaZero, exit 1 and nothing on stdout
     ("racah --n 3 --mu 1/2,1/2,1/3 --epsilon 0,0,0 --degree 2", 1,
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),

@@ -1,6 +1,7 @@
 """Chain enumeration, the recoupling graph, and path/pipeline behaviour."""
 
 import random
+from itertools import permutations
 
 import pytest
 
@@ -19,7 +20,7 @@ from racah_dunkl import (
 )
 from racah_dunkl.connection import SpanMismatch
 
-from reference import connected_by_paths
+from reference import connected_by_paths, reference_neighbors
 
 
 def test_chain_canonicalization():
@@ -45,6 +46,10 @@ def test_enumerate_chain_counts():
     assert len(enumerate_chains(5)) == 60
     with pytest.raises(ValueError):
         enumerate_chains(2)
+    # the canonical orders, sorted, of every permutation
+    for n in range(3, 7):
+        want = sorted({Chain.from_order(p) for p in permutations(range(1, n + 1))})
+        assert enumerate_chains(n) == want
 
 
 def test_n3_chains_and_neighbors():
@@ -68,6 +73,22 @@ def test_n4_neighbor_example():
     chain = Chain.from_order((1, 2, 3, 4))
     got = {str(c) for c in neighbors(chain)}
     assert got == {"(C12,C124)", "(C13,C123)", "(C23,C123)"}
+
+
+def test_neighbors_are_the_prefix_replacement_search():
+    for n in range(3, 8):
+        for c in enumerate_chains(n):
+            assert neighbors(c) == reference_neighbors(c)
+
+
+def test_each_neighbor_replaces_one_generator():
+    for n in range(3, 7):
+        for c in enumerate_chains(n):
+            got = neighbors(c)
+            assert len(got) == n - 1
+            for other in got:
+                differ = [g != h for g, h in zip(c.generators, other.generators)]
+                assert sum(differ) == 1, (c, other)
 
 
 def test_neighbor_symmetry():

@@ -8,7 +8,8 @@ relation family and the report plumbing.
 import hashlib
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
+from math import comb
 
 import pytest
 from hypothesis import example, given, settings
@@ -37,7 +38,12 @@ from racah_dunkl.poly import Polynomial, monomial_basis
 from racah_dunkl.relations import DegreeSum, RelationWorkspace, nonempty_subsets
 from racah_dunkl.report import CheckResult, Report
 
-from reference import block_diagonal, per_degree_laplacian_commute, per_degree_su11
+from reference import (
+    block_diagonal,
+    degree_sum_basis,
+    per_degree_laplacian_commute,
+    per_degree_su11,
+)
 from report_helpers import failures
 
 P3 = ParameterSet.make(["1/2", "1/3", "1/4"])
@@ -493,6 +499,7 @@ def test_parity_diagonals_are_the_per_entry_fraction_diagonals(n, kmax, mu):
     # c1, refl and the square of the pair form: same den and same sparse rows
     params = ParameterSet(n, tuple(mu[:n]))
     ws = RelationWorkspace(DunklOperators(params), kmax)
+    basis = degree_sum_basis(ws)
 
     def assert_same(matrix, reference):
         assert matrix.shape == reference.shape == (ws.dim, ws.dim)
@@ -501,20 +508,20 @@ def test_parity_diagonals_are_the_per_entry_fraction_diagonals(n, kmax, mu):
     for i in range(1, n + 1):
         m = params.mu_of(i)
         even, odd = (m * m - m - Fraction(3, 4)) / 4, (m * m + m - Fraction(3, 4)) / 4
-        c1 = per_entry_diagonal(ws.basis, (i,), lambda r: even if r == 1 else odd)
+        c1 = per_entry_diagonal(basis, (i,), lambda r: even if r == 1 else odd)
         assert_same(ws.c1(i), c1)
-        assert_same(ws.refl(i), per_entry_diagonal(ws.basis, (i,), lambda r: 1 + 2 * m * r))
+        assert_same(ws.refl(i), per_entry_diagonal(basis, (i,), lambda r: 1 + 2 * m * r))
         if m == Fraction(1, 2):
             # refl_i = 1 - 2 * 1/2 = 0 on every monomial odd in x_i: no entry is stored
             empty = [row for row, entries in enumerate(ws.refl(i).sparse_rows) if not entries]
-            assert empty == [row for row, exps in enumerate(ws.basis) if exps[i - 1] % 2]
+            assert empty == [row for row, exps in enumerate(basis) if exps[i - 1] % 2]
     for i, j in combinations(range(1, n + 1), 2):
         mi, mj = params.mu_of(i), params.mu_of(j)
 
         def square(ri, rj):
             return mi * mi + mj * mj + 2 * mi * mj * ri * rj
 
-        assert_same(ws.square(i, j), per_entry_diagonal(ws.basis, (i, j), square))
+        assert_same(ws.square(i, j), per_entry_diagonal(basis, (i, j), square))
 
 
 def test_lemma2_with_one_wrong_invariant_entry_fails_only_on_its_degree(monkeypatch):
@@ -790,6 +797,14 @@ def test_support_local_reports_are_the_n_variable_reports(n, kmax, mu, bump):
         local = texts()
         patch.setattr(LinearOperator, "support", property(lambda op: None))
         assert texts() == local
+
+
+def test_degree_sum_dim_counts_its_monomials():
+    # dim is read from ends: the monomials of degrees 0..kmax, none when kmax < 0
+    for n, kmax, extra in product((1, 2, 4), (-2, -1, 0, 1, 3), (0, 2)):
+        space = DegreeSum(n, kmax, kmax + extra)
+        assert space.dim == len(degree_sum_basis(space))
+        assert space.dim == (0 if kmax < 0 else comb(n + kmax, n))
 
 
 @settings(max_examples=25, deadline=None)
