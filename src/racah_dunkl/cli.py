@@ -1,5 +1,12 @@
 """Batch command-line interface for the verification suites and exports.
 
+COMMANDS is the one table of the command line: per command, its runner,
+its help line, its positional (verify's suite) and its options, each with
+its dest, type, default, required flag, choices and help.  parse_args reads
+an argv against it and renders the usage and the -h/--help text from it.
+Options and the positional come in any order, as ``--name value`` or
+``--name=value``; option names are matched exactly.
+
 Rationals cross this boundary as "p/q" strings (a --mu entry that is not
 one is named in the error); there is no floating point anywhere.
 Identical configurations produce byte-identical output files.  ``verify``
@@ -26,16 +33,18 @@ witness), when a suite checked nothing, or when the engine raises, a
 write that fails after the run (a full disk) included (stderr names the
 exception class); 2 for configuration errors, all checked before any
 computation and raised as ConfigError, such as an --out that names a
-directory or sits in a missing one.
+directory or sits in a missing one, and for parse errors (an unknown
+command, suite or option, a missing or non-integer value, a missing
+required option, a --format not among its choices), which print the
+usage and the error to stderr and raise SystemExit(2).
 """
 
 from __future__ import annotations
 
-import argparse
-import functools
 import json
 import os
 import sys
+from types import SimpleNamespace
 
 from .connection import connection_matrix, parity_blocks, tridiagonal_check
 from .graph import build_graph
@@ -69,7 +78,7 @@ class ConfigError(ValueError):
 
 def _parameters(args) -> ParameterSet:
     try:
-        if not args.mu:
+        if args.mu is None:
             return ParameterSet.default(args.n)
         return ParameterSet(args.n, args.mu.split(","))
     except ValueError as exc:
@@ -266,78 +275,224 @@ def cmd_spectrum(args) -> int:
     return 0
 
 
-_OPTIONS = {
-    "n": dict(type=int, default=3, help="ambient dimension"),
-    "mu": dict(help="comma-separated positive rationals, e.g. 1/2,1/3,1/4"),
-    "kmax": dict(type=int, default=None, help="degree bound"),
-    "k": dict(type=int, required=True, help="homogeneous degree"),
-    "out": dict(help="output path (default: stdout)"),
-}
+class Option(Frozen):
+    """One argument of a command: the attribute it sets, how its value is read and its help.
 
-
-def _add_options(
-    parser: argparse.ArgumentParser, names: tuple[str, ...], formats: tuple[str, ...] = ()
-) -> None:
-    """Declare the named shared options, and --format when formats are given."""
-    for name in names:
-        parser.add_argument("--" + name, **_OPTIONS[name])
-    if formats:
-        parser.add_argument("--format", default=formats[0], choices=formats)
-
-
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built once per process and shared by every main call.
-
-    parse_args keeps no state between calls: each returns a fresh
-    namespace, and no option has a mutable default.
+    type converts the value (int or str); default is the attribute's value
+    when the argument is absent; choices, when given, are the values allowed.
     """
-    parser = argparse.ArgumentParser(
-        prog="racah-dunkl",
-        description="exact verification and export tool for the deformed-Laplacian "
-        "symmetry algebra",
+
+    __slots__ = ("dest", "type", "default", "required", "choices", "help")
+
+
+class Command(Frozen):
+    """A command: its runner, help line, positional (an Option or None) and options by name."""
+
+    __slots__ = ("fn", "help", "positional", "options")
+
+
+_N = Option("n", int, 3, False, None, "ambient dimension")
+_MU = Option("mu", str, None, False, None, "comma-separated positive rationals, e.g. 1/2,1/3,1/4")
+_K = Option("k", int, None, True, None, "homogeneous degree")
+_OUT = Option("out", str, None, False, None, "output path (default: stdout)")
+_ORDER = Option("order", str, None, False, None, "variable order, e.g. 1,2,3")
+_CSV = Option("format", str, "json", False, ("json", "csv"), "output format")
+
+
+COMMANDS = {
+    "verify": Command(
+        cmd_verify,
+        "run an identity-verification suite",
+        Option("suite", str, None, True, VERIFY_SUITES, "one of " + ", ".join(VERIFY_SUITES)),
+        {
+            "--n": _N,
+            "--mu": _MU,
+            "--kmax": Option("kmax", int, None, False, None, "degree bound"),
+            "--out": _OUT,
+            "--order": Option("order", str, None, False, None, "variable order of the eigen suite"),
+            "--blocks": Option("blocks", str, None, False, None, "embedding blocks, e.g. 1,2;3;4"),
+        },
+    ),
+    "basis": Command(
+        cmd_basis,
+        "export a harmonic basis (json) or dimension table (csv)",
+        None,
+        {"--n": _N, "--mu": _MU, "--k": _K, "--out": _OUT, "--format": _CSV, "--order": _ORDER},
+    ),
+    "connect": Command(
+        cmd_connect,
+        "connection matrix between two chain bases",
+        None,
+        {
+            "--n": _N,
+            "--mu": _MU,
+            "--k": _K,
+            "--out": _OUT,
+            "--format": _CSV,
+            "--from": Option("from_order", str, None, True, None, "source variable order"),
+            "--to": Option("to_order", str, None, True, None, "target variable order"),
+        },
+    ),
+    "graph": Command(
+        cmd_graph,
+        "export the recoupling graph",
+        None,
+        {
+            "--n": _N,
+            "--out": _OUT,
+            "--format": Option("format", str, "json", False, ("json", "dot"), "output format"),
+        },
+    ),
+    "racah": Command(
+        cmd_racah,
+        "export recurrence data of a fixed-parity module",
+        None,
+        {
+            "--n": _N,
+            "--mu": _MU,
+            "--out": _OUT,
+            "--epsilon": Option("epsilon", str, None, True, None, "three parity bits, e.g. 0,0,0"),
+            "--degree": Option("degree", int, None, True, None, "total degree of the module"),
+        },
+    ),
+    "spectrum": Command(
+        cmd_spectrum,
+        "eigenvalue table of the chain invariants",
+        None,
+        {"--n": _N, "--mu": _MU, "--k": _K, "--out": _OUT, "--order": _ORDER},
+    ),
+}
+PROG = "racah-dunkl"
+HELP = ("-h", "--help")
+
+
+def _arguments(command: Command) -> list[tuple[str, Option]]:
+    """(name, option) for each option of a command, then its positional under its dest."""
+    arguments = list(command.options.items())
+    if command.positional:
+        arguments.append((command.positional.dest, command.positional))
+    return arguments
+
+
+def _metavar(name: str, option: Option) -> str:
+    if not name.startswith("-"):
+        return option.dest.upper()
+    value = "{" + ",".join(option.choices) + "}" if option.choices else option.dest.upper()
+    return f"{name} {value}"
+
+
+def _wrap(head: str, parts: list[str], width: int = 79) -> str:
+    """head and the parts joined by spaces; a part past width starts a line indented to head."""
+    line, lines = head, []
+    for part in parts:
+        if len(line) > len(head) and len(line) + len(part) > width:
+            lines.append(line.rstrip())
+            line = " " * len(head)
+        line += part + " "
+    return "\n".join(lines + [line.rstrip()]) + "\n"
+
+
+def _usage(name: str | None, head: str = "usage: ") -> str:
+    if name is None:
+        return f"{head}{PROG} [-h] {{{','.join(COMMANDS)}}} ...\n"
+    parts = ["[-h]"]
+    for arg, option in _arguments(COMMANDS[name]):
+        metavar = _metavar(arg, option)
+        parts.append(metavar if option.required else f"[{metavar}]")
+    return _wrap(f"{head}{PROG} {name} ", parts)
+
+
+def _rows(heading: str, rows: list[tuple[str, str]]) -> str:
+    width = max(len(left) for left, _ in rows) + 4
+    return f"\n{heading}:\n" + "".join(
+        _wrap(f"  {left}".ljust(width), text.split()) for left, text in rows
     )
-    sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("verify", help="run an identity-verification suite")
-    p.add_argument("suite", choices=VERIFY_SUITES)
-    _add_options(p, ("n", "mu", "kmax", "out"))
-    p.add_argument("--order", help="variable order for the eigen suite")
-    p.add_argument("--blocks", help="embedding blocks, e.g. 1,2;3;4")
-    p.set_defaults(fn=cmd_verify)
 
-    p = sub.add_parser("basis", help="export a harmonic basis (json) or dimension table (csv)")
-    _add_options(p, ("n", "mu", "k", "out"), ("json", "csv"))
-    p.add_argument("--order", help="variable order, e.g. 1,2,3")
-    p.set_defaults(fn=cmd_basis)
+def _help(name: str | None) -> str:
+    """The -h text of the program (name None) or of one command."""
+    if name is None:
+        return (
+            _usage(None)
+            + "\nexact verification and export tool for the deformed-Laplacian symmetry algebra\n"
+            + _rows("commands", [(c, command.help) for c, command in COMMANDS.items()])
+            + _rows("options", [(", ".join(HELP), "show this help message and exit")])
+            + f"\ncommand lines ({PROG} COMMAND -h for one of them):\n"
+            + "".join(_usage(c, "  ") for c in COMMANDS)
+        )
+    command = COMMANDS[name]
+    rows = [(", ".join(HELP), "show this help message and exit")]
+    for arg, option in _arguments(command):
+        default = "" if option.default is None else f" (default: {option.default})"
+        rows.append((_metavar(arg, option), option.help + default))
+    return _usage(name) + f"\n{command.help}\n" + _rows("arguments", rows)
 
-    p = sub.add_parser("connect", help="connection matrix between two chain bases")
-    _add_options(p, ("n", "mu", "k", "out"), ("json", "csv"))
-    p.add_argument("--from", dest="from_order", required=True, help="source variable order")
-    p.add_argument("--to", dest="to_order", required=True, help="target variable order")
-    p.set_defaults(fn=cmd_connect)
 
-    p = sub.add_parser("graph", help="export the recoupling graph")
-    _add_options(p, ("n", "out"), ("json", "dot"))
-    p.set_defaults(fn=cmd_graph)
+def _fail(name: str | None, message: str):
+    """Print the usage and the error to stderr and exit 2, as a parse error."""
+    prog = PROG if name is None else f"{PROG} {name}"
+    sys.stderr.write(f"{_usage(name)}{prog}: error: {message}\n")
+    raise SystemExit(2)
 
-    p = sub.add_parser("racah", help="export recurrence data of a fixed-parity module")
-    _add_options(p, ("n", "mu", "out"))
-    p.add_argument("--epsilon", required=True, help="three parity bits, e.g. 0,0,0")
-    p.add_argument("--degree", type=int, required=True, help="total degree of the module")
-    p.set_defaults(fn=cmd_racah)
 
-    p = sub.add_parser("spectrum", help="eigenvalue table of the chain invariants")
-    _add_options(p, ("n", "mu", "k", "out"))
-    p.add_argument("--order", help="variable order, e.g. 1,2,3")
-    p.set_defaults(fn=cmd_spectrum)
+def parse_args(argv: list[str]) -> SimpleNamespace:
+    """The namespace of an argv: command, fn and every dest of the command, absent ones at
+    their defaults.
 
-    return parser
+    Options and the positional come in any order, as --name value or
+    --name=value; the token after --name is its value verbatim, and a
+    repeated option keeps its last value.  Option names are matched
+    exactly.  -h or --help prints the help to stdout and exits 0; a parse
+    error prints the usage and the error to stderr and exits 2.
+    """
+    if not argv:
+        _fail(None, "the following arguments are required: command")
+    name, tokens = argv[0], iter(argv[1:])
+    if name in HELP:
+        sys.stdout.write(_help(None))
+        raise SystemExit(0)
+    command = COMMANDS.get(name)
+    if command is None:
+        _fail(None, f"invalid command {name!r} (choose from {', '.join(COMMANDS)})")
+    values = {}
+    for token in tokens:
+        if token in HELP:
+            sys.stdout.write(_help(name))
+            raise SystemExit(0)
+        if token.startswith("-"):
+            arg, eq, value = token.partition("=")
+            option = command.options.get(arg)
+            if option is None:
+                _fail(name, f"unrecognized argument {token!r}")
+            if not eq:
+                value = next(tokens, None)
+                if value is None:
+                    _fail(name, f"argument {arg}: expected one argument")
+        else:
+            option, value = command.positional, token
+            if option is None or option.dest in values:
+                _fail(name, f"unrecognized argument {token!r}")
+            arg = option.dest
+        try:
+            value = option.type(value)
+        except ValueError:
+            _fail(name, f"argument {arg}: invalid {option.type.__name__} value: {value!r}")
+        if option.choices and value not in option.choices:
+            _fail(name, f"argument {arg}: invalid choice: {value!r} "
+                  f"(choose from {', '.join(option.choices)})")
+        values[option.dest] = value
+    arguments = _arguments(command)
+    missing = [arg for arg, option in arguments if option.required and option.dest not in values]
+    if missing:
+        _fail(name, f"the following arguments are required: {', '.join(missing)}")
+    args = SimpleNamespace(command=name, fn=command.fn)
+    for _, option in arguments:
+        setattr(args, option.dest, values.get(option.dest, option.default))
+    return args
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
         if getattr(args, "k", 0) < 0:
             raise ConfigError(f"degree --k {args.k} is negative")

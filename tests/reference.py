@@ -42,11 +42,16 @@ of one:
   at a time (``jacobi_closed_form``).  ``reference_ck`` concatenates the
   three ck reports, as ``verify ck`` once did.  They look up
   ``build_basis_tower``, ``casimir_eigenvalue`` and ``raising_factorial``
-  here, so a test patches both routes.
+  here, so a test patches both routes;
+* ``build_parser`` is the argparse parser of the command line, as it was
+  before ``cli.parse_args`` read one command table, so a test can compare
+  the namespaces and the parse errors of both.
 """
 
 from __future__ import annotations
 
+import argparse
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
@@ -81,6 +86,15 @@ from racah_dunkl import (
     spectral_data,
 )
 from racah_dunkl import connection, relations
+from racah_dunkl.cli import (
+    VERIFY_SUITES,
+    cmd_basis,
+    cmd_connect,
+    cmd_graph,
+    cmd_racah,
+    cmd_spectrum,
+    cmd_verify,
+)
 from racah_dunkl.harmonics import _lift, falling_factorial, raising_factorial
 from racah_dunkl.linalg import Term, matrix_rank, product_sum
 from racah_dunkl.operators import LinearOperator, gamma, normalize_subset
@@ -837,3 +851,75 @@ def reference_power_action_sweep(
                 for j in range(k + 1):
                     add_power_action(report, (ell, j, k, t), lap, nrm, gam, el.poly)
     return report
+
+
+# -- the command line ----------------------------------------------------------------
+
+
+_OPTIONS = {
+    "n": dict(type=int, default=3, help="ambient dimension"),
+    "mu": dict(help="comma-separated positive rationals, e.g. 1/2,1/3,1/4"),
+    "kmax": dict(type=int, default=None, help="degree bound"),
+    "k": dict(type=int, required=True, help="homogeneous degree"),
+    "out": dict(help="output path (default: stdout)"),
+}
+
+
+def _add_options(
+    parser: argparse.ArgumentParser, names: tuple[str, ...], formats: tuple[str, ...] = ()
+) -> None:
+    """Declare the named shared options, and --format when formats are given."""
+    for name in names:
+        parser.add_argument("--" + name, **_OPTIONS[name])
+    if formats:
+        parser.add_argument("--format", default=formats[0], choices=formats)
+
+
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and shared by every main call.
+
+    parse_args keeps no state between calls: each returns a fresh
+    namespace, and no option has a mutable default.
+    """
+    parser = argparse.ArgumentParser(
+        prog="racah-dunkl",
+        description="exact verification and export tool for the deformed-Laplacian "
+        "symmetry algebra",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("verify", help="run an identity-verification suite")
+    p.add_argument("suite", choices=VERIFY_SUITES)
+    _add_options(p, ("n", "mu", "kmax", "out"))
+    p.add_argument("--order", help="variable order for the eigen suite")
+    p.add_argument("--blocks", help="embedding blocks, e.g. 1,2;3;4")
+    p.set_defaults(fn=cmd_verify)
+
+    p = sub.add_parser("basis", help="export a harmonic basis (json) or dimension table (csv)")
+    _add_options(p, ("n", "mu", "k", "out"), ("json", "csv"))
+    p.add_argument("--order", help="variable order, e.g. 1,2,3")
+    p.set_defaults(fn=cmd_basis)
+
+    p = sub.add_parser("connect", help="connection matrix between two chain bases")
+    _add_options(p, ("n", "mu", "k", "out"), ("json", "csv"))
+    p.add_argument("--from", dest="from_order", required=True, help="source variable order")
+    p.add_argument("--to", dest="to_order", required=True, help="target variable order")
+    p.set_defaults(fn=cmd_connect)
+
+    p = sub.add_parser("graph", help="export the recoupling graph")
+    _add_options(p, ("n", "out"), ("json", "dot"))
+    p.set_defaults(fn=cmd_graph)
+
+    p = sub.add_parser("racah", help="export recurrence data of a fixed-parity module")
+    _add_options(p, ("n", "mu", "out"))
+    p.add_argument("--epsilon", required=True, help="three parity bits, e.g. 0,0,0")
+    p.add_argument("--degree", type=int, required=True, help="total degree of the module")
+    p.set_defaults(fn=cmd_racah)
+
+    p = sub.add_parser("spectrum", help="eigenvalue table of the chain invariants")
+    _add_options(p, ("n", "mu", "k", "out"))
+    p.add_argument("--order", help="variable order, e.g. 1,2,3")
+    p.set_defaults(fn=cmd_spectrum)
+
+    return parser

@@ -1,10 +1,12 @@
 """Command-line interface: exit codes, outputs, determinism."""
 
 import json
+import re
 import subprocess
 import sys
 
 import pytest
+import reference
 
 from racah_dunkl import cli
 from racah_dunkl.cli import main
@@ -351,6 +353,112 @@ def test_engine_failure_exits_one_naming_the_exception(monkeypatch, capsys):
     assert "SpanMismatch" in captured.err
 
 
+# a valid argv of each command with its required arguments only
+MINIMAL = {
+    "verify": ["verify", "su11"],
+    "basis": ["basis", "--k", "2"],
+    "connect": ["connect", "--k", "2", "--from", "1,2,3", "--to", "2,3,1"],
+    "graph": ["graph"],
+    "racah": ["racah", "--epsilon", "0,0,0", "--degree", "2"],
+    "spectrum": ["spectrum", "--k", "2"],
+}
+
+
+def each_option_in_both_forms():
+    for name, command in cli.COMMANDS.items():
+        for option, spec in command.options.items():
+            value = spec.choices[-1] if spec.choices else "4" if spec.type is int else "1,2"
+            yield MINIMAL[name] + [option, value]
+            yield MINIMAL[name] + [f"{option}={value}"]
+
+
+PARSED = [
+    *MINIMAL.values(),
+    *each_option_in_both_forms(),
+    ["verify", "--n", "4", "--kmax", "1", "eigen", "--order", "1,2,3,4"],
+    ["connect", "--to", "2,3,1", "--k", "2", "--n", "3", "--from", "1,2,3"],
+    ["verify", "su11", "--n", "4", "--n", "5"],
+    ["graph", "--format", "dot", "--format=json"],
+    ["verify", "su11", "--kmax", "-1"],
+    ["spectrum", "--k", "-1"],
+    ["verify", "eigen", "--order", ""],
+    ["basis", "--k", "2", "--order="],
+]
+
+
+def reference_option_names(name):
+    (commands,) = reference.build_parser()._subparsers._group_actions
+    return sorted(set(commands.choices[name]._option_string_actions) - {"-h", "--help"})
+
+
+def test_the_command_table_declares_the_reference_options():
+    assert list(cli.COMMANDS) == list(MINIMAL)
+    for name, command in cli.COMMANDS.items():
+        assert sorted(command.options) == reference_option_names(name)
+
+
+@pytest.mark.parametrize("argv", PARSED)
+def test_parse_args_gives_the_namespace_of_the_argparse_reference(argv):
+    assert vars(cli.parse_args(argv)) == vars(reference.build_parser().parse_args(argv))
+
+
+UNPARSED = [
+    *(argv.split() for argv in UNREAD_OPTIONS),
+    [],
+    ["bogus"],
+    ["verify"],
+    ["verify", "nosuch"],
+    ["verify", "su11", "racah"],
+    ["verify", "su11", "--kmax"],
+    ["graph", "--n", "x"],
+    ["graph", "--n="],
+    ["basis"],
+    ["basis", "--k", "2", "--format", "xml"],
+    ["connect", "--k", "2", "--from", "1,2,3"],
+    ["racah", "--epsilon", "0,0,0", "--degree", "two"],
+]
+
+
+@pytest.mark.parametrize("argv", UNPARSED)
+def test_parse_errors_exit_two_with_usage_on_stderr_as_the_reference_does(argv, capsys):
+    for parse in (cli.parse_args, reference.build_parser().parse_args):
+        with pytest.raises(SystemExit) as exc:
+            parse(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: racah-dunkl")
+        assert ": error: " in captured.err.splitlines()[-1]
+
+
+def test_option_names_are_exact_where_the_reference_takes_a_prefix(capsys):
+    argv = ["verify", "su11", "--km", "2"]
+    assert reference.build_parser().parse_args(argv).kmax == 2
+    with pytest.raises(SystemExit) as exc:
+        cli.parse_args(argv)
+    assert exc.value.code == 2
+    assert "racah-dunkl verify: error: unrecognized argument '--km'" in capsys.readouterr().err
+
+
+def help_words(argv):
+    proc = subprocess.run(
+        [sys.executable, "-m", "racah_dunkl.cli", *argv], capture_output=True, text=True
+    )
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("usage: racah-dunkl")
+    assert proc.stderr == ""
+    return set(re.split(r"[\s\[\]{},]+", proc.stdout))
+
+
+def test_help_names_every_command_suite_and_option():
+    top = help_words(["-h"])
+    assert set(cli.COMMANDS) <= top
+    assert {option for c in cli.COMMANDS.values() for option in c.options} <= top
+    verify = help_words(["verify", "-h"])
+    assert set(cli.SUITES) <= verify
+    assert set(cli.COMMANDS["verify"].options) <= verify
+
+
 def test_console_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "racah_dunkl.cli", "graph", "--n", "3"],
@@ -362,24 +470,22 @@ def test_console_entry_point():
     assert data["vertices"] == ["(C12)", "(C13)", "(C23)"]
 
 
-def test_main_builds_its_parser_once_per_process(capsys):
-    # two main calls on different suites share one parser, and print what
-    # fresh parsers print
+def test_main_calls_in_one_process_print_what_each_prints_alone(capsys):
+    # a main call leaves nothing behind that changes the next one
     argvs = [
         ["verify", "su11", "--n", "3", "--mu", "1/2,1/3,1/4", "--kmax", "2"],
         ["verify", "lemma1", "--n", "3", "--kmax", "2"],
     ]
-    cli.build_parser.cache_clear()
     shared = []
     for argv in argvs:
         assert main(argv) == 0
         shared.append(capsys.readouterr())
-    assert cli.build_parser.cache_info().misses == 1
-    assert cli.build_parser.cache_info().hits == 1
     for argv, out in zip(argvs, shared):
-        cli.build_parser.cache_clear()
-        assert main(argv) == 0
-        assert capsys.readouterr() == out
+        proc = subprocess.run(
+            [sys.executable, "-m", "racah_dunkl.cli", *argv], capture_output=True, text=True
+        )
+        assert proc.returncode == 0
+        assert (proc.stdout, proc.stderr) == (out.out, out.err)
     assert all(out.out and not out.err for out in shared)
 
 
@@ -403,12 +509,20 @@ def test_out_is_checked_before_any_computation(monkeypatch, tmp_path, capsys):
 
 
 def test_verify_rejects_an_empty_suite_option(capsys):
-    # an empty --order or --blocks is a malformed value, not an absent one
+    # an empty --order, --blocks or --mu is a malformed value, not an absent one
     assert run(["verify", "eigen", "--n", "3", "--kmax", "1", "--order", ""]) == 2
     assert run(["verify", "embedding", "--n", "3", "--kmax", "1", "--blocks", ""]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.count("configuration error: expected comma-separated integers") == 2
+    assert run(["verify", "su11", "--n", "2", "--kmax", "0", "--mu", ""]) == 2
+    assert run(["verify", "su11", "--n", "1", "--kmax", "0", "--mu", ""]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "configuration error: expected 2 deformation parameters, got 1\n"
+        "configuration error: mu_1 = '' is not a 'p/q' rational with q != 0\n"
+    )
 
 
 # suite: (smallest n, the message one below it)

@@ -84,11 +84,11 @@ def test_no_generated_code_in_the_package():
     assert found == []
 
 
-def test_import_loads_neither_dataclasses_nor_inspect():
+def test_import_loads_no_dataclasses_inspect_argparse_or_gettext():
     # -S: no site hooks, so only the package and what it imports are loaded
     code = (
         "import sys, racah_dunkl, racah_dunkl.cli; "
-        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+        "print(sorted({'dataclasses', 'inspect', 'argparse', 'gettext'} & set(sys.modules)))"
     )
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
     out = subprocess.run(
