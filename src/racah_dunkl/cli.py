@@ -260,6 +260,8 @@ def cmd_racah(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
+    if args.n < 2:
+        raise ConfigError("the spectrum needs n >= 2")
     params = _parameters(args)
     order = _parse_order(args.order, params.n) or tuple(range(1, params.n + 1))
     rows = []

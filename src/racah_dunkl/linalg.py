@@ -7,8 +7,11 @@ sum_t c_t * A_t1 * A_t2 (* A_t3 ...) over the least common multiple of the
 term denominators.  It accumulates each output row in one integer dict,
 touches only nonzero entries, drops entries that cancel, and does no gcd
 reduction, so an identity checked as one such sum costs its products and
-nothing else.  Its row walk reads stored entries only:
-itertools.compress drops the empty rows of each term's first factor in
+nothing else.  It checks the shapes and forms each term's denominator
+in one pass, then walks each term by its number of factors: one row
+walk for a single factor, one for two and one for a longer chain, so no
+per-row branch decides the arity.  Each walk reads stored entries only:
+itertools.compress drops the empty rows of the term's first factor in
 C, with no Python test per row, and every row is read by key, in the
 order its entries were stored, so each output row's keys come in a fixed
 order.  Every arithmetic method of RationalMatrix is one of its cases: a
@@ -230,7 +233,10 @@ def product_sum(terms: Sequence[Term]) -> RationalMatrix:
     dropped, and no gcd is taken: ``is_zero`` needs none, and
     ``normalized`` reduces when lowest terms are wanted.
 
-    The walk visits only the nonempty rows of each term's first factor,
+    One pass over the terms checks the shapes and forms each term's
+    denominator; a second walks each term by its number of factors, with
+    one row walk for a single factor, one for two and one for a chain.
+    Each walk visits only the nonempty rows of the term's first factor,
     picked out by ``compress`` without a Python test per row, and reads
     each row by key: for a key k of the running row, x = its entry and b =
     row k of the next factor, each entry of b adds x * b[j] at column j.
@@ -240,39 +246,51 @@ def product_sum(terms: Sequence[Term]) -> RationalMatrix:
     """
     if not terms:
         raise ValueError("a product sum needs at least one term")
-    shape = None
     dens = []
     for c, factors in terms:
         den = c.denominator
-        for left, right in zip(factors, factors[1:]):
-            if left.ncols != right.nrows:
+        left = None
+        for right in factors:
+            if left is None:
+                first = right
+            elif left.ncols != right.nrows:
                 raise ValueError(f"cannot multiply {left.shape} by {right.shape}")
-        for factor in factors:
-            den *= factor.den
-        term_shape = (factors[0].nrows, factors[-1].ncols)
-        if shape is None:
-            shape = term_shape
-        elif term_shape != shape:
-            raise ValueError(f"shape mismatch: {shape} vs {term_shape}")
+            den *= right.den
+            left = right
+        if not dens:
+            nrows, ncols = first.nrows, left.ncols
+        elif first.nrows != nrows or left.ncols != ncols:
+            raise ValueError(f"shape mismatch: {(nrows, ncols)} vs {(first.nrows, left.ncols)}")
         dens.append(den)
     den = lcm(*dens)
-    plan = []  # each term as (integer scale, first, middle and last factor rows)
+    out: list[dict[int, int]] = [{} for _ in range(nrows)]
     for (c, factors), term_den in zip(terms, dens):
-        if c:
-            rows = [f.sparse_rows for f in factors]
-            scale = c.numerator * (den // term_den)
-            plan.append((scale, rows[0], rows[1:-1], rows[-1] if len(rows) > 1 else None))
-    out: list[dict[int, int]] = [{} for _ in range(shape[0])]
-    for scale, first, middle, last in plan:
+        if not c:
+            continue
+        scale = c.numerator * (den // term_den)
+        first = factors[0].sparse_rows
         # compress drops the empty rows of the first factor in C
-        for acc, row in compress(zip(out, first), first):
-            if last is None:
+        if len(factors) == 1:
+            for acc, row in compress(zip(out, first), first):
                 for j in row:
                     if j in acc:
                         acc[j] += scale * row[j]
                     else:
                         acc[j] = scale * row[j]
-                continue
+            continue
+        last = factors[-1].sparse_rows
+        if len(factors) == 2:
+            for acc, row in compress(zip(out, first), first):
+                for k in row:
+                    x, b = scale * row[k], last[k]
+                    for j in b:
+                        if j in acc:
+                            acc[j] += x * b[j]
+                        else:
+                            acc[j] = x * b[j]
+            continue
+        middle = [f.sparse_rows for f in factors[1:-1]]
+        for acc, row in compress(zip(out, first), first):
             for b_rows in middle:
                 tmp: dict[int, int] = {}
                 for k in row:
@@ -293,7 +311,7 @@ def product_sum(terms: Sequence[Term]) -> RationalMatrix:
     for i, acc in enumerate(out):
         if not all(acc.values()):  # drop entries that cancelled
             out[i] = {j: v for j, v in acc.items() if v} if any(acc.values()) else {}
-    return RationalMatrix.from_sparse(out, den, shape[1])
+    return RationalMatrix.from_sparse(out, den, ncols)
 
 
 def _gauss_jordan(rows: list[dict[int, int]], ncols: int) -> list[int]:

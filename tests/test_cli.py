@@ -270,6 +270,12 @@ def test_configuration_checked_up_front(capsys):
     assert captured.out == ""
     assert captured.err.count("configuration error:") == 3
     assert "the extension suite needs n >= 2" in captured.err
+    # one variable leaves no invariant to tabulate, as verify eigen --n 1 rejects
+    for k in ("1", "2"):
+        assert run(["spectrum", "--n", "1", "--k", k]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "configuration error: the spectrum needs n >= 2\n"
 
 
 UNREAD_OPTIONS = (

@@ -1,6 +1,7 @@
 """Exact matrix arithmetic and linear solves."""
 
 import json
+import re
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm, prod
@@ -331,11 +332,11 @@ def factors(draw, nrows, ncols):
 
 @st.composite
 def product_terms(draw):
-    """Terms c * A_1 (* A_2 (* A_3)) of one shape, with their dense values."""
+    """Terms c * A_1 (* A_2 (* A_3 (* A_4))) of one shape, with their dense values."""
     r, c = draw(sizes), draw(sizes)
     terms, values = [], []
     for _ in range(draw(st.integers(min_value=1, max_value=4))):
-        dims = [r] + [draw(sizes) for _ in range(draw(st.integers(0, 2)))] + [c]
+        dims = [r] + [draw(sizes) for _ in range(draw(st.integers(0, 3)))] + [c]
         drawn = [draw(factors(a, b)) for a, b in zip(dims, dims[1:])]
         coeff = draw(scalars)
         product = drawn[0][1]
@@ -392,12 +393,22 @@ def test_product_sum_matches_dense_reference(drawn):
 
 def test_product_sum_rejects_mismatched_shapes():
     a, b = RationalMatrix.identity(2), RationalMatrix.identity(3)
+    wide = RationalMatrix.from_sparse([{2: 1}, {}], 1, 3)
     with pytest.raises(ValueError, match="cannot multiply"):
         product_sum([(1, (a, b))])
     with pytest.raises(ValueError, match="shape mismatch"):
         product_sum([(1, (a,)), (1, (b,))])
     with pytest.raises(ValueError, match="at least one term"):
         product_sum([])
+    # the 2nd and 3rd factor of a chain, and a one-factor term against a
+    # two-factor one, give the reference's messages
+    for terms, message in (
+        ([(1, (a, a, b))], "cannot multiply (2, 2) by (3, 3)"),
+        ([(1, (a,)), (Fraction(1, 2), (a, wide))], "shape mismatch: (2, 2) vs (2, 3)"),
+    ):
+        for kernel in (product_sum, reference_product_sum):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                kernel(terms)
 
 
 # -- the row walk against the items walk it replaced -----------------------------
@@ -409,11 +420,12 @@ numerators = st.one_of(
 
 
 @st.composite
-def sweep_factor(draw, nrows, ncols):
+def sweep_factor(draw, nrows, ncols, filled=False):
     """A factor shaped like a sweep's, with each row's keys stored in a drawn order.
 
     Diagonal, block-diagonal (consecutive row and column blocks, cut
-    alike) or general; most rows hold no entry or one.
+    alike) or general; most rows hold no entry or one.  A filled factor
+    holds at least one entry in each row its shape allows one in.
     """
     kind = draw(st.sampled_from(["diagonal", "blocks", "general"]))
     if kind == "diagonal":
@@ -430,8 +442,10 @@ def sweep_factor(draw, nrows, ncols):
         allowed = [range(ncols)] * nrows
     rows = []
     for cols in allowed:
-        size = draw(st.sampled_from([0, 0, 0, 1, 1, 2, 3]))
-        keys = draw(st.lists(st.sampled_from(cols), max_size=size, unique=True)) if cols else []
+        size = draw(st.sampled_from([1, 1, 2, 3] if filled else [0, 0, 0, 1, 1, 2, 3]))
+        keys = draw(st.lists(
+            st.sampled_from(cols), min_size=int(filled), max_size=size, unique=True
+        )) if cols else []
         rows.append({j: draw(numerators) for j in keys})
     den = draw(st.integers(min_value=1, max_value=12))
     return RationalMatrix.from_sparse(rows, den, ncols)
@@ -439,13 +453,23 @@ def sweep_factor(draw, nrows, ncols):
 
 @st.composite
 def sweep_terms(draw):
-    """Terms c * A_1 (* A_2 (* A_3)) of one shape, some with c = 0, some cancelling."""
+    """Terms c * A_1 (* A_2 (* A_3 (* A_4))) of one shape, some with c = 0, some cancelling.
+
+    Every arity of ``product_sum``'s walk is drawn: one factor, two, and
+    chains with one or two middle factors.
+    """
     r, c = draw(st.integers(0, 8)), draw(st.integers(0, 8))
     terms = []
     for _ in range(draw(st.integers(min_value=1, max_value=4))):
-        dims = [r] + [draw(st.integers(0, 8)) for _ in range(draw(st.integers(0, 2)))] + [c]
+        dims = [r] + [draw(st.integers(0, 8)) for _ in range(draw(st.integers(0, 3)))] + [c]
         coeff = draw(st.one_of(st.just(0), scalars, st.integers(-10**6, 10**6)))
-        terms.append((coeff, tuple(draw(sweep_factor(a, b)) for a, b in zip(dims, dims[1:]))))
+        # the factors after a chain's first are filled, or its product would
+        # almost always vanish
+        chain = len(dims) > 3
+        terms.append((coeff, tuple(
+            draw(sweep_factor(a, b, filled=chain and i > 0))
+            for i, (a, b) in enumerate(zip(dims, dims[1:]))
+        )))
     if draw(st.booleans()):  # the sum cancels to zero
         terms += [(-coeff, factors) for coeff, factors in terms]
     return terms

@@ -9,7 +9,7 @@ import hashlib
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, permutations, product
-from math import comb
+from math import comb, perm
 
 import pytest
 from hypothesis import example, given, settings
@@ -651,6 +651,37 @@ def test_su11_and_lemma1_record_counts_are_the_closed_forms(n, kmax):
     params = ParameterSet.default(n)
     assert len(verify_su11(params, kmax)) == 3 * (2**n - 1) * (kmax + 1)
     assert len(verify_casimir_laplacian_commute(params, kmax)) == (2**n - 1) * (kmax + 1)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+@pytest.mark.parametrize("kmax", [0, 2])
+def test_racah_and_lemma2_record_counts_are_the_closed_forms(n, kmax):
+    # each family records its index tuples once per degree 0..kmax; a
+    # family with more indices than n records nothing
+    half_triples = perm(n, 3) // 2  # distinct (i, j, m), one of each swapped pair
+    closed_forms = {
+        "single-invariant-closed-form": n,
+        "pair-invariant-angular-form": comb(n, 2),
+        "subset-additivity": 2**n - 1 - n - comb(n, 2),
+        "f-from-angular-momentum": half_triples,
+        "f-antisymmetry": half_triples,
+        "adjacent-pair-sum-commutes": half_triples,
+        "triple-relation": perm(n, 3),
+        "quad-pf-relation": perm(n, 4),
+        "quad-ff-relation": perm(n, 4),
+        "quint-ff-relation": perm(n, 5),
+        "disjoint-pairs-commute": 3 * comb(n, 4),
+    }
+    params = ParameterSet.default(n)
+    counts = Counter(r.relation for r in verify_racah_relations(params, kmax))
+    assert counts == {name: (kmax + 1) * count for name, count in closed_forms.items() if count}
+    # nested pairs A < B: 3^n - 2^(n+1) + 1; disjoint pairs: half as many
+    nested = 3**n - 2 ** (n + 1) + 1
+    counts = Counter(r.relation for r in verify_nested_disjoint_commute(params, kmax))
+    assert counts == {
+        "nested-invariants-commute": (kmax + 1) * nested,
+        "disjoint-invariants-commute": (kmax + 1) * nested // 2,
+    }
 
 
 def recording_routes(monkeypatch):
