@@ -14,18 +14,8 @@ writes its report through Report.to_json_text, the indented, key-sorted
 JSON of the report; the other exports, ``connect`` included, encode their
 objects with ``json.dumps``.
 
-``verify`` reads a suite's noun, runner and these columns from SUITES:
-
-    suite           smallest n  default --kmax  option
-    su11            1           6
-    racah           3           6, 4, 5, 4, 3 at n = 3..7, else 2
-    lemma1          1           4
-    lemma2          2           4
-    drinfeld-kohno  3           4
-    embedding       3           3               --blocks
-    ck              2           4
-    lemma3          1           3
-    eigen           2           4               --order
+``verify`` reads a suite's noun, runner, smallest n, default --kmax and
+the one option it reads from SUITES, the one table of the suites.
 
 Exit codes: 0 when every verified identity holds; 1 when some identity
 fails (the report names the first violated one and carries a polynomial

@@ -9,9 +9,9 @@ equality of operators is decided on these exact matrices
 
 An operator holds the image of each monomial as nonzero integer
 numerators over one operator-wide denominator ``den``, the form of a
-RationalMatrix row.  It is defined in one of three ways:
+RationalMatrix row.  It is built in one of two ways:
 
-* by coordinate data, as every built-in primitive is.  A coordinate move
+* from coordinate data, as every primitive is.  A coordinate move
   (pos, c) sends x^e to c(e_pos) x^(e + shift at pos), and a sum of moves
   gives T_i, the multiplication by x_i or by |x_A|^2, the Laplacian
   Lap_A by the closed form of T_i^2, and J+ and J- (|x_A|^2 / 2 and
@@ -20,13 +20,11 @@ RationalMatrix row.  It is defined in one of three ways:
   diagonal part D_A of C_A.  The operator keeps each coefficient's values,
   evaluated once per exponent or A-degree, and both its rule on one
   monomial and its matrices are read from them;
-* by a rule on one monomial alone (``LinearOperator(rule, ...)``), for an
-  operator that has no coordinate data;
-* as a composite: a list of terms (c, (op_1, op_2, ...)) standing for
-  the sum of c * op_1 op_2 ..., the linalg.Term shape with operators in
-  place of matrices: C_A and L_ij.  Its den is the lcm of the
-  terms' denominators, so each term adds an integer multiple of its parts'
-  integer images.
+* as a composite: a list of terms (c, (op_1, op_2, ...)) of one shift,
+  standing for the sum of c * op_1 op_2 ..., the linalg.Term shape with
+  operators in place of matrices: C_A and L_ij.  Its den is the lcm of
+  the terms' denominators, so each term adds an integer multiple of its
+  parts' integer images.
 
 One loop, ``apply``, takes den times an operator on a sparse vector of
 integer coefficients, a tower lift's or a polynomial's numerators, and
@@ -34,20 +32,19 @@ keeps the image of each monomial it meets; calling the operator on a
 polynomial puts that over the polynomial's den times the operator's.  A
 primitive keeps its matrix on each range of degrees it is asked for,
 over its den in lowest terms.  A move's block is filled from the shared
-index table poly.coordinate_moves, a diagonal's from poly.subset_degrees,
-and a rule's from its images.  A sweep asks each operator for one range
-and reads every factor of a check as a leading block of it
-(relations.DegreeSum), so no coefficient is evaluated twice.  A
-composite's matrix is one linalg.product_sum over its parts' matrices,
-each on the range of degrees it acts on, built anew.
+index table poly.coordinate_moves, and a diagonal's from
+poly.subset_degrees.  A sweep asks each operator for one range and reads
+every factor of a check as a leading block of it (relations.DegreeSum),
+so no coefficient is evaluated twice.  A composite's matrix is one
+linalg.product_sum over its parts' matrices, each on the range of
+degrees it acts on, built anew.
 
 The coordinate data certify where an operator acts: its ``support`` is
-the positions of its moves or diagonal, for a composite the union over
-its factors, and None for a rule.  An operator with support in a set S
-of variables acts on x_S alone, so materialize_on_monomials can read it
-on the monomials of those variables only, re-indexing the same data onto
-the same shared tables; relations.DegreeSum.local_first proves checks
-that way.
+the positions of its moves or diagonal, and for a composite the union
+over its factors.  An operator with support in a set S of variables acts
+on x_S alone, so materialize_on_monomials can read it on the monomials of
+those variables only, re-indexing the same data onto the same shared
+tables; relations.DegreeSum.local_first proves checks that way.
 
 The composite builders take a DunklOperators object, the n Dunkl
 operators of one parameter set built once, in place of the parameters, so
@@ -71,7 +68,6 @@ from .poly import (
     Polynomial,
     coordinate_moves,
     monomial_basis,
-    monomial_positions,
     subset_degrees,
 )
 
@@ -100,19 +96,20 @@ def normalize_subset(A: Iterable[int], n: int) -> tuple[int, ...]:
 class LinearOperator:
     """A named linear map on polynomials that shifts the degree by ``shift``.
 
-    rule(exps) returns den times the image of the monomial with exponent
+    It is built by ``moving`` or ``moves_at``, which set ``moves``, by
+    ``degree_diagonal``, which sets ``diagonal``, or by ``composite``,
+    which sets ``terms``; the other two are None.  rule(exps), read from
+    that data, returns den times the image of the monomial with exponent
     tuple exps, as a fresh dict of nonzero integers keyed by exponent
-    tuples.  An operator built by ``moving`` has ``moves``, one by
-    ``degree_diagonal`` has ``diagonal``, and a composite (``composite``)
-    has ``terms``; the rule of each is read from them.  ``apply`` is the
-    linear extension of the rule on integer coefficients, and calling the
-    operator on a polynomial p is apply on p's numerators over p.den * den.
-    For the operator's lifetime, ``apply`` keeps each monomial's image,
-    materialize_on_monomials a primitive's matrix of each range of
-    degrees, keyed by (n, k, kmax) with k raised to the first degree
-    holding a row or a column, and each move or diagonal the values of its
-    coefficient, indexed by exponent or A-degree; kept images are never
-    handed out, every call returns its own terms.
+    tuples.  ``apply`` is the linear extension of the rule on integer
+    coefficients, and calling the operator on a polynomial p is apply on
+    p's numerators over p.den * den.  For the operator's lifetime,
+    ``apply`` keeps each monomial's image, materialize_on_monomials a
+    primitive's matrix of each range of degrees, keyed by (n, k, kmax)
+    with k raised to the first degree holding a row or a column, and each
+    move or diagonal the values of its coefficient, indexed by exponent or
+    A-degree; kept images are never handed out, every call returns its
+    own terms.
     """
 
     __slots__ = (
@@ -120,15 +117,26 @@ class LinearOperator:
     )
 
     def __init__(
-        self, rule: Callable[[Monomial], Image], descriptor: str = "?", shift: int = 0, den: int = 1
+        self,
+        descriptor: str,
+        shift: int,
+        den: int,
+        moves: tuple[tuple[int, Coefficient, list[int]], ...] | None = None,
+        diagonal: tuple[tuple[int, ...], Coefficient, list[int]] | None = None,
+        terms: list[OperatorTerm] | None = None,
     ):
-        self.rule = rule
         self.descriptor = descriptor
         self.shift = shift
         self.den = den
-        self.terms: list[OperatorTerm] | None = None
-        self.moves: tuple[tuple[int, Coefficient, list[int]], ...] | None = None
-        self.diagonal: tuple[tuple[int, ...], Coefficient, list[int]] | None = None
+        self.moves = moves
+        self.diagonal = diagonal
+        self.terms = terms
+        if moves is not None:
+            self.rule = _moves_rule(moves, shift)
+        elif diagonal is not None:
+            self.rule = _diagonal_rule(*diagonal)
+        else:
+            self.rule = _terms_rule(terms, den)
         self._images: dict[Monomial, Image] = {}
         self._matrices: dict[tuple[int, int, int], RationalMatrix] = {}
 
@@ -143,7 +151,7 @@ class LinearOperator:
         move has no image.  ``moves`` holds (pos, c, values), values[e]
         the kept c(e), or 0 below -shift.
         """
-        return cls._of_moves(tuple([(pos, c, []) for pos, c in moves]), descriptor, shift, den)
+        return cls(descriptor, shift, den, moves=tuple([(pos, c, []) for pos, c in moves]))
 
     def moves_at(self, positions: Iterable[int], descriptor: str, den: int) -> "LinearOperator":
         """The sum of this move operator's moves at the 0-based positions, over den.
@@ -153,29 +161,7 @@ class LinearOperator:
         """
         positions = set(positions)
         steps = tuple([step for step in self.moves if step[0] in positions])
-        return LinearOperator._of_moves(steps, descriptor, self.shift, den)
-
-    @classmethod
-    def _of_moves(cls, steps, descriptor: str, shift: int, den: int) -> "LinearOperator":
-        """The move operator of the (pos, c, values) steps, its rule read from them."""
-        lowest = -shift if shift < 0 else 0
-
-        def rule(exps: Monomial) -> Image:
-            image = {}
-            for pos, c, values in steps:
-                e = exps[pos]
-                try:
-                    x = values[e]
-                except IndexError:
-                    _grow(values, c, lowest, e)
-                    x = values[e]
-                if x:
-                    image[exps[:pos] + (e + shift,) + exps[pos + 1:]] = x
-            return image
-
-        op = cls(rule, descriptor, shift, den)
-        op.moves = steps
-        return op
+        return LinearOperator(descriptor, self.shift, den, moves=steps)
 
     @classmethod
     def degree_diagonal(
@@ -183,59 +169,44 @@ class LinearOperator:
     ) -> "LinearOperator":
         """The operator scaling x^e by value(s) / den, s its degree over the 0-based positions.
 
-        value is evaluated once per degree s; ``diagonal`` holds
-        (positions, value, values), values[s] the kept value(s).
+        value is evaluated once per degree s, and s is 0 for every monomial
+        when there are no positions; ``diagonal`` holds (positions, value,
+        values), values[s] the kept value(s).
         """
-        positions = tuple(positions)
-        values: list[int] = []
-
-        def rule(exps: Monomial) -> Image:
-            s = sum([exps[pos] for pos in positions])
-            try:
-                x = values[s]
-            except IndexError:
-                _grow(values, value, 0, s)
-                x = values[s]
-            return {exps: x} if x else {}
-
-        op = cls(rule, descriptor, 0, den)
-        op.diagonal = (positions, value, values)
-        return op
+        return cls(descriptor, 0, den, diagonal=(tuple(positions), value, []))
 
     @classmethod
     def composite(cls, terms: list[OperatorTerm], descriptor: str) -> "LinearOperator":
         """The sum of c * op_1 op_2 ... over terms (c, (op_1, op_2, ...)) of one shift.
 
         den is the lcm of the terms' c.denominator * op_1.den * op_2.den ...,
-        so each term's integer images enter scaled by an integer.
+        so each term's integer images enter scaled by an integer.  No
+        terms, or terms of different shifts, raise ValueError: every image
+        lands on the degree the shift declares.
         """
-        shift = sum(op.shift for op in terms[0][1])
-        dens = [c.denominator * prod(op.den for op in factors) for c, factors in terms]
-        den = lcm(*dens)
-        scaled = [(c.numerator * (den // d), factors) for (c, factors), d in zip(terms, dens)]
-        op = cls(lambda exps: _terms_image(scaled, exps), descriptor, shift, den)
-        op.terms = terms
-        return op
+        if not terms:
+            raise ValueError(f"{descriptor} has no terms")
+        shifts = sorted({sum(op.shift for op in factors) for _, factors in terms})
+        if len(shifts) > 1:
+            raise ValueError(f"the terms of {descriptor} shift the degree by {shifts}, not by one")
+        den = lcm(*[_term_den(c, factors) for c, factors in terms])
+        return cls(descriptor, shifts[0], den, terms=terms)
 
     @property
-    def support(self) -> frozenset[int] | None:
+    def support(self) -> frozenset[int]:
         """The 0-based positions the operator reads and moves, from its coordinate data.
 
         A move operator's are the positions of its moves, a degree
         diagonal's its positions, and a composite's the union over its
-        factors.  An operator given by a rule alone, or built from one,
-        has no known support: None.  Operators whose supports are disjoint
-        commute, and on n variables an operator with support in S is its
-        action on the variables of S tensored with the identity.
+        factors.  Operators whose supports are disjoint commute, and on n
+        variables an operator with support in S is its action on the
+        variables of S tensored with the identity.
         """
         if self.moves is not None:
             return frozenset([pos for pos, _, _ in self.moves])
         if self.diagonal is not None:
             return frozenset(self.diagonal[0])
-        if self.terms is None:
-            return None
-        supports = [op.support for _, factors in self.terms for op in factors]
-        return None if None in supports else frozenset().union(*supports)
+        return frozenset().union(*[op.support for _, factors in self.terms for op in factors])
 
     def apply(self, terms: Mapping[Monomial, int], out: Image | None = None) -> Image:
         """den * self(terms) added into out (a fresh dict by default), without cancelled terms.
@@ -265,19 +236,65 @@ class LinearOperator:
         return f"LinearOperator({self.descriptor})"
 
 
-def _terms_image(scaled: list[tuple[int, Sequence[LinearOperator]]], exps: Monomial) -> Image:
-    """den times the image of one monomial under a composite, from its parts' kept images.
+def _moves_rule(steps, shift: int) -> Callable[[Monomial], Image]:
+    """The rule of the (pos, c, values) steps: each move's image read from its kept values."""
+    lowest = -shift if shift < 0 else 0
 
-    Each term is (its integer scale, its factors); the monomial, times the
-    scale, passes through the factors from the innermost out.
+    def rule(exps: Monomial) -> Image:
+        image = {}
+        for pos, c, values in steps:
+            e = exps[pos]
+            try:
+                x = values[e]
+            except IndexError:
+                _grow(values, c, lowest, e)
+                x = values[e]
+            if x:
+                image[exps[:pos] + (e + shift,) + exps[pos + 1:]] = x
+        return image
+
+    return rule
+
+
+def _diagonal_rule(
+    positions: tuple[int, ...], value: Coefficient, values: list[int]
+) -> Callable[[Monomial], Image]:
+    """The rule of a degree diagonal: each monomial scaled by the kept value of its degree."""
+
+    def rule(exps: Monomial) -> Image:
+        s = sum([exps[pos] for pos in positions])
+        try:
+            x = values[s]
+        except IndexError:
+            _grow(values, value, 0, s)
+            x = values[s]
+        return {exps: x} if x else {}
+
+    return rule
+
+
+def _term_den(c: int | Fraction, factors: Sequence[LinearOperator]) -> int:
+    return c.denominator * prod(op.den for op in factors)
+
+
+def _terms_rule(terms: list[OperatorTerm], den: int) -> Callable[[Monomial], Image]:
+    """The rule of a composite over den, from its parts' kept images.
+
+    Each term enters with its integer scale over den; the monomial, times
+    the scale, passes through the factors from the innermost out.
     """
-    out: Image = {}
-    for scale, factors in scaled:
-        image = {exps: scale}
-        for op in reversed(factors[1:]):
-            image = op.apply(image)
-        out = factors[0].apply(image, out)
-    return out
+    scaled = [(c.numerator * (den // _term_den(c, factors)), factors) for c, factors in terms]
+
+    def rule(exps: Monomial) -> Image:
+        out: Image = {}
+        for scale, factors in scaled:
+            image = {exps: scale}
+            for op in reversed(factors[1:]):
+                image = op.apply(image)
+            out = factors[0].apply(image, out)
+        return out
+
+    return rule
 
 
 def _name(subset: tuple[int, ...]) -> str:
@@ -470,12 +487,9 @@ def materialize_on_monomials(
     and variables, over its den.  A move's block is read from the index
     tables of poly.coordinate_moves and a diagonal's from those of
     poly.subset_degrees, with each coefficient's kept values, and the
-    common factor of those values and den is divided out first.  A rule's
-    block holds the rule's images, each looked up in the positions of its
-    own degree d + shift alone: a term outside them raises
-    ImageEscapesSpan, and a rule has no positions to read at other
-    variables.  All are in lowest terms, so a range holds the integers of
-    its lowest-terms blocks over the lcm of their dens.
+    common factor of those values and den is divided out first.  All are
+    in lowest terms, so a range holds the integers of its lowest-terms
+    blocks over the lcm of their dens.
     """
     k = max(k, min(0, -op.shift))
     if variables == tuple(range(n)):
@@ -495,12 +509,8 @@ def materialize_on_monomials(
         return matrix
     if op.moves is not None:
         matrix = _moves_matrix(op, n, k, kmax, variables)
-    elif op.diagonal is not None:
-        matrix = _diagonal_matrix(op, n, k, kmax, variables)
-    elif variables is None:
-        matrix = _rule_matrix(op, n, k, kmax)
     else:
-        raise ValueError(f"{op.descriptor} is a rule: it cannot act on chosen variables")
+        matrix = _diagonal_matrix(op, n, k, kmax, variables)
     op._matrices[key] = matrix
     return matrix
 
@@ -552,27 +562,6 @@ def _diagonal_matrix(
         start = len(rows)
         rows += [{j: x} if (x := scaled[s]) else {} for j, s in enumerate(table, start)]
     return RationalMatrix.from_sparse(rows, op.den // g, len(rows))
-
-
-def _rule_matrix(op: LinearOperator, n: int, k: int, kmax: int) -> RationalMatrix:
-    """A rule operator's matrix on degrees k..kmax, from the rule's image of each monomial."""
-    rows: list[dict[int, int]] = []
-    ncols = 0
-    for d in range(k, kmax + 1):
-        basis, block = monomial_basis(n, d), len(rows)
-        position = monomial_positions(n, d + op.shift)
-        rows.extend({} for _ in position)
-        for j, exps in enumerate(basis, ncols):
-            for e, x in op.rule(exps).items():
-                i = position.get(e)
-                if i is None:
-                    raise ImageEscapesSpan(
-                        f"{op.descriptor} maps homogeneous degree {d} to degree {sum(e)},"
-                        f" not to its declared degree {d + op.shift}"
-                    )
-                rows[block + i][j] = x
-        ncols += len(basis)
-    return RationalMatrix.from_sparse(rows, op.den, ncols).normalized()
 
 
 def materialize(op: LinearOperator, n: int, basis: list[Polynomial]) -> RationalMatrix:

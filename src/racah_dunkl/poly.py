@@ -402,8 +402,11 @@ def subset_degrees(n: int, k: int, positions: tuple[int, ...]) -> tuple[int, ...
     """Each monomial's degree over the 0-based coordinates positions, in monomial_basis(n, k).
 
     With one position it is that coordinate's exponent column itself; with
-    more, the columns are summed entry by entry.
+    more, the columns are summed entry by entry; with none, every degree
+    is 0.
     """
+    if not positions:
+        return (0,) * len(monomial_basis(n, k))
     columns = exponent_columns(n, k)
     if len(positions) == 1:
         return columns[positions[0]]

@@ -168,14 +168,8 @@ def module_tridiagonal_data(
         return [], []
     sd = spectral_data(params, epsilon, d3)
     rp = racah_parameters(params, epsilon, d3)
-    diag: list[Fraction] = []
-    offsq: list[Fraction] = []
-    for k in range(m):
-        b_k, u2_k = recurrence_coefficients(sd, rp, k)
-        diag.append(b_k)
-        if k >= 1:
-            offsq.append(u2_k)
-    return diag, offsq
+    coefficients = [recurrence_coefficients(sd, rp, k) for k in range(m)]
+    return [b_k for b_k, _ in coefficients], [u2_k for _, u2_k in coefficients[1:]]
 
 
 def racah_recurrence_polys(
@@ -189,12 +183,18 @@ def racah_recurrence_polys(
     """
     if k_max < 0:
         raise ValueError("k_max must be non-negative")
+    return _shifted_recurrence(rp.tau, [recurrence_coefficients(sd, rp, k) for k in range(k_max)])
+
+
+def _shifted_recurrence(
+    tau: Fraction, coefficients: list[tuple[Fraction, Fraction]]
+) -> list[Polynomial]:
+    """H_0..H_m of the shifted recurrence, from the m pairs (B_k, U_k^2)."""
     x = Polynomial.variable(1, 1)
     polys = [Polynomial.one(1)]
     prev = Polynomial.zero(1)
-    for k in range(k_max):
-        b_k, u2_k = recurrence_coefficients(sd, rp, k)
-        nxt = (x - Polynomial.constant(1, b_k + rp.tau)) * polys[-1] - prev.scale(u2_k)
+    for b_k, u2_k in coefficients:
+        nxt = (x - Polynomial.constant(1, b_k + tau)) * polys[-1] - prev.scale(u2_k)
         prev = polys[-1]
         polys.append(nxt)
     return polys
@@ -209,10 +209,10 @@ def recurrence_table_json(
         return []
     sd = spectral_data(params, epsilon, d3)
     rp = racah_parameters(params, epsilon, d3)
-    polys = racah_recurrence_polys(rp, sd, m)
+    coefficients = [recurrence_coefficients(sd, rp, k) for k in range(m)]
+    polys = _shifted_recurrence(rp.tau, coefficients)
     rows = []
-    for k in range(m):
-        b_k, u2_k = recurrence_coefficients(sd, rp, k)
+    for k, (b_k, u2_k) in enumerate(coefficients):
         coeffs = [str(polys[k].coefficient((t,))) for t in range(k + 1)]
         rows.append({"k": k, "B_k": str(b_k), "U2_k": str(u2_k), "H_k": coeffs})
     coeffs = [str(polys[m].coefficient((t,))) for t in range(m + 1)]

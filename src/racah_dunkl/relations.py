@@ -27,11 +27,10 @@ tensored with the identity on the other variables, so D = 0 on degrees
 0..kmax makes the check hold on every degree.  lemma1 splits the full
 Laplacian's moves by position into Lap|A + Lap|A^c; the second acts on
 other variables than C_A and so commutes with it, and [C_A, Lap|A] is
-the local check.  An unknown support (an operator given by a rule), a
-support outside A, a Laplacian with no moves, or a nonzero D sends the
-check to the n-variable sum, so every failure keeps its n-variable
-witness.  racah, lemma2, drinfeld-kohno and embedding stay on the
-n-variable sum.
+the local check (a Laplacian that is not a sum of moves is read whole).
+A support outside A or a nonzero D sends the check to the n-variable
+sum, so every failure keeps its n-variable witness.  racah, lemma2,
+drinfeld-kohno and embedding stay on the n-variable sum.
 """
 
 from __future__ import annotations
@@ -103,18 +102,17 @@ class DegreeSum:
     def local_first(self, A: tuple[int, ...], build, operators, local):
         """The checks of build(self, A, *operators), each proven on A's variables when it can be.
 
-        ``local`` is None, or operators whose checks hold here exactly when
-        those of ``operators`` do, provided their supports lie in A.  When
-        their coordinate data show that they do, each check of build on
-        the monomials of A's variables alone, to the same degrees, whose
-        discrepancy D is zero holds here on every degree, since here its
-        discrepancy is D tensored with the identity on the other
-        variables: it is yielded with the term list None.  Every other
-        check, and every check when local is None or reaches outside A,
-        or when A holds all the variables, is built here from
+        ``local`` are operators whose checks hold here exactly when those
+        of ``operators`` do, provided their supports lie in A.  When they
+        do, each check of build on the monomials of A's variables alone,
+        to the same degrees, whose discrepancy D is zero holds here on
+        every degree, since here its discrepancy is D tensored with the
+        identity on the other variables: it is yielded with the term list
+        None.  Every other check, and every check when local reaches
+        outside A or A holds all the variables, is built here from
         ``operators``, so its witness reads the same.
         """
-        if local is None or len(A) == self.n or not _within(A, *local):
+        if len(A) == self.n or not _within(A, *local):
             yield from build(self, A, *operators)
             return
         on_a, here = DegreeSum(self.n, self.kmax, self.top, A), None
@@ -306,7 +304,7 @@ def verify_su11(params: ParameterSet, kmax: int) -> Report:
 def _within(A: tuple[int, ...], *ops: LinearOperator) -> bool:
     """Whether the coordinate data of every op lies on the variables of A."""
     positions = {i - 1 for i in A}
-    return all(op.support is not None and op.support <= positions for op in ops)
+    return all(op.support <= positions for op in ops)
 
 
 def _su11_brackets(space: DegreeSum, A: tuple[int, ...], a0, jp, jm):
@@ -492,7 +490,7 @@ def verify_casimir_laplacian_commute(params: ParameterSet, kmax: int) -> Report:
 
 def _lemma1_checks(space: DegreeSum, ca: LinearOperator, lap: LinearOperator, A: tuple[int, ...]):
     # [C_A, Lap] = [C_A, Lap|A] when C_A commutes with Lap|A^c
-    local = None
+    local = (ca, lap)
     if lap.moves is not None:
         name = f"{lap.descriptor}|{{{','.join(map(str, A))}}}"
         local = (ca, lap.moves_at([i - 1 for i in A], name, lap.den))

@@ -13,9 +13,12 @@ of one:
   ``norm_square_poly`` is |x_A|^2, each by Polynomial arithmetic;
 * ``dunkl_rule``, ``coordinate_rule``, ``laplace_rule``,
   ``norm_square_rule``, ``a0_rule`` and ``casimir_diagonal_rule`` are the
-  primitives as closed-form rules on one monomial, the form the package
-  built them in before it read them from coordinate data, so their
-  matrices come from the rule loop of ``materialize_on_monomials``;
+  primitives as closed-form rules on one monomial (a ``Rule``: the image
+  function with its descriptor, shift and den), the form the package
+  built them in before it read them from coordinate data;
+  ``Rule.apply`` is a rule's linear extension and ``rule_matrix`` its
+  matrix, filled by the rule loop that ``materialize_on_monomials`` ran
+  before every operator was coordinate data or a composite;
 * ``fischer_decompose`` splits a polynomial into norm powers times
   harmonics by one solve against the tower bases;
 * ``module_basis`` and ``rank_one_overlap`` check, at n = 3, that the
@@ -56,7 +59,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 from math import factorial, lcm
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from racah_dunkl import (
     Chain,
@@ -97,7 +100,8 @@ from racah_dunkl.cli import (
 )
 from racah_dunkl.harmonics import _lift, falling_factorial, raising_factorial
 from racah_dunkl.linalg import Term, matrix_rank, product_sum
-from racah_dunkl.operators import LinearOperator, gamma, normalize_subset
+from racah_dunkl.operators import ImageEscapesSpan, LinearOperator, gamma, normalize_subset
+from racah_dunkl.poly import monomial_positions
 from racah_dunkl.report import Report
 
 
@@ -204,6 +208,50 @@ def norm_square_poly(A, n: int) -> Polynomial:
 # -- the primitives as closed-form rules ------------------------------------------
 
 
+class Rule(NamedTuple):
+    """A primitive given by image(exps), den times the image of x^exps as nonzero integers."""
+
+    image: Callable[[tuple[int, ...]], dict[tuple[int, ...], int]]
+    descriptor: str
+    shift: int
+    den: int = 1
+
+    def apply(self, terms) -> dict[tuple[int, ...], int]:
+        """den times the rule on integer coefficients, without cancelled terms."""
+        out: dict[tuple[int, ...], int] = {}
+        for exps, x in terms.items():
+            for e, y in self.image(exps).items():
+                out[e] = out.get(e, 0) + x * y
+        return {e: x for e, x in out.items() if x}
+
+
+def rule_matrix(rule: Rule, n: int, k: int, kmax: int) -> RationalMatrix:
+    """The rule's matrix on degrees k..kmax, from its image of each monomial.
+
+    k is first raised to min(0, -shift), as materialize_on_monomials does;
+    each image is looked up in the positions of its own degree d + shift
+    alone, and a term outside them raises ImageEscapesSpan.
+    """
+    k = max(k, min(0, -rule.shift))
+    rows: list[dict[int, int]] = []
+    ncols = 0
+    for d in range(k, kmax + 1):
+        basis, block = monomial_basis(n, d), len(rows)
+        position = monomial_positions(n, d + rule.shift)
+        rows.extend({} for _ in position)
+        for j, exps in enumerate(basis, ncols):
+            for e, x in rule.image(exps).items():
+                i = position.get(e)
+                if i is None:
+                    raise ImageEscapesSpan(
+                        f"{rule.descriptor} maps homogeneous degree {d} to degree {sum(e)},"
+                        f" not to its declared degree {d + rule.shift}"
+                    )
+                rows[block + i][j] = x
+        ncols += len(basis)
+    return RationalMatrix.from_sparse(rows, rule.den, ncols).normalized()
+
+
 def _shift(exps, pos, by):
     return exps[:pos] + (exps[pos] + by,) + exps[pos + 1:]
 
@@ -212,69 +260,69 @@ def _name(subset):
     return ",".join(map(str, subset))
 
 
-def dunkl_rule(params: ParameterSet, i: int) -> LinearOperator:
+def dunkl_rule(params: ParameterSet, i: int) -> Rule:
     """T_i: with 2 mu_i = a / b, b T_i x^e is (e_i b + a) or e_i b times x^(e - e_i)."""
     pos = i - 1
     two_mu = 2 * params.mu_of(i)
     a, b = two_mu.numerator, two_mu.denominator
 
-    def rule(exps):
+    def image(exps):
         e = exps[pos]
         if e == 0:
             return {}
         return {_shift(exps, pos, -1): e * b + a if e % 2 else e * b}
 
-    return LinearOperator(rule, f"T{i}", -1, b)
+    return Rule(image, f"T{i}", -1, b)
 
 
-def coordinate_rule(i: int) -> LinearOperator:
+def coordinate_rule(i: int) -> Rule:
     """Multiplication by the coordinate x_i."""
     pos = i - 1
-    return LinearOperator(lambda exps: {_shift(exps, pos, 1): 1}, f"x{i}", 1)
+    return Rule(lambda exps: {_shift(exps, pos, 1): 1}, f"x{i}", 1)
 
 
-def laplace_rule(params: ParameterSet, A) -> LinearOperator:
+def laplace_rule(params: ParameterSet, A) -> Rule:
     """Lap_A over L, the lcm of the b over A: (odd * b + a) * even * (L / b) per T_i^2."""
     subset = normalize_subset(A, params.n)
     two_mu = [(i - 1, 2 * params.mu_of(i)) for i in subset]
     den = lcm(*(t.denominator for _, t in two_mu))
     factors = [(pos, t.numerator, t.denominator, den // t.denominator) for pos, t in two_mu]
 
-    def rule(exps):
-        image = {}
+    def image(exps):
+        out = {}
         for pos, a, b, s in factors:
             e = exps[pos]
             if e >= 2:
                 odd, even = (e, e - 1) if e % 2 else (e - 1, e)
-                image[exps[:pos] + (e - 2,) + exps[pos + 1:]] = (odd * b + a) * even * s
-        return image
+                out[exps[:pos] + (e - 2,) + exps[pos + 1:]] = (odd * b + a) * even * s
+        return out
 
-    return LinearOperator(rule, f"Lap{{{_name(subset)}}}", -2, den)
+    return Rule(image, f"Lap{{{_name(subset)}}}", -2, den)
 
 
-def norm_square_rule(A, n: int) -> LinearOperator:
+def norm_square_rule(A, n: int) -> Rule:
     """Multiplication by the squared norm over A, sum of x_i^2 for i in A."""
     subset = normalize_subset(A, n)
     positions = [i - 1 for i in subset]
-    return LinearOperator(
+    return Rule(
         lambda exps: {_shift(exps, pos, 2): 1 for pos in positions},
         f"|x{{{_name(subset)}}}|^2",
         2,
     )
 
 
-def _degree_diagonal(subset, value, descriptor, den):
-    """The operator scaling each monomial by value(its degree over subset) / den."""
+def _degree_diagonal(subset, value, descriptor, den) -> Rule:
+    """The rule scaling each monomial by value(its degree over subset) / den."""
     positions = [i - 1 for i in subset]
 
-    def rule(exps):
+    def image(exps):
         v = value(sum([exps[pos] for pos in positions]))
         return {exps: v} if v else {}
 
-    return LinearOperator(rule, descriptor, 0, den)
+    return Rule(image, descriptor, 0, den)
 
 
-def a0_rule(params: ParameterSet, A) -> LinearOperator:
+def a0_rule(params: ParameterSet, A) -> Rule:
     """A0 of su11_triple: with gamma_A = g / h, (d h + g) / 2h on A-degree d."""
     subset = normalize_subset(A, params.n)
     gam = gamma(params, subset)
@@ -282,7 +330,7 @@ def a0_rule(params: ParameterSet, A) -> LinearOperator:
     return _degree_diagonal(subset, lambda d: d * h + g, f"A0{{{_name(subset)}}}", 2 * h)
 
 
-def casimir_diagonal_rule(params: ParameterSet, A) -> LinearOperator:
+def casimir_diagonal_rule(params: ParameterSet, A) -> Rule:
     """D_A, the diagonal part of C_A: (d h + g)(d h + g - 2h) / 4h^2 on A-degree d."""
     subset = normalize_subset(A, params.n)
     gam = gamma(params, subset)

@@ -4,6 +4,7 @@ import json
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 import reference
@@ -583,3 +584,30 @@ def test_omitted_kmax_is_the_suite_default(suite, capsys):
     # one degree fewer is a different report, so the default is pinned
     assert run(["verify", suite, "--n", str(n), "--kmax", str(kmax - 1)]) == 0
     assert capsys.readouterr().out != omitted.out
+
+
+def readme_suite_rows() -> list[list[str]]:
+    """The cells of each row of README's table of the verify suites."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    table = text[text.index("| suite | checks | smallest n |"):].split("\n\n")[0]
+    rows = [line.strip("|").split("|") for line in table.splitlines()[2:]]
+    return [[cell.strip() for cell in row] for row in rows]
+
+
+def test_readme_suite_table_is_the_suite_table():
+    # README's suite, smallest n, default --kmax and option columns are
+    # read from SUITES, in its order
+    rows = readme_suite_rows()
+    assert [row[0] for row in rows] == [f"`{name}`" for name in cli.SUITES]
+    for (_, _, smallest, kmax, option), suite in zip(rows, cli.SUITES.values()):
+        assert int(smallest) == suite.min_n, rows
+        if callable(suite.kmax):
+            # "6, 4, 5, 4, 3 at n = 3..7, else 2"
+            bounds = re.fullmatch(r"(.*) at n = (\d+)\.\.(\d+), else (\d+)", kmax)
+            values, low, high, other = bounds.groups()
+            want = {n: int(v) for n, v in zip(range(int(low), int(high) + 1), values.split(", "))}
+            for n in range(suite.min_n, int(high) + 3):
+                assert suite.kmax(n) == want.get(n, int(other)), (kmax, n)
+        else:
+            assert int(kmax) == suite.kmax, rows
+        assert (re.match(r"`(--[\w-]+)`", option)[1] if option else None) == suite.option

@@ -5,7 +5,7 @@ are degree diagonals; their matrices are filled from the index tables of
 poly.coordinate_moves and poly.subset_degrees, shared by every operator,
 and their rules from the same kept coefficient values.  The oracles are
 the closed-form rules of tests/reference.py, whose matrices come from the
-rule loop of materialize_on_monomials.  Also checked: the shared tables
+rule loop of reference.rule_matrix.  Also checked: the shared tables
 are immutable and give the same matrices however they were filled, two
 operators never share coefficient values or matrices, and a D_A that is
 wrong at one A-degree fails lemma1 exactly where the commutator reads it.
@@ -83,7 +83,7 @@ def test_data_matrices_and_images_are_the_closed_form_rules(case):
         assert (op.shift, op.den) == (rule.shift, rule.den), op.descriptor
         assert op.apply(terms) == rule.apply(terms), op.descriptor
         matrix = materialize_on_monomials(op, n, k, kmax)
-        want = materialize_on_monomials(rule, n, k, kmax)
+        want = reference.rule_matrix(rule, n, k, kmax)
         assert matrix.shape == want.shape, (op.descriptor, k, kmax)
         assert (matrix.den, matrix.sparse_rows) == (want.den, want.sparse_rows), (
             op.descriptor, k, kmax
@@ -112,7 +112,7 @@ def test_shared_tables_are_immutable_and_independent_of_what_filled_them():
                     for a, b in ((0, 3), (k, kmax)):
                         materialize_on_monomials(op, n, a, b)
                     matrix = materialize_on_monomials(op, n, k, kmax)
-                    want = materialize_on_monomials(rule, n, k, kmax)
+                    want = reference.rule_matrix(rule, n, k, kmax)
                     other = materialize_on_monomials(again, n, k, kmax)
                     assert matrix == want == other, (op.descriptor, n, k, kmax)
                     assert matrix.den == want.den == other.den, op.descriptor

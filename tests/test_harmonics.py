@@ -3,7 +3,7 @@
 import itertools
 import re
 from fractions import Fraction
-from math import factorial, gcd, lcm
+from math import factorial, gcd
 
 import pytest
 from hypothesis import given, settings
@@ -33,6 +33,7 @@ from racah_dunkl import (
 from racah_dunkl import harmonics
 from racah_dunkl.report import Report
 
+from mutants import swapped_laplace
 from reference import (
     add_power_action,
     fischer_decompose,
@@ -435,26 +436,6 @@ def test_lift_divides_out_its_content():
                 lifted = Polynomial(3, {exps: Fraction(x, out_den) for exps, x in out.items()})
                 assert lifted == reference_lift(params, oracle, 3, parity, p)
                 assert lifted == ck_extend(params, (1, 2), 3, parity, p)
-
-
-def swapped_laplace(ops, A):
-    """laplace with the odd and even factors of each T_i^2 coefficient swapped."""
-    subset = tuple(sorted(set(A)))
-    two_mu = [(i - 1, 2 * ops.params.mu_of(i)) for i in subset]
-    den = lcm(*(t.denominator for _, t in two_mu))
-
-    def rule(exps):
-        image = {}
-        for pos, t in two_mu:
-            e = exps[pos]
-            if e >= 2:
-                odd, even = (e, e - 1) if e % 2 else (e - 1, e)
-                b = t.denominator
-                coeff = (even * b + t.numerator) * odd * (den // b)
-                image[exps[:pos] + (e - 2,) + exps[pos + 1:]] = coeff
-        return image
-
-    return LinearOperator(rule, "swapped", -2, den)
 
 
 def test_verify_tower_catches_a_wrong_laplacian_rule(monkeypatch):

@@ -1,11 +1,11 @@
 """Operator builders against their textbook definitions, at drawn mu.
 
-The primitive builders are monomial rules with integer images over one
-denominator, and the composites are product sums over them; each
-operator keeps its matrices and the images it applies.  The oracles
-below are written with Polynomial arithmetic and the reflection and
-coordinate division of tests/reference.py, so they share no code with
-the rules.
+The primitive builders are coordinate data, moves and degree diagonals
+with integer images over one denominator, and the composites are product
+sums over them; each operator keeps its matrices and the images it
+applies.  The oracles below are written with Polynomial arithmetic and
+the reflection and coordinate division of tests/reference.py, so they
+share no code with the coordinate data.
 Also checked: kept images never leak into or out of a call, every matrix
 is the one read from the oracles' Fraction images, permuting the
 variables together with mu permutes every operator, and every Polynomial
@@ -34,7 +34,7 @@ from racah_dunkl import (
     norm_square_mul,
     su11_triple,
 )
-from racah_dunkl.operators import ImageEscapesSpan, LinearOperator, _coordinate_mul
+from racah_dunkl.operators import _coordinate_mul
 
 from reference import (
     block_diagonal,
@@ -252,23 +252,6 @@ def test_range_matrix_is_the_per_degree_blocks_on_one_diagonal(case, first, seco
                 assert (whole.den, whole.sparse_rows) == (want.den, want.sparse_rows), (
                     op.descriptor, k, kmax
                 )
-
-
-def test_range_primitive_image_of_a_wrong_degree_inside_the_range_raises():
-    # declared degree preserving, but degree 1 goes to degree 2, which the
-    # range 0..3 holds: each image is looked up in its own degree's rows
-    def rule(exps):
-        if sum(exps) == 1:
-            return {(exps[0] + 1,) + exps[1:]: 1}
-        return {exps: 1}
-
-    bad = LinearOperator(rule, "bad")
-    with pytest.raises(ImageEscapesSpan, match="bad maps homogeneous degree 1 to degree 2,"
-                       " not to its declared degree 1"):
-        materialize_on_monomials(bad, 3, 0, 3)
-    # degree 0 alone, and the range 2..3, hold no such image
-    assert materialize_on_monomials(bad, 3, 0, 0).shape == (1, 1)
-    assert materialize_on_monomials(bad, 3, 2, 3).shape == (16, 16)
 
 
 def permute(sigma, p):

@@ -5,6 +5,7 @@ import contextlib
 import io
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -30,6 +31,13 @@ from racah_dunkl import cli, operators, relations
 from racah_dunkl.linalg import product_sum
 from racah_dunkl.relations import DegreeSum
 
+from mutants import (
+    broken_dunkl,
+    doubled_lowering,
+    one_monomial_map,
+    swapped_laplace,
+    with_extra_image,
+)
 from reference import divide_by_coordinate, from_text, partial_derivative, reflect
 
 PARAMS = ParameterSet.make(["1/2", "1/3", "1/4"])
@@ -206,8 +214,16 @@ def test_subset_additivity_on_triple():
 
 
 def test_materialize_identity():
-    identity = LinearOperator(lambda exps: {exps: 1}, "1")
+    # a degree diagonal over no positions reads degree 0 on every monomial
+    identity = LinearOperator.degree_diagonal((), lambda s: 1, "1", 1)
     assert materialize_on_monomials(identity, 2, 2, 2) == RationalMatrix.identity(3)
+    for n, k, kmax in ((3, 2, 2), (3, 0, 3), (1, -1, 4)):
+        matrix = materialize_on_monomials(identity, n, k, kmax)
+        columns = [e for d in range(max(k, 0), kmax + 1) for e in monomial_basis(n, d)]
+        assert matrix == RationalMatrix.identity(len(columns)), (n, k, kmax)
+        for j, exps in enumerate(columns):
+            image = Polynomial(n, {row: matrix.at(i, j) for i, row in enumerate(columns)})
+            assert image == identity(Polynomial.monomial(n, exps)) == Polynomial.monomial(n, exps)
     basis = [P(2, "1 * x1^2 + 1 * x2^2"), P(2, "1 * x1 x2")]
     assert materialize(identity, 2, basis) == RationalMatrix.identity(2)
 
@@ -241,14 +257,6 @@ def test_materialize_below_degree_zero_is_empty():
     assert square.shape == (3, 3) and square.is_zero
 
 
-def test_primitive_image_leaving_its_declared_degree_raises():
-    # x1 raises the degree by one but is declared degree preserving
-    x1 = LinearOperator(lambda exps: {(exps[0] + 1,) + exps[1:]: 1}, "x1")
-    with pytest.raises(ImageEscapesSpan, match="x1 maps homogeneous degree 2 to degree 3,"
-                       " not to its declared degree 2"):
-        materialize_on_monomials(x1, 3, 2, 2)
-
-
 def test_materialize_on_basis_and_escape():
     c12 = casimir(OPS, (1, 2))
     from racah_dunkl import build_basis_tower
@@ -256,9 +264,8 @@ def test_materialize_on_basis_and_escape():
     basis = [el.poly for el in build_basis_tower(PARAMS, 3)]
     assert materialize(c12, 3, basis).shape == (len(basis), len(basis))
     # multiplication by x1 leaves the harmonic span
-    x1 = LinearOperator(lambda exps: {(exps[0] + 1,) + exps[1:]: 1}, "x1")
     with pytest.raises(ImageEscapesSpan):
-        materialize(x1, 3, basis)
+        materialize(OPS.coordinates[1], 3, basis)
 
 
 @pytest.mark.parametrize("command, evaluations", [
@@ -351,16 +358,55 @@ def test_ranges_that_differ_below_their_first_row_or_column_share_one_matrix():
 
 
 def test_support_is_read_from_coordinate_data():
-    # moves and diagonals name their positions, a composite unites its
-    # factors', and a rule, or any composite over one, has no known support
+    # moves and diagonals name their positions, and a composite unites its
+    # factors'; a mutant built from data reads its support the same way
     ops = DunklOperators(PARAMS)
     a0, jp, jm = su11_triple(ops, (1, 3))
-    rule = LinearOperator(lambda exps: {exps: 1}, "1")
     assert ops.dunkl[2].support == ops.coordinates[2].support == {1}
     assert a0.support == jp.support == jm.support == laplace(ops, (1, 3)).support == {0, 2}
     assert casimir(ops, (2, 3)).support == {1, 2} and angular(ops, 1, 3).support == {0, 2}
-    assert rule.support is None
-    assert LinearOperator.composite([(1, (ops.dunkl[1], rule))], "T1 1").support is None
+    c13 = casimir(ops, (1, 3))
+    mutants = [
+        (LinearOperator.degree_diagonal((), lambda s: 1, "1", 1), set()),
+        (LinearOperator.composite([(1, (c13, c13))], "C13^2"), {0, 2}),
+        (one_monomial_map((1, 0, 2), (1, 2, 2)), {0, 1, 2}),
+        (with_extra_image(jp, (1, 0, 0), (1, 2, 0)), {0, 1, 2}),
+        (broken_dunkl(PARAMS, 1), {0, 1, 2}),
+        (doubled_lowering(ops, (1, 3))[2], {0, 2}),
+        (swapped_laplace(ops, (2, 3)), {1, 2}),
+    ]
+    for op, support in mutants:
+        assert type(op.support) is frozenset and op.support == support, op.descriptor
+
+
+def test_every_operator_a_suite_builds_has_a_frozenset_support(monkeypatch):
+    # every verify suite, at n = 4, builds only operators whose coordinate
+    # data name their positions
+    built = []
+    init = LinearOperator.__init__
+
+    def recording(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+
+    monkeypatch.setattr(LinearOperator, "__init__", recording)
+    args = SimpleNamespace(blocks=None, order=None)
+    params = ParameterSet.default(4)
+    for suite in cli.SUITES.values():
+        assert suite.run(params, 2, args).ok
+    assert {op.descriptor[0] for op in built} >= set("TxLJACD|rd")
+    for op in built:
+        assert type(op.support) is frozenset and op.support <= {0, 1, 2, 3}, op.descriptor
+
+
+def test_a_composite_has_terms_of_one_shift():
+    # the declared shift is every term's, so every image lands on its degree
+    t1, x1 = OPS.dunkl[1], OPS.coordinates[1]
+    with pytest.raises(ValueError, match="T1 \\+ x1 shift the degree by \\[-1, 1\\]"):
+        LinearOperator.composite([(1, (t1,)), (1, (x1,))], "T1 + x1")
+    with pytest.raises(ValueError, match="empty has no terms"):
+        LinearOperator.composite([], "empty")
+    assert LinearOperator.composite([(1, (x1, t1)), (-1, (t1, x1))], "[x1, T1]").shift == 0
 
 
 def test_raising_and_lowering_are_primitive_moves():
@@ -394,8 +440,6 @@ def test_an_operator_on_chosen_variables_is_the_operator_of_their_parameters():
     # variables 0..n-1 are the plain range: one kept matrix
     lap = laplace(ops, (1, 2))
     assert materialize_on_monomials(lap, 2, 0, 3, (0, 1)) is materialize_on_monomials(lap, 2, 0, 3)
-    with pytest.raises(ValueError):
-        materialize_on_monomials(LinearOperator(lambda e: {e: 1}, "1"), 2, 0, 2, (1, 3))
 
 
 def test_every_angular_momentum_reads_the_kept_coordinates():

@@ -14,7 +14,10 @@ but the tests calls: it belongs in the tests, or nowhere.
 from __future__ import annotations
 
 import ast
+import contextlib
+import io
 import re
+from fractions import Fraction
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -28,6 +31,8 @@ KEEP = {
     "the tests build matrices with",
     "poly.Polynomial.evaluate": "evaluates the recurrence polynomials that racah.py returns, "
     "as criterion 09 does",
+    "racah.racah_recurrence_polys": "the library entry to the recurrence polynomials H_0..H_k "
+    "that criterion 09 evaluates; the racah table builds the same H_k from its own (B_k, U_k^2)",
 }
 
 
@@ -250,3 +255,18 @@ def test_every_kept_definition_exists_and_is_unreached():
     left = unreachable()
     stale = [q for q in KEEP if q not in left]
     assert not stale, f"kept names that are now reached or gone: {stale}"
+
+
+def test_the_readme_library_example_prints_what_its_comments_say():
+    # T_1 x_1 prints "2", the eigenvalue an exact Fraction, and the matrix
+    # on the degree-4 monomials the shape its comment gives
+    (block,) = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(encoding="utf-8"),
+                          flags=re.S)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(block, "README.md", "exec"), {})
+    dunkl_line, eigenvalue, shape = out.getvalue().splitlines()
+    assert re.search(r"\.to_text\(\)\)\s+# (\S+)\n", block)[1] == dunkl_line == "2"
+    assert Fraction(eigenvalue) > 0 and "/" in eigenvalue
+    rows, cols = re.search(r"\((\d+) x (\d+)\)\n", block).groups()
+    assert shape == f"({rows}, {cols})" == "(15, 15)"

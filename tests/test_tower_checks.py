@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 
 from racah_dunkl import (
     HarmonicBasisElement,
-    LinearOperator,
     ParameterSet,
     Polynomial,
     RationalMatrix,
@@ -33,6 +32,7 @@ from racah_dunkl.cli import SUITES
 from racah_dunkl.relations import DegreeSum
 
 import reference
+from mutants import broken_dunkl
 from report_helpers import failures, select
 
 mu_values = st.one_of(
@@ -125,24 +125,6 @@ def test_a_non_harmonic_element_fails_the_same_records(case, data):
     if n >= 2:
         ck = routes[2][0]
         assert '"status": "fail"' in ck and '"relation": "tower-element-harmonic"' in ck
-
-
-REAL_DUNKL = operators.dunkl
-
-
-def broken_dunkl(params, i):
-    """T_i, with T_1 x1^2 = 2 x1 made 3 x1: one image wrong, at degree 2."""
-    op = REAL_DUNKL(params, i)
-    if i != 1:
-        return op
-
-    def rule(exps):
-        image = op.rule(exps)
-        if exps == (2, 0, 0):
-            image = {e: x + op.den for e, x in image.items()}
-        return image
-
-    return LinearOperator(rule, "T1 broken at x1^2", -1, op.den)
 
 
 def test_ck_catches_one_wrong_dunkl_image(monkeypatch):
