@@ -62,7 +62,6 @@ from .operators import (
 )
 from .poly import Monomial, ParameterSet, Polynomial, monomial_basis
 from .racah import (
-    OmegaZero,
     RacahParameters,
     SpectralData,
     module_dimension,

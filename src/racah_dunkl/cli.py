@@ -197,13 +197,10 @@ def cmd_connect(args) -> int:
     report = Report()
     if n == 3:
         pair = tuple(sorted(to_order[:2]))
-        shared = set(from_order[:2]) & set(pair)
-        if pair != tuple(sorted(from_order[:2])) and len(shared) == 1:
-            frame = (
-                next(i for i in from_order[:2] if i not in pair),
-                next(iter(shared)),
-                next(i for i in pair if i not in from_order[:2]),
-            )
+        if pair != tuple(sorted(from_order[:2])):
+            # two pairs of three variables share one: the frame is the source
+            # pair's other variable, the shared one, then the target pair's other
+            frame = (to_order[2], *(set(from_order[:2]) & set(pair)), from_order[2])
             eff_params = ParameterSet(3, tuple(params.mu_of(o) for o in frame))
             expected = {}
             for parities in parity_blocks(source):

@@ -38,7 +38,15 @@ from .operators import (
     laplace,
     norm_square_mul,
 )
-from .poly import Frozen, Monomial, ParameterSet, Polynomial, _set, monomial_basis
+from .poly import (
+    Frozen,
+    Monomial,
+    ParameterSet,
+    Polynomial,
+    _set,
+    exponent_columns,
+    monomial_basis,
+)
 from .relations import DegreeSum
 from .report import Report
 
@@ -476,16 +484,17 @@ def verify_ck(params: ParameterSet, kmax: int) -> Report:
     lifts, m = laplacians[len(polys):], len(inputs)
     lifted = first_failing_input(a or b for a, b in zip(lifts[:m], lifts[m:]))
 
-    r0 = LinearOperator.degree_diagonal((n - 1,), lambda s: int(not s), f"x{n}=0", 1)
-    d = LinearOperator.moving([(n - 1, lambda e: e)], f"d/dx{n}", -1)
-    r0, d, p = space.materialize(r0), space.materialize(d), space.columns(inputs)
-    # P on the rows of degree <= kmax, where both restrictions land
-    p = RationalMatrix.from_sparse(p.sparse_rows[: space.ends[top]], 1, p.ncols)
+    # R0 sets x_n = 0: a 0/1 mask on the rows of degree <= kmax, where both restrictions land
+    x_n = [e for k in range(kmax + 1) for e in exponent_columns(n, k)[n - 1]]
+    kept = [{i: 1} if not e else {} for i, e in enumerate(x_n)]
+    r0_top, r0 = (RationalMatrix.from_sparse(kept, 1, space.ends[c + 1]) for c in (top, kmax))
+    d = space.materialize(LinearOperator.moving([(n - 1, lambda e: e)], f"d/dx{n}", -1))
+    p = DegreeSum(n, kmax).columns(inputs)
     even, odd = (
         first_failing_input(space.column_witnesses(product_sum(terms)))
         for terms in (
-            [(1, (space.lead(r0, kmax, top), space.columns(evens))), (-1, (p,))],
-            [(1, (space.lead(r0, kmax, kmax), d, space.columns(odds))), (-1, (p,))],
+            [(1, (r0_top, space.columns(evens))), (-1, (p,))],
+            [(1, (r0, d, space.columns(odds))), (-1, (p,))],
         )
     )
 

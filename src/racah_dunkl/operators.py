@@ -181,11 +181,13 @@ class LinearOperator:
 
         den is the lcm of the terms' c.denominator * op_1.den * op_2.den ...,
         so each term's integer images enter scaled by an integer.  No
-        terms, or terms of different shifts, raise ValueError: every image
-        lands on the degree the shift declares.
+        terms, a term with no factors, or terms of different shifts raise
+        ValueError: every image lands on the degree the shift declares.
         """
         if not terms:
             raise ValueError(f"{descriptor} has no terms")
+        if (empty := next((term for term in terms if not term[1]), None)) is not None:
+            raise ValueError(f"the term {empty} of {descriptor} has no factors")
         shifts = sorted({sum(op.shift for op in factors) for _, factors in terms})
         if len(shifts) > 1:
             raise ValueError(f"the terms of {descriptor} shift the degree by {shifts}, not by one")

@@ -22,10 +22,6 @@ from typing import Sequence
 from .poly import Frozen, ParameterSet, Polynomial
 
 
-class OmegaZero(ZeroDivisionError):
-    """Raised when a diagonal coefficient would divide by a vanishing omega."""
-
-
 class RacahParameters(Frozen):
     __slots__ = ("alpha", "beta", "gamma", "delta", "tau")
 
@@ -121,22 +117,20 @@ def recurrence_coefficients(
     (a, b, g, d), vanishes at k = 0 and again one step past the module
     dimension, and is positive strictly inside.
 
-    B_k divides by omega_k; a vanishing omega_k raises OmegaZero rather
-    than guessing a limit.
+    omega_0 = sigma (sigma - 2) / 4 vanishes at sigma = 2 together with
+    lambda2 - lambda1 = (beta - alpha)(sigma - 2) / 4, so B_0 takes their
+    cancelled ratio (beta - alpha) / sigma, where sigma > 0 for positive
+    mu; omega_k > 0 for k >= 1.
     """
     if k < 0:
         raise ValueError("k must be non-negative")
     omega_k = sd.omega(k)
-    if omega_k == 0:
-        raise OmegaZero(f"omega_{k} vanishes for sigma = {sd.sigma}")
-    b_k = (
-        sd.lambda123
-        + sd.lambda1
-        + sd.lambda2
-        + sd.lambda3
-        - omega_k
-        - (sd.lambda2 - sd.lambda1) * (sd.lambda3 - sd.lambda123) / omega_k
-    ) / 2
+    if k == 0:
+        ratio = (rp.beta - rp.alpha) / sd.sigma
+    else:
+        ratio = (sd.lambda2 - sd.lambda1) / omega_k
+    lambdas = sd.lambda123 + sd.lambda1 + sd.lambda2 + sd.lambda3
+    b_k = (lambdas - omega_k - ratio * (sd.lambda3 - sd.lambda123)) / 2
 
     if k == 0:
         return b_k, Fraction(0)
@@ -163,13 +157,20 @@ def module_tridiagonal_data(
     m is the module dimension for the given parities and degree; an empty
     module yields two empty lists.
     """
+    _, coefficients = _module_coefficients(params, epsilon, d3)
+    return [b_k for b_k, _ in coefficients], [u2_k for _, u2_k in coefficients[1:]]
+
+
+def _module_coefficients(
+    params: ParameterSet, epsilon: Sequence[int], d3: int
+) -> tuple[Fraction | None, list[tuple[Fraction, Fraction]]]:
+    """tau and the pairs (B_k, U_k^2), k < m the module dimension; an empty module has neither."""
     m = module_dimension(epsilon, d3)
     if m == 0:
-        return [], []
+        return None, []
     sd = spectral_data(params, epsilon, d3)
     rp = racah_parameters(params, epsilon, d3)
-    coefficients = [recurrence_coefficients(sd, rp, k) for k in range(m)]
-    return [b_k for b_k, _ in coefficients], [u2_k for _, u2_k in coefficients[1:]]
+    return rp.tau, [recurrence_coefficients(sd, rp, k) for k in range(m)]
 
 
 def racah_recurrence_polys(
@@ -204,17 +205,12 @@ def recurrence_table_json(
     params: ParameterSet, epsilon: Sequence[int], d3: int
 ) -> list[dict]:
     """Rows {k, B_k, U2_k, H_k coefficients} for the whole module."""
-    m = module_dimension(epsilon, d3)
-    if m == 0:
+    tau, coefficients = _module_coefficients(params, epsilon, d3)
+    if not coefficients:
         return []
-    sd = spectral_data(params, epsilon, d3)
-    rp = racah_parameters(params, epsilon, d3)
-    coefficients = [recurrence_coefficients(sd, rp, k) for k in range(m)]
-    polys = _shifted_recurrence(rp.tau, coefficients)
-    rows = []
-    for k, (b_k, u2_k) in enumerate(coefficients):
-        coeffs = [str(polys[k].coefficient((t,))) for t in range(k + 1)]
-        rows.append({"k": k, "B_k": str(b_k), "U2_k": str(u2_k), "H_k": coeffs})
-    coeffs = [str(polys[m].coefficient((t,))) for t in range(m + 1)]
-    rows.append({"k": m, "H_k": coeffs})
+    polys = _shifted_recurrence(tau, coefficients)
+    rows = [{"k": k, "B_k": str(b), "U2_k": str(u2)} for k, (b, u2) in enumerate(coefficients)]
+    rows.append({"k": len(coefficients)})
+    for k, row in enumerate(rows):
+        row["H_k"] = [str(polys[k].coefficient((t,))) for t in range(k + 1)]
     return rows

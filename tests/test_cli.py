@@ -246,18 +246,22 @@ def test_verify_writes_its_report_without_the_python_json_encoder(monkeypatch, c
 
 
 def test_omega_zero_is_a_failure_not_a_configuration_error(capsys):
-    # mu_1 = mu_2 makes the rank-one spectrum degenerate: omega_0 = 0
+    # mu_1 + mu_2 = 1 puts the (0, 0, *) modules on sigma = 2, where omega_0
+    # and lambda2 - lambda1 vanish together: B_0 is their cancelled ratio
     assert run([
         "racah", "--n", "3", "--mu", "1/2,1/2,1/3", "--epsilon", "0,0,0", "--degree", "2",
-    ]) == 1
-    assert capsys.readouterr().err == "error: OmegaZero: omega_0 vanishes for sigma = 2\n"
+    ]) == 0
+    rows = json.loads(capsys.readouterr().out)
+    assert [row["k"] for row in rows] == [0, 1, 2]
     assert run([
         "connect", "--n", "3", "--k", "2", "--mu", "1/2,1/2,1/3",
         "--from", "1,2,3", "--to", "2,3,1",
-    ]) == 1
+    ]) == 0
     captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: OmegaZero: omega_0 vanishes for sigma = 2\n"
+    assert captured.err == ""
+    records = json.loads(captured.out)["tridiagonal"]
+    assert [0, 0, 0] in [r["index_tuple"] for r in records]
+    assert records and all(r["status"] == "ok" for r in records)
 
 
 def test_configuration_checked_up_front(capsys):

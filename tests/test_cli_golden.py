@@ -6,8 +6,9 @@ witness or a connection matrix fails here.  The commands cover every
 verify suite at small n and k (most at a drawn mu with a large integer and
 a repeated value), ``connect`` at n=3 (which runs the tridiagonal check),
 at n=4 (JSON and CSV) and on the empty bases of n=1, the polynomial JSON
-of ``basis`` at n=3 and n=4, ``racah``, the recoupling graph at n=4
-(JSON) and n=5 (dot), and the engine failure that exits 1 with no output.
+of ``basis`` at n=3 and n=4, ``racah`` (once on the line mu_1 + mu_2 = 1,
+where omega_0 vanishes), and the recoupling graph at n=4 (JSON) and n=5
+(dot).
 
 After a deliberate output change, recompute the digest of the command's
 output (``python -m racah_dunkl.cli <command> | sha256sum``) and say in
@@ -73,9 +74,9 @@ STDOUT_GOLDEN = (
      "e40eaf4a49e7b2a90ce01fee9a8ead7b8de0375d8e6ab63add411340066d95d5"),
     ("graph --n 5 --format dot", 0,
      "f0657dbab7c6bc4e5a47fd66f3e671623465148759cba92b293cf509538999cc"),
-    # degenerate spectrum: OmegaZero, exit 1 and nothing on stdout
-    ("racah --n 3 --mu 1/2,1/2,1/3 --epsilon 0,0,0 --degree 2", 1,
-     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    # mu_1 + mu_2 = 1: omega_0 = 0, and B_0 is the cancelled ratio
+    ("racah --n 3 --mu 1/2,1/2,1/3 --epsilon 0,0,0 --degree 2", 0,
+     "f76c41686c300834831a918cd7e57798f42258e87de8d4c2d195c816d95faeeb"),
 )
 
 OUT_FILE_GOLDEN = (

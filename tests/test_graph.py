@@ -1,6 +1,7 @@
 """Chain enumeration, the recoupling graph, and path/pipeline behaviour."""
 
 import random
+from fractions import Fraction
 from itertools import permutations
 
 import pytest
@@ -15,10 +16,12 @@ from racah_dunkl import (
     connection_matrix,
     connection_pipeline,
     enumerate_chains,
+    enumerate_labels,
     neighbors,
     path,
 )
-from racah_dunkl.connection import SpanMismatch
+from racah_dunkl.connection import ConnectionMatrix, SpanMismatch
+from racah_dunkl.linalg import RationalMatrix
 
 from reference import connected_by_paths, reference_neighbors
 
@@ -266,3 +269,108 @@ def test_pipeline_rejects_a_dependent_intermediate_basis_in_its_edge_solve(monke
     # broken tower as the target of edge 2, whose solve raises
     assert len(solved) == 2
     assert [el.label.order for el in solved[-1]] == [broken.order] * 49
+
+
+def _three_variable_edge(params, k, u, v, shift=0):
+    """The W of the edge u -> v at degree k, assembled from three-variable connection matrices.
+
+    With c the common prefix length of the orders, an edge with c >= 2
+    flips positions a = c and a + 1, that is L = order[a] and M = order[a + 1]
+    past the block K = order[:a]; a label splits into its K-part
+    (epsilon[:a], ell[:a - 1]) of degree d_K, its local part
+    ((0, epsilon[a], epsilon[a + 1]), (ell[a - 1], ell[a])) and its upper part
+    (epsilon[a + 2:], ell[a + 1:]).  W[s][t] is the entry between the local
+    parts of the connection matrix of the three-variable frame
+    (d_K + gamma_K - 1/2 + shift, mu_L, mu_M), gamma_K = |K|/2 + sum of mu_K,
+    from order (1, 2, 3) to (1, 3, 2), when s and t share their K-part and
+    upper part, and 0 otherwise.  An edge with c < 2 moves the first pair
+    inside the first three variables, which are the frame with their own
+    mu and the orders relabelled; the local part is (epsilon[:3], ell[:2]).
+    """
+    c = next(i for i, (x, y) in enumerate(zip(u.order, v.order)) if x != y)
+    if c >= 2:
+        a, block = c, u.order[:c]
+        assert (v.order[a], v.order[a + 1]) == (u.order[a + 1], u.order[a])
+        gamma_k = Fraction(a, 2) + sum(params.mu_of(i) for i in block)
+        orders = (1, 2, 3), (1, 3, 2)
+
+        def split(label):
+            eps, ell = label.epsilon, label.ell
+            local = ((0, eps[a], eps[a + 1]), (ell[a - 1], ell[a]))
+            return (eps[:a], ell[:a - 1]), local, (eps[a + 2:], ell[a + 1:])
+
+        def frame(k_part):
+            d_k = sum(k_part[0]) + 2 * sum(k_part[1])
+            mu_eff = d_k + gamma_k - Fraction(1, 2) + shift
+            return ParameterSet(3, (mu_eff, params.mu_of(u.order[a]), params.mu_of(u.order[a + 1])))
+    else:
+        first = {var: i + 1 for i, var in enumerate(u.order[:3])}
+        orders = (1, 2, 3), tuple(first[var] for var in v.order[:3])
+
+        def split(label):
+            eps, ell = label.epsilon, label.ell
+            return (), (eps[:3], ell[:2]), (eps[3:], ell[2:])
+
+        def frame(k_part):
+            return ParameterSet(3, tuple(params.mu_of(var) for var in u.order[:3]))
+
+    local_w = {}
+
+    def entry(k_part, s_local, t_local):
+        d3 = sum(s_local[0]) + 2 * sum(s_local[1])
+        key = (k_part, d3)
+        if key not in local_w:
+            p3 = frame(k_part)
+            towers = [
+                [el for el in build_basis_tower(p3, d3, order) if c < 2 or el.label.epsilon[0] == 0]
+                for order in orders
+            ]
+            w3 = connection_matrix(p3, *towers)
+            local_w[key] = {
+                ((f.epsilon, f.ell), (g.epsilon, g.ell)): w3.at(i, j)
+                for i, f in enumerate(w3.from_labels)
+                for j, g in enumerate(w3.to_labels)
+            }
+        return local_w[key][s_local, t_local]
+
+    sources = enumerate_labels(params.n, k, u.order)
+    targets = enumerate_labels(params.n, k, v.order)
+    target_parts = [split(t) for t in targets]
+    rows = [
+        [entry(s[0], s[1], t[1]) if (s[0], s[2]) == (t[0], t[2]) else 0 for t in target_parts]
+        for s in map(split, sources)
+    ]
+    return ConnectionMatrix(tuple(sources), tuple(targets), RationalMatrix.from_fractions(rows))
+
+
+PIPELINE_WALKS = (
+    (BENCH_PARAMS, 6, BENCH_START, BENCH_GOAL),
+    # criterion 11's walks
+    (ParameterSet.default(4), 3, Chain.from_order((1, 2, 3, 4)), Chain.from_order((2, 4, 3, 1))),
+    (ParameterSet.default(5), 4, Chain.from_order((1, 2, 3, 4, 5)),
+     Chain.from_order((2, 4, 5, 3, 1))),
+    (ParameterSet.default(5), 6, Chain.from_order((1, 2, 3, 4, 5)),
+     Chain.from_order((4, 5, 3, 2, 1))),
+)
+
+
+@pytest.mark.parametrize("params, k, start, goal", PIPELINE_WALKS)
+def test_every_pipeline_edge_is_assembled_from_three_variable_connections(params, k, start, goal):
+    vertices = [start] + path(start, goal)
+    edges = connection_pipeline(params, k, start, goal)
+    assert len(edges) == len(vertices) - 1
+    for (u, v), w in zip(zip(vertices, vertices[1:]), edges):
+        assembled = _three_variable_edge(params, k, u, v)
+        assert w.matrix == assembled.matrix and w.matrix.den == assembled.matrix.den
+        assert w.to_json_obj() == assembled.to_json_obj()
+
+
+def test_the_edge_oracle_fails_with_the_effective_parameter_off_by_one_half():
+    vertices = [BENCH_START] + path(BENCH_START, BENCH_GOAL)
+    edges = connection_pipeline(BENCH_PARAMS, 6, BENCH_START, BENCH_GOAL)
+    block_edges = 0
+    for (u, v), w in zip(zip(vertices, vertices[1:]), edges):
+        if u.order[:2] == v.order[:2]:
+            block_edges += 1
+            assert w.matrix != _three_variable_edge(BENCH_PARAMS, 6, u, v, Fraction(1, 2)).matrix
+    assert block_edges > 0

@@ -4,8 +4,10 @@ The acceptance gate runs at ParameterSet.default(n); these properties run
 small sweeps of the relation, su(1,1), lemma1, lemma2, drinfeld-kohno,
 embedding, closed-form and spectral suites at drawn mu, including equal
 values, integers and numerators and denominators up to 10^6.  The direct
-connection matrix is the oracle for the composed per-edge pipeline, and
-the racah sweep's pair families for the drinfeld-kohno suite.
+connection matrix is the oracle for the composed per-edge pipeline, the
+racah sweep's pair families for the drinfeld-kohno suite, and the realized
+second-pair action for the rank-one module data, on the line
+mu_1 + mu_2 = 1 where omega_0 vanishes and off it.
 """
 
 from fractions import Fraction
@@ -16,10 +18,16 @@ from hypothesis import strategies as st
 
 from racah_dunkl import (
     Chain,
+    DunklOperators,
     ParameterSet,
     build_basis_tower,
+    casimir,
     connection_matrix,
     connection_pipeline,
+    module_tridiagonal_data,
+    parity_blocks,
+    spectral_data,
+    tridiagonal_check,
     verify_casimir_laplacian_commute,
     verify_ck,
     verify_drinfeld_kohno,
@@ -134,3 +142,47 @@ def test_composed_pipeline_equals_direct_matrix_at_any_mu(params):
         build_basis_tower(params, 3, goal.order),
     )
     assert product.entries == direct.entries
+
+
+# mu_1 + mu_2 = 1: sigma = 2 and omega_0 = 0 on every module with eps_1 = eps_2 = 0
+on_sigma_two_line = st.tuples(
+    st.integers(2, BIG).flatmap(lambda q: st.tuples(st.integers(1, q - 1), st.just(q))),
+    mu_values,
+).map(lambda draw: ParameterSet(3, (Fraction(*draw[0]), 1 - Fraction(*draw[0]), draw[1])))
+off_sigma_two_line = parameters(3).filter(lambda p: p.mu[0] + p.mu[1] != 1)
+
+
+def omega_divided_b0(sd):
+    """B_0 by the formula that divides by omega_0, defined off the line alone."""
+    omega = sd.omega(0)
+    ratio = (sd.lambda2 - sd.lambda1) * (sd.lambda3 - sd.lambda123) / omega
+    return (sd.lambda123 + sd.lambda1 + sd.lambda2 + sd.lambda3 - omega - ratio) / 2
+
+
+def singular_modules(params, kmax):
+    """Match module_tridiagonal_data with C23 realized on every module up to kmax.
+
+    Off the line, B_0 also equals the omega-divided formula; the count of
+    modules with omega_0 = 0 is returned.
+    """
+    c23 = casimir(DunklOperators(params), (2, 3))
+    singular = 0
+    for d3 in range(kmax + 1):
+        tower = build_basis_tower(params, d3)
+        for eps, idx in parity_blocks(tower).items():
+            expected = {eps: module_tridiagonal_data(params, eps, d3)}
+            assert_all_ok(tridiagonal_check(params, c23, [tower[p] for p in idx], expected).report)
+            sd = spectral_data(params, eps, d3)
+            if sd.omega(0) == 0:
+                singular += 1
+            else:
+                assert expected[eps][0][0] == omega_divided_b0(sd)
+    return singular
+
+
+@settings(max_examples=10, deadline=None)
+@given(on_sigma_two_line, off_sigma_two_line)
+def test_module_data_is_the_realized_action_on_and_off_the_sigma_two_line(on, off):
+    # eps = (0, 0, 0) at the even degrees, (0, 0, 1) at the odd ones
+    assert singular_modules(on, 6) == 7
+    assert singular_modules(off, 6) == 0

@@ -3,6 +3,7 @@
 import ast
 import contextlib
 import io
+import re
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -406,6 +407,11 @@ def test_a_composite_has_terms_of_one_shift():
         LinearOperator.composite([(1, (t1,)), (1, (x1,))], "T1 + x1")
     with pytest.raises(ValueError, match="empty has no terms"):
         LinearOperator.composite([], "empty")
+    # a term with no factors would have no shift and no image
+    with pytest.raises(ValueError, match=re.escape("the term (1, ()) of e has no factors")):
+        LinearOperator.composite([(1, ())], "e")
+    with pytest.raises(ValueError, match=re.escape("the term (-1, ()) of x1 - 1 has no")):
+        LinearOperator.composite([(1, (x1,)), (-1, ())], "x1 - 1")
     assert LinearOperator.composite([(1, (x1, t1)), (-1, (t1, x1))], "[x1, T1]").shift == 0
 
 

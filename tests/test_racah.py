@@ -6,16 +6,19 @@ import pytest
 
 from racah_dunkl import (
     DunklOperators,
-    OmegaZero,
     ParameterSet,
     Polynomial,
     RacahParameters,
+    build_basis_tower,
+    casimir,
     module_dimension,
     module_tridiagonal_data,
+    parity_blocks,
     racah_parameters,
     racah_recurrence_polys,
     recurrence_coefficients,
     spectral_data,
+    tridiagonal_check,
 )
 
 P3 = ParameterSet.make(["1/2", "1/3", "1/4"])
@@ -62,13 +65,19 @@ def test_u0_squared_vanishes():
     assert u2 == 0
 
 
-def test_omega_zero_raised():
-    # sigma = mu1 + mu2 + eps1 + eps2 + 1 = 2 makes omega_0 vanish
-    sd = spectral_data(HALVES, (0, 0, 0), 2)
-    rp = racah_parameters(HALVES, (0, 0, 0), 2)
-    assert sd.omega(0) == 0
-    with pytest.raises(OmegaZero):
-        recurrence_coefficients(sd, rp, 0)
+def test_b0_cancels_a_vanishing_omega_zero():
+    # sigma = mu1 + mu2 + eps1 + eps2 + 1 = 2 makes omega_0 vanish, and
+    # lambda2 - lambda1 with it: B_0 is the realized diagonal of C23
+    eps, d3 = (0, 0, 0), 2
+    sd = spectral_data(HALVES, eps, d3)
+    rp = racah_parameters(HALVES, eps, d3)
+    assert sd.omega(0) == 0 and sd.lambda2 == sd.lambda1
+    b0, u2 = recurrence_coefficients(sd, rp, 0)
+    tower = build_basis_tower(HALVES, d3)
+    basis = [tower[p] for p in parity_blocks(tower)[eps]]
+    c23 = casimir(DunklOperators(HALVES), (2, 3))
+    assert tridiagonal_check(HALVES, c23, basis).block_diagonal(eps)[0] == b0
+    assert u2 == 0
 
 
 def test_module_dimension():

@@ -8,7 +8,8 @@ import, or as ``module.name``), and a method is reached when its class is
 reached and either it is a special method or some reached body or root
 reads an attribute of that name.  Type annotations run nothing and are
 not read.  So a definition this walk cannot reach is one that nothing
-but the tests calls: it belongs in the tests, or nowhere.
+but the tests calls: it belongs in the tests, or nowhere.  Likewise every
+exception class the package exports must be raised in a reached body.
 """
 
 from __future__ import annotations
@@ -19,6 +20,8 @@ import io
 import re
 from fractions import Fraction
 from pathlib import Path
+
+import racah_dunkl
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "racah_dunkl"
@@ -215,6 +218,12 @@ def unreachable(kept=()) -> list[str]:
     calls is reached through it.  Module-level code runs on import, so
     what it names is reached.
     """
+    owner, reached = _reach(kept)
+    return sorted(set(owner) - reached)
+
+
+def _reach(kept=()) -> tuple[dict[str, _Module], set[str]]:
+    """Each qualified definition's module, and the definitions the roots and kept reach."""
     modules = _modules()
     exports = _exports()
     owner = {q: m for m in modules.values() for q in m.defs}
@@ -238,7 +247,7 @@ def unreachable(kept=()) -> list[str]:
     while True:
         new = [q for q in owner if q not in reached and live(q)]
         if not new:
-            return sorted(set(owner) - reached)
+            return owner, reached
         for q in new:
             reached.add(q)
             more_names, more_attrs = _references(owner[q].defs[q], owner[q], modules)
@@ -255,6 +264,31 @@ def test_every_kept_definition_exists_and_is_unreached():
     left = unreachable()
     stale = [q for q in KEEP if q not in left]
     assert not stale, f"kept names that are now reached or gone: {stale}"
+
+
+def _raised(module: _Module, nodes) -> set[str]:
+    """Qualified names of the classes that ``raise X`` or ``raise X(...)`` in the nodes names."""
+    raised = set()
+    for root in nodes:
+        for node in _walk(root):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name):
+                    raised.add(module.imports.get(exc.id, f"{module.name}.{exc.id}"))
+    return raised
+
+
+def test_every_exported_exception_is_raised_in_a_reached_body():
+    # an exception class whose every raise is unreachable names a failure
+    # that can no longer happen, so it goes with its raise
+    owner, reached = _reach()
+    raised = set().union(*(_raised(owner[q], owner[q].defs[q]) for q in reached))
+    exceptions = {
+        qual for name, qual in _exports().items()
+        if isinstance(cls := getattr(racah_dunkl, name), type) and issubclass(cls, BaseException)
+    }
+    assert "connection.SpanMismatch" in exceptions
+    assert not exceptions - raised, f"exported but raised in no reached body: {exceptions - raised}"
 
 
 def test_the_readme_library_example_prints_what_its_comments_say():
