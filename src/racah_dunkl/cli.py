@@ -14,14 +14,17 @@ writes its report through Report.to_json_text, the indented, key-sorted
 JSON of the report; the other exports, ``connect`` included, encode their
 objects with ``json.dumps``.
 
-``verify`` reads a suite's noun, runner, smallest n, default --kmax and
-the one option it reads from SUITES, the one table of the suites.
+``verify`` reads a suite's noun, runner, smallest n, default --kmax, the
+one option it reads and its closed-form record count from SUITES, the
+one table of the suites.
 
 Exit codes: 0 when every verified identity holds; 1 when some identity
 fails (the report names the first violated one and carries a polynomial
-witness), when a suite checked nothing, or when the engine raises, a
-write that fails after the run (a full disk) included (stderr names the
-exception class); 2 for configuration errors, all checked before any
+witness), when a suite checked nothing or, where its SUITES row states
+the closed-form count (su11 and lemma1), recorded another number of
+checks, or when the engine raises, a write that fails after the run (a
+full disk) included (stderr names the exception class); 2 for
+configuration errors, all checked before any
 computation and raised as ConfigError, such as an --out that names a
 directory or sits in a missing one, and for parse errors (an unknown
 command, suite or option, a missing or non-integer value, a missing
@@ -125,31 +128,41 @@ def _emit_text(text: str, args) -> None:
         sys.stdout.write(text)
 
 
-# run(params, kmax, args) -> Report looks the suite's engine up when called
+# count(n, kmax) is the closed-form number of records, or None where none
+# is stated yet; run(params, kmax, args) -> Report looks the suite's engine
+# up when called
 class Suite(Frozen):
-    __slots__ = ("noun", "min_n", "kmax", "option", "run")
+    __slots__ = ("noun", "min_n", "kmax", "option", "count", "run")
 
 
 SUITES = {
-    "su11": Suite("su11", 1, 6, None, lambda p, k, a: verify_su11(p, k)),
-    "racah": Suite(
-        "relation", 3, default_degree_bound, None, lambda p, k, a: verify_racah_relations(p, k)
+    "su11": Suite(
+        "su11", 1, 6, None, lambda n, k: 3 * (2**n - 1) * (k + 1), lambda p, k, a: verify_su11(p, k)
     ),
-    "lemma1": Suite("lemma1", 1, 4, None, lambda p, k, a: verify_casimir_laplacian_commute(p, k)),
+    "racah": Suite(
+        "relation", 3, default_degree_bound, None, None,
+        lambda p, k, a: verify_racah_relations(p, k),
+    ),
+    "lemma1": Suite(
+        "lemma1", 1, 4, None, lambda n, k: (2**n - 1) * (k + 1),
+        lambda p, k, a: verify_casimir_laplacian_commute(p, k),
+    ),
     "lemma2": Suite(
-        "nested/disjoint", 2, 4, None, lambda p, k, a: verify_nested_disjoint_commute(p, k)
+        "nested/disjoint", 2, 4, None, None, lambda p, k, a: verify_nested_disjoint_commute(p, k)
     ),
     "drinfeld-kohno": Suite(
-        "commutativity", 3, 4, None, lambda p, k, a: verify_drinfeld_kohno(p, k)
+        "commutativity", 3, 4, None, None, lambda p, k, a: verify_drinfeld_kohno(p, k)
     ),
     "embedding": Suite(
-        "embedding", 3, 3, "--blocks",
+        "embedding", 3, 3, "--blocks", None,
         lambda p, k, a: verify_embedding(p, *_parse_blocks(a.blocks, p.n), k),
     ),
-    "ck": Suite("extension", 2, 4, None, lambda p, k, a: verify_ck(p, k)),
-    "lemma3": Suite("lemma3", 1, 3, None, lambda p, k, a: verify_power_action_sweep(p, 2, k)),
+    "ck": Suite("extension", 2, 4, None, None, lambda p, k, a: verify_ck(p, k)),
+    "lemma3": Suite(
+        "lemma3", 1, 3, None, None, lambda p, k, a: verify_power_action_sweep(p, 2, k)
+    ),
     "eigen": Suite(
-        "spectral", 2, 4, "--order",
+        "spectral", 2, 4, "--order", None,
         lambda p, k, a: verify_spectral_action(p, k, _parse_order(a.order, p.n)),
     ),
 }
@@ -165,10 +178,18 @@ def cmd_verify(args) -> int:
     params = _parameters(args)
     if params.n < suite.min_n:
         raise ConfigError(f"the {suite.noun} suite needs n >= {suite.min_n}")
-    report = suite.run(params, _bound(args, suite.kmax), args)
+    kmax = _bound(args, suite.kmax)
+    report = suite.run(params, kmax, args)
     _emit_text(report.to_json_text(), args)
     if len(report) == 0:
         print(f"no identity checked: the {args.suite} suite is empty", file=sys.stderr)
+        return 1
+    if suite.count is not None and len(report) != (want := suite.count(params.n, kmax)):
+        print(
+            f"engine defect: the {args.suite} suite recorded {len(report)} checks, "
+            f"its closed form is {want}",
+            file=sys.stderr,
+        )
         return 1
     return 0 if report.ok else 1
 

@@ -13,13 +13,16 @@ RationalMatrix row.  It is built in one of two ways:
 
 * from coordinate data, as every primitive is.  A coordinate move
   (pos, c) sends x^e to c(e_pos) x^(e + shift at pos), and a sum of moves
-  gives T_i, the multiplication by x_i or by |x_A|^2, the Laplacian
-  Lap_A by the closed form of T_i^2, and J+ and J- (|x_A|^2 / 2 and
-  Lap_A's moves over twice its den).  A degree diagonal (positions, v)
-  scales x^e by v(its degree over positions), which gives A0 and the
-  diagonal part D_A of C_A.  The operator keeps each coefficient's values,
-  evaluated once per exponent or A-degree, and both its rule on one
-  monomial and its matrices are read from them;
+  gives T_i, the multiplication by x_i or by |x_A|^2, the full Laplacian
+  by the closed form of T_i^2, and J+ (|x_A|^2 / 2).  A restriction
+  (moves_at) is some of an operator's moves over a den, sharing their
+  coefficients and kept values, kept on that operator: every Lap_A is
+  the full Laplacian's moves at A over its den, and J- is Lap_A's over
+  twice that.  A degree diagonal (positions, v) scales x^e by v(its
+  degree over positions), which gives A0 and the diagonal part D_A of
+  C_A.  The operator keeps each coefficient's values, evaluated once per
+  exponent or A-degree, and both its rule on one monomial and its
+  matrices are read from them;
 * as a composite: a list of terms (c, (op_1, op_2, ...)) of one shift,
   standing for the sum of c * op_1 op_2 ..., the linalg.Term shape with
   operators in place of matrices: C_A and L_ij.  Its den is the lcm of
@@ -48,8 +51,10 @@ tables; relations.DegreeSum.local_first proves checks that way.
 
 The composite builders take a DunklOperators object, the n Dunkl
 operators of one parameter set built once, in place of the parameters, so
-all operators built from one object share the T_i, the x_i and the Lap_A
-with their kept images and matrices: a sweep computes each of them once.
+all operators built from one object share the T_i, the x_i and the one
+full Laplacian, whose kept restrictions are the Lap_A, with their kept
+images and matrices: a sweep computes each of them once, and each T_i^2
+coefficient once per coordinate and exponent.
 
 Index conventions follow the coordinate notation: operator builders take
 1-based variable indices, and subsets are subsets of {1, .., n}.
@@ -108,12 +113,14 @@ class LinearOperator:
     primitive's matrix of each range of degrees, keyed by (n, k, kmax)
     with k raised to the first degree holding a row or a column, and each
     move or diagonal the values of its coefficient, indexed by exponent or
-    A-degree; kept images are never handed out, every call returns its
-    own terms.
+    A-degree, and ``moves_at`` each restriction, keyed by its positions
+    and den; kept images are never handed out, every call returns its own
+    terms.
     """
 
     __slots__ = (
-        "rule", "descriptor", "shift", "den", "terms", "moves", "diagonal", "_images", "_matrices"
+        "rule", "descriptor", "shift", "den", "terms", "moves", "diagonal",
+        "_images", "_matrices", "_restrictions",
     )
 
     def __init__(
@@ -139,6 +146,7 @@ class LinearOperator:
             self.rule = _terms_rule(terms, den)
         self._images: dict[Monomial, Image] = {}
         self._matrices: dict[tuple[int, int, int], RationalMatrix] = {}
+        self._restrictions: dict[tuple[tuple[int, ...], int], LinearOperator] = {}
 
     @classmethod
     def moving(
@@ -154,14 +162,24 @@ class LinearOperator:
         return cls(descriptor, shift, den, moves=tuple([(pos, c, []) for pos, c in moves]))
 
     def moves_at(self, positions: Iterable[int], descriptor: str, den: int) -> "LinearOperator":
-        """The sum of this move operator's moves at the 0-based positions, over den.
+        """The sum of this move operator's moves at the 0-based positions, over den, kept here.
 
         Each move keeps its coefficient and the list of its kept values,
-        so the two operators evaluate each coefficient once between them.
+        so all restrictions evaluate each coefficient once between them.
+        The restriction is kept on this operator, keyed by the positions of
+        its moves and den: a repeated request returns the same operator,
+        with its kept images and matrices, under the first descriptor.  All
+        the moves over this operator's den are this operator.
         """
         positions = set(positions)
         steps = tuple([step for step in self.moves if step[0] in positions])
-        return LinearOperator(descriptor, self.shift, den, moves=steps)
+        if len(steps) == len(self.moves) and den == self.den:
+            return self
+        key = (tuple([pos for pos, _, _ in steps]), den)
+        op = self._restrictions.get(key)
+        if op is None:
+            op = self._restrictions[key] = LinearOperator(descriptor, self.shift, den, moves=steps)
+        return op
 
     @classmethod
     def degree_diagonal(
@@ -330,8 +348,9 @@ class DunklOperators:
     every operator built from one object shares the T_i, with their kept
     images and matrices; ``coordinates[i]`` keeps the multiplication by x_i
     that ``angular`` reads, and ``laplacians`` the Lap_A that ``laplace``
-    builds, one per subset A, the same way.  Each T_i and x_i is built on
-    first use: a harmonic tower reads only Lap_A.
+    returns, one per subset A, the same way: the full Laplacian and its
+    kept restrictions.  Each T_i and x_i is built on first use: a harmonic
+    tower reads only Lap_A.
     """
 
     __slots__ = ("params", "n", "dunkl", "coordinates", "laplacians")
@@ -373,26 +392,41 @@ def _coordinate_mul(i: int) -> LinearOperator:
 def laplace(ops: DunklOperators, A: Iterable[int]) -> LinearOperator:
     """The Laplacian over the set A, the sum of T_i^2 for i in A, kept on ops.
 
-    T_i x^e = c(e_i) x^(e - e_i), with c(e) = e for even e and e + 2 mu_i
-    for odd e, so T_i^2 maps x^e to the one monomial x^(e - 2 e_i) with
-    coefficient c(e_i) c(e_i - 1), zero for e_i < 2.  One of e_i and
-    e_i - 1 is odd; with 2 mu_i = a / b and den L the lcm of the b over A,
-    L times that coefficient is the integer (odd * b + a) * even * (L / b).
-    The T_i^2 of different i lower different exponents, so their images
-    never overlap.
+    It is the full Laplacian's moves at A over its den, its kept
+    restriction (LinearOperator.moves_at), which over all n variables is
+    the full Laplacian itself; so every Lap_A reads the same kept values
+    of each T_i^2 coefficient.
     """
     subset = normalize_subset(A, ops.n)
     lap = ops.laplacians.get(subset)
-    if lap is not None:
-        return lap
-    two_mu = [2 * ops.params.mu_of(i) for i in subset]
-    den = lcm(*(t.denominator for t in two_mu))
-    moves = [
-        (i - 1, _square_coefficient(t.numerator, t.denominator, den // t.denominator))
-        for i, t in zip(subset, two_mu)
-    ]
-    lap = ops.laplacians[subset] = LinearOperator.moving(moves, f"Lap{{{_name(subset)}}}", -2, den)
+    if lap is None:
+        full, name = _full_laplacian(ops), f"Lap{{{_name(subset)}}}"
+        lap = ops.laplacians[subset] = full.moves_at([i - 1 for i in subset], name, full.den)
     return lap
+
+
+def _full_laplacian(ops: DunklOperators) -> LinearOperator:
+    """The sum of T_i^2 over all n variables, over L the lcm of the b, kept on ops.
+
+    T_i x^e = c(e_i) x^(e - e_i), with c(e) = e for even e and e + 2 mu_i
+    for odd e, so T_i^2 maps x^e to the one monomial x^(e - 2 e_i) with
+    coefficient c(e_i) c(e_i - 1), zero for e_i < 2.  One of e_i and
+    e_i - 1 is odd; with 2 mu_i = a / b, L times that coefficient is the
+    integer (odd * b + a) * even * (L / b).  The T_i^2 of different i
+    lower different exponents, so their images never overlap.
+    """
+    everything = tuple(range(1, ops.n + 1))
+    full = ops.laplacians.get(everything)
+    if full is None:
+        two_mu = [2 * mu for mu in ops.params.mu]
+        den = lcm(*(t.denominator for t in two_mu))
+        moves = [
+            (pos, _square_coefficient(t.numerator, t.denominator, den // t.denominator))
+            for pos, t in enumerate(two_mu)
+        ]
+        full = LinearOperator.moving(moves, f"Lap{{{_name(everything)}}}", -2, den)
+        ops.laplacians[everything] = full
+    return full
 
 
 def _square_coefficient(a: int, b: int, s: int) -> Coefficient:
@@ -426,7 +460,7 @@ def su11_triple(
     norm over A (times 1/2), and J- is half the deformed Laplacian over A.
     With gamma_A = g / h, A0 scales a monomial of A-degree d by
     (d h + g) / 2h.  J+ is the moves of |x_A|^2 over den 2, and J- the
-    moves of Lap_A, with their kept values, over twice Lap_A's den L.
+    moves of Lap_A over twice Lap_A's den L, a restriction kept on Lap_A.
     """
     subset = normalize_subset(A, ops.n)
     gam = gamma(ops.params, subset)

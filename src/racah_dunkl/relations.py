@@ -28,6 +28,8 @@ tensored with the identity on the other variables, so D = 0 on degrees
 Laplacian's moves by position into Lap|A + Lap|A^c; the second acts on
 other variables than C_A and so commutes with it, and [C_A, Lap|A] is
 the local check (a Laplacian that is not a sum of moves is read whole).
+Lap|A is the full Laplacian's kept restriction to A, which is C_A's own
+Lap_A, so its matrix is built once.
 A support outside A or a nonzero D sends the check to the n-variable
 sum, so every failure keeps its n-variable witness.  racah, lemma2,
 drinfeld-kohno and embedding stay on the n-variable sum.
@@ -477,8 +479,9 @@ def verify_casimir_laplacian_commute(params: ParameterSet, kmax: int) -> Report:
     in A and the Laplacian is coordinate moves, its moves split by
     position into Lap|A + Lap|A^c.  The second acts on other variables
     than C_A, so it commutes with C_A, and [C_A, Lap|A] is summed on the
-    monomials of A's variables first (``DegreeSum.local_first``).  The
-    report is subset-major.
+    monomials of A's variables first (``DegreeSum.local_first``).  Lap|A
+    is the Laplacian's kept restriction to A (``moves_at``), which is
+    C_A's own Lap_A with its kept matrix.  The report is subset-major.
     """
     n = params.n
     space = DegreeSum(n, kmax)

@@ -282,10 +282,14 @@ def coordinate_rule(i: int) -> Rule:
 
 
 def laplace_rule(params: ParameterSet, A) -> Rule:
-    """Lap_A over L, the lcm of the b over A: (odd * b + a) * even * (L / b) per T_i^2."""
+    """Lap_A over L, the lcm of the b over all n: (odd * b + a) * even * (L / b) per T_i^2.
+
+    L is the parameter set's den, not that of A alone: every Lap_A is a
+    restriction of the one full Laplacian, over its den.
+    """
     subset = normalize_subset(A, params.n)
+    den = lcm(*((2 * mu).denominator for mu in params.mu))
     two_mu = [(i - 1, 2 * params.mu_of(i)) for i in subset]
-    den = lcm(*(t.denominator for _, t in two_mu))
     factors = [(pos, t.numerator, t.denominator, den // t.denominator) for pos, t in two_mu]
 
     def image(exps):

@@ -222,6 +222,37 @@ def test_verify_empty_report_is_not_success(monkeypatch, capsys):
     assert "no identity checked" in captured.err
 
 
+@pytest.mark.parametrize("suite, n, kmax, want", [("su11", 3, 2, 63), ("lemma1", 3, 3, 28)])
+def test_a_dropped_check_is_an_engine_defect_naming_both_counts(
+    monkeypatch, capsys, suite, n, kmax, want
+):
+    # su11 records 3 (2^n - 1)(kmax + 1) checks and lemma1 (2^n - 1)(kmax + 1);
+    # with the last check of subset {1} dropped every record still holds,
+    # and the count alone exits 1, never 2
+    from racah_dunkl import relations
+
+    argv = ["verify", suite, "--n", str(n), "--kmax", str(kmax)]
+    assert run(argv) == 0
+    assert len(json.loads(capsys.readouterr().out)) == want
+    build = "_su11_brackets" if suite == "su11" else "_laplacian_commutator"
+    real = getattr(relations, build)
+
+    def dropping(space, A, *ops):
+        checks = list(real(space, A, *ops))
+        return checks[:-1] if A == (1,) else checks
+
+    monkeypatch.setattr(relations, build, dropping)
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    records = json.loads(captured.out)
+    assert len(records) == want - (kmax + 1)
+    assert all(r["status"] == "ok" for r in records)
+    assert captured.err == (
+        f"engine defect: the {suite} suite recorded {want - kmax - 1} checks, "
+        f"its closed form is {want}\n"
+    )
+
+
 def test_verify_writes_its_report_without_the_python_json_encoder(monkeypatch, capsys):
     # json.dumps with indent runs json.encoder._make_iterencode, the
     # pure-Python encoder; a verify report is written by Report.to_json_text

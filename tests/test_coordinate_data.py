@@ -164,6 +164,55 @@ def test_operators_at_different_mu_share_no_coefficient_values_or_matrix():
             assert ma != mb, a.descriptor
 
 
+@st.composite
+def laplacian_cases(draw):
+    """Parameters, a subset A and the 0-based position of a move to edit."""
+    n = draw(st.integers(1, 5))
+    params = ParameterSet(n, tuple(draw(st.lists(mu_values, min_size=n, max_size=n))))
+    A = tuple(sorted(draw(st.sets(st.integers(1, n), min_size=1))))
+    return params, A, draw(st.integers(0, n - 1))
+
+
+@settings(max_examples=40, deadline=None)
+@example((ParameterSet(5, (BIG, Fraction(1, 9), BIG, Fraction(1, 9), 1)), (2, 4), 1))
+@example((ParameterSet(3, (Fraction(1, 9), BIG, Fraction(7, 3))), (1, 2, 3), 2))
+@example((ParameterSet(1, (Fraction(1, 9),)), (1,), 0))
+@given(laplacian_cases())
+def test_every_laplacian_is_a_kept_restriction_of_the_full_one(case):
+    # Lap_A is the full Laplacian's moves at A over its den, kept on it and
+    # on ops: the restriction lemma1 asks for is C_A's own Lap_A.  Its kept
+    # matrix on each range is the closed form in lowest terms.  A full
+    # Laplacian with one move edited keeps its own restrictions, so lemma1
+    # reads the Laplacian under test, not one of ops.laplacians
+    params, A, edited = case
+    n, ops = params.n, DunklOperators(params)
+    full = laplace(ops, range(1, n + 1))
+    positions = [i - 1 for i in A]
+    lap = laplace(ops, A)
+    assert lap is full.moves_at(positions, "Lap|A", full.den) is laplace(ops, A)
+    assert lap is ops.laplacians[A] and (lap is full) == (len(A) == n)
+    assert (lap.den, lap.support) == (full.den, frozenset(positions))
+    assert casimir(ops, A).terms[1][1][1] is lap
+    rule = reference.laplace_rule(params, A)
+    for k, kmax in ((0, 4), (2, 3), (-2, 1), (3, 5 if n < 5 else 4)):
+        materialize_on_monomials(lap, n, k, kmax)
+    assert len(lap._matrices) == 4
+    for (_, k, kmax), matrix in lap._matrices.items():
+        want = reference.rule_matrix(rule, n, k, kmax)
+        assert (matrix.den, matrix.sparse_rows) == (want.den, want.sparse_rows), (k, kmax)
+    moves = [
+        (pos, (lambda e, c=c: c(e) + (e == 2)) if pos == edited else c) for pos, c, _ in full.moves
+    ]
+    wrong = LinearOperator.moving(moves, full.descriptor, full.shift, full.den)
+    restriction = wrong.moves_at(positions, "Lap|A", wrong.den)
+    assert restriction is wrong.moves_at(positions, "Lap|A", wrong.den)
+    assert all(restriction is not op for op in ops.laplacians.values())
+    kept = [values for op in ops.laplacians.values() for values in kept_values(op)]
+    assert not any(x is y for x in kept_values(restriction) for y in kept)
+    matrix = materialize_on_monomials(restriction, n, 0, 2)
+    assert (matrix != reference.rule_matrix(rule, n, 0, 2)) == (edited in positions)
+
+
 def lemma1_failures(n, A, s0):
     """The degrees k <= 4 on which [C_A, Lap] reads a D_A wrong at A-degree s0.
 

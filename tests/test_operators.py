@@ -271,25 +271,30 @@ def test_materialize_on_basis_and_escape():
 
 @pytest.mark.parametrize("command, evaluations", [
     # C_A of all 31 subsets on degrees 0..4: D_A at the A-degrees 0..4,
-    # 31 * 5; Lap_A at the exponents 2..4 and |x_A|^2 (on degrees -2..2) at
-    # 0..2, each 3 per coordinate of A, 80 * 3 twice; the commutator's full
-    # Laplacian is C_{12345}'s
-    ("verify lemma1 --n 5 --kmax 4", 155 + 240 + 240),
+    # 31 * 5; |x_A|^2 (on degrees -2..2) at 0..2, 3 per coordinate of A,
+    # 80 * 3; every Lap_A and the commutator's full Laplacian are
+    # restrictions of one Laplacian, whose T_i^2 coefficients are
+    # evaluated at 2..4 once per coordinate, 5 * 3
+    ("verify lemma1 --n 5 --kmax 4", 155 + 240 + 15),
     # degrees 0..6: A0 at the A-degrees 0..6, 15 * 7; J+'s |x_A|^2 (on
-    # degrees -2..4) at 0..4 and J-'s Lap_A at 2..6, 5 per coordinate of A,
-    # 32 * 5 twice
-    ("verify su11 --n 4 --kmax 4", 105 + 160 + 160),
-    # on degrees 0..2, the 15 C_A: D_A at 0..2 (15 * 3), Lap_A at 2 and
-    # |x_A|^2 (on -2..0) at 0, 32 coordinates each; T_1..T_4 at 1..2 (4 * 2)
+    # degrees -2..4) at 0..4, 5 per coordinate of A, 32 * 5; J-'s Lap_A,
+    # restrictions of one Laplacian, at 2..6 once per coordinate, 4 * 5
+    ("verify su11 --n 4 --kmax 4", 105 + 160 + 20),
+    # on degrees 0..2, the 15 C_A: D_A at 0..2 (15 * 3), |x_A|^2 (on
+    # -2..0) at 0, 32 coordinates, and Lap_A, restrictions of one
+    # Laplacian, at 2 once per coordinate (4); T_1..T_4 at 1..2 (4 * 2)
     # and x_1..x_4, kept on DunklOperators and read by every L_ij (on
     # -1..1), at 0..1 (4 * 2); the degree diagonals c1_i and R_i at 0..2
     # (4 * 2 * 3) and the six pair squares at 0..2 (6 * 3)
-    ("verify racah --n 4 --kmax 2", 45 + 32 + 32 + 8 + 8 + 24 + 18),
+    ("verify racah --n 4 --kmax 2", 45 + 4 + 32 + 8 + 8 + 24 + 18),
 ])
 def test_a_sweep_evaluates_each_dunkl_image_once(monkeypatch, command, evaluations):
     # a sweep reads every primitive's matrix from its coordinate data: it calls
     # no primitive's rule, and evaluates each coefficient at most once per
-    # (operator, coordinate, exponent) or (operator, A-degree)
+    # (operator, coordinate, exponent) or (operator, A-degree); a restriction
+    # (moves_at) shares its parent's coefficients, so the T_i^2 coefficient of
+    # every Lap_A, J- and the full Laplacian is evaluated once per coordinate
+    # and exponent
     calls, evaluated = [], []
     moving = LinearOperator.moving.__func__
     degree_diagonal = LinearOperator.degree_diagonal.__func__

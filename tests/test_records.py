@@ -50,7 +50,7 @@ def report(witness=None):
 
 def suite(name):
     s = SUITES[name]
-    return Suite(s.noun, s.min_n, s.kmax, s.option, s.run)
+    return Suite(s.noun, s.min_n, s.kmax, s.option, s.count, s.run)
 
 
 # name -> (make, a field or None when the record is mutable and unhashable, repr of make(0));
@@ -111,7 +111,8 @@ RECORDS = {
     "Suite": (
         lambda v: suite("su11" if v == 0 else "ck"),
         "kmax",
-        f"Suite(noun='su11', min_n=1, kmax=6, option=None, run={SUITES['su11'].run!r})",
+        f"Suite(noun='su11', min_n=1, kmax=6, option=None, count={SUITES['su11'].count!r}, "
+        f"run={SUITES['su11'].run!r})",
     ),
 }
 NAMES = list(RECORDS)

@@ -742,8 +742,8 @@ def test_a_wrong_laplacian_coefficient_inside_its_support_fails_on_its_variables
     monkeypatch
 ):
     # C_{1,2} built on a Lap_{1,2} whose x1 coefficient is off by one at
-    # exponent 3: [C_{1,2}, Lap] fails on x1, x2 alone, and is summed again
-    # on all n variables, for the reference's bytes
+    # exponent 3, one unit of the full den 6: [C_{1,2}, Lap] fails on x1, x2
+    # alone, and is summed again on all n variables, for the reference's bytes
     real = operators.laplace
 
     def wrong_laplace(ops, A):
@@ -763,8 +763,8 @@ def test_a_wrong_laplacian_coefficient_inside_its_support_fails_on_its_variables
     assert report.results == per_degree_laplacian_commute(params, 4).results
     relation = "invariant-commutes-with-laplacian"
     assert failures(report) == [
-        CheckResult(relation, (1, 2), 3, "fail", "17/18 * x1"),
-        CheckResult(relation, (1, 2), 4, "fail", "23/18 * x1 x2"),
+        CheckResult(relation, (1, 2), 3, "fail", "17/36 * x1"),
+        CheckResult(relation, (1, 2), 4, "fail", "23/36 * x1 x2"),
     ]
 
 
