@@ -39,7 +39,6 @@ from .harmonics import (
     dimension_table,
     enumerate_labels,
     harmonic_space_dim,
-    poly_space_dim,
     verify_ck,
     verify_power_action_sweep,
     verify_spectral_action,
@@ -60,7 +59,7 @@ from .operators import (
     normalize_subset,
     su11_triple,
 )
-from .poly import Monomial, ParameterSet, Polynomial, monomial_basis
+from .poly import Monomial, ParameterSet, Polynomial, monomial_basis, poly_space_dim
 from .racah import (
     RacahParameters,
     SpectralData,

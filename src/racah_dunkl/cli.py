@@ -20,16 +20,15 @@ one table of the suites.
 
 Exit codes: 0 when every verified identity holds; 1 when some identity
 fails (the report names the first violated one and carries a polynomial
-witness), when a suite checked nothing or, where its SUITES row states
-the closed-form count (su11 and lemma1), recorded another number of
-checks, or when the engine raises, a write that fails after the run (a
-full disk) included (stderr names the exception class); 2 for
-configuration errors, all checked before any
-computation and raised as ConfigError, such as an --out that names a
-directory or sits in a missing one, and for parse errors (an unknown
-command, suite or option, a missing or non-integer value, a missing
-required option, a --format not among its choices), which print the
-usage and the error to stderr and raise SystemExit(2).
+witness), when a suite checked nothing or recorded another number of
+checks than the closed-form count of its SUITES row, or when the engine
+raises, a write that fails after the run (a full disk) included (stderr
+names the exception class); 2 for configuration errors, all checked
+before any computation and raised as ConfigError, such as an --out that
+names a directory or sits in a missing one, and for parse errors (an
+unknown command, suite or option, a missing or non-integer value, a
+missing required option, a --format not among its choices), which print
+the usage and the error to stderr and raise SystemExit(2).
 """
 
 from __future__ import annotations
@@ -37,6 +36,7 @@ from __future__ import annotations
 import json
 import os
 import sys
+from math import comb, perm
 from types import SimpleNamespace
 
 from .connection import connection_matrix, parity_blocks, tridiagonal_check
@@ -46,6 +46,7 @@ from .harmonics import (
     build_basis_tower,
     casimir_eigenvalue,
     dimension_table,
+    harmonic_space_dim,
     verify_ck,
     verify_power_action_sweep,
     verify_spectral_action,
@@ -128,9 +129,8 @@ def _emit_text(text: str, args) -> None:
         sys.stdout.write(text)
 
 
-# count(n, kmax) is the closed-form number of records, or None where none
-# is stated yet; run(params, kmax, args) -> Report looks the suite's engine
-# up when called
+# count(n, kmax) is the closed-form number of records; run(params, kmax,
+# args) -> Report looks the suite's engine up when called
 class Suite(Frozen):
     __slots__ = ("noun", "min_n", "kmax", "option", "count", "run")
 
@@ -140,7 +140,10 @@ SUITES = {
         "su11", 1, 6, None, lambda n, k: 3 * (2**n - 1) * (k + 1), lambda p, k, a: verify_su11(p, k)
     ),
     "racah": Suite(
-        "relation", 3, default_degree_bound, None, None,
+        "relation", 3, default_degree_bound, None,
+        lambda n, k: (k + 1) * (
+            2**n - 1 + 5 * perm(n, 3) // 2 + 2 * perm(n, 4) + perm(n, 5) + 3 * comb(n, 4)
+        ),
         lambda p, k, a: verify_racah_relations(p, k),
     ),
     "lemma1": Suite(
@@ -148,21 +151,26 @@ SUITES = {
         lambda p, k, a: verify_casimir_laplacian_commute(p, k),
     ),
     "lemma2": Suite(
-        "nested/disjoint", 2, 4, None, None, lambda p, k, a: verify_nested_disjoint_commute(p, k)
+        "nested/disjoint", 2, 4, None, lambda n, k: (k + 1) * 3 * (3**n - 2 ** (n + 1) + 1) // 2,
+        lambda p, k, a: verify_nested_disjoint_commute(p, k),
     ),
     "drinfeld-kohno": Suite(
-        "commutativity", 3, 4, None, None, lambda p, k, a: verify_drinfeld_kohno(p, k)
+        "commutativity", 3, 4, None, lambda n, k: (k + 1) * (3 * comb(n, 4) + perm(n, 3) // 2),
+        lambda p, k, a: verify_drinfeld_kohno(p, k),
     ),
     "embedding": Suite(
-        "embedding", 3, 3, "--blocks", None,
+        "embedding", 3, 3, "--blocks", lambda n, k: 6 * (k + 1),
         lambda p, k, a: verify_embedding(p, *_parse_blocks(a.blocks, p.n), k),
     ),
-    "ck": Suite("extension", 2, 4, None, None, lambda p, k, a: verify_ck(p, k)),
+    "ck": Suite("extension", 2, 4, None, lambda n, k: 7 * (k + 1), lambda p, k, a: verify_ck(p, k)),
     "lemma3": Suite(
-        "lemma3", 1, 3, None, None, lambda p, k, a: verify_power_action_sweep(p, 2, k)
+        "lemma3", 1, 3, None,
+        lambda n, k: (k + 1) * (k + 2) // 2 * sum(harmonic_space_dim(n, ell) for ell in range(3)),
+        lambda p, k, a: verify_power_action_sweep(p, 2, k),
     ),
     "eigen": Suite(
-        "spectral", 2, 4, "--order", None,
+        "spectral", 2, 4, "--order",
+        lambda n, k: (n - 1) * sum(harmonic_space_dim(n, d) for d in range(k + 1)),
         lambda p, k, a: verify_spectral_action(p, k, _parse_order(a.order, p.n)),
     ),
 }
@@ -184,7 +192,7 @@ def cmd_verify(args) -> int:
     if len(report) == 0:
         print(f"no identity checked: the {args.suite} suite is empty", file=sys.stderr)
         return 1
-    if suite.count is not None and len(report) != (want := suite.count(params.n, kmax)):
+    if len(report) != (want := suite.count(params.n, kmax)):
         print(
             f"engine defect: the {args.suite} suite recorded {len(report)} checks, "
             f"its closed form is {want}",

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from math import comb, factorial, gcd, lcm
+from math import factorial, gcd, lcm
 from typing import Iterable, Iterator, Sequence
 
 from .linalg import RationalMatrix, matrix_rank, product_sum
@@ -46,6 +46,7 @@ from .poly import (
     _set,
     exponent_columns,
     monomial_basis,
+    poly_space_dim,
 )
 from .relations import DegreeSum
 from .report import Report
@@ -65,15 +66,6 @@ def falling_factorial(x: Fraction | int, j: int) -> Fraction:
     for t in range(j):
         out *= x - t
     return out
-
-
-def poly_space_dim(n: int, k: int) -> int:
-    """Dimension of the homogeneous degree-k polynomials in n variables."""
-    if k < 0:
-        return 0
-    if n == 0:
-        return 1 if k == 0 else 0
-    return comb(n + k - 1, k)
 
 
 def harmonic_space_dim(n: int, k: int) -> int:

@@ -72,7 +72,7 @@ from .poly import (
     ParameterSet,
     Polynomial,
     coordinate_moves,
-    monomial_basis,
+    poly_space_dim,
     subset_degrees,
 )
 
@@ -571,7 +571,7 @@ def _moves_matrix(
     rows: list[dict[int, int]] = []
     ncols = 0
     for t, d in enumerate(degrees):
-        block = [{} for _ in monomial_basis(n, d + shift)]
+        block = [{} for _ in range(poly_space_dim(n, d + shift))]
         for values, tables in moves:
             for e, pairs in tables[t]:
                 x = values[e] // g
@@ -579,7 +579,7 @@ def _moves_matrix(
                     for i, j in pairs:
                         block[i][ncols + j] = x
         rows += block
-        ncols += len(monomial_basis(n, d))
+        ncols += poly_space_dim(n, d)
     return RationalMatrix.from_sparse(rows, op.den // g, ncols)
 
 

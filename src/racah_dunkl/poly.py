@@ -14,6 +14,16 @@ Canonical term order is graded lexicographic with x1 > x2 > ... > xn,
 highest degree first.  Serialization (text and JSON) lists terms in that
 order, so equal polynomials serialize to identical bytes.
 
+The index tables that operator matrices are filled from are built once
+per process, from the blocks of that order: monomial_basis(n, k) is the
+blocks e_0 = k, k-1, ..., 0 of monomial_basis(n - 1, k - e_0), block e_0
+starting at index poly_space_dim(n, k - e_0 - 1), where
+poly_space_dim(n, m) = C(n+m-1, m) counts the monomials of degree m.  So
+the blocks e_0 >= 1 are x_1 times monomial_basis(n, k - 1), index for
+index (x_1 is the coordinate at position 0), and coordinate_moves reads
+each moved monomial's row from block offsets alone, with no exponent
+tuple or position lookup.
+
 Record and Frozen, the value-record bases, live here: every module imports poly.
 """
 
@@ -21,7 +31,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from math import gcd, lcm
+from math import comb, gcd, lcm
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
@@ -362,24 +372,35 @@ class Polynomial:
         return f"Polynomial({self.n}, {self.to_text()!r})"
 
 
+def poly_space_dim(n: int, k: int) -> int:
+    """The number of monomials of degree k in n variables: C(n+k-1, k), and 0 for k < 0.
+
+    It is len(monomial_basis(n, k)) for n >= 1; n = 0 holds the one empty
+    monomial, of degree 0.
+    """
+    if k < 0:
+        return 0
+    if n == 0:
+        return 1 if k == 0 else 0
+    return comb(n + k - 1, k)
+
+
 @cache
 def monomial_basis(n: int, k: int) -> tuple[Monomial, ...]:
     """All exponent tuples of total degree k, in descending lex order.
 
     This is the canonical row/column indexing for operator matrices on the
-    space of homogeneous degree-k polynomials; its length is C(n+k-1, k).
-    Each (n, k) is enumerated once per process.
+    space of homogeneous degree-k polynomials; its length is
+    poly_space_dim(n, k).  It is the blocks e_0 = k, k-1, ..., 0, block e_0
+    being (e_0,) + each tuple of monomial_basis(n - 1, k - e_0), and block
+    e_0 starts at index poly_space_dim(n, k - e_0 - 1).  Each (n, k) is
+    enumerated once per process.
     """
     if k < 0:
         return ()
-    # tails[t]: the exponent tuples of degree t in the last m variables
-    tails = [[(t,)] for t in range(k + 1)]
-    for _ in range(n - 1):
-        tails = [
-            [(e,) + rest for e in range(t, -1, -1) for rest in tails[t - e]]
-            for t in range(k + 1)
-        ]
-    return tuple(tails[k])
+    if n == 1:
+        return ((k,),)
+    return tuple([(e,) + rest for e in range(k, -1, -1) for rest in monomial_basis(n - 1, k - e)])
 
 
 @cache
@@ -406,7 +427,7 @@ def subset_degrees(n: int, k: int, positions: tuple[int, ...]) -> tuple[int, ...
     is 0.
     """
     if not positions:
-        return (0,) * len(monomial_basis(n, k))
+        return (0,) * poly_space_dim(n, k)
     columns = exponent_columns(n, k)
     if len(positions) == 1:
         return columns[positions[0]]
@@ -423,12 +444,34 @@ def coordinate_moves(n: int, k: int, pos: int, step: int) -> tuple[tuple[int, tu
     monomial_basis(n, k) and the row of its moved monomial in
     monomial_basis(n, k + step).  A move is one-to-one, so each row
     appears at most once.
+
+    Both indices are read from the blocks of monomial_basis, with no
+    exponent tuple.  At pos 0 the block e_0 = e of degree k and the block
+    e + step of degree k + step both start at poly_space_dim(n, k - e - 1),
+    so each monomial keeps its index.  At pos > 0 the blocks e_0 >= 1 of
+    degree k are x_1 times monomial_basis(n, k - 1), index for index, at
+    either degree, so their pairs are those of coordinate_moves(n, k - 1,
+    pos, step); the block e_0 = 0 is monomial_basis(n - 1, k), whose pairs
+    are those of coordinate_moves(n - 1, k, pos - 1, step), the columns
+    offset by poly_space_dim(n, k - 1) and the rows by poly_space_dim(n,
+    k + step - 1).  So a move shifts the monomials of one prefix
+    (e_0..e_pos-1) by one offset.
     """
-    position = monomial_positions(n, k + step)
-    groups: dict[int, list[tuple[int, int]]] = {}
-    for j, exps in enumerate(monomial_basis(n, k)):
-        e = exps[pos]
-        if e + step >= 0:
-            moved = exps[:pos] + (e + step,) + exps[pos + 1:]
-            groups.setdefault(e, []).append((position[moved], j))
-    return tuple([(e, tuple(groups[e])) for e in sorted(groups)])
+    low = max(0, -step)
+    if k < low:
+        return ()
+    groups = []
+    if pos == 0:
+        for e in range(low, k + 1):
+            a, b = poly_space_dim(n, k - e - 1), poly_space_dim(n, k - e)
+            if a < b:
+                groups.append((e, tuple(zip(range(a, b), range(a, b)))))
+        return tuple(groups)
+    below = dict(coordinate_moves(n, k - 1, pos, step))
+    block = dict(coordinate_moves(n - 1, k, pos - 1, step))
+    c, r = poly_space_dim(n, k - 1), poly_space_dim(n, k + step - 1)
+    for e in range(low, k + 1):
+        pairs = below.get(e, ()) + tuple([(i + r, j + c) for i, j in block.get(e, ())])
+        if pairs:
+            groups.append((e, pairs))
+    return tuple(groups)

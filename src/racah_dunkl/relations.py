@@ -52,7 +52,7 @@ from .operators import (
     normalize_subset,
     su11_triple,
 )
-from .poly import ParameterSet, Polynomial, monomial_basis, monomial_positions
+from .poly import ParameterSet, Polynomial, monomial_basis, monomial_positions, poly_space_dim
 from .report import Report
 
 def default_degree_bound(n: int) -> int:
@@ -90,7 +90,7 @@ class DegreeSum:
         self.kmax = kmax
         self.top = kmax if top is None else top
         self.degrees = range(max(kmax + 1, 0))
-        dims = (len(monomial_basis(n, d)) for d in range(self.top + 1))
+        dims = (poly_space_dim(n, d) for d in range(self.top + 1))
         self.ends = list(accumulate(dims, initial=0))
         self.dim = self.ends[max(kmax + 1, 0)]
 

@@ -19,6 +19,12 @@ of one:
   ``Rule.apply`` is a rule's linear extension and ``rule_matrix`` its
   matrix, filled by the rule loop that ``materialize_on_monomials`` ran
   before every operator was coordinate data or a composite;
+* ``reference_monomial_basis`` and ``reference_coordinate_moves`` are
+  ``poly.monomial_basis`` and ``poly.coordinate_moves`` as they were
+  written before they were read from the blocks of the descending-lex
+  order: the basis grown by one leading variable at a time from the
+  degree-t tails, and each move built as the moved exponent tuple,
+  looked up in the positions of the target basis;
 * ``fischer_decompose`` splits a polynomial into norm powers times
   harmonics by one solve against the tower bases;
 * ``module_basis`` and ``rank_one_overlap`` check, at n = 3, that the
@@ -203,6 +209,35 @@ def restrict_to_zero(p: Polynomial, i: int) -> Polynomial:
 def norm_square_poly(A, n: int) -> Polynomial:
     """The squared norm over A, sum of x_i^2 for i in A."""
     return norm_square_mul(A, n)(Polynomial.one(n))
+
+
+# -- the monomial index tables, from exponent tuples ------------------------------
+
+
+def reference_monomial_basis(n: int, k: int) -> tuple[tuple[int, ...], ...]:
+    """All exponent tuples of total degree k, in descending lex order."""
+    if k < 0:
+        return ()
+    # tails[t]: the exponent tuples of degree t in the last m variables
+    tails = [[(t,)] for t in range(k + 1)]
+    for _ in range(n - 1):
+        tails = [
+            [(e,) + rest for e in range(t, -1, -1) for rest in tails[t - e]]
+            for t in range(k + 1)
+        ]
+    return tuple(tails[k])
+
+
+def reference_coordinate_moves(n: int, k: int, pos: int, step: int) -> tuple[tuple[int, tuple], ...]:
+    """The moves x^e -> x^(e + step at pos) from degree k, grouped by the exponent e_pos."""
+    position = {exps: i for i, exps in enumerate(reference_monomial_basis(n, k + step))}
+    groups: dict[int, list[tuple[int, int]]] = {}
+    for j, exps in enumerate(reference_monomial_basis(n, k)):
+        e = exps[pos]
+        if e + step >= 0:
+            moved = exps[:pos] + (e + step,) + exps[pos + 1:]
+            groups.setdefault(e, []).append((position[moved], j))
+    return tuple([(e, tuple(groups[e])) for e in sorted(groups)])
 
 
 # -- the primitives as closed-form rules ------------------------------------------

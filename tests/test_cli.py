@@ -222,33 +222,58 @@ def test_verify_empty_report_is_not_success(monkeypatch, capsys):
     assert "no identity checked" in captured.err
 
 
-@pytest.mark.parametrize("suite, n, kmax, want", [("su11", 3, 2, 63), ("lemma1", 3, 3, 28)])
+@pytest.mark.parametrize("suite", cli.VERIFY_SUITES)
+def test_every_suite_records_its_closed_form_count(capsys, suite):
+    # each SUITES row's count is the number of records its engine writes,
+    # from its smallest n to n = 5 at kmax 0..2, so every run exits 0
+    for n in range(cli.SUITES[suite].min_n, 6):
+        for kmax in range(3):
+            assert run(["verify", suite, "--n", str(n), "--kmax", str(kmax)]) == 0
+            records = json.loads(capsys.readouterr().out)
+            assert len(records) == cli.SUITES[suite].count(n, kmax), (suite, n, kmax)
+
+
+@pytest.mark.parametrize(
+    "suite, n, kmax, want",
+    [
+        ("su11", 3, 2, 63),
+        ("lemma1", 3, 3, 28),
+        ("racah", 4, 1, 252),
+        ("lemma2", 3, 1, 36),
+        ("drinfeld-kohno", 4, 1, 30),
+        ("embedding", 4, 1, 12),
+        ("ck", 3, 1, 14),
+        ("lemma3", 3, 1, 27),
+        ("eigen", 3, 2, 18),
+    ],
+)
 def test_a_dropped_check_is_an_engine_defect_naming_both_counts(
     monkeypatch, capsys, suite, n, kmax, want
 ):
-    # su11 records 3 (2^n - 1)(kmax + 1) checks and lemma1 (2^n - 1)(kmax + 1);
-    # with the last check of subset {1} dropped every record still holds,
-    # and the count alone exits 1, never 2
-    from racah_dunkl import relations
+    # the closed forms of cli.SUITES, e.g. su11's 3 (2^n - 1)(kmax + 1) and
+    # racah's (kmax + 1)(2^n - 1 + 5 P(n,3)/2 + 2 P(n,4) + P(n,5) + 3 C(n,4)),
+    # P(n,r) = n!/(n-r)!; with the engine's first record dropped every
+    # record still holds, and the count alone exits 1, never 2
+    from racah_dunkl.report import Report
 
     argv = ["verify", suite, "--n", str(n), "--kmax", str(kmax)]
     assert run(argv) == 0
     assert len(json.loads(capsys.readouterr().out)) == want
-    build = "_su11_brackets" if suite == "su11" else "_laplacian_commutator"
-    real = getattr(relations, build)
+    add, calls = Report.add, []
 
-    def dropping(space, A, *ops):
-        checks = list(real(space, A, *ops))
-        return checks[:-1] if A == (1,) else checks
+    def dropping_the_first(self, *check):
+        calls.append(check)
+        if len(calls) > 1:
+            add(self, *check)
 
-    monkeypatch.setattr(relations, build, dropping)
+    monkeypatch.setattr(Report, "add", dropping_the_first)
     assert run(argv) == 1
     captured = capsys.readouterr()
     records = json.loads(captured.out)
-    assert len(records) == want - (kmax + 1)
+    assert len(calls) == want and len(records) == want - 1
     assert all(r["status"] == "ok" for r in records)
     assert captured.err == (
-        f"engine defect: the {suite} suite recorded {want - kmax - 1} checks, "
+        f"engine defect: the {suite} suite recorded {want - 1} checks, "
         f"its closed form is {want}\n"
     )
 

@@ -1,20 +1,25 @@
 """Polynomial arithmetic, coordinate operations, and serialization."""
 
+import inspect
 from fractions import Fraction
+from itertools import product
 from math import gcd
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from racah_dunkl import ParameterSet, Polynomial, monomial_basis
-from racah_dunkl.poly import monomial_positions
+from racah_dunkl import ParameterSet, Polynomial, monomial_basis, poly
+from racah_dunkl.poly import coordinate_moves, monomial_positions, poly_space_dim
 
 from reference import (
     NotDivisible,
     divide_by_coordinate,
     from_text,
     partial_derivative,
+    reference_coordinate_moves,
+    reference_monomial_basis,
     reflect,
     restrict_to_zero,
 )
@@ -171,6 +176,50 @@ def test_monomial_basis_and_positions_are_enumerated_once():
     with pytest.raises(TypeError):
         positions[(9, 9, 9)] = 0
     assert monomial_positions(3, -1) == {}
+
+
+def test_index_tables_are_the_exponent_tuple_construction():
+    # every basis and move table of n = 1..6 variables at degree k = -1..8,
+    # at every position and step +-1, +-2, equals the one built from
+    # exponent tuples; with n = 1 only the block e = k holds a monomial, and
+    # an empty block gives no group
+    for n in range(1, 7):
+        for k in range(-1, 9):
+            basis = reference_monomial_basis(n, k)
+            assert monomial_basis(n, k) == basis
+            assert poly_space_dim(n, k) == len(basis)
+            for pos, step in product(range(n), (-2, -1, 1, 2)):
+                want = reference_coordinate_moves(n, k, pos, step)
+                assert coordinate_moves(n, k, pos, step) == want, (n, k, pos, step)
+    assert coordinate_moves(1, 3, 0, -2) == ((3, ((0, 0),)),)
+    assert coordinate_moves(2, 1, 1, -2) == ()
+    assert poly_space_dim(0, 0) == 1 and poly_space_dim(0, 2) == 0
+
+
+def test_cached_tables_hold_only_tuples_ints_and_read_only_maps():
+    # every operator in the process shares poly's @cache tables, so a list
+    # or a dict in one would let a caller corrupt another caller's matrix
+    tables = {name: f for name, f in vars(poly).items() if hasattr(f, "cache_info")}
+    assert set(tables) == {
+        "monomial_basis", "monomial_positions", "exponent_columns", "subset_degrees",
+        "coordinate_moves",
+    }
+
+    def immutable(x) -> bool:
+        if type(x) is tuple:
+            return all(map(immutable, x))
+        if type(x) is MappingProxyType:
+            return all(immutable(key) and immutable(value) for key, value in x.items())
+        return type(x) is int
+
+    for n, k in product(range(1, 5), range(-1, 5)):
+        values = {
+            "n": [n], "k": [k], "pos": range(n), "step": (-2, -1, 1, 2),
+            "positions": [(), (0,), tuple(range(n))],
+        }
+        for name, table in tables.items():
+            for args in product(*(values[p] for p in inspect.signature(table).parameters)):
+                assert immutable(table(*args)), (name, args)
 
 
 def test_canonical_text_is_sorted():
