@@ -7,7 +7,8 @@ positive definite for positive deformation parameters, and turns
 coordinate multiplication and the deformed derivative into adjoints of
 each other, which makes every quadratic invariant self-adjoint.  It is
 diagonal on monomials, so it is computed in closed form as a weighted
-dot product of the numerators, with no Dunkl operator.  Basis changes
+dot product of the numerators, each weight a product of the T_i's move
+coefficients, with no operator applied.  Basis changes
 themselves are computed by direct exact linear solves in monomial
 coordinates; the pairing is used only for orthogonality statements.
 
@@ -29,7 +30,7 @@ from typing import Sequence
 
 from .harmonics import HarmonicBasisElement
 from .linalg import RationalMatrix, matrix_rank, solve_in_span
-from .operators import LinearOperator, materialize
+from .operators import DunklOperators, LinearOperator, materialize
 from .poly import Frozen, ParameterSet, Polynomial, Record
 from .report import Report
 
@@ -42,25 +43,27 @@ def fischer_pairing(params: ParameterSet, p: Polynomial, q: Polynomial) -> Fract
     """Pairing (p, q) -> constant term of p with coordinates replaced by
     deformed derivatives, applied to q, in closed form.
 
-    T_i x^e = [e_i] x^(e - e_i) with [j] = j for even j and j + 2 mu_i for
-    odd j, so the pairing is diagonal on monomials: (x^a, x^b) is zero
-    unless a = b, and (x^a, x^a) = w(a), the product over i of
-    [1] [2] ... [a_i].  The pairing is the sum of p_a q_a w(a) over the
-    integer numerators, divided once by p.den * q.den.
+    T_i x^e = [e_i]_i x^(e - e_i), so the pairing is diagonal on
+    monomials: (x^a, x^b) is zero unless a = b, and (x^a, x^a) = w(a),
+    the product over i of [1]_i [2]_i ... [a_i]_i.  Each [j]_i is read
+    from T_i's move, which holds b_i [j]_i over its den b_i.  The pairing
+    is the sum of p_a q_a w(a) over the integer numerators, divided once
+    by p.den * q.den.
     """
     n = params.n
     if p.n != n or q.n != n:
         raise ValueError("dimension mismatch")
-    two_mu = [2 * m for m in params.mu]
+    weights = [(t.moves[0][1], t.den) for t in DunklOperators(params).dunkl.values()]
     total = Fraction(0)
     for exps, x in p.terms.items():
         y = q.terms.get(exps)
         if y is not None:
-            w = Fraction(x * y)
-            for e, t in zip(exps, two_mu):
+            num, den = x * y, 1
+            for e, (c, b) in zip(exps, weights):
                 for j in range(1, e + 1):
-                    w *= j + t if j % 2 else j
-            total += w
+                    num *= c(j)
+                den *= b**e
+            total += Fraction(num, den)
     return total / (p.den * q.den)
 
 

@@ -168,8 +168,8 @@ def ck_extend(
     with c = mu_new + 1/2 + parity and c^(j) the raising factorial; the
     sum is finite because the Laplacian over vars_done kills p eventually.
     Requires p homogeneous and supported on vars_done.  p's numerators
-    and denominator go to _lift with operators.laplace as they are, and
-    so does the result.
+    and denominator go to _lift, with the DunklOperators of params and
+    operators.laplace over vars_done, as they are, and so does the result.
     """
     n = params.n
     vars_done = tuple(dict.fromkeys(vars_done))
@@ -186,12 +186,13 @@ def ck_extend(
     outside = p.support_variables() - set(vars_done)
     if outside:
         raise ValueError(f"input involves variables outside vars_done: {sorted(outside)}")
-    lap = laplace(DunklOperators(params), vars_done) if vars_done else None
-    return Polynomial._trusted(n, *_lift(params, lap, new_var, parity, p.terms, p.den))
+    ops = DunklOperators(params)
+    lap = laplace(ops, vars_done) if vars_done else None
+    return Polynomial._trusted(n, *_lift(ops, lap, new_var, parity, p.terms, p.den))
 
 
 def _lift(
-    params: ParameterSet,
+    ops: DunklOperators,
     lap: LinearOperator | None,
     new_var: int,
     parity: int,
@@ -210,32 +211,35 @@ def _lift(
     written by placing the exponent of x_new in the monomials of Lap^j p,
     and the terms of different j, holding different powers of x_new,
     never overlap.  With L = lap.den, Lap^j p = Q_j / (den L^j) for the
-    integer Q_j = (L Lap)^j terms.  With 2c = 2 mu_new + 1 + 2 parity =
-    a / b in lowest terms, formed from the integers of mu_new, the
-    coefficient of the j-th term is (-b)^j / prod_{i <= j} f_i with
-    f_i = 2i (a + (2i - 2) b), so all terms share the denominator
-    den * N_J, N_j = prod_{i <= j} f_i L, J the last nonzero power, and the
-    j-th term's numerators are (-b)^j (N_J / N_j) Q_j.
+    integer Q_j = (L Lap)^j terms.  The j-th step divides by 4j(c + j - 1),
+    c as in ck_extend, which is T_new^2's coefficient at the exponent
+    2j + parity; it is read from the full Laplacian's move at x_new, which
+    holds M times it, M = ops.laplacian.den, so no mu is read.  With
+    L = g s and M = g t, g = gcd(L, M), f_j = s times that move's integer
+    and N_j = f_1 ... f_j, the j-th term is (-t)^j Q_j / (den N_j): all
+    terms share the denominator den * N_J, J the last nonzero power, and
+    the j-th term's numerators are (-t)^j (N_J / N_j) Q_j.  Every
+    operators.laplace over ops is over M, so s = t = 1 and the L^j of Q_j
+    cancels.
     """
-    mu = params.mu_of(new_var)
-    a, b = 2 * mu.numerator + (1 + 2 * parity) * mu.denominator, mu.denominator
-    g = gcd(a, b)
-    a, b = a // g, b // g
     pos = new_var - 1
+    _, factor, _ = ops.laplacian.moves[pos]
 
-    powers = [terms]
+    powers, s, t = [terms], 1, 1
     if lap is not None:
+        g = gcd(lap.den, ops.laplacian.den)
+        s, t = lap.den // g, ops.laplacian.den // g
         q = lap.apply(terms)
         while q:
             powers.append(q)
             q = lap.apply(q)
-    # scales[j] = (-b)^j N_J / N_j, built from j = J down
+    # scales[j] = (-t)^j N_J / N_j, built from j = J down
     scales = [0] * len(powers)
     ratio = 1
     for j in range(len(powers) - 1, -1, -1):
-        scales[j] = (-b) ** j * ratio
+        scales[j] = (-t) ** j * ratio
         if j:
-            ratio *= 2 * j * (a + (2 * j - 2) * b) * lap.den
+            ratio *= s * factor(2 * j + parity)
 
     out: IntegerTerms = {}
     for j, (q, scale) in enumerate(zip(powers, scales)):
@@ -299,14 +303,16 @@ def build_basis_tower(
     Each label is realized by the alternating tower of extensions and
     norm multiplications, in the order of enumerate_labels, which raises
     ValueError unless the order is a permutation of 1..n.  One
-    operators.laplace and one operators.norm_square_mul per prefix of the
-    order are shared by all labels, each an integer monomial rule in
-    closed form (no T_i rule is evaluated) with its kept images, and the
-    intermediate harmonic of each (epsilon, ell) prefix is realized only
-    once.  The intermediates are integer numerators over one positive
-    denominator: a norm multiplication (den 1) keeps the denominator and
-    adds integers, and each _lift divides out its content.  Each element's
-    polynomial wraps the last lift's numerators and denominator as they are.
+    DunklOperators serves every lift: its full Laplacian gives each
+    step's factors, and its restrictions (operators.laplace), one per
+    prefix of the order, with one operators.norm_square_mul per prefix,
+    are shared by all labels, each an integer move in closed form (no
+    T_i is applied) with its kept images.  The intermediate harmonic of
+    each (epsilon, ell) prefix is realized only once.  The intermediates
+    are integer numerators over one positive denominator: a norm
+    multiplication (den 1) keeps the denominator and adds integers, and
+    each _lift divides out its content.  Each element's polynomial wraps
+    the last lift's numerators and denominator as they are.
     """
     if k < 0:
         raise ValueError("degree must be non-negative")
@@ -333,7 +339,7 @@ def build_basis_tower(
             if m > 1:
                 for _ in range(ell[m - 2]):
                     h = norms[m - 1].apply(h)
-            h, den = steps[key] = _lift(params, laps[m - 1], o[m - 1], eps[m - 1], h, den)
+            h, den = steps[key] = _lift(ops, laps[m - 1], o[m - 1], eps[m - 1], h, den)
         elements.append(HarmonicBasisElement(label, Polynomial._trusted(n, h, den)))
     return elements
 
@@ -457,7 +463,7 @@ def verify_ck(params: ParameterSet, kmax: int) -> Report:
             inputs.append(Polynomial.monomial(n, exps + (0,)))
             input_degrees.append(k)
     evens, odds = (
-        [Polynomial._trusted(n, *_lift(params, lap, n, parity, p.terms, 1)) for p in inputs]
+        [Polynomial._trusted(n, *_lift(ops, lap, n, parity, p.terms, 1)) for p in inputs]
         for parity in (0, 1)
     )
 

@@ -49,9 +49,9 @@ on x_S alone, so materialize_on_monomials can read it on the monomials of
 those variables only, re-indexing the same data onto the same shared
 tables; relations.DegreeSum.local_first proves checks that way.
 
-The composite builders take a DunklOperators object, the n Dunkl
-operators of one parameter set built once, in place of the parameters, so
-all operators built from one object share the T_i, the x_i and the one
+The composite builders take a DunklOperators object, the Dunkl data of
+one parameter set built once, in place of the parameters, so all
+operators built from one object share the T_i, the x_i and the one
 full Laplacian, whose kept restrictions are the Lap_A, with their kept
 images and matrices: a sweep computes each of them once, and each T_i^2
 coefficient once per coordinate and exponent.
@@ -342,42 +342,26 @@ def dunkl(params: ParameterSet, i: int) -> LinearOperator:
 
 
 class DunklOperators:
-    """The n Dunkl operators of one parameter set: ``dunkl[i]`` is T_i, built once.
+    """The Dunkl data of one parameter set, built once: T_i, x_i and the full Laplacian.
 
-    The composite builders take this object in place of the parameters, so
-    every operator built from one object shares the T_i, with their kept
-    images and matrices; ``coordinates[i]`` keeps the multiplication by x_i
-    that ``angular`` reads, and ``laplacians`` the Lap_A that ``laplace``
-    returns, one per subset A, the same way: the full Laplacian and its
-    kept restrictions.  Each T_i and x_i is built on first use: a harmonic
-    tower reads only Lap_A.
+    ``dunkl[i]`` is T_i and ``coordinates[i]`` the multiplication by x_i
+    that ``angular`` reads, for i in 1..n; ``laplacian`` is the sum of
+    the T_i^2 over all n variables in closed form, and every Lap_A that
+    ``laplace`` returns is its restriction, kept on it.  The composite
+    builders, the tower's lift and ck take this object in place of the
+    parameters, so every operator built from one object shares these,
+    with their kept images and matrices.
     """
 
-    __slots__ = ("params", "n", "dunkl", "coordinates", "laplacians")
+    __slots__ = ("params", "n", "dunkl", "coordinates", "laplacian")
 
     def __init__(self, params: ParameterSet):
+        indices = range(1, params.n + 1)
         self.params = params
         self.n = params.n
-        self.dunkl = _IndexTable(params.n, lambda i: dunkl(params, i))
-        self.coordinates = _IndexTable(params.n, _coordinate_mul)
-        self.laplacians: dict[tuple[int, ...], LinearOperator] = {}
-
-
-class _IndexTable(dict):
-    """One operator per index i in 1..n, built by build(i) when first looked up."""
-
-    __slots__ = ("n", "build")
-
-    def __init__(self, n: int, build: Callable[[int], LinearOperator]):
-        super().__init__()
-        self.n = n
-        self.build = build
-
-    def __missing__(self, i: int) -> LinearOperator:
-        if type(i) is not int or not 1 <= i <= self.n:
-            raise KeyError(i)
-        op = self[i] = self.build(i)
-        return op
+        self.dunkl = {i: dunkl(params, i) for i in indices}
+        self.coordinates = {i: _coordinate_mul(i) for i in indices}
+        self.laplacian = _full_laplacian(params)
 
 
 def _unit(e: int) -> int:
@@ -390,23 +374,20 @@ def _coordinate_mul(i: int) -> LinearOperator:
 
 
 def laplace(ops: DunklOperators, A: Iterable[int]) -> LinearOperator:
-    """The Laplacian over the set A, the sum of T_i^2 for i in A, kept on ops.
+    """The Laplacian over the set A, the sum of T_i^2 for i in A: ops.laplacian's moves at A.
 
-    It is the full Laplacian's moves at A over its den, its kept
-    restriction (LinearOperator.moves_at), which over all n variables is
-    the full Laplacian itself; so every Lap_A reads the same kept values
-    of each T_i^2 coefficient.
+    It is the full Laplacian's restriction to A over its den, kept on it
+    (LinearOperator.moves_at), and over all n variables the full
+    Laplacian itself; so every Lap_A reads the same kept values of each
+    T_i^2 coefficient.
     """
     subset = normalize_subset(A, ops.n)
-    lap = ops.laplacians.get(subset)
-    if lap is None:
-        full, name = _full_laplacian(ops), f"Lap{{{_name(subset)}}}"
-        lap = ops.laplacians[subset] = full.moves_at([i - 1 for i in subset], name, full.den)
-    return lap
+    full = ops.laplacian
+    return full.moves_at([i - 1 for i in subset], f"Lap{{{_name(subset)}}}", full.den)
 
 
-def _full_laplacian(ops: DunklOperators) -> LinearOperator:
-    """The sum of T_i^2 over all n variables, over L the lcm of the b, kept on ops.
+def _full_laplacian(params: ParameterSet) -> LinearOperator:
+    """The sum of T_i^2 over all n variables, over L the lcm of the b.
 
     T_i x^e = c(e_i) x^(e - e_i), with c(e) = e for even e and e + 2 mu_i
     for odd e, so T_i^2 maps x^e to the one monomial x^(e - 2 e_i) with
@@ -415,18 +396,19 @@ def _full_laplacian(ops: DunklOperators) -> LinearOperator:
     integer (odd * b + a) * even * (L / b).  The T_i^2 of different i
     lower different exponents, so their images never overlap.
     """
-    everything = tuple(range(1, ops.n + 1))
-    full = ops.laplacians.get(everything)
-    if full is None:
-        two_mu = [2 * mu for mu in ops.params.mu]
-        den = lcm(*(t.denominator for t in two_mu))
-        moves = [
-            (pos, _square_coefficient(t.numerator, t.denominator, den // t.denominator))
-            for pos, t in enumerate(two_mu)
-        ]
-        full = LinearOperator.moving(moves, f"Lap{{{_name(everything)}}}", -2, den)
-        ops.laplacians[everything] = full
-    return full
+    # The closed form is kept, not derived from the T_i: ck checks the
+    # tower, lifted with this Laplacian, by sum_i T_i T_i.  With
+    # mu = (3/7, 10^6, 3/7) and T_1's coefficient +1 at e = 3, verify_ck
+    # at kmax 4 fails tower-element-harmonic and extension-harmonic at
+    # degrees 3 and 4; with a Laplacian derived from that T_1 no
+    # harmonicity record fails, and only closed-form-matches-tower does.
+    two_mu = [2 * mu for mu in params.mu]
+    den = lcm(*(t.denominator for t in two_mu))
+    moves = [
+        (pos, _square_coefficient(t.numerator, t.denominator, den // t.denominator))
+        for pos, t in enumerate(two_mu)
+    ]
+    return LinearOperator.moving(moves, f"Lap{{{_name(range(1, params.n + 1))}}}", -2, den)
 
 
 def _square_coefficient(a: int, b: int, s: int) -> Coefficient:

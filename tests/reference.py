@@ -821,8 +821,8 @@ def reference_extension_restrictions(params: ParameterSet, kmax: int) -> Report:
         even_bad = odd_bad = harm_bad = None
         for exps in monomial_basis(n - 1, k):
             p = Polynomial.monomial(n, exps + (0,))
-            ext0 = Polynomial._trusted(n, *_lift(params, lap_done, new, 0, p.terms, p.den))
-            ext1 = Polynomial._trusted(n, *_lift(params, lap_done, new, 1, p.terms, p.den))
+            ext0 = Polynomial._trusted(n, *_lift(ops, lap_done, new, 0, p.terms, p.den))
+            ext1 = Polynomial._trusted(n, *_lift(ops, lap_done, new, 1, p.terms, p.den))
             if even_bad is None and restrict_to_zero(ext0, new) != p:
                 even_bad = p.to_text()
             if odd_bad is None and restrict_to_zero(partial_derivative(ext1, new), new) != p:

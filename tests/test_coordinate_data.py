@@ -179,18 +179,18 @@ def laplacian_cases(draw):
 @example((ParameterSet(1, (Fraction(1, 9),)), (1,), 0))
 @given(laplacian_cases())
 def test_every_laplacian_is_a_kept_restriction_of_the_full_one(case):
-    # Lap_A is the full Laplacian's moves at A over its den, kept on it and
-    # on ops: the restriction lemma1 asks for is C_A's own Lap_A.  Its kept
+    # Lap_A is the full Laplacian's moves at A over its den, kept on it:
+    # the restriction lemma1 asks for is C_A's own Lap_A.  Its kept
     # matrix on each range is the closed form in lowest terms.  A full
     # Laplacian with one move edited keeps its own restrictions, so lemma1
-    # reads the Laplacian under test, not one of ops.laplacians
+    # reads the Laplacian under test, not ops.laplacian or one of its own
     params, A, edited = case
     n, ops = params.n, DunklOperators(params)
     full = laplace(ops, range(1, n + 1))
     positions = [i - 1 for i in A]
     lap = laplace(ops, A)
     assert lap is full.moves_at(positions, "Lap|A", full.den) is laplace(ops, A)
-    assert lap is ops.laplacians[A] and (lap is full) == (len(A) == n)
+    assert full is ops.laplacian and (lap is full) == (len(A) == n)
     assert (lap.den, lap.support) == (full.den, frozenset(positions))
     assert casimir(ops, A).terms[1][1][1] is lap
     rule = reference.laplace_rule(params, A)
@@ -206,8 +206,9 @@ def test_every_laplacian_is_a_kept_restriction_of_the_full_one(case):
     wrong = LinearOperator.moving(moves, full.descriptor, full.shift, full.den)
     restriction = wrong.moves_at(positions, "Lap|A", wrong.den)
     assert restriction is wrong.moves_at(positions, "Lap|A", wrong.den)
-    assert all(restriction is not op for op in ops.laplacians.values())
-    kept = [values for op in ops.laplacians.values() for values in kept_values(op)]
+    laplacians = [full, *full._restrictions.values()]
+    assert all(restriction is not op for op in laplacians)
+    kept = [values for op in laplacians for values in kept_values(op)]
     assert not any(x is y for x in kept_values(restriction) for y in kept)
     matrix = materialize_on_monomials(restriction, n, 0, 2)
     assert (matrix != reference.rule_matrix(rule, n, 0, 2)) == (edited in positions)

@@ -426,16 +426,40 @@ def test_lift_divides_out_its_content():
     # _lift returns them in lowest terms so that they do not grow per step
     inputs = (({(2, 0, 0): 4, (0, 2, 0): -6}, 6), ({(1, 1, 0): 10}, 1), ({(0, 0, 0): 3}, 9))
     for params in (P3, ParameterSet.make([10**6, "1/9", "1/4"])):
-        lap = laplace(DunklOperators(params), (1, 2))
+        ops = DunklOperators(params)
+        lap = laplace(ops, (1, 2))
         oracle = dunkl_laplacian(params, (1, 2))
         for terms, den in inputs:
             p = Polynomial(3, {exps: Fraction(x, den) for exps, x in terms.items()})
             for parity in (0, 1):
-                out, out_den = harmonics._lift(params, lap, 3, parity, terms, den)
+                out, out_den = harmonics._lift(ops, lap, 3, parity, terms, den)
                 assert out_den > 0 and gcd(out_den, *out.values()) == 1
                 lifted = Polynomial(3, {exps: Fraction(x, out_den) for exps, x in out.items()})
                 assert lifted == reference_lift(params, oracle, 3, parity, p)
                 assert lifted == ck_extend(params, (1, 2), 3, parity, p)
+
+
+def test_lift_reads_each_factor_from_the_full_laplacian(monkeypatch):
+    # the j-th step divides by T_v^2's coefficient at 2j + parity, read from
+    # the move of ops.laplacian at v: Lap^2 x1^2 = 0, so an edit at e = 2
+    # moves only the x_v^2 term of the even lift, and no mu is read
+    params = ParameterSet.make(["3/7", "1/9", "1000000"])
+    ops = DunklOperators(params)
+    lap, x1_squared = laplace(ops, (1, 2)), {(2, 0, 0): 1}
+    terms, den = harmonics._lift(ops, lap, 3, 0, x1_squared, 1)
+    full = ops.laplacian
+    moves = [(pos, (lambda e, c=c: c(e) + (e == 2)) if pos == 2 else c) for pos, c, _ in full.moves]
+    ops.laplacian = LinearOperator.moving(moves, full.descriptor, full.shift, full.den)
+    edited = Polynomial._trusted(3, *harmonics._lift(ops, lap, 3, 0, x1_squared, 1))
+    diff = edited - Polynomial._trusted(3, terms, den)
+    assert list(diff.terms) == [(0, 0, 2)]
+    ops.laplacian = full
+
+    def refuse(self, i):
+        raise AssertionError("the lift read mu")
+
+    monkeypatch.setattr(ParameterSet, "mu_of", refuse)
+    assert harmonics._lift(ops, lap, 3, 0, x1_squared, 1) == (terms, den)
 
 
 def test_verify_tower_catches_a_wrong_laplacian_rule(monkeypatch):
@@ -514,7 +538,7 @@ def test_closed_form_matches_tower_sweep(monkeypatch):
     def refuse(*args):
         raise AssertionError("the closed form reached the lift")
 
-    for name in ("_lift", "laplace", "ck_extend"):
+    for name in ("_lift", "laplace", "ck_extend", "DunklOperators"):
         monkeypatch.setattr(harmonics, name, refuse)
     assert closed_forms(P3, labels) == expected
 

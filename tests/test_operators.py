@@ -454,9 +454,8 @@ def test_an_operator_on_chosen_variables_is_the_operator_of_their_parameters():
 
 
 def test_every_angular_momentum_reads_the_kept_coordinates():
-    # x_i is built once per DunklOperators, on first lookup, like T_i
+    # x_i is built once per DunklOperators, like T_i
     ops = DunklOperators(PARAMS)
-    assert not ops.coordinates
     (_, (x1, t2)), (_, (x2, t1)) = angular(ops, 1, 2).terms
     (_, (x1_again, t3)), (_, (x3, _)) = angular(ops, 1, 3).terms
     assert x1 is x1_again is ops.coordinates[1] and x2 is ops.coordinates[2]
